@@ -41,6 +41,7 @@ __all__ = [
     "evolution_blocks",
     "averaged_evolution_kron",
     "cycle_map_cm",
+    "affine_cycle_maps",
     "steady_state_cm",
     "finite_env_evolution_blocks",
     "finite_env_steady_cm",
@@ -130,6 +131,26 @@ def cycle_map_cm(gamma_s: np.ndarray, blocks: EvolutionBlocks,
 
 def _kron_pair(a: np.ndarray) -> np.ndarray:
     return np.kron(a, a.conj())
+
+
+def affine_cycle_maps(generators: np.ndarray, ts) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized cycle maps vec(gamma) -> K vec(gamma) + c for stacked blocks and times.
+
+    `generators` is a (modes, 4, 4) stack of Heisenberg generators and `ts` a
+    sequence of cycle times.  Returns K = A_S (x) A_S* with shape
+    (len(ts), modes, 4, 4) and c = vec(A_SB gamma_B0 A_SB^dag) with shape
+    (len(ts), modes, 4), gamma_B0 the reset bath's vacuum CM, from one
+    batched eigendecomposition.  This is `cycle_map_cm` in row-major
+    vectorized form.
+    """
+    e, v = np.linalg.eigh(generators)
+    phases = np.exp(-1j * np.asarray(ts, dtype=float)[:, None, None] * e)
+    u = (v * phases[:, :, None, :]) @ v.conj().swapaxes(-1, -2)
+    a_s, a_sb = u[..., :2, :2], u[..., :2, 2:4]
+    lead = a_s.shape[:-2]
+    k_s = np.einsum("...ij,...ab->...iajb", a_s, a_s.conj()).reshape(lead + (4, 4))
+    c = (a_sb @ vacuum_cm() @ a_sb.conj().swapaxes(-1, -2)).reshape(lead + (4,))
+    return k_s, c
 
 
 def averaged_evolution_kron(block: ModeBlock, t_mean: float,

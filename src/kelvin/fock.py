@@ -451,18 +451,26 @@ def steady_state(superop: Superoperator) -> tuple[DensityBlock, float]:
     """Unique fixed point and cooling rate alpha = -log|lambda_2|.
 
     The spectrum is taken on the parity-diagonal sector, which is where
-    physical states live (single-fermion coherences are superselected away);
-    a degenerate unit eigenvalue raises NonUniqueFixedPoint with the
-    eigenspace dimension.
+    physical states live (single-fermion coherences are superselected away).
+    Uniqueness is decided from the numerical kernel of T_res - I: a kernel of
+    dimension above one raises NonUniqueFixedPoint with that dimension.
     """
     t_res, idx = superop.restricted()
+    n = t_res.shape[0]
+    # The gap of T_res - I is the cooling rate, O(g^2) in weak coupling, so
+    # a fixed absolute threshold misreads weakly attracting modes as
+    # degenerate.  Singular values count as zero up to a multiple of the
+    # rounding floor n eps ||T_res||; the smallest one of a trace-preserving
+    # map sits within about 2x of that floor.
+    sv = np.linalg.svd(t_res - np.eye(n), compute_uv=False)
+    kernel_tol = 10.0 * n * np.finfo(float).eps * np.linalg.norm(t_res, 2)
+    n_kernel = int(np.sum(sv <= kernel_tol))
+    if n_kernel > 1:
+        raise NonUniqueFixedPoint(n_kernel)
+
     evals, evecs = np.linalg.eig(t_res)
     order = np.argsort(-np.abs(evals))
     evals, evecs = evals[order], evecs[:, order]
-
-    n_unit = int(np.sum(np.abs(np.abs(evals) - 1.0) < 1e-9))
-    if n_unit != 1:
-        raise NonUniqueFixedPoint(n_unit)
 
     def normalize(candidate: np.ndarray) -> np.ndarray | None:
         v = np.zeros(superop.d**2, dtype=complex)

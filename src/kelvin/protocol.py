@@ -2,9 +2,11 @@
 
 A schedule is an ordered list of (bath frequency, cycle time) subcycles; a
 global cycle applies all of them once, with the bath reset before each
-subcycle.  Per-mode dynamics are independent, so trajectories evaluate one
-momentum pair at a time (optionally across a thread pool) and reduce to
-chain-level energy, relative energy, and fidelity snapshots.
+subcycle.  Per-mode dynamics are independent and every subcycle acts on a
+vectorized block as an affine map x -> K x + c (linear for the Fock engine),
+so a trajectory composes the subcycle maps into one global-cycle map per
+momentum pair, steps all pairs at once as a stacked product, and reduces the
+stacked snapshots to chain-level energy, relative energy, and fidelity.
 """
 
 from __future__ import annotations
@@ -127,28 +129,59 @@ class ChainState:
     blocks: list[np.ndarray]
     params: ModelParams
 
+    def _groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return [(ks, np.stack([np.asarray(self.blocks[k]).reshape(-1) for k in ks]))
+                for ks in _mode_groups(self.engine, self.params.N // 2)]
+
     def energies(self) -> np.ndarray:
-        n2 = self.params.N // 2
-        out = np.empty(n2 + 1)
-        for k, b in enumerate(self.blocks):
-            eps = dispersion(self.params.theta, self.params.N, k)
-            w = 0.5 if k in (0, n2) else 1.0
-            if self.engine == "fock":
-                out[k], _ = _fock.block_energy(b, eps, w)
-            else:
-                out[k] = _cm.cm_energy(b, eps, w)
-        return out
+        return _chain_reduce(self.engine, self.params, self._groups())[0]
 
     def fidelities(self) -> np.ndarray:
-        n2 = self.params.N // 2
-        out = np.empty(n2 + 1)
-        for k, b in enumerate(self.blocks):
-            edge = k in (0, n2)
-            if self.engine == "fock":
-                out[k] = _fock.fidelity_with_vacuum(b)
-            else:
-                out[k] = _cm.cm_fidelity(b, edge)
-        return out
+        return _chain_reduce(self.engine, self.params, self._groups())[1]
+
+
+def _mode_reduce(engine: str, ks: np.ndarray, x: np.ndarray, eps: np.ndarray,
+                 wts: np.ndarray, n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Energies and vacuum fidelities of the modes `ks` from stacked blocks.
+
+    `x` holds row-major vectorized blocks, shape (..., modes, D).  This is the
+    batched form of `fock.block_energy` / `cm.cm_energy` and
+    `fock.fidelity_with_vacuum` / `cm.cm_fidelity`.
+    """
+    if engine == "cm":
+        n_a = 0.5 - x[..., 0].real
+        n_b = 0.5 + x[..., 3].real
+        energy = wts[ks] * eps[ks] * (x[..., 3].real - x[..., 0].real)
+        pair = 1.0 - n_a - n_b + (n_a * n_b + np.abs(x[..., 1]) ** 2)
+        edge = (ks == 0) | (ks == n2)
+        return energy, np.maximum(np.where(edge, 1.0 - n_a, pair), 0.0)
+    d = math.isqrt(x.shape[-1])
+    pops = x[..., :: d + 1].real
+    if d == 2:
+        return eps[ks] * (pops[..., 1] - 0.5), pops[..., 0]
+    return eps[ks] * (pops[..., 3] - pops[..., 0]), pops[..., 0]
+
+
+def _chain_reduce(engine: str, params: ModelParams,
+                  groups: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """(energies, fidelities) over k = 0..N/2 from per-group block stacks."""
+    n2 = params.N // 2
+    _, eps, _, wts = _an.mode_grid(params)
+    lead = groups[0][1].shape[:-2]
+    energies = np.empty(lead + (n2 + 1,))
+    fids = np.empty(lead + (n2 + 1,))
+    for ks, x in groups:
+        energies[..., ks], fids[..., ks] = _mode_reduce(engine, ks, x, eps, wts, n2)
+    return energies, fids
+
+
+def _chain_metrics(energies: np.ndarray, fidelities: np.ndarray,
+                   params: ModelParams) -> tuple[float, float, float]:
+    """(total E, relative energy e, fidelity F) from per-mode values."""
+    e_total = float(np.sum(energies))
+    _, eps, _, wts = _an.mode_grid(params)
+    e_gs = -float(np.sum(wts * eps))
+    return e_total, abs((e_total - e_gs) / e_gs), float(np.prod(fidelities))
 
 
 def initial_state(kind: str, params: ModelParams, engine: str = "fock",
@@ -189,13 +222,7 @@ def global_metrics(state: ChainState, params: ModelParams) -> tuple[float, float
     """(total E, relative energy e, fidelity F) of a chain state."""
     if len(state.blocks) != params.N // 2 + 1:
         raise ValueError("state is missing modes; need k = 0..N/2")
-    energies = state.energies()
-    e_total = float(np.sum(energies))
-    _, eps, _, wts = _an.mode_grid(params)
-    e_gs = -float(np.sum(wts * eps))
-    e_rel = abs((e_total - e_gs) / e_gs)
-    fid = float(np.prod(state.fidelities()))
-    return e_total, e_rel, fid
+    return _chain_metrics(state.energies(), state.fidelities(), params)
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +248,6 @@ class Trajectory:
         return np.array([getattr(s, name) for s in self.snapshots])
 
 
-def _mode_weight_eps(params: ModelParams, k: int) -> tuple[float, float]:
-    n2 = params.N // 2
-    return (0.5 if k in (0, n2) else 1.0), dispersion(params.theta, params.N, k)
-
-
 def _check_engine_noise(engine: str, noise: NoiseSpec):
     if engine not in ("fock", "cm"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -235,67 +257,92 @@ def _check_engine_noise(engine: str, noise: NoiseSpec):
             "run trajectories with the fock engine")
 
 
-def _fock_subcycle_transfers(block_by_delta: dict[float, _fock.FockBlock],
-                             schedule: Schedule, noise: NoiseSpec) -> list[np.ndarray]:
-    mats = []
-    cache: dict[tuple[float, float], np.ndarray] = {}
+def _noise_env(noise: NoiseSpec) -> FiniteEnvSpec | None:
+    if noise.kind != "finite_env":
+        return None
+    return FiniteEnvSpec(noise.kappa_prime, noise.delta_e, noise.p_e)
+
+
+def _fock_cycle_map(fb: _fock.FockBlock, t: float, noise: NoiseSpec) -> _fock.Superoperator:
+    """Single-time cycle map of one Fock block under the selected noise kind."""
+    if noise.kind == "none":
+        return _fock.exact_cycle_map(fb, t)
+    if noise.kind == "depolarizing":
+        return _fock.noisy_cycle_map(fb, t, noise.kappa)
+    return _fock.finite_environment_map(fb, t)
+
+
+def _mode_groups(engine: str, n2: int) -> list[np.ndarray]:
+    """Mode indices stepped as one stack, one group per block shape.
+
+    Every CM block is a 2x2 correlation matrix; Fock edge modes are 2x2
+    densities and the other modes 4x4.
+    """
+    ks = np.arange(n2 + 1)
+    if engine == "cm":
+        return [ks]
+    return [g for g in (np.array([0, n2]), ks[1:n2]) if g.size]
+
+
+def _subcycle_maps(params: ModelParams, scheme: CouplingScheme, schedule: Schedule,
+                   noise: NoiseSpec, dsp: bool, engine: str, ks: np.ndarray) -> dict:
+    """Affine map vec(block) -> K vec(block) + c of every distinct subcycle.
+
+    Keyed by (delta_r, t_m); K is stacked over the modes `ks` to (modes, D, D)
+    and c to (modes, D).  Fock maps are linear (c = 0).
+    """
+    times: dict[float, dict[float, None]] = {}
     for delta_r, t_m in schedule.subcycles:
-        key = (delta_r, t_m)
-        if key not in cache:
-            fb = block_by_delta[delta_r]
-            if noise.kind == "none":
-                s = _fock.exact_cycle_map(fb, t_m)
-            elif noise.kind == "depolarizing":
-                s = _fock.noisy_cycle_map(fb, t_m, noise.kappa)
-            else:
-                s = _fock.finite_environment_map(fb, t_m)
-            cache[key] = s.matrix
-        mats.append(cache[key])
-    return mats
+        times.setdefault(delta_r, {})[t_m] = None
+    env = _noise_env(noise)
+    maps = {}
+    for delta_r, ts in times.items():
+        bath = BathSpec(delta_r, schedule.mean_time)
+        blocks = [block_hamiltonian(params, scheme, bath, int(k), env=env, dsp=dsp)
+                  for k in ks]
+        if engine == "cm":
+            k_s, c = _cm.affine_cycle_maps(np.stack([b.generator for b in blocks]), list(ts))
+            for i, t_m in enumerate(ts):
+                damping = math.exp(-2.0 * noise.kappa * t_m) \
+                    if noise.kind == "depolarizing" else 1.0
+                maps[delta_r, t_m] = (damping * k_s[i], damping * c[i])
+        else:
+            fbs = [_fock.second_quantize(b) for b in blocks]
+            for t_m in ts:
+                k_s = np.stack([_fock_cycle_map(fb, t_m, noise).matrix for fb in fbs])
+                maps[delta_r, t_m] = (k_s, np.zeros(k_s.shape[:2], dtype=complex))
+    return maps
 
 
-def _run_mode_fock(params, scheme, schedule, noise, k, n_cycles, stride, rho0, dsp):
-    env = None
-    if noise.kind == "finite_env":
-        env = FiniteEnvSpec(noise.kappa_prime, noise.delta_e, noise.p_e)
-    blocks = {}
-    for delta_r in set(d for d, _ in schedule.subcycles):
-        mb = block_hamiltonian(params, scheme, BathSpec(delta_r, schedule.mean_time),
-                               k, env=env, dsp=dsp)
-        blocks[delta_r] = _fock.second_quantize(mb)
-    transfers = _fock_subcycle_transfers(blocks, schedule, noise)
-    rho = rho0.reshape(-1).astype(complex)
-    snaps = [rho0.copy()]
-    for n in range(1, n_cycles + 1):
-        for t_mat in transfers:
-            rho = t_mat @ rho
-        if n % stride == 0 or n == n_cycles:
-            d = rho0.shape[0]
-            snaps.append(rho.reshape(d, d).copy())
-    return snaps
+def _global_cycle_map(maps: dict, subcycles) -> tuple[np.ndarray, np.ndarray]:
+    """Compose the subcycle maps in schedule order into one global-cycle map."""
+    k_tot, c_tot = maps[subcycles[0]]
+    for key in subcycles[1:]:
+        k_s, c = maps[key]
+        k_tot = k_s @ k_tot
+        c_tot = (k_s @ c_tot[..., None])[..., 0] + c
+    return k_tot, c_tot
 
 
-def _run_mode_cm(params, scheme, schedule, noise, k, n_cycles, stride, gamma0, dsp):
-    cache = {}
-    for delta_r in set(d for d, _ in schedule.subcycles):
-        mb = block_hamiltonian(params, scheme, BathSpec(delta_r, schedule.mean_time), k, dsp=dsp)
-        e, v = np.linalg.eigh(mb.generator)
-        cache[delta_r] = (e, v)
-    gb0 = _cm.vacuum_cm()
-    gamma = gamma0.copy()
-    snaps = [gamma0.copy()]
-    for n in range(1, n_cycles + 1):
-        for delta_r, t_m in schedule.subcycles:
-            e, v = cache[delta_r]
-            u = (v * np.exp(-1j * e * t_m)) @ v.conj().T
-            out = u[:2, :2] @ gamma @ u[:2, :2].conj().T \
-                + u[:2, 2:4] @ gb0 @ u[:2, 2:4].conj().T
-            if noise.kind == "depolarizing":
-                out = math.exp(-2.0 * noise.kappa * t_m) * out
-            gamma = out
-        if n % stride == 0 or n == n_cycles:
-            snaps.append(gamma.copy())
-    return snaps
+def _step_snapshots(k_tot: np.ndarray, c_tot: np.ndarray, x0: np.ndarray,
+                    snap_cycles: list[int]) -> np.ndarray:
+    """States after each snapshot cycle, stacked to (snapshots, modes, D)."""
+    out = np.empty((len(snap_cycles),) + x0.shape, dtype=complex)
+    x, n = x0, 0
+    for i, cyc in enumerate(snap_cycles):
+        for _ in range(cyc - n):
+            x = (k_tot @ x[..., None])[..., 0] + c_tot
+        n = cyc
+        out[i] = x
+    return out
+
+
+def _trace_norm_steps(x: np.ndarray) -> np.ndarray:
+    """Largest per-mode trace-norm change between consecutive snapshots."""
+    d = math.isqrt(x.shape[-1])
+    diff = np.diff(x, axis=0)
+    diff = diff.reshape(diff.shape[:2] + (d, d))
+    return np.linalg.svd(diff, compute_uv=False).sum(-1).max(-1)
 
 
 def run_trajectory(params: ModelParams, scheme: CouplingScheme, schedule: Schedule,
@@ -305,10 +352,14 @@ def run_trajectory(params: ModelParams, scheme: CouplingScheme, schedule: Schedu
                    threads: int = 1) -> Trajectory:
     """Apply the schedule's subcycles for n global cycles, recording snapshots.
 
-    Modes evolve independently (optionally on a thread pool); all modes see
-    the same subcycle time sequence.  Convergence is declared when the
-    per-mode trace-norm change between consecutive snapshots stays below
-    1e-10 three snapshots in a row.
+    All modes see the same subcycle time sequence.  Each distinct subcycle's
+    map is built once per mode, the maps are composed in schedule order into
+    one global-cycle map per mode, and all modes are stepped together as a
+    stacked product (CM: one stack of 4x4 affine maps on vec(gamma); Fock: one
+    stack per block shape, edges and generic pairs).  `threads` is accepted
+    for interface compatibility and has no effect here.  Convergence is
+    declared when the per-mode trace-norm change between consecutive
+    snapshots stays below 1e-10 three snapshots in a row.
     """
     _check_engine_noise(engine, noise)
     if isinstance(initial, ChainState):
@@ -319,39 +370,41 @@ def run_trajectory(params: ModelParams, scheme: CouplingScheme, schedule: Schedu
         state0 = initial_state(initial, params, engine=engine)
 
     n2 = params.N // 2
-    runner = _run_mode_fock if engine == "fock" else _run_mode_cm
+    snap_cycles = sorted({0, max(n_global_cycles, 0),
+                          *range(snapshot_stride, n_global_cycles + 1, snapshot_stride)})
+    groups = []
+    for ks in _mode_groups(engine, n2):
+        # CM maps come from one batched eigh over all modes; Fock transfers
+        # are built and composed one mode at a time, so that only one mode's
+        # subcycle transfers are held at once
+        chunks = [ks] if engine == "cm" else np.split(ks, len(ks))
+        composed = [_global_cycle_map(
+            _subcycle_maps(params, scheme, schedule, noise, dsp, engine, chunk),
+            schedule.subcycles) for chunk in chunks]
+        k_tot = np.concatenate([k for k, _ in composed])
+        c_tot = np.concatenate([c for _, c in composed])
+        x0 = np.stack([np.asarray(state0.blocks[k], dtype=complex).reshape(-1) for k in ks])
+        groups.append((ks, _step_snapshots(k_tot, c_tot, x0, snap_cycles)))
 
-    def work(k: int):
-        return runner(params, scheme, schedule, noise, k, n_global_cycles,
-                      snapshot_stride, state0.blocks[k], dsp)
+    energies, fids = _chain_reduce(engine, params, groups)
+    snapshots = [TrajectorySnapshot(cyc, *_chain_metrics(e_k, f_k, params), e_k)
+                 for cyc, e_k, f_k in zip(snap_cycles, energies, fids)]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            per_mode = list(ex.map(work, range(n2 + 1)))
-    else:
-        per_mode = [work(k) for k in range(n2 + 1)]
-
-    snap_cycles = [0] + [n for n in range(1, n_global_cycles + 1)
-                         if n % snapshot_stride == 0 or n == n_global_cycles]
-    # deduplicate the final cycle if it aligned with the stride
-    seen = set()
-    snap_cycles = [c for c in snap_cycles if not (c in seen or seen.add(c))]
-
-    snapshots = []
+    steps = np.max([_trace_norm_steps(x) for _, x in groups], axis=0)
     converged_at = None
     streak = 0
-    for i, cyc in enumerate(snap_cycles):
-        state = ChainState(engine, [per_mode[k][i] for k in range(n2 + 1)], params)
-        e_tot, e_rel, fid = global_metrics(state, params)
-        snapshots.append(TrajectorySnapshot(cyc, e_tot, e_rel, fid,
-                                            state.energies()))
-        if i > 0 and converged_at is None:
-            step = max(trace_norm(per_mode[k][i] - per_mode[k][i - 1])
-                       for k in range(n2 + 1))
-            streak = streak + 1 if step < CONVERGENCE_STEP_TOL else 0
-            if streak >= CONVERGENCE_STREAK:
-                converged_at = cyc
-    final = ChainState(engine, [per_mode[k][-1] for k in range(n2 + 1)], params)
+    for cyc, step in zip(snap_cycles[1:], steps):
+        streak = streak + 1 if step < CONVERGENCE_STEP_TOL else 0
+        if streak >= CONVERGENCE_STREAK:
+            converged_at = cyc
+            break
+
+    final_blocks: list[np.ndarray] = [None] * (n2 + 1)
+    for ks, x in groups:
+        d = math.isqrt(x.shape[-1])
+        for k, block in zip(ks, x[-1].reshape(len(ks), d, d)):
+            final_blocks[k] = block
+    final = ChainState(engine, final_blocks, params)
     return Trajectory(snapshots=snapshots, converged_at=converged_at, final_state=final)
 
 
@@ -431,9 +484,7 @@ class SteadyStateReport:
 
 def _steady_mode_fock(params, scheme, noise, schedule_kind, deltas, t_mean, k,
                       dsp, quadrature_nodes):
-    env = None
-    if noise.kind == "finite_env":
-        env = FiniteEnvSpec(noise.kappa_prime, noise.delta_e, noise.p_e)
+    env = _noise_env(noise)
     mats = []
     d_sys = None
     for delta_r in deltas:
@@ -442,12 +493,7 @@ def _steady_mode_fock(params, scheme, noise, schedule_kind, deltas, t_mean, k,
         fb = _fock.second_quantize(mb)
         d_sys = fb.d_sys
         if schedule_kind == "single":
-            if noise.kind == "none":
-                s = _fock.exact_cycle_map(fb, t_mean)
-            elif noise.kind == "depolarizing":
-                s = _fock.noisy_cycle_map(fb, t_mean, noise.kappa)
-            else:
-                s = _fock.finite_environment_map(fb, t_mean)
+            s = _fock_cycle_map(fb, t_mean, noise)
         else:
             if noise.kind == "finite_env":
                 raise UnsupportedCombination(
@@ -466,9 +512,8 @@ def _steady_mode_fock(params, scheme, noise, schedule_kind, deltas, t_mean, k,
 
 def _steady_mode_cm(params, scheme, noise, schedule_kind, deltas, t_mean, k,
                     dsp, quadrature_nodes):
-    env = None
-    if noise.kind == "finite_env":
-        env = FiniteEnvSpec(noise.kappa_prime, noise.delta_e, noise.p_e)
+    env = _noise_env(noise)
+    if env is not None:
         if schedule_kind != "single":
             raise UnsupportedCombination(
                 "cm finite-environment fixed points support single schedules only")

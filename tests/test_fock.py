@@ -349,6 +349,18 @@ class TestSteadyState:
             fock.steady_state(fock.exact_cycle_map(blk, 2.0))
         assert exc.value.eigenspace_dim > 1
 
+    @pytest.mark.parametrize("g", [1e-5, 1e-6])
+    def test_weak_coupling_gap_is_not_degeneracy(self, g):
+        """T_res has several eigenvalues within 1e-9 of modulus one here,
+        but only one numerical kernel vector of T_res - I."""
+        p = ModelParams(40, math.pi / 3)
+        scheme = CouplingScheme.local(1.0, 1.0, g)
+        blk = block_hamiltonian(p, scheme, BathSpec(1.0, 20.0), k=4)
+        s = fock.exact_cycle_map(blk, 20.0)
+        rho, alpha = fock.steady_state(s)
+        assert 0.0 < alpha < 1e-9
+        assert trace_norm(s.apply(rho) - rho.matrix) <= 1e-10
+
     def test_decoupled_noisy_steady_is_maximally_mixed(self, small_params, bath):
         scheme = CouplingScheme.local(1.0, 1.0, g=0.0)
         blk = block_hamiltonian(small_params, scheme, bath, k=2)

@@ -8,7 +8,16 @@ from kelvin import cm, fock
 from kelvin import protocol as pr
 from kelvin._linalg import trace_norm
 from kelvin.errors import FitQualityError, UnsupportedCombination
-from kelvin.model import BathSpec, CouplingScheme, ModelParams, band_edges, dispersion
+from kelvin.model import (
+    BathSpec,
+    CouplingScheme,
+    FiniteEnvSpec,
+    ModelParams,
+    band_edges,
+    block_hamiltonian,
+    dispersion,
+    ground_state_energy,
+)
 
 
 class TestMakeSchedule:
@@ -178,6 +187,130 @@ class TestRunTrajectory:
         assert traj.converged_at is not None
 
 
+def _reference_trajectory(params, scheme, schedule, noise, engine, n_cycles, stride, dsp):
+    """Oracle for run_trajectory: every mode stepped one subcycle at a time.
+
+    Returns (cycles, per-snapshot dicts, converged_at) built from the scalar
+    per-block maps and metrics.
+    """
+    n2 = params.N // 2
+    env = None
+    if noise.kind == "finite_env":
+        env = FiniteEnvSpec(noise.kappa_prime, noise.delta_e, noise.p_e)
+    blocks = list(pr.initial_state("most_excited", params, engine=engine).blocks)
+    mode_blocks = {(k, d): block_hamiltonian(params, scheme, BathSpec(d, 1.0), k,
+                                             env=env, dsp=dsp)
+                   for k in range(n2 + 1) for d in schedule.deltas}
+
+    fock_maps = {}
+
+    def step(k, delta_r, t_m, state):
+        mb = mode_blocks[k, delta_r]
+        if engine == "cm":
+            out = cm.cycle_map_cm(state, cm.evolution_blocks(mb, t_m), cm.vacuum_cm())
+            if noise.kind == "depolarizing":
+                out = math.exp(-2.0 * noise.kappa * t_m) * out
+            return out
+        key = (k, delta_r, t_m)
+        if key not in fock_maps:
+            if noise.kind == "none":
+                fock_maps[key] = fock.exact_cycle_map(mb, t_m)
+            elif noise.kind == "depolarizing":
+                fock_maps[key] = fock.noisy_cycle_map(mb, t_m, noise.kappa)
+            else:
+                fock_maps[key] = fock.finite_environment_map(mb, t_m)
+        return fock_maps[key].apply(state)
+
+    def metrics(state):
+        e_k, f_k = [], []
+        for k, b in enumerate(state):
+            edge = k in (0, n2)
+            eps = dispersion(params.theta, params.N, k)
+            if engine == "cm":
+                e_k.append(cm.cm_energy(b, eps, 0.5 if edge else 1.0))
+                f_k.append(cm.cm_fidelity(b, edge))
+            else:
+                e_k.append(fock.block_energy(b, eps, 0.5 if edge else 1.0)[0])
+                f_k.append(fock.fidelity_with_vacuum(b))
+        e_tot = sum(e_k)
+        e_gs = ground_state_energy(params)
+        return {"mode_energies": np.array(e_k), "energy": e_tot,
+                "relative_energy": abs((e_tot - e_gs) / e_gs),
+                "fidelity": math.prod(f_k)}
+
+    cycles, snaps, history = [0], [metrics(blocks)], [blocks]
+    for n in range(1, n_cycles + 1):
+        for delta_r, t_m in schedule.subcycles:
+            blocks = [step(k, delta_r, t_m, b) for k, b in enumerate(blocks)]
+        if n % stride == 0 or n == n_cycles:
+            cycles.append(n)
+            snaps.append(metrics(blocks))
+            history.append(blocks)
+    converged_at, streak = None, 0
+    for i in range(1, len(history)):
+        change = max(trace_norm(a - b) for a, b in zip(history[i], history[i - 1]))
+        streak = streak + 1 if change < pr.CONVERGENCE_STEP_TOL else 0
+        if streak >= pr.CONVERGENCE_STREAK:
+            converged_at = cycles[i]
+            break
+    return cycles, snaps, converged_at
+
+
+_NOISES = {"none": an.NoiseSpec.none(),
+           "depolarizing": an.NoiseSpec.depolarizing(1e-2),
+           "finite_env": an.NoiseSpec.finite_env(0.02, 0.7, 0.1)}
+_SCHEDULES = {"single": {"kind": "single"},
+              "randomized": {"kind": "randomized", "L": 4},
+              "multifreq": {"kind": "multifreq", "R": 2, "L": 3, "freq_rule": "grid"}}
+_EQUIVALENCE_CASES = [
+    (engine, sched, noise, False)
+    for engine in ("fock", "cm") for sched in _SCHEDULES for noise in _NOISES
+    if not (engine == "cm" and noise == "finite_env")
+] + [(engine, sched, "none", True)
+     for engine in ("fock", "cm") for sched in ("randomized", "multifreq")]
+
+
+class TestSteppingEquivalence:
+    """Precomposed, mode-batched stepping against the per-subcycle loop."""
+
+    @pytest.mark.parametrize("engine,sched,noise,dsp", _EQUIVALENCE_CASES)
+    def test_matches_per_subcycle_loop(self, generic_scheme, engine, sched, noise, dsp):
+        # N = 6 has both edge modes plus two generic pairs; stride 7 does not
+        # divide 30 cycles, so the last snapshot is off the stride
+        p = ModelParams(6, 1.0)
+        schedule = pr.make_schedule(_SCHEDULES[sched], p, BathSpec(1.1, 4.3), seed=7)
+        traj = pr.run_trajectory(p, generic_scheme, schedule, _NOISES[noise], engine,
+                                 n_global_cycles=30, snapshot_stride=7, dsp=dsp)
+        cycles, ref, converged_at = _reference_trajectory(
+            p, generic_scheme, schedule, _NOISES[noise], engine, 30, 7, dsp)
+        assert [s.cycle for s in traj.snapshots] == cycles == [0, 7, 14, 21, 28, 30]
+        assert traj.converged_at == converged_at
+        # 1e-12 relative to each quantity's scale: |E_GS| for energies, 1 for
+        # the relative energy and the fidelity
+        e_scale = abs(ground_state_energy(p))
+        for snap, r in zip(traj.snapshots, ref):
+            np.testing.assert_allclose(snap.mode_energies, r["mode_energies"],
+                                       rtol=1e-12, atol=1e-12 * e_scale)
+            np.testing.assert_allclose(snap.energy, r["energy"],
+                                       rtol=1e-12, atol=1e-12 * e_scale)
+            np.testing.assert_allclose(snap.relative_energy, r["relative_energy"],
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(snap.fidelity, r["fidelity"],
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_convergence_step_matches_loop(self):
+        p = ModelParams(8, 0.9)
+        scheme = CouplingScheme.local(1.0, 1.0, 0.3)
+        schedule = pr.make_schedule({"kind": "single"}, p, BathSpec(1.0, 3.0), 0)
+        for engine in ("fock", "cm"):
+            traj = pr.run_trajectory(p, scheme, schedule, engine=engine,
+                                     n_global_cycles=300, snapshot_stride=20)
+            _, _, converged_at = _reference_trajectory(
+                p, scheme, schedule, an.NoiseSpec.none(), engine, 300, 20, False)
+            assert converged_at is not None
+            assert traj.converged_at == converged_at
+
+
 class TestGlobalMetrics:
     def test_missing_modes_rejected(self, small_params):
         st = pr.initial_state("vacuum", small_params)
@@ -270,6 +403,21 @@ class TestSteadyReport:
             rc = pr.steady_report(small_params, local_scheme, bath,
                                   {"kind": "single"}, noise=noise, engine="cm")
             assert np.max(np.abs(rf.mode_energy - rc.mode_energy)) <= 1e-9
+
+    @pytest.mark.parametrize("g", [1e-5, 1e-6])
+    def test_weakly_attracting_fixed_points_are_unique(self, g):
+        """Gaps of O(g^2) ~ 1e-12 are not a degenerate unit eigenvalue."""
+        p = ModelParams(40, math.pi / 3)
+        scheme = CouplingScheme.local(1.0, 1.0, g)
+        bath_w = BathSpec(1.0, 20.0)
+        rf = pr.steady_report(p, scheme, bath_w, {"kind": "single"}, engine="fock")
+        rc = pr.steady_report(p, scheme, bath_w, {"kind": "single"}, engine="cm")
+        assert rf.max_residual <= 1e-10 and rc.max_residual <= 1e-10
+        np.testing.assert_allclose(rf.alpha, rc.alpha, rtol=1e-2)
+        # the fixed point's condition number is ~1/alpha, so the engines agree
+        # to a few machine epsilons over the gap (in units of eps_k)
+        bound = 50 * np.finfo(float).eps * rc.epsilon / rc.alpha
+        assert np.all(np.abs(rf.mode_energy - rc.mode_energy) <= bound)
 
     def test_scalability_of_tabulated_parameters(self):
         """Couplings tuned at N=20 stay effective at N=200 away from the
