@@ -7,7 +7,10 @@ sum_b kron(K_b, K_b.conj()).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-10
@@ -73,3 +76,17 @@ def choi_min_eig(t: np.ndarray) -> float:
 def apply_transfer(t: np.ndarray, rho: np.ndarray) -> np.ndarray:
     d = rho.shape[0]
     return (t @ vec(rho)).reshape(d, d)
+
+
+@lru_cache(maxsize=16)
+def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes x on [-1, 1] and weights w/2.
+
+    The halved weights sum to one, so t = t_mean (x + 1) with these weights
+    averages over uniform times on [0, 2 t_mean].
+    """
+    x, w = leggauss(nodes)
+    w = w / 2.0
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w

@@ -418,8 +418,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
     parser.add_argument("--engine", choices=["fock", "cm"], default=None)
     parser.add_argument("--threads", type=int, default=None,
-                        help="per-mode worker threads for steady reports; trajectories "
-                             "ignore it (default KELVIN_THREADS or 1)")
+                        help="accepted for compatibility and ignored: steady reports "
+                             "and trajectories batch their per-mode work "
+                             "(default KELVIN_THREADS or 1)")
     args = parser.parse_args(argv)
 
     try:

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from ._linalg import FIXED_POINT_ATOL, hermitize
+from ._linalg import FIXED_POINT_ATOL, gauss_legendre, hermitize
 from .errors import NonUniqueFixedPoint, ResonantDenominator
 from .fock import DensityBlock, mode_operators
 from .model import ModeBlock
@@ -133,6 +132,16 @@ def _kron_pair(a: np.ndarray) -> np.ndarray:
     return np.kron(a, a.conj())
 
 
+def _propagators(generators: np.ndarray, ts) -> np.ndarray:
+    """e^{-iGt} for every time in `ts` and every stacked generator G.
+
+    Shape (len(ts),) + generators.shape, from one batched eigendecomposition.
+    """
+    e, v = np.linalg.eigh(generators)
+    phases = np.exp(-1j * np.asarray(ts, dtype=float).reshape((-1,) + (1,) * e.ndim) * e)
+    return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
 def affine_cycle_maps(generators: np.ndarray, ts) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized cycle maps vec(gamma) -> K vec(gamma) + c for stacked blocks and times.
 
@@ -143,9 +152,7 @@ def affine_cycle_maps(generators: np.ndarray, ts) -> tuple[np.ndarray, np.ndarra
     batched eigendecomposition.  This is `cycle_map_cm` in row-major
     vectorized form.
     """
-    e, v = np.linalg.eigh(generators)
-    phases = np.exp(-1j * np.asarray(ts, dtype=float)[:, None, None] * e)
-    u = (v * phases[:, :, None, :]) @ v.conj().swapaxes(-1, -2)
+    u = _propagators(generators, ts)
     a_s, a_sb = u[..., :2, :2], u[..., :2, 2:4]
     lead = a_s.shape[:-2]
     k_s = np.einsum("...ij,...ab->...iajb", a_s, a_s.conj()).reshape(lead + (4, 4))
@@ -153,23 +160,22 @@ def affine_cycle_maps(generators: np.ndarray, ts) -> tuple[np.ndarray, np.ndarra
     return k_s, c
 
 
-def averaged_evolution_kron(block: ModeBlock, t_mean: float,
-                            nodes: int = 96) -> tuple[np.ndarray, np.ndarray]:
-    """(E[A_S (x) A_S*], E[A_SB (x) A_SB*]) over uniform times on [0, 2 t_mean].
+def averaged_evolution_kron(block: ModeBlock, t_mean: float, nodes: int = 96,
+                            kappa: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(E[D A_S (x) A_S*], E[D A_SB (x) A_SB*]) over uniform times on [0, 2 t_mean].
 
-    These are the vectorized-map ingredients of the randomized-time cycle; the
-    linear CM map averages directly because it is linear in the kron blocks.
+    D = exp(-2 kappa t) is the damping of uniform gain/loss noise of rate
+    kappa over a cycle of duration t (1 without noise).  These are the
+    vectorized-map ingredients of the randomized-time cycle; the linear CM map
+    averages directly because it is linear in the kron blocks.
     """
-    x, w = leggauss(nodes)
+    x, w = gauss_legendre(nodes)
     ts = t_mean * (x + 1.0)
-    w = w / 2.0
-    e, v = np.linalg.eigh(block.generator)
-    ks = np.zeros((4, 4), dtype=complex)
-    ksb = np.zeros((4, 4), dtype=complex)
-    for wi, ti in zip(w, ts):
-        u = (v * np.exp(-1j * e * ti)) @ v.conj().T
-        ks += wi * _kron_pair(u[:2, :2])
-        ksb += wi * _kron_pair(u[:2, 2:4])
+    w = w * np.exp(-2.0 * kappa * ts)
+    u = _propagators(block.generator, ts)
+    a_s, a_sb = u[:, :2, :2], u[:, :2, 2:4]
+    ks = np.einsum("n,nij,nab->iajb", w, a_s, a_s.conj()).reshape(4, 4)
+    ksb = np.einsum("n,nij,nab->iajb", w, a_sb, a_sb.conj()).reshape(4, 4)
     return ks, ksb
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.linalg import expm
 
 from ._linalg import (
@@ -28,6 +27,7 @@ from ._linalg import (
     TRACE_ATOL,
     apply_transfer,
     choi_min_eig,
+    gauss_legendre,
     hermitize,
     trace_norm,
     vec,
@@ -112,7 +112,7 @@ class FockBlock:
         """Stack of e^{-iHt} for an array of times; shape (len(ts), d, d)."""
         e, v = self.eig()
         phases = np.exp(-1j * np.outer(ts, e))  # (n, d)
-        return np.einsum("ae,ne,eb->nab", v, phases, v.conj().T)
+        return (v * phases[:, None, :]) @ v.conj().T
 
 
 def second_quantize(block: ModeBlock) -> FockBlock:
@@ -230,11 +230,17 @@ def block_energy(rho: DensityBlock | np.ndarray, epsilon: float, weight: float):
 # superoperators
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
+def _parity_diag_mask(d: int) -> np.ndarray:
+    """Read-only mask of the parity-diagonal sector over row-major vec indices."""
+    par = _parity_vector(int(math.log2(d)))
+    mask = np.equal.outer(par, par).reshape(-1)
+    mask.flags.writeable = False
+    return mask
+
+
 def _parity_diag_indices(d: int) -> np.ndarray:
-    n = int(math.log2(d))
-    par = _parity_vector(n)
-    pairs = [(i, j) for i in range(d) for j in range(d) if par[i] == par[j]]
-    return np.array([i * d + j for i, j in pairs])
+    return np.flatnonzero(_parity_diag_mask(d))
 
 
 @dataclass
@@ -267,9 +273,7 @@ class Superoperator:
 
     def parity_leakage(self) -> float:
         """Largest coupling from the parity-diagonal sector to the rest."""
-        idx = _parity_diag_indices(self.d)
-        mask = np.zeros(self.d * self.d, dtype=bool)
-        mask[idx] = True
+        mask = _parity_diag_mask(self.d)
         off = self.matrix[~mask][:, mask]
         return float(np.max(np.abs(off))) if off.size else 0.0
 
@@ -279,38 +283,51 @@ class Superoperator:
         return self.matrix[np.ix_(idx, idx)], idx
 
 
-def _rest_weights(fb: FockBlock, bath_excitation: float) -> np.ndarray:
-    """Occupation-probability vector over the traced-out modes.
+def _rest_weights(fb: FockBlock, bath_excitation, sign: float = 1.0) -> np.ndarray:
+    """Occupation-probability weights over the traced-out modes, one row per node.
 
-    Bath modes carry `bath_excitation`; environment modes (when present)
-    carry (1 - p_E)/2 each.
+    Bath modes carry the excitation p of their node, with the occupied weight
+    multiplied by `sign`; environment modes (when present) carry (1 - p_E)/2
+    each.  Returns shape (len(bath_excitation), d_rest).
     """
-    n_rest = fb.n_modes - fb.n_sys_modes
+    p = np.asarray(bath_excitation, dtype=float)[:, None]
+    bath = np.concatenate([1.0 - p, sign * p], axis=1)
     n_bath = 1 if fb.block.is_edge else 2
-    probs = []
-    for m in range(n_rest):
+    w = bath
+    for m in range(1, fb.n_modes - fb.n_sys_modes):
         if m < n_bath:
-            p = bath_excitation
+            pair = bath
         else:
-            p = (1.0 - fb.block.env.p_e) / 2.0
-        probs.append(np.array([1.0 - p, p]))
-    w = probs[0]
-    for p in probs[1:]:
-        w = np.kron(w, p)
+            p_env = (1.0 - fb.block.env.p_e) / 2.0
+            pair = np.array([1.0 - p_env, p_env])
+        w = (w[:, :, None] * pair[..., None, :]).reshape(len(p), -1)
     return w
 
 
-def _cycle_transfer(fb: FockBlock, u: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Transfer matrix of rho -> Tr_rest[U (rho x diag-mixture) U^dag].
+@lru_cache(maxsize=32)
+def _einsum_path(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
+    """Greedy contraction path for operands of these shapes, searched once."""
+    return tuple(np.einsum_path(subscripts, *(np.empty(sh) for sh in shapes),
+                                optimize="greedy")[0])
 
+
+def _cycle_transfer(fb: FockBlock, us: np.ndarray, weights: np.ndarray,
+                    summed: bool = False) -> np.ndarray:
+    """Transfer matrices of rho -> Tr_rest[U (rho x diag-mixture) U^dag] per node.
+
+    `us` stacks the nodes' propagators, shape (n, d, d), and `weights` their
+    rest weights, shape (n, d_rest).  Returns the (n, ds^2, ds^2) stack, or
+    its sum over nodes when `summed` (fold quadrature weights into `weights`).
     Weights may carry signs (used for the sector-resolved noisy map), so the
     contraction is done directly rather than through a Kraus square root.
     """
     ds, dr = fb.d_sys, fb.d_rest
-    u4 = u.reshape(ds, dr, ds, dr)
-    t = np.einsum("ibxm,jbym,m->ijxy", u4, u4.conj(), weights.astype(complex),
-                  optimize=True)
-    return t.reshape(ds * ds, ds * ds)
+    u4 = us.reshape(-1, ds, dr, ds, dr)
+    subscripts = "nibxm,njbym,nm->" + ("ijxy" if summed else "nijxy")
+    operands = (u4, u4.conj(), weights)
+    t = np.einsum(subscripts, *operands,
+                  optimize=_einsum_path(subscripts, tuple(o.shape for o in operands)))
+    return t.reshape(t.shape[:-4] + (ds * ds, ds * ds))
 
 
 def exact_cycle_map(block: ModeBlock | FockBlock, t: float,
@@ -325,9 +342,9 @@ def exact_cycle_map(block: ModeBlock | FockBlock, t: float,
     if not (0.0 <= bath_excitation <= 1.0):
         raise ValueError(f"bath excitation must lie in [0, 1], got {bath_excitation}")
     fb = block if isinstance(block, FockBlock) else second_quantize(block)
-    u = fb.propagator(t)
-    w = _rest_weights(fb, bath_excitation)
-    return Superoperator(_cycle_transfer(fb, u, w), fb.d_sys)
+    u = fb.propagator(t)[None]
+    w = _rest_weights(fb, [bath_excitation])
+    return Superoperator(_cycle_transfer(fb, u, w)[0], fb.d_sys)
 
 
 @lru_cache(maxsize=8)
@@ -353,19 +370,17 @@ def _noise_generator_eig(n_modes: int):
     return w, v, vinv
 
 
-def noise_transfer(n_sys_modes: int, kappa: float, t: float) -> np.ndarray:
-    """Transfer matrix of the particle gain/loss channel e^{L_E t} on a block."""
+def noise_transfer(n_sys_modes: int, kappa: float, t) -> np.ndarray:
+    """Transfer matrix of the particle gain/loss channel e^{L_E t} on a block.
+
+    An array of times gives the stack of transfer matrices, shape t.shape +
+    (d^2, d^2).
+    """
     if kappa < 0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     w, v, vinv = _noise_generator_eig(n_sys_modes)
-    return (v * np.exp(w * kappa * t)) @ vinv
-
-
-def _sector_projectors(d: int) -> tuple[np.ndarray, np.ndarray]:
-    idx = _parity_diag_indices(d)
-    p_diag = np.zeros((d * d, d * d))
-    p_diag[idx, idx] = 1.0
-    return p_diag, np.eye(d * d) - p_diag
+    decay = np.exp(w * kappa * np.asarray(t, dtype=float)[..., None])
+    return (v * decay[..., None, :]) @ vinv
 
 
 def noisy_cycle_map(block: ModeBlock | FockBlock, t: float, kappa: float) -> Superoperator:
@@ -385,29 +400,21 @@ def noisy_cycle_map(block: ModeBlock | FockBlock, t: float, kappa: float) -> Sup
     if fb.block.env is not None:
         raise ValueError("depolarizing noise on environment-extended blocks "
                          "is not supported; use finite_environment_map")
-    return Superoperator(_noisy_transfer(fb, fb.propagator(t), kappa, t), fb.d_sys)
+    us = fb.propagator(t)[None]
+    return Superoperator(_noisy_transfers(fb, us, kappa, np.array([t]))[0], fb.d_sys)
 
 
-def _kron_weights(fb: FockBlock, pair: np.ndarray) -> np.ndarray:
-    n_rest = fb.n_modes - fb.n_sys_modes
-    out = pair
-    for _ in range(n_rest - 1):
-        out = np.kron(out, pair)
-    return out
-
-
-def _noisy_transfer(fb: FockBlock, u: np.ndarray, kappa: float, t: float) -> np.ndarray:
-    p = 0.5 * (1.0 - math.exp(-2.0 * kappa * t))
-    noise = noise_transfer(fb.n_sys_modes, kappa, t)
-    cycle_plus = _cycle_transfer(fb, u, _kron_weights(fb, np.array([1.0 - p, p])))
-    if p == 0.0:
-        return cycle_plus @ noise
+def _noisy_transfers(fb: FockBlock, us: np.ndarray, kappa: float,
+                     ts: np.ndarray) -> np.ndarray:
+    """Noisy cycle transfers for stacked propagators `us` at times `ts`, (n, D, D)."""
+    p = 0.5 * (1.0 - np.exp(-2.0 * kappa * ts))
+    cycle_plus = _cycle_transfer(fb, us, _rest_weights(fb, p))
     # parity-off-diagonal sector: every bath jump carries a Jordan-Wigner
     # string over the system, negating the jump part; the bath "state" there
     # evolves to the signed pair (1 - p, -p) with decaying weight
-    cycle_minus = _cycle_transfer(fb, u, _kron_weights(fb, np.array([1.0 - p, -p])))
-    p_diag, p_off = _sector_projectors(fb.d_sys)
-    return (cycle_plus @ p_diag + cycle_minus @ p_off) @ noise
+    cycle_minus = _cycle_transfer(fb, us, _rest_weights(fb, p, sign=-1.0))
+    sectors = np.where(_parity_diag_mask(fb.d_sys), cycle_plus, cycle_minus)
+    return sectors @ noise_transfer(fb.n_sys_modes, kappa, ts)
 
 
 def finite_environment_map(block: ModeBlock | FockBlock, t: float) -> Superoperator:
@@ -430,16 +437,14 @@ def averaged_cycle_map(block: ModeBlock | FockBlock, t_mean: float,
     limit of a long randomized-time subcycle sequence.
     """
     fb = block if isinstance(block, FockBlock) else second_quantize(block)
-    x, wq = leggauss(nodes)
+    x, wq = gauss_legendre(nodes)
     ts = t_mean * (x + 1.0)          # map [-1, 1] -> [0, 2 t_mean]
-    wq = wq / 2.0                    # uniform density on the interval
     us = fb.propagators(ts)
-    total = np.zeros((fb.d_sys**2, fb.d_sys**2), dtype=complex)
-    for i, t_i in enumerate(ts):
-        if kappa > 0:
-            total += wq[i] * _noisy_transfer(fb, us[i], kappa, t_i)
-        else:
-            total += wq[i] * _cycle_transfer(fb, us[i], _rest_weights(fb, 0.0))
+    if kappa > 0:
+        total = np.tensordot(wq, _noisy_transfers(fb, us, kappa, ts), axes=1)
+    else:
+        weights = wq[:, None] * _rest_weights(fb, np.zeros(nodes))
+        total = _cycle_transfer(fb, us, weights, summed=True)
     return Superoperator(total, fb.d_sys)
 
 

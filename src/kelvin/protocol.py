@@ -12,7 +12,6 @@ stacked snapshots to chain-level energy, relative energy, and fidelity.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ from . import cm as _cm
 from . import fock as _fock
 from ._linalg import hermitize, trace_norm
 from .errors import FitQualityError, UnsupportedCombination
-from .model import BathSpec, CouplingScheme, FiniteEnvSpec, ModeBlock, ModelParams, band_edges, block_hamiltonian, dispersion
+from .model import BathSpec, CouplingScheme, FiniteEnvSpec, ModelParams, band_edges, block_hamiltonian, dispersion
 from .analytic import NoiseSpec
 
 __all__ = [
@@ -538,13 +537,11 @@ def _steady_mode_cm(params, scheme, noise, schedule_kind, deltas, t_mean, k,
             eb = _cm.evolution_blocks(mb, t_mean)
             k_s, k_sb = _cm._kron_pair(eb.a_s), _cm._kron_pair(eb.a_sb)
         else:
-            if noise.kind == "depolarizing":
-                # damping depends on the drawn time; average it jointly
-                k_s, k_sb = _averaged_noisy_cm_kron(mb, t_mean, noise.kappa,
-                                                    quadrature_nodes)
-                damping = 1.0  # already folded in
-            else:
-                k_s, k_sb = _cm.averaged_evolution_kron(mb, t_mean, quadrature_nodes)
+            # damping depends on the drawn time, so it is averaged jointly
+            k_s, k_sb = _cm.averaged_evolution_kron(
+                mb, t_mean, quadrature_nodes,
+                kappa=noise.kappa if noise.kind == "depolarizing" else 0.0)
+            damping = 1.0
         step = damping * k_s
         inj_tot = step @ inj_tot + damping * (k_sb @ gb0)
         ks_tot = step @ ks_tot
@@ -558,22 +555,6 @@ def _steady_mode_cm(params, scheme, noise, schedule_kind, deltas, t_mean, k,
     return hermitize(gamma), alpha, resid
 
 
-def _averaged_noisy_cm_kron(mb: ModeBlock, t_mean: float, kappa: float, nodes: int):
-    from numpy.polynomial.legendre import leggauss
-    x, w = leggauss(nodes)
-    ts = t_mean * (x + 1.0)
-    w = w / 2.0
-    e, v = np.linalg.eigh(mb.generator)
-    k_s = np.zeros((4, 4), dtype=complex)
-    k_sb = np.zeros((4, 4), dtype=complex)
-    for wi, ti in zip(w, ts):
-        u = (v * np.exp(-1j * e * ti)) @ v.conj().T
-        damp = math.exp(-2.0 * kappa * ti)
-        k_s += wi * damp * _cm._kron_pair(u[:2, :2])
-        k_sb += wi * damp * _cm._kron_pair(u[:2, 2:4])
-    return k_s, k_sb
-
-
 def steady_report(params: ModelParams, scheme: CouplingScheme, bath: BathSpec,
                   schedule_descriptor: dict, noise: NoiseSpec = NoiseSpec.none(),
                   engine: str = "fock", dsp: bool = False, threads: int = 1,
@@ -583,23 +564,17 @@ def steady_report(params: ModelParams, scheme: CouplingScheme, bath: BathSpec,
     Randomized-time schedules are evaluated in the ensemble limit: each
     elementary map is replaced by its uniform average over [0, 2 t_mean]
     (Gauss-Legendre quadrature), which is the object the closed-form rates
-    describe.  alpha is reported per elementary subcycle.
+    describe.  alpha is reported per elementary subcycle.  `threads` is
+    accepted for interface compatibility and has no effect: the per-mode work
+    is a few small batched contractions, too little to share between threads.
     """
     _check_engine_noise(engine, noise)
     kind = schedule_descriptor.get("kind", "single")
     deltas = schedule_frequencies(schedule_descriptor, params, bath)
     n2 = params.N // 2
     worker = _steady_mode_fock if engine == "fock" else _steady_mode_cm
-
-    def work(k):
-        return worker(params, scheme, noise, kind, deltas, bath.cycle_time_mean,
-                      k, dsp, quadrature_nodes)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(work, range(n2 + 1)))
-    else:
-        results = [work(k) for k in range(n2 + 1)]
+    results = [worker(params, scheme, noise, kind, deltas, bath.cycle_time_mean,
+                      k, dsp, quadrature_nodes) for k in range(n2 + 1)]
 
     ks = np.arange(n2 + 1)
     eps = np.array([dispersion(params.theta, params.N, int(k)) for k in ks])

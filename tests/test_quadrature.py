@@ -1,0 +1,197 @@
+"""Node-batched cycle maps against plain per-node loops.
+
+The oracles below build every map one quadrature node (or one time) at a
+time, with Kronecker-product rest weights, a fresh einsum per node and the
+two parity-sector projectors, so they share no batching or path caching with
+the engines.  Batching changes only the summation order, so the engines must
+agree with them to 1e-13 relative.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from numpy.polynomial.legendre import leggauss
+
+from kelvin import analytic as an
+from kelvin import cm, fock
+from kelvin import protocol as pr
+from kelvin.model import (
+    BathSpec,
+    CouplingScheme,
+    FiniteEnvSpec,
+    ModelParams,
+    block_hamiltonian,
+    dispersion,
+)
+
+REL_TOL = 1e-13
+N_SITES = 8
+N2 = N_SITES // 2
+
+
+def _loop_rest_weights(fb, p, sign=1.0):
+    """Rest weights as a Kronecker product, one traced-out mode at a time."""
+    n_bath = 1 if fb.block.is_edge else 2
+    w = np.ones(1)
+    for m in range(fb.n_modes - fb.n_sys_modes):
+        if m < n_bath:
+            pair = np.array([1.0 - p, sign * p])
+        else:
+            p_env = (1.0 - fb.block.env.p_e) / 2.0
+            pair = np.array([1.0 - p_env, p_env])
+        w = np.kron(w, pair)
+    return w
+
+
+def _loop_transfer(fb, u, w):
+    ds, dr = fb.d_sys, fb.d_rest
+    u4 = u.reshape(ds, dr, ds, dr)
+    return np.einsum("ibxm,jbym,m->ijxy", u4, u4.conj(), w).reshape(ds * ds, ds * ds)
+
+
+def _loop_cycle_map(fb, t, kappa):
+    """One cycle at time t; gain/loss noise of rate kappa resolved by sector."""
+    u = fb.propagator(t)
+    if kappa == 0.0:
+        return _loop_transfer(fb, u, _loop_rest_weights(fb, 0.0))
+    p = 0.5 * (1.0 - math.exp(-2.0 * kappa * t))
+    plus = _loop_transfer(fb, u, _loop_rest_weights(fb, p))
+    minus = _loop_transfer(fb, u, _loop_rest_weights(fb, p, sign=-1.0))
+    par = np.array([bin(i).count("1") % 2 for i in range(fb.d_sys)])
+    p_diag = np.diag(np.equal.outer(par, par).reshape(-1).astype(float))
+    p_off = np.eye(fb.d_sys**2) - p_diag
+    return (plus @ p_diag + minus @ p_off) @ fock.noise_transfer(fb.n_sys_modes, kappa, t)
+
+
+def _nodes(t_mean, nodes):
+    x, w = leggauss(nodes)
+    return t_mean * (x + 1.0), w / 2.0
+
+
+def _loop_averaged_map(fb, t_mean, kappa, nodes):
+    ts, w = _nodes(t_mean, nodes)
+    return sum(w_i * _loop_cycle_map(fb, t_i, kappa) for t_i, w_i in zip(ts, w))
+
+
+def _loop_averaged_kron(mb, t_mean, kappa, nodes):
+    ts, w = _nodes(t_mean, nodes)
+    e, v = np.linalg.eigh(mb.generator)
+    k_s = np.zeros((4, 4), dtype=complex)
+    k_sb = np.zeros((4, 4), dtype=complex)
+    for w_i, t_i in zip(w, ts):
+        u = (v * np.exp(-1j * e * t_i)) @ v.conj().T
+        damp = math.exp(-2.0 * kappa * t_i)
+        k_s += w_i * damp * np.kron(u[:2, :2], u[:2, :2].conj())
+        k_sb += w_i * damp * np.kron(u[:2, 2:4], u[:2, 2:4].conj())
+    return k_s, k_sb
+
+
+def _assert_rel_close(actual, expected):
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(actual - expected)) <= REL_TOL * scale
+
+
+def _scheme(g):
+    return CouplingScheme(nn=1, lam={-1: 0.3, 0: 1.0, 1: -0.7},
+                          mu={-1: 0.2, 0: 0.5, 1: 0.9}, g=g)
+
+
+def _block(k, dsp=False, env=None):
+    return block_hamiltonian(ModelParams(N_SITES, 1.0), _scheme(0.25), BathSpec(1.1, 4.3),
+                             k, env=env, dsp=dsp)
+
+
+# generic pair, both edges, and a generic pair with the splitting removed
+_BLOCKS = {"generic": (2, False), "edge0": (0, False), "edgeN2": (N2, False),
+           "dsp": (3, True)}
+_KAPPAS = [0.0, 1e-9, 1e-3]
+_NODE_COUNTS = [1, 2, 7, 96]
+
+
+class TestFockMaps:
+    @pytest.mark.parametrize("nodes", _NODE_COUNTS)
+    @pytest.mark.parametrize("kappa", _KAPPAS)
+    @pytest.mark.parametrize("block", _BLOCKS)
+    def test_averaged_map_matches_node_loop(self, block, kappa, nodes):
+        fb = fock.second_quantize(_block(*_BLOCKS[block]))
+        s = fock.averaged_cycle_map(fb, 4.3, kappa=kappa, nodes=nodes)
+        _assert_rel_close(s.matrix, _loop_averaged_map(fb, 4.3, kappa, nodes))
+
+    @pytest.mark.parametrize("t", [0.0, 2.7, 9.1])
+    @pytest.mark.parametrize("block", _BLOCKS)
+    def test_single_time_maps_match_loop(self, block, t):
+        fb = fock.second_quantize(_block(*_BLOCKS[block]))
+        _assert_rel_close(fock.exact_cycle_map(fb, t).matrix, _loop_cycle_map(fb, t, 0.0))
+        for kappa in _KAPPAS[1:]:
+            _assert_rel_close(fock.noisy_cycle_map(fb, t, kappa).matrix,
+                              _loop_cycle_map(fb, t, kappa))
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_finite_environment_map_matches_loop(self, k):
+        fb = fock.second_quantize(_block(k, env=FiniteEnvSpec(0.02, 0.7, 0.1)))
+        _assert_rel_close(fock.finite_environment_map(fb, 2.7).matrix,
+                          _loop_cycle_map(fb, 2.7, 0.0))
+
+    def test_bath_excitation_matches_loop(self):
+        fb = fock.second_quantize(_block(2))
+        u = fb.propagator(2.7)
+        ref = _loop_transfer(fb, u, _loop_rest_weights(fb, 0.3))
+        _assert_rel_close(fock.exact_cycle_map(fb, 2.7, bath_excitation=0.3).matrix, ref)
+
+
+class TestCmAveragedKron:
+    @pytest.mark.parametrize("nodes", _NODE_COUNTS)
+    @pytest.mark.parametrize("kappa", _KAPPAS)
+    @pytest.mark.parametrize("block", _BLOCKS)
+    def test_matches_node_loop(self, block, kappa, nodes):
+        mb = _block(*_BLOCKS[block])
+        k_s, k_sb = cm.averaged_evolution_kron(mb, 4.3, nodes, kappa=kappa)
+        ref_s, ref_sb = _loop_averaged_kron(mb, 4.3, kappa, nodes)
+        _assert_rel_close(k_s, ref_s)
+        _assert_rel_close(k_sb, ref_sb)
+
+
+def _loop_steady_energies(params, scheme, bath, noise, engine, dsp, nodes):
+    """Per-mode E_k of the randomized-time ensemble limit, one node at a time."""
+    n2 = params.N // 2
+    energies = []
+    for k in range(n2 + 1):
+        mb = block_hamiltonian(params, scheme, bath, k, dsp=dsp)
+        eps = dispersion(params.theta, params.N, k)
+        weight = 0.5 if k in (0, n2) else 1.0
+        if engine == "fock":
+            fb = fock.second_quantize(mb)
+            superop = fock.Superoperator(
+                _loop_averaged_map(fb, bath.cycle_time_mean, noise.kappa, nodes), fb.d_sys)
+            rho, _ = fock.steady_state(superop)
+            energies.append(fock.block_energy(rho, eps, weight)[0])
+        else:
+            k_s, k_sb = _loop_averaged_kron(mb, bath.cycle_time_mean, noise.kappa, nodes)
+            inj = k_sb @ cm.vacuum_cm().reshape(-1)
+            gamma = np.linalg.solve(np.eye(4) - k_s, inj).reshape(2, 2)
+            energies.append(cm.cm_energy(gamma, eps, weight))
+    return np.array(energies)
+
+
+class TestSteadyReportAgainstLoop:
+    """Ensemble-limit steady energies against fixed points of the loop maps.
+
+    The fixed point's condition number is ~1/alpha, so E_k may move by a few
+    rounding errors of the map over the gap: |dE_k| <= 1e-14 |eps_k| / alpha_k.
+    """
+
+    @pytest.mark.parametrize("dsp", [False, True])
+    @pytest.mark.parametrize("kappa", _KAPPAS)
+    @pytest.mark.parametrize("engine", ["fock", "cm"])
+    @pytest.mark.parametrize("theta,g", [(0.3, 0.05), (1.0, 0.05), (1.0, 2e-3)])
+    def test_mode_energies_match_loop(self, theta, g, engine, kappa, dsp):
+        params = ModelParams(N_SITES, theta)
+        scheme = _scheme(g)
+        bath = BathSpec(1.1, 4.3)
+        noise = an.NoiseSpec.depolarizing(kappa) if kappa else an.NoiseSpec.none()
+        rep = pr.steady_report(params, scheme, bath, {"kind": "randomized", "L": 10},
+                               noise=noise, engine=engine, dsp=dsp, quadrature_nodes=96)
+        ref = _loop_steady_energies(params, scheme, bath, noise, engine, dsp, 96)
+        bound = 1e-14 * np.abs(rep.epsilon) / rep.alpha
+        assert np.all(np.abs(rep.mode_energy - ref) <= bound)
