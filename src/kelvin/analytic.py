@@ -10,8 +10,10 @@ scaling estimates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +46,7 @@ __all__ = [
     "mode_grid",
     "coupling_arrays",
     "chain_relative_energy",
+    "chain_relative_energies",
     "rate_table",
 ]
 
@@ -366,7 +369,7 @@ def gs_cooling_plan(n_sites: int, theta: float) -> CoolingPlan:
 
 
 # ---------------------------------------------------------------------------
-# per-chain aggregation (vectorized over modes)
+# per-chain aggregation (vectorized over modes and theta)
 # ---------------------------------------------------------------------------
 
 def mode_grid(params: ModelParams):
@@ -385,17 +388,96 @@ def mode_grid(params: ModelParams):
     return ks, eps, phi, weights
 
 
-def coupling_arrays(scheme: CouplingScheme, params: ModelParams):
-    """(A_k, B_k) arrays over k = 0..N/2."""
-    ks, _, phi, _ = mode_grid(params)
-    c, s = np.cos(phi), np.sin(phi)
-    a = np.zeros(len(ks), dtype=complex)
-    b = np.zeros(len(ks), dtype=complex)
-    for j in coupling_keys(scheme.nn):
-        ph = np.exp(-2j * math.pi * j * ks / params.N)
+class _ThetaGrid(NamedTuple):
+    """Theta-only inputs of the closed forms, one row per theta (read-only).
+
+    eps, wts, cos_phi and sin_phi are (thetas, modes); phases is
+    (offsets, modes) with exp(-2 pi i j k / N) per coupling offset j; e_gs is
+    the ground-state energy per theta.
+    """
+
+    eps: np.ndarray
+    wts: np.ndarray
+    cos_phi: np.ndarray
+    sin_phi: np.ndarray
+    phases: np.ndarray
+    e_gs: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _theta_grid(n_sites: int, thetas: tuple[float, ...], nn: float) -> _ThetaGrid:
+    # Rows are built one theta at a time through mode_grid, so every entry is
+    # the same float a single-theta evaluation computes (a theta-vectorized
+    # sin(2 theta) or cos(phi) may round differently).
+    rows = [mode_grid(ModelParams(n_sites, th)) for th in thetas]
+    ks = rows[0][0]
+    grid = _ThetaGrid(
+        eps=np.stack([eps for _, eps, _, _ in rows]),
+        wts=np.stack([wts for _, _, _, wts in rows]),
+        cos_phi=np.stack([np.cos(phi) for _, _, phi, _ in rows]),
+        sin_phi=np.stack([np.sin(phi) for _, _, phi, _ in rows]),
+        phases=np.stack([np.exp(-2j * math.pi * j * ks / n_sites)
+                         for j in coupling_keys(nn)]),
+        e_gs=np.array([-float(np.sum(wts * eps)) for _, eps, _, wts in rows]),
+    )
+    for arr in grid:
+        arr.flags.writeable = False
+    return grid
+
+
+def _coupling_grid(grid: _ThetaGrid, scheme: CouplingScheme):
+    """(A_k, B_k) arrays shaped like grid.eps."""
+    c, s = grid.cos_phi, grid.sin_phi
+    a = np.zeros(c.shape, dtype=complex)
+    b = np.zeros(c.shape, dtype=complex)
+    for j, ph in zip(coupling_keys(scheme.nn), grid.phases):
         a += (c * scheme.lam[j] + 1j * s * scheme.mu[j]) * ph
         b += (-s * scheme.lam[j] + 1j * c * scheme.mu[j]) * ph
     return a, b
+
+
+def coupling_arrays(scheme: CouplingScheme, params: ModelParams):
+    """(A_k, B_k) arrays over k = 0..N/2."""
+    a, b = _coupling_grid(_theta_grid(params.N, (params.theta,), scheme.nn), scheme)
+    return a[0], b[0]
+
+
+def _single_cycle_energies(eps, cos_phi, sin_phi, a, b, delta: float, t: float,
+                           g: float, noise: NoiseSpec, mode: str):
+    """Per-pair steady energies of a fixed-time cycle, any array shape.
+
+    `mode` is "cooling" or "dsp"; DSP evaluates the overlaps at zero system
+    splitting.
+    """
+    eps_evo = np.zeros_like(eps) if mode == "dsp" else eps
+    x = _phase_integral(eps_evo - delta, t, g)
+    y = -_phase_integral(eps_evo + delta, t, g)
+    if noise.kind == "none":
+        return general_ss_energy(eps, a, b, x, y)
+    if noise.kind == "depolarizing":
+        return noisy_ss_energy(eps, a, b, x, y, noise.kappa, t)
+    a_e = cos_phi.astype(complex)
+    b_e = (-sin_phi).astype(complex)
+    x_e = _phase_integral(eps_evo - noise.delta_e, t, noise.kappa_prime)
+    y_e = -_phase_integral(eps_evo + noise.delta_e, t, noise.kappa_prime)
+    return finite_env_ss_energy(eps, (a, x, b, y), (a_e, x_e, b_e, y_e), noise.p_e)
+
+
+def chain_relative_energies(n_sites: int, thetas, scheme: CouplingScheme,
+                            delta: float, t: float, noise: NoiseSpec,
+                            mode: str = "cooling") -> np.ndarray:
+    """`chain_relative_energy` at every theta in `thetas`, as one array.
+
+    All thetas are evaluated in one pass over a (theta x k) grid; the
+    theta-only inputs are cached per (N, thetas, nn).  Raises
+    UndefinedSteadyState if the steady state is undefined at any theta.
+    """
+    grid = _theta_grid(n_sites, tuple(float(th) for th in thetas), scheme.nn)
+    a, b = _coupling_grid(grid, scheme)
+    e_k = _single_cycle_energies(grid.eps, grid.cos_phi, grid.sin_phi, a, b,
+                                 delta, t, scheme.g, noise, mode)
+    e_total = np.sum(grid.wts * e_k, axis=-1)
+    return np.abs((e_total - grid.e_gs) / grid.e_gs)
 
 
 def chain_relative_energy(params: ModelParams, scheme: CouplingScheme,
@@ -408,29 +490,8 @@ def chain_relative_energy(params: ModelParams, scheme: CouplingScheme,
     DSP evaluates the overlaps at zero system splitting, which removes the
     delta and t dependence in the noiseless case.
     """
-    ks, eps, phi, wts = mode_grid(params)
-    a, b = coupling_arrays(scheme, params)
-    g = scheme.g
-    eps_evo = np.zeros_like(eps) if mode == "dsp" else eps
-    x = _phase_integral(eps_evo - delta, t, g)
-    y = -_phase_integral(eps_evo + delta, t, g)
-
-    if noise.kind == "none":
-        e_k = general_ss_energy(eps, a, b, x, y)
-    elif noise.kind == "depolarizing":
-        e_k = noisy_ss_energy(eps, a, b, x, y, noise.kappa, t)
-    elif noise.kind == "finite_env":
-        a_e = np.cos(phi).astype(complex)
-        b_e = (-np.sin(phi)).astype(complex)
-        x_e = _phase_integral(eps_evo - noise.delta_e, t, noise.kappa_prime)
-        y_e = -_phase_integral(eps_evo + noise.delta_e, t, noise.kappa_prime)
-        e_k = finite_env_ss_energy(eps, (a, x, b, y), (a_e, x_e, b_e, y_e), noise.p_e)
-    else:  # pragma: no cover
-        raise ValueError(noise.kind)
-
-    e_total = float(np.sum(wts * e_k))
-    e_gs = -float(np.sum(wts * eps))
-    return abs((e_total - e_gs) / e_gs)
+    return float(chain_relative_energies(params.N, (params.theta,), scheme,
+                                         delta, t, noise, mode)[0])
 
 
 def closed_form_relative_energies(params: ModelParams, scheme: CouplingScheme,
@@ -444,32 +505,19 @@ def closed_form_relative_energies(params: ModelParams, scheme: CouplingScheme,
     NaN where no closed form applies (finite environments with randomized
     times) or where eps = 0.
     """
-    ks, eps, phi, wts = mode_grid(params)
+    grid = _theta_grid(params.N, (params.theta,), scheme.nn)
+    eps = grid.eps[0]
     a, b = coupling_arrays(scheme, params)
-    g = scheme.g
-    eps_evo = np.zeros_like(eps) if mode == "dsp" else eps
 
     if schedule_kind == "single":
-        delta = deltas[0]
-        x = _phase_integral(eps_evo - delta, t, g)
-        y = -_phase_integral(eps_evo + delta, t, g)
-        if noise.kind == "none":
-            e_val = general_ss_energy(eps, a, b, x, y)
-        elif noise.kind == "depolarizing":
-            e_val = noisy_ss_energy(eps, a, b, x, y, noise.kappa, t)
-        else:
-            a_e = np.cos(phi).astype(complex)
-            b_e = (-np.sin(phi)).astype(complex)
-            x_e = _phase_integral(eps_evo - noise.delta_e, t, noise.kappa_prime)
-            y_e = -_phase_integral(eps_evo + noise.delta_e, t, noise.kappa_prime)
-            e_val = finite_env_ss_energy(eps, (a, x, b, y),
-                                         (a_e, x_e, b_e, y_e), noise.p_e)
+        e_val = _single_cycle_energies(eps, grid.cos_phi[0], grid.sin_phi[0], a, b,
+                                       deltas[0], t, scheme.g, noise, mode)
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(eps > 0, (e_val + eps) / eps, np.nan)
 
     if noise.kind == "finite_env":
         return np.full_like(eps, np.nan)
-    gc, gh = multifreq_rates(eps, deltas, t, g, np.abs(a) ** 2, np.abs(b) ** 2)
+    gc, gh = multifreq_rates(eps, deltas, t, scheme.g, np.abs(a) ** 2, np.abs(b) ** 2)
     kappa_t = noise.kappa * t if noise.kind == "depolarizing" else 0.0
     _, e_rel, *_ = lindblad_steady(gc, gh, eps, noise_kappa_t=kappa_t)
     return np.asarray(e_rel)

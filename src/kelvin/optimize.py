@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .analytic import NoiseSpec, chain_relative_energy
+from .analytic import NoiseSpec, chain_relative_energies, chain_relative_energy
 from .errors import OptimizationFailed, UndefinedSteadyState
 from .model import CouplingScheme, ModelParams, coupling_keys
 
@@ -115,13 +115,18 @@ def objective_phase_averaged(pv: ParamVector, phase: str, n_sites: int,
                              noise: NoiseSpec = NoiseSpec.none(),
                              mode: str = "cooling",
                              n_nodes: int = PHASE_NODES) -> float:
-    """Integral over a phase of the theta-specific objective."""
-    def ev(theta: float) -> float:
-        return objective_theta_specific(pv, ModelParams(n_sites, theta), noise, mode)
+    """Integral over a phase of the theta-specific objective.
+
+    Same nodes and trapezoid rule as `phase_average`, with every node
+    evaluated in one closed-form pass; inf if any node has no steady state.
+    """
+    thetas = phase_grid(phase, n_nodes)
     try:
-        return phase_average(ev, phase, n_nodes)
+        vals = chain_relative_energies(n_sites, thetas, pv.scheme, pv.delta, pv.t,
+                                       noise, mode)
     except UndefinedSteadyState:
         return math.inf
+    return float(np.trapezoid(vals, thetas))
 
 
 def _central_diff_grad(fun, x: np.ndarray, bounds) -> np.ndarray:

@@ -20,7 +20,7 @@ from . import analytic as _an
 from . import cm as _cm
 from . import fock as _fock
 from ._linalg import hermitize, trace_norm
-from .errors import FitQualityError, UnsupportedCombination
+from .errors import FitQualityError, NonUniqueFixedPoint, UnsupportedCombination
 from .model import BathSpec, CouplingScheme, FiniteEnvSpec, ModelParams, band_edges, block_hamiltonian, dispersion
 from .analytic import NoiseSpec
 
@@ -509,6 +509,11 @@ def _steady_mode_fock(params, scheme, noise, schedule_kind, deltas, t_mean, k,
     return rho.matrix, alpha / len(deltas), resid
 
 
+_EDGE_CM_DIRECTION = np.array([1.0, 0.0, 0.0, -1.0]) / math.sqrt(2.0)
+# 10 n eps with n = 4, the dimension of vec(gamma); scaled by ||K||_F
+_UNIT_EIGENVALUE_TOL = 40.0 * float(np.finfo(float).eps)
+
+
 def _steady_mode_cm(params, scheme, noise, schedule_kind, deltas, t_mean, k,
                     dsp, quadrature_nodes):
     env = _noise_env(noise)
@@ -545,13 +550,26 @@ def _steady_mode_cm(params, scheme, noise, schedule_kind, deltas, t_mean, k,
         step = damping * k_s
         inj_tot = step @ inj_tot + damping * (k_sb @ gb0)
         ks_tot = step @ ks_tot
+    # The fixed point is unique iff 1 is not an eigenvalue of K on the
+    # physical CMs.  Those span all of vec(gamma) for a pair, but only
+    # diag(1, -1) for an edge, whose gamma is diag(1/2 - n, n - 1/2): that
+    # direction is an eigenvector of K, and the other three carry no state
+    # (at eps = 0 they do not decay).  Unit eigenvalues count up to the
+    # rounding floor, as in fock.steady_state.
+    if mb.is_edge:
+        evals = np.array([_EDGE_CM_DIRECTION @ ks_tot @ _EDGE_CM_DIRECTION])
+    else:
+        evals = np.linalg.eigvals(ks_tot)
+    unit_tol = _UNIT_EIGENVALUE_TOL * math.sqrt(np.vdot(ks_tot, ks_tot).real)
+    n_unit = sum(abs(ev - 1.0) <= unit_tol for ev in evals.tolist())
+    if n_unit:
+        raise NonUniqueFixedPoint(n_unit)
     a = np.eye(4) - ks_tot
     gamma = np.linalg.solve(a, inj_tot)
     gamma += np.linalg.solve(a, inj_tot - a @ gamma)
     resid = float(np.max(np.abs(gamma - ks_tot @ gamma - inj_tot)))
     gamma = gamma.reshape(2, 2)
-    evals = np.abs(np.linalg.eigvals(ks_tot))
-    alpha = -math.log(np.max(evals)) / len(deltas)
+    alpha = -math.log(np.max(np.abs(evals))) / len(deltas)
     return hermitize(gamma), alpha, resid
 
 

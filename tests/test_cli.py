@@ -117,6 +117,14 @@ class TestSteady:
         cfg = write_cfg(tmp_path, payload)
         assert cli.main(["steady", "--config", cfg, "--out", str(tmp_path / "s2")]) == 3
 
+    @pytest.mark.parametrize("engine", ["fock", "cm"])
+    def test_missing_fixed_point_exit_code(self, tmp_path, engine):
+        payload = dict(STEADY_CFG, model=base_model(8, 0.3), run={"dsp": True})
+        cfg = write_cfg(tmp_path, payload)
+        rc = cli.main(["steady", "--config", cfg, "--out", str(tmp_path / "s3"),
+                       "--engine", engine])
+        assert rc == 3
+
     def test_engine_delta_column(self, tmp_path):
         cfg = write_cfg(tmp_path, STEADY_CFG)
         out_f = tmp_path / "sf"

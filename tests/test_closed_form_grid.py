@@ -1,0 +1,238 @@
+"""Closed forms on a (theta x k) grid against the per-theta scalar code.
+
+The oracles below are the scalar closed-form path: `mode_grid` and
+`coupling_arrays` rebuilt for every theta, the per-theta
+`chain_relative_energy` body, the single-time closed-form e_k, and a phase
+average that evaluates one theta at a time through `optimize.phase_average`.
+The grid keeps every elementwise expression in the same operand order and
+reduces each theta row with the same pairwise sum, so the package must agree
+with them exactly (==), not to a tolerance: L-BFGS-B's finite differences
+turn a last-bit change of the objective into a different search path.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from kelvin import analytic as an
+from kelvin import optimize as op
+from kelvin.errors import UndefinedSteadyState
+from kelvin.model import CouplingScheme, ModelParams, coupling_keys
+
+NN = (0, 0.5, 1, 1.5, 2)
+SIZES = (2, 4, 20, 22, 200)
+NOISES = ("none", "depolarizing", "depolarizing_zero", "finite_env")
+MODES = ("cooling", "dsp")
+NODES = (1, 2, 21, 41)
+
+
+# ---------------------------------------------------------------------------
+# per-theta scalar oracles
+# ---------------------------------------------------------------------------
+
+def _oracle_mode_grid(params):
+    n, theta = params.N, params.theta
+    ks = np.arange(n // 2 + 1)
+    x = 2.0 * math.pi * ks / n
+    eps = np.sqrt(np.maximum(1.0 + math.sin(2 * theta) * np.cos(x), 0.0))
+    w = math.sin(theta) + math.cos(theta) * np.cos(x)
+    r = math.cos(theta) * np.sin(x)
+    phi = np.arctan2(eps - w, r)
+    phi[(np.abs(r) < 1e-15) & (w >= 0)] = 0.0
+    phi[(np.abs(r) < 1e-15) & (w < 0)] = math.pi / 2
+    weights = np.ones_like(eps)
+    weights[0] = weights[-1] = 0.5
+    return ks, eps, phi, weights
+
+
+def _oracle_coupling_arrays(scheme, params):
+    ks, _, phi, _ = _oracle_mode_grid(params)
+    c, s = np.cos(phi), np.sin(phi)
+    a = np.zeros(len(ks), dtype=complex)
+    b = np.zeros(len(ks), dtype=complex)
+    for j in coupling_keys(scheme.nn):
+        ph = np.exp(-2j * math.pi * j * ks / params.N)
+        a += (c * scheme.lam[j] + 1j * s * scheme.mu[j]) * ph
+        b += (-s * scheme.lam[j] + 1j * c * scheme.mu[j]) * ph
+    return a, b
+
+
+def _oracle_pair_energies(params, scheme, delta, t, noise, mode):
+    _, eps, phi, _ = _oracle_mode_grid(params)
+    a, b = _oracle_coupling_arrays(scheme, params)
+    g = scheme.g
+    eps_evo = np.zeros_like(eps) if mode == "dsp" else eps
+    x = an._phase_integral(eps_evo - delta, t, g)
+    y = -an._phase_integral(eps_evo + delta, t, g)
+    if noise.kind == "none":
+        return an.general_ss_energy(eps, a, b, x, y)
+    if noise.kind == "depolarizing":
+        return an.noisy_ss_energy(eps, a, b, x, y, noise.kappa, t)
+    a_e = np.cos(phi).astype(complex)
+    b_e = (-np.sin(phi)).astype(complex)
+    x_e = an._phase_integral(eps_evo - noise.delta_e, t, noise.kappa_prime)
+    y_e = -an._phase_integral(eps_evo + noise.delta_e, t, noise.kappa_prime)
+    return an.finite_env_ss_energy(eps, (a, x, b, y), (a_e, x_e, b_e, y_e), noise.p_e)
+
+
+def _oracle_chain_relative_energy(params, scheme, delta, t, noise, mode):
+    _, eps, _, wts = _oracle_mode_grid(params)
+    e_k = _oracle_pair_energies(params, scheme, delta, t, noise, mode)
+    e_total = float(np.sum(wts * e_k))
+    e_gs = -float(np.sum(wts * eps))
+    return abs((e_total - e_gs) / e_gs)
+
+
+def _oracle_closed_form_single(params, scheme, delta, t, noise, mode):
+    _, eps, _, _ = _oracle_mode_grid(params)
+    e_val = _oracle_pair_energies(params, scheme, delta, t, noise, mode)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(eps > 0, (e_val + eps) / eps, np.nan)
+
+
+def _oracle_theta_specific(pv, params, noise, mode):
+    try:
+        return _oracle_chain_relative_energy(params, pv.scheme, pv.delta, pv.t, noise, mode)
+    except UndefinedSteadyState:
+        return math.inf
+
+
+def _oracle_phase_averaged(pv, phase, n_sites, noise, mode, n_nodes):
+    def ev(theta):
+        return _oracle_theta_specific(pv, ModelParams(n_sites, theta), noise, mode)
+    return op.phase_average(ev, phase, n_nodes)
+
+
+# ---------------------------------------------------------------------------
+# randomized cases
+# ---------------------------------------------------------------------------
+
+def _noise(kind, rng):
+    if kind == "none":
+        return an.NoiseSpec.none()
+    if kind == "depolarizing":
+        return an.NoiseSpec.depolarizing(float(10.0 ** rng.uniform(-6, -1)))
+    if kind == "depolarizing_zero":
+        return an.NoiseSpec.depolarizing(0.0)
+    return an.NoiseSpec.finite_env(float(rng.uniform(0.0, 0.1)),
+                                   float(rng.uniform(0.1, 2.5)),
+                                   float(rng.uniform(-1.0, 1.0)))
+
+
+def _param_vector(nn, rng, g=None):
+    keys = coupling_keys(nn)
+    scheme = CouplingScheme(
+        nn=nn,
+        lam={j: float(rng.uniform(-1, 1)) for j in keys},
+        mu={j: float(rng.uniform(-1, 1)) for j in keys},
+        g=float(10.0 ** rng.uniform(-3, 0)) if g is None else g)
+    return op.ParamVector(scheme, float(rng.uniform(1e-3, 3.0)),
+                          float(10.0 ** rng.uniform(-2, 1.5)))
+
+
+def _same(new, old):
+    """Exactly equal values; NaN matches NaN, inf matches inf."""
+    return np.array_equal(np.asarray(new), np.asarray(old), equal_nan=True)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except UndefinedSteadyState:
+        return UndefinedSteadyState
+
+
+CASES = [(nn, n, noise, mode) for nn in NN for n in SIZES
+         for noise in NOISES for mode in MODES]
+
+
+@pytest.mark.parametrize("nn,n_sites,noise_kind,mode", CASES)
+def test_matches_per_theta_code(nn, n_sites, noise_kind, mode):
+    rng = np.random.default_rng([int(2 * nn), n_sites, NOISES.index(noise_kind),
+                                 MODES.index(mode)])
+    for i, n_nodes in enumerate(NODES):
+        pv = _param_vector(nn, rng)
+        noise = _noise(noise_kind, rng)
+        phase = ("low", "high")[i % 2]
+        new = op.objective_phase_averaged(pv, phase, n_sites, noise, mode, n_nodes)
+        old = _oracle_phase_averaged(pv, phase, n_sites, noise, mode, n_nodes)
+        assert _same(new, old), (new, old)
+
+        params = ModelParams(n_sites, float(rng.uniform(0.0, math.pi / 2)))
+        args = (params, pv.scheme, pv.delta, pv.t, noise, mode)
+        assert _same(_outcome(lambda: an.chain_relative_energy(*args)),
+                     _outcome(lambda: _oracle_chain_relative_energy(*args)))
+        assert _same(an.closed_form_relative_energies(
+            params, pv.scheme, [pv.delta], pv.t, noise, "single", mode),
+            _oracle_closed_form_single(*args))
+        new_ab = an.coupling_arrays(pv.scheme, params)
+        old_ab = _oracle_coupling_arrays(pv.scheme, params)
+        assert _same(new_ab[0], old_ab[0]) and _same(new_ab[1], old_ab[1])
+
+
+@pytest.mark.parametrize("n_sites", SIZES)
+def test_relative_energies_over_arbitrary_thetas(n_sites):
+    rng = np.random.default_rng(n_sites)
+    thetas = np.sort(rng.uniform(0.0, math.pi / 2, 13))
+    pv = _param_vector(1.5, rng)
+    noise = an.NoiseSpec.depolarizing(1e-3)
+    vals = an.chain_relative_energies(n_sites, thetas, pv.scheme, pv.delta, pv.t, noise)
+    assert vals.shape == thetas.shape
+    for th, v in zip(thetas, vals):
+        old = _oracle_chain_relative_energy(ModelParams(n_sites, float(th)), pv.scheme,
+                                            pv.delta, pv.t, noise, "cooling")
+        assert v == old
+
+
+@pytest.mark.parametrize("noise_kind", ["none", "finite_env"])
+@pytest.mark.parametrize("mode", MODES)
+def test_undefined_steady_state(noise_kind, mode):
+    """g = 0 with no environment coupling leaves every ratio undefined."""
+    rng = np.random.default_rng(7)
+    pv = _param_vector(1, rng, g=0.0)
+    noise = (an.NoiseSpec.none() if noise_kind == "none"
+             else an.NoiseSpec.finite_env(0.0, 0.8, 0.3))
+    for n_nodes in (2, 21):
+        for phase in ("low", "high"):
+            new = op.objective_phase_averaged(pv, phase, 20, noise, mode, n_nodes)
+            assert new == math.inf
+            assert new == _oracle_phase_averaged(pv, phase, 20, noise, mode, n_nodes)
+    params = ModelParams(20, 0.4)
+    for fn in (an.chain_relative_energy, _oracle_chain_relative_energy):
+        with pytest.raises(UndefinedSteadyState):
+            fn(params, pv.scheme, pv.delta, pv.t, noise, mode)
+    # one node spans no interval; an undefined node still rejects the point
+    assert op.objective_phase_averaged(pv, "low", 20, noise, mode, 1) == math.inf
+
+
+def test_cached_theta_inputs_are_read_only():
+    thetas = tuple(float(th) for th in op.phase_grid("high"))
+    grid = an._theta_grid(20, thetas, 1.5)
+    assert grid is an._theta_grid(20, thetas, 1.5)
+    assert grid.eps.shape == (21, 11) and grid.phases.shape == (4, 11)
+    for arr in grid:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
+
+
+@pytest.mark.parametrize("objective", ["theta_specific", "phase_averaged"])
+def test_optimizer_takes_the_same_path(objective):
+    init = op.ParamVector(CouplingScheme(nn=1, lam={-1: 0.2, 0: 1.0, 1: -0.4},
+                                         mu={-1: 0.1, 0: 0.3, 1: 0.5}, g=0.1), 0.8, 3.0)
+    noise = an.NoiseSpec.depolarizing(1e-4)
+    if objective == "theta_specific":
+        params = ModelParams(20, 1.1)
+        new_obj = lambda pv: op.objective_theta_specific(pv, params, noise)  # noqa: E731
+        old_obj = lambda pv: _oracle_theta_specific(pv, params, noise, "cooling")  # noqa: E731
+    else:
+        new_obj = lambda pv: op.objective_phase_averaged(pv, "high", 20, noise)  # noqa: E731
+        old_obj = lambda pv: _oracle_phase_averaged(pv, "high", 20, noise,  # noqa: E731
+                                                     "cooling", op.PHASE_NODES)
+    new = op.optimize(new_obj, init, budget=120, restarts=2, seed=3)
+    old = op.optimize(old_obj, init, budget=120, restarts=2, seed=3)
+    assert new.best == old.best
+    assert new.objective == old.objective
+    assert new.evaluations == old.evaluations
+    assert new.history == old.history

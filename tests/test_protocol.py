@@ -7,7 +7,7 @@ from kelvin import analytic as an
 from kelvin import cm, fock
 from kelvin import protocol as pr
 from kelvin._linalg import trace_norm
-from kelvin.errors import FitQualityError, UnsupportedCombination
+from kelvin.errors import FitQualityError, NonUniqueFixedPoint, UnsupportedCombination
 from kelvin.model import (
     BathSpec,
     CouplingScheme,
@@ -418,6 +418,29 @@ class TestSteadyReport:
         # to a few machine epsilons over the gap (in units of eps_k)
         bound = 50 * np.finfo(float).eps * rc.epsilon / rc.alpha
         assert np.all(np.abs(rf.mode_energy - rc.mode_energy) <= bound)
+
+    @pytest.mark.parametrize("engine", ["fock", "cm"])
+    @pytest.mark.parametrize("kind", ["single", "randomized"])
+    def test_engines_agree_a_fixed_point_is_missing(self, local_scheme, bath, engine, kind):
+        """With dsp=True a mode of this chain never cools, so it has no unique
+        fixed point; both engines must say so rather than return a state
+        (such as the maximally mixed one)."""
+        with pytest.raises(NonUniqueFixedPoint):
+            pr.steady_report(ModelParams(8, 0.3), local_scheme, bath,
+                             {"kind": kind, "L": 10}, engine=engine, dsp=True)
+
+    @pytest.mark.parametrize("kind", ["single", "randomized"])
+    def test_gapless_edge_mode_has_a_fixed_point(self, local_scheme, bath, kind):
+        """At theta = pi/4 the k = N/2 edge has eps = 0, and its CM cycle map
+        keeps a unit eigenvalue on the unphysical <a a> entries; the fixed
+        point and the cooling rate are those of the physical direction."""
+        p = ModelParams(8, math.pi / 4)
+        sched = {"kind": kind, "L": 10}
+        rf = pr.steady_report(p, local_scheme, bath, sched, engine="fock")
+        rc = pr.steady_report(p, local_scheme, bath, sched, engine="cm")
+        assert rc.epsilon[-1] == 0.0
+        np.testing.assert_allclose(rc.alpha, rf.alpha, rtol=1e-10)
+        assert np.max(np.abs(rf.mode_energy - rc.mode_energy)) <= 1e-12
 
     def test_scalability_of_tabulated_parameters(self):
         """Couplings tuned at N=20 stay effective at N=200 away from the
