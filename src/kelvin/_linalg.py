@@ -14,7 +14,6 @@ from numpy.polynomial.legendre import leggauss
 
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-10
-CP_ATOL = 1e-9
 FIXED_POINT_ATOL = 1e-10
 
 
@@ -22,32 +21,14 @@ def vec(rho: np.ndarray) -> np.ndarray:
     return np.asarray(rho).reshape(-1)
 
 
-def unvec(v: np.ndarray, d: int | None = None) -> np.ndarray:
-    v = np.asarray(v)
-    if d is None:
-        d = int(round(np.sqrt(v.size)))
-    return v.reshape(d, d)
-
-
 def hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+    """Hermitian part of a matrix, or of each matrix in a stack."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def trace_norm(m: np.ndarray) -> float:
     """Sum of singular values (Schatten 1-norm)."""
     return float(np.linalg.svd(np.asarray(m), compute_uv=False).sum())
-
-
-def transfer_from_kraus(kraus: np.ndarray) -> np.ndarray:
-    """Transfer matrix sum_b kron(K_b, K_b*) from a stack of Kraus operators.
-
-    `kraus` has shape (n, d, d); the result is (d*d, d*d).
-    """
-    k = np.asarray(kraus)
-    n, d, _ = k.shape
-    # kron over a batch: T[(i,j),(m,n)] = sum_b K[b,i,m] * conj(K[b,j,n])
-    t = np.einsum("bim,bjn->ijmn", k, k.conj())
-    return t.reshape(d * d, d * d)
 
 
 def choi_from_transfer(t: np.ndarray) -> np.ndarray:

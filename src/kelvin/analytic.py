@@ -152,7 +152,6 @@ def _avg_abs2_integral(a, t):
     """
     a = np.asarray(a, dtype=float)
     t = float(t)
-    out = np.empty_like(a)
     small = np.abs(a * t) < 1e-4
     asafe = np.where(small, 1.0, a)
     out = 2.0 / asafe**2 - np.sin(2.0 * asafe * t) / (asafe**3 * t)

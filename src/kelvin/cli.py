@@ -1,7 +1,7 @@
 """Command-line front end.
 
     kelvin spectrum|steady|trajectory|rates|optimize|reproduce \
-        --config cfg.json --out outdir [--seed N] [--engine fock|cm] [--threads N]
+        --config cfg.json --out outdir [--seed N] [--engine fock|cm]
 
 Configs are strict JSON: unknown keys are rejected and physics parameters
 have no implicit defaults (only output and run-control knobs do).  All files
@@ -62,7 +62,7 @@ _SCHEMA = {
     "optimize": {"objective", "phase", "mode", "budget", "restarts", "init"},
     "reproduce": {"target", "fast"},
 }
-_TOP_KEYS = set(_SCHEMA) | {"seed", "engine", "threads"}
+_TOP_KEYS = set(_SCHEMA) | {"seed", "engine"}
 
 _REQUIRED = {
     "spectrum": ["model"],
@@ -226,20 +226,17 @@ def cmd_steady(cfg: dict, out: str, args) -> int:
     noise = _noise(cfg)
     dsp = cfg.get("run", {}).get("dsp", False)
     rep = pr.steady_report(params, scheme, bath, cfg["schedule"], noise=noise,
-                           engine=args.engine, dsp=dsp, threads=args.threads)
+                           engine=args.engine, dsp=dsp)
     deltas = pr.schedule_frequencies(cfg["schedule"], params, bath)
     e_closed = an.closed_form_relative_energies(
         params, scheme, deltas, bath.cycle_time_mean, noise,
         schedule_kind=cfg["schedule"].get("kind", "single"),
         mode="dsp" if dsp else "cooling")
 
-    def opt(v):
-        return None if (isinstance(v, float) and math.isnan(v)) else v
-
-    rows = [(int(k), rep.epsilon[k], rep.mode_energy[k],
-             opt(rep.mode_relative_energy[k]), rep.alpha[k],
-             opt(float(e_closed[k])),
-             opt(float(rep.mode_relative_energy[k] - e_closed[k])))
+    # write_csv leaves NaN (undefined e_k) cells empty
+    rows = [(int(k), rep.epsilon[k], rep.mode_energy[k], rep.mode_relative_energy[k],
+             rep.alpha[k], float(e_closed[k]),
+             float(rep.mode_relative_energy[k] - e_closed[k]))
             for k in rep.ks]
     write_csv(os.path.join(out, "steady.csv"),
               ["k", "epsilon_k", "E_k", "e_k", "alpha_k",
@@ -258,7 +255,7 @@ def cmd_trajectory(cfg: dict, out: str, args) -> int:
     kwargs = dict(noise=_noise(cfg), n_global_cycles=int(run["cycles"]),
                   snapshot_stride=int(run.get("snapshot_stride", 10)),
                   initial=run.get("initial", "most_excited"),
-                  dsp=bool(run.get("dsp", False)), threads=args.threads)
+                  dsp=bool(run.get("dsp", False)))
     traj = pr.run_trajectory(params, _scheme(cfg), sched, engine=args.engine, **kwargs)
 
     header = ["cycle", "E", "e", "F"]
@@ -364,7 +361,7 @@ def cmd_optimize(cfg: dict, out: str, args) -> int:
         p_th = ModelParams(params.N, th)
         rep = pr.steady_report(p_th, best.scheme, BathSpec(best.delta, best.t),
                                {"kind": "single"}, noise=noise, engine="fock",
-                               dsp=(mode == "dsp"), threads=args.threads)
+                               dsp=(mode == "dsp"))
         analytic = op.objective_theta_specific(best, p_th, noise, mode)
         rows[f"{th:.6f}"] = {"exact_e": rep.relative_energy, "analytic_e": analytic,
                              "difference": rep.relative_energy - analytic}
@@ -417,10 +414,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
     parser.add_argument("--engine", choices=["fock", "cm"], default=None)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility and ignored: steady reports "
-                             "and trajectories batch their per-mode work "
-                             "(default KELVIN_THREADS or 1)")
     args = parser.parse_args(argv)
 
     try:
@@ -431,9 +424,6 @@ def main(argv=None) -> int:
             args.engine = cfg.get("engine", "fock")
             if args.engine not in ("fock", "cm"):
                 raise ConfigError(f"unknown engine {args.engine!r}")
-        if args.threads is None:
-            args.threads = int(cfg.get("threads",
-                                       os.environ.get("KELVIN_THREADS", "1")))
         os.makedirs(args.out, exist_ok=True)
         return COMMANDS[args.command](cfg, args.out, args)
     except ConfigError as exc:

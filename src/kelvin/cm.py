@@ -16,31 +16,28 @@ exactly.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import FIXED_POINT_ATOL, gauss_legendre, hermitize
+from ._linalg import gauss_legendre, hermitize
 from .errors import NonUniqueFixedPoint, ResonantDenominator
 from .fock import DensityBlock, mode_operators
 from .model import ModeBlock
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "CorrelationMatrix",
     "EvolutionBlocks",
     "vacuum_cm",
     "most_excited_cm",
-    "maximally_mixed_cm",
     "evolve_cm",
     "evolution_blocks",
     "averaged_evolution_kron",
     "cycle_map_cm",
     "affine_cycle_maps",
+    "fixed_points",
     "steady_state_cm",
     "finite_env_evolution_blocks",
     "finite_env_steady_cm",
@@ -73,9 +70,6 @@ class CorrelationMatrix:
         return self
 
 
-_SYS_BASIS = ("a_+", "a_-dag")
-
-
 def vacuum_cm() -> np.ndarray:
     """Ground-state (Bogoliubov vacuum) system CM."""
     return np.diag([0.5, -0.5]).astype(complex)
@@ -85,14 +79,9 @@ def most_excited_cm() -> np.ndarray:
     return np.diag([-0.5, 0.5]).astype(complex)
 
 
-def maximally_mixed_cm() -> np.ndarray:
-    return np.zeros((2, 2), dtype=complex)
-
-
 def evolve_cm(gamma: np.ndarray, generator: np.ndarray, t: float) -> np.ndarray:
     """Closed evolution of a CM under the quadratic generator for time t."""
-    e, v = np.linalg.eigh(generator)
-    u = (v * np.exp(-1j * e * t)) @ v.conj().T
+    u = _propagators(generator, [t])[0]
     return u @ gamma @ u.conj().T
 
 
@@ -104,6 +93,7 @@ class EvolutionBlocks:
     a_sb: np.ndarray
     a_bs: np.ndarray
     a_b: np.ndarray
+    edge: bool = False
 
     def assemble(self) -> np.ndarray:
         top = np.hstack([self.a_s, self.a_sb])
@@ -111,14 +101,9 @@ class EvolutionBlocks:
         return np.vstack([top, bot])
 
 
-def _propagator(block: ModeBlock, t: float) -> np.ndarray:
-    e, v = np.linalg.eigh(block.generator)
-    return (v * np.exp(-1j * e * t)) @ v.conj().T
-
-
 def evolution_blocks(block: ModeBlock, t: float) -> EvolutionBlocks:
-    u = _propagator(block, t)
-    return EvolutionBlocks(u[:2, :2], u[:2, 2:4], u[2:4, :2], u[2:4, 2:4])
+    u = _propagators(block.generator, [t])[0]
+    return EvolutionBlocks(u[:2, :2], u[:2, 2:4], u[2:4, :2], u[2:4, 2:4], block.is_edge)
 
 
 def cycle_map_cm(gamma_s: np.ndarray, blocks: EvolutionBlocks,
@@ -142,7 +127,13 @@ def _propagators(generators: np.ndarray, ts) -> np.ndarray:
     return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def affine_cycle_maps(generators: np.ndarray, ts) -> tuple[np.ndarray, np.ndarray]:
+def _injection(a: np.ndarray) -> np.ndarray:
+    """vec(A gamma_B0 A^dag) for stacked blocks A, gamma_B0 the vacuum CM."""
+    return (a @ vacuum_cm() @ a.conj().swapaxes(-1, -2)).reshape(a.shape[:-2] + (4,))
+
+
+def affine_cycle_maps(generators: np.ndarray, ts,
+                      p_e: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized cycle maps vec(gamma) -> K vec(gamma) + c for stacked blocks and times.
 
     `generators` is a (modes, 4, 4) stack of Heisenberg generators and `ts` a
@@ -150,112 +141,130 @@ def affine_cycle_maps(generators: np.ndarray, ts) -> tuple[np.ndarray, np.ndarra
     (len(ts), modes, 4, 4) and c = vec(A_SB gamma_B0 A_SB^dag) with shape
     (len(ts), modes, 4), gamma_B0 the reset bath's vacuum CM, from one
     batched eigendecomposition.  This is `cycle_map_cm` in row-major
-    vectorized form.
+    vectorized form.  Environment-extended (8x8) generators add the
+    environment pair's injection p_e vec(A_SE gamma_B0 A_SE^dag), as in
+    `finite_env_steady_cm`.
     """
     u = _propagators(generators, ts)
-    a_s, a_sb = u[..., :2, :2], u[..., :2, 2:4]
+    a_s = u[..., :2, :2]
     lead = a_s.shape[:-2]
     k_s = np.einsum("...ij,...ab->...iajb", a_s, a_s.conj()).reshape(lead + (4, 4))
-    c = (a_sb @ vacuum_cm() @ a_sb.conj().swapaxes(-1, -2)).reshape(lead + (4,))
+    c = _injection(u[..., :2, 2:4])
+    if u.shape[-1] > 4:
+        c = c + p_e * _injection(u[..., :2, 4:6])
     return k_s, c
 
 
-def averaged_evolution_kron(block: ModeBlock, t_mean: float, nodes: int = 96,
+def averaged_evolution_kron(block: ModeBlock | np.ndarray, t_mean: float, nodes: int = 96,
                             kappa: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """(E[D A_S (x) A_S*], E[D A_SB (x) A_SB*]) over uniform times on [0, 2 t_mean].
 
     D = exp(-2 kappa t) is the damping of uniform gain/loss noise of rate
     kappa over a cycle of duration t (1 without noise).  These are the
     vectorized-map ingredients of the randomized-time cycle; the linear CM map
-    averages directly because it is linear in the kron blocks.
+    averages directly because it is linear in the kron blocks.  `block` is one
+    block, giving (4, 4) averages, or a (..., 4, 4) stack of generators,
+    giving (..., 4, 4) stacks.
+
+    Only the phases depend on the node: with G = V diag(e) V^dag,
+    E[D U_ij U*_ab] = sum_pq V_ip V*_jp V*_aq V_bq W_pq, where
+    W_pq = sum_n w_n D_n e^{-i (e_p - e_q) t_n}, so no per-node propagator
+    is formed.
     """
+    generators = block.generator if isinstance(block, ModeBlock) else np.asarray(block)
     x, w = gauss_legendre(nodes)
     ts = t_mean * (x + 1.0)
     w = w * np.exp(-2.0 * kappa * ts)
-    u = _propagators(block.generator, ts)
-    a_s, a_sb = u[:, :2, :2], u[:, :2, 2:4]
-    ks = np.einsum("n,nij,nab->iajb", w, a_s, a_s.conj()).reshape(4, 4)
-    ksb = np.einsum("n,nij,nab->iajb", w, a_sb, a_sb.conj()).reshape(4, 4)
+    e, v = np.linalg.eigh(generators)
+    phases = np.exp(-1j * ts.reshape((-1,) + (1,) * e.ndim) * e)
+    w_pq = np.einsum("n,n...p,n...q->...pq", w, phases, phases.conj())
+    v_s, v_b = v[..., :2, :], v[..., 2:4, :]
+    shape = generators.shape[:-2] + (4, 4)
+    avg = "...ip,...jp,...aq,...bq,...pq->...iajb"
+    ks = np.einsum(avg, v_s, v_s.conj(), v_s.conj(), v_s, w_pq).reshape(shape)
+    ksb = np.einsum(avg, v_s, v_b.conj(), v_s.conj(), v_b, w_pq).reshape(shape)
     return ks, ksb
 
 
-def _solve_fixed_point(k_s: np.ndarray, rhs: np.ndarray, damping: float) -> np.ndarray:
-    """Solve (I - damping K_S) x = rhs by LU with one step of refinement.
+_EDGE_DIRECTION = np.array([1.0, 0.0, 0.0, -1.0]) / math.sqrt(2.0)
+# 10 n eps with n = 4, the dimension of vec(gamma); scaled by ||K||_F
+_UNIT_EIGENVALUE_TOL = 40.0 * float(np.finfo(float).eps)
 
-    Weakly attracting fixed points make the system ill-conditioned, but the
-    solution is a ratio of commensurately small quantities and the residual
-    check downstream guards its quality; only a numerically singular system
-    (no unique fixed point) is rejected here.
+
+def fixed_points(k_s: np.ndarray, c: np.ndarray,
+                 edge=False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unique fixed points of stacked affine CM maps vec(gamma) -> K vec(gamma) + c.
+
+    `k_s` is (modes, 4, 4), `c` is (modes, 4) and `edge` flags the edge modes
+    (a bool or one per mode).  Returns the hermitized fixed points x (modes,
+    4), the cooling rates alpha = -log|lambda_max| per map, and the residuals
+    max |x - K x - c| per mode.
+
+    The fixed point is unique iff 1 is not an eigenvalue of K on the physical
+    CMs.  Those span all of vec(gamma) for a pair, but only diag(1, -1) for an
+    edge, whose gamma is diag(1/2 - n, n - 1/2): that direction is an
+    eigenvector of K, and the other three carry no state (at eps = 0 they do
+    not decay), so an edge is solved on that direction alone.  Eigenvalues
+    count as 1 up to the rounding floor 10 n eps ||K||_F, as in
+    fock.steady_state; a map with one raises NonUniqueFixedPoint.
     """
-    a = np.eye(4) - damping * k_s
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > 1e14:
-        sv = np.linalg.svd(a, compute_uv=False)
-        raise NonUniqueFixedPoint(int(np.sum(sv < 1e-12 * sv[0])),
-                                  f"fixed-point system singular (cond {cond:.2e})")
-    logger.debug("cm fixed-point solve, condition number %.3e", cond)
-    x = np.linalg.solve(a, rhs)
-    # refinement with extended-precision residuals pushes the forward error
-    # below the cond*eps floor (the 4x4 long-double matmul is negligible)
-    a_ld = a.astype(np.clongdouble)
-    rhs_ld = rhs.astype(np.clongdouble)
-    for _ in range(2):
-        r = np.asarray(rhs_ld - a_ld @ x.astype(np.clongdouble), dtype=complex)
-        x = x + np.linalg.solve(a, r)
-    return x
+    edge = np.broadcast_to(np.asarray(edge, dtype=bool), k_s.shape[:1])
+    u = _EDGE_DIRECTION
+    edge_eval = np.einsum("i,mij,j->m", u, k_s, u)
+    evals = np.linalg.eigvals(k_s)
+    evals[edge] = 0.0
+    evals[edge, 0] = edge_eval[edge]
+    unit_tol = _UNIT_EIGENVALUE_TOL * np.linalg.norm(k_s, axis=(-2, -1))
+    n_unit = np.sum(np.abs(evals - 1.0) <= unit_tol[:, None], axis=-1)
+    if n_unit.any():
+        raise NonUniqueFixedPoint(int(n_unit[np.argmax(n_unit > 0)]))
+
+    # pairs: one batched LU solve of (I - K) x = c with one refinement step;
+    # edges get an identity system here and are solved on their direction
+    a = np.where(edge[:, None, None], np.eye(4), np.eye(4) - k_s)
+    x = np.linalg.solve(a, c[..., None])
+    x += np.linalg.solve(a, c[..., None] - a @ x)
+    x = x[..., 0]
+    x[edge] = ((c[edge] @ u) / (1.0 - edge_eval[edge]))[:, None] * u
+    resid = np.max(np.abs(x - (k_s @ x[..., None])[..., 0] - c), axis=-1)
+    alpha = -np.log(np.max(np.abs(evals), axis=-1))
+    return hermitize(x.reshape(-1, 2, 2)).reshape(-1, 4), alpha, resid
 
 
 def steady_state_cm(blocks: EvolutionBlocks, gamma_b0: np.ndarray,
-                    damping: float = 1.0,
-                    kron_blocks: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Fixed point of the (possibly damped) cycle map by a vectorized solve.
+                    damping: float = 1.0) -> np.ndarray:
+    """Fixed point of the (possibly damped) cycle map of one block.
 
     damping = 1 is the noiseless cycle; uniform gain/loss noise of rate kappa
-    over a cycle of duration t enters as damping = exp(-2 kappa t).  Passing
-    `kron_blocks` (from averaged_evolution_kron) replaces the single-time
-    blocks with their randomized-time averages.
+    over a cycle of duration t enters as damping = exp(-2 kappa t).  A
+    single-mode `fixed_points`.
     """
-    if kron_blocks is not None:
-        k_s, k_sb = kron_blocks
-    else:
-        k_s, k_sb = _kron_pair(blocks.a_s), _kron_pair(blocks.a_sb)
-    rhs = damping * (k_sb @ gamma_b0.reshape(-1))
-    gamma = hermitize(_solve_fixed_point(k_s, rhs, damping).reshape(2, 2))
-    resid = np.max(np.abs(
-        gamma.reshape(-1) - damping * (k_s @ gamma.reshape(-1)) - rhs))
-    if resid > FIXED_POINT_ATOL:
-        raise NonUniqueFixedPoint(1, f"cm fixed-point residual {resid:.2e}")
-    return gamma
+    k_s = damping * _kron_pair(blocks.a_s)
+    rhs = damping * (_kron_pair(blocks.a_sb) @ gamma_b0.reshape(-1))
+    return fixed_points(k_s[None], rhs[None], blocks.edge)[0].reshape(2, 2)
 
 
 def finite_env_evolution_blocks(block: ModeBlock, t: float) -> tuple[EvolutionBlocks, EvolutionBlocks]:
     """(system/bath, system/env1) partitions of the 8x8 block propagator."""
     if block.env is None:
         raise ValueError("block carries no environment")
-    u = _propagator(block, t)
-    sb = EvolutionBlocks(u[:2, :2], u[:2, 2:4], u[2:4, :2], u[2:4, 2:4])
-    se1 = EvolutionBlocks(u[:2, :2], u[:2, 4:6], u[4:6, :2], u[4:6, 4:6])
+    u = _propagators(block.generator, [t])[0]
+    sb = EvolutionBlocks(u[:2, :2], u[:2, 2:4], u[2:4, :2], u[2:4, 2:4], block.is_edge)
+    se1 = EvolutionBlocks(u[:2, :2], u[:2, 4:6], u[4:6, :2], u[4:6, 4:6], block.is_edge)
     return sb, se1
 
 
 def finite_env_steady_cm(blocks_sb: EvolutionBlocks, blocks_se1: EvolutionBlocks,
-                         p_e: float, gamma_b0: np.ndarray | None = None) -> np.ndarray:
+                         p_e: float) -> np.ndarray:
     """Fixed point with bath and environment injections summed.
 
     The environment pair injects p_e times the bath ground-state CM; the
     (higher-order) bath-environment channel is neglected, matching the
-    closed-form treatment.
+    closed-form treatment.  A single-mode `fixed_points`.
     """
-    if gamma_b0 is None:
-        gamma_b0 = vacuum_cm()
     k_s = _kron_pair(blocks_sb.a_s)
-    inj = _kron_pair(blocks_sb.a_sb) + p_e * _kron_pair(blocks_se1.a_sb)
-    rhs = inj @ gamma_b0.reshape(-1)
-    gamma = hermitize(_solve_fixed_point(k_s, rhs, 1.0).reshape(2, 2))
-    resid = np.max(np.abs(gamma.reshape(-1) - k_s @ gamma.reshape(-1) - rhs))
-    if resid > FIXED_POINT_ATOL:
-        raise NonUniqueFixedPoint(1, f"cm fixed-point residual {resid:.2e}")
-    return gamma
+    rhs = _injection(blocks_sb.a_sb) + p_e * _injection(blocks_se1.a_sb)
+    return fixed_points(k_s[None], rhs[None], blocks_sb.edge)[0].reshape(2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +340,6 @@ def cm_to_density(gamma: np.ndarray, edge: bool, k: int = -1) -> DensityBlock:
 def quadrature_couplings(block: ModeBlock) -> tuple[complex, complex]:
     """Coupling combinations (f_k, p_k) used by the quadrature-basis expansion."""
     phi = block.phi
-    f = 0j
-    p = 0j
     # f = -e^{i phi} sum (lam_j + mu_j) e^{-i 2 pi j k / N} and
     # p = e^{-i phi} sum (lam_j - mu_j) e^{-i 2 pi j k / N}; recover the sums
     # from the stored (A, B): lam-sum = cos(phi)A - sin(phi)B parts.

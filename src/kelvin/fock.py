@@ -21,7 +21,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from ._linalg import (
-    CP_ATOL,
     FIXED_POINT_ATOL,
     HERMITICITY_ATOL,
     TRACE_ATOL,
@@ -46,6 +45,7 @@ __all__ = [
     "averaged_cycle_map",
     "noise_transfer",
     "steady_state",
+    "fixed_points",
     "block_energy",
     "vacuum_density",
     "most_excited_density",
@@ -239,10 +239,6 @@ def _parity_diag_mask(d: int) -> np.ndarray:
     return mask
 
 
-def _parity_diag_indices(d: int) -> np.ndarray:
-    return np.flatnonzero(_parity_diag_mask(d))
-
-
 @dataclass
 class Superoperator:
     """Transfer-matrix form of a channel on one system block (row-major vec)."""
@@ -258,18 +254,12 @@ class Superoperator:
         """Map applying `other` first, then self."""
         return Superoperator(self.matrix @ other.matrix, self.d)
 
-    def power(self, n: int) -> "Superoperator":
-        return Superoperator(np.linalg.matrix_power(self.matrix, n), self.d)
-
     def is_trace_preserving(self, atol: float = TRACE_ATOL) -> bool:
         vid = vec(np.eye(self.d, dtype=complex))
         return bool(np.max(np.abs(vid @ self.matrix - vid)) <= atol)
 
     def choi_min_eig(self) -> float:
         return choi_min_eig(self.matrix)
-
-    def is_completely_positive(self, atol: float = CP_ATOL) -> bool:
-        return self.choi_min_eig() >= -atol
 
     def parity_leakage(self) -> float:
         """Largest coupling from the parity-diagonal sector to the rest."""
@@ -279,7 +269,7 @@ class Superoperator:
 
     def restricted(self) -> tuple[np.ndarray, np.ndarray]:
         """(transfer on the parity-diagonal sector, flat index list)."""
-        idx = _parity_diag_indices(self.d)
+        idx = np.flatnonzero(_parity_diag_mask(self.d))
         return self.matrix[np.ix_(idx, idx)], idx
 
 
@@ -516,9 +506,23 @@ def steady_state(superop: Superoperator) -> tuple[DensityBlock, float]:
     return DensityBlock(rho, -1), alpha
 
 
-def steady_state_for_block(superop: Superoperator, k: int) -> tuple[DensityBlock, float]:
-    rho, alpha = steady_state(superop)
-    return DensityBlock(rho.matrix, k), alpha
+def fixed_points(k_s: np.ndarray, c: np.ndarray | None = None,
+                 edge=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`steady_state` of stacked transfer matrices (modes, d^2, d^2), one at a time.
+
+    Returns the vectorized fixed points, the cooling rates and the trace-norm
+    residuals.  `c` and `edge` keep the signature of `cm.fixed_points`: Fock
+    cycle maps are linear, and every Fock edge block is physical.
+    """
+    d = math.isqrt(k_s.shape[-1])
+    xs, alphas, resids = [], [], []
+    for matrix in k_s:
+        superop = Superoperator(matrix, d)
+        rho, alpha = steady_state(superop)
+        xs.append(rho.matrix.reshape(-1))
+        alphas.append(alpha)
+        resids.append(trace_norm(superop.apply(rho) - rho.matrix))
+    return np.stack(xs), np.array(alphas), np.array(resids)
 
 
 # ---------------------------------------------------------------------------

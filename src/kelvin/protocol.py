@@ -1,12 +1,15 @@
-"""Schedules, trajectory execution, and global metrics.
+"""Schedules, trajectories, steady-state reports, and global metrics.
 
 A schedule is an ordered list of (bath frequency, cycle time) subcycles; a
 global cycle applies all of them once, with the bath reset before each
 subcycle.  Per-mode dynamics are independent and every subcycle acts on a
-vectorized block as an affine map x -> K x + c (linear for the Fock engine),
-so a trajectory composes the subcycle maps into one global-cycle map per
-momentum pair, steps all pairs at once as a stacked product, and reduces the
-stacked snapshots to chain-level energy, relative energy, and fidelity.
+vectorized block as an affine map x -> K x + c (linear for the Fock engine).
+Trajectories and steady reports share one map pipeline: the subcycle maps are
+built stacked over modes (a randomized steady schedule uses each map's
+quadrature average), composed into one global-cycle map per momentum pair,
+and then either stepped as a stacked product or handed to the engine's
+stacked fixed-point solve.  Both reduce the stacked blocks to per-mode and
+chain-level energy, relative energy, and fidelity.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import numpy as np
 from . import analytic as _an
 from . import cm as _cm
 from . import fock as _fock
-from ._linalg import hermitize, trace_norm
-from .errors import FitQualityError, NonUniqueFixedPoint, UnsupportedCombination
+from ._linalg import trace_norm
+from .errors import FitQualityError, UnsupportedCombination
 from .model import BathSpec, CouplingScheme, FiniteEnvSpec, ModelParams, band_edges, block_hamiltonian, dispersion
 from .analytic import NoiseSpec
 
@@ -188,32 +191,24 @@ def initial_state(kind: str, params: ModelParams, engine: str = "fock",
     """Product initial state: Bogoliubov vacuum (= ground state), most
     excited, or caller-supplied per-mode blocks (validated)."""
     n2 = params.N // 2
-    blocks: list[np.ndarray] = []
     if kind == "custom":
         if custom_blocks is None or len(custom_blocks) != n2 + 1:
             raise ValueError("custom initial state needs one block per k = 0..N/2")
-        for k, b in enumerate(custom_blocks):
+        blocks = [np.asarray(b, dtype=complex) for b in custom_blocks]
+        for k, b in enumerate(blocks):
             if engine == "fock":
-                _fock.DensityBlock(np.asarray(b, dtype=complex), k).validate()
+                _fock.DensityBlock(b, k).validate()
             else:
-                _cm.CorrelationMatrix(np.asarray(b, dtype=complex), ("a_+", "a_-dag")).validate()
-            blocks.append(np.asarray(b, dtype=complex))
+                _cm.CorrelationMatrix(b, ("a_+", "a_-dag")).validate()
         return ChainState(engine, blocks, params)
-    for k in range(n2 + 1):
-        edge = k in (0, n2)
-        if engine == "fock":
-            maker = _fock.vacuum_density if kind == "vacuum" else _fock.most_excited_density
-            if kind not in ("vacuum", "most_excited"):
-                raise ValueError(f"unknown initial state kind {kind!r}")
-            blocks.append(maker(edge, k).matrix)
-        else:
-            if kind == "vacuum":
-                g = _cm.vacuum_cm()
-            elif kind == "most_excited":
-                g = _cm.most_excited_cm()
-            else:
-                raise ValueError(f"unknown initial state kind {kind!r}")
-            blocks.append(g)
+    if kind not in ("vacuum", "most_excited"):
+        raise ValueError(f"unknown initial state kind {kind!r}")
+    if engine == "fock":
+        maker = _fock.vacuum_density if kind == "vacuum" else _fock.most_excited_density
+        blocks = [maker(k in (0, n2), k).matrix for k in range(n2 + 1)]
+    else:
+        maker = _cm.vacuum_cm if kind == "vacuum" else _cm.most_excited_cm
+        blocks = [maker() for _ in range(n2 + 1)]
     return ChainState(engine, blocks, params)
 
 
@@ -256,21 +251,6 @@ def _check_engine_noise(engine: str, noise: NoiseSpec):
             "run trajectories with the fock engine")
 
 
-def _noise_env(noise: NoiseSpec) -> FiniteEnvSpec | None:
-    if noise.kind != "finite_env":
-        return None
-    return FiniteEnvSpec(noise.kappa_prime, noise.delta_e, noise.p_e)
-
-
-def _fock_cycle_map(fb: _fock.FockBlock, t: float, noise: NoiseSpec) -> _fock.Superoperator:
-    """Single-time cycle map of one Fock block under the selected noise kind."""
-    if noise.kind == "none":
-        return _fock.exact_cycle_map(fb, t)
-    if noise.kind == "depolarizing":
-        return _fock.noisy_cycle_map(fb, t, noise.kappa)
-    return _fock.finite_environment_map(fb, t)
-
-
 def _mode_groups(engine: str, n2: int) -> list[np.ndarray]:
     """Mode indices stepped as one stack, one group per block shape.
 
@@ -280,36 +260,45 @@ def _mode_groups(engine: str, n2: int) -> list[np.ndarray]:
     ks = np.arange(n2 + 1)
     if engine == "cm":
         return [ks]
+    if engine != "fock":
+        raise ValueError(f"unknown engine {engine!r}")
     return [g for g in (np.array([0, n2]), ks[1:n2]) if g.size]
 
 
-def _subcycle_maps(params: ModelParams, scheme: CouplingScheme, schedule: Schedule,
-                   noise: NoiseSpec, dsp: bool, engine: str, ks: np.ndarray) -> dict:
-    """Affine map vec(block) -> K vec(block) + c of every distinct subcycle.
-
-    Keyed by (delta_r, t_m); K is stacked over the modes `ks` to (modes, D, D)
-    and c to (modes, D).  Fock maps are linear (c = 0).
-    """
-    times: dict[float, dict[float, None]] = {}
-    for delta_r, t_m in schedule.subcycles:
-        times.setdefault(delta_r, {})[t_m] = None
-    env = _noise_env(noise)
+def _cm_frequency_maps(blocks, ts, t_mean: float, noise: NoiseSpec, nodes: int) -> dict:
+    """CM maps (K, c) of one bath frequency per time in `ts`, stacked over blocks."""
+    generators = np.stack([b.generator for b in blocks])
+    kappa = noise.kappa if noise.kind == "depolarizing" else 0.0
     maps = {}
-    for delta_r, ts in times.items():
-        bath = BathSpec(delta_r, schedule.mean_time)
-        blocks = [block_hamiltonian(params, scheme, bath, int(k), env=env, dsp=dsp)
-                  for k in ks]
-        if engine == "cm":
-            k_s, c = _cm.affine_cycle_maps(np.stack([b.generator for b in blocks]), list(ts))
-            for i, t_m in enumerate(ts):
-                damping = math.exp(-2.0 * noise.kappa * t_m) \
-                    if noise.kind == "depolarizing" else 1.0
-                maps[delta_r, t_m] = (damping * k_s[i], damping * c[i])
-        else:
-            fbs = [_fock.second_quantize(b) for b in blocks]
-            for t_m in ts:
-                k_s = np.stack([_fock_cycle_map(fb, t_m, noise).matrix for fb in fbs])
-                maps[delta_r, t_m] = (k_s, np.zeros(k_s.shape[:2], dtype=complex))
+    fixed = [t for t in ts if t is not None]
+    if fixed:
+        k_s, c = _cm.affine_cycle_maps(generators, fixed, p_e=noise.p_e)
+        for i, t in enumerate(fixed):
+            damping = math.exp(-2.0 * kappa * t)
+            maps[t] = (damping * k_s[i], damping * c[i])
+    if None in ts:
+        # damping depends on the drawn time, so it is averaged jointly
+        k_s, k_sb = _cm.averaged_evolution_kron(generators, t_mean, nodes, kappa=kappa)
+        maps[None] = (k_s, k_sb @ _cm.vacuum_cm().reshape(-1))
+    return maps
+
+
+def _fock_frequency_maps(blocks, ts, t_mean: float, noise: NoiseSpec, nodes: int) -> dict:
+    """Fock transfers (K, 0) of one bath frequency per time in `ts`, stacked over blocks."""
+    fbs = [_fock.second_quantize(b) for b in blocks]
+
+    def cycle_map(fb: _fock.FockBlock, t: float | None) -> _fock.Superoperator:
+        if t is None:
+            return _fock.averaged_cycle_map(fb, t_mean, kappa=noise.kappa, nodes=nodes)
+        if noise.kind == "depolarizing":
+            return _fock.noisy_cycle_map(fb, t, noise.kappa)
+        # a finite-environment block traces its environments out with the bath
+        return _fock.exact_cycle_map(fb, t)
+
+    maps = {}
+    for t in ts:
+        k_s = np.stack([cycle_map(fb, t).matrix for fb in fbs])
+        maps[t] = (k_s, np.zeros(k_s.shape[:2], dtype=complex))
     return maps
 
 
@@ -321,6 +310,53 @@ def _global_cycle_map(maps: dict, subcycles) -> tuple[np.ndarray, np.ndarray]:
         k_tot = k_s @ k_tot
         c_tot = (k_s @ c_tot[..., None])[..., 0] + c
     return k_tot, c_tot
+
+
+def _global_maps(params: ModelParams, scheme: CouplingScheme, noise: NoiseSpec, dsp: bool,
+                 engine: str, ks: np.ndarray, t_mean: float, subcycles,
+                 nodes: int = 96) -> tuple[np.ndarray, np.ndarray]:
+    """Global-cycle maps vec(block) -> K vec(block) + c of the modes `ks`.
+
+    Subcycles are (delta_r, t_m) pairs, and t_m = None stands for the average
+    over uniformly random times on [0, 2 t_mean] (Gauss-Legendre with `nodes`
+    nodes), the ensemble limit of a randomized schedule.  Each distinct
+    subcycle's map is built once, and the maps are composed in schedule
+    order; K is stacked over modes to (modes, D, D) and c to (modes, D).
+    CM maps come from one batched eigh over all modes; Fock transfers are
+    built and composed one mode at a time, so that only one mode's subcycle
+    transfers and quadrature node stacks are held at once.
+    """
+    times: dict[float, dict[float | None, None]] = {}
+    for delta_r, t_m in subcycles:
+        times.setdefault(delta_r, {})[t_m] = None
+    if noise.kind == "finite_env" and any(None in ts for ts in times.values()):
+        raise UnsupportedCombination(
+            "randomized finite-environment steady states are not implemented")
+    env = FiniteEnvSpec(noise.kappa_prime, noise.delta_e, noise.p_e) \
+        if noise.kind == "finite_env" else None
+    frequency_maps = _cm_frequency_maps if engine == "cm" else _fock_frequency_maps
+    composed = []
+    for chunk in [ks] if engine == "cm" else np.split(ks, len(ks)):
+        maps = {}
+        for delta_r, ts in times.items():
+            bath = BathSpec(delta_r, t_mean)
+            blocks = [block_hamiltonian(params, scheme, bath, int(k), env=env, dsp=dsp)
+                      for k in chunk]
+            for t_m, m in frequency_maps(blocks, list(ts), t_mean, noise, nodes).items():
+                maps[delta_r, t_m] = m
+        composed.append(_global_cycle_map(maps, subcycles))
+    return (np.concatenate([k for k, _ in composed]),
+            np.concatenate([c for _, c in composed]))
+
+
+def _group_blocks(groups: list[tuple[np.ndarray, np.ndarray]], n2: int) -> list[np.ndarray]:
+    """Per-mode d x d blocks over k = 0..N/2 from per-group stacks of vec(block)."""
+    blocks: list[np.ndarray] = [None] * (n2 + 1)
+    for ks, x in groups:
+        d = math.isqrt(x.shape[-1])
+        for k, block in zip(ks, x.reshape(len(ks), d, d)):
+            blocks[k] = block
+    return blocks
 
 
 def _step_snapshots(k_tot: np.ndarray, c_tot: np.ndarray, x0: np.ndarray,
@@ -347,16 +383,15 @@ def _trace_norm_steps(x: np.ndarray) -> np.ndarray:
 def run_trajectory(params: ModelParams, scheme: CouplingScheme, schedule: Schedule,
                    noise: NoiseSpec = NoiseSpec.none(), engine: str = "fock",
                    n_global_cycles: int = 100, snapshot_stride: int = 10,
-                   initial: str | ChainState = "most_excited", dsp: bool = False,
-                   threads: int = 1) -> Trajectory:
+                   initial: str | ChainState = "most_excited",
+                   dsp: bool = False) -> Trajectory:
     """Apply the schedule's subcycles for n global cycles, recording snapshots.
 
     All modes see the same subcycle time sequence.  Each distinct subcycle's
     map is built once per mode, the maps are composed in schedule order into
     one global-cycle map per mode, and all modes are stepped together as a
     stacked product (CM: one stack of 4x4 affine maps on vec(gamma); Fock: one
-    stack per block shape, edges and generic pairs).  `threads` is accepted
-    for interface compatibility and has no effect here.  Convergence is
+    stack per block shape, edges and generic pairs).  Convergence is
     declared when the per-mode trace-norm change between consecutive
     snapshots stays below 1e-10 three snapshots in a row.
     """
@@ -373,15 +408,8 @@ def run_trajectory(params: ModelParams, scheme: CouplingScheme, schedule: Schedu
                           *range(snapshot_stride, n_global_cycles + 1, snapshot_stride)})
     groups = []
     for ks in _mode_groups(engine, n2):
-        # CM maps come from one batched eigh over all modes; Fock transfers
-        # are built and composed one mode at a time, so that only one mode's
-        # subcycle transfers are held at once
-        chunks = [ks] if engine == "cm" else np.split(ks, len(ks))
-        composed = [_global_cycle_map(
-            _subcycle_maps(params, scheme, schedule, noise, dsp, engine, chunk),
-            schedule.subcycles) for chunk in chunks]
-        k_tot = np.concatenate([k for k, _ in composed])
-        c_tot = np.concatenate([c for _, c in composed])
+        k_tot, c_tot = _global_maps(params, scheme, noise, dsp, engine, ks,
+                                    schedule.mean_time, schedule.subcycles)
         x0 = np.stack([np.asarray(state0.blocks[k], dtype=complex).reshape(-1) for k in ks])
         groups.append((ks, _step_snapshots(k_tot, c_tot, x0, snap_cycles)))
 
@@ -398,12 +426,7 @@ def run_trajectory(params: ModelParams, scheme: CouplingScheme, schedule: Schedu
             converged_at = cyc
             break
 
-    final_blocks: list[np.ndarray] = [None] * (n2 + 1)
-    for ks, x in groups:
-        d = math.isqrt(x.shape[-1])
-        for k, block in zip(ks, x[-1].reshape(len(ks), d, d)):
-            final_blocks[k] = block
-    final = ChainState(engine, final_blocks, params)
+    final = ChainState(engine, _group_blocks([(ks, x[-1]) for ks, x in groups], n2), params)
     return Trajectory(snapshots=snapshots, converged_at=converged_at, final_state=final)
 
 
@@ -481,150 +504,45 @@ class SteadyStateReport:
     states: list[np.ndarray] = field(default_factory=list)
 
 
-def _steady_mode_fock(params, scheme, noise, schedule_kind, deltas, t_mean, k,
-                      dsp, quadrature_nodes):
-    env = _noise_env(noise)
-    mats = []
-    d_sys = None
-    for delta_r in deltas:
-        mb = block_hamiltonian(params, scheme, BathSpec(delta_r, t_mean), k,
-                               env=env, dsp=dsp)
-        fb = _fock.second_quantize(mb)
-        d_sys = fb.d_sys
-        if schedule_kind == "single":
-            s = _fock_cycle_map(fb, t_mean, noise)
-        else:
-            if noise.kind == "finite_env":
-                raise UnsupportedCombination(
-                    "randomized finite-environment steady states are not implemented")
-            s = _fock.averaged_cycle_map(fb, t_mean, kappa=noise.kappa,
-                                         nodes=quadrature_nodes)
-        mats.append(s.matrix)
-    total = mats[0]
-    for m in mats[1:]:
-        total = m @ total
-    superop = _fock.Superoperator(total, d_sys)
-    rho, alpha = _fock.steady_state(superop)
-    resid = trace_norm(superop.apply(rho) - rho.matrix)
-    return rho.matrix, alpha / len(deltas), resid
-
-
-_EDGE_CM_DIRECTION = np.array([1.0, 0.0, 0.0, -1.0]) / math.sqrt(2.0)
-# 10 n eps with n = 4, the dimension of vec(gamma); scaled by ||K||_F
-_UNIT_EIGENVALUE_TOL = 40.0 * float(np.finfo(float).eps)
-
-
-def _steady_mode_cm(params, scheme, noise, schedule_kind, deltas, t_mean, k,
-                    dsp, quadrature_nodes):
-    env = _noise_env(noise)
-    if env is not None:
-        if schedule_kind != "single":
-            raise UnsupportedCombination(
-                "cm finite-environment fixed points support single schedules only")
-        mb = block_hamiltonian(params, scheme, BathSpec(deltas[0], t_mean), k,
-                               env=env, dsp=dsp)
-        sb, se1 = _cm.finite_env_evolution_blocks(mb, t_mean)
-        gamma = _cm.finite_env_steady_cm(sb, se1, noise.p_e)
-        ks_k = _cm._kron_pair(sb.a_s)
-        inj = (_cm._kron_pair(sb.a_sb) + noise.p_e * _cm._kron_pair(se1.a_sb)) \
-            @ _cm.vacuum_cm().reshape(-1)
-        resid = float(np.max(np.abs(gamma.reshape(-1) - ks_k @ gamma.reshape(-1) - inj)))
-        alpha = -math.log(np.max(np.abs(np.linalg.eigvals(ks_k))))
-        return gamma, alpha, resid
-
-    damping = math.exp(-2.0 * noise.kappa * t_mean) if noise.kind == "depolarizing" else 1.0
-    ks_tot = np.eye(4, dtype=complex)
-    inj_tot = np.zeros(4, dtype=complex)
-    gb0 = _cm.vacuum_cm().reshape(-1)
-    for delta_r in deltas:
-        mb = block_hamiltonian(params, scheme, BathSpec(delta_r, t_mean), k, dsp=dsp)
-        if schedule_kind == "single":
-            eb = _cm.evolution_blocks(mb, t_mean)
-            k_s, k_sb = _cm._kron_pair(eb.a_s), _cm._kron_pair(eb.a_sb)
-        else:
-            # damping depends on the drawn time, so it is averaged jointly
-            k_s, k_sb = _cm.averaged_evolution_kron(
-                mb, t_mean, quadrature_nodes,
-                kappa=noise.kappa if noise.kind == "depolarizing" else 0.0)
-            damping = 1.0
-        step = damping * k_s
-        inj_tot = step @ inj_tot + damping * (k_sb @ gb0)
-        ks_tot = step @ ks_tot
-    # The fixed point is unique iff 1 is not an eigenvalue of K on the
-    # physical CMs.  Those span all of vec(gamma) for a pair, but only
-    # diag(1, -1) for an edge, whose gamma is diag(1/2 - n, n - 1/2): that
-    # direction is an eigenvector of K, and the other three carry no state
-    # (at eps = 0 they do not decay).  Unit eigenvalues count up to the
-    # rounding floor, as in fock.steady_state.
-    if mb.is_edge:
-        evals = np.array([_EDGE_CM_DIRECTION @ ks_tot @ _EDGE_CM_DIRECTION])
-    else:
-        evals = np.linalg.eigvals(ks_tot)
-    unit_tol = _UNIT_EIGENVALUE_TOL * math.sqrt(np.vdot(ks_tot, ks_tot).real)
-    n_unit = sum(abs(ev - 1.0) <= unit_tol for ev in evals.tolist())
-    if n_unit:
-        raise NonUniqueFixedPoint(n_unit)
-    a = np.eye(4) - ks_tot
-    gamma = np.linalg.solve(a, inj_tot)
-    gamma += np.linalg.solve(a, inj_tot - a @ gamma)
-    resid = float(np.max(np.abs(gamma - ks_tot @ gamma - inj_tot)))
-    gamma = gamma.reshape(2, 2)
-    alpha = -math.log(np.max(np.abs(evals))) / len(deltas)
-    return hermitize(gamma), alpha, resid
-
-
 def steady_report(params: ModelParams, scheme: CouplingScheme, bath: BathSpec,
                   schedule_descriptor: dict, noise: NoiseSpec = NoiseSpec.none(),
-                  engine: str = "fock", dsp: bool = False, threads: int = 1,
-                  quadrature_nodes: int = 96, keep_states: bool = False) -> SteadyStateReport:
+                  engine: str = "fock", dsp: bool = False, quadrature_nodes: int = 96,
+                  keep_states: bool = False) -> SteadyStateReport:
     """Per-mode steady states of the scheduled cycle map plus chain aggregates.
 
-    Randomized-time schedules are evaluated in the ensemble limit: each
-    elementary map is replaced by its uniform average over [0, 2 t_mean]
-    (Gauss-Legendre quadrature), which is the object the closed-form rates
-    describe.  alpha is reported per elementary subcycle.  `threads` is
-    accepted for interface compatibility and has no effect: the per-mode work
-    is a few small batched contractions, too little to share between threads.
+    Steady reports share the trajectory map pipeline: each schedule
+    frequency's cycle map is built stacked over modes, the maps are composed
+    in frequency order into one global-cycle map per mode, and the engine's
+    stacked `fixed_points` solves them all (Fock: `fock.steady_state` one
+    mode at a time; CM: one batched solve).  Randomized-time schedules are
+    evaluated in the ensemble limit: each elementary map is replaced by its
+    uniform average over [0, 2 t_mean] (Gauss-Legendre quadrature), which is
+    the object the closed-form rates describe.  alpha is reported per
+    elementary subcycle.  Finite environments need a single schedule.
     """
-    _check_engine_noise(engine, noise)
-    kind = schedule_descriptor.get("kind", "single")
     deltas = schedule_frequencies(schedule_descriptor, params, bath)
+    t_m = bath.cycle_time_mean if schedule_descriptor.get("kind", "single") == "single" else None
+    subcycles = [(delta_r, t_m) for delta_r in deltas]
+    solve = _cm.fixed_points if engine == "cm" else _fock.fixed_points
     n2 = params.N // 2
-    worker = _steady_mode_fock if engine == "fock" else _steady_mode_cm
-    results = [worker(params, scheme, noise, kind, deltas, bath.cycle_time_mean,
-                      k, dsp, quadrature_nodes) for k in range(n2 + 1)]
+    alpha = np.empty(n2 + 1)
+    resid = np.empty(n2 + 1)
+    groups = []
+    for ks in _mode_groups(engine, n2):
+        k_tot, c_tot = _global_maps(params, scheme, noise, dsp, engine, ks,
+                                    bath.cycle_time_mean, subcycles, quadrature_nodes)
+        x, alpha[ks], resid[ks] = solve(k_tot, c_tot, (ks == 0) | (ks == n2))
+        groups.append((ks, x))
+    alpha /= len(deltas)
 
-    ks = np.arange(n2 + 1)
-    eps = np.array([dispersion(params.theta, params.N, int(k)) for k in ks])
-    wts = np.ones(n2 + 1)
-    wts[0] = wts[-1] = 0.5
-    e_mode = np.empty(n2 + 1)
-    e_rel = np.empty(n2 + 1)
-    fid = np.empty(n2 + 1)
-    alphas = np.empty(n2 + 1)
-    max_resid = 0.0
-    states = []
-    for k, (blk_state, alpha, resid) in enumerate(results):
-        edge = k in (0, n2)
-        if engine == "fock":
-            e_val, e_r = _fock.block_energy(blk_state, eps[k], wts[k])
-            fid[k] = _fock.fidelity_with_vacuum(blk_state)
-        else:
-            e_val = _cm.cm_energy(blk_state, eps[k], wts[k])
-            denom = eps[k] * wts[k]
-            e_r = None if eps[k] == 0 else (e_val + denom) / denom
-            fid[k] = _cm.cm_fidelity(blk_state, edge)
-        e_mode[k] = e_val
-        e_rel[k] = math.nan if e_r is None else e_r
-        alphas[k] = alpha
-        max_resid = max(max_resid, resid)
-        if keep_states:
-            states.append(blk_state)
-
-    e_total = float(np.sum(e_mode))
-    e_gs = -float(np.sum(wts * eps))
+    energies, fids = _chain_reduce(engine, params, groups)
+    e_total, e_rel_total, fidelity = _chain_metrics(energies, fids, params)
+    ks, eps, _, wts = _an.mode_grid(params)
+    scale = wts * eps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e_rel = np.where(eps == 0.0, math.nan, (energies + scale) / scale)
     return SteadyStateReport(
-        ks=ks, epsilon=eps, mode_energy=e_mode, mode_relative_energy=e_rel,
-        alpha=alphas, energy=e_total, relative_energy=abs((e_total - e_gs) / e_gs),
-        fidelity=float(np.prod(fid)), engine=engine, max_residual=max_resid,
-        states=states)
+        ks=ks, epsilon=eps, mode_energy=energies, mode_relative_energy=e_rel,
+        alpha=alpha, energy=e_total, relative_energy=e_rel_total, fidelity=fidelity,
+        engine=engine, max_residual=float(np.max(resid)),
+        states=_group_blocks(groups, n2) if keep_states else [])

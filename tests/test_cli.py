@@ -260,14 +260,3 @@ class TestReproduce:
         cfg = write_cfg(tmp_path, {"reproduce": {"target": "fig99"}})
         rc = cli.main(["reproduce", "--config", cfg, "--out", str(tmp_path / "x")])
         assert rc == 2
-
-
-class TestThreads:
-    def test_env_var_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("KELVIN_THREADS", "3")
-        cfg = write_cfg(tmp_path, STEADY_CFG)
-        out1, out2 = tmp_path / "th1", tmp_path / "th2"
-        assert cli.main(["steady", "--config", cfg, "--out", str(out1)]) == 0
-        monkeypatch.delenv("KELVIN_THREADS")
-        assert cli.main(["steady", "--config", cfg, "--out", str(out2)]) == 0
-        assert (out1 / "steady.csv").read_bytes() == (out2 / "steady.csv").read_bytes()

@@ -168,15 +168,6 @@ class TestRunTrajectory:
         diffs = np.diff(e4[1:])
         assert np.all(diffs <= 1e-9)
 
-    def test_threads_match_serial(self, small_params, local_scheme, bath):
-        sched = pr.make_schedule({"kind": "randomized", "L": 3},
-                                 small_params, bath, seed=2)
-        a = pr.run_trajectory(small_params, local_scheme, sched,
-                              n_global_cycles=10, snapshot_stride=5, threads=1)
-        b = pr.run_trajectory(small_params, local_scheme, sched,
-                              n_global_cycles=10, snapshot_stride=5, threads=4)
-        assert a.column("energy").tolist() == b.column("energy").tolist()
-
     def test_convergence_declared(self):
         p = ModelParams(8, 0.9)
         scheme = CouplingScheme.local(1.0, 1.0, 0.3)
@@ -437,10 +428,90 @@ class TestSteadyReport:
         p = ModelParams(8, math.pi / 4)
         sched = {"kind": kind, "L": 10}
         rf = pr.steady_report(p, local_scheme, bath, sched, engine="fock")
-        rc = pr.steady_report(p, local_scheme, bath, sched, engine="cm")
+        rc = pr.steady_report(p, local_scheme, bath, sched, engine="cm", keep_states=True)
         assert rc.epsilon[-1] == 0.0
         np.testing.assert_allclose(rc.alpha, rf.alpha, rtol=1e-10)
         assert np.max(np.abs(rf.mode_energy - rc.mode_energy)) <= 1e-12
+        # edges are solved on diag(1, -1) alone, so no <a a> entry appears
+        for gamma in (rc.states[0], rc.states[-1]):
+            assert gamma[0, 1] == 0.0 and gamma[1, 0] == 0.0
+
+    # (case, params, scheme, bath, noise, dsp, schedule kinds, expected outcome)
+    EXISTENCE_GRID = [
+        ("g=0", ModelParams(8, 0.3), CouplingScheme.local(1.0, 1.0, 0.0),
+         BathSpec(1.1, 4.3), an.NoiseSpec.none(), False, ("single", "randomized"),
+         "NonUniqueFixedPoint"),
+        ("dsp non-cooling mode", ModelParams(8, 0.3), CouplingScheme.local(1.0, 1.0, 0.05),
+         BathSpec(1.1, 4.3), an.NoiseSpec.none(), True, ("single", "randomized"),
+         "NonUniqueFixedPoint"),
+        ("g=1e-6", ModelParams(40, math.pi / 3), CouplingScheme.local(1.0, 1.0, 1e-6),
+         BathSpec(1.0, 20.0), an.NoiseSpec.none(), False, ("single", "randomized"),
+         "returns"),
+        ("depolarizing", ModelParams(8, 0.3), CouplingScheme.local(1.0, 1.0, 0.05),
+         BathSpec(1.1, 4.3), an.NoiseSpec.depolarizing(1e-3), False,
+         ("single", "randomized"), "returns"),
+        ("depolarizing g=0", ModelParams(8, 0.3), CouplingScheme.local(1.0, 1.0, 0.0),
+         BathSpec(1.1, 4.3), an.NoiseSpec.depolarizing(1e-3), False,
+         ("single", "randomized"), "returns"),
+        ("finite_env", ModelParams(8, 0.3), CouplingScheme.local(1.0, 1.0, 0.05),
+         BathSpec(1.1, 4.3), an.NoiseSpec.finite_env(0.01, 0.5, 0.0), False,
+         ("single",), "returns"),
+        ("finite_env decoupled", ModelParams(8, 0.3), CouplingScheme.local(1.0, 1.0, 0.0),
+         BathSpec(1.1, 4.3), an.NoiseSpec.finite_env(0.0, 0.5, 0.0), False,
+         ("single",), "NonUniqueFixedPoint"),
+    ]
+
+    @pytest.mark.parametrize("case", EXISTENCE_GRID, ids=[c[0] for c in EXISTENCE_GRID])
+    def test_engines_agree_on_existence(self, case):
+        """Both engines raise NonUniqueFixedPoint, or both return a state."""
+        _, p, scheme, bath_c, noise, dsp, kinds, expected = case
+        for kind in kinds:
+            outcomes = {}
+            for engine in ("fock", "cm"):
+                try:
+                    pr.steady_report(p, scheme, bath_c, {"kind": kind, "L": 10},
+                                     noise=noise, engine=engine, dsp=dsp)
+                    outcomes[engine] = "returns"
+                except NonUniqueFixedPoint:
+                    outcomes[engine] = "NonUniqueFixedPoint"
+            assert outcomes == {"fock": expected, "cm": expected}, kind
+
+    def test_cm_finite_env_states_match_single_mode_solve(self, small_params,
+                                                          local_scheme, bath):
+        """The stacked CM finite-environment maps give the fixed points of
+        cm.finite_env_steady_cm, mode by mode."""
+        noise = an.NoiseSpec.finite_env(0.01, 0.5, 0.3)
+        rep = pr.steady_report(small_params, local_scheme, bath, {"kind": "single"},
+                               noise=noise, engine="cm", keep_states=True)
+        env = FiniteEnvSpec(noise.kappa_prime, noise.delta_e, noise.p_e)
+        for k in small_params.mode_indices:
+            blk = block_hamiltonian(small_params, local_scheme, bath, k, env=env)
+            sb, se1 = cm.finite_env_evolution_blocks(blk, bath.cycle_time_mean)
+            ref = cm.finite_env_steady_cm(sb, se1, noise.p_e)
+            assert np.max(np.abs(rep.states[k] - ref)) <= 1e-12, k
+
+    @pytest.mark.parametrize("sched, noise", [
+        ({"kind": "multifreq", "R": 2, "L": 10}, an.NoiseSpec.none()),
+        ({"kind": "single"}, an.NoiseSpec.depolarizing(1e-3)),
+    ], ids=["multifreq", "depolarizing"])
+    def test_fock_states_are_the_oracle_fixed_points(self, small_params, local_scheme,
+                                                     bath, sched, noise):
+        """The stacked Fock pipeline returns exactly fock.steady_state of the
+        per-frequency cycle maps composed in frequency order."""
+        rep = pr.steady_report(small_params, local_scheme, bath, sched, noise=noise,
+                               engine="fock", keep_states=True)
+        deltas = pr.schedule_frequencies(sched, small_params, bath)
+        t = bath.cycle_time_mean
+        for k in small_params.mode_indices:
+            total = None
+            for delta_r in deltas:
+                blk = block_hamiltonian(small_params, local_scheme, BathSpec(delta_r, t), k)
+                m = (fock.averaged_cycle_map(blk, t) if sched["kind"] != "single"
+                     else fock.noisy_cycle_map(blk, t, noise.kappa)).matrix
+                total = m if total is None else m @ total
+            rho, alpha = fock.steady_state(fock.Superoperator(total, rep.states[k].shape[0]))
+            assert np.array_equal(rep.states[k], rho.matrix), k
+            assert rep.alpha[k] == alpha / len(deltas), k
 
     def test_scalability_of_tabulated_parameters(self):
         """Couplings tuned at N=20 stay effective at N=200 away from the
