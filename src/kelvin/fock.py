@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from ._linalg import (
     FIXED_POINT_ATOL,
@@ -537,6 +536,8 @@ def noise_factorization_gap(block: ModeBlock, kappa: float, t: float) -> float:
     on all matrix units of the system block.  Should vanish because the noise
     generator commutes with the quadratic unitary.
     """
+    from scipy.linalg import expm  # imported here to keep SciPy off kelvin's import path
+
     fb = second_quantize(block)
     d = 2**fb.n_modes
     ds, dr = fb.d_sys, fb.d_rest

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._linalg import HERMITICITY_ATOL
 
@@ -185,14 +184,38 @@ def ground_state_energy(params: ModelParams) -> float:
     return -0.5 * sum(dispersion(theta, N, k) for k in range(-N // 2 + 1, N // 2 + 1))
 
 
+def _carlson_rd(x: float, y: float, z: float) -> float:
+    """Carlson's R_D(x, y, z) by duplication (DLMF 19.36.2), relative error < 1e-15."""
+    total, scale = 0.0, 1.0
+    while max(x, y, z) - min(x, y, z) > 1e-3 * min(x, y, z):
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * sy + sy * sz + sz * sx
+        total += scale / (sz * (z + lam))
+        scale /= 4
+        x, y, z = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4
+    a = (x + y + 3 * z) / 5
+    dx, dy = 1 - x / a, 1 - y / a
+    dz = -(dx + dy) / 3
+    xy, zz = dx * dy, dz * dz
+    e2, e3 = xy - 6 * zz, (3 * xy - 8 * zz) * dz
+    e4, e5 = 3 * (xy - zz) * zz, xy * zz * dz
+    return 3 * total + scale * (1 - 3 * e2 / 14 + e3 / 6 + 9 * e2 * e2 / 88 - 3 * e4 / 22
+                                - 9 * e2 * e3 / 52 + 3 * e5 / 26) / (a * math.sqrt(a))
+
+
 def energy_density_limit(theta: float) -> float:
-    """Thermodynamic-limit energy density f(theta), absolute error <= 1e-10."""
-    s = math.sin(2 * theta)
-    val, err = quad(lambda x: math.sqrt(max(1 + s * math.cos(x), 0.0)), 0.0, math.pi,
-                    epsabs=1e-12, epsrel=1e-12, limit=200)
-    if err > 1e-10:
-        raise RuntimeError(f"quadrature error {err:.2e} above tolerance")
-    return val / (2 * math.pi)
+    """Thermodynamic-limit energy density f(theta) = (1/2pi) int_0^pi sqrt(1 + s cos x) dx
+    with s = sin 2theta, in closed form.
+
+    The integral is 2 sqrt(1+|s|) E(m) with m = 2|s|/(1+|s|) (x -> pi - x maps
+    s < 0 onto |s|).  E(m) = (y/3) (R_D(0, y, 1) + R_D(0, 1, y)) with y = 1 - m
+    (DLMF 19.25.1) sums two positive terms, so it keeps full precision as
+    m -> 1, where it tends to E(1) = 1 (theta = pi/4).
+    """
+    s = abs(math.sin(2 * theta))
+    y = (1 - s) / (1 + s)
+    e = 1.0 if y == 0.0 else y / 3 * (_carlson_rd(0.0, y, 1.0) + _carlson_rd(0.0, 1.0, y))
+    return math.sqrt(1 + s) * e / math.pi
 
 
 def coupling_coefficients(scheme: CouplingScheme, theta: float, N: int, k: int) -> tuple[complex, complex]:

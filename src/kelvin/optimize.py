@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .analytic import NoiseSpec, chain_relative_energies, chain_relative_energy
 from .errors import OptimizationFailed, UndefinedSteadyState
@@ -152,6 +151,8 @@ def optimize(objective, init: ParamVector, budget: int = 4000, restarts: int = 8
     couplings additively and (delta, t) log-normally, all from a seeded
     counter-based stream, so results are reproducible bit for bit.
     """
+    from scipy.optimize import minimize  # imported here to keep SciPy off kelvin's import path
+
     if budget < 1:
         raise ValueError("budget must be >= 1")
     keys = coupling_keys(init.scheme.nn)

@@ -454,7 +454,7 @@ def rate_from_decay(cycles, distances, floor: float = 1e-13) -> float:
     return -a
 
 
-def measure_cooling_rate(source, steady=None, cycles=None) -> float:
+def measure_cooling_rate(source, cycles=None) -> float:
     """Cooling rate alpha per application of the map.
 
     Accepts either a Superoperator (spectral path, -log|lambda_2|) or a

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from kelvin.model import (
     BathSpec,
@@ -121,6 +122,43 @@ class TestEnergyDensityLimit:
         # int_0^pi sqrt(1 + cos x) dx = 2 sqrt(2)
         assert energy_density_limit(math.pi / 4) == pytest.approx(
             math.sqrt(2) / math.pi, abs=1e-10)
+
+
+QUARTER = math.pi / 4
+# the named angles: flat, critical (sin 2theta = +-1) and next to it, and sin 2theta < 0
+DENSITY_THETAS = [0.0, QUARTER, -QUARTER, QUARTER + 1e-9, QUARTER - 1e-9, math.pi / 2,
+                  3 * QUARTER, -0.3, 2.0, 2.9, -1.2]
+
+
+class TestEnergyDensityClosedForm:
+    """The closed form against the quadrature it replaced and a 40-digit one."""
+
+    def test_matches_quad(self):
+        thetas = DENSITY_THETAS + list(np.random.default_rng(7).uniform(-math.pi, math.pi, 240))
+        assert sum(math.sin(2 * t) < 0 for t in thetas) >= 100
+        worst, at = 0.0, None
+        for theta in thetas:
+            s = math.sin(2 * theta)
+            val, _ = quad(lambda x: math.sqrt(max(1 + s * math.cos(x), 0.0)), 0.0, math.pi,
+                          epsabs=1e-12, epsrel=1e-12, limit=200)
+            gap = abs(energy_density_limit(theta) - val / (2 * math.pi))
+            if gap > worst:
+                worst, at = gap, theta
+        assert worst <= 1e-13, f"|closed form - quad| = {worst:.2e} at theta = {at!r}"
+
+    def test_matches_40_digit_quadrature(self):
+        # quad itself loses digits within ~1e-5 of the critical angles (1.7e-12
+        # at pi/4 + 1e-6), so the angles closest to them are checked here
+        mpmath = pytest.importorskip("mpmath")
+        near = [QUARTER + d for d in (1e-12, -1e-12, 1e-8, -1e-8, 1e-6, -1e-6, 1e-4, -1e-4)]
+        thetas = (DENSITY_THETAS + near + [3 * QUARTER + 1e-7, -QUARTER - 1e-5]
+                  + list(np.random.default_rng(11).uniform(-math.pi, math.pi, 12)))
+        with mpmath.workdps(40):
+            for theta in thetas:
+                s = mpmath.sin(2 * mpmath.mpf(theta))
+                ref = mpmath.quad(lambda x: mpmath.sqrt(1 + s * mpmath.cos(x)),
+                                  [0, mpmath.pi / 2, mpmath.pi]) / (2 * mpmath.pi)
+                assert abs(energy_density_limit(theta) - float(ref)) <= 1e-15, theta
 
 
 class TestCouplingCoefficients:
