@@ -71,3 +71,10 @@ def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+def phase_average(w: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """W_pq = sum_n w_n P_np P*_nq, the average of e^{-i (e_p - e_q) t} over nodes
+    t_n with weights w_n, from phases P_np = e^{-i e_p t_n} of shape (nodes, ..., p)."""
+    weighted = np.reshape(w, (-1,) + (1,) * (phases.ndim - 1)) * phases
+    return np.einsum("n...p,n...q->...pq", weighted, phases.conj())

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import gauss_legendre, hermitize
+from ._linalg import gauss_legendre, hermitize, phase_average
 from .errors import NonUniqueFixedPoint, ResonantDenominator
 from .fock import DensityBlock, mode_operators
 from .model import ModeBlock
@@ -37,6 +37,8 @@ __all__ = [
     "averaged_evolution_kron",
     "cycle_map_cm",
     "affine_cycle_maps",
+    "cycle_maps",
+    "mode_chunks",
     "fixed_points",
     "steady_state_cm",
     "finite_env_evolution_blocks",
@@ -177,13 +179,39 @@ def averaged_evolution_kron(block: ModeBlock | np.ndarray, t_mean: float, nodes:
     w = w * np.exp(-2.0 * kappa * ts)
     e, v = np.linalg.eigh(generators)
     phases = np.exp(-1j * ts.reshape((-1,) + (1,) * e.ndim) * e)
-    w_pq = np.einsum("n,n...p,n...q->...pq", w, phases, phases.conj())
+    w_pq = phase_average(w, phases)
     v_s, v_b = v[..., :2, :], v[..., 2:4, :]
     shape = generators.shape[:-2] + (4, 4)
     avg = "...ip,...jp,...aq,...bq,...pq->...iajb"
     ks = np.einsum(avg, v_s, v_s.conj(), v_s.conj(), v_s, w_pq).reshape(shape)
     ksb = np.einsum(avg, v_s, v_b.conj(), v_s.conj(), v_b, w_pq).reshape(shape)
     return ks, ksb
+
+
+def cycle_maps(blocks, ts, t_mean: float, noise, nodes: int = 96) -> dict:
+    """Maps (K, c) of one bath frequency per time in `ts`, stacked over `blocks`.
+
+    A time of None stands for `averaged_evolution_kron` over [0, 2 t_mean];
+    depolarizing noise damps by exp(-2 kappa t), averaged with the phases.
+    """
+    generators = np.stack([b.generator for b in blocks])
+    kappa = noise.kappa if noise.kind == "depolarizing" else 0.0
+    maps = {}
+    fixed = [t for t in ts if t is not None]
+    if fixed:
+        k_s, c = affine_cycle_maps(generators, fixed, p_e=noise.p_e)
+        for i, t in enumerate(fixed):
+            damping = math.exp(-2.0 * kappa * t)
+            maps[t] = (damping * k_s[i], damping * c[i])
+    if None in ts:
+        k_s, k_sb = averaged_evolution_kron(generators, t_mean, nodes, kappa=kappa)
+        maps[None] = (k_s, k_sb @ vacuum_cm().reshape(-1))
+    return maps
+
+
+def mode_chunks(ks: np.ndarray, block: ModeBlock) -> list[np.ndarray]:
+    """Chunks of the modes `ks` for `cycle_maps`: one, CM blocks are 4x4."""
+    return [ks]
 
 
 _EDGE_DIRECTION = np.array([1.0, 0.0, 0.0, -1.0]) / math.sqrt(2.0)

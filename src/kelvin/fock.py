@@ -3,19 +3,34 @@
 Each (k, -k) pair closes on four operators (a_k, a_-k^dag, b_k, b_-k^dag),
 optionally extended by two environment pairs; edge modes use two (or four)
 physical modes on a doubled basis.  Blocks are second-quantized with explicit
-Jordan-Wigner operators, cycle maps are built by exact exponentiation and a
-partial trace over bath (and environments), and steady states and cooling
-rates come from the transfer-matrix spectrum restricted to the physical
-(parity-diagonal) sector.
+Jordan-Wigner operators, and a cycle map rho -> Tr_rest[U (rho x rest) U^dag]
+is built in the eigenbasis H = V diag(E) V^dag.  With the reset bath in its
+vacuum and L_b[(i,x), a] = V[(i,b), a] V*[(x,0), a], the map at time t is
+sum_b L_b P L_b^dag, P_ab = e^{-i (E_a - E_b) t}, and its quadrature average
+over random times the same sum with G = sum_n w_n P(t_n): only the phases
+are averaged.  Steady states and cooling rates come from the transfer-matrix
+spectrum restricted to the physical (parity-diagonal) sector.
+
+Gain/loss noise of rate kappa is X -> (c X c + c' X c')/2 - X per mode, in
+the mode's Majoranas c, c'.  On a Majorana monomial of degree q, c X c =
++-X, so an even monomial decays at rate q and an odd one at 2n - q, n the
+number of modes.  The quadratic unitary keeps degrees and commutes with the
+noise, and the bath trace keeps system monomials, so the noisy cycle is the
+noiseless one followed by system noise: T_kappa(t) = N_sys(t) T_0(t) C(t),
+where C is 1 on the parity-diagonal (even) columns and e^{-2 n_bath kappa t},
+the bath's share of the odd rate, on the others.  Averaged, N_sys's rate-r
+projector Pi_r follows the average weighted by e^{-c kappa t_n}, c = r on
+even columns and r + 2 n_bath on odd ones.
 
 This module doubles as the brute-force oracle for the closed-form layer.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -27,6 +42,7 @@ from ._linalg import (
     choi_min_eig,
     gauss_legendre,
     hermitize,
+    phase_average,
     trace_norm,
     vec,
 )
@@ -42,6 +58,8 @@ __all__ = [
     "noisy_cycle_map",
     "finite_environment_map",
     "averaged_cycle_map",
+    "cycle_maps",
+    "mode_chunks",
     "noise_transfer",
     "steady_state",
     "fixed_points",
@@ -84,7 +102,6 @@ class FockBlock:
 
     n_modes: int
     hamiltonian: np.ndarray
-    mode_labels: tuple[str, ...]
     n_sys_modes: int
     block: ModeBlock
     _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
@@ -114,6 +131,38 @@ class FockBlock:
         return (v * phases[:, None, :]) @ v.conj().T
 
 
+@lru_cache(maxsize=8)
+def _quadratic_terms(dim: int, edge: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(flat index into h, flat position in H, sign) of the entries of the
+    products alpha_i^dag alpha_j, in (i, j) order; these products of
+    Jordan-Wigner operators are signed partial permutations."""
+    ops = [a.real for a in mode_operators(dim // 2 if edge else dim)]
+    alpha = [x for a in ops for x in (a, a.T)] if edge else \
+        [x for p in range(dim // 2) for x in (ops[2 * p], ops[2 * p + 1].T)]
+    terms, positions, signs = [], [], []
+    for ij, (ai, aj) in enumerate(itertools.product(alpha, repeat=2)):
+        prod = (ai.T @ aj).reshape(-1)
+        pos = np.flatnonzero(prod)
+        terms += [ij] * len(pos)
+        positions.append(pos)
+        signs.append(prod[pos])
+    return np.array(terms), np.concatenate(positions), np.concatenate(signs)
+
+
+def _hamiltonians(blocks) -> np.ndarray:
+    """H = alpha^dag h alpha of same-shape blocks, summed in (i, j) order."""
+    h = np.stack([b.h_sb for b in blocks]).reshape(len(blocks), -1)
+    dim = blocks[0].h_sb.shape[0]
+    d = 2 ** blocks[0].n_modes
+    terms, positions, signs = _quadratic_terms(dim, blocks[0].is_edge)
+    ham = np.zeros((len(blocks), d * d), dtype=complex)
+    np.add.at(ham, (slice(None), positions), h[:, terms] * signs)
+    ham = ham.reshape(-1, d, d)
+    if np.max(np.abs(ham - ham.conj().swapaxes(-1, -2))) > 1e-11:
+        raise ValueError("second-quantized Hamiltonian not hermitian")
+    return ham
+
+
 def second_quantize(block: ModeBlock) -> FockBlock:
     """Realize H = alpha^dag h alpha with explicit fermionic operators.
 
@@ -121,36 +170,7 @@ def second_quantize(block: ModeBlock) -> FockBlock:
     independent mode per matrix row; edge blocks use the doubled basis
     (a, a^dag, b, b^dag, ...) over half as many physical modes.
     """
-    h = block.h_sb
-    dim = h.shape[0]
-    if block.is_edge:
-        n_modes = dim // 2
-        ops = mode_operators(n_modes)
-        alpha = []
-        for m in range(n_modes):
-            alpha.extend([ops[m], ops[m].conj().T])
-        labels = tuple(f"{name}_{block.k}" for name in "abcd"[:n_modes])
-        n_sys = 1
-    else:
-        n_modes = dim
-        ops = mode_operators(n_modes)
-        alpha = []
-        for p in range(n_modes // 2):
-            alpha.extend([ops[2 * p], ops[2 * p + 1].conj().T])
-        names = "abcd"[: n_modes // 2]
-        labels = tuple(f"{nm}_{pm}{block.k}" for nm in names for pm in ("+", "-"))
-        n_sys = 2
-
-    d = 2**n_modes
-    ham = np.zeros((d, d), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            if h[i, j] != 0:
-                ham += h[i, j] * (alpha[i].conj().T @ alpha[j])
-    if np.max(np.abs(ham - ham.conj().T)) > 1e-11:
-        raise ValueError("second-quantized Hamiltonian not hermitian")
-    return FockBlock(n_modes=n_modes, hamiltonian=ham, mode_labels=labels,
-                     n_sys_modes=n_sys, block=block)
+    return FockBlock(block.n_modes, _hamiltonians([block])[0], 1 if block.is_edge else 2, block)
 
 
 # ---------------------------------------------------------------------------
@@ -272,51 +292,43 @@ class Superoperator:
         return self.matrix[np.ix_(idx, idx)], idx
 
 
-def _rest_weights(fb: FockBlock, bath_excitation, sign: float = 1.0) -> np.ndarray:
-    """Occupation-probability weights over the traced-out modes, one row per node.
-
-    Bath modes carry the excitation p of their node, with the occupied weight
-    multiplied by `sign`; environment modes (when present) carry (1 - p_E)/2
-    each.  Returns shape (len(bath_excitation), d_rest).
-    """
-    p = np.asarray(bath_excitation, dtype=float)[:, None]
-    bath = np.concatenate([1.0 - p, sign * p], axis=1)
-    n_bath = 1 if fb.block.is_edge else 2
-    w = bath
-    for m in range(1, fb.n_modes - fb.n_sys_modes):
-        if m < n_bath:
-            pair = bath
-        else:
-            p_env = (1.0 - fb.block.env.p_e) / 2.0
-            pair = np.array([1.0 - p_env, p_env])
-        w = (w[:, :, None] * pair[..., None, :]).reshape(len(p), -1)
-    return w
+def _rest_weights(fb: FockBlock, bath_excitation: float) -> np.ndarray:
+    """Occupations of the rest's basis states: p per bath mode, (1 - p_E)/2 per
+    environment mode; the bath has as many modes as the system."""
+    p, n_bath = bath_excitation, fb.n_sys_modes
+    p_env = (1.0 - fb.block.env.p_e) / 2.0 if fb.block.env is not None else 0.0
+    pairs = [[1.0 - p, p]] * n_bath + [[1.0 - p_env, p_env]] * (fb.n_modes - 2 * n_bath)
+    return reduce(np.kron, pairs, np.ones(1))
 
 
-@lru_cache(maxsize=32)
-def _einsum_path(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
-    """Greedy contraction path for operands of these shapes, searched once."""
-    return tuple(np.einsum_path(subscripts, *(np.empty(sh) for sh in shapes),
-                                optimize="greedy")[0])
+def _transfers(a: np.ndarray, b: np.ndarray, ds: int) -> np.ndarray:
+    """T[(i,j),(x,y)] = sum_k A[(i,x),k] B*[(j,y),k], stacked over leading axes."""
+    t = (a @ b.conj().swapaxes(-1, -2)).reshape(a.shape[:-2] + (ds,) * 4)
+    return t.swapaxes(-3, -2).reshape(a.shape[:-2] + (ds * ds, ds * ds))
 
 
-def _cycle_transfer(fb: FockBlock, us: np.ndarray, weights: np.ndarray,
-                    summed: bool = False) -> np.ndarray:
-    """Transfer matrices of rho -> Tr_rest[U (rho x diag-mixture) U^dag] per node.
+def _fixed_time_maps(fb: FockBlock, e: np.ndarray, v: np.ndarray, ts, kappa: float = 0.0,
+                     bath_excitation: float = 0.0) -> np.ndarray:
+    """Cycle transfers (len(ts), blocks, D, D) of eigenbases stacked over blocks.
 
-    `us` stacks the nodes' propagators, shape (n, d, d), and `weights` their
-    rest weights, shape (n, d_rest).  Returns the (n, ds^2, ds^2) stack, or
-    its sum over nodes when `summed` (fold quadrature weights into `weights`).
-    Weights may carry signs (used for the sector-resolved noisy map), so the
-    contraction is done directly rather than through a Kraus square root.
+    Only the columns of U that start in a populated rest state r are formed:
+    A[(i,x),(b,r)] = U[(i,b),(x,r)] and T = sum w_r A A^dag.
     """
     ds, dr = fb.d_sys, fb.d_rest
-    u4 = us.reshape(-1, ds, dr, ds, dr)
-    subscripts = "nibxm,njbym,nm->" + ("ijxy" if summed else "nijxy")
-    operands = (u4, u4.conj(), weights)
-    t = np.einsum(subscripts, *operands,
-                  optimize=_einsum_path(subscripts, tuple(o.shape for o in operands)))
-    return t.reshape(t.shape[:-4] + (ds * ds, ds * ds))
+    w = _rest_weights(fb, bath_excitation)
+    rest = np.flatnonzero(w)
+    cols = (dr * np.arange(ds)[:, None] + rest).reshape(-1)
+    ts = np.asarray(ts, dtype=float)
+    phases = np.exp(-1j * np.multiply.outer(ts, e))
+    u = v @ (phases[..., :, None] * v[..., cols, :].conj().swapaxes(-1, -2))
+    a = u.reshape(u.shape[:-2] + (ds, dr, ds, len(rest))).swapaxes(-3, -2)
+    a = a.reshape(u.shape[:-2] + (ds * ds, dr * len(rest)))
+    maps = _transfers(a * np.tile(w[rest], dr), a, ds)
+    if kappa > 0:  # T_kappa = N_sys T_0 C, see the module docstring
+        odd = np.exp(-2.0 * fb.n_sys_modes * kappa * ts)[:, None]
+        damp = np.where(_parity_diag_mask(ds), 1.0, odd)[:, None, None, :]
+        maps = noise_transfer(fb.n_sys_modes, kappa, ts)[:, None] @ (maps * damp)
+    return maps
 
 
 def exact_cycle_map(block: ModeBlock | FockBlock, t: float,
@@ -331,32 +343,25 @@ def exact_cycle_map(block: ModeBlock | FockBlock, t: float,
     if not (0.0 <= bath_excitation <= 1.0):
         raise ValueError(f"bath excitation must lie in [0, 1], got {bath_excitation}")
     fb = block if isinstance(block, FockBlock) else second_quantize(block)
-    u = fb.propagator(t)[None]
-    w = _rest_weights(fb, [bath_excitation])
-    return Superoperator(_cycle_transfer(fb, u, w)[0], fb.d_sys)
+    e, v = fb.eig()
+    maps = _fixed_time_maps(fb, e[None], v[None], [t], bath_excitation=bath_excitation)
+    return Superoperator(maps[0, 0], fb.d_sys)
 
 
-@lru_cache(maxsize=8)
-def _noise_generator_eig(n_modes: int):
-    """Eigendecomposition of the gain/loss Liouvillian at unit rate.
-
-    Generator: sum over modes of L_a + L_adag with unit strength; scaled by
-    kappa*t at evaluation time.
-    """
-    ops = mode_operators(n_modes)
-    d = 2**n_modes
-    eye = np.eye(d)
-    gen = np.zeros((d * d, d * d), dtype=complex)
-    for a in ops:
-        for o in (a, a.conj().T):
-            n_op = o.conj().T @ o
-            gen += np.kron(o, o.conj())
-            gen -= 0.5 * (np.kron(n_op, eye) + np.kron(eye, n_op.T))
-    w, v = np.linalg.eig(gen)
-    vinv = np.linalg.inv(v)
-    if np.max(np.abs((v * w) @ vinv - gen)) > 1e-9:
-        raise RuntimeError("noise generator eigendecomposition inaccurate")
-    return w, v, vinv
+@lru_cache(maxsize=4)
+def _noise_projectors(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rates r and projectors Pi_r = sum vec(c_S) vec(c_S)^dag / d of the unit-rate
+    gain/loss generator, over the Majorana monomials c_S of rate r."""
+    majoranas = [c for a in mode_operators(n_modes) for c in (a + a.conj().T, 1j * (a.conj().T - a))]
+    proj: dict[int, np.ndarray] = {}
+    for subset in itertools.product((False, True), repeat=2 * n_modes):
+        mono = reduce(np.matmul, itertools.compress(majoranas, subset),
+                                np.eye(2**n_modes)).reshape(-1)
+        q = sum(subset)
+        rate = q if q % 2 == 0 else 2 * n_modes - q
+        proj[rate] = proj.get(rate, 0) + np.outer(mono, mono.conj()) / 2**n_modes
+    rates = np.array(sorted(proj))
+    return rates, np.stack([proj[r] for r in rates])
 
 
 def noise_transfer(n_sys_modes: int, kappa: float, t) -> np.ndarray:
@@ -367,20 +372,15 @@ def noise_transfer(n_sys_modes: int, kappa: float, t) -> np.ndarray:
     """
     if kappa < 0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
-    w, v, vinv = _noise_generator_eig(n_sys_modes)
-    decay = np.exp(w * kappa * np.asarray(t, dtype=float)[..., None])
-    return (v * decay[..., None, :]) @ vinv
+    rates, proj = _noise_projectors(n_sys_modes)
+    decay = np.exp(-kappa * np.multiply.outer(np.asarray(t, dtype=float), rates))
+    return np.tensordot(decay, proj, axes=1)
 
 
 def noisy_cycle_map(block: ModeBlock | FockBlock, t: float, kappa: float) -> Superoperator:
     """Cooling cycle with uniform gain/loss noise of rate kappa on every mode.
 
-    The noise commutes with the joint unitary, so the cycle factorizes into a
-    pre-applied noise channel on the system and a bath prepared with thermal
-    excitation p = (1 - e^{-2 kappa t})/2.  Bath jumps carry Jordan-Wigner
-    strings over the system, which flip the sign of the effective bath
-    excitation on the parity-off-diagonal (superselected) sector; resolving
-    the two sectors separately makes the factorization exact on the whole
+    T_kappa(t) = N_sys(t) T_0(t) C(t) (module docstring), exact on the whole
     operator space, not just on physical states.
     """
     if kappa < 0:
@@ -389,21 +389,8 @@ def noisy_cycle_map(block: ModeBlock | FockBlock, t: float, kappa: float) -> Sup
     if fb.block.env is not None:
         raise ValueError("depolarizing noise on environment-extended blocks "
                          "is not supported; use finite_environment_map")
-    us = fb.propagator(t)[None]
-    return Superoperator(_noisy_transfers(fb, us, kappa, np.array([t]))[0], fb.d_sys)
-
-
-def _noisy_transfers(fb: FockBlock, us: np.ndarray, kappa: float,
-                     ts: np.ndarray) -> np.ndarray:
-    """Noisy cycle transfers for stacked propagators `us` at times `ts`, (n, D, D)."""
-    p = 0.5 * (1.0 - np.exp(-2.0 * kappa * ts))
-    cycle_plus = _cycle_transfer(fb, us, _rest_weights(fb, p))
-    # parity-off-diagonal sector: every bath jump carries a Jordan-Wigner
-    # string over the system, negating the jump part; the bath "state" there
-    # evolves to the signed pair (1 - p, -p) with decaying weight
-    cycle_minus = _cycle_transfer(fb, us, _rest_weights(fb, p, sign=-1.0))
-    sectors = np.where(_parity_diag_mask(fb.d_sys), cycle_plus, cycle_minus)
-    return sectors @ noise_transfer(fb.n_sys_modes, kappa, ts)
+    e, v = fb.eig()
+    return Superoperator(_fixed_time_maps(fb, e[None], v[None], [t], kappa)[0, 0], fb.d_sys)
 
 
 def finite_environment_map(block: ModeBlock | FockBlock, t: float) -> Superoperator:
@@ -422,19 +409,58 @@ def averaged_cycle_map(block: ModeBlock | FockBlock, t_mean: float,
                        kappa: float = 0.0, nodes: int = 96) -> Superoperator:
     """Cycle map averaged over uniformly random times on [0, 2*t_mean].
 
-    Gauss-Legendre quadrature of the transfer matrix; this is the ensemble
-    limit of a long randomized-time subcycle sequence.
+    Gauss-Legendre quadrature of the transfer matrix, sum_b L_b G L_b^dag
+    (module docstring); this is the ensemble limit of a long randomized-time
+    subcycle sequence.
     """
     fb = block if isinstance(block, FockBlock) else second_quantize(block)
+    if fb.block.env is not None:
+        raise ValueError("averaged maps of environment-extended blocks are not supported")
     x, wq = gauss_legendre(nodes)
     ts = t_mean * (x + 1.0)          # map [-1, 1] -> [0, 2 t_mean]
-    us = fb.propagators(ts)
-    if kappa > 0:
-        total = np.tensordot(wq, _noisy_transfers(fb, us, kappa, ts), axes=1)
-    else:
-        weights = wq[:, None] * _rest_weights(fb, np.zeros(nodes))
-        total = _cycle_transfer(fb, us, weights, summed=True)
-    return Superoperator(total, fb.d_sys)
+    e, v = fb.eig()
+    phases = np.exp(-1j * np.multiply.outer(ts, e))
+    ds, dr = fb.d_sys, fb.d_rest
+    v4 = v.reshape(ds, dr, -1)
+    l_b = (v4[:, None] * v4[None, :, :1].conj()).reshape(ds * ds, dr, -1)
+    rates, proj = _noise_projectors(fb.n_sys_modes) if kappa > 0 else (np.zeros(1), None)
+    odd = rates % 2 == 1
+    g = np.stack([phase_average(wq * np.exp(-c * kappa * ts), phases)
+                  for c in rates + 2 * fb.n_sys_modes * odd])
+    maps = _transfers((l_b @ g[:, None]).reshape(len(g), ds * ds, -1),
+                      l_b.reshape(ds * ds, -1), ds)
+    if proj is None:
+        return Superoperator(maps[0], ds)
+    cols = _parity_diag_mask(ds) != odd[:, None]
+    return Superoperator((proj @ (maps * cols[:, None, :])).sum(axis=0), ds)
+
+
+def cycle_maps(blocks, ts, t_mean: float, noise, nodes: int = 96) -> dict:
+    """Transfers (K, 0) of one bath frequency per time in `ts`, stacked over `blocks`.
+
+    The blocks share one shape; their eigenbases come from one stacked eigh.
+    A time of None stands for `averaged_cycle_map` over [0, 2 t_mean], taken
+    per block; depolarizing noise gives `noisy_cycle_map`.
+    """
+    ham = _hamiltonians(blocks)
+    e, v = np.linalg.eigh(ham)
+    fbs = [FockBlock(b.n_modes, h, 1 if b.is_edge else 2, b, (e_b, v_b))
+           for b, h, e_b, v_b in zip(blocks, ham, e, v)]
+    kappa = noise.kappa if noise.kind == "depolarizing" else 0.0
+    maps = {}
+    fixed = [t for t in ts if t is not None]
+    if fixed:
+        maps.update(zip(fixed, _fixed_time_maps(fbs[0], e, v, fixed, kappa)))
+    if None in ts:
+        maps[None] = np.stack([averaged_cycle_map(fb, t_mean, kappa, nodes).matrix
+                               for fb in fbs])
+    return {t: (k_s, np.zeros(k_s.shape[:2], dtype=complex)) for t, k_s in maps.items()}
+
+
+def mode_chunks(ks: np.ndarray, block: ModeBlock) -> list[np.ndarray]:
+    """Chunks of `ks` for `cycle_maps`: 16 kB of d x d complex stacks per time."""
+    size = max(1, (1 << 14) // (16 * 4**block.n_modes))
+    return [ks[i:i + size] for i in range(0, len(ks), size)]
 
 
 # ---------------------------------------------------------------------------

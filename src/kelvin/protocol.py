@@ -44,6 +44,7 @@ __all__ = [
     "steady_report",
 ]
 
+_ENGINES = {"cm": _cm, "fock": _fock}
 CONVERGENCE_STEP_TOL = 1e-10
 CONVERGENCE_STREAK = 3
 
@@ -265,43 +266,6 @@ def _mode_groups(engine: str, n2: int) -> list[np.ndarray]:
     return [g for g in (np.array([0, n2]), ks[1:n2]) if g.size]
 
 
-def _cm_frequency_maps(blocks, ts, t_mean: float, noise: NoiseSpec, nodes: int) -> dict:
-    """CM maps (K, c) of one bath frequency per time in `ts`, stacked over blocks."""
-    generators = np.stack([b.generator for b in blocks])
-    kappa = noise.kappa if noise.kind == "depolarizing" else 0.0
-    maps = {}
-    fixed = [t for t in ts if t is not None]
-    if fixed:
-        k_s, c = _cm.affine_cycle_maps(generators, fixed, p_e=noise.p_e)
-        for i, t in enumerate(fixed):
-            damping = math.exp(-2.0 * kappa * t)
-            maps[t] = (damping * k_s[i], damping * c[i])
-    if None in ts:
-        # damping depends on the drawn time, so it is averaged jointly
-        k_s, k_sb = _cm.averaged_evolution_kron(generators, t_mean, nodes, kappa=kappa)
-        maps[None] = (k_s, k_sb @ _cm.vacuum_cm().reshape(-1))
-    return maps
-
-
-def _fock_frequency_maps(blocks, ts, t_mean: float, noise: NoiseSpec, nodes: int) -> dict:
-    """Fock transfers (K, 0) of one bath frequency per time in `ts`, stacked over blocks."""
-    fbs = [_fock.second_quantize(b) for b in blocks]
-
-    def cycle_map(fb: _fock.FockBlock, t: float | None) -> _fock.Superoperator:
-        if t is None:
-            return _fock.averaged_cycle_map(fb, t_mean, kappa=noise.kappa, nodes=nodes)
-        if noise.kind == "depolarizing":
-            return _fock.noisy_cycle_map(fb, t, noise.kappa)
-        # a finite-environment block traces its environments out with the bath
-        return _fock.exact_cycle_map(fb, t)
-
-    maps = {}
-    for t in ts:
-        k_s = np.stack([cycle_map(fb, t).matrix for fb in fbs])
-        maps[t] = (k_s, np.zeros(k_s.shape[:2], dtype=complex))
-    return maps
-
-
 def _global_cycle_map(maps: dict, subcycles) -> tuple[np.ndarray, np.ndarray]:
     """Compose the subcycle maps in schedule order into one global-cycle map."""
     k_tot, c_tot = maps[subcycles[0]]
@@ -322,9 +286,9 @@ def _global_maps(params: ModelParams, scheme: CouplingScheme, noise: NoiseSpec, 
     nodes), the ensemble limit of a randomized schedule.  Each distinct
     subcycle's map is built once, and the maps are composed in schedule
     order; K is stacked over modes to (modes, D, D) and c to (modes, D).
-    CM maps come from one batched eigh over all modes; Fock transfers are
-    built and composed one mode at a time, so that only one mode's subcycle
-    transfers and quadrature node stacks are held at once.
+    The engine's `cycle_maps` builds the maps of one frequency for a chunk
+    of modes, with chunks from its `mode_chunks` (CM: all modes at once;
+    Fock: a few modes, so that only their transient stacks are held).
     """
     times: dict[float, dict[float | None, None]] = {}
     for delta_r, t_m in subcycles:
@@ -334,15 +298,17 @@ def _global_maps(params: ModelParams, scheme: CouplingScheme, noise: NoiseSpec, 
             "randomized finite-environment steady states are not implemented")
     env = FiniteEnvSpec(noise.kappa_prime, noise.delta_e, noise.p_e) \
         if noise.kind == "finite_env" else None
-    frequency_maps = _cm_frequency_maps if engine == "cm" else _fock_frequency_maps
+    eng = _ENGINES[engine]
+    shape = block_hamiltonian(params, scheme, BathSpec(subcycles[0][0], t_mean), int(ks[0]),
+                              env=env, dsp=dsp)
     composed = []
-    for chunk in [ks] if engine == "cm" else np.split(ks, len(ks)):
+    for chunk in eng.mode_chunks(ks, shape):
         maps = {}
         for delta_r, ts in times.items():
             bath = BathSpec(delta_r, t_mean)
             blocks = [block_hamiltonian(params, scheme, bath, int(k), env=env, dsp=dsp)
                       for k in chunk]
-            for t_m, m in frequency_maps(blocks, list(ts), t_mean, noise, nodes).items():
+            for t_m, m in eng.cycle_maps(blocks, list(ts), t_mean, noise, nodes).items():
                 maps[delta_r, t_m] = m
         composed.append(_global_cycle_map(maps, subcycles))
     return (np.concatenate([k for k, _ in composed]),
@@ -523,12 +489,13 @@ def steady_report(params: ModelParams, scheme: CouplingScheme, bath: BathSpec,
     deltas = schedule_frequencies(schedule_descriptor, params, bath)
     t_m = bath.cycle_time_mean if schedule_descriptor.get("kind", "single") == "single" else None
     subcycles = [(delta_r, t_m) for delta_r in deltas]
-    solve = _cm.fixed_points if engine == "cm" else _fock.fixed_points
     n2 = params.N // 2
+    mode_groups = _mode_groups(engine, n2)
+    solve = _ENGINES[engine].fixed_points
     alpha = np.empty(n2 + 1)
     resid = np.empty(n2 + 1)
     groups = []
-    for ks in _mode_groups(engine, n2):
+    for ks in mode_groups:
         k_tot, c_tot = _global_maps(params, scheme, noise, dsp, engine, ks,
                                     bath.cycle_time_mean, subcycles, quadrature_nodes)
         x, alpha[ks], resid[ks] = solve(k_tot, c_tot, (ks == 0) | (ks == n2))

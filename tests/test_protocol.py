@@ -519,3 +519,35 @@ class TestSteadyReport:
         from kelvin.repro import _target_fig_scalability
         res = _target_fig_scalability()
         assert res.passed, [a.__dict__ for a in res.assertions]
+
+
+class TestFockReportMemory:
+    """Chunked Fock map building holds no more memory than one mode at a time.
+
+    The bounds are the tracemalloc peaks of the same calls, after the same
+    warm-up call, on the builder that formed one propagator per quadrature
+    node and mode (numpy 2.4.6, CPython 3.11): 3.265 MB and 7.502 MB.
+    """
+
+    @pytest.mark.parametrize("case, parent_peak_mb", [
+        ("randomized_depolarizing", 3.265), ("single_finite_env", 7.502)])
+    def test_peak_no_higher_than_per_node_builder(self, case, parent_peak_mb):
+        import tracemalloc
+
+        if case == "randomized_depolarizing":
+            args = (ModelParams(200, math.pi / 3), CouplingScheme.local(1.0, 1.0, g=1e-3),
+                    BathSpec(1.0, 20.0), {"kind": "randomized", "L": 10},
+                    an.NoiseSpec.depolarizing(1e-7))
+        else:
+            args = (ModelParams(12, math.pi / 3), CouplingScheme.local(1.0, 1.0, g=0.05),
+                    BathSpec(1.0, 5.0), {"kind": "single"},
+                    an.NoiseSpec.finite_env(0.02, 0.7, 0.1))
+        *head, noise = args
+        pr.steady_report(*head, noise=noise, engine="fock")  # warm the caches
+        tracemalloc.start()
+        try:
+            pr.steady_report(*head, noise=noise, engine="fock")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= parent_peak_mb * 1e6

@@ -195,3 +195,96 @@ class TestSteadyReportAgainstLoop:
         ref = _loop_steady_energies(params, scheme, bath, noise, engine, dsp, 96)
         bound = 1e-14 * np.abs(rep.epsilon) / rep.alpha
         assert np.all(np.abs(rep.mode_energy - ref) <= bound)
+
+
+def _gain_loss_generator(n_modes):
+    """Unit-rate gain/loss Liouvillian on row-major vec, built term by term."""
+    d = 2**n_modes
+    eye = np.eye(d)
+    gen = np.zeros((d * d, d * d), dtype=complex)
+    for a in fock.mode_operators(n_modes):
+        for o in (a, a.conj().T):
+            n_op = o.conj().T @ o
+            gen += np.kron(o, o.conj()) - 0.5 * (np.kron(n_op, eye) + np.kron(eye, n_op.T))
+    return gen
+
+
+def _random_block(rng, kind):
+    """A seeded random generic pair, edge or dsp pair block."""
+    n = int(rng.choice([8, 10, 12]))
+    k = {"generic": int(rng.integers(1, n // 2)), "dsp": int(rng.integers(1, n // 2)),
+         "edge": int(rng.choice([0, n // 2]))}[kind]
+    scheme = CouplingScheme(nn=1, lam={j: float(rng.uniform(-1, 1)) for j in (-1, 0, 1)},
+                            mu={j: float(rng.uniform(-1, 1)) for j in (-1, 0, 1)},
+                            g=float(rng.uniform(0.01, 1.0)))
+    return block_hamiltonian(ModelParams(n, float(rng.uniform(0.0, math.pi / 2))), scheme,
+                             BathSpec(float(rng.uniform(0.2, 3.0)), 1.0), k,
+                             dsp=kind == "dsp")
+
+
+class TestPostNoiseIdentity:
+    """The noisy cycle is the noiseless one followed by the system noise.
+
+    T_kappa(t) = N_sys(t) T_0(t) C(t), with C = e^{-2 n_bath kappa t} on the
+    parity-off-diagonal columns, over random blocks, kappa log-uniform in
+    [1e-9, 0.3] and t in [0, 40].  N_sys is exponentiated from the generator
+    built here, independently of `fock.noise_transfer`.
+    """
+
+    @pytest.mark.parametrize("kind", ["generic", "edge", "dsp"])
+    def test_noisy_map_is_system_noise_after_noiseless_map(self, kind):
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng({"generic": 11, "edge": 12, "dsp": 13}[kind])
+        for _ in range(100):
+            fb = fock.second_quantize(_random_block(rng, kind))
+            kappa = 10.0 ** rng.uniform(-9.0, math.log10(0.3))
+            t = float(rng.uniform(0.0, 40.0))
+            n_sys = fb.n_sys_modes
+            par = np.array([bin(i).count("1") % 2 for i in range(fb.d_sys)])
+            diag = np.equal.outer(par, par).reshape(-1)
+            n_sys_map = expm(kappa * t * _gain_loss_generator(n_sys))
+            _assert_rel_close(fock.noise_transfer(n_sys, kappa, t), n_sys_map)
+            damp = np.where(diag, 1.0, math.exp(-2.0 * n_sys * kappa * t))
+            noisy = fock.noisy_cycle_map(fb, t, kappa).matrix
+            _assert_rel_close(noisy, n_sys_map @ (fock.exact_cycle_map(fb, t).matrix * damp))
+            _assert_rel_close(noisy, _loop_cycle_map(fb, t, kappa))
+
+
+class TestStackedCycleMaps:
+    """Each row of `fock.cycle_maps` over a chunk of blocks is exactly the
+    single-block map, so a chunked steady report solves the same maps."""
+
+    T_MEAN = 4.3
+    TIMES = [0.0, 2.7, 9.1, None]
+
+    def _check(self, blocks, noise, nodes, single):
+        maps = fock.cycle_maps(blocks, self.TIMES, self.T_MEAN, noise, nodes)
+        assert set(maps) == set(self.TIMES)
+        for t, (k_s, c) in maps.items():
+            assert k_s.shape[0] == len(blocks) and not c.any()
+            for row, blk in zip(k_s, blocks):
+                assert np.array_equal(row, single(blk, t).matrix), t
+
+    @pytest.mark.parametrize("nodes", _NODE_COUNTS)
+    @pytest.mark.parametrize("kappa", _KAPPAS)
+    @pytest.mark.parametrize("ks", [[1, 2, 3], [0, N2]], ids=["pairs", "edges"])
+    def test_rows_equal_single_block_maps(self, ks, kappa, nodes):
+        blocks = [_block(k, dsp=k == 3) for k in ks]
+        noise = an.NoiseSpec.depolarizing(kappa) if kappa else an.NoiseSpec.none()
+
+        def single(blk, t):
+            if t is None:
+                return fock.averaged_cycle_map(blk, self.T_MEAN, kappa, nodes)
+            return fock.noisy_cycle_map(blk, t, kappa) if kappa else fock.exact_cycle_map(blk, t)
+
+        self._check(blocks, noise, nodes, single)
+
+    @pytest.mark.parametrize("ks", [[1, 2], [0, N2]], ids=["pairs", "edges"])
+    def test_finite_environment_rows(self, ks):
+        env = FiniteEnvSpec(0.02, 0.7, 0.1)
+        blocks = [_block(k, env=env) for k in ks]
+        maps = fock.cycle_maps(blocks, [2.7], self.T_MEAN,
+                               an.NoiseSpec.finite_env(0.02, 0.7, 0.1), 96)
+        for row, blk in zip(maps[2.7][0], blocks):
+            assert np.array_equal(row, fock.finite_environment_map(blk, 2.7).matrix)
