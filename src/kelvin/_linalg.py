@@ -12,9 +12,14 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .errors import NonUniqueFixedPoint
+
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-10
 FIXED_POINT_ATOL = 1e-10
+# an eigenvalue of K counts as 1 up to this multiple of eps ||K||_F: 10 n eps
+# with n = 4, the dimension of a CM block's vec(gamma)
+UNIT_EIGENVALUE_TOL = 40.0 * float(np.finfo(float).eps)
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -26,9 +31,9 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values (Schatten 1-norm)."""
-    return float(np.linalg.svd(np.asarray(m), compute_uv=False).sum())
+def trace_norm(m: np.ndarray) -> float | np.ndarray:
+    """Sum of singular values (Schatten 1-norm) of a matrix, or of each matrix in a stack."""
+    return np.linalg.svd(np.asarray(m), compute_uv=False).sum(axis=-1)
 
 
 def choi_from_transfer(t: np.ndarray) -> np.ndarray:
@@ -41,12 +46,6 @@ def choi_from_transfer(t: np.ndarray) -> np.ndarray:
     t4 = t.reshape(d, d, d, d)  # (i, j, m, n)
     c = np.transpose(t4, (2, 0, 3, 1))  # (m, i, n, j)
     return c.reshape(d2, d2)
-
-
-def is_trace_preserving(t: np.ndarray, atol: float = TRACE_ATOL) -> bool:
-    d = int(round(np.sqrt(t.shape[0])))
-    vec_id = vec(np.eye(d, dtype=complex))
-    return bool(np.max(np.abs(vec_id @ t - vec_id)) <= atol)
 
 
 def choi_min_eig(t: np.ndarray) -> float:
@@ -78,3 +77,25 @@ def phase_average(w: np.ndarray, phases: np.ndarray) -> np.ndarray:
     t_n with weights w_n, from phases P_np = e^{-i e_p t_n} of shape (nodes, ..., p)."""
     weighted = np.reshape(w, (-1,) + (1,) * (phases.ndim - 1)) * phases
     return np.einsum("n...p,n...q->...pq", weighted, phases.conj())
+
+
+def affine_fixed_points(k: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unique fixed points x = K x + c of stacked affine maps, and their rates.
+
+    `k` is (maps, n, n) and `c` is (maps, n).  The fixed point is unique iff
+    1 is not an eigenvalue of K; eigenvalues within UNIT_EIGENVALUE_TOL
+    ||K||_F of 1 count as 1, and a map with any raises NonUniqueFixedPoint
+    with their number.  The rate alpha = -log max|lambda(K)| is O(g^2) in
+    weak coupling, and the solve is conditioned like 1/alpha.  One batched
+    LU solve of (I - K) x = c with one refinement step, whose residual is an
+    einsum so that each map gets the same bits in any stack.
+    """
+    evals = np.linalg.eigvals(k)
+    unit_tol = UNIT_EIGENVALUE_TOL * np.linalg.norm(k, axis=(-2, -1))
+    n_unit = np.sum(np.abs(evals - 1.0) <= unit_tol[:, None], axis=-1)
+    if n_unit.any():
+        raise NonUniqueFixedPoint(int(n_unit[np.argmax(n_unit > 0)]))
+    a = np.eye(k.shape[-1]) - k
+    x = np.linalg.solve(a, c[..., None])[..., 0]
+    x += np.linalg.solve(a, (c - np.einsum("...ij,...j->...i", a, x))[..., None])[..., 0]
+    return x, -np.log(np.max(np.abs(evals), axis=-1))

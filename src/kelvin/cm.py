@@ -22,8 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import gauss_legendre, hermitize, phase_average
-from .errors import NonUniqueFixedPoint, ResonantDenominator
+from ._linalg import affine_fixed_points, gauss_legendre, hermitize, phase_average
+from .errors import ResonantDenominator
 from .fock import DensityBlock, mode_operators
 from .model import ModeBlock
 
@@ -144,8 +144,8 @@ def affine_cycle_maps(generators: np.ndarray, ts,
     (len(ts), modes, 4), gamma_B0 the reset bath's vacuum CM, from one
     batched eigendecomposition.  This is `cycle_map_cm` in row-major
     vectorized form.  Environment-extended (8x8) generators add the
-    environment pair's injection p_e vec(A_SE gamma_B0 A_SE^dag), as in
-    `finite_env_steady_cm`.
+    injections p_e vec(A_SE gamma_B0 A_SE^dag) of both environment pairs,
+    as in `finite_env_steady_cm`.
     """
     u = _propagators(generators, ts)
     a_s = u[..., :2, :2]
@@ -153,7 +153,7 @@ def affine_cycle_maps(generators: np.ndarray, ts,
     k_s = np.einsum("...ij,...ab->...iajb", a_s, a_s.conj()).reshape(lead + (4, 4))
     c = _injection(u[..., :2, 2:4])
     if u.shape[-1] > 4:
-        c = c + p_e * _injection(u[..., :2, 4:6])
+        c = c + p_e * (_injection(u[..., :2, 4:6]) + _injection(u[..., :2, 6:8]))
     return k_s, c
 
 
@@ -215,8 +215,6 @@ def mode_chunks(ks: np.ndarray, block: ModeBlock) -> list[np.ndarray]:
 
 
 _EDGE_DIRECTION = np.array([1.0, 0.0, 0.0, -1.0]) / math.sqrt(2.0)
-# 10 n eps with n = 4, the dimension of vec(gamma); scaled by ||K||_F
-_UNIT_EIGENVALUE_TOL = 40.0 * float(np.finfo(float).eps)
 
 
 def fixed_points(k_s: np.ndarray, c: np.ndarray,
@@ -226,36 +224,21 @@ def fixed_points(k_s: np.ndarray, c: np.ndarray,
     `k_s` is (modes, 4, 4), `c` is (modes, 4) and `edge` flags the edge modes
     (a bool or one per mode).  Returns the hermitized fixed points x (modes,
     4), the cooling rates alpha = -log|lambda_max| per map, and the residuals
-    max |x - K x - c| per mode.
-
-    The fixed point is unique iff 1 is not an eigenvalue of K on the physical
-    CMs.  Those span all of vec(gamma) for a pair, but only diag(1, -1) for an
-    edge, whose gamma is diag(1/2 - n, n - 1/2): that direction is an
-    eigenvector of K, and the other three carry no state (at eps = 0 they do
-    not decay), so an edge is solved on that direction alone.  Eigenvalues
-    count as 1 up to the rounding floor 10 n eps ||K||_F, as in
-    fock.steady_state; a map with one raises NonUniqueFixedPoint.
+    max |x - K x - c| per mode, from `_linalg.affine_fixed_points`, the solve
+    the Fock engine shares.  Physical CMs span all of vec(gamma) for a pair,
+    but only diag(1, -1) for an edge, whose gamma is diag(1/2 - n, n - 1/2):
+    that direction is an eigenvector of K, and the other three carry no state
+    (at eps = 0 they do not decay), so an edge is solved on it as a 1x1 map.
     """
     edge = np.broadcast_to(np.asarray(edge, dtype=bool), k_s.shape[:1])
     u = _EDGE_DIRECTION
-    edge_eval = np.einsum("i,mij,j->m", u, k_s, u)
-    evals = np.linalg.eigvals(k_s)
-    evals[edge] = 0.0
-    evals[edge, 0] = edge_eval[edge]
-    unit_tol = _UNIT_EIGENVALUE_TOL * np.linalg.norm(k_s, axis=(-2, -1))
-    n_unit = np.sum(np.abs(evals - 1.0) <= unit_tol[:, None], axis=-1)
-    if n_unit.any():
-        raise NonUniqueFixedPoint(int(n_unit[np.argmax(n_unit > 0)]))
-
-    # pairs: one batched LU solve of (I - K) x = c with one refinement step;
-    # edges get an identity system here and are solved on their direction
-    a = np.where(edge[:, None, None], np.eye(4), np.eye(4) - k_s)
-    x = np.linalg.solve(a, c[..., None])
-    x += np.linalg.solve(a, c[..., None] - a @ x)
-    x = x[..., 0]
-    x[edge] = ((c[edge] @ u) / (1.0 - edge_eval[edge]))[:, None] * u
+    x = np.empty(c.shape, dtype=complex)
+    alpha = np.empty(len(k_s))
+    x[~edge], alpha[~edge] = affine_fixed_points(k_s[~edge], c[~edge])
+    y, alpha[edge] = affine_fixed_points(np.einsum("i,mij,j->m", u, k_s[edge], u)[:, None, None],
+                                         (c[edge] @ u)[:, None])
+    x[edge] = y * u
     resid = np.max(np.abs(x - (k_s @ x[..., None])[..., 0] - c), axis=-1)
-    alpha = -np.log(np.max(np.abs(evals), axis=-1))
     return hermitize(x.reshape(-1, 2, 2)).reshape(-1, 4), alpha, resid
 
 
@@ -272,26 +255,28 @@ def steady_state_cm(blocks: EvolutionBlocks, gamma_b0: np.ndarray,
     return fixed_points(k_s[None], rhs[None], blocks.edge)[0].reshape(2, 2)
 
 
-def finite_env_evolution_blocks(block: ModeBlock, t: float) -> tuple[EvolutionBlocks, EvolutionBlocks]:
-    """(system/bath, system/env1) partitions of the 8x8 block propagator."""
+def finite_env_evolution_blocks(block: ModeBlock,
+                                t: float) -> tuple[EvolutionBlocks, EvolutionBlocks, EvolutionBlocks]:
+    """(system/bath, system/env1, system/env2) partitions of the 8x8 block propagator."""
     if block.env is None:
         raise ValueError("block carries no environment")
     u = _propagators(block.generator, [t])[0]
-    sb = EvolutionBlocks(u[:2, :2], u[:2, 2:4], u[2:4, :2], u[2:4, 2:4], block.is_edge)
-    se1 = EvolutionBlocks(u[:2, :2], u[:2, 4:6], u[4:6, :2], u[4:6, 4:6], block.is_edge)
-    return sb, se1
+    return tuple(EvolutionBlocks(u[:2, :2], u[:2, j:j + 2], u[j:j + 2, :2], u[j:j + 2, j:j + 2],
+                                 block.is_edge) for j in (2, 4, 6))
 
 
 def finite_env_steady_cm(blocks_sb: EvolutionBlocks, blocks_se1: EvolutionBlocks,
-                         p_e: float) -> np.ndarray:
-    """Fixed point with bath and environment injections summed.
+                         blocks_se2: EvolutionBlocks, p_e: float) -> np.ndarray:
+    """Fixed point with the bath and both environment injections summed.
 
-    The environment pair injects p_e times the bath ground-state CM; the
-    (higher-order) bath-environment channel is neglected, matching the
-    closed-form treatment.  A single-mode `fixed_points`.
+    Each environment pair starts in p_e times the bath ground-state CM.  Pair
+    1 couples to the system and pair 2 to the bath, which passes pair 2's
+    share on to the system within the cycle; with both, the map is exact.
+    A single-mode `fixed_points`.
     """
     k_s = _kron_pair(blocks_sb.a_s)
-    rhs = _injection(blocks_sb.a_sb) + p_e * _injection(blocks_se1.a_sb)
+    rhs = _injection(blocks_sb.a_sb) + p_e * (_injection(blocks_se1.a_sb)
+                                              + _injection(blocks_se2.a_sb))
     return fixed_points(k_s[None], rhs[None], blocks_sb.edge)[0].reshape(2, 2)
 
 

@@ -6,9 +6,11 @@ class KelvinError(Exception):
 
 
 class NonUniqueFixedPoint(KelvinError):
-    """A cycle map has a degenerate unit eigenvalue; no unique steady state.
+    """A cycle map has no unique steady state.
 
-    Carries the dimension of the (numerically) degenerate eigenspace.
+    Carries the number of (numerical) unit eigenvalues of the affine map
+    whose fixed point was sought (for a Fock map, after the trace eigenvalue
+    is eliminated), or 1 when a computed fixed point fails its residual check.
     """
 
     def __init__(self, eigenspace_dim: int, message: str | None = None):

@@ -8,8 +8,10 @@ is built in the eigenbasis H = V diag(E) V^dag.  With the reset bath in its
 vacuum and L_b[(i,x), a] = V[(i,b), a] V*[(x,0), a], the map at time t is
 sum_b L_b P L_b^dag, P_ab = e^{-i (E_a - E_b) t}, and its quadrature average
 over random times the same sum with G = sum_n w_n P(t_n): only the phases
-are averaged.  Steady states and cooling rates come from the transfer-matrix
-spectrum restricted to the physical (parity-diagonal) sector.
+are averaged.  Steady states and cooling rates live on the physical
+(parity-diagonal) sector: eliminating rho_00 through the trace turns each
+transfer matrix into an affine map, solved for all modes at once by the
+fixed-point routine the CM engine uses.
 
 Gain/loss noise of rate kappa is X -> (c X c + c' X c')/2 - X per mode, in
 the mode's Majoranas c, c'.  On a Majorana monomial of degree q, c X c =
@@ -38,6 +40,7 @@ from ._linalg import (
     FIXED_POINT_ATOL,
     HERMITICITY_ATOL,
     TRACE_ATOL,
+    affine_fixed_points,
     apply_transfer,
     choi_min_eig,
     gauss_legendre,
@@ -468,86 +471,41 @@ def mode_chunks(ks: np.ndarray, block: ModeBlock) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def steady_state(superop: Superoperator) -> tuple[DensityBlock, float]:
-    """Unique fixed point and cooling rate alpha = -log|lambda_2|.
-
-    The spectrum is taken on the parity-diagonal sector, which is where
-    physical states live (single-fermion coherences are superselected away).
-    Uniqueness is decided from the numerical kernel of T_res - I: a kernel of
-    dimension above one raises NonUniqueFixedPoint with that dimension.
-    """
-    t_res, idx = superop.restricted()
-    n = t_res.shape[0]
-    # The gap of T_res - I is the cooling rate, O(g^2) in weak coupling, so
-    # a fixed absolute threshold misreads weakly attracting modes as
-    # degenerate.  Singular values count as zero up to a multiple of the
-    # rounding floor n eps ||T_res||; the smallest one of a trace-preserving
-    # map sits within about 2x of that floor.
-    sv = np.linalg.svd(t_res - np.eye(n), compute_uv=False)
-    kernel_tol = 10.0 * n * np.finfo(float).eps * np.linalg.norm(t_res, 2)
-    n_kernel = int(np.sum(sv <= kernel_tol))
-    if n_kernel > 1:
-        raise NonUniqueFixedPoint(n_kernel)
-
-    evals, evecs = np.linalg.eig(t_res)
-    order = np.argsort(-np.abs(evals))
-    evals, evecs = evals[order], evecs[:, order]
-
-    def normalize(candidate: np.ndarray) -> np.ndarray | None:
-        v = np.zeros(superop.d**2, dtype=complex)
-        v[idx] = candidate
-        rho_c = v.reshape(superop.d, superop.d)
-        tr = np.trace(rho_c)
-        if abs(tr) < 1e-12:  # eigenvector phase cannot be fixed by the trace
-            return None
-        return hermitize(rho_c / tr)
-
-    # inverse iteration sharpens the unit eigenvector well below the
-    # eps/gap floor of the dense eigensolver (the gap is the cooling rate
-    # and can be ~1e-9 for weakly attracting modes)
-    vec_c = evecs[:, 0]
-    shifted = t_res - (1.0 + 1e-12) * np.eye(t_res.shape[0])
-    for _ in range(2):
-        try:
-            vec_c = np.linalg.solve(shifted, vec_c)
-        except np.linalg.LinAlgError:
-            break
-        vec_c = vec_c / np.linalg.norm(vec_c)
-
-    rho = normalize(vec_c)
-    resid = math.inf
-    if rho is not None:
-        resid = trace_norm(superop.apply(rho) - rho)
-    if resid > FIXED_POINT_ATOL:
-        # refine: smallest singular vector of (T_res - I)
-        _, _, vh = np.linalg.svd(t_res - np.eye(t_res.shape[0]))
-        rho = normalize(vh[-1].conj())
-        if rho is None:
-            raise NonUniqueFixedPoint(1, "fixed-point candidate is traceless")
-        resid = trace_norm(superop.apply(rho) - rho)
-        if resid > FIXED_POINT_ATOL:
-            raise NonUniqueFixedPoint(1, f"fixed-point residual {resid:.2e} above tolerance")
-
-    alpha = -math.log(abs(evals[1])) if len(evals) > 1 else math.inf
-    return DensityBlock(rho, -1), alpha
+    """Unique fixed point and cooling rate alpha = -log|lambda_2|: a one-mode
+    `fixed_points`."""
+    x, alpha, _ = fixed_points(superop.matrix[None])
+    return DensityBlock(x[0].reshape(superop.d, superop.d), -1), float(alpha[0])
 
 
 def fixed_points(k_s: np.ndarray, c: np.ndarray | None = None,
                  edge=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`steady_state` of stacked transfer matrices (modes, d^2, d^2), one at a time.
+    """Unique fixed states of stacked transfer matrices T (modes, d^2, d^2).
 
-    Returns the vectorized fixed points, the cooling rates and the trace-norm
+    Returns the vectorized fixed states, the cooling rates and the trace-norm
     residuals.  `c` and `edge` keep the signature of `cm.fixed_points`: Fock
     cycle maps are linear, and every Fock edge block is physical.
+
+    Physical states live on the parity-diagonal sector, with rho_00 first.
+    Trace preservation eliminates rho_00 = 1 - tau.y, tau marking the other
+    populations y, which leaves the affine map y -> (T_yy - T_y0 tau^T) y +
+    T_y0 for `_linalg.affine_fixed_points`, the solve the CM engine shares.
+    Its spectrum is that of the sector's transfer without the trace
+    eigenvalue 1, so alpha is -log|lambda_2| of the sector.  A state whose
+    trace-norm residual exceeds FIXED_POINT_ATOL raises NonUniqueFixedPoint.
     """
     d = math.isqrt(k_s.shape[-1])
-    xs, alphas, resids = [], [], []
-    for matrix in k_s:
-        superop = Superoperator(matrix, d)
-        rho, alpha = steady_state(superop)
-        xs.append(rho.matrix.reshape(-1))
-        alphas.append(alpha)
-        resids.append(trace_norm(superop.apply(rho) - rho.matrix))
-    return np.stack(xs), np.array(alphas), np.array(resids)
+    idx = np.flatnonzero(_parity_diag_mask(d))
+    t_res = k_s[:, idx[:, None], idx]
+    tau = idx[1:] % (d + 1) == 0
+    y, alpha = affine_fixed_points(t_res[:, 1:, 1:] - t_res[:, 1:, :1] * tau, t_res[:, 1:, 0])
+    x = np.zeros((len(k_s), d * d), dtype=complex)
+    x[:, 0] = 1.0 - y[:, tau].sum(axis=-1)
+    x[:, idx[1:]] = y
+    rho = hermitize(x.reshape(-1, d, d))
+    resid = trace_norm((k_s @ rho.reshape(-1, d * d, 1)).reshape(rho.shape) - rho)
+    if np.max(resid, initial=0.0) > FIXED_POINT_ATOL:
+        raise NonUniqueFixedPoint(1, f"fixed-point residual {np.max(resid):.2e} above tolerance")
+    return rho.reshape(-1, d * d), alpha, resid
 
 
 # ---------------------------------------------------------------------------

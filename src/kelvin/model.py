@@ -163,13 +163,14 @@ def bogoliubov_angle(theta: float, N: int, k: int) -> float:
     """Rotation angle phi_k diagonalizing the 2x2 pair block with +eps first.
 
     Branch: phi = atan2(eps - w, r), which gives phi in [0, pi/2] for
-    k in [0, N/2]; at r = 0 this yields 0 for w >= 0 and pi/2 for w < 0.
+    k in [0, N/2].  At |r| < 1e-15 (the edges k = 0, N/2) it is 0 for w >= 0
+    and pi/2 for w < 0, the two canonical frames of an edge mode, as in
+    `analytic.mode_grid`: at the gapless edge eps - w is rounding noise.
     """
     w, r = _w_r(theta, N, k)
-    eps = math.hypot(w, r)
-    if eps == 0.0:
-        return 0.0
-    return math.atan2(eps - w, r)
+    if abs(r) < 1e-15:
+        return 0.0 if w >= 0 else math.pi / 2
+    return math.atan2(math.hypot(w, r) - w, r)
 
 
 def band_edges(theta: float) -> tuple[float, float]:

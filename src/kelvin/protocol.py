@@ -243,15 +243,6 @@ class Trajectory:
         return np.array([getattr(s, name) for s in self.snapshots])
 
 
-def _check_engine_noise(engine: str, noise: NoiseSpec):
-    if engine not in ("fock", "cm"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "cm" and noise.kind == "finite_env":
-        raise UnsupportedCombination(
-            "cm engine supports finite environments only for fixed points; "
-            "run trajectories with the fock engine")
-
-
 def _mode_groups(engine: str, n2: int) -> list[np.ndarray]:
     """Mode indices stepped as one stack, one group per block shape.
 
@@ -342,8 +333,7 @@ def _trace_norm_steps(x: np.ndarray) -> np.ndarray:
     """Largest per-mode trace-norm change between consecutive snapshots."""
     d = math.isqrt(x.shape[-1])
     diff = np.diff(x, axis=0)
-    diff = diff.reshape(diff.shape[:2] + (d, d))
-    return np.linalg.svd(diff, compute_uv=False).sum(-1).max(-1)
+    return trace_norm(diff.reshape(diff.shape[:2] + (d, d))).max(-1)
 
 
 def run_trajectory(params: ModelParams, scheme: CouplingScheme, schedule: Schedule,
@@ -361,7 +351,8 @@ def run_trajectory(params: ModelParams, scheme: CouplingScheme, schedule: Schedu
     declared when the per-mode trace-norm change between consecutive
     snapshots stays below 1e-10 three snapshots in a row.
     """
-    _check_engine_noise(engine, noise)
+    if engine not in _ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
     if isinstance(initial, ChainState):
         state0 = initial
         if state0.engine != engine:
@@ -428,8 +419,7 @@ def measure_cooling_rate(source, cycles=None) -> float:
     (fitting path).
     """
     if isinstance(source, _fock.Superoperator):
-        _, alpha = _fock.steady_state(source)
-        return alpha
+        return _fock.steady_state(source)[1]
     if cycles is None:
         cycles = np.arange(len(source))
     return rate_from_decay(cycles, source)
@@ -479,8 +469,9 @@ def steady_report(params: ModelParams, scheme: CouplingScheme, bath: BathSpec,
     Steady reports share the trajectory map pipeline: each schedule
     frequency's cycle map is built stacked over modes, the maps are composed
     in frequency order into one global-cycle map per mode, and the engine's
-    stacked `fixed_points` solves them all (Fock: `fock.steady_state` one
-    mode at a time; CM: one batched solve).  Randomized-time schedules are
+    stacked `fixed_points` solves each block shape's modes at once (Fock
+    after eliminating rho_00 through the trace; both engines share
+    `_linalg.affine_fixed_points`).  Randomized-time schedules are
     evaluated in the ensemble limit: each elementary map is replaced by its
     uniform average over [0, 2 t_mean] (Gauss-Legendre quadrature), which is
     the object the closed-form rates describe.  alpha is reported per

@@ -175,13 +175,15 @@ class TestTrajectory:
         assert s["cross_check_max_dE_k"] <= 1e-9
 
     def test_unsupported_combination_exit(self, tmp_path):
+        """Randomized finite-environment steady reports are not implemented."""
         payload = json.loads(json.dumps(self.CFG))
         payload["noise"] = {"kind": "finite_env", "kappa_prime": 1e-3,
                             "delta_e": 0.5, "p_e": 0.0}
         cfg = write_cfg(tmp_path, payload)
-        rc = cli.main(["trajectory", "--config", cfg, "--out",
-                       str(tmp_path / "tu"), "--engine", "cm"])
-        assert rc == 4
+        for engine in ("fock", "cm"):
+            rc = cli.main(["steady", "--config", cfg, "--out",
+                           str(tmp_path / f"tu-{engine}"), "--engine", engine])
+            assert rc == 4
 
     def test_wide_format(self, tmp_path):
         payload = json.loads(json.dumps(self.CFG))

@@ -145,25 +145,25 @@ class TestFiniteEnvCm:
         env = FiniteEnvSpec(0.0, 0.6, 0.4)
         blk_e = block_hamiltonian(small_params, generic_scheme, bath, k=3, env=env)
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=3)
-        sb, se1 = cm.finite_env_evolution_blocks(blk_e, 2.0)
-        gam_env = cm.finite_env_steady_cm(sb, se1, env.p_e)
+        gam_env = cm.finite_env_steady_cm(*cm.finite_env_evolution_blocks(blk_e, 2.0), env.p_e)
         eb = cm.evolution_blocks(blk, 2.0)
         gam = cm.steady_state_cm(eb, cm.vacuum_cm())
         assert np.max(np.abs(gam_env - gam)) < 1e-12
 
     def test_unit_pe_equals_doubled_bath_injection(self, small_params, bath):
         """With p_E = 1 and environment couplings/splitting matching the bath,
-        the environment contributes a second identical injection channel."""
+        environment pair 1 contributes a second injection channel like the
+        bath's, and pair 2 a third one through the bath."""
         scheme = CouplingScheme.local(1.0, 0.0, g=0.05)
         k = 3
         env = FiniteEnvSpec(scheme.g, bath.delta, 1.0)
         blk = block_hamiltonian(small_params, scheme, bath, k=k, env=env)
-        sb, se1 = cm.finite_env_evolution_blocks(blk, 2.0)
-        gam = cm.finite_env_steady_cm(sb, se1, 1.0)
-        # reference: the doubled injection built from the same propagator
+        sb, se1, se2 = cm.finite_env_evolution_blocks(blk, 2.0)
+        gam = cm.finite_env_steady_cm(sb, se1, se2, 1.0)
+        # reference: the three vacuum injections built from the same propagator
         k_s = np.kron(sb.a_s, sb.a_s.conj())
-        inj = (np.kron(sb.a_sb, sb.a_sb.conj())
-               + np.kron(se1.a_sb, se1.a_sb.conj())) @ cm.vacuum_cm().reshape(-1)
+        inj = sum(np.kron(b.a_sb, b.a_sb.conj())
+                  for b in (sb, se1, se2)) @ cm.vacuum_cm().reshape(-1)
         ref = np.linalg.solve(np.eye(4) - k_s, inj).reshape(2, 2)
         assert np.max(np.abs(gam - ref)) < 1e-12
         # the two injection channels agree up to the bath-E2 channel, which
@@ -171,7 +171,9 @@ class TestFiniteEnvCm:
         kt = env.kappa_prime * 2.0
         assert np.max(np.abs(np.abs(sb.a_sb) - np.abs(se1.a_sb))) < kt * kt
 
-    def test_small_coupling_matches_fock_within_5pct(self, small_params):
+    def test_small_coupling_matches_fock(self, small_params):
+        """With both environment pairs injected the CM map is exact, so it
+        matches the Fock engine to rounding."""
         g = 0.1
         scheme = CouplingScheme.local(1.0, 0.0, g)
         bath = BathSpec(0.9, 3.0)
@@ -179,10 +181,9 @@ class TestFiniteEnvCm:
         blk = block_hamiltonian(small_params, scheme, bath, k=2, env=env)
         rho, _ = fock.steady_state(fock.finite_environment_map(blk, 3.0))
         e_fock, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
-        sb, se1 = cm.finite_env_evolution_blocks(blk, 3.0)
-        gam = cm.finite_env_steady_cm(sb, se1, env.p_e)
+        gam = cm.finite_env_steady_cm(*cm.finite_env_evolution_blocks(blk, 3.0), env.p_e)
         e_cm = cm.cm_energy(gam, blk.epsilon, blk.weight)
-        assert abs(e_cm - e_fock) <= 0.05 * abs(e_fock)
+        assert abs(e_cm - e_fock) <= 1e-12 * abs(e_fock)
 
 
 class TestPerturbativeBlocks:

@@ -352,7 +352,7 @@ class TestSteadyState:
     @pytest.mark.parametrize("g", [1e-5, 1e-6])
     def test_weak_coupling_gap_is_not_degeneracy(self, g):
         """T_res has several eigenvalues within 1e-9 of modulus one here,
-        but only one numerical kernel vector of T_res - I."""
+        but only the trace eigenvalue is numerically 1."""
         p = ModelParams(40, math.pi / 3)
         scheme = CouplingScheme.local(1.0, 1.0, g)
         blk = block_hamiltonian(p, scheme, BathSpec(1.0, 20.0), k=4)
@@ -360,6 +360,33 @@ class TestSteadyState:
         rho, alpha = fock.steady_state(s)
         assert 0.0 < alpha < 1e-9
         assert trace_norm(s.apply(rho) - rho.matrix) <= 1e-10
+
+    @pytest.mark.parametrize("g", [1e-4, 1e-5, 1e-6])
+    def test_weak_coupling_energy_matches_high_precision_solve(self, g):
+        """E_4 against a 50-digit solve of the same transfer matrix: the
+        sector's fixed-point equations, with the trace condition in place of
+        rho_00's.  The fixed point is conditioned like 1/alpha, so E_4's
+        relative error is bounded in units of eps/alpha.  This measures the
+        solve, not the rounding of T itself."""
+        mpmath = pytest.importorskip("mpmath")
+        p = ModelParams(40, math.pi / 3)
+        blk = block_hamiltonian(p, CouplingScheme.local(1.0, 1.0, g), BathSpec(1.0, 20.0), k=4)
+        s = fock.exact_cycle_map(blk, 20.0)
+        rho, alpha = fock.steady_state(s)
+        e_4, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
+        t_res, idx = s.restricted()
+        n = len(idx)
+        pops = [i for i, flat in enumerate(idx) if flat % 5 == 0]  # |j><j| sits at 5 j
+        with mpmath.workdps(50):
+            a = mpmath.matrix([[mpmath.mpc(complex(t_res[i, j])) - (i == j) for j in range(n)]
+                               for i in range(n)])
+            b = mpmath.matrix(n, 1)
+            for j in range(n):
+                a[0, j] = int(j in pops)
+            b[0] = 1
+            v = mpmath.lu_solve(a, b)
+            e_ref = blk.epsilon * float(mpmath.re(v[pops[-1]] - v[pops[0]]))
+        assert abs(e_4 - e_ref) <= 4 * np.finfo(float).eps / alpha * abs(e_ref)
 
     def test_decoupled_noisy_steady_is_maximally_mixed(self, small_params, bath):
         scheme = CouplingScheme.local(1.0, 1.0, g=0.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from kelvin.analytic import mode_grid
 from kelvin.model import (
     BathSpec,
     CouplingScheme,
@@ -70,6 +71,17 @@ class TestBogoliubovAngle:
         w = math.sin(theta) + math.cos(theta) * math.cos(math.pi)
         assert w < 0
         assert bogoliubov_angle(theta, 12, 6) == pytest.approx(math.pi / 2, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [8, 20, 200])
+    def test_edges_match_mode_grid(self, n):
+        """At k = 0 and N/2 only phi in {0, pi/2} is a canonical frame; the
+        scalar angle is mode_grid's there, also at the gapless edge
+        (theta = pi/4, k = N/2), where eps - w is rounding noise."""
+        for theta in theta_grid() + list(np.linspace(0.0, math.pi / 2, 21)):
+            phi = mode_grid(ModelParams(n, theta))[2]
+            for k in (0, n // 2):
+                assert bogoliubov_angle(theta, n, k) == phi[k], (theta, k)
+                assert phi[k] in (0.0, math.pi / 2), (theta, k)
 
     @pytest.mark.parametrize("theta", theta_grid())
     def test_rotation_diagonalizes_block(self, theta):

@@ -7,7 +7,7 @@ from kelvin import analytic as an
 from kelvin import cm, fock
 from kelvin import protocol as pr
 from kelvin._linalg import trace_norm
-from kelvin.errors import FitQualityError, NonUniqueFixedPoint, UnsupportedCombination
+from kelvin.errors import FitQualityError, NonUniqueFixedPoint
 from kelvin.model import (
     BathSpec,
     CouplingScheme,
@@ -147,12 +147,23 @@ class TestRunTrajectory:
             for a, b in zip(tf.snapshots, tc.snapshots):
                 assert np.max(np.abs(a.mode_energies - b.mode_energies)) <= 1e-9
 
-    def test_cm_rejects_finite_env(self, small_params, local_scheme, bath):
-        sched = pr.make_schedule({"kind": "single"}, small_params, bath, 0)
-        with pytest.raises(UnsupportedCombination):
-            pr.run_trajectory(small_params, local_scheme, sched,
-                              an.NoiseSpec.finite_env(0.01, 0.5, 0.0),
-                              engine="cm")
+    def test_engines_agree_on_finite_env(self, bath):
+        """Both engines inject from the bath and from both environment pairs
+        (pair 2 reaches the system through the bath), so their
+        finite-environment trajectories and fixed points agree to rounding,
+        also at a strong environment coupling."""
+        p = ModelParams(12, 1.0)
+        scheme = CouplingScheme.local(1.0, 0.5, 0.3)
+        noise = an.NoiseSpec.finite_env(0.3, 0.9, 0.4)
+        sched = pr.make_schedule({"kind": "randomized", "L": 3}, p, bath, 0)
+        tf, tc = (pr.run_trajectory(p, scheme, sched, noise, engine, n_global_cycles=60,
+                                    snapshot_stride=20) for engine in ("fock", "cm"))
+        for a, b in zip(tf.snapshots, tc.snapshots):
+            assert np.max(np.abs(a.mode_energies - b.mode_energies)) <= 1e-12
+        rf, rc = (pr.steady_report(p, scheme, bath, {"kind": "single"}, noise=noise,
+                                   engine=engine) for engine in ("fock", "cm"))
+        assert np.max(np.abs(rf.mode_energy - rc.mode_energy)) <= 1e-12
+        np.testing.assert_allclose(rc.alpha, rf.alpha, rtol=1e-12)
 
     def test_resonant_mode_envelope_monotone(self):
         """Single-frequency noiseless run at resonance: e_{N/4} non-increasing
@@ -201,6 +212,11 @@ def _reference_trajectory(params, scheme, schedule, noise, engine, n_cycles, str
             out = cm.cycle_map_cm(state, cm.evolution_blocks(mb, t_m), cm.vacuum_cm())
             if noise.kind == "depolarizing":
                 out = math.exp(-2.0 * noise.kappa * t_m) * out
+            elif noise.kind == "finite_env":
+                # each environment pair starts in p_E times the bath's vacuum CM
+                _, se1, se2 = cm.finite_env_evolution_blocks(mb, t_m)
+                for env_pair in (se1, se2):
+                    out = out + env_pair.a_sb @ (noise.p_e * cm.vacuum_cm()) @ env_pair.a_sb.conj().T
             return out
         key = (k, delta_r, t_m)
         if key not in fock_maps:
@@ -256,7 +272,6 @@ _SCHEDULES = {"single": {"kind": "single"},
 _EQUIVALENCE_CASES = [
     (engine, sched, noise, False)
     for engine in ("fock", "cm") for sched in _SCHEDULES for noise in _NOISES
-    if not (engine == "cm" and noise == "finite_env")
 ] + [(engine, sched, "none", True)
      for engine in ("fock", "cm") for sched in ("randomized", "multifreq")]
 
@@ -486,8 +501,8 @@ class TestSteadyReport:
         env = FiniteEnvSpec(noise.kappa_prime, noise.delta_e, noise.p_e)
         for k in small_params.mode_indices:
             blk = block_hamiltonian(small_params, local_scheme, bath, k, env=env)
-            sb, se1 = cm.finite_env_evolution_blocks(blk, bath.cycle_time_mean)
-            ref = cm.finite_env_steady_cm(sb, se1, noise.p_e)
+            ref = cm.finite_env_steady_cm(
+                *cm.finite_env_evolution_blocks(blk, bath.cycle_time_mean), noise.p_e)
             assert np.max(np.abs(rep.states[k] - ref)) <= 1e-12, k
 
     @pytest.mark.parametrize("sched, noise", [
