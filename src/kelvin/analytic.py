@@ -10,10 +10,8 @@ scaling estimates.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +21,9 @@ from .errors import (
     ResonantDenominator,
     UndefinedSteadyState,
 )
-from .model import CouplingScheme, ModelParams, band_edges, coupling_keys, dispersion
+from .model import (CouplingScheme, ModelParams, _coupling_sum, _mode_row, _phases,
+                    _theta_grid, band_edges)
+from .model import coupling_arrays, mode_grid  # re-exported; perfbench traces these names here
 
 __all__ = [
     "NoiseSpec",
@@ -242,8 +242,7 @@ class RateTable:
 
 def rate_table(params: ModelParams, deltas, t: float, g: float,
                a2=1.0, b2=1.0, mode: str = "exact_integral") -> RateTable:
-    ks = np.arange(params.N // 2 + 1)
-    eps = np.array([dispersion(params.theta, params.N, int(k)) for k in ks])
+    ks, eps, _, _ = mode_grid(params)
     a2 = np.broadcast_to(np.asarray(a2, dtype=float), eps.shape)
     b2 = np.broadcast_to(np.asarray(b2, dtype=float), eps.shape)
     gc, gh = multifreq_rates(eps, deltas, t, g, a2, b2, mode=mode)
@@ -371,76 +370,6 @@ def gs_cooling_plan(n_sites: int, theta: float) -> CoolingPlan:
 # per-chain aggregation (vectorized over modes and theta)
 # ---------------------------------------------------------------------------
 
-def mode_grid(params: ModelParams):
-    """(k, eps_k, phi_k, weight_k) arrays over k = 0..N/2."""
-    n, theta = params.N, params.theta
-    ks = np.arange(n // 2 + 1)
-    x = 2.0 * math.pi * ks / n
-    eps = np.sqrt(np.maximum(1.0 + math.sin(2 * theta) * np.cos(x), 0.0))
-    w = math.sin(theta) + math.cos(theta) * np.cos(x)
-    r = math.cos(theta) * np.sin(x)
-    phi = np.arctan2(eps - w, r)
-    phi[(np.abs(r) < 1e-15) & (w >= 0)] = 0.0
-    phi[(np.abs(r) < 1e-15) & (w < 0)] = math.pi / 2
-    weights = np.ones_like(eps)
-    weights[0] = weights[-1] = 0.5
-    return ks, eps, phi, weights
-
-
-class _ThetaGrid(NamedTuple):
-    """Theta-only inputs of the closed forms, one row per theta (read-only).
-
-    eps, wts, cos_phi and sin_phi are (thetas, modes); phases is
-    (offsets, modes) with exp(-2 pi i j k / N) per coupling offset j; e_gs is
-    the ground-state energy per theta.
-    """
-
-    eps: np.ndarray
-    wts: np.ndarray
-    cos_phi: np.ndarray
-    sin_phi: np.ndarray
-    phases: np.ndarray
-    e_gs: np.ndarray
-
-
-@functools.lru_cache(maxsize=64)
-def _theta_grid(n_sites: int, thetas: tuple[float, ...], nn: float) -> _ThetaGrid:
-    # Rows are built one theta at a time through mode_grid, so every entry is
-    # the same float a single-theta evaluation computes (a theta-vectorized
-    # sin(2 theta) or cos(phi) may round differently).
-    rows = [mode_grid(ModelParams(n_sites, th)) for th in thetas]
-    ks = rows[0][0]
-    grid = _ThetaGrid(
-        eps=np.stack([eps for _, eps, _, _ in rows]),
-        wts=np.stack([wts for _, _, _, wts in rows]),
-        cos_phi=np.stack([np.cos(phi) for _, _, phi, _ in rows]),
-        sin_phi=np.stack([np.sin(phi) for _, _, phi, _ in rows]),
-        phases=np.stack([np.exp(-2j * math.pi * j * ks / n_sites)
-                         for j in coupling_keys(nn)]),
-        e_gs=np.array([-float(np.sum(wts * eps)) for _, eps, _, wts in rows]),
-    )
-    for arr in grid:
-        arr.flags.writeable = False
-    return grid
-
-
-def _coupling_grid(grid: _ThetaGrid, scheme: CouplingScheme):
-    """(A_k, B_k) arrays shaped like grid.eps."""
-    c, s = grid.cos_phi, grid.sin_phi
-    a = np.zeros(c.shape, dtype=complex)
-    b = np.zeros(c.shape, dtype=complex)
-    for j, ph in zip(coupling_keys(scheme.nn), grid.phases):
-        a += (c * scheme.lam[j] + 1j * s * scheme.mu[j]) * ph
-        b += (-s * scheme.lam[j] + 1j * c * scheme.mu[j]) * ph
-    return a, b
-
-
-def coupling_arrays(scheme: CouplingScheme, params: ModelParams):
-    """(A_k, B_k) arrays over k = 0..N/2."""
-    a, b = _coupling_grid(_theta_grid(params.N, (params.theta,), scheme.nn), scheme)
-    return a[0], b[0]
-
-
 def _single_cycle_energies(eps, cos_phi, sin_phi, a, b, delta: float, t: float,
                            g: float, noise: NoiseSpec, mode: str):
     """Per-pair steady energies of a fixed-time cycle, any array shape.
@@ -468,14 +397,14 @@ def chain_relative_energies(n_sites: int, thetas, scheme: CouplingScheme,
     """`chain_relative_energy` at every theta in `thetas`, as one array.
 
     All thetas are evaluated in one pass over a (theta x k) grid; the
-    theta-only inputs are cached per (N, thetas, nn).  Raises
+    theta-only inputs are cached per (N, thetas).  Raises
     UndefinedSteadyState if the steady state is undefined at any theta.
     """
-    grid = _theta_grid(n_sites, tuple(float(th) for th in thetas), scheme.nn)
-    a, b = _coupling_grid(grid, scheme)
+    grid = _theta_grid(n_sites, tuple(float(th) for th in thetas))
+    a, b = _coupling_sum(grid.cos_phi, grid.sin_phi, _phases(n_sites, scheme.nn), scheme)
     e_k = _single_cycle_energies(grid.eps, grid.cos_phi, grid.sin_phi, a, b,
                                  delta, t, scheme.g, noise, mode)
-    e_total = np.sum(grid.wts * e_k, axis=-1)
+    e_total = np.sum(grid.weights * e_k, axis=-1)
     return np.abs((e_total - grid.e_gs) / grid.e_gs)
 
 
@@ -504,12 +433,12 @@ def closed_form_relative_energies(params: ModelParams, scheme: CouplingScheme,
     NaN where no closed form applies (finite environments with randomized
     times) or where eps = 0.
     """
-    grid = _theta_grid(params.N, (params.theta,), scheme.nn)
-    eps = grid.eps[0]
+    row = _mode_row(params.N, params.theta)
+    eps = row.eps
     a, b = coupling_arrays(scheme, params)
 
     if schedule_kind == "single":
-        e_val = _single_cycle_energies(eps, grid.cos_phi[0], grid.sin_phi[0], a, b,
+        e_val = _single_cycle_energies(eps, row.cos_phi, row.sin_phi, a, b,
                                        deltas[0], t, scheme.g, noise, mode)
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(eps > 0, (e_val + eps) / eps, np.nan)

@@ -35,10 +35,11 @@ from .model import (
     BathSpec,
     CouplingScheme,
     ModelParams,
-    bogoliubov_angle,
+    coupling_arrays,
     dispersion,
     energy_density_limit,
     ground_state_energy,
+    mode_grid,
 )
 
 EXIT_ASSERTION = 1
@@ -204,16 +205,11 @@ def _summary(cfg: dict, extra: dict) -> dict:
 
 def cmd_spectrum(cfg: dict, out: str, args) -> int:
     params = _params(cfg)
-    rows = []
-    for k in params.mode_indices:
-        w = 0.5 if k in (0, params.N // 2) else 1.0
-        rows.append((k, dispersion(params.theta, params.N, k),
-                     bogoliubov_angle(params.theta, params.N, k), w))
+    rows = zip(*(arr.tolist() for arr in mode_grid(params)))
     write_csv(os.path.join(out, "spectrum.csv"),
               ["k", "epsilon_k", "phi_k", "weight"], rows)
-    e_gs = ground_state_energy(params)
     write_json(os.path.join(out, "summary.json"), _summary(cfg, {
-        "E_GS": e_gs,
+        "E_GS": ground_state_energy(params),
         "N_times_f_theta": params.N * energy_density_limit(params.theta),
     }))
     return 0
@@ -298,10 +294,10 @@ def cmd_rates(cfg: dict, out: str, args) -> int:
     scheme = _scheme(cfg)
     bath = _bath(cfg, params)
     deltas = pr.schedule_frequencies(cfg["schedule"], params, bath)
-    a, b = an.coupling_arrays(scheme, params)
+    a, b = coupling_arrays(scheme, params)
     rt = an.rate_table(params, deltas, bath.cycle_time_mean, scheme.g,
                        a2=np.abs(a) ** 2, b2=np.abs(b) ** 2)
-    _, eps, _, _ = an.mode_grid(params)
+    _, eps, _, _ = mode_grid(params)
     e_val, e_rel, m, f = an.lindblad_steady(rt.gamma_c, rt.gamma_h, eps)
     rows = [(int(k), eps[k], rt.gamma_c[k], rt.gamma_h[k], rt.alpha[k], e_rel[k])
             for k in rt.ks]

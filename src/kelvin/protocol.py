@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analytic as _an
 from . import cm as _cm
 from . import fock as _fock
 from ._linalg import trace_norm
 from .errors import FitQualityError, UnsupportedCombination
-from .model import BathSpec, CouplingScheme, FiniteEnvSpec, ModelParams, band_edges, block_hamiltonian, dispersion
+from .model import (BathSpec, CouplingScheme, FiniteEnvSpec, ModelParams, band_edges,
+                    block_hamiltonian, dispersion, ground_state_energy, mode_grid)
 from .analytic import NoiseSpec
 
 __all__ = [
@@ -169,7 +169,7 @@ def _chain_reduce(engine: str, params: ModelParams,
                   groups: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """(energies, fidelities) over k = 0..N/2 from per-group block stacks."""
     n2 = params.N // 2
-    _, eps, _, wts = _an.mode_grid(params)
+    _, eps, _, wts = mode_grid(params)
     lead = groups[0][1].shape[:-2]
     energies = np.empty(lead + (n2 + 1,))
     fids = np.empty(lead + (n2 + 1,))
@@ -182,8 +182,7 @@ def _chain_metrics(energies: np.ndarray, fidelities: np.ndarray,
                    params: ModelParams) -> tuple[float, float, float]:
     """(total E, relative energy e, fidelity F) from per-mode values."""
     e_total = float(np.sum(energies))
-    _, eps, _, wts = _an.mode_grid(params)
-    e_gs = -float(np.sum(wts * eps))
+    e_gs = ground_state_energy(params)
     return e_total, abs((e_total - e_gs) / e_gs), float(np.prod(fidelities))
 
 
@@ -495,7 +494,7 @@ def steady_report(params: ModelParams, scheme: CouplingScheme, bath: BathSpec,
 
     energies, fids = _chain_reduce(engine, params, groups)
     e_total, e_rel_total, fidelity = _chain_metrics(energies, fids, params)
-    ks, eps, _, wts = _an.mode_grid(params)
+    ks, eps, _, wts = mode_grid(params)
     scale = wts * eps
     with np.errstate(divide="ignore", invalid="ignore"):
         e_rel = np.where(eps == 0.0, math.nan, (energies + scale) / scale)

@@ -26,10 +26,10 @@ from kelvin.model import (
     FiniteEnvSpec,
     ModelParams,
     block_hamiltonian,
-    bogoliubov_angle,
     dispersion,
     energy_density_limit,
     ground_state_energy,
+    mode_grid,
 )
 
 
@@ -67,13 +67,12 @@ def test_criterion_01_closed_form_layer():
         worst_resid = 0.0
         n = 16
         for theta in (0.0, math.pi / 4, math.pi / 3, math.pi / 2):
-            for k in range(0, n // 2 + 1):
+            ks, eps_k, phi_k, _ = mode_grid(ModelParams(n, theta))
+            for k, eps, phi in zip(ks, eps_k, phi_k):
                 w = math.sin(theta) + math.cos(theta) * math.cos(2 * math.pi * k / n)
                 r = math.cos(theta) * math.sin(2 * math.pi * k / n)
-                phi = bogoliubov_angle(theta, n, k)
                 u = np.array([[math.cos(phi), -math.sin(phi)],
                               [math.sin(phi), math.cos(phi)]])
-                eps = dispersion(theta, n, k)
                 resid = np.max(np.abs(u.T @ np.array([[w, r], [r, -w]]) @ u
                                       - np.diag([eps, -eps])))
                 worst_resid = max(worst_resid, resid)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from kelvin import analytic as an
+from kelvin import model
 from kelvin import optimize as op
 from kelvin.errors import UndefinedSteadyState
 from kelvin.model import CouplingScheme, ModelParams, coupling_keys
@@ -38,7 +39,7 @@ def _oracle_mode_grid(params):
     eps = np.sqrt(np.maximum(1.0 + math.sin(2 * theta) * np.cos(x), 0.0))
     w = math.sin(theta) + math.cos(theta) * np.cos(x)
     r = math.cos(theta) * np.sin(x)
-    phi = np.arctan2(eps - w, r)
+    phi = 0.5 * np.arctan2(r, w)
     phi[(np.abs(r) < 1e-15) & (w >= 0)] = 0.0
     phi[(np.abs(r) < 1e-15) & (w < 0)] = math.pi / 2
     weights = np.ones_like(eps)
@@ -208,10 +209,11 @@ def test_undefined_steady_state(noise_kind, mode):
 
 def test_cached_theta_inputs_are_read_only():
     thetas = tuple(float(th) for th in op.phase_grid("high"))
-    grid = an._theta_grid(20, thetas, 1.5)
-    assert grid is an._theta_grid(20, thetas, 1.5)
-    assert grid.eps.shape == (21, 11) and grid.phases.shape == (4, 11)
-    for arr in grid:
+    grid = model._theta_grid(20, thetas)
+    assert grid is model._theta_grid(20, thetas)
+    phases = model._phases(20, 1.5)
+    assert grid.eps.shape == (21, 11) and phases.shape == (4, 11)
+    for arr in (*grid, phases):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[...] = 0

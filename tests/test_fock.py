@@ -427,26 +427,34 @@ class TestSteadyState:
         fit = -np.polyfit(cycles, np.log(dist), 1)[0]
         assert abs(fit - alpha) <= 0.01 * alpha
 
-    @pytest.mark.parametrize("theta_raw", [-math.pi / 3, -1.1])
-    def test_theta_symmetry_of_steady_spectra(self, bath, theta_raw):
-        """Steady states computed before/after canonicalization agree under
-        the mode relabeling k -> N/2 - k (spectra compared)."""
+    @pytest.mark.parametrize("theta_raw", [-math.pi / 3, -1.1, 2.0, math.pi - 0.4,
+                                           math.pi + 0.4, 4.4])
+    def test_theta_symmetry_of_steady_spectra(self, bath, rng, theta_raw):
+        """Steady states computed before and after canonicalization agree in
+        each branch (theta < 0, (pi/2, pi], (pi, 3pi/2]) for random couplings
+        of every range: eps, the steady spectra and the rate alpha, with the
+        raw block k compared to the canonical block N/2 - k where the modes
+        are relabeled."""
         from kelvin.model import _block_raw
         n = 12
-        scheme = CouplingScheme(nn=1, lam={-1: 0.0, 0: 1.0, 1: 0.5},
-                                mu={-1: 0.0, 0: 0.3, 1: 0.0}, g=0.2)
-        res = canonicalize_theta(theta_raw, scheme)
-        for k in range(0, n // 2 + 1):
-            blk_raw = _block_raw(theta_raw, n, scheme, bath, k)
-            blk_can = _block_raw(res.theta, n, res.scheme, bath, n // 2 - k)
-            s_raw = fock.exact_cycle_map(blk_raw, bath.cycle_time_mean)
-            s_can = fock.exact_cycle_map(blk_can, bath.cycle_time_mean)
-            rho_raw, _ = fock.steady_state(s_raw)
-            rho_can, _ = fock.steady_state(s_can)
-            ev_raw = np.sort(np.linalg.eigvalsh(rho_raw.matrix))
-            ev_can = np.sort(np.linalg.eigvalsh(rho_can.matrix))
-            assert np.allclose(ev_raw, ev_can, atol=1e-10)
-            assert blk_raw.epsilon == pytest.approx(blk_can.epsilon, abs=1e-12)
+        for nn in (0, 0.5, 1, 1.5):
+            keys = coupling_keys(nn)
+            scheme = CouplingScheme(nn=nn, lam={j: float(rng.uniform(-1, 1)) for j in keys},
+                                    mu={j: float(rng.uniform(-1, 1)) for j in keys}, g=0.2)
+            res = canonicalize_theta(theta_raw, scheme)
+            for k in range(0, n // 2 + 1):
+                blk_raw = _block_raw(theta_raw, n, scheme, bath, k)
+                blk_can = _block_raw(res.theta, n, res.scheme, bath,
+                                     n // 2 - k if res.mode_relabeled else k)
+                rho_raw, alpha_raw = fock.steady_state(
+                    fock.exact_cycle_map(blk_raw, bath.cycle_time_mean))
+                rho_can, alpha_can = fock.steady_state(
+                    fock.exact_cycle_map(blk_can, bath.cycle_time_mean))
+                ev_raw = np.sort(np.linalg.eigvalsh(rho_raw.matrix))
+                ev_can = np.sort(np.linalg.eigvalsh(rho_can.matrix))
+                assert np.allclose(ev_raw, ev_can, rtol=0, atol=1e-11), (nn, k)
+                assert blk_raw.epsilon == pytest.approx(blk_can.epsilon, abs=1e-12)
+                assert alpha_raw == pytest.approx(alpha_can, rel=1e-10), (nn, k)
 
 
 class TestBlockEnergy:

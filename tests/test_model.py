@@ -4,20 +4,23 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from kelvin.analytic import mode_grid
 from kelvin.model import (
     BathSpec,
     CouplingScheme,
+    FiniteEnvSpec,
     ModelParams,
+    _block_raw,
+    _coupling_table,
+    _mode_row,
     band_edges,
     block_hamiltonian,
-    bogoliubov_angle,
     canonicalize_theta,
-    coupling_coefficients,
+    coupling_arrays,
     coupling_keys,
     dispersion,
     energy_density_limit,
     ground_state_energy,
+    mode_grid,
 )
 
 from conftest import theta_grid
@@ -55,14 +58,18 @@ class TestDispersion:
         assert dispersion(theta, 40, 0) == pytest.approx(eps_max, abs=1e-12)
 
 
+def _phi(theta, n):
+    return mode_grid(ModelParams(n, theta))[2]
+
+
 class TestBogoliubovAngle:
     @pytest.mark.parametrize("theta", [0.2, 0.9, math.pi / 2])
     def test_zero_at_k0(self, theta):
-        assert bogoliubov_angle(theta, 20, 0) == 0.0
+        assert _phi(theta, 20)[0] == 0.0
 
     def test_zero_at_theta_half_pi(self):
         for k in range(0, 11):
-            assert bogoliubov_angle(math.pi / 2, 20, k) == pytest.approx(0.0, abs=1e-15)
+            assert _phi(math.pi / 2, 20)[k] == pytest.approx(0.0, abs=1e-15)
 
     def test_half_pi_at_zone_edge_below_critical(self):
         # oracle: the 2x2 block at k = N/2 is diag(w, -w) with w < 0, so the
@@ -70,32 +77,52 @@ class TestBogoliubovAngle:
         theta = math.pi / 6
         w = math.sin(theta) + math.cos(theta) * math.cos(math.pi)
         assert w < 0
-        assert bogoliubov_angle(theta, 12, 6) == pytest.approx(math.pi / 2, abs=1e-15)
+        assert _phi(theta, 12)[6] == pytest.approx(math.pi / 2, abs=1e-15)
 
     @pytest.mark.parametrize("n", [8, 20, 200])
-    def test_edges_match_mode_grid(self, n):
+    def test_edges_match_mode_grid(self, n, local_scheme, bath):
         """At k = 0 and N/2 only phi in {0, pi/2} is a canonical frame; the
-        scalar angle is mode_grid's there, also at the gapless edge
-        (theta = pi/4, k = N/2), where eps - w is rounding noise."""
-        for theta in theta_grid() + list(np.linspace(0.0, math.pi / 2, 21)):
-            phi = mode_grid(ModelParams(n, theta))[2]
+        blocks use mode_grid's, also at the gapless edge (theta = pi/4,
+        k = N/2), where w is rounding noise."""
+        thetas = theta_grid() + list(np.linspace(0.0, math.pi / 2, 21)) + [math.pi / 4]
+        for theta in thetas:
+            p = ModelParams(n, theta)
+            phi = mode_grid(p)[2]
             for k in (0, n // 2):
-                assert bogoliubov_angle(theta, n, k) == phi[k], (theta, k)
+                assert block_hamiltonian(p, local_scheme, bath, k).phi == phi[k], (theta, k)
                 assert phi[k] in (0.0, math.pi / 2), (theta, k)
 
     @pytest.mark.parametrize("theta", theta_grid())
     def test_rotation_diagonalizes_block(self, theta):
         n = 14
-        for k in range(0, n // 2 + 1):
+        ks, eps_k, phi_k, _ = mode_grid(ModelParams(n, theta))
+        for k, eps, phi in zip(ks, eps_k, phi_k):
             w = math.sin(theta) + math.cos(theta) * math.cos(2 * math.pi * k / n)
             r = math.cos(theta) * math.sin(2 * math.pi * k / n)
             h = np.array([[w, r], [r, -w]])
-            phi = bogoliubov_angle(theta, n, k)
             u = np.array([[math.cos(phi), -math.sin(phi)],
                           [math.sin(phi), math.cos(phi)]])
             d = u.T @ h @ u
-            eps = dispersion(theta, n, k)
             assert np.allclose(d, np.diag([eps, -eps]), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_sin_phi_matches_40_digit_angle(self, n):
+        """phi_k against a 40-digit half-angle of the same float (w, r).  The
+        form atan2(eps - w, r) misses sin(phi) by up to 8.2e-10 (N = 200) and
+        6.1e-8 (N = 1000) relative here, where eps - w cancels."""
+        mpmath = pytest.importorskip("mpmath")
+        ks = np.arange(1, n // 2)
+        x = 2 * math.pi * ks / n
+        worst = 0.0
+        for theta in (0.3, math.pi / 4, 1.0, math.pi / 3, 1.4923, 1.56):
+            w = math.sin(theta) + math.cos(theta) * np.cos(x)
+            r = math.cos(theta) * np.sin(x)
+            sin_phi = np.sin(_phi(theta, n)[1:-1])
+            with mpmath.workdps(40):
+                for wk, rk, sk in zip(w, r, sin_phi):
+                    ref = mpmath.sin(mpmath.atan2(mpmath.mpf(rk), mpmath.mpf(wk)) / 2)
+                    worst = max(worst, float(abs((sk - ref) / ref)))
+        assert worst <= 1e-13
 
 
 class TestGroundStateEnergy:
@@ -177,39 +204,38 @@ class TestCouplingCoefficients:
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_local_symmetric_coupling(self, k):
         scheme = CouplingScheme.local(1.0, 1.0, 1.0)
-        theta, n = 0.8, 12
-        phi = bogoliubov_angle(theta, n, k)
-        a, b = coupling_coefficients(scheme, theta, n, k)
-        assert a == pytest.approx(np.exp(1j * phi), abs=1e-14)
-        assert b == pytest.approx(1j * np.exp(1j * phi), abs=1e-14)
+        p = ModelParams(12, 0.8)
+        phi = _phi(p.theta, p.N)[k]
+        a, b = coupling_arrays(scheme, p)
+        assert a[k] == pytest.approx(np.exp(1j * phi), abs=1e-14)
+        assert b[k] == pytest.approx(1j * np.exp(1j * phi), abs=1e-14)
 
     def test_local_lambda_only(self):
         scheme = CouplingScheme.local(1.0, 0.0, 1.0)
-        theta, n, k = 0.8, 12, 3
-        phi = bogoliubov_angle(theta, n, k)
-        a, b = coupling_coefficients(scheme, theta, n, k)
-        assert a == pytest.approx(math.cos(phi), abs=1e-14)
-        assert b == pytest.approx(-math.sin(phi), abs=1e-14)
+        p, k = ModelParams(12, 0.8), 3
+        phi = _phi(p.theta, p.N)[k]
+        a, b = coupling_arrays(scheme, p)
+        assert a[k] == pytest.approx(math.cos(phi), abs=1e-14)
+        assert b[k] == pytest.approx(-math.sin(phi), abs=1e-14)
 
     def test_symmetric_neighbor_sum(self):
         # phi = 0 at k = 0, so A = lam_0 + 2 c cos(2 pi k / N) evaluated at k=0
         c = 0.4
         scheme = CouplingScheme(nn=1, lam={-1: c, 0: 0.9, 1: c},
                                 mu={-1: 0.0, 0: 0.0, 1: 0.0}, g=1.0)
-        a, b = coupling_coefficients(scheme, 0.8, 12, 0)
-        assert a == pytest.approx(0.9 + 2 * c, abs=1e-14)
-        assert b == pytest.approx(0.0, abs=1e-14)
+        a, b = coupling_arrays(scheme, ModelParams(12, 0.8))
+        assert a[0] == pytest.approx(0.9 + 2 * c, abs=1e-14)
+        assert b[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_direct_sum(self, generic_scheme, rng):
-        theta, n = 1.1, 10
-        for k in range(0, 6):
-            phi = bogoliubov_angle(theta, n, k)
+        p = ModelParams(10, 1.1)
+        a, _ = coupling_arrays(generic_scheme, p)
+        for k, phi in enumerate(_phi(p.theta, p.N)):
             a_ref = sum((math.cos(phi) * generic_scheme.lam[j]
                          + 1j * math.sin(phi) * generic_scheme.mu[j])
-                        * np.exp(-2j * math.pi * j * k / n)
+                        * np.exp(-2j * math.pi * j * k / p.N)
                         for j in coupling_keys(generic_scheme.nn))
-            a, _ = coupling_coefficients(generic_scheme, theta, n, k)
-            assert a == pytest.approx(a_ref, abs=1e-13)
+            assert a[k] == pytest.approx(a_ref, abs=1e-13)
 
 
 class TestBlockHamiltonian:
@@ -257,6 +283,34 @@ class TestBlockHamiltonian:
             assert blk.weight == (0.5 if k in (0, 6) else 1.0)
             assert blk.epsilon == pytest.approx(
                 dispersion(small_params.theta, 12, k))
+
+    def test_blocks_read_the_mode_grid(self, rng, bath):
+        """One grid: every block's eps, phi, A and B are row k of mode_grid
+        and coupling_arrays, bit for bit, also at the edges, with an
+        environment or DSP, and for raw theta outside [0, pi/2]."""
+        env = FiniteEnvSpec(0.01, 0.5, 0.3)
+        for _ in range(40):
+            n = 2 * int(rng.integers(1, 60))
+            nn = float(rng.choice([0, 0.5, 1, 1.5]))
+            keys = coupling_keys(nn)
+            scheme = CouplingScheme(
+                nn=nn, lam={j: float(rng.uniform(-1, 1)) for j in keys},
+                mu={j: float(rng.uniform(-1, 1)) for j in keys}, g=float(rng.uniform(0, 1)))
+            theta = float(rng.choice([rng.uniform(0, math.pi / 2), 0.0, math.pi / 4,
+                                      math.pi / 2]))
+            theta_raw = float(rng.uniform(-math.pi / 2, 3 * math.pi / 2))
+            p = ModelParams(n, theta)
+            _, eps, phi, _ = mode_grid(p)
+            a, b = coupling_arrays(scheme, p)
+            row, (a_raw, b_raw) = _mode_row(n, theta_raw), _coupling_table(n, theta_raw, scheme)
+            for k in {0, n // 2, int(rng.integers(0, n // 2 + 1))}:
+                for kw in ({}, {"env": env}, {"dsp": True}):
+                    blk = block_hamiltonian(p, scheme, bath, k, **kw)
+                    assert (blk.epsilon, blk.phi, blk.a_coeff, blk.b_coeff) == \
+                        (eps[k], phi[k], a[k], b[k]), (n, theta, k, kw)
+                    raw = _block_raw(theta_raw, n, scheme, bath, k, **kw)
+                    assert (raw.epsilon, raw.phi, raw.a_coeff, raw.b_coeff) == \
+                        (row.eps[k], row.phi[k], a_raw[k], b_raw[k]), (n, theta_raw, k, kw)
 
     def test_dsp_removes_system_splitting(self, small_params, local_scheme, bath):
         blk = block_hamiltonian(small_params, local_scheme, bath, k=3, dsp=True)
