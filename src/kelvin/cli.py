@@ -280,7 +280,7 @@ def cmd_trajectory(cfg: dict, out: str, args) -> int:
              "final_e": traj.snapshots[-1].relative_energy,
              "final_F": traj.snapshots[-1].fidelity}
     if run.get("cross_check", False):
-        other = "cm" if args.engine == "fock" else "fock"
+        other = next(name for name in pr.ENGINES if name != args.engine)
         traj2 = pr.run_trajectory(params, _scheme(cfg), sched, engine=other, **kwargs)
         extra["cross_check_max_dE_k"] = float(max(
             np.max(np.abs(a.mode_energies - b.mode_energies))
@@ -409,7 +409,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
-    parser.add_argument("--engine", choices=["fock", "cm"], default=None)
+    parser.add_argument("--engine", choices=list(pr.ENGINES), default=None)
     args = parser.parse_args(argv)
 
     try:
@@ -418,7 +418,7 @@ def main(argv=None) -> int:
             args.seed = int(cfg.get("seed", 0))
         if args.engine is None:
             args.engine = cfg.get("engine", "fock")
-            if args.engine not in ("fock", "cm"):
+            if args.engine not in pr.ENGINES:
                 raise ConfigError(f"unknown engine {args.engine!r}")
         os.makedirs(args.out, exist_ok=True)
         return COMMANDS[args.command](cfg, args.out, args)

@@ -17,7 +17,6 @@ exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,21 +27,17 @@ from .fock import DensityBlock, mode_operators
 from .model import ModeBlock
 
 __all__ = [
-    "CorrelationMatrix",
-    "EvolutionBlocks",
     "vacuum_cm",
     "most_excited_cm",
-    "evolve_cm",
-    "evolution_blocks",
+    "mode_groups",
+    "initial_blocks",
+    "validate_blocks",
     "averaged_evolution_kron",
-    "cycle_map_cm",
     "affine_cycle_maps",
     "cycle_maps",
     "mode_chunks",
     "fixed_points",
-    "steady_state_cm",
-    "finite_env_evolution_blocks",
-    "finite_env_steady_cm",
+    "reduce",
     "cm_energy",
     "cm_fidelity",
     "density_to_cm",
@@ -55,23 +50,6 @@ __all__ = [
 CM_EIG_SLACK = 1e-10
 
 
-@dataclass
-class CorrelationMatrix:
-    """Hermitian matrix of symmetrized two-point functions, spectrum in [-1/2, 1/2]."""
-
-    matrix: np.ndarray
-    basis: tuple[str, ...]
-
-    def validate(self) -> "CorrelationMatrix":
-        m = self.matrix
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
-            raise ValueError("correlation matrix not hermitian")
-        ev = np.linalg.eigvalsh(hermitize(m))
-        if ev.min() < -0.5 - CM_EIG_SLACK or ev.max() > 0.5 + CM_EIG_SLACK:
-            raise ValueError(f"correlation-matrix spectrum {ev} outside [-1/2, 1/2]")
-        return self
-
-
 def vacuum_cm() -> np.ndarray:
     """Ground-state (Bogoliubov vacuum) system CM."""
     return np.diag([0.5, -0.5]).astype(complex)
@@ -81,42 +59,33 @@ def most_excited_cm() -> np.ndarray:
     return np.diag([-0.5, 0.5]).astype(complex)
 
 
-def evolve_cm(gamma: np.ndarray, generator: np.ndarray, t: float) -> np.ndarray:
-    """Closed evolution of a CM under the quadratic generator for time t."""
-    u = _propagators(generator, [t])[0]
-    return u @ gamma @ u.conj().T
+def mode_groups(n2: int) -> list[np.ndarray]:
+    """Mode indices stepped as one stack: every CM block is 2x2, so one group."""
+    return [np.arange(n2 + 1)]
 
 
-@dataclass
-class EvolutionBlocks:
-    """System/bath partition of the block propagator for one cycle."""
-
-    a_s: np.ndarray
-    a_sb: np.ndarray
-    a_bs: np.ndarray
-    a_b: np.ndarray
-    edge: bool = False
-
-    def assemble(self) -> np.ndarray:
-        top = np.hstack([self.a_s, self.a_sb])
-        bot = np.hstack([self.a_bs, self.a_b])
-        return np.vstack([top, bot])
+def initial_blocks(kind: str, n2: int) -> list[np.ndarray]:
+    """Product initial blocks over k = 0..n2: "vacuum" or "most_excited"."""
+    if kind not in ("vacuum", "most_excited"):
+        raise ValueError(f"unknown initial state kind {kind!r}")
+    maker = vacuum_cm if kind == "vacuum" else most_excited_cm
+    return [maker() for _ in range(n2 + 1)]
 
 
-def evolution_blocks(block: ModeBlock, t: float) -> EvolutionBlocks:
-    u = _propagators(block.generator, [t])[0]
-    return EvolutionBlocks(u[:2, :2], u[:2, 2:4], u[2:4, :2], u[2:4, 2:4], block.is_edge)
-
-
-def cycle_map_cm(gamma_s: np.ndarray, blocks: EvolutionBlocks,
-                 gamma_b0: np.ndarray) -> np.ndarray:
-    """One cooling cycle: unitary block action plus fresh-bath injection."""
-    return (blocks.a_s @ gamma_s @ blocks.a_s.conj().T
-            + blocks.a_sb @ gamma_b0 @ blocks.a_sb.conj().T)
-
-
-def _kron_pair(a: np.ndarray) -> np.ndarray:
-    return np.kron(a, a.conj())
+def validate_blocks(blocks: list[np.ndarray]) -> None:
+    """Raise ValueError unless `blocks` are CMs of k = 0..len - 1: hermitian 2x2
+    with spectrum in [-1/2, 1/2], the edges (first and last) diag(1/2 - n, n - 1/2)."""
+    n2 = len(blocks) - 1
+    for k, b in enumerate(blocks):
+        if b.shape != (2, 2):
+            raise ValueError(f"CM block k={k} has shape {b.shape}, need (2, 2)")
+        if np.max(np.abs(b - b.conj().T)) > 1e-10:
+            raise ValueError(f"CM block k={k} not hermitian")
+        ev = np.linalg.eigvalsh(hermitize(b))
+        if ev.min() < -0.5 - CM_EIG_SLACK or ev.max() > 0.5 + CM_EIG_SLACK:
+            raise ValueError(f"CM block k={k} spectrum {ev} outside [-1/2, 1/2]")
+        if k in (0, n2) and max(abs(b[0, 1]), abs(b[1, 0]), abs(np.trace(b))) > 1e-10:
+            raise ValueError(f"CM edge block k={k} is not diag(1/2 - n, n - 1/2)")
 
 
 def _propagators(generators: np.ndarray, ts) -> np.ndarray:
@@ -142,10 +111,12 @@ def affine_cycle_maps(generators: np.ndarray, ts,
     sequence of cycle times.  Returns K = A_S (x) A_S* with shape
     (len(ts), modes, 4, 4) and c = vec(A_SB gamma_B0 A_SB^dag) with shape
     (len(ts), modes, 4), gamma_B0 the reset bath's vacuum CM, from one
-    batched eigendecomposition.  This is `cycle_map_cm` in row-major
-    vectorized form.  Environment-extended (8x8) generators add the
-    injections p_e vec(A_SE gamma_B0 A_SE^dag) of both environment pairs,
-    as in `finite_env_steady_cm`.
+    batched eigendecomposition: the cycle gamma -> A_S gamma A_S^dag +
+    A_SB gamma_B0 A_SB^dag in row-major vectorized form.  Environment-extended
+    (8x8) generators add the injections p_e vec(A_SE gamma_B0 A_SE^dag) of
+    both environment pairs, each pair starting in p_e times the bath's
+    vacuum CM; pair 1 couples to the system and pair 2 to the bath, which
+    passes its share on within the cycle, so with both the map is exact.
     """
     u = _propagators(generators, ts)
     a_s = u[..., :2, :2]
@@ -242,67 +213,34 @@ def fixed_points(k_s: np.ndarray, c: np.ndarray,
     return hermitize(x.reshape(-1, 2, 2)).reshape(-1, 4), alpha, resid
 
 
-def steady_state_cm(blocks: EvolutionBlocks, gamma_b0: np.ndarray,
-                    damping: float = 1.0) -> np.ndarray:
-    """Fixed point of the (possibly damped) cycle map of one block.
-
-    damping = 1 is the noiseless cycle; uniform gain/loss noise of rate kappa
-    over a cycle of duration t enters as damping = exp(-2 kappa t).  A
-    single-mode `fixed_points`.
-    """
-    k_s = damping * _kron_pair(blocks.a_s)
-    rhs = damping * (_kron_pair(blocks.a_sb) @ gamma_b0.reshape(-1))
-    return fixed_points(k_s[None], rhs[None], blocks.edge)[0].reshape(2, 2)
-
-
-def finite_env_evolution_blocks(block: ModeBlock,
-                                t: float) -> tuple[EvolutionBlocks, EvolutionBlocks, EvolutionBlocks]:
-    """(system/bath, system/env1, system/env2) partitions of the 8x8 block propagator."""
-    if block.env is None:
-        raise ValueError("block carries no environment")
-    u = _propagators(block.generator, [t])[0]
-    return tuple(EvolutionBlocks(u[:2, :2], u[:2, j:j + 2], u[j:j + 2, :2], u[j:j + 2, j:j + 2],
-                                 block.is_edge) for j in (2, 4, 6))
-
-
-def finite_env_steady_cm(blocks_sb: EvolutionBlocks, blocks_se1: EvolutionBlocks,
-                         blocks_se2: EvolutionBlocks, p_e: float) -> np.ndarray:
-    """Fixed point with the bath and both environment injections summed.
-
-    Each environment pair starts in p_e times the bath ground-state CM.  Pair
-    1 couples to the system and pair 2 to the bath, which passes pair 2's
-    share on to the system within the cycle; with both, the map is exact.
-    A single-mode `fixed_points`.
-    """
-    k_s = _kron_pair(blocks_sb.a_s)
-    rhs = _injection(blocks_sb.a_sb) + p_e * (_injection(blocks_se1.a_sb)
-                                              + _injection(blocks_se2.a_sb))
-    return fixed_points(k_s[None], rhs[None], blocks_sb.edge)[0].reshape(2, 2)
-
-
 # ---------------------------------------------------------------------------
 # energies, fidelities, and conversions
 # ---------------------------------------------------------------------------
 
+def reduce(ks: np.ndarray, x: np.ndarray, eps: np.ndarray, wts: np.ndarray,
+           n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Energies w eps (gamma_22 - gamma_11) and vacuum fidelities of the modes
+    `ks` (edges k = 0, n2: 1 - n; pairs: Wick) from x = vec(gamma) stacked to
+    (..., len(ks), 4); `eps` and `wts` are indexed by k."""
+    n_a = 0.5 - x[..., 0].real
+    n_b = 0.5 + x[..., 3].real
+    energy = wts[ks] * eps[ks] * (x[..., 3].real - x[..., 0].real)
+    pair = 1.0 - n_a - n_b + (n_a * n_b + np.abs(x[..., 1]) ** 2)
+    edge = (ks == 0) | (ks == n2)
+    return energy, np.maximum(np.where(edge, 1.0 - n_a, pair), 0.0)
+
+
 def cm_energy(gamma: np.ndarray, epsilon: float, weight: float) -> float:
-    """Block energy weight * eps * (gamma_22 - gamma_11)."""
-    return float(weight * epsilon * (gamma[1, 1].real - gamma[0, 0].real))
-
-
-def _occupations(gamma: np.ndarray) -> tuple[float, float, complex]:
-    n1 = 0.5 - gamma[0, 0].real
-    n2 = 0.5 + gamma[1, 1].real
-    c = complex(gamma[0, 1])
-    return n1, n2, c
+    """Block energy weight * eps * (gamma_22 - gamma_11): one row of `reduce`."""
+    return float(reduce(np.zeros(1, dtype=int), np.reshape(gamma, (1, 4)),
+                        np.array([epsilon]), np.array([weight]), 0)[0][0])
 
 
 def cm_fidelity(gamma: np.ndarray, edge: bool) -> float:
-    """Overlap with the block ground state (vacuum probability), via Wick."""
-    n1, n2, c = _occupations(gamma)
-    if edge:
-        return max(1.0 - n1, 0.0)
-    r = n1 * n2 + abs(c) ** 2
-    return max(1.0 - n1 - n2 + r, 0.0)
+    """Vacuum probability of a block: one row of `reduce`, as mode 0 (an edge)
+    or mode 1 (a pair) of n2 = 2."""
+    return float(reduce(np.array([0 if edge else 1]), np.reshape(gamma, (1, 4)),
+                        np.zeros(2), np.zeros(2), 2)[1][0])
 
 
 @lru_cache(maxsize=2)
@@ -334,7 +272,9 @@ def cm_to_density(gamma: np.ndarray, edge: bool, k: int = -1) -> DensityBlock:
         n = 0.5 + gamma[1, 1].real
         m = np.diag([1.0 - n, n]).astype(complex)
         return DensityBlock(np.clip(m.real, 0, None).astype(complex), k)
-    n1, n2, c = _occupations(gamma)
+    n1 = 0.5 - gamma[0, 0].real
+    n2 = 0.5 + gamma[1, 1].real
+    c = complex(gamma[0, 1])
     r = n1 * n2 + abs(c) ** 2
     q = n1 - r
     p = n2 - r
@@ -449,4 +389,5 @@ def majorana_damping_check(block: ModeBlock, kappa: float, t: float,
         raise RuntimeError("noise M-matrix not proportional to identity")
     if np.max(np.abs(y)) > 1e-14:
         raise RuntimeError("noise Y-matrix does not vanish")
-    return math.exp(-2.0 * kappa * t) * evolve_cm(gamma0, block.generator, t)
+    u = _propagators(block.generator, [t])[0]
+    return math.exp(-2.0 * kappa * t) * (u @ gamma0 @ u.conj().T)

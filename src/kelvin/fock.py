@@ -29,10 +29,11 @@ This module doubles as the brute-force oracle for the closed-form layer.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,11 +67,14 @@ __all__ = [
     "noise_transfer",
     "steady_state",
     "fixed_points",
+    "mode_groups",
+    "initial_blocks",
+    "validate_blocks",
+    "reduce",
     "block_energy",
     "vacuum_density",
     "most_excited_density",
     "maximally_mixed_density",
-    "fidelity_with_vacuum",
     "noise_factorization_gap",
 ]
 
@@ -224,28 +228,56 @@ def maximally_mixed_density(edge: bool, k: int = 0) -> DensityBlock:
     return DensityBlock(np.eye(d, dtype=complex) / d, k)
 
 
-def fidelity_with_vacuum(rho: DensityBlock | np.ndarray) -> float:
-    m = rho.matrix if isinstance(rho, DensityBlock) else rho
-    return float(m[0, 0].real)
+def mode_groups(n2: int) -> list[np.ndarray]:
+    """Mode indices stepped as one stack: the 2x2 edges and the 4x4 pairs."""
+    ks = np.arange(n2 + 1)
+    return [g for g in (np.array([0, n2]), ks[1:n2]) if g.size]
+
+
+def initial_blocks(kind: str, n2: int) -> list[np.ndarray]:
+    """Product initial blocks over k = 0..n2: "vacuum" or "most_excited"."""
+    if kind not in ("vacuum", "most_excited"):
+        raise ValueError(f"unknown initial state kind {kind!r}")
+    maker = vacuum_density if kind == "vacuum" else most_excited_density
+    return [maker(k in (0, n2), k).matrix for k in range(n2 + 1)]
+
+
+def validate_blocks(blocks: list[np.ndarray]) -> None:
+    """Raise ValueError unless `blocks` are physical densities of k = 0..len - 1:
+    2x2 at the edges (k = 0 and the last), 4x4 elsewhere."""
+    n2 = len(blocks) - 1
+    for k, b in enumerate(blocks):
+        d = 2 if k in (0, n2) else 4
+        if b.shape != (d, d):
+            raise ValueError(f"Fock block k={k} has shape {b.shape}, need ({d}, {d})")
+        DensityBlock(b, k).validate()
+
+
+def reduce(ks: np.ndarray, x: np.ndarray, eps: np.ndarray, wts: np.ndarray,
+           n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Energies and vacuum fidelities rho_00 of the modes `ks` from x = vec(rho)
+    stacked to (..., len(ks), d * d), one block size d per call (see
+    `block_energy`); `wts` and `n2` keep `cm.reduce`'s signature."""
+    d = math.isqrt(x.shape[-1])
+    pops = x[..., :: d + 1].real
+    if d == 2:
+        return eps[ks] * (pops[..., 1] - 0.5), pops[..., 0]
+    return eps[ks] * (pops[..., 3] - pops[..., 0]), pops[..., 0]
 
 
 def block_energy(rho: DensityBlock | np.ndarray, epsilon: float, weight: float):
-    """Mode energy and relative energy (E_k, e_k).
+    """Mode energy and relative energy (E_k, e_k); E_k is one row of `reduce`.
 
     Generic pairs measure eps*(n_k + n_-k - 1) in [-eps, eps]; edges measure
     eps*(n - 1/2) in [-eps/2, eps/2].  e_k is normalized so the ground state
     gives 0 and the most excited state 2; it is None when eps = 0.
     """
     m = rho.matrix if isinstance(rho, DensityBlock) else rho
-    pops = np.real(np.diag(m))
-    if m.shape[0] == 2:
-        e_val = epsilon * (pops[1] - 0.5)
-        denom = epsilon / 2
-    else:
-        e_val = epsilon * float(np.dot(pops, [-1.0, 0.0, 0.0, 1.0]))
-        denom = epsilon
+    e_val = float(reduce(np.zeros(1, dtype=int), np.reshape(m, (1, -1)), np.array([epsilon]),
+                         np.array([weight]), 0)[0][0])
+    denom = epsilon / 2 if m.shape[0] == 2 else epsilon
     e_rel = None if epsilon == 0.0 else (e_val + denom) / denom
-    return float(e_val), e_rel
+    return e_val, e_rel
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +333,7 @@ def _rest_weights(fb: FockBlock, bath_excitation: float) -> np.ndarray:
     p, n_bath = bath_excitation, fb.n_sys_modes
     p_env = (1.0 - fb.block.env.p_e) / 2.0 if fb.block.env is not None else 0.0
     pairs = [[1.0 - p, p]] * n_bath + [[1.0 - p_env, p_env]] * (fb.n_modes - 2 * n_bath)
-    return reduce(np.kron, pairs, np.ones(1))
+    return functools.reduce(np.kron, pairs, np.ones(1))
 
 
 def _transfers(a: np.ndarray, b: np.ndarray, ds: int) -> np.ndarray:
@@ -358,7 +390,7 @@ def _noise_projectors(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     majoranas = [c for a in mode_operators(n_modes) for c in (a + a.conj().T, 1j * (a.conj().T - a))]
     proj: dict[int, np.ndarray] = {}
     for subset in itertools.product((False, True), repeat=2 * n_modes):
-        mono = reduce(np.matmul, itertools.compress(majoranas, subset),
+        mono = functools.reduce(np.matmul, itertools.compress(majoranas, subset),
                                 np.eye(2**n_modes)).reshape(-1)
         q = sum(subset)
         rate = q if q % 2 == 0 else 2 * n_modes - q

@@ -10,6 +10,10 @@ quadrature average), composed into one global-cycle map per momentum pair,
 and then either stepped as a stacked product or handed to the engine's
 stacked fixed-point solve.  Both reduce the stacked blocks to per-mode and
 chain-level energy, relative energy, and fidelity.
+
+Engines are modules looked up in `ENGINES`, with one interface that hides
+their block layout: `mode_groups`, `initial_blocks`, `validate_blocks`,
+`mode_chunks`, `cycle_maps`, `fixed_points` and `reduce`.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .model import (BathSpec, CouplingScheme, FiniteEnvSpec, ModelParams, band_e
 from .analytic import NoiseSpec
 
 __all__ = [
+    "ENGINES",
     "Schedule",
     "Trajectory",
     "TrajectorySnapshot",
@@ -36,15 +41,13 @@ __all__ = [
     "initial_state",
     "run_trajectory",
     "global_metrics",
-    "measure_cooling_rate",
     "rate_from_decay",
-    "kaleidoscope_check",
     "product_state_distance",
     "SteadyStateReport",
     "steady_report",
 ]
 
-_ENGINES = {"cm": _cm, "fock": _fock}
+ENGINES = {"fock": _fock, "cm": _cm}
 CONVERGENCE_STEP_TOL = 1e-10
 CONVERGENCE_STREAK = 3
 
@@ -128,44 +131,26 @@ def make_schedule(descriptor: dict, params: ModelParams, bath: BathSpec, seed: i
 class ChainState:
     """Per-mode block states for the whole chain (k = 0..N/2)."""
 
-    engine: str  # "fock" | "cm"
+    engine: str  # a key of ENGINES
     blocks: list[np.ndarray]
     params: ModelParams
 
-    def _groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(ks, np.stack([np.asarray(self.blocks[k]).reshape(-1) for k in ks]))
-                for ks in _mode_groups(self.engine, self.params.N // 2)]
 
-    def energies(self) -> np.ndarray:
-        return _chain_reduce(self.engine, self.params, self._groups())[0]
-
-    def fidelities(self) -> np.ndarray:
-        return _chain_reduce(self.engine, self.params, self._groups())[1]
+def _engine(name: str):
+    """The engine module `ENGINES[name]`; ValueError for an unknown name."""
+    if name not in ENGINES:
+        raise ValueError(f"unknown engine {name!r}; choose from {list(ENGINES)}")
+    return ENGINES[name]
 
 
-def _mode_reduce(engine: str, ks: np.ndarray, x: np.ndarray, eps: np.ndarray,
-                 wts: np.ndarray, n2: int) -> tuple[np.ndarray, np.ndarray]:
-    """Energies and vacuum fidelities of the modes `ks` from stacked blocks.
-
-    `x` holds row-major vectorized blocks, shape (..., modes, D).  This is the
-    batched form of `fock.block_energy` / `cm.cm_energy` and
-    `fock.fidelity_with_vacuum` / `cm.cm_fidelity`.
-    """
-    if engine == "cm":
-        n_a = 0.5 - x[..., 0].real
-        n_b = 0.5 + x[..., 3].real
-        energy = wts[ks] * eps[ks] * (x[..., 3].real - x[..., 0].real)
-        pair = 1.0 - n_a - n_b + (n_a * n_b + np.abs(x[..., 1]) ** 2)
-        edge = (ks == 0) | (ks == n2)
-        return energy, np.maximum(np.where(edge, 1.0 - n_a, pair), 0.0)
-    d = math.isqrt(x.shape[-1])
-    pops = x[..., :: d + 1].real
-    if d == 2:
-        return eps[ks] * (pops[..., 1] - 0.5), pops[..., 0]
-    return eps[ks] * (pops[..., 3] - pops[..., 0]), pops[..., 0]
+def _stack_groups(eng, blocks: list[np.ndarray],
+                  n2: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(ks, vec(block) stacked over ks) per mode group of the engine `eng`."""
+    return [(ks, np.stack([np.asarray(blocks[k], dtype=complex).reshape(-1) for k in ks]))
+            for ks in eng.mode_groups(n2)]
 
 
-def _chain_reduce(engine: str, params: ModelParams,
+def _chain_reduce(eng, params: ModelParams,
                   groups: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """(energies, fidelities) over k = 0..N/2 from per-group block stacks."""
     n2 = params.N // 2
@@ -174,7 +159,7 @@ def _chain_reduce(engine: str, params: ModelParams,
     energies = np.empty(lead + (n2 + 1,))
     fids = np.empty(lead + (n2 + 1,))
     for ks, x in groups:
-        energies[..., ks], fids[..., ks] = _mode_reduce(engine, ks, x, eps, wts, n2)
+        energies[..., ks], fids[..., ks] = eng.reduce(ks, x, eps, wts, n2)
     return energies, fids
 
 
@@ -189,26 +174,15 @@ def _chain_metrics(energies: np.ndarray, fidelities: np.ndarray,
 def initial_state(kind: str, params: ModelParams, engine: str = "fock",
                   custom_blocks: list[np.ndarray] | None = None) -> ChainState:
     """Product initial state: Bogoliubov vacuum (= ground state), most
-    excited, or caller-supplied per-mode blocks (validated)."""
+    excited, or caller-supplied per-mode blocks (validated by the engine)."""
+    eng = _engine(engine)
     n2 = params.N // 2
-    if kind == "custom":
-        if custom_blocks is None or len(custom_blocks) != n2 + 1:
-            raise ValueError("custom initial state needs one block per k = 0..N/2")
-        blocks = [np.asarray(b, dtype=complex) for b in custom_blocks]
-        for k, b in enumerate(blocks):
-            if engine == "fock":
-                _fock.DensityBlock(b, k).validate()
-            else:
-                _cm.CorrelationMatrix(b, ("a_+", "a_-dag")).validate()
-        return ChainState(engine, blocks, params)
-    if kind not in ("vacuum", "most_excited"):
-        raise ValueError(f"unknown initial state kind {kind!r}")
-    if engine == "fock":
-        maker = _fock.vacuum_density if kind == "vacuum" else _fock.most_excited_density
-        blocks = [maker(k in (0, n2), k).matrix for k in range(n2 + 1)]
-    else:
-        maker = _cm.vacuum_cm if kind == "vacuum" else _cm.most_excited_cm
-        blocks = [maker() for _ in range(n2 + 1)]
+    if kind != "custom":
+        return ChainState(engine, eng.initial_blocks(kind, n2), params)
+    if custom_blocks is None or len(custom_blocks) != n2 + 1:
+        raise ValueError("custom initial state needs one block per k = 0..N/2")
+    blocks = [np.asarray(b, dtype=complex) for b in custom_blocks]
+    eng.validate_blocks(blocks)
     return ChainState(engine, blocks, params)
 
 
@@ -216,7 +190,9 @@ def global_metrics(state: ChainState, params: ModelParams) -> tuple[float, float
     """(total E, relative energy e, fidelity F) of a chain state."""
     if len(state.blocks) != params.N // 2 + 1:
         raise ValueError("state is missing modes; need k = 0..N/2")
-    return _chain_metrics(state.energies(), state.fidelities(), params)
+    eng = _engine(state.engine)
+    groups = _stack_groups(eng, state.blocks, state.params.N // 2)
+    return _chain_metrics(*_chain_reduce(eng, state.params, groups), params)
 
 
 # ---------------------------------------------------------------------------
@@ -242,20 +218,6 @@ class Trajectory:
         return np.array([getattr(s, name) for s in self.snapshots])
 
 
-def _mode_groups(engine: str, n2: int) -> list[np.ndarray]:
-    """Mode indices stepped as one stack, one group per block shape.
-
-    Every CM block is a 2x2 correlation matrix; Fock edge modes are 2x2
-    densities and the other modes 4x4.
-    """
-    ks = np.arange(n2 + 1)
-    if engine == "cm":
-        return [ks]
-    if engine != "fock":
-        raise ValueError(f"unknown engine {engine!r}")
-    return [g for g in (np.array([0, n2]), ks[1:n2]) if g.size]
-
-
 def _global_cycle_map(maps: dict, subcycles) -> tuple[np.ndarray, np.ndarray]:
     """Compose the subcycle maps in schedule order into one global-cycle map."""
     k_tot, c_tot = maps[subcycles[0]]
@@ -267,7 +229,7 @@ def _global_cycle_map(maps: dict, subcycles) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _global_maps(params: ModelParams, scheme: CouplingScheme, noise: NoiseSpec, dsp: bool,
-                 engine: str, ks: np.ndarray, t_mean: float, subcycles,
+                 eng, ks: np.ndarray, t_mean: float, subcycles,
                  nodes: int = 96) -> tuple[np.ndarray, np.ndarray]:
     """Global-cycle maps vec(block) -> K vec(block) + c of the modes `ks`.
 
@@ -276,8 +238,8 @@ def _global_maps(params: ModelParams, scheme: CouplingScheme, noise: NoiseSpec, 
     nodes), the ensemble limit of a randomized schedule.  Each distinct
     subcycle's map is built once, and the maps are composed in schedule
     order; K is stacked over modes to (modes, D, D) and c to (modes, D).
-    The engine's `cycle_maps` builds the maps of one frequency for a chunk
-    of modes, with chunks from its `mode_chunks` (CM: all modes at once;
+    The engine `eng`'s `cycle_maps` builds the maps of one frequency for a
+    chunk of modes, with chunks from its `mode_chunks` (CM: all modes at once;
     Fock: a few modes, so that only their transient stacks are held).
     """
     times: dict[float, dict[float | None, None]] = {}
@@ -288,7 +250,6 @@ def _global_maps(params: ModelParams, scheme: CouplingScheme, noise: NoiseSpec, 
             "randomized finite-environment steady states are not implemented")
     env = FiniteEnvSpec(noise.kappa_prime, noise.delta_e, noise.p_e) \
         if noise.kind == "finite_env" else None
-    eng = _ENGINES[engine]
     shape = block_hamiltonian(params, scheme, BathSpec(subcycles[0][0], t_mean), int(ks[0]),
                               env=env, dsp=dsp)
     composed = []
@@ -345,16 +306,15 @@ def run_trajectory(params: ModelParams, scheme: CouplingScheme, schedule: Schedu
     All modes see the same subcycle time sequence.  Each distinct subcycle's
     map is built once per mode, the maps are composed in schedule order into
     one global-cycle map per mode, and all modes are stepped together as a
-    stacked product (CM: one stack of 4x4 affine maps on vec(gamma); Fock: one
-    stack per block shape, edges and generic pairs).  Convergence is
+    stacked product, one stack per group of the engine's `mode_groups`
+    (CM: all modes; Fock: edges and generic pairs).  Convergence is
     declared when the per-mode trace-norm change between consecutive
     snapshots stays below 1e-10 three snapshots in a row.
     """
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
+    eng = _engine(engine)
     if isinstance(initial, ChainState):
         state0 = initial
-        if state0.engine != engine:
+        if ENGINES.get(state0.engine) is not eng:
             raise UnsupportedCombination("initial state engine does not match run engine")
     else:
         state0 = initial_state(initial, params, engine=engine)
@@ -363,13 +323,12 @@ def run_trajectory(params: ModelParams, scheme: CouplingScheme, schedule: Schedu
     snap_cycles = sorted({0, max(n_global_cycles, 0),
                           *range(snapshot_stride, n_global_cycles + 1, snapshot_stride)})
     groups = []
-    for ks in _mode_groups(engine, n2):
-        k_tot, c_tot = _global_maps(params, scheme, noise, dsp, engine, ks,
+    for ks, x0 in _stack_groups(eng, state0.blocks, n2):
+        k_tot, c_tot = _global_maps(params, scheme, noise, dsp, eng, ks,
                                     schedule.mean_time, schedule.subcycles)
-        x0 = np.stack([np.asarray(state0.blocks[k], dtype=complex).reshape(-1) for k in ks])
         groups.append((ks, _step_snapshots(k_tot, c_tot, x0, snap_cycles)))
 
-    energies, fids = _chain_reduce(engine, params, groups)
+    energies, fids = _chain_reduce(eng, params, groups)
     snapshots = [TrajectorySnapshot(cyc, *_chain_metrics(e_k, f_k, params), e_k)
                  for cyc, e_k, f_k in zip(snap_cycles, energies, fids)]
 
@@ -408,26 +367,6 @@ def rate_from_decay(cycles, distances, floor: float = 1e-13) -> float:
     if a >= 0 or resid > 0.1:
         raise FitQualityError(resid, f"decay fit slope {a:.3e}, residual {resid:.3e}")
     return -a
-
-
-def measure_cooling_rate(source, cycles=None) -> float:
-    """Cooling rate alpha per application of the map.
-
-    Accepts either a Superoperator (spectral path, -log|lambda_2|) or a
-    sequence of distances to the steady state with their cycle indices
-    (fitting path).
-    """
-    if isinstance(source, _fock.Superoperator):
-        return _fock.steady_state(source)[1]
-    if cycles is None:
-        cycles = np.arange(len(source))
-    return rate_from_decay(cycles, source)
-
-
-def kaleidoscope_check(per_mode_distances, global_distance: float,
-                       slack: float = 1e-9) -> bool:
-    """Product-state 1-norm distance is bounded by the sum over factors."""
-    return bool(global_distance <= float(np.sum(per_mode_distances)) + slack)
 
 
 def product_state_distance(blocks_a, blocks_b) -> float:
@@ -479,20 +418,19 @@ def steady_report(params: ModelParams, scheme: CouplingScheme, bath: BathSpec,
     deltas = schedule_frequencies(schedule_descriptor, params, bath)
     t_m = bath.cycle_time_mean if schedule_descriptor.get("kind", "single") == "single" else None
     subcycles = [(delta_r, t_m) for delta_r in deltas]
+    eng = _engine(engine)
     n2 = params.N // 2
-    mode_groups = _mode_groups(engine, n2)
-    solve = _ENGINES[engine].fixed_points
     alpha = np.empty(n2 + 1)
     resid = np.empty(n2 + 1)
     groups = []
-    for ks in mode_groups:
-        k_tot, c_tot = _global_maps(params, scheme, noise, dsp, engine, ks,
+    for ks in eng.mode_groups(n2):
+        k_tot, c_tot = _global_maps(params, scheme, noise, dsp, eng, ks,
                                     bath.cycle_time_mean, subcycles, quadrature_nodes)
-        x, alpha[ks], resid[ks] = solve(k_tot, c_tot, (ks == 0) | (ks == n2))
+        x, alpha[ks], resid[ks] = eng.fixed_points(k_tot, c_tot, (ks == 0) | (ks == n2))
         groups.append((ks, x))
     alpha /= len(deltas)
 
-    energies, fids = _chain_reduce(engine, params, groups)
+    energies, fids = _chain_reduce(eng, params, groups)
     e_total, e_rel_total, fidelity = _chain_metrics(energies, fids, params)
     ks, eps, _, wts = mode_grid(params)
     scale = wts * eps

@@ -54,6 +54,15 @@ class TestConfigValidation:
         p.write_text("{nope")
         assert cli.main(["spectrum", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
+    def test_unknown_engine(self, tmp_path):
+        cfg = write_cfg(tmp_path, {**STEADY_CFG, "engine": "bogus"})
+        assert cli.main(["steady", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        cfg = write_cfg(tmp_path, STEADY_CFG, name="ok.json")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["steady", "--config", cfg, "--out", str(tmp_path / "o"),
+                      "--engine", "bogus"])
+        assert exc.value.code == 2
+
 
 class TestSpectrum:
     def test_outputs(self, tmp_path):
@@ -173,6 +182,23 @@ class TestTrajectory:
         assert cli.main(["trajectory", "--config", cfg, "--out", str(out)]) == 0
         s = json.loads((out / "summary.json").read_text())
         assert s["cross_check_max_dE_k"] <= 1e-9
+
+    def test_cross_check_runs_the_other_engine(self, tmp_path, monkeypatch):
+        engines = []
+        run = cli.pr.run_trajectory
+
+        def spy(*args, engine, **kwargs):
+            engines.append(engine)
+            return run(*args, engine=engine, **kwargs)
+
+        monkeypatch.setattr(cli.pr, "run_trajectory", spy)
+        payload = json.loads(json.dumps(self.CFG))
+        payload["run"]["cross_check"] = True
+        cfg = write_cfg(tmp_path, payload)
+        for engine in ("fock", "cm"):
+            assert cli.main(["trajectory", "--config", cfg, "--out",
+                             str(tmp_path / engine), "--engine", engine]) == 0
+        assert engines == ["fock", "cm", "cm", "fock"]
 
     def test_unsupported_combination_exit(self, tmp_path):
         """Randomized finite-environment steady reports are not implemented."""

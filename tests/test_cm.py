@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from kelvin import cm, fock
+from kelvin.analytic import NoiseSpec
 from kelvin.errors import NonUniqueFixedPoint, ResonantDenominator
 from kelvin.model import (
     BathSpec,
@@ -15,30 +16,47 @@ from kelvin.model import (
 )
 
 
+def _maps(blk, t, p_e=0.0):
+    """(K, c) of one block's cycle map at time t, from the stacked builder."""
+    k_s, c = cm.affine_cycle_maps(blk.generator[None], [t], p_e=p_e)
+    return k_s[0, 0], c[0, 0]
+
+
+def _step(k_s, c, gamma):
+    return (k_s @ gamma.reshape(-1) + c).reshape(2, 2)
+
+
+def _fixed(k_s, c, edge=False):
+    return cm.fixed_points(k_s[None], c[None], edge)[0][0].reshape(2, 2)
+
+
 class TestEvolveCm:
+    """Closed evolution of the joint system+bath CM (noise-free Majorana check)."""
+
     def test_zero_time(self, small_params, generic_scheme, bath, rng):
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=2)
         g0 = np.diag([0.3, -0.3, 0.5, -0.5]).astype(complex)
-        assert np.allclose(cm.evolve_cm(g0, blk.generator, 0.0), g0, atol=1e-14)
+        assert np.allclose(cm.majorana_damping_check(blk, 0.0, 0.0, g0), g0, atol=1e-14)
 
     def test_diagonal_commutes(self, small_params, bath):
         scheme = CouplingScheme.local(1.0, 1.0, g=0.0)
         blk = block_hamiltonian(small_params, scheme, bath, k=2)
         g0 = np.diag([0.5, -0.5, 0.5, -0.5]).astype(complex)
-        assert np.allclose(cm.evolve_cm(g0, blk.generator, 3.3), g0, atol=1e-13)
+        assert np.allclose(cm.majorana_damping_check(blk, 0.0, 3.3, g0), g0, atol=1e-13)
 
     def test_spectrum_preserved(self, small_params, generic_scheme, bath):
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=2)
         g0 = np.diag([0.5, -0.5, 0.5, -0.5]).astype(complex)
-        g1 = cm.evolve_cm(g0, blk.generator, 2.2)
+        g1 = cm.majorana_damping_check(blk, 0.0, 2.2, g0)
         assert np.allclose(np.sort(np.linalg.eigvalsh(g1)),
                            np.sort(np.linalg.eigvalsh(g0)), atol=1e-12)
 
     @pytest.mark.parametrize("k", [0, 2, 6])
     def test_energies_match_fock_along_evolution(self, k, small_params,
                                                  generic_scheme, bath):
-        """Joint system+bath CM evolution tracks the exact Fock expectation
-        values on Gaussian states to 1e-10."""
+        """The stacked cycle maps, one per time, give the system block of the
+        joint CM evolution from (most excited) x (bath vacuum); it tracks the
+        exact Fock expectation values on Gaussian states to 1e-10."""
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=k)
         fb = fock.second_quantize(blk)
         edge = blk.is_edge
@@ -47,17 +65,16 @@ class TestEvolveCm:
         rho_b = np.zeros((d_b, d_b), dtype=complex)
         rho_b[0, 0] = 1.0
         joint = np.kron(rho, rho_b)
-        gamma = np.zeros((4, 4), dtype=complex)
-        gamma[:2, :2] = cm.most_excited_cm()
-        gamma[2:, 2:] = cm.vacuum_cm()
-        for t in (0.7, 1.9, 4.1):
+        ts = (0.7, 1.9, 4.1)
+        k_s, c = cm.affine_cycle_maps(blk.generator[None], ts)
+        for i, t in enumerate(ts):
             u = fb.propagator(t)
             out = u @ joint @ u.conj().T
             rho_s = np.trace(out.reshape(fb.d_sys, fb.d_rest, fb.d_sys, fb.d_rest),
                              axis1=1, axis2=3)
             e_fock, _ = fock.block_energy(rho_s, blk.epsilon, blk.weight)
-            g_t = cm.evolve_cm(gamma, blk.generator, t)
-            e_cm = cm.cm_energy(g_t[:2, :2], blk.epsilon, blk.weight)
+            g_t = _step(k_s[i, 0], c[i, 0], cm.most_excited_cm())
+            e_cm = cm.cm_energy(g_t, blk.epsilon, blk.weight)
             assert abs(e_fock - e_cm) < 1e-10
 
 
@@ -65,9 +82,8 @@ class TestCycleMapCm:
     def test_decoupled_is_rotation(self, small_params, bath):
         scheme = CouplingScheme.local(1.0, 1.0, g=0.0)
         blk = block_hamiltonian(small_params, scheme, bath, k=2)
-        eb = cm.evolution_blocks(blk, 2.5)
         g0 = np.array([[0.2, 0.1j], [-0.1j, -0.2]], dtype=complex)
-        out = cm.cycle_map_cm(g0, eb, cm.vacuum_cm())
+        out = _step(*_maps(blk, 2.5), g0)
         assert np.allclose(np.sort(np.linalg.eigvalsh(out)),
                            np.sort(np.linalg.eigvalsh(g0)), atol=1e-12)
 
@@ -77,26 +93,24 @@ class TestCycleMapCm:
         rho = fock.most_excited_density(False).matrix
         rho = s.apply(rho)
         e_fock, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
-        eb = cm.evolution_blocks(blk, bath.cycle_time_mean)
-        gam = cm.cycle_map_cm(cm.most_excited_cm(), eb, cm.vacuum_cm())
+        gam = _step(*_maps(blk, bath.cycle_time_mean), cm.most_excited_cm())
         assert abs(e_fock - cm.cm_energy(gam, blk.epsilon, blk.weight)) < 1e-10
 
     def test_repeated_application_converges_to_linear_solve(self, small_params,
                                                             generic_scheme, bath):
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=3)
-        eb = cm.evolution_blocks(blk, bath.cycle_time_mean)
-        target = cm.steady_state_cm(eb, cm.vacuum_cm())
+        k_s, c = _maps(blk, bath.cycle_time_mean)
+        target = _fixed(k_s, c)
         gam = cm.most_excited_cm()
         for _ in range(2000):
-            gam = cm.cycle_map_cm(gam, eb, cm.vacuum_cm())
+            gam = _step(k_s, c, gam)
         e1 = cm.cm_energy(gam, blk.epsilon, blk.weight)
         e2 = cm.cm_energy(target, blk.epsilon, blk.weight)
         assert abs(e1 - e2) < 1e-8
 
     def test_assembled_blocks_unitary(self, small_params, generic_scheme, bath):
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=3)
-        eb = cm.evolution_blocks(blk, 1.7)
-        u = eb.assemble()
+        u = cm._propagators(blk.generator, [1.7])[0]
         assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-12
 
 
@@ -104,16 +118,15 @@ class TestSteadyStateCm:
     def test_decoupled_damped_fixed_point_vanishes(self, small_params, bath):
         scheme = CouplingScheme.local(1.0, 1.0, g=0.0)
         blk = block_hamiltonian(small_params, scheme, bath, k=2)
-        eb = cm.evolution_blocks(blk, 2.0)
-        gam = cm.steady_state_cm(eb, cm.vacuum_cm(), damping=0.9)
+        k_s, c = _maps(blk, 2.0)
+        gam = _fixed(0.9 * k_s, 0.9 * c)
         assert np.max(np.abs(gam)) < 1e-12
 
     def test_decoupled_undamped_is_singular(self, small_params, bath):
         scheme = CouplingScheme.local(1.0, 1.0, g=0.0)
         blk = block_hamiltonian(small_params, scheme, bath, k=2)
-        eb = cm.evolution_blocks(blk, 2.0)
         with pytest.raises(NonUniqueFixedPoint):
-            cm.steady_state_cm(eb, cm.vacuum_cm(), damping=1.0)
+            _fixed(*_maps(blk, 2.0))
 
     def test_weak_coupling_energy(self):
         from kelvin.analytic import general_ss_energy, overlap_coeffs
@@ -121,8 +134,7 @@ class TestSteadyStateCm:
         scheme = CouplingScheme.local(1.0, 1.0, 1e-4)
         bath = BathSpec(1.0, 20.0)
         blk = block_hamiltonian(p, scheme, bath, k=7)
-        eb = cm.evolution_blocks(blk, 20.0)
-        gam = cm.steady_state_cm(eb, cm.vacuum_cm())
+        gam = _fixed(*_maps(blk, 20.0))
         x, y = overlap_coeffs(blk.epsilon, 1.0, 20.0, 1e-4)
         pred = float(general_ss_energy(blk.epsilon, blk.a_coeff, blk.b_coeff, x, y))
         assert abs(cm.cm_energy(gam, blk.epsilon, blk.weight) - pred) <= 0.01 * abs(pred)
@@ -135,8 +147,8 @@ class TestSteadyStateCm:
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=3)
         rho, _ = fock.steady_state(fock.noisy_cycle_map(blk, t, kappa))
         e_fock, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
-        eb = cm.evolution_blocks(blk, t)
-        gam = cm.steady_state_cm(eb, cm.vacuum_cm(), damping=math.exp(-2 * kappa * t))
+        (k_s, c), = cm.cycle_maps([blk], [t], t, NoiseSpec.depolarizing(kappa)).values()
+        gam = _fixed(k_s[0], c[0])
         assert abs(e_fock - cm.cm_energy(gam, blk.epsilon, blk.weight)) < 1e-8
 
 
@@ -145,9 +157,8 @@ class TestFiniteEnvCm:
         env = FiniteEnvSpec(0.0, 0.6, 0.4)
         blk_e = block_hamiltonian(small_params, generic_scheme, bath, k=3, env=env)
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=3)
-        gam_env = cm.finite_env_steady_cm(*cm.finite_env_evolution_blocks(blk_e, 2.0), env.p_e)
-        eb = cm.evolution_blocks(blk, 2.0)
-        gam = cm.steady_state_cm(eb, cm.vacuum_cm())
+        gam_env = _fixed(*_maps(blk_e, 2.0, env.p_e))
+        gam = _fixed(*_maps(blk, 2.0))
         assert np.max(np.abs(gam_env - gam)) < 1e-12
 
     def test_unit_pe_equals_doubled_bath_injection(self, small_params, bath):
@@ -158,18 +169,19 @@ class TestFiniteEnvCm:
         k = 3
         env = FiniteEnvSpec(scheme.g, bath.delta, 1.0)
         blk = block_hamiltonian(small_params, scheme, bath, k=k, env=env)
-        sb, se1, se2 = cm.finite_env_evolution_blocks(blk, 2.0)
-        gam = cm.finite_env_steady_cm(sb, se1, se2, 1.0)
-        # reference: the three vacuum injections built from the same propagator
-        k_s = np.kron(sb.a_s, sb.a_s.conj())
-        inj = sum(np.kron(b.a_sb, b.a_sb.conj())
-                  for b in (sb, se1, se2)) @ cm.vacuum_cm().reshape(-1)
+        gam = _fixed(*_maps(blk, 2.0, 1.0))
+        # reference: the three vacuum injections cut from a dense propagator
+        u = expm(-1j * blk.generator * 2.0)
+        a_s, a_sb, a_se1, a_se2 = (u[:2, j:j + 2] for j in (0, 2, 4, 6))
+        k_s = np.kron(a_s, a_s.conj())
+        inj = sum(np.kron(a, a.conj())
+                  for a in (a_sb, a_se1, a_se2)) @ cm.vacuum_cm().reshape(-1)
         ref = np.linalg.solve(np.eye(4) - k_s, inj).reshape(2, 2)
         assert np.max(np.abs(gam - ref)) < 1e-12
         # the two injection channels agree up to the bath-E2 channel, which
         # feeds back on the bath block at second order in kappa' t
         kt = env.kappa_prime * 2.0
-        assert np.max(np.abs(np.abs(sb.a_sb) - np.abs(se1.a_sb))) < kt * kt
+        assert np.max(np.abs(np.abs(a_sb) - np.abs(a_se1))) < kt * kt
 
     def test_small_coupling_matches_fock(self, small_params):
         """With both environment pairs injected the CM map is exact, so it
@@ -181,7 +193,7 @@ class TestFiniteEnvCm:
         blk = block_hamiltonian(small_params, scheme, bath, k=2, env=env)
         rho, _ = fock.steady_state(fock.finite_environment_map(blk, 3.0))
         e_fock, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
-        gam = cm.finite_env_steady_cm(*cm.finite_env_evolution_blocks(blk, 3.0), env.p_e)
+        gam = _fixed(*_maps(blk, 3.0, env.p_e))
         e_cm = cm.cm_energy(gam, blk.epsilon, blk.weight)
         assert abs(e_cm - e_fock) <= 1e-12 * abs(e_fock)
 
@@ -311,7 +323,7 @@ class TestConversions:
         for _ in range(5):
             rho = s.apply(rho)
         gam = cm.density_to_cm(rho)
-        cm.CorrelationMatrix(gam, ("a_+", "a_-dag")).validate()
+        cm.validate_blocks([cm.vacuum_cm(), gam, cm.vacuum_cm()])  # gam as a pair
         rho_back = cm.cm_to_density(gam, edge=False)
         assert np.max(np.abs(rho_back.matrix - rho)) < 1e-12
         rho_back.validate()
@@ -324,14 +336,13 @@ class TestConversions:
             for _ in range(7):
                 rho = s.apply(rho)
             gam = cm.density_to_cm(rho)
-            assert cm.cm_fidelity(gam, blk.is_edge) == pytest.approx(
-                fock.fidelity_with_vacuum(rho), abs=1e-12)
+            assert cm.cm_fidelity(gam, blk.is_edge) == pytest.approx(rho[0, 0].real, abs=1e-12)
 
     def test_cm_spectrum_stays_bounded(self, small_params, generic_scheme, bath):
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=3)
-        eb = cm.evolution_blocks(blk, 2.7)
+        k_s, c = _maps(blk, 2.7)
         gam = cm.most_excited_cm()
         for _ in range(50):
-            gam = cm.cycle_map_cm(gam, eb, cm.vacuum_cm())
+            gam = _step(k_s, c, gam)
             ev = np.linalg.eigvalsh(gam)
             assert ev.min() >= -0.5 - 1e-10 and ev.max() <= 0.5 + 1e-10

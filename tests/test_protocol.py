@@ -1,7 +1,9 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from kelvin import analytic as an
 from kelvin import cm, fock
@@ -17,6 +19,7 @@ from kelvin.model import (
     block_hamiltonian,
     dispersion,
     ground_state_energy,
+    mode_grid,
 )
 
 
@@ -209,14 +212,17 @@ def _reference_trajectory(params, scheme, schedule, noise, engine, n_cycles, str
     def step(k, delta_r, t_m, state):
         mb = mode_blocks[k, delta_r]
         if engine == "cm":
-            out = cm.cycle_map_cm(state, cm.evolution_blocks(mb, t_m), cm.vacuum_cm())
+            # A-blocks cut from a dense propagator, independent of cm's eigh path
+            u = expm(-1j * mb.generator * t_m)
+            a_s, a_sb = u[:2, :2], u[:2, 2:4]
+            out = a_s @ state @ a_s.conj().T + a_sb @ cm.vacuum_cm() @ a_sb.conj().T
             if noise.kind == "depolarizing":
                 out = math.exp(-2.0 * noise.kappa * t_m) * out
             elif noise.kind == "finite_env":
                 # each environment pair starts in p_E times the bath's vacuum CM
-                _, se1, se2 = cm.finite_env_evolution_blocks(mb, t_m)
-                for env_pair in (se1, se2):
-                    out = out + env_pair.a_sb @ (noise.p_e * cm.vacuum_cm()) @ env_pair.a_sb.conj().T
+                for j in (4, 6):
+                    a_se = u[:2, j:j + 2]
+                    out = out + a_se @ (noise.p_e * cm.vacuum_cm()) @ a_se.conj().T
             return out
         key = (k, delta_r, t_m)
         if key not in fock_maps:
@@ -238,7 +244,7 @@ def _reference_trajectory(params, scheme, schedule, noise, engine, n_cycles, str
                 f_k.append(cm.cm_fidelity(b, edge))
             else:
                 e_k.append(fock.block_energy(b, eps, 0.5 if edge else 1.0)[0])
-                f_k.append(fock.fidelity_with_vacuum(b))
+                f_k.append(b[0, 0].real)
         e_tot = sum(e_k)
         e_gs = ground_state_energy(params)
         return {"mode_energies": np.array(e_k), "energy": e_tot,
@@ -317,6 +323,121 @@ class TestSteppingEquivalence:
             assert traj.converged_at == converged_at
 
 
+def _random_cm(rng, edge):
+    """A random physical CM block: diag(1/2 - n, n - 1/2) at an edge, else any
+    hermitian 2x2 with spectrum in [-1/2, 1/2]."""
+    if edge:
+        n = rng.uniform()
+        return np.diag([0.5 - n, n - 0.5]).astype(complex)
+    h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    h = h + h.conj().T
+    return (0.5 * rng.uniform() / np.abs(np.linalg.eigvalsh(h)).max() * h).astype(complex)
+
+
+def _random_density(rng, edge):
+    """A random parity-diagonal density block: 2x2 diagonal at an edge, else
+    4x4 with a pair coherence rho_03 inside the positivity bound."""
+    pops = rng.dirichlet(np.ones(2 if edge else 4))
+    rho = np.diag(pops).astype(complex)
+    if not edge:
+        phase = np.exp(2j * math.pi * rng.uniform())
+        rho[0, 3] = rng.uniform() * math.sqrt(pops[0] * pops[3]) * phase
+        rho[3, 0] = np.conj(rho[0, 3])
+    return rho
+
+
+class TestEngineInterface:
+    """Both engines expose one interface, and protocol only goes through it."""
+
+    NAMES = ("mode_groups", "reduce", "initial_blocks", "validate_blocks",
+             "cycle_maps", "mode_chunks", "fixed_points")
+
+    def test_engines_share_one_interface(self):
+        assert list(pr.ENGINES) == ["fock", "cm"]
+        for name in self.NAMES:
+            params = {engine: [(q.name, q.kind) for q in
+                               inspect.signature(getattr(module, name)).parameters.values()]
+                      for engine, module in pr.ENGINES.items()}
+            assert params["fock"] == params["cm"], name
+
+    def test_unknown_engine_is_rejected(self, local_scheme, bath):
+        p = ModelParams(8, 0.9)
+        sched = pr.make_schedule({"kind": "single"}, p, bath, 0)
+        with pytest.raises(ValueError, match="unknown engine"):
+            pr.initial_state("vacuum", p, engine="bogus")
+        with pytest.raises(ValueError, match="unknown engine"):
+            pr.run_trajectory(p, local_scheme, sched, engine="bogus", n_global_cycles=1)
+        with pytest.raises(ValueError, match="unknown engine"):
+            pr.steady_report(p, local_scheme, bath, {"kind": "single"}, engine="bogus")
+
+    def test_fock_custom_blocks_need_the_shape_of_their_mode(self):
+        p = ModelParams(8, 0.9)
+        mixed4 = [fock.maximally_mixed_density(False, k).matrix for k in range(5)]
+        with pytest.raises(ValueError, match="k=0"):
+            pr.initial_state("custom", p, engine="fock", custom_blocks=mixed4)
+        good = [fock.maximally_mixed_density(k in (0, 4), k).matrix for k in range(5)]
+        with pytest.raises(ValueError, match="k=4"):
+            pr.initial_state("custom", p, engine="fock", custom_blocks=good[:4] + [mixed4[4]])
+        with pytest.raises(ValueError, match="k=2"):
+            pr.initial_state("custom", p, engine="fock",
+                             custom_blocks=good[:2] + [good[0]] + good[3:])
+
+    def test_cm_custom_blocks_are_2x2_with_physical_edges(self):
+        p = ModelParams(8, 0.9)
+        with pytest.raises(ValueError, match="k=0"):
+            pr.initial_state("custom", p, engine="cm",
+                             custom_blocks=[np.zeros((4, 4))] * 5)
+        good = [np.diag([0.2, -0.2]).astype(complex)] * 5
+        pr.initial_state("custom", p, engine="cm", custom_blocks=good)
+        coherent = np.array([[0.2, 0.1], [0.1, -0.2]], dtype=complex)
+        shifted = np.diag([0.3, 0.1]).astype(complex)
+        for bad in (coherent, shifted):
+            # a valid pair CM, but not an edge's diag(1/2 - n, n - 1/2)
+            pr.initial_state("custom", p, engine="cm", custom_blocks=good[:2] + [bad] + good[3:])
+            for k in (0, 4):
+                blocks = list(good)
+                blocks[k] = bad
+                with pytest.raises(ValueError, match=f"k={k}"):
+                    pr.initial_state("custom", p, engine="cm", custom_blocks=blocks)
+
+    def test_cm_custom_blocks_match_fock(self, small_params):
+        """The same Gaussian chain state, given as CM or as Fock blocks, has
+        the same global metrics."""
+        n2 = small_params.N // 2
+        scheme = CouplingScheme.local(1.0, 1.0, 0.3)
+        rhos = []
+        for k in range(n2 + 1):
+            blk = block_hamiltonian(small_params, scheme, BathSpec(1.0, 2.0), k)
+            s = fock.exact_cycle_map(blk, 2.0)
+            rhos.append(s.apply(s.apply(fock.most_excited_density(k in (0, n2)).matrix)))
+        st_f = pr.initial_state("custom", small_params, engine="fock", custom_blocks=rhos)
+        st_c = pr.initial_state("custom", small_params, engine="cm",
+                                custom_blocks=[cm.density_to_cm(r) for r in rhos])
+        np.testing.assert_allclose(pr.global_metrics(st_c, small_params),
+                                   pr.global_metrics(st_f, small_params), rtol=1e-12)
+
+    def test_scalar_views_are_rows_of_reduce(self, rng):
+        p = ModelParams(12, 0.9)
+        n2 = p.N // 2
+        ks, eps, _, wts = mode_grid(p)
+        for _ in range(10):
+            gammas = [_random_cm(rng, k in (0, n2)) for k in ks]
+            cm.validate_blocks(gammas)
+            energies, fids = cm.reduce(ks, np.stack([g.reshape(-1) for g in gammas]),
+                                       eps, wts, n2)
+            for k, g in zip(ks, gammas):
+                assert cm.cm_energy(g, eps[k], wts[k]) == energies[k]
+                assert cm.cm_fidelity(g, k in (0, n2)) == fids[k]
+            rhos = [_random_density(rng, k in (0, n2)) for k in ks]
+            fock.validate_blocks(rhos)
+            for group in fock.mode_groups(n2):
+                energies, fids = fock.reduce(group, np.stack([rhos[k].reshape(-1) for k in group]),
+                                             eps, wts, n2)
+                for k, e_k, f_k in zip(group, energies, fids):
+                    assert fock.block_energy(rhos[k], eps[k], wts[k])[0] == e_k
+                    assert rhos[k][0, 0].real == f_k
+
+
 class TestGlobalMetrics:
     def test_missing_modes_rejected(self, small_params):
         st = pr.initial_state("vacuum", small_params)
@@ -333,8 +454,7 @@ class TestCoolingRate:
         from kelvin.model import block_hamiltonian
         blk = block_hamiltonian(p, scheme, bath_r, k=10)
         s = fock.averaged_cycle_map(blk, 20.0, nodes=64)
-        alpha_map = pr.measure_cooling_rate(s)
-        rho_ss, _ = fock.steady_state(s)
+        rho_ss, alpha_map = fock.steady_state(s)
         rho = fock.most_excited_density(False).matrix
         cycles, dist = [], []
         for n in range(40):
@@ -342,7 +462,7 @@ class TestCoolingRate:
             if n >= 5:
                 cycles.append(n + 1)
                 dist.append(trace_norm(rho - rho_ss.matrix))
-        alpha_fit = pr.measure_cooling_rate(dist, cycles=cycles)
+        alpha_fit = pr.rate_from_decay(cycles, dist)
         assert abs(alpha_fit - alpha_map) <= 0.01 * alpha_map
 
     def test_noisy_tail_rejected(self):
@@ -359,7 +479,9 @@ class TestKaleidoscope:
         a = fock.vacuum_density(False).matrix
         b = fock.maximally_mixed_density(False).matrix
         d = trace_norm(a - b)
-        assert pr.kaleidoscope_check([d], d)
+        global_d = pr.product_state_distance([a], [b])
+        assert global_d == pytest.approx(d, abs=1e-12)
+        assert global_d <= d + 1e-9
 
     def test_one_differing_factor(self):
         tau = fock.maximally_mixed_density(False).matrix
@@ -367,7 +489,7 @@ class TestKaleidoscope:
         sig = fock.most_excited_density(False).matrix
         global_d = pr.product_state_distance([tau, rho], [tau, sig])
         assert global_d == pytest.approx(trace_norm(rho - sig), abs=1e-12)
-        assert pr.kaleidoscope_check([0.0, trace_norm(rho - sig)], global_d)
+        assert global_d <= trace_norm(rho - sig) + 1e-9
 
     def test_holds_along_trajectory(self):
         """True product-state distance vs the per-mode sum on a small chain."""
@@ -391,7 +513,7 @@ class TestKaleidoscope:
             if cycle % 10 == 0:
                 per_mode = [trace_norm(blocks[k] - rep.states[k]) for k in range(4)]
                 global_d = pr.product_state_distance(blocks, rep.states)
-                assert pr.kaleidoscope_check(per_mode, global_d)
+                assert global_d <= sum(per_mode) + 1e-9
 
 
 class TestSteadyReport:
@@ -493,16 +615,28 @@ class TestSteadyReport:
 
     def test_cm_finite_env_states_match_single_mode_solve(self, small_params,
                                                           local_scheme, bath):
-        """The stacked CM finite-environment maps give the fixed points of
-        cm.finite_env_steady_cm, mode by mode."""
+        """The stacked CM finite-environment maps give, mode by mode, the
+        fixed points of the cycle map with the bath and both environment
+        injections, its A-blocks cut from a dense propagator."""
         noise = an.NoiseSpec.finite_env(0.01, 0.5, 0.3)
         rep = pr.steady_report(small_params, local_scheme, bath, {"kind": "single"},
                                noise=noise, engine="cm", keep_states=True)
         env = FiniteEnvSpec(noise.kappa_prime, noise.delta_e, noise.p_e)
         for k in range(small_params.N // 2 + 1):
             blk = block_hamiltonian(small_params, local_scheme, bath, k, env=env)
-            ref = cm.finite_env_steady_cm(
-                *cm.finite_env_evolution_blocks(blk, bath.cycle_time_mean), noise.p_e)
+            u = expm(-1j * blk.generator * bath.cycle_time_mean)
+            k_s = np.kron(u[:2, :2], u[:2, :2].conj())
+            vac = cm.vacuum_cm().reshape(-1)
+            inj = sum(w * np.kron(a, a.conj()) @ vac
+                      for w, a in ((1.0, u[:2, 2:4]), (noise.p_e, u[:2, 4:6]),
+                                   (noise.p_e, u[:2, 6:8])))
+            if k in (0, small_params.N // 2):
+                # edges live on the diag(1, -1) direction, an eigenvector of K
+                v = np.array([1.0, 0.0, 0.0, -1.0]) / math.sqrt(2.0)
+                ref = (v @ inj) / (1.0 - v @ k_s @ v) * v
+            else:
+                ref = np.linalg.solve(np.eye(4) - k_s, inj)
+            ref = ref.reshape(2, 2)
             assert np.max(np.abs(rep.states[k] - ref)) <= 1e-12, k
 
     @pytest.mark.parametrize("sched, noise", [
