@@ -24,7 +24,7 @@ import numpy as np
 from ._linalg import affine_fixed_points, gauss_legendre, hermitize, phase_average
 from .errors import ResonantDenominator
 from .fock import DensityBlock, mode_operators
-from .model import ModeBlock
+from .model import FiniteEnvSpec, ModeBlock
 
 __all__ = [
     "vacuum_cm",
@@ -159,13 +159,13 @@ def averaged_evolution_kron(block: ModeBlock | np.ndarray, t_mean: float, nodes:
     return ks, ksb
 
 
-def cycle_maps(blocks, ts, t_mean: float, noise, nodes: int = 96) -> dict:
-    """Maps (K, c) of one bath frequency per time in `ts`, stacked over `blocks`.
+def cycle_maps(block: ModeBlock, ts, t_mean: float, noise, nodes: int = 96) -> dict:
+    """Maps (K, c) of one bath frequency per time in `ts`, stacked over `block`.
 
     A time of None stands for `averaged_evolution_kron` over [0, 2 t_mean];
     depolarizing noise damps by exp(-2 kappa t), averaged with the phases.
     """
-    generators = np.stack([b.generator for b in blocks])
+    generators = block.generator
     kappa = noise.kappa if noise.kind == "depolarizing" else 0.0
     maps = {}
     fixed = [t for t in ts if t is not None]
@@ -180,8 +180,8 @@ def cycle_maps(blocks, ts, t_mean: float, noise, nodes: int = 96) -> dict:
     return maps
 
 
-def mode_chunks(ks: np.ndarray, block: ModeBlock) -> list[np.ndarray]:
-    """Chunks of the modes `ks` for `cycle_maps`: one, CM blocks are 4x4."""
+def mode_chunks(ks: np.ndarray, env: FiniteEnvSpec | None) -> list[np.ndarray]:
+    """Chunks of the modes `ks` for `cycle_maps`: one, CM maps are 4x4."""
     return [ks]
 
 

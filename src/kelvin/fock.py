@@ -51,7 +51,7 @@ from ._linalg import (
     vec,
 )
 from .errors import NonUniqueFixedPoint
-from .model import ModeBlock
+from .model import FiniteEnvSpec, ModeBlock
 
 __all__ = [
     "FockBlock",
@@ -156,13 +156,14 @@ def _quadratic_terms(dim: int, edge: bool) -> tuple[np.ndarray, np.ndarray, np.n
     return np.array(terms), np.concatenate(positions), np.concatenate(signs)
 
 
-def _hamiltonians(blocks) -> np.ndarray:
-    """H = alpha^dag h alpha of same-shape blocks, summed in (i, j) order."""
-    h = np.stack([b.h_sb for b in blocks]).reshape(len(blocks), -1)
-    dim = blocks[0].h_sb.shape[0]
-    d = 2 ** blocks[0].n_modes
-    terms, positions, signs = _quadratic_terms(dim, blocks[0].is_edge)
-    ham = np.zeros((len(blocks), d * d), dtype=complex)
+def _hamiltonians(block: ModeBlock) -> np.ndarray:
+    """H = alpha^dag h alpha of a block, or of each mode of a stack of edges or
+    of pairs, summed in (i, j) order; shape (modes, d, d)."""
+    dim = block.h_sb.shape[-1]
+    h = block.h_sb.reshape(-1, dim * dim)
+    d = 2 ** block.n_modes
+    terms, positions, signs = _quadratic_terms(dim, bool(np.all(block.is_edge)))
+    ham = np.zeros((len(h), d * d), dtype=complex)
     np.add.at(ham, (slice(None), positions), h[:, terms] * signs)
     ham = ham.reshape(-1, d, d)
     if np.max(np.abs(ham - ham.conj().swapaxes(-1, -2))) > 1e-11:
@@ -177,7 +178,7 @@ def second_quantize(block: ModeBlock) -> FockBlock:
     independent mode per matrix row; edge blocks use the doubled basis
     (a, a^dag, b, b^dag, ...) over half as many physical modes.
     """
-    return FockBlock(block.n_modes, _hamiltonians([block])[0], 1 if block.is_edge else 2, block)
+    return FockBlock(block.n_modes, _hamiltonians(block)[0], 1 if block.is_edge else 2, block)
 
 
 # ---------------------------------------------------------------------------
@@ -470,17 +471,18 @@ def averaged_cycle_map(block: ModeBlock | FockBlock, t_mean: float,
     return Superoperator((proj @ (maps * cols[:, None, :])).sum(axis=0), ds)
 
 
-def cycle_maps(blocks, ts, t_mean: float, noise, nodes: int = 96) -> dict:
-    """Transfers (K, 0) of one bath frequency per time in `ts`, stacked over `blocks`.
+def cycle_maps(block: ModeBlock, ts, t_mean: float, noise, nodes: int = 96) -> dict:
+    """Transfers (K, 0) of one bath frequency per time in `ts`, stacked over
+    `block`, a stack of edges or of pairs (one `mode_groups` group).
 
-    The blocks share one shape; their eigenbases come from one stacked eigh.
-    A time of None stands for `averaged_cycle_map` over [0, 2 t_mean], taken
-    per block; depolarizing noise gives `noisy_cycle_map`.
+    The stack is second-quantized at once, with eigenbases from one stacked
+    eigh.  A time of None stands for `averaged_cycle_map` over [0, 2 t_mean],
+    taken per mode; depolarizing noise gives `noisy_cycle_map`.
     """
-    ham = _hamiltonians(blocks)
+    ham = _hamiltonians(block)
     e, v = np.linalg.eigh(ham)
-    fbs = [FockBlock(b.n_modes, h, 1 if b.is_edge else 2, b, (e_b, v_b))
-           for b, h, e_b, v_b in zip(blocks, ham, e, v)]
+    n_modes, n_sys = block.n_modes, 1 if np.all(block.is_edge) else 2
+    fbs = [FockBlock(n_modes, h, n_sys, block, (e_b, v_b)) for h, e_b, v_b in zip(ham, e, v)]
     kappa = noise.kappa if noise.kind == "depolarizing" else 0.0
     maps = {}
     fixed = [t for t in ts if t is not None]
@@ -492,9 +494,12 @@ def cycle_maps(blocks, ts, t_mean: float, noise, nodes: int = 96) -> dict:
     return {t: (k_s, np.zeros(k_s.shape[:2], dtype=complex)) for t, k_s in maps.items()}
 
 
-def mode_chunks(ks: np.ndarray, block: ModeBlock) -> list[np.ndarray]:
-    """Chunks of `ks` for `cycle_maps`: 16 kB of d x d complex stacks per time."""
-    size = max(1, (1 << 14) // (16 * 4**block.n_modes))
+def mode_chunks(ks: np.ndarray, env: FiniteEnvSpec | None) -> list[np.ndarray]:
+    """Chunks of the `mode_groups` group `ks` for `cycle_maps`: 16 kB of d x d
+    complex stacks per time, d = 2^(Fock modes): 2 for the edges (the group
+    with k = 0) and 4 for pairs, twice that with environments."""
+    n_modes = (2 if ks[0] == 0 else 4) * (2 if env is not None else 1)
+    size = max(1, (1 << 14) // (16 * 4**n_modes))
     return [ks[i:i + size] for i in range(0, len(ks), size)]
 
 

@@ -302,21 +302,6 @@ def _theta_grid(n_sites: int, thetas: tuple[float, ...]) -> _ModeGrid:
     return grid
 
 
-def _pair_coupling_block(a: complex, b: complex, edge: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Upper 2x2 coupling sub-blocks (rows X, cols Y) and their conjugate layout.
-
-    Generic pairs use the translation-invariant pattern [[A, B], [B, -A]].
-    Edge modes live on a doubled (x, x^dag) basis where each physical term is
-    counted twice; consistency of the expansion then requires
-    [[A, B], [-B*, -A*]] (the two coincide when A is real and B imaginary).
-    """
-    if edge:
-        top = np.array([[a, b], [-np.conj(b), -np.conj(a)]], dtype=complex)
-    else:
-        top = np.array([[a, b], [b, -a]], dtype=complex)
-    return top, top.conj().T
-
-
 @dataclass(frozen=True)
 class ModeBlock:
     """Single-particle matrix and bookkeeping for one (k, -k) pair.
@@ -324,15 +309,16 @@ class ModeBlock:
     `h_sb` is the weighted matrix whose second quantization is the exact block
     Hamiltonian.  For edge modes (k = 0, N/2, weight 1/2) the operator basis is
     doubled, (a, a^dag, b, b^dag, ...), so the Heisenberg generator of the
-    mode operators is h_sb / weight.
+    mode operators is h_sb / weight.  A stack (an array of k) holds per-mode
+    arrays from `k` to `b_coeff` and an `h_sb` of shape (modes, D, D).
     """
 
-    k: int
-    epsilon: float
-    phi: float
-    weight: float
-    a_coeff: complex
-    b_coeff: complex
+    k: int | np.ndarray
+    epsilon: float | np.ndarray
+    phi: float | np.ndarray
+    weight: float | np.ndarray
+    a_coeff: complex | np.ndarray
+    b_coeff: complex | np.ndarray
     delta: float
     g: float
     h_sb: np.ndarray = field(repr=False)
@@ -341,34 +327,39 @@ class ModeBlock:
 
     def __post_init__(self):
         h = self.h_sb
-        if np.max(np.abs(h - h.conj().T)) > HERMITICITY_ATOL:
+        if np.max(np.abs(h - h.conj().swapaxes(-1, -2))) > HERMITICITY_ATOL:
             raise ValueError("block Hamiltonian is not hermitian")
 
     @property
-    def is_edge(self) -> bool:
+    def is_edge(self) -> bool | np.ndarray:
+        """Whether the block is an edge mode (k = 0, N/2); per mode for a stack."""
         return self.weight == 0.5
 
     @property
     def n_modes(self) -> int:
-        """Number of independent fermionic modes in the block's Fock space."""
-        dim = self.h_sb.shape[0]
-        return dim // 2 if self.is_edge else dim
+        """Number of independent fermionic modes in the block's Fock space; a
+        stack must be all edges or all pairs."""
+        edge = np.unique(self.is_edge)
+        if edge.size != 1:
+            raise ValueError("stack mixes edge and pair modes")
+        dim = self.h_sb.shape[-1]
+        return dim // 2 if edge[0] else dim
 
     @property
     def generator(self) -> np.ndarray:
         """Single-particle Heisenberg generator (h_sb with the edge weight undone)."""
-        return self.h_sb / self.weight
+        return self.h_sb / np.expand_dims(self.weight, (-2, -1))
 
 
 def block_hamiltonian(
     params: ModelParams,
     scheme: CouplingScheme,
     bath: BathSpec,
-    k: int,
+    k,
     env: FiniteEnvSpec | None = None,
     dsp: bool = False,
 ) -> ModeBlock:
-    """Assemble the per-pair single-particle matrix.
+    """Assemble the per-pair single-particle matrix of k, stacked for an array.
 
     Without environments the matrix is 4x4 over (a_k, a_-k^dag, b_k, b_-k^dag);
     with a FiniteEnvSpec it is 8x8, appending one environment pair coupled to
@@ -384,55 +375,54 @@ def _block_raw(
     N: int,
     scheme: CouplingScheme,
     bath: BathSpec,
-    k: int,
+    k,
     env: FiniteEnvSpec | None = None,
     dsp: bool = False,
 ) -> ModeBlock:
     """block_hamiltonian on raw values; accepts any finite theta (used by the
-    theta-canonicalization equivalence checks)."""
-    if not (0 <= k <= N // 2):
+    theta-canonicalization equivalence checks).
+
+    Each coupling of pairs (X, Y) with amplitudes (A, B) fills rows X, cols Y
+    with the translation-invariant pattern [[A, B], [B, -A]] and rows Y,
+    cols X with its adjoint.  Edge modes live on a doubled (x, x^dag) basis
+    where each physical term is counted twice; consistency of the expansion
+    then requires [[A, B], [-B*, -A*]] (the two coincide when A is real and
+    B imaginary).
+    """
+    ks = np.asarray(k)
+    if not np.all((0 <= ks) & (ks <= N // 2)):
         raise ValueError(f"k must lie in [0, N/2], got {k}")
+    kv = ks.reshape(-1)
     row = _mode_row(N, theta)
     a_k, b_k = _coupling_table(N, theta, scheme)
-    eps, phi, weight = float(row.eps[k]), float(row.phi[k]), float(row.weights[k])
-    a, b = complex(a_k[k]), complex(b_k[k])
-    edge = k == 0 or k == N // 2
+    eps, weight, a, b = row.eps[kv], row.weights[kv], a_k[kv], b_k[kv]
+    edge = (kv == 0) | (kv == N // 2)
 
     n_pairs = 4 if env is not None else 2
-    dim = 2 * n_pairs
-    h = np.zeros((dim, dim), dtype=complex)
-
-    eps_evo = 0.0 if dsp else eps
-    diag = [eps_evo, bath.delta]
+    h = np.zeros((len(kv), 2 * n_pairs, 2 * n_pairs), dtype=complex)
+    diag = [0.0 if dsp else eps, bath.delta]
     if env is not None:
         diag += [env.delta_e, env.delta_e]
     for m, d in enumerate(diag):
-        h[2 * m, 2 * m] = d
-        h[2 * m + 1, 2 * m + 1] = -d
+        h[:, 2 * m, 2 * m] = d
+        h[:, 2 * m + 1, 2 * m + 1] = -d
 
-    def couple(m_row: int, m_col: int, amp_a: complex, amp_b: complex, strength: float):
-        top, bot = _pair_coupling_block(strength * amp_a, strength * amp_b, edge)
-        h[2 * m_row:2 * m_row + 2, 2 * m_col:2 * m_col + 2] = top
-        h[2 * m_col:2 * m_col + 2, 2 * m_row:2 * m_row + 2] = bot
-
-    couple(0, 1, a, b, scheme.g)
+    couplings = [(0, 1, scheme.g * a, scheme.g * b)]
     if env is not None:
-        couple(0, 2, float(row.cos_phi[k]), -float(row.sin_phi[k]), env.kappa_prime)
-        couple(1, 3, 1.0, 0.0, env.kappa_prime)
-
-    return ModeBlock(
-        k=k,
-        epsilon=eps,
-        phi=phi,
-        weight=weight,
-        a_coeff=a,
-        b_coeff=b,
-        delta=bath.delta,
-        g=scheme.g,
-        h_sb=weight * h,
-        env=env,
-        dsp=dsp,
-    )
+        kp = env.kappa_prime
+        couplings += [(0, 2, kp * row.cos_phi[kv], kp * -row.sin_phi[kv]),
+                      (1, 3, kp * np.ones(len(kv)), kp * np.zeros(len(kv)))]
+    for m_row, m_col, amp_a, amp_b in couplings:
+        top = np.moveaxis(np.array([[amp_a, amp_b],
+                                    [np.where(edge, -np.conj(amp_b), amp_b),
+                                     np.where(edge, -np.conj(amp_a), -amp_a)]], dtype=complex),
+                          -1, 0)
+        h[:, 2 * m_row:2 * m_row + 2, 2 * m_col:2 * m_col + 2] = top
+        h[:, 2 * m_col:2 * m_col + 2, 2 * m_row:2 * m_row + 2] = top.conj().swapaxes(-1, -2)
+    per_mode, h_sb = (kv, eps, row.phi[kv], weight, a, b), weight[:, None, None] * h
+    if ks.ndim == 0:
+        per_mode, h_sb = tuple(x.item() for x in per_mode), h_sb[0]
+    return ModeBlock(*per_mode, bath.delta, scheme.g, h_sb, env, dsp)
 
 
 @dataclass(frozen=True)

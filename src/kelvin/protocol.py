@@ -4,12 +4,14 @@ A schedule is an ordered list of (bath frequency, cycle time) subcycles; a
 global cycle applies all of them once, with the bath reset before each
 subcycle.  Per-mode dynamics are independent and every subcycle acts on a
 vectorized block as an affine map x -> K x + c (linear for the Fock engine).
-Trajectories and steady reports share one map pipeline: the subcycle maps are
-built stacked over modes (a randomized steady schedule uses each map's
-quadrature average), composed into one global-cycle map per momentum pair,
-and then either stepped as a stacked product or handed to the engine's
-stacked fixed-point solve.  Both reduce the stacked blocks to per-mode and
-chain-level energy, relative energy, and fidelity.
+Trajectories and steady reports share one map pipeline: each frequency's
+modes are built as one stacked block by `model.block_hamiltonian`, the
+engine turns it into subcycle maps stacked over modes (a randomized steady
+schedule uses each map's quadrature average), these are composed into one
+global-cycle map per momentum pair, and then either stepped as a stacked
+product or handed to the engine's stacked fixed-point solve.  Both reduce
+the stacked blocks to per-mode and chain-level energy, relative energy, and
+fidelity.
 
 Engines are modules looked up in `ENGINES`, with one interface that hides
 their block layout: `mode_groups`, `initial_blocks`, `validate_blocks`,
@@ -96,7 +98,7 @@ def schedule_frequencies(descriptor: dict, params: ModelParams, bath: BathSpec) 
                 # equally spaced interior momenta k_r = (N/2) r / (R + 1)
                 fr = [i / (r + 1) for i in range(1, r + 1)]
             k_list = [int(round(f * params.N / 2)) for f in fr]
-        return [dispersion(params.theta, params.N, k) for k in k_list]
+        return dispersion(params.theta, params.N, np.array(k_list)).tolist()
     raise ValueError(f"unknown freq_rule {rule!r}")
 
 
@@ -188,11 +190,13 @@ def initial_state(kind: str, params: ModelParams, engine: str = "fock",
 
 def global_metrics(state: ChainState, params: ModelParams) -> tuple[float, float, float]:
     """(total E, relative energy e, fidelity F) of a chain state."""
+    if state.params != params:
+        raise ValueError(f"state belongs to {state.params}, not {params}")
     if len(state.blocks) != params.N // 2 + 1:
         raise ValueError("state is missing modes; need k = 0..N/2")
     eng = _engine(state.engine)
-    groups = _stack_groups(eng, state.blocks, state.params.N // 2)
-    return _chain_metrics(*_chain_reduce(eng, state.params, groups), params)
+    groups = _stack_groups(eng, state.blocks, params.N // 2)
+    return _chain_metrics(*_chain_reduce(eng, params, groups), params)
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +242,10 @@ def _global_maps(params: ModelParams, scheme: CouplingScheme, noise: NoiseSpec, 
     nodes), the ensemble limit of a randomized schedule.  Each distinct
     subcycle's map is built once, and the maps are composed in schedule
     order; K is stacked over modes to (modes, D, D) and c to (modes, D).
-    The engine `eng`'s `cycle_maps` builds the maps of one frequency for a
-    chunk of modes, with chunks from its `mode_chunks` (CM: all modes at once;
-    Fock: a few modes, so that only their transient stacks are held).
+    Each (frequency, chunk) is one `block_hamiltonian` call over the chunk's
+    k, and the engine `eng`'s `cycle_maps` turns that stacked block into the
+    frequency's maps; chunks come from its `mode_chunks` (CM: all modes at
+    once; Fock: a few modes, so that only their transient stacks are held).
     """
     times: dict[float, dict[float | None, None]] = {}
     for delta_r, t_m in subcycles:
@@ -250,16 +255,13 @@ def _global_maps(params: ModelParams, scheme: CouplingScheme, noise: NoiseSpec, 
             "randomized finite-environment steady states are not implemented")
     env = FiniteEnvSpec(noise.kappa_prime, noise.delta_e, noise.p_e) \
         if noise.kind == "finite_env" else None
-    shape = block_hamiltonian(params, scheme, BathSpec(subcycles[0][0], t_mean), int(ks[0]),
-                              env=env, dsp=dsp)
     composed = []
-    for chunk in eng.mode_chunks(ks, shape):
+    for chunk in eng.mode_chunks(ks, env):
         maps = {}
         for delta_r, ts in times.items():
-            bath = BathSpec(delta_r, t_mean)
-            blocks = [block_hamiltonian(params, scheme, bath, int(k), env=env, dsp=dsp)
-                      for k in chunk]
-            for t_m, m in eng.cycle_maps(blocks, list(ts), t_mean, noise, nodes).items():
+            block = block_hamiltonian(params, scheme, BathSpec(delta_r, t_mean), chunk,
+                                      env=env, dsp=dsp)
+            for t_m, m in eng.cycle_maps(block, list(ts), t_mean, noise, nodes).items():
                 maps[delta_r, t_m] = m
         composed.append(_global_cycle_map(maps, subcycles))
     return (np.concatenate([k for k, _ in composed]),
@@ -316,6 +318,8 @@ def run_trajectory(params: ModelParams, scheme: CouplingScheme, schedule: Schedu
         state0 = initial
         if ENGINES.get(state0.engine) is not eng:
             raise UnsupportedCombination("initial state engine does not match run engine")
+        if state0.params != params:
+            raise ValueError(f"initial state belongs to {state0.params}, not {params}")
     else:
         state0 = initial_state(initial, params, engine=engine)
 

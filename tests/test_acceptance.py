@@ -115,7 +115,8 @@ def test_criterion_02_oracle_equivalence():
                 else fock.exact_cycle_map(blk, t)
             rho, _ = fock.steady_state(s)
             e_fock, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
-            (k_s, c), = cm.cycle_maps([blk], [t], t, an.NoiseSpec.depolarizing(kappa)).values()
+            (k_s, c), = cm.cycle_maps(block_hamiltonian(params, scheme, bath, k=[k]), [t], t,
+                                      an.NoiseSpec.depolarizing(kappa)).values()
             gam = cm.fixed_points(k_s, c, blk.is_edge)[0].reshape(2, 2)
             e_cm = cm.cm_energy(gam, blk.epsilon, blk.weight)
             worst = max(worst, abs(e_fock - e_cm))

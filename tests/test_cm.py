@@ -147,7 +147,8 @@ class TestSteadyStateCm:
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=3)
         rho, _ = fock.steady_state(fock.noisy_cycle_map(blk, t, kappa))
         e_fock, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
-        (k_s, c), = cm.cycle_maps([blk], [t], t, NoiseSpec.depolarizing(kappa)).values()
+        stack = block_hamiltonian(small_params, generic_scheme, bath, k=[3])
+        (k_s, c), = cm.cycle_maps(stack, [t], t, NoiseSpec.depolarizing(kappa)).values()
         gam = _fixed(k_s[0], c[0])
         assert abs(e_fock - cm.cm_energy(gam, blk.epsilon, blk.weight)) < 1e-8
 

@@ -8,6 +8,7 @@ from kelvin.model import (
     BathSpec,
     CouplingScheme,
     FiniteEnvSpec,
+    ModeBlock,
     ModelParams,
     _block_raw,
     _coupling_table,
@@ -316,6 +317,132 @@ class TestBlockHamiltonian:
         blk = block_hamiltonian(small_params, local_scheme, bath, k=3, dsp=True)
         assert blk.h_sb[0, 0] == 0 and blk.h_sb[1, 1] == 0
         assert blk.epsilon > 0  # bookkeeping keeps the true energy scale
+
+
+# The per-mode builder that the stacked one replaced, kept verbatim as the
+# oracle of `TestStackedBlocks`.
+def _pair_coupling_block(a: complex, b: complex, edge: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Upper 2x2 coupling sub-blocks (rows X, cols Y) and their conjugate layout.
+
+    Generic pairs use the translation-invariant pattern [[A, B], [B, -A]].
+    Edge modes live on a doubled (x, x^dag) basis where each physical term is
+    counted twice; consistency of the expansion then requires
+    [[A, B], [-B*, -A*]] (the two coincide when A is real and B imaginary).
+    """
+    if edge:
+        top = np.array([[a, b], [-np.conj(b), -np.conj(a)]], dtype=complex)
+    else:
+        top = np.array([[a, b], [b, -a]], dtype=complex)
+    return top, top.conj().T
+
+
+def _oracle_block_raw(
+    theta: float,
+    N: int,
+    scheme: CouplingScheme,
+    bath: BathSpec,
+    k: int,
+    env: FiniteEnvSpec | None = None,
+    dsp: bool = False,
+) -> ModeBlock:
+    """block_hamiltonian on raw values; accepts any finite theta (used by the
+    theta-canonicalization equivalence checks)."""
+    if not (0 <= k <= N // 2):
+        raise ValueError(f"k must lie in [0, N/2], got {k}")
+    row = _mode_row(N, theta)
+    a_k, b_k = _coupling_table(N, theta, scheme)
+    eps, phi, weight = float(row.eps[k]), float(row.phi[k]), float(row.weights[k])
+    a, b = complex(a_k[k]), complex(b_k[k])
+    edge = k == 0 or k == N // 2
+
+    n_pairs = 4 if env is not None else 2
+    dim = 2 * n_pairs
+    h = np.zeros((dim, dim), dtype=complex)
+
+    eps_evo = 0.0 if dsp else eps
+    diag = [eps_evo, bath.delta]
+    if env is not None:
+        diag += [env.delta_e, env.delta_e]
+    for m, d in enumerate(diag):
+        h[2 * m, 2 * m] = d
+        h[2 * m + 1, 2 * m + 1] = -d
+
+    def couple(m_row: int, m_col: int, amp_a: complex, amp_b: complex, strength: float):
+        top, bot = _pair_coupling_block(strength * amp_a, strength * amp_b, edge)
+        h[2 * m_row:2 * m_row + 2, 2 * m_col:2 * m_col + 2] = top
+        h[2 * m_col:2 * m_col + 2, 2 * m_row:2 * m_row + 2] = bot
+
+    couple(0, 1, a, b, scheme.g)
+    if env is not None:
+        couple(0, 2, float(row.cos_phi[k]), -float(row.sin_phi[k]), env.kappa_prime)
+        couple(1, 3, 1.0, 0.0, env.kappa_prime)
+
+    return ModeBlock(
+        k=k,
+        epsilon=eps,
+        phi=phi,
+        weight=weight,
+        a_coeff=a,
+        b_coeff=b,
+        delta=bath.delta,
+        g=scheme.g,
+        h_sb=weight * h,
+        env=env,
+        dsp=dsp,
+    )
+
+
+class TestStackedBlocks:
+    """`_block_raw` over an array of k is, row by row, the per-mode builder."""
+
+    FIELDS = ("epsilon", "phi", "weight", "a_coeff", "b_coeff")
+
+    def test_rows_equal_per_mode_oracle(self):
+        rng = np.random.default_rng(20261018)
+        env = FiniteEnvSpec(0.03, 0.6, -0.4)
+        for case in range(240):
+            n = 2 * int(rng.integers(1, 61))
+            nn = float(rng.choice([0, 0.5, 1, 1.5]))
+            keys = coupling_keys(nn)
+            scheme = CouplingScheme(
+                nn=nn, lam={j: float(rng.uniform(-1, 1)) for j in keys},
+                mu={j: float(rng.uniform(-1, 1)) for j in keys}, g=float(rng.uniform(0, 1)))
+            theta = float(rng.choice([rng.uniform(-math.pi / 2, 3 * math.pi / 2), -math.pi / 2,
+                                      0.0, math.pi / 4, math.pi / 2, math.pi]))
+            bath = BathSpec(float(rng.uniform(0.1, 2.0)), 3.0)
+            kw = {"env": env if case % 2 else None, "dsp": case % 3 == 0}
+            ks = np.concatenate([[0, n // 2], rng.integers(0, n // 2 + 1, size=3)])
+            stack = _block_raw(theta, n, scheme, bath, ks, **kw)
+            assert np.array_equal(stack.k, ks)
+            for i, k in enumerate(ks):
+                oracle = _oracle_block_raw(theta, n, scheme, bath, int(k), **kw)
+                assert np.array_equal(stack.h_sb[i], oracle.h_sb), (case, k)
+                assert np.array_equal(stack.generator[i], oracle.generator), (case, k)
+                assert tuple(getattr(stack, f)[i] for f in self.FIELDS) == \
+                    tuple(getattr(oracle, f) for f in self.FIELDS), (case, k)
+                one = _block_raw(theta, n, scheme, bath, int(k), **kw)
+                assert np.array_equal(one.h_sb, oracle.h_sb), (case, k)
+                assert tuple(getattr(one, f) for f in self.FIELDS) == \
+                    tuple(getattr(oracle, f) for f in self.FIELDS), (case, k)
+
+    def test_an_int_gives_one_block(self, small_params, generic_scheme, bath):
+        blk = block_hamiltonian(small_params, generic_scheme, bath, 3)
+        oracle = _oracle_block_raw(small_params.theta, small_params.N, generic_scheme, bath, 3)
+        assert isinstance(blk.k, int) and blk.h_sb.shape == (4, 4)
+        assert tuple(getattr(blk, f) for f in ("k",) + self.FIELDS) == \
+            tuple(getattr(oracle, f) for f in ("k",) + self.FIELDS)
+        assert all(type(getattr(blk, f)) is type(getattr(oracle, f)) for f in self.FIELDS)
+        assert np.array_equal(blk.h_sb, oracle.h_sb) and blk.n_modes == oracle.n_modes
+
+    def test_stack_checks(self, small_params, generic_scheme, bath):
+        n2 = small_params.N // 2
+        with pytest.raises(ValueError, match="k must lie"):
+            block_hamiltonian(small_params, generic_scheme, bath, np.array([0, n2 + 1]))
+        stack = block_hamiltonian(small_params, generic_scheme, bath, np.array([0, 2, n2]))
+        assert stack.is_edge.tolist() == [True, False, True]
+        with pytest.raises(ValueError, match="mixes edge and pair"):
+            stack.n_modes
+        assert block_hamiltonian(small_params, generic_scheme, bath, np.array([0, n2])).n_modes == 2
 
 
 class TestSchemeValidation:

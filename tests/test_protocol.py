@@ -182,6 +182,14 @@ class TestRunTrajectory:
         diffs = np.diff(e4[1:])
         assert np.all(diffs <= 1e-9)
 
+    def test_initial_state_of_other_params_rejected(self, local_scheme, bath):
+        p = ModelParams(12, 0.9)
+        state = pr.initial_state("most_excited", ModelParams(16, 0.9), engine="cm")
+        sched = pr.make_schedule({"kind": "single"}, p, bath, 0)
+        with pytest.raises(ValueError, match="initial state belongs to"):
+            pr.run_trajectory(p, local_scheme, sched, engine="cm", n_global_cycles=1,
+                              initial=state)
+
     def test_convergence_declared(self):
         p = ModelParams(8, 0.9)
         scheme = CouplingScheme.local(1.0, 1.0, 0.3)
@@ -445,6 +453,11 @@ class TestGlobalMetrics:
         with pytest.raises(ValueError):
             pr.global_metrics(st, small_params)
 
+    def test_state_of_other_params_rejected(self):
+        st = pr.initial_state("vacuum", ModelParams(12, 0.9))
+        with pytest.raises(ValueError, match="state belongs to"):
+            pr.global_metrics(st, ModelParams(12, 0.3))
+
 
 class TestCoolingRate:
     def test_map_and_fit_paths_agree(self):
@@ -517,6 +530,21 @@ class TestKaleidoscope:
 
 
 class TestSteadyReport:
+    def test_one_block_build_per_frequency(self, monkeypatch):
+        """CM builds each schedule frequency's blocks as one stack."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return block_hamiltonian(*args, **kwargs)
+
+        monkeypatch.setattr(pr, "block_hamiltonian", counted)
+        p = ModelParams(200, math.pi / 3)
+        pr.steady_report(p, CouplingScheme.local(1.0, 1.0, 1e-2), BathSpec(1.0, 20.0),
+                         {"kind": "multifreq", "R": 3, "L": 1}, engine="cm")
+        assert len(calls) == 3
+        assert all(np.array_equal(ks, np.arange(101)) for ks in calls)
+
     def test_fidelity_and_energy_consistency(self, small_params, local_scheme, bath):
         rep = pr.steady_report(small_params, local_scheme, bath, {"kind": "single"})
         assert 0.0 <= rep.fidelity <= 1.0

@@ -258,19 +258,20 @@ class TestStackedCycleMaps:
     T_MEAN = 4.3
     TIMES = [0.0, 2.7, 9.1, None]
 
-    def _check(self, blocks, noise, nodes, single):
-        maps = fock.cycle_maps(blocks, self.TIMES, self.T_MEAN, noise, nodes)
+    def _check(self, ks, noise, nodes, single, dsp):
+        maps = fock.cycle_maps(_block(np.array(ks), dsp=dsp), self.TIMES, self.T_MEAN,
+                               noise, nodes)
         assert set(maps) == set(self.TIMES)
         for t, (k_s, c) in maps.items():
-            assert k_s.shape[0] == len(blocks) and not c.any()
-            for row, blk in zip(k_s, blocks):
-                assert np.array_equal(row, single(blk, t).matrix), t
+            assert k_s.shape[0] == len(ks) and not c.any()
+            for row, k in zip(k_s, ks):
+                assert np.array_equal(row, single(_block(k, dsp=dsp), t).matrix), t
 
     @pytest.mark.parametrize("nodes", _NODE_COUNTS)
     @pytest.mark.parametrize("kappa", _KAPPAS)
-    @pytest.mark.parametrize("ks", [[1, 2, 3], [0, N2]], ids=["pairs", "edges"])
-    def test_rows_equal_single_block_maps(self, ks, kappa, nodes):
-        blocks = [_block(k, dsp=k == 3) for k in ks]
+    @pytest.mark.parametrize("ks, dsp", [([1, 2, 3], False), ([1, 3], True), ([0, N2], False)],
+                             ids=["pairs", "dsp", "edges"])
+    def test_rows_equal_single_block_maps(self, ks, dsp, kappa, nodes):
         noise = an.NoiseSpec.depolarizing(kappa) if kappa else an.NoiseSpec.none()
 
         def single(blk, t):
@@ -278,13 +279,12 @@ class TestStackedCycleMaps:
                 return fock.averaged_cycle_map(blk, self.T_MEAN, kappa, nodes)
             return fock.noisy_cycle_map(blk, t, kappa) if kappa else fock.exact_cycle_map(blk, t)
 
-        self._check(blocks, noise, nodes, single)
+        self._check(ks, noise, nodes, single, dsp)
 
     @pytest.mark.parametrize("ks", [[1, 2], [0, N2]], ids=["pairs", "edges"])
     def test_finite_environment_rows(self, ks):
         env = FiniteEnvSpec(0.02, 0.7, 0.1)
-        blocks = [_block(k, env=env) for k in ks]
-        maps = fock.cycle_maps(blocks, [2.7], self.T_MEAN,
+        maps = fock.cycle_maps(_block(np.array(ks), env=env), [2.7], self.T_MEAN,
                                an.NoiseSpec.finite_env(0.02, 0.7, 0.1), 96)
-        for row, blk in zip(maps[2.7][0], blocks):
-            assert np.array_equal(row, fock.finite_environment_map(blk, 2.7).matrix)
+        for row, k in zip(maps[2.7][0], ks):
+            assert np.array_equal(row, fock.finite_environment_map(_block(k, env=env), 2.7).matrix)
