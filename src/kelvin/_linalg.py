@@ -7,10 +7,7 @@ sum_b kron(K_b, K_b.conj()).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import NonUniqueFixedPoint
 
@@ -58,25 +55,17 @@ def apply_transfer(t: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return (t @ vec(rho)).reshape(d, d)
 
 
-@lru_cache(maxsize=16)
-def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes x on [-1, 1] and weights w/2.
+def uniform_average(z) -> np.ndarray:
+    """Mean of e^{-z s} over s uniform on [0, 1]: (1 - e^{-z}) / z, and 1 at z = 0.
 
-    The halved weights sum to one, so t = t_mean (x + 1) with these weights
-    averages over uniform times on [0, 2 t_mean].
+    With z = 2 t_mean (gamma + i omega) this is the average of
+    e^{-(gamma + i omega) t} over uniform times t on [0, 2 t_mean]; expm1
+    keeps it accurate to rounding for small |z| as well.
     """
-    x, w = leggauss(nodes)
-    w = w / 2.0
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
-def phase_average(w: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """W_pq = sum_n w_n P_np P*_nq, the average of e^{-i (e_p - e_q) t} over nodes
-    t_n with weights w_n, from phases P_np = e^{-i e_p t_n} of shape (nodes, ..., p)."""
-    weighted = np.reshape(w, (-1,) + (1,) * (phases.ndim - 1)) * phases
-    return np.einsum("n...p,n...q->...pq", weighted, phases.conj())
+    z = np.asarray(z)
+    zero = z == 0
+    z = np.where(zero, 1.0, z)
+    return np.where(zero, 1.0, -np.expm1(-z) / z)
 
 
 def affine_fixed_points(k: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

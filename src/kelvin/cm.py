@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import affine_fixed_points, gauss_legendre, hermitize, phase_average
+from ._linalg import affine_fixed_points, hermitize, uniform_average
 from .errors import ResonantDenominator
 from .fock import DensityBlock, mode_operators
 from .model import FiniteEnvSpec, ModeBlock
@@ -128,7 +128,7 @@ def affine_cycle_maps(generators: np.ndarray, ts,
     return k_s, c
 
 
-def averaged_evolution_kron(block: ModeBlock | np.ndarray, t_mean: float, nodes: int = 96,
+def averaged_evolution_kron(block: ModeBlock | np.ndarray, t_mean: float,
                             kappa: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """(E[D A_S (x) A_S*], E[D A_SB (x) A_SB*]) over uniform times on [0, 2 t_mean].
 
@@ -139,18 +139,14 @@ def averaged_evolution_kron(block: ModeBlock | np.ndarray, t_mean: float, nodes:
     block, giving (4, 4) averages, or a (..., 4, 4) stack of generators,
     giving (..., 4, 4) stacks.
 
-    Only the phases depend on the node: with G = V diag(e) V^dag,
+    Only the phases depend on the time: with G = V diag(e) V^dag,
     E[D U_ij U*_ab] = sum_pq V_ip V*_jp V*_aq V_bq W_pq, where
-    W_pq = sum_n w_n D_n e^{-i (e_p - e_q) t_n}, so no per-node propagator
-    is formed.
+    W_pq = E[e^{-(2 kappa + i (e_p - e_q)) t}] = (1 - e^{-z}) / z with
+    z = 2 t_mean (2 kappa + i (e_p - e_q)), so no propagator is formed.
     """
     generators = block.generator if isinstance(block, ModeBlock) else np.asarray(block)
-    x, w = gauss_legendre(nodes)
-    ts = t_mean * (x + 1.0)
-    w = w * np.exp(-2.0 * kappa * ts)
     e, v = np.linalg.eigh(generators)
-    phases = np.exp(-1j * ts.reshape((-1,) + (1,) * e.ndim) * e)
-    w_pq = phase_average(w, phases)
+    w_pq = uniform_average(2.0 * t_mean * (2.0 * kappa + 1j * (e[..., :, None] - e[..., None, :])))
     v_s, v_b = v[..., :2, :], v[..., 2:4, :]
     shape = generators.shape[:-2] + (4, 4)
     avg = "...ip,...jp,...aq,...bq,...pq->...iajb"
@@ -159,7 +155,7 @@ def averaged_evolution_kron(block: ModeBlock | np.ndarray, t_mean: float, nodes:
     return ks, ksb
 
 
-def cycle_maps(block: ModeBlock, ts, t_mean: float, noise, nodes: int = 96) -> dict:
+def cycle_maps(block: ModeBlock, ts, t_mean: float, noise) -> dict:
     """Maps (K, c) of one bath frequency per time in `ts`, stacked over `block`.
 
     A time of None stands for `averaged_evolution_kron` over [0, 2 t_mean];
@@ -175,7 +171,7 @@ def cycle_maps(block: ModeBlock, ts, t_mean: float, noise, nodes: int = 96) -> d
             damping = math.exp(-2.0 * kappa * t)
             maps[t] = (damping * k_s[i], damping * c[i])
     if None in ts:
-        k_s, k_sb = averaged_evolution_kron(generators, t_mean, nodes, kappa=kappa)
+        k_s, k_sb = averaged_evolution_kron(generators, t_mean, kappa=kappa)
         maps[None] = (k_s, k_sb @ vacuum_cm().reshape(-1))
     return maps
 

@@ -6,9 +6,10 @@ physical modes on a doubled basis.  Blocks are second-quantized with explicit
 Jordan-Wigner operators, and a cycle map rho -> Tr_rest[U (rho x rest) U^dag]
 is built in the eigenbasis H = V diag(E) V^dag.  With the reset bath in its
 vacuum and L_b[(i,x), a] = V[(i,b), a] V*[(x,0), a], the map at time t is
-sum_b L_b P L_b^dag, P_ab = e^{-i (E_a - E_b) t}, and its quadrature average
-over random times the same sum with G = sum_n w_n P(t_n): only the phases
-are averaged.  Steady states and cooling rates live on the physical
+sum_b L_b P L_b^dag, P_ab = e^{-i (E_a - E_b) t}, and its average over
+uniform random times on [0, 2 t_mean] the same sum with the exact average
+G_ab = (1 - e^{-z}) / z, z = 2 t_mean i (E_a - E_b): only the phases are
+averaged.  Steady states and cooling rates live on the physical
 (parity-diagonal) sector: eliminating rho_00 through the trace turns each
 transfer matrix into an affine map, solved for all modes at once by the
 fixed-point routine the CM engine uses.
@@ -21,8 +22,9 @@ noise, and the bath trace keeps system monomials, so the noisy cycle is the
 noiseless one followed by system noise: T_kappa(t) = N_sys(t) T_0(t) C(t),
 where C is 1 on the parity-diagonal (even) columns and e^{-2 n_bath kappa t},
 the bath's share of the odd rate, on the others.  Averaged, N_sys's rate-r
-projector Pi_r follows the average weighted by e^{-c kappa t_n}, c = r on
-even columns and r + 2 n_bath on odd ones.
+projector Pi_r follows the average of the phases times e^{-c kappa t}, c = r
+on even columns and r + 2 n_bath on odd ones, which adds 2 t_mean c kappa
+to z.
 
 This module doubles as the brute-force oracle for the closed-form layer.
 """
@@ -44,10 +46,9 @@ from ._linalg import (
     affine_fixed_points,
     apply_transfer,
     choi_min_eig,
-    gauss_legendre,
     hermitize,
-    phase_average,
     trace_norm,
+    uniform_average,
     vec,
 )
 from .errors import NonUniqueFixedPoint
@@ -442,27 +443,24 @@ def finite_environment_map(block: ModeBlock | FockBlock, t: float) -> Superopera
 
 
 def averaged_cycle_map(block: ModeBlock | FockBlock, t_mean: float,
-                       kappa: float = 0.0, nodes: int = 96) -> Superoperator:
+                       kappa: float = 0.0) -> Superoperator:
     """Cycle map averaged over uniformly random times on [0, 2*t_mean].
 
-    Gauss-Legendre quadrature of the transfer matrix, sum_b L_b G L_b^dag
-    (module docstring); this is the ensemble limit of a long randomized-time
-    subcycle sequence.
+    The transfer matrix sum_b L_b G L_b^dag with the exact time average G of
+    the phases (module docstring), for every noise rate at once; this is the
+    ensemble limit of a long randomized-time subcycle sequence.
     """
     fb = block if isinstance(block, FockBlock) else second_quantize(block)
     if fb.block.env is not None:
         raise ValueError("averaged maps of environment-extended blocks are not supported")
-    x, wq = gauss_legendre(nodes)
-    ts = t_mean * (x + 1.0)          # map [-1, 1] -> [0, 2 t_mean]
     e, v = fb.eig()
-    phases = np.exp(-1j * np.multiply.outer(ts, e))
     ds, dr = fb.d_sys, fb.d_rest
     v4 = v.reshape(ds, dr, -1)
     l_b = (v4[:, None] * v4[None, :, :1].conj()).reshape(ds * ds, dr, -1)
     rates, proj = _noise_projectors(fb.n_sys_modes) if kappa > 0 else (np.zeros(1), None)
     odd = rates % 2 == 1
-    g = np.stack([phase_average(wq * np.exp(-c * kappa * ts), phases)
-                  for c in rates + 2 * fb.n_sys_modes * odd])
+    c = (rates + 2 * fb.n_sys_modes * odd)[:, None, None]
+    g = uniform_average(2.0 * t_mean * (c * kappa + 1j * np.subtract.outer(e, e)))
     maps = _transfers((l_b @ g[:, None]).reshape(len(g), ds * ds, -1),
                       l_b.reshape(ds * ds, -1), ds)
     if proj is None:
@@ -471,7 +469,7 @@ def averaged_cycle_map(block: ModeBlock | FockBlock, t_mean: float,
     return Superoperator((proj @ (maps * cols[:, None, :])).sum(axis=0), ds)
 
 
-def cycle_maps(block: ModeBlock, ts, t_mean: float, noise, nodes: int = 96) -> dict:
+def cycle_maps(block: ModeBlock, ts, t_mean: float, noise) -> dict:
     """Transfers (K, 0) of one bath frequency per time in `ts`, stacked over
     `block`, a stack of edges or of pairs (one `mode_groups` group).
 
@@ -489,8 +487,7 @@ def cycle_maps(block: ModeBlock, ts, t_mean: float, noise, nodes: int = 96) -> d
     if fixed:
         maps.update(zip(fixed, _fixed_time_maps(fbs[0], e, v, fixed, kappa)))
     if None in ts:
-        maps[None] = np.stack([averaged_cycle_map(fb, t_mean, kappa, nodes).matrix
-                               for fb in fbs])
+        maps[None] = np.stack([averaged_cycle_map(fb, t_mean, kappa).matrix for fb in fbs])
     return {t: (k_s, np.zeros(k_s.shape[:2], dtype=complex)) for t, k_s in maps.items()}
 
 

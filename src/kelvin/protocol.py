@@ -7,7 +7,7 @@ vectorized block as an affine map x -> K x + c (linear for the Fock engine).
 Trajectories and steady reports share one map pipeline: each frequency's
 modes are built as one stacked block by `model.block_hamiltonian`, the
 engine turns it into subcycle maps stacked over modes (a randomized steady
-schedule uses each map's quadrature average), these are composed into one
+schedule uses each map's exact time average), these are composed into one
 global-cycle map per momentum pair, and then either stepped as a stacked
 product or handed to the engine's stacked fixed-point solve.  Both reduce
 the stacked blocks to per-mode and chain-level energy, relative energy, and
@@ -233,19 +233,18 @@ def _global_cycle_map(maps: dict, subcycles) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _global_maps(params: ModelParams, scheme: CouplingScheme, noise: NoiseSpec, dsp: bool,
-                 eng, ks: np.ndarray, t_mean: float, subcycles,
-                 nodes: int = 96) -> tuple[np.ndarray, np.ndarray]:
+                 eng, ks: np.ndarray, t_mean: float, subcycles) -> tuple[np.ndarray, np.ndarray]:
     """Global-cycle maps vec(block) -> K vec(block) + c of the modes `ks`.
 
     Subcycles are (delta_r, t_m) pairs, and t_m = None stands for the average
-    over uniformly random times on [0, 2 t_mean] (Gauss-Legendre with `nodes`
-    nodes), the ensemble limit of a randomized schedule.  Each distinct
-    subcycle's map is built once, and the maps are composed in schedule
-    order; K is stacked over modes to (modes, D, D) and c to (modes, D).
-    Each (frequency, chunk) is one `block_hamiltonian` call over the chunk's
-    k, and the engine `eng`'s `cycle_maps` turns that stacked block into the
-    frequency's maps; chunks come from its `mode_chunks` (CM: all modes at
-    once; Fock: a few modes, so that only their transient stacks are held).
+    over uniformly random times on [0, 2 t_mean] (exact, in closed form), the
+    ensemble limit of a randomized schedule.  Each distinct subcycle's map is
+    built once, and the maps are composed in schedule order; K is stacked
+    over modes to (modes, D, D) and c to (modes, D).  Each (frequency, chunk)
+    is one `block_hamiltonian` call over the chunk's k, and the engine
+    `eng`'s `cycle_maps` turns that stacked block into the frequency's maps;
+    chunks come from its `mode_chunks` (CM: all modes at once; Fock: a few
+    modes, so that only their transient stacks are held).
     """
     times: dict[float, dict[float | None, None]] = {}
     for delta_r, t_m in subcycles:
@@ -261,7 +260,7 @@ def _global_maps(params: ModelParams, scheme: CouplingScheme, noise: NoiseSpec, 
         for delta_r, ts in times.items():
             block = block_hamiltonian(params, scheme, BathSpec(delta_r, t_mean), chunk,
                                       env=env, dsp=dsp)
-            for t_m, m in eng.cycle_maps(block, list(ts), t_mean, noise, nodes).items():
+            for t_m, m in eng.cycle_maps(block, list(ts), t_mean, noise).items():
                 maps[delta_r, t_m] = m
         composed.append(_global_cycle_map(maps, subcycles))
     return (np.concatenate([k for k, _ in composed]),
@@ -404,7 +403,7 @@ class SteadyStateReport:
 
 def steady_report(params: ModelParams, scheme: CouplingScheme, bath: BathSpec,
                   schedule_descriptor: dict, noise: NoiseSpec = NoiseSpec.none(),
-                  engine: str = "fock", dsp: bool = False, quadrature_nodes: int = 96,
+                  engine: str = "fock", dsp: bool = False,
                   keep_states: bool = False) -> SteadyStateReport:
     """Per-mode steady states of the scheduled cycle map plus chain aggregates.
 
@@ -415,7 +414,7 @@ def steady_report(params: ModelParams, scheme: CouplingScheme, bath: BathSpec,
     after eliminating rho_00 through the trace; both engines share
     `_linalg.affine_fixed_points`).  Randomized-time schedules are
     evaluated in the ensemble limit: each elementary map is replaced by its
-    uniform average over [0, 2 t_mean] (Gauss-Legendre quadrature), which is
+    uniform average over [0, 2 t_mean] (exact, in closed form), which is
     the object the closed-form rates describe.  alpha is reported per
     elementary subcycle.  Finite environments need a single schedule.
     """
@@ -429,7 +428,7 @@ def steady_report(params: ModelParams, scheme: CouplingScheme, bath: BathSpec,
     groups = []
     for ks in eng.mode_groups(n2):
         k_tot, c_tot = _global_maps(params, scheme, noise, dsp, eng, ks,
-                                    bath.cycle_time_mean, subcycles, quadrature_nodes)
+                                    bath.cycle_time_mean, subcycles)
         x, alpha[ks], resid[ks] = eng.fixed_points(k_tot, c_tot, (ks == 0) | (ks == n2))
         groups.append((ks, x))
     alpha /= len(deltas)

@@ -69,14 +69,14 @@ class TargetResult:
 FIG3 = dict(N=200, theta=math.pi / 3, g=1e-4, t=20.0, L=100)
 
 
-def fig3_report(n_sites: int = 200, engine: str = "fock", kappa: float = 0.0,
-                quadrature_nodes: int = 96) -> pr.SteadyStateReport:
+def fig3_report(n_sites: int = 200, engine: str = "fock",
+                kappa: float = 0.0) -> pr.SteadyStateReport:
     params = ModelParams(n_sites, FIG3["theta"])
     scheme = CouplingScheme.local(1.0, 1.0, FIG3["g"])
     bath = BathSpec(dispersion(params.theta, n_sites, n_sites // 4), FIG3["t"])
     noise = an.NoiseSpec.none() if kappa == 0 else an.NoiseSpec.depolarizing(kappa)
     return pr.steady_report(params, scheme, bath, {"kind": "randomized", "L": FIG3["L"]},
-                            noise=noise, engine=engine, quadrature_nodes=quadrature_nodes)
+                            noise=noise, engine=engine)
 
 
 def fig3_analytic(n_sites: int = 200, kappa: float = 0.0, mode: str = "exact_integral"):
@@ -90,7 +90,7 @@ def fig3_analytic(n_sites: int = 200, kappa: float = 0.0, mode: str = "exact_int
     return e_rel, rt, float(e_tot)
 
 
-def fig4_sweep(thetas=None, n_sites: int = 200, quadrature_nodes: int = 48):
+def fig4_sweep(thetas=None, n_sites: int = 200):
     """Total relative energy and bottleneck rate over a theta grid (exact).
 
     The default grid is aligned on the critical point with spacing pi/40,
@@ -104,22 +104,17 @@ def fig4_sweep(thetas=None, n_sites: int = 200, quadrature_nodes: int = 48):
         params = ModelParams(n_sites, float(th))
         scheme = CouplingScheme.local(1.0, 1.0, FIG3["g"])
         bath = BathSpec(dispersion(params.theta, n_sites, n_sites // 4), FIG3["t"])
-        rep = pr.steady_report(params, scheme, bath,
-                               {"kind": "randomized", "L": FIG3["L"]},
-                               quadrature_nodes=quadrature_nodes)
+        rep = pr.steady_report(params, scheme, bath, {"kind": "randomized", "L": FIG3["L"]})
         es.append(rep.relative_energy)
         alphas.append(float(np.min(rep.alpha)))
     return np.asarray(thetas), np.array(es), np.array(alphas)
 
 
-def fig10_series(ratios=(0.0, 0.03, 0.1, 0.3, 1.0), n_sites: int = 200,
-                 quadrature_nodes: int = 96):
+def fig10_series(ratios=(0.0, 0.03, 0.1, 0.3, 1.0), n_sites: int = 200):
     g = FIG3["g"]
     out = {}
     for r in ratios:
-        rep = fig3_report(n_sites=n_sites, kappa=r * g * g,
-                          quadrature_nodes=quadrature_nodes)
-        out[r] = rep.relative_energy
+        out[r] = fig3_report(n_sites=n_sites, kappa=r * g * g).relative_energy
     return out
 
 
@@ -239,10 +234,11 @@ def _target_fig3(fast: bool = False) -> TargetResult:
 
 
 def _target_fig4(fast: bool = False) -> TargetResult:
+    # the fast grid takes odd j: nodes at pi/4 +- pi/40, the asserted window's edges
     thetas = np.array([math.pi / 4 + j * math.pi / 40
-                       for j in range(-8, 10, 2 if fast else 1)])
+                       for j in (range(-7, 10, 2) if fast else range(-8, 10))])
     n = 100 if fast else 200
-    th, es, alphas = fig4_sweep(thetas, n_sites=n, quadrature_nodes=48)
+    th, es, alphas = fig4_sweep(thetas, n_sites=n)
     i_max = int(np.argmax(es))
     g2 = FIG3["g"] ** 2
     amin = float(np.min(alphas)) / g2
@@ -272,8 +268,7 @@ def _target_fig5(fast: bool = False) -> TargetResult:
     rep = pr.steady_report(params, scheme, bath,
                            {"kind": "multifreq", "R": 3, "L": 100,
                             "freq_rule": "mode_energies",
-                            "k_fractions": [0.25, 0.5, 0.75]},
-                           quadrature_nodes=48 if fast else 96)
+                            "k_fractions": [0.25, 0.5, 0.75]})
     e_res = [rep.mode_relative_energy[k] for k in (25, 50, 75)]
     a_res = [rep.alpha[k] for k in (25, 50, 75)]
     med = float(np.median(rep.alpha))
@@ -295,8 +290,7 @@ def _target_fig6(fast: bool = False) -> TargetResult:
     for t in (50.0, 200.0):
         rep = pr.steady_report(params, scheme, BathSpec(1.0, t),
                                {"kind": "multifreq", "R": 9, "L": 100,
-                                "freq_rule": "mode_energies", "k_fractions": fr},
-                               quadrature_nodes=48 if fast else 96)
+                                "freq_rule": "mode_energies", "k_fractions": fr})
         out[t] = rep
     med50 = float(np.nanmedian(out[50.0].mode_relative_energy))
     # longer times sharpen resonances: resonant modes get colder
@@ -346,7 +340,7 @@ def _target_fig8(fast: bool = False) -> TargetResult:
 
 def _target_fig10(fast: bool = False) -> TargetResult:
     n = 100 if fast else 200
-    series = fig10_series(n_sites=n, quadrature_nodes=64 if fast else 96)
+    series = fig10_series(n_sites=n)
     quadruple = [0.052, 0.292, 0.479, 0.673]
     reading_a = [0.0, 0.03, 0.1, 0.3]
     reading_b = [0.0, 0.1, 0.3, 1.0]

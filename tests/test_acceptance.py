@@ -375,7 +375,7 @@ def test_criterion_11_convergence_theory():
         bath = BathSpec(1.0, t)
 
         blk = block_hamiltonian(p, scheme, bath, k=10)
-        s = fock.averaged_cycle_map(blk, t, nodes=64)
+        s = fock.averaged_cycle_map(blk, t)
         rho_ss, alpha = fock.steady_state(s)
         rho = fock.most_excited_density(False).matrix
         cycles, dist = [], []
@@ -412,7 +412,7 @@ def test_criterion_11_convergence_theory():
         alphas = []
         for k in range(0, 21):
             b = block_hamiltonian(p, scheme, bath, k=k)
-            s_k = fock.averaged_cycle_map(b, t, nodes=48)
+            s_k = fock.averaged_cycle_map(b, t)
             maps40.append(s_k)
             rho_k, a_k = fock.steady_state(s_k)
             blocks_ss.append(rho_k.matrix)

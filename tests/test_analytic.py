@@ -440,7 +440,7 @@ class TestRandomizedSteadyInvariant:
         rt = an.rate_table(p, [1.0], 20.0, g)
         for k in (0, 5, 10, 15, 20):
             blk = block_hamiltonian(p, scheme, bath, k=k)
-            s = fock.averaged_cycle_map(blk, 20.0, nodes=64)
+            s = fock.averaged_cycle_map(blk, 20.0)
             rho, _ = fock.steady_state(s)
             _, e_rel = fock.block_energy(rho, blk.epsilon, blk.weight)
             _, e_pred, *_ = an.lindblad_steady(rt.gamma_c[k], rt.gamma_h[k],

@@ -236,7 +236,7 @@ class TestExactCycleMap:
         scheme = CouplingScheme.local(1.0, 1.0, 1e-4)
         bath = BathSpec(1.0, 20.0)
         blk = block_hamiltonian(p, scheme, bath, k=50)
-        s = fock.averaged_cycle_map(blk, 20.0, nodes=96)
+        s = fock.averaged_cycle_map(blk, 20.0)
         rho, _ = fock.steady_state(s)
         _, e_rel = fock.block_energy(rho, blk.epsilon, blk.weight)
         assert abs(e_rel - 3.0 / (4.0 * 400.0)) <= 0.2 * 3.0 / (4.0 * 400.0)
@@ -415,7 +415,7 @@ class TestSteadyState:
         scheme = CouplingScheme.local(1.0, 1.0, 3e-2)
         bath = BathSpec(1.0, 20.0)
         blk = block_hamiltonian(p, scheme, bath, k=10)
-        s = fock.averaged_cycle_map(blk, 20.0, nodes=64)
+        s = fock.averaged_cycle_map(blk, 20.0)
         rho_ss, alpha = fock.steady_state(s)
         rho = fock.most_excited_density(False).matrix
         cycles, dist = [], []
@@ -434,9 +434,28 @@ class TestSteadyState:
         each branch (theta < 0, (pi/2, pi], (pi, 3pi/2]) for random couplings
         of every range: eps, the steady spectra and the rate alpha, with the
         raw block k compared to the canonical block N/2 - k where the modes
-        are relabeled."""
+        are relabeled.  Besides the single-time Fock map this holds for both
+        engines' maps averaged over random times, with and without
+        depolarizing noise; a CM steady state is compared through its Gaussian
+        density matrix, since relabeling k swaps the pair's modes and so
+        negates the CM spectrum."""
+        from kelvin import cm
         from kelvin.model import _block_raw
-        n = 12
+        n, t_mean = 12, bath.cycle_time_mean
+
+        def steady_spectra(blk, edge):
+            rho, alpha = fock.steady_state(fock.exact_cycle_map(blk, t_mean))
+            out = [(np.linalg.eigvalsh(rho.matrix), alpha)]
+            for kappa in (0.0, 0.01):
+                rho, alpha = fock.steady_state(fock.averaged_cycle_map(blk, t_mean, kappa))
+                out.append((np.linalg.eigvalsh(rho.matrix), alpha))
+                k_s, k_sb = cm.averaged_evolution_kron(blk, t_mean, kappa=kappa)
+                x, alpha, _ = cm.fixed_points(k_s[None], (k_sb @ cm.vacuum_cm().reshape(-1))[None],
+                                              edge)
+                rho = cm.cm_to_density(x.reshape(2, 2), edge).matrix
+                out.append((np.linalg.eigvalsh(rho), alpha[0]))
+            return out
+
         for nn in (0, 0.5, 1, 1.5):
             keys = coupling_keys(nn)
             scheme = CouplingScheme(nn=nn, lam={j: float(rng.uniform(-1, 1)) for j in keys},
@@ -446,15 +465,12 @@ class TestSteadyState:
                 blk_raw = _block_raw(theta_raw, n, scheme, bath, k)
                 blk_can = _block_raw(res.theta, n, res.scheme, bath,
                                      n // 2 - k if res.mode_relabeled else k)
-                rho_raw, alpha_raw = fock.steady_state(
-                    fock.exact_cycle_map(blk_raw, bath.cycle_time_mean))
-                rho_can, alpha_can = fock.steady_state(
-                    fock.exact_cycle_map(blk_can, bath.cycle_time_mean))
-                ev_raw = np.sort(np.linalg.eigvalsh(rho_raw.matrix))
-                ev_can = np.sort(np.linalg.eigvalsh(rho_can.matrix))
-                assert np.allclose(ev_raw, ev_can, rtol=0, atol=1e-11), (nn, k)
                 assert blk_raw.epsilon == pytest.approx(blk_can.epsilon, abs=1e-12)
-                assert alpha_raw == pytest.approx(alpha_can, rel=1e-10), (nn, k)
+                edge = k in (0, n // 2)
+                for i, ((ev_raw, alpha_raw), (ev_can, alpha_can)) in enumerate(
+                        zip(steady_spectra(blk_raw, edge), steady_spectra(blk_can, edge))):
+                    assert np.allclose(ev_raw, ev_can, rtol=0, atol=1e-11), (nn, k, i)
+                    assert alpha_raw == pytest.approx(alpha_can, rel=1e-10), (nn, k, i)
 
 
 class TestBlockEnergy:

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from kelvin._linalg import affine_fixed_points
+from kelvin._linalg import affine_fixed_points, uniform_average
 from kelvin.errors import NonUniqueFixedPoint
 
 
@@ -46,3 +48,41 @@ class TestAffineFixedPoints:
         x, alpha = affine_fixed_points(k, np.array([[1e-12, 0.5]], dtype=complex))
         np.testing.assert_allclose(x[0], [1.0, 1.0], rtol=1e-3)
         np.testing.assert_allclose(alpha, [1e-12], rtol=1e-3)
+
+
+class TestUniformAverage:
+    """(1 - e^{-z}) / z, the mean of e^{-(gamma + i omega) t} over uniform t on
+    [0, 2 t_mean] at z = 2 t_mean (gamma + i omega)."""
+
+    T_MEAN = 20.0
+
+    def _grid(self):
+        """z over gamma in {0, 1e-12, ..., 1e-3} and |omega| t_mean in [1e-12, 1e3]."""
+        omega_t = np.logspace(-12.0, 3.0, 61)
+        return np.array([2.0 * (gamma * self.T_MEAN + 1j * sign * wt)
+                         for gamma in (0.0, 1e-12, 1e-9, 1e-6, 1e-3)
+                         for wt in omega_t for sign in (1.0, -1.0)])
+
+    def test_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        z = self._grid()
+        got = uniform_average(z)
+        with mpmath.workdps(40):
+            for z_i, got_i in zip(z, got):
+                zm = mpmath.mpc(z_i.real, z_i.imag)
+                ref = -mpmath.expm1(-zm) / zm
+                assert abs(mpmath.mpc(got_i.real, got_i.imag) - ref) <= 2e-15 * abs(ref), z_i
+
+    def test_small_z_matches_taylor_series(self):
+        """1 - z/2 + z^2/6 - z^3/24 + ..., to rounding for |z| < 1e-3; checks
+        complex expm1 without mpmath."""
+        z = self._grid()
+        z = z[np.abs(z) < 1e-3]
+        series = sum((-z) ** n / math.factorial(n + 1) for n in range(6))
+        assert np.all(np.abs(uniform_average(z) - series) <= 2e-15 * np.abs(series))
+
+    def test_zero_is_one(self):
+        """z = 0 (p = q without noise, or t_mean = 0) averages e^0 = 1."""
+        assert uniform_average(0.0) == 1.0 and uniform_average(0j) == 1.0
+        assert np.array_equal(uniform_average(np.zeros((2, 2), dtype=complex)),
+                              np.ones((2, 2)))

@@ -466,7 +466,7 @@ class TestCoolingRate:
         bath_r = BathSpec(1.0, 20.0)
         from kelvin.model import block_hamiltonian
         blk = block_hamiltonian(p, scheme, bath_r, k=10)
-        s = fock.averaged_cycle_map(blk, 20.0, nodes=64)
+        s = fock.averaged_cycle_map(blk, 20.0)
         rho_ss, alpha_map = fock.steady_state(s)
         rho = fock.most_excited_density(False).matrix
         cycles, dist = [], []

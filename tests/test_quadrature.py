@@ -1,10 +1,11 @@
-"""Node-batched cycle maps against plain per-node loops.
+"""Batched and averaged cycle maps against plain per-node loops.
 
 The oracles below build every map one quadrature node (or one time) at a
 time, with Kronecker-product rest weights, a fresh einsum per node and the
 two parity-sector projectors, so they share no batching or path caching with
-the engines.  Batching changes only the summation order, so the engines must
-agree with them to 1e-13 relative.
+the engines.  The engines average over uniform random times in closed form;
+a converged Gauss-Legendre rule of the loop oracle must agree with them to
+1e-13 relative, or 1e-12 at 4096 nodes, whose serial sum rounds more.
 """
 
 import math
@@ -64,18 +65,22 @@ def _loop_cycle_map(fb, t, kappa):
     return (plus @ p_diag + minus @ p_off) @ fock.noise_transfer(fb.n_sys_modes, kappa, t)
 
 
-def _nodes(t_mean, nodes):
+def _nodes(t_mean, nodes, panels=1):
+    """Composite Gauss-Legendre rule on [0, 2 t_mean]: `panels` equal panels of
+    `nodes` nodes each, with weights summing to one."""
     x, w = leggauss(nodes)
-    return t_mean * (x + 1.0), w / 2.0
+    h = 2.0 * t_mean / panels
+    ts = np.concatenate([h * (p + (x + 1.0) / 2.0) for p in range(panels)])
+    return ts, np.tile(w / (2.0 * panels), panels)
 
 
-def _loop_averaged_map(fb, t_mean, kappa, nodes):
-    ts, w = _nodes(t_mean, nodes)
+def _loop_averaged_map(fb, t_mean, kappa, nodes, panels=1):
+    ts, w = _nodes(t_mean, nodes, panels)
     return sum(w_i * _loop_cycle_map(fb, t_i, kappa) for t_i, w_i in zip(ts, w))
 
 
-def _loop_averaged_kron(mb, t_mean, kappa, nodes):
-    ts, w = _nodes(t_mean, nodes)
+def _loop_averaged_kron(mb, t_mean, kappa, nodes, panels=1):
+    ts, w = _nodes(t_mean, nodes, panels)
     e, v = np.linalg.eigh(mb.generator)
     k_s = np.zeros((4, 4), dtype=complex)
     k_sb = np.zeros((4, 4), dtype=complex)
@@ -87,9 +92,12 @@ def _loop_averaged_kron(mb, t_mean, kappa, nodes):
     return k_s, k_sb
 
 
-def _assert_rel_close(actual, expected):
-    scale = np.max(np.abs(expected))
-    assert np.max(np.abs(actual - expected)) <= REL_TOL * scale
+def _rel_err(actual, expected):
+    return np.max(np.abs(actual - expected)) / np.max(np.abs(expected))
+
+
+def _assert_rel_close(actual, expected, tol=REL_TOL):
+    assert _rel_err(actual, expected) <= tol
 
 
 def _scheme(g):
@@ -106,17 +114,45 @@ def _block(k, dsp=False, env=None):
 _BLOCKS = {"generic": (2, False), "edge0": (0, False), "edgeN2": (N2, False),
            "dsp": (3, True)}
 _KAPPAS = [0.0, 1e-9, 1e-3]
-_NODE_COUNTS = [1, 2, 7, 96]
+# The oracle splits [0, 2 t_mean] into this many panels.  Each panel gets
+# max(6, 96 / panels) nodes, converged to rounding at t_mean = 4.3: the
+# closed form must match every subdivision of the interval.
+_PANELS = [1, 2, 7, 96]
+
+
+def _panel_nodes(panels):
+    return max(6, -(-96 // panels))
+
+
+# A long cycle: 2 t_mean max|e_p - e_q| is 811 for the generic pair's Fock
+# spectrum and 559 for its generator, so a 96-node rule is off by more than
+# 1e-4, while 4096 nodes (64 panels of 64, cheaper to generate than one
+# 4096-node rule) converge.
+_LONG_T = 96.0
 
 
 class TestFockMaps:
-    @pytest.mark.parametrize("nodes", _NODE_COUNTS)
+    @pytest.mark.parametrize("panels", _PANELS)
     @pytest.mark.parametrize("kappa", _KAPPAS)
     @pytest.mark.parametrize("block", _BLOCKS)
-    def test_averaged_map_matches_node_loop(self, block, kappa, nodes):
+    def test_averaged_map_matches_node_loop(self, block, kappa, panels):
         fb = fock.second_quantize(_block(*_BLOCKS[block]))
-        s = fock.averaged_cycle_map(fb, 4.3, kappa=kappa, nodes=nodes)
-        _assert_rel_close(s.matrix, _loop_averaged_map(fb, 4.3, kappa, nodes))
+        s = fock.averaged_cycle_map(fb, 4.3, kappa=kappa)
+        _assert_rel_close(s.matrix, _loop_averaged_map(fb, 4.3, kappa, _panel_nodes(panels),
+                                                       panels))
+
+    def test_long_cycle_matches_converged_loop(self):
+        fb = fock.second_quantize(_block(2))
+        s = fock.averaged_cycle_map(fb, _LONG_T, kappa=1e-3)
+        _assert_rel_close(s.matrix, _loop_averaged_map(fb, _LONG_T, 1e-3, 64, 64), 1e-12)
+        assert _rel_err(s.matrix, _loop_averaged_map(fb, _LONG_T, 1e-3, 96)) > 1e-4
+
+    @pytest.mark.parametrize("kappa", _KAPPAS)
+    @pytest.mark.parametrize("block", _BLOCKS)
+    def test_zero_mean_time_is_the_map_at_zero(self, block, kappa):
+        fb = fock.second_quantize(_block(*_BLOCKS[block]))
+        at_zero = fock.noisy_cycle_map(fb, 0.0, kappa) if kappa else fock.exact_cycle_map(fb, 0.0)
+        _assert_rel_close(fock.averaged_cycle_map(fb, 0.0, kappa=kappa).matrix, at_zero.matrix)
 
     @pytest.mark.parametrize("t", [0.0, 2.7, 9.1])
     @pytest.mark.parametrize("block", _BLOCKS)
@@ -141,15 +177,32 @@ class TestFockMaps:
 
 
 class TestCmAveragedKron:
-    @pytest.mark.parametrize("nodes", _NODE_COUNTS)
+    @pytest.mark.parametrize("panels", _PANELS)
     @pytest.mark.parametrize("kappa", _KAPPAS)
     @pytest.mark.parametrize("block", _BLOCKS)
-    def test_matches_node_loop(self, block, kappa, nodes):
+    def test_matches_node_loop(self, block, kappa, panels):
         mb = _block(*_BLOCKS[block])
-        k_s, k_sb = cm.averaged_evolution_kron(mb, 4.3, nodes, kappa=kappa)
-        ref_s, ref_sb = _loop_averaged_kron(mb, 4.3, kappa, nodes)
+        k_s, k_sb = cm.averaged_evolution_kron(mb, 4.3, kappa=kappa)
+        ref_s, ref_sb = _loop_averaged_kron(mb, 4.3, kappa, _panel_nodes(panels), panels)
         _assert_rel_close(k_s, ref_s)
         _assert_rel_close(k_sb, ref_sb)
+
+    def test_long_cycle_matches_converged_loop(self):
+        mb = _block(2)
+        k_s, k_sb = cm.averaged_evolution_kron(mb, _LONG_T, kappa=1e-3)
+        ref_s, ref_sb = _loop_averaged_kron(mb, _LONG_T, 1e-3, 64, 64)
+        _assert_rel_close(k_s, ref_s, 1e-12)
+        _assert_rel_close(k_sb, ref_sb, 1e-12)
+        assert _rel_err(k_s, _loop_averaged_kron(mb, _LONG_T, 1e-3, 96)[0]) > 1e-4
+
+    @pytest.mark.parametrize("kappa", _KAPPAS)
+    @pytest.mark.parametrize("block", _BLOCKS)
+    def test_zero_mean_time_is_the_map_at_zero(self, block, kappa):
+        generators = _block(*_BLOCKS[block]).generator[None]
+        k_s, k_sb = cm.averaged_evolution_kron(generators, 0.0, kappa=kappa)
+        k_0, _ = cm.affine_cycle_maps(generators, [0.0])
+        _assert_rel_close(k_s, k_0[0])
+        assert np.max(np.abs(k_sb)) <= REL_TOL
 
 
 def _loop_steady_energies(params, scheme, bath, noise, engine, dsp, nodes):
@@ -191,7 +244,7 @@ class TestSteadyReportAgainstLoop:
         bath = BathSpec(1.1, 4.3)
         noise = an.NoiseSpec.depolarizing(kappa) if kappa else an.NoiseSpec.none()
         rep = pr.steady_report(params, scheme, bath, {"kind": "randomized", "L": 10},
-                               noise=noise, engine=engine, dsp=dsp, quadrature_nodes=96)
+                               noise=noise, engine=engine, dsp=dsp)
         ref = _loop_steady_energies(params, scheme, bath, noise, engine, dsp, 96)
         bound = 1e-14 * np.abs(rep.epsilon) / rep.alpha
         assert np.all(np.abs(rep.mode_energy - ref) <= bound)
@@ -258,33 +311,32 @@ class TestStackedCycleMaps:
     T_MEAN = 4.3
     TIMES = [0.0, 2.7, 9.1, None]
 
-    def _check(self, ks, noise, nodes, single, dsp):
-        maps = fock.cycle_maps(_block(np.array(ks), dsp=dsp), self.TIMES, self.T_MEAN,
-                               noise, nodes)
+    def _check(self, ks, noise, t_mean, single, dsp):
+        maps = fock.cycle_maps(_block(np.array(ks), dsp=dsp), self.TIMES, t_mean, noise)
         assert set(maps) == set(self.TIMES)
         for t, (k_s, c) in maps.items():
             assert k_s.shape[0] == len(ks) and not c.any()
             for row, k in zip(k_s, ks):
                 assert np.array_equal(row, single(_block(k, dsp=dsp), t).matrix), t
 
-    @pytest.mark.parametrize("nodes", _NODE_COUNTS)
+    @pytest.mark.parametrize("t_mean", [1, 2, 7, 96])
     @pytest.mark.parametrize("kappa", _KAPPAS)
     @pytest.mark.parametrize("ks, dsp", [([1, 2, 3], False), ([1, 3], True), ([0, N2], False)],
                              ids=["pairs", "dsp", "edges"])
-    def test_rows_equal_single_block_maps(self, ks, dsp, kappa, nodes):
+    def test_rows_equal_single_block_maps(self, ks, dsp, kappa, t_mean):
         noise = an.NoiseSpec.depolarizing(kappa) if kappa else an.NoiseSpec.none()
 
         def single(blk, t):
             if t is None:
-                return fock.averaged_cycle_map(blk, self.T_MEAN, kappa, nodes)
+                return fock.averaged_cycle_map(blk, t_mean, kappa)
             return fock.noisy_cycle_map(blk, t, kappa) if kappa else fock.exact_cycle_map(blk, t)
 
-        self._check(ks, noise, nodes, single, dsp)
+        self._check(ks, noise, t_mean, single, dsp)
 
     @pytest.mark.parametrize("ks", [[1, 2], [0, N2]], ids=["pairs", "edges"])
     def test_finite_environment_rows(self, ks):
         env = FiniteEnvSpec(0.02, 0.7, 0.1)
         maps = fock.cycle_maps(_block(np.array(ks), env=env), [2.7], self.T_MEAN,
-                               an.NoiseSpec.finite_env(0.02, 0.7, 0.1), 96)
+                               an.NoiseSpec.finite_env(0.02, 0.7, 0.1))
         for row, k in zip(maps[2.7][0], ks):
             assert np.array_equal(row, fock.finite_environment_map(_block(k, env=env), 2.7).matrix)
