@@ -12,6 +12,10 @@ of two into the time and normalize the noise rate differently; here the
 propagator for a physical cycle of duration t is exp(-i G t) with G the
 block's Heisenberg generator, which is what reproduces the Fock-space engine
 exactly.
+
+States and maps are plain arrays: `cycle_maps` builds the affine maps
+vec(gamma) -> K vec(gamma) + c of a stack of modes, at fixed times or
+averaged over random times (`averaged_evolution_kron`).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from ._linalg import affine_fixed_points, hermitize, uniform_average
 from .errors import ResonantDenominator
-from .fock import DensityBlock, mode_operators
+from .fock import mode_operators
 from .model import FiniteEnvSpec, ModeBlock
 
 __all__ = [
@@ -33,7 +37,6 @@ __all__ = [
     "initial_blocks",
     "validate_blocks",
     "averaged_evolution_kron",
-    "affine_cycle_maps",
     "cycle_maps",
     "mode_chunks",
     "fixed_points",
@@ -103,31 +106,6 @@ def _injection(a: np.ndarray) -> np.ndarray:
     return (a @ vacuum_cm() @ a.conj().swapaxes(-1, -2)).reshape(a.shape[:-2] + (4,))
 
 
-def affine_cycle_maps(generators: np.ndarray, ts,
-                      p_e: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized cycle maps vec(gamma) -> K vec(gamma) + c for stacked blocks and times.
-
-    `generators` is a (modes, 4, 4) stack of Heisenberg generators and `ts` a
-    sequence of cycle times.  Returns K = A_S (x) A_S* with shape
-    (len(ts), modes, 4, 4) and c = vec(A_SB gamma_B0 A_SB^dag) with shape
-    (len(ts), modes, 4), gamma_B0 the reset bath's vacuum CM, from one
-    batched eigendecomposition: the cycle gamma -> A_S gamma A_S^dag +
-    A_SB gamma_B0 A_SB^dag in row-major vectorized form.  Environment-extended
-    (8x8) generators add the injections p_e vec(A_SE gamma_B0 A_SE^dag) of
-    both environment pairs, each pair starting in p_e times the bath's
-    vacuum CM; pair 1 couples to the system and pair 2 to the bath, which
-    passes its share on within the cycle, so with both the map is exact.
-    """
-    u = _propagators(generators, ts)
-    a_s = u[..., :2, :2]
-    lead = a_s.shape[:-2]
-    k_s = np.einsum("...ij,...ab->...iajb", a_s, a_s.conj()).reshape(lead + (4, 4))
-    c = _injection(u[..., :2, 2:4])
-    if u.shape[-1] > 4:
-        c = c + p_e * (_injection(u[..., :2, 4:6]) + _injection(u[..., :2, 6:8]))
-    return k_s, c
-
-
 def averaged_evolution_kron(block: ModeBlock | np.ndarray, t_mean: float,
                             kappa: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """(E[D A_S (x) A_S*], E[D A_SB (x) A_SB*]) over uniform times on [0, 2 t_mean].
@@ -142,34 +120,49 @@ def averaged_evolution_kron(block: ModeBlock | np.ndarray, t_mean: float,
     Only the phases depend on the time: with G = V diag(e) V^dag,
     E[D U_ij U*_ab] = sum_pq V_ip V*_jp V*_aq V_bq W_pq, where
     W_pq = E[e^{-(2 kappa + i (e_p - e_q)) t}] = (1 - e^{-z}) / z with
-    z = 2 t_mean (2 kappa + i (e_p - e_q)), so no propagator is formed.
+    z = 2 t_mean (2 kappa + i (e_p - e_q)), so no propagator is formed.  With
+    M_(ia),(pq) = V_ip V*_aq over the system rows and N the same over the bath
+    rows, the averages are the matrix products M diag(vec W) M^dag and
+    M diag(vec W) N^dag.
     """
     generators = block.generator if isinstance(block, ModeBlock) else np.asarray(block)
     e, v = np.linalg.eigh(generators)
     w_pq = uniform_average(2.0 * t_mean * (2.0 * kappa + 1j * (e[..., :, None] - e[..., None, :])))
-    v_s, v_b = v[..., :2, :], v[..., 2:4, :]
-    shape = generators.shape[:-2] + (4, 4)
-    avg = "...ip,...jp,...aq,...bq,...pq->...iajb"
-    ks = np.einsum(avg, v_s, v_s.conj(), v_s.conj(), v_s, w_pq).reshape(shape)
-    ksb = np.einsum(avg, v_s, v_b.conj(), v_s.conj(), v_b, w_pq).reshape(shape)
-    return ks, ksb
+    lead = generators.shape[:-2]
+    m, n = ((r[..., :, None, :, None] * r[..., None, :, None, :].conj()).reshape(lead + (4, -1))
+            for r in (v[..., :2, :], v[..., 2:4, :]))
+    k = (m * w_pq.reshape(lead + (1, -1))) @ np.concatenate([m, n], axis=-2).conj().swapaxes(-1, -2)
+    return k[..., :4], k[..., 4:]
 
 
 def cycle_maps(block: ModeBlock, ts, t_mean: float, noise) -> dict:
-    """Maps (K, c) of one bath frequency per time in `ts`, stacked over `block`.
+    """Maps vec(gamma) -> K vec(gamma) + c of one bath frequency per time in
+    `ts`, as (K, c) stacked over `block`.
 
-    A time of None stands for `averaged_evolution_kron` over [0, 2 t_mean];
-    depolarizing noise damps by exp(-2 kappa t), averaged with the phases.
+    A fixed time t gives the cycle gamma -> A_S gamma A_S^dag + A_SB gamma_B0
+    A_SB^dag in row-major vectorized form, K = A_S (x) A_S* and
+    c = vec(A_SB gamma_B0 A_SB^dag), gamma_B0 the reset bath's vacuum CM, with
+    the A-blocks cut from one batched propagator stack.  Environment-extended
+    (8x8) generators add the injections p_e vec(A_SE gamma_B0 A_SE^dag) of
+    both environment pairs, each pair starting in p_e times the bath's vacuum
+    CM; pair 1 couples to the system and pair 2 to the bath, which passes its
+    share on within the cycle, so with both the map is exact.  A time of None
+    stands for `averaged_evolution_kron` over [0, 2 t_mean].  Depolarizing
+    noise damps a map by exp(-2 kappa t), averaged with the phases.
     """
     generators = block.generator
     kappa = noise.kappa if noise.kind == "depolarizing" else 0.0
     maps = {}
     fixed = [t for t in ts if t is not None]
     if fixed:
-        k_s, c = affine_cycle_maps(generators, fixed, p_e=noise.p_e)
-        for i, t in enumerate(fixed):
-            damping = math.exp(-2.0 * kappa * t)
-            maps[t] = (damping * k_s[i], damping * c[i])
+        u = _propagators(generators, fixed)
+        a_s = u[..., :2, :2]
+        k_s = np.einsum("...ij,...ab->...iajb", a_s, a_s.conj()).reshape(a_s.shape[:-2] + (4, 4))
+        c = _injection(u[..., :2, 2:4])
+        if u.shape[-1] > 4:
+            c = c + noise.p_e * (_injection(u[..., :2, 4:6]) + _injection(u[..., :2, 6:8]))
+        damping = np.exp(-2.0 * kappa * np.array(fixed)).reshape((-1,) + (1,) * (c.ndim - 1))
+        maps.update(zip(fixed, zip(damping[..., None] * k_s, damping * c)))
     if None in ts:
         k_s, k_sb = averaged_evolution_kron(generators, t_mean, kappa=kappa)
         maps[None] = (k_s, k_sb @ vacuum_cm().reshape(-1))
@@ -245,20 +238,19 @@ def _pair_moment_ops():
     return a1.conj().T @ a1, a2.conj().T @ a2, a1 @ a2
 
 
-def density_to_cm(rho: DensityBlock | np.ndarray) -> np.ndarray:
+def density_to_cm(rho: np.ndarray) -> np.ndarray:
     """System CM of a block density matrix (generic 4x4 or edge 2x2)."""
-    m = rho.matrix if isinstance(rho, DensityBlock) else rho
-    if m.shape[0] == 2:
-        n = m[1, 1].real
+    if rho.shape[0] == 2:
+        n = rho[1, 1].real
         return np.diag([0.5 - n, n - 0.5]).astype(complex)
     n1_op, n2_op, pair_op = _pair_moment_ops()
-    n1 = np.trace(m @ n1_op).real
-    n2 = np.trace(m @ n2_op).real
-    c = np.trace(m @ pair_op)
+    n1 = np.trace(rho @ n1_op).real
+    n2 = np.trace(rho @ n2_op).real
+    c = np.trace(rho @ pair_op)
     return np.array([[0.5 - n1, c], [np.conj(c), n2 - 0.5]], dtype=complex)
 
 
-def cm_to_density(gamma: np.ndarray, edge: bool, k: int = -1) -> DensityBlock:
+def cm_to_density(gamma: np.ndarray, edge: bool) -> np.ndarray:
     """Reconstruct the Gaussian block density matrix from its system CM.
 
     Wick's theorem fixes the double occupancy: <n_+ n_-> = n_+ n_- + |c|^2
@@ -267,7 +259,7 @@ def cm_to_density(gamma: np.ndarray, edge: bool, k: int = -1) -> DensityBlock:
     if edge:
         n = 0.5 + gamma[1, 1].real
         m = np.diag([1.0 - n, n]).astype(complex)
-        return DensityBlock(np.clip(m.real, 0, None).astype(complex), k)
+        return np.clip(m.real, 0, None).astype(complex)
     n1 = 0.5 - gamma[0, 0].real
     n2 = 0.5 + gamma[1, 1].real
     c = complex(gamma[0, 1])
@@ -279,7 +271,7 @@ def cm_to_density(gamma: np.ndarray, edge: bool, k: int = -1) -> DensityBlock:
     rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = m0, p, q, r
     rho[0, 3] = -np.conj(c)
     rho[3, 0] = -c
-    return DensityBlock(rho, k)
+    return rho
 
 
 # ---------------------------------------------------------------------------

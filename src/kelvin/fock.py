@@ -14,6 +14,12 @@ averaged.  Steady states and cooling rates live on the physical
 transfer matrix into an affine map, solved for all modes at once by the
 fixed-point routine the CM engine uses.
 
+Everything is a plain array: a density is d x d (d = 4 for a pair, 2 for an
+edge) and a cycle map its transfer matrix on row-major vec(rho).
+`cycle_maps` builds the maps of a stack of modes; `exact_cycle_map` (one
+time, optionally noisy or environment-extended) and `averaged_cycle_map`
+are its one-block views.
+
 Gain/loss noise of rate kappa is X -> (c X c + c' X c')/2 - X per mode, in
 the mode's Majoranas c, c'.  On a Majorana monomial of degree q, c X c =
 +-X, so an even monomial decays at rate q and an odd one at 2n - q, n the
@@ -45,7 +51,6 @@ from ._linalg import (
     TRACE_ATOL,
     affine_fixed_points,
     apply_transfer,
-    choi_min_eig,
     hermitize,
     trace_norm,
     uniform_average,
@@ -56,12 +61,8 @@ from .model import FiniteEnvSpec, ModeBlock
 
 __all__ = [
     "FockBlock",
-    "DensityBlock",
-    "Superoperator",
     "second_quantize",
     "exact_cycle_map",
-    "noisy_cycle_map",
-    "finite_environment_map",
     "averaged_cycle_map",
     "cycle_maps",
     "mode_chunks",
@@ -99,11 +100,6 @@ def mode_operators(n_modes: int) -> tuple[np.ndarray, ...]:
     return tuple(ops)
 
 
-def _parity_vector(n_modes: int) -> np.ndarray:
-    idx = np.arange(2**n_modes)
-    return np.array([bin(i).count("1") % 2 for i in idx])
-
-
 @dataclass
 class FockBlock:
     """Second-quantized block Hamiltonian with system/rest bookkeeping."""
@@ -127,10 +123,6 @@ class FockBlock:
             e, v = np.linalg.eigh(self.hamiltonian)
             self._eig = (e, v)
         return self._eig
-
-    def propagator(self, t: float) -> np.ndarray:
-        e, v = self.eig()
-        return (v * np.exp(-1j * e * t)) @ v.conj().T
 
     def propagators(self, ts: np.ndarray) -> np.ndarray:
         """Stack of e^{-iHt} for an array of times; shape (len(ts), d, d)."""
@@ -183,51 +175,25 @@ def second_quantize(block: ModeBlock) -> FockBlock:
 
 
 # ---------------------------------------------------------------------------
-# density blocks
+# density blocks: d x d arrays on the basis |n_k n_-k> (d = 4), or |n_k> for
+# an edge (d = 2)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DensityBlock:
-    """Density matrix of one system block.
-
-    Basis |n_k n_-k> (d = 4) for generic pairs, |n_k> (d = 2) for edges.
-    """
-
-    matrix: np.ndarray
-    k: int
-
-    def validate(self) -> "DensityBlock":
-        m = self.matrix
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
-            raise ValueError("density block not hermitian")
-        if abs(np.trace(m).real - 1.0) > TRACE_ATOL:
-            raise ValueError(f"density block trace {np.trace(m)!r} != 1")
-        if np.linalg.eigvalsh(hermitize(m)).min() < -1e-10:
-            raise ValueError("density block not positive semidefinite")
-        par = _parity_vector(int(math.log2(m.shape[0])))
-        off = m[np.not_equal.outer(par, par)]
-        if off.size and np.max(np.abs(off)) > 1e-12:
-            raise ValueError("density block carries parity-violating coherence")
-        return self
-
-
-def vacuum_density(edge: bool, k: int = 0) -> DensityBlock:
-    d = 2 if edge else 4
-    m = np.zeros((d, d), dtype=complex)
+def vacuum_density(edge: bool) -> np.ndarray:
+    m = np.zeros((2, 2) if edge else (4, 4), dtype=complex)
     m[0, 0] = 1.0
-    return DensityBlock(m, k)
+    return m
 
 
-def most_excited_density(edge: bool, k: int = 0) -> DensityBlock:
-    d = 2 if edge else 4
-    m = np.zeros((d, d), dtype=complex)
+def most_excited_density(edge: bool) -> np.ndarray:
+    m = np.zeros((2, 2) if edge else (4, 4), dtype=complex)
     m[-1, -1] = 1.0
-    return DensityBlock(m, k)
+    return m
 
 
-def maximally_mixed_density(edge: bool, k: int = 0) -> DensityBlock:
+def maximally_mixed_density(edge: bool) -> np.ndarray:
     d = 2 if edge else 4
-    return DensityBlock(np.eye(d, dtype=complex) / d, k)
+    return np.eye(d, dtype=complex) / d
 
 
 def mode_groups(n2: int) -> list[np.ndarray]:
@@ -241,18 +207,26 @@ def initial_blocks(kind: str, n2: int) -> list[np.ndarray]:
     if kind not in ("vacuum", "most_excited"):
         raise ValueError(f"unknown initial state kind {kind!r}")
     maker = vacuum_density if kind == "vacuum" else most_excited_density
-    return [maker(k in (0, n2), k).matrix for k in range(n2 + 1)]
+    return [maker(k in (0, n2)) for k in range(n2 + 1)]
 
 
 def validate_blocks(blocks: list[np.ndarray]) -> None:
     """Raise ValueError unless `blocks` are physical densities of k = 0..len - 1:
-    2x2 at the edges (k = 0 and the last), 4x4 elsewhere."""
+    2x2 at the edges (k = 0 and the last), 4x4 elsewhere, each hermitian, of
+    unit trace, positive semidefinite and without parity-violating coherence."""
     n2 = len(blocks) - 1
-    for k, b in enumerate(blocks):
+    for k, m in enumerate(blocks):
         d = 2 if k in (0, n2) else 4
-        if b.shape != (d, d):
-            raise ValueError(f"Fock block k={k} has shape {b.shape}, need ({d}, {d})")
-        DensityBlock(b, k).validate()
+        if m.shape != (d, d):
+            raise ValueError(f"Fock block k={k} has shape {m.shape}, need ({d}, {d})")
+        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
+            raise ValueError(f"density block k={k} not hermitian")
+        if abs(np.trace(m).real - 1.0) > TRACE_ATOL:
+            raise ValueError(f"density block k={k} trace {np.trace(m)!r} != 1")
+        if np.linalg.eigvalsh(hermitize(m)).min() < -1e-10:
+            raise ValueError(f"density block k={k} not positive semidefinite")
+        if np.max(np.abs(m.reshape(-1)[~_parity_diag_mask(d)]), initial=0.0) > 1e-12:
+            raise ValueError(f"density block k={k} carries parity-violating coherence")
 
 
 def reduce(ks: np.ndarray, x: np.ndarray, eps: np.ndarray, wts: np.ndarray,
@@ -267,74 +241,39 @@ def reduce(ks: np.ndarray, x: np.ndarray, eps: np.ndarray, wts: np.ndarray,
     return eps[ks] * (pops[..., 3] - pops[..., 0]), pops[..., 0]
 
 
-def block_energy(rho: DensityBlock | np.ndarray, epsilon: float, weight: float):
+def block_energy(rho: np.ndarray, epsilon: float, weight: float):
     """Mode energy and relative energy (E_k, e_k); E_k is one row of `reduce`.
 
     Generic pairs measure eps*(n_k + n_-k - 1) in [-eps, eps]; edges measure
     eps*(n - 1/2) in [-eps/2, eps/2].  e_k is normalized so the ground state
     gives 0 and the most excited state 2; it is None when eps = 0.
     """
-    m = rho.matrix if isinstance(rho, DensityBlock) else rho
-    e_val = float(reduce(np.zeros(1, dtype=int), np.reshape(m, (1, -1)), np.array([epsilon]),
+    e_val = float(reduce(np.zeros(1, dtype=int), np.reshape(rho, (1, -1)), np.array([epsilon]),
                          np.array([weight]), 0)[0][0])
-    denom = epsilon / 2 if m.shape[0] == 2 else epsilon
+    denom = epsilon / 2 if rho.shape[0] == 2 else epsilon
     e_rel = None if epsilon == 0.0 else (e_val + denom) / denom
     return e_val, e_rel
 
 
 # ---------------------------------------------------------------------------
-# superoperators
+# cycle maps: transfer matrices on row-major vec(rho) of a system block
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
 def _parity_diag_mask(d: int) -> np.ndarray:
     """Read-only mask of the parity-diagonal sector over row-major vec indices."""
-    par = _parity_vector(int(math.log2(d)))
+    par = np.array([bin(i).count("1") % 2 for i in range(d)])
     mask = np.equal.outer(par, par).reshape(-1)
     mask.flags.writeable = False
     return mask
 
 
-@dataclass
-class Superoperator:
-    """Transfer-matrix form of a channel on one system block (row-major vec)."""
-
-    matrix: np.ndarray
-    d: int
-
-    def apply(self, rho: DensityBlock | np.ndarray) -> np.ndarray:
-        m = rho.matrix if isinstance(rho, DensityBlock) else rho
-        return apply_transfer(self.matrix, m)
-
-    def compose(self, other: "Superoperator") -> "Superoperator":
-        """Map applying `other` first, then self."""
-        return Superoperator(self.matrix @ other.matrix, self.d)
-
-    def is_trace_preserving(self, atol: float = TRACE_ATOL) -> bool:
-        vid = vec(np.eye(self.d, dtype=complex))
-        return bool(np.max(np.abs(vid @ self.matrix - vid)) <= atol)
-
-    def choi_min_eig(self) -> float:
-        return choi_min_eig(self.matrix)
-
-    def parity_leakage(self) -> float:
-        """Largest coupling from the parity-diagonal sector to the rest."""
-        mask = _parity_diag_mask(self.d)
-        off = self.matrix[~mask][:, mask]
-        return float(np.max(np.abs(off))) if off.size else 0.0
-
-    def restricted(self) -> tuple[np.ndarray, np.ndarray]:
-        """(transfer on the parity-diagonal sector, flat index list)."""
-        idx = np.flatnonzero(_parity_diag_mask(self.d))
-        return self.matrix[np.ix_(idx, idx)], idx
-
-
-def _rest_weights(fb: FockBlock, bath_excitation: float) -> np.ndarray:
-    """Occupations of the rest's basis states: p per bath mode, (1 - p_E)/2 per
-    environment mode; the bath has as many modes as the system."""
-    p, n_bath = bath_excitation, fb.n_sys_modes
+def _rest_weights(fb: FockBlock) -> np.ndarray:
+    """Occupations of the rest's basis states: the bath (as many modes as the
+    system) in its vacuum, and (1 - p_E)/2 per environment mode."""
+    n_bath = fb.n_sys_modes
     p_env = (1.0 - fb.block.env.p_e) / 2.0 if fb.block.env is not None else 0.0
-    pairs = [[1.0 - p, p]] * n_bath + [[1.0 - p_env, p_env]] * (fb.n_modes - 2 * n_bath)
+    pairs = [[1.0, 0.0]] * n_bath + [[1.0 - p_env, p_env]] * (fb.n_modes - 2 * n_bath)
     return functools.reduce(np.kron, pairs, np.ones(1))
 
 
@@ -344,15 +283,15 @@ def _transfers(a: np.ndarray, b: np.ndarray, ds: int) -> np.ndarray:
     return t.swapaxes(-3, -2).reshape(a.shape[:-2] + (ds * ds, ds * ds))
 
 
-def _fixed_time_maps(fb: FockBlock, e: np.ndarray, v: np.ndarray, ts, kappa: float = 0.0,
-                     bath_excitation: float = 0.0) -> np.ndarray:
+def _fixed_time_maps(fb: FockBlock, e: np.ndarray, v: np.ndarray, ts,
+                     kappa: float = 0.0) -> np.ndarray:
     """Cycle transfers (len(ts), blocks, D, D) of eigenbases stacked over blocks.
 
     Only the columns of U that start in a populated rest state r are formed:
     A[(i,x),(b,r)] = U[(i,b),(x,r)] and T = sum w_r A A^dag.
     """
     ds, dr = fb.d_sys, fb.d_rest
-    w = _rest_weights(fb, bath_excitation)
+    w = _rest_weights(fb)
     rest = np.flatnonzero(w)
     cols = (dr * np.arange(ds)[:, None] + rest).reshape(-1)
     ts = np.asarray(ts, dtype=float)
@@ -368,21 +307,25 @@ def _fixed_time_maps(fb: FockBlock, e: np.ndarray, v: np.ndarray, ts, kappa: flo
     return maps
 
 
-def exact_cycle_map(block: ModeBlock | FockBlock, t: float,
-                    bath_excitation: float = 0.0) -> Superoperator:
-    """One bath-reset cooling cycle: rho -> Tr_B[e^{-iHt} (rho x rho_B) e^{iHt}].
+def exact_cycle_map(block: ModeBlock | FockBlock, t: float, kappa: float = 0.0) -> np.ndarray:
+    """Transfer matrix of one cooling cycle, rho -> Tr_rest[e^{-iHt} (rho x
+    rho_rest) e^{iHt}]: one block of `cycle_maps`' fixed-time builder.
 
-    bath_excitation p prepares each bath mode in (1-p)|0><0| + p|1><1|; p = 0
-    is the reset ground state.
+    The rest is the reset bath in its vacuum and, on an environment-extended
+    block, each environment mode in ((1+p_E)/2)|0><0| + ((1-p_E)/2)|1><1|.
+    Uniform gain/loss noise of rate kappa gives T_kappa(t) = N_sys T_0 C
+    (module docstring), exact on the whole operator space, not just on
+    physical states; it is not defined on environment-extended blocks.
     """
     if t < 0:
         raise ValueError(f"cycle time must be >= 0, got {t}")
-    if not (0.0 <= bath_excitation <= 1.0):
-        raise ValueError(f"bath excitation must lie in [0, 1], got {bath_excitation}")
+    if kappa < 0:
+        raise ValueError(f"kappa must be >= 0, got {kappa}")
     fb = block if isinstance(block, FockBlock) else second_quantize(block)
+    if kappa > 0 and fb.block.env is not None:
+        raise ValueError("depolarizing noise on environment-extended blocks is not supported")
     e, v = fb.eig()
-    maps = _fixed_time_maps(fb, e[None], v[None], [t], bath_excitation=bath_excitation)
-    return Superoperator(maps[0, 0], fb.d_sys)
+    return _fixed_time_maps(fb, e[None], v[None], [t], kappa)[0, 0]
 
 
 @lru_cache(maxsize=4)
@@ -414,36 +357,8 @@ def noise_transfer(n_sys_modes: int, kappa: float, t) -> np.ndarray:
     return np.tensordot(decay, proj, axes=1)
 
 
-def noisy_cycle_map(block: ModeBlock | FockBlock, t: float, kappa: float) -> Superoperator:
-    """Cooling cycle with uniform gain/loss noise of rate kappa on every mode.
-
-    T_kappa(t) = N_sys(t) T_0(t) C(t) (module docstring), exact on the whole
-    operator space, not just on physical states.
-    """
-    if kappa < 0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
-    fb = block if isinstance(block, FockBlock) else second_quantize(block)
-    if fb.block.env is not None:
-        raise ValueError("depolarizing noise on environment-extended blocks "
-                         "is not supported; use finite_environment_map")
-    e, v = fb.eig()
-    return Superoperator(_fixed_time_maps(fb, e[None], v[None], [t], kappa)[0, 0], fb.d_sys)
-
-
-def finite_environment_map(block: ModeBlock | FockBlock, t: float) -> Superoperator:
-    """Cycle map with finite environments traced out along with the bath.
-
-    The block must have been built with a FiniteEnvSpec attached; environment
-    modes start in ((1+p_E)/2)|0><0| + ((1-p_E)/2)|1><1| per mode.
-    """
-    fb = block if isinstance(block, FockBlock) else second_quantize(block)
-    if fb.block.env is None:
-        raise ValueError("block carries no environment; build it with a FiniteEnvSpec")
-    return exact_cycle_map(fb, t)
-
-
 def averaged_cycle_map(block: ModeBlock | FockBlock, t_mean: float,
-                       kappa: float = 0.0) -> Superoperator:
+                       kappa: float = 0.0) -> np.ndarray:
     """Cycle map averaged over uniformly random times on [0, 2*t_mean].
 
     The transfer matrix sum_b L_b G L_b^dag with the exact time average G of
@@ -464,9 +379,9 @@ def averaged_cycle_map(block: ModeBlock | FockBlock, t_mean: float,
     maps = _transfers((l_b @ g[:, None]).reshape(len(g), ds * ds, -1),
                       l_b.reshape(ds * ds, -1), ds)
     if proj is None:
-        return Superoperator(maps[0], ds)
+        return maps[0]
     cols = _parity_diag_mask(ds) != odd[:, None]
-    return Superoperator((proj @ (maps * cols[:, None, :])).sum(axis=0), ds)
+    return (proj @ (maps * cols[:, None, :])).sum(axis=0)
 
 
 def cycle_maps(block: ModeBlock, ts, t_mean: float, noise) -> dict:
@@ -474,8 +389,9 @@ def cycle_maps(block: ModeBlock, ts, t_mean: float, noise) -> dict:
     `block`, a stack of edges or of pairs (one `mode_groups` group).
 
     The stack is second-quantized at once, with eigenbases from one stacked
-    eigh.  A time of None stands for `averaged_cycle_map` over [0, 2 t_mean],
-    taken per mode; depolarizing noise gives `noisy_cycle_map`.
+    eigh.  Each fixed time gives the stack of `exact_cycle_map`s, with the
+    noise rate kappa of depolarizing noise; a time of None stands for
+    `averaged_cycle_map` over [0, 2 t_mean], taken per mode.
     """
     ham = _hamiltonians(block)
     e, v = np.linalg.eigh(ham)
@@ -487,7 +403,7 @@ def cycle_maps(block: ModeBlock, ts, t_mean: float, noise) -> dict:
     if fixed:
         maps.update(zip(fixed, _fixed_time_maps(fbs[0], e, v, fixed, kappa)))
     if None in ts:
-        maps[None] = np.stack([averaged_cycle_map(fb, t_mean, kappa).matrix for fb in fbs])
+        maps[None] = np.stack([averaged_cycle_map(fb, t_mean, kappa) for fb in fbs])
     return {t: (k_s, np.zeros(k_s.shape[:2], dtype=complex)) for t, k_s in maps.items()}
 
 
@@ -504,11 +420,12 @@ def mode_chunks(ks: np.ndarray, env: FiniteEnvSpec | None) -> list[np.ndarray]:
 # steady states and rates
 # ---------------------------------------------------------------------------
 
-def steady_state(superop: Superoperator) -> tuple[DensityBlock, float]:
-    """Unique fixed point and cooling rate alpha = -log|lambda_2|: a one-mode
-    `fixed_points`."""
-    x, alpha, _ = fixed_points(superop.matrix[None])
-    return DensityBlock(x[0].reshape(superop.d, superop.d), -1), float(alpha[0])
+def steady_state(transfer: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unique fixed state (d, d) of a transfer matrix (d^2, d^2) and its cooling
+    rate alpha = -log|lambda_2|: a one-mode `fixed_points`."""
+    x, alpha, _ = fixed_points(transfer[None])
+    d = math.isqrt(transfer.shape[-1])
+    return x[0].reshape(d, d), float(alpha[0])
 
 
 def fixed_points(k_s: np.ndarray, c: np.ndarray | None = None,
@@ -569,7 +486,7 @@ def noise_factorization_gap(block: ModeBlock, kappa: float, t: float) -> float:
                              - 0.5 * (np.kron(n_op, eye) + np.kron(eye, n_op.T)))
     prop = expm(liou * t)
 
-    factorized = noisy_cycle_map(fb, t, kappa)
+    factorized = exact_cycle_map(fb, t, kappa)
     rho_b = np.zeros((dr, dr), dtype=complex)
     rho_b[0, 0] = 1.0
     gap = 0.0
@@ -580,5 +497,5 @@ def noise_factorization_gap(block: ModeBlock, kappa: float, t: float) -> float:
             joint = np.kron(unit, rho_b)
             out = (prop @ vec(joint)).reshape(d, d)
             out_s = np.trace(out.reshape(ds, dr, ds, dr), axis1=1, axis2=3)
-            gap = max(gap, trace_norm(out_s - factorized.apply(unit)))
+            gap = max(gap, trace_norm(out_s - apply_transfer(factorized, unit)))
     return gap

@@ -205,9 +205,5 @@ def optimize(objective, init: ParamVector, budget: int = 4000, restarts: int = 8
         raise OptimizationFailed("objective non-finite at every start")
 
     best = init.with_array(best_x, vary_delta_t).normalized()
-    final_val = objective(best)
-    if not math.isfinite(final_val) or abs(final_val - best_val) > 1e-12 + 1e-9 * abs(best_val):
-        # normalization must not change the objective; keep the better account
-        best_val = min(best_val, final_val)
-    return OptResult(best=best, objective=final_val, evaluations=n_eval,
+    return OptResult(best=best, objective=objective(best), evaluations=n_eval,
                      restarts_used=len(starts), history=history)

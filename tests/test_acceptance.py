@@ -19,7 +19,7 @@ from kelvin import analytic as an
 from kelvin import cm, fock, repro
 from kelvin import optimize as op
 from kelvin import protocol as pr
-from kelvin._linalg import trace_norm
+from kelvin._linalg import apply_transfer, choi_min_eig, trace_norm
 from kelvin.model import (
     BathSpec,
     CouplingScheme,
@@ -111,9 +111,7 @@ def test_criterion_02_oracle_equivalence():
             bath = BathSpec(dispersion(theta, n, n // 4), t)
             kappa = kappa_ratio * g * g
             blk = block_hamiltonian(params, scheme, bath, k=k)
-            s = fock.noisy_cycle_map(blk, t, kappa) if kappa > 0 \
-                else fock.exact_cycle_map(blk, t)
-            rho, _ = fock.steady_state(s)
+            rho, _ = fock.steady_state(fock.exact_cycle_map(blk, t, kappa))
             e_fock, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
             (k_s, c), = cm.cycle_maps(block_hamiltonian(params, scheme, bath, k=[k]), [t], t,
                                       an.NoiseSpec.depolarizing(kappa)).values()
@@ -306,11 +304,10 @@ def test_criterion_09_noise_commutation_and_channel_properties():
             t = float(rng.uniform(0.0, 8.0))
             kappa = float(rng.choice([0.0, rng.uniform(0, 0.1)]))
             b = block_hamiltonian(params, sch, bth, k=k)
-            s = fock.noisy_cycle_map(b, t, kappa) if kappa > 0 \
-                else fock.exact_cycle_map(b, t)
-            vid = np.eye(s.d, dtype=complex).reshape(-1)
-            worst_tp = max(worst_tp, float(np.max(np.abs(vid @ s.matrix - vid))))
-            worst_cp = min(worst_cp, s.choi_min_eig())
+            s = fock.exact_cycle_map(b, t, kappa)
+            vid = np.eye(math.isqrt(len(s)), dtype=complex).reshape(-1)
+            worst_tp = max(worst_tp, float(np.max(np.abs(vid @ s - vid))))
+            worst_cp = min(worst_cp, choi_min_eig(s))
         assert worst_tp <= 1e-10
         assert worst_cp >= -1e-9
     report(9, True, f"joint-vs-factorized gap {gap:.1e} (<=1e-8); 200 draws: "
@@ -334,8 +331,7 @@ def test_criterion_10_finite_environment():
         for kp in kps:
             env = FiniteEnvSpec(float(kp), 0.7, 0.0)
             blk = block_hamiltonian(p, scheme, bath, k=5, env=env)
-            rho, _ = fock.steady_state(
-                fock.finite_environment_map(blk, bath.cycle_time_mean))
+            rho, _ = fock.steady_state(fock.exact_cycle_map(blk, bath.cycle_time_mean))
             e_val, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
             incr.append(e_val - e_base)
         slope = float(np.polyfit(np.log(kps), np.log(incr), 1)[0])
@@ -377,13 +373,13 @@ def test_criterion_11_convergence_theory():
         blk = block_hamiltonian(p, scheme, bath, k=10)
         s = fock.averaged_cycle_map(blk, t)
         rho_ss, alpha = fock.steady_state(s)
-        rho = fock.most_excited_density(False).matrix
+        rho = fock.most_excited_density(False)
         cycles, dist = [], []
         for n in range(40):
-            rho = s.apply(rho)
+            rho = apply_transfer(s, rho)
             if n >= 5:
                 cycles.append(n + 1)
-                dist.append(trace_norm(rho - rho_ss.matrix))
+                dist.append(trace_norm(rho - rho_ss))
         alpha_fit = pr.rate_from_decay(cycles, dist)
         assert abs(alpha_fit - alpha) <= 0.01 * alpha
 
@@ -398,7 +394,7 @@ def test_criterion_11_convergence_theory():
         blocks = pr.initial_state("most_excited", p6).blocks
         checked = 0
         for cycle in range(1, 151):
-            blocks = [maps[k].apply(blocks[k]) for k in range(4)]
+            blocks = [apply_transfer(maps[k], blocks[k]) for k in range(4)]
             if cycle % 10 == 0:
                 per_mode = [trace_norm(blocks[k] - rep6.states[k]) for k in range(4)]
                 full = pr.product_state_distance(blocks, rep6.states)
@@ -415,14 +411,14 @@ def test_criterion_11_convergence_theory():
             s_k = fock.averaged_cycle_map(b, t)
             maps40.append(s_k)
             rho_k, a_k = fock.steady_state(s_k)
-            blocks_ss.append(rho_k.matrix)
+            blocks_ss.append(rho_k)
             alphas.append(a_k)
         target_eps = 1e-3
         n_state, n_energy = an.cycle_estimates(min(alphas), p.N, target_eps)
         blocks = pr.initial_state("most_excited", p).blocks
         n_obs = None
         for n in range(1, 200):
-            blocks = [maps40[k].apply(blocks[k]) for k in range(21)]
+            blocks = [apply_transfer(maps40[k], blocks[k]) for k in range(21)]
             total = sum(trace_norm(blocks[k] - blocks_ss[k]) for k in range(21))
             if total < target_eps:
                 n_obs = n

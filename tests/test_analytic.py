@@ -78,7 +78,7 @@ class TestJumpOps:
         for g in (2e-3, 1e-3):
             scheme = CouplingScheme.local(1.0, 1.0, g)
             blk = block_hamiltonian(small_params, scheme, bath, k=3)
-            exact = fock.exact_cycle_map(blk, bath.cycle_time_mean).matrix
+            exact = fock.exact_cycle_map(blk, bath.cycle_time_mean)
             x, y = an.overlap_coeffs(blk.epsilon, bath.delta,
                                      bath.cycle_time_mean, g)
             ops_c = an.single_cycle_jump_ops(blk.a_coeff, blk.b_coeff, x, y)
@@ -293,7 +293,7 @@ class TestSteadyEnergies:
         bath = BathSpec(1.0, 20.0)
         for k in (3, 10, 17):
             blk = block_hamiltonian(p, scheme, bath, k=k)
-            rho, _ = fock.steady_state(fock.noisy_cycle_map(blk, 20.0, kappa))
+            rho, _ = fock.steady_state(fock.exact_cycle_map(blk, 20.0, kappa))
             e_exact, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
             x, y = an.overlap_coeffs(blk.epsilon, 1.0, 20.0, g)
             pred = float(an.noisy_ss_energy(blk.epsilon, blk.a_coeff, blk.b_coeff,
@@ -354,7 +354,7 @@ class TestSteadyEnergies:
         env = FiniteEnvSpec(g / 10.0, 0.5, -0.5)
         for k in (2, 4):
             blk = block_hamiltonian(p, scheme, bath, k=k, env=env)
-            rho, _ = fock.steady_state(fock.finite_environment_map(blk, 3.0))
+            rho, _ = fock.steady_state(fock.exact_cycle_map(blk, 3.0))
             e_exact, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
             x, y = an.overlap_coeffs(blk.epsilon, bath.delta, 3.0, g)
             xe, ye = an.overlap_coeffs(blk.epsilon, env.delta_e, 3.0, env.kappa_prime)

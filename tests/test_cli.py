@@ -284,6 +284,11 @@ class TestReproduce:
         assert rc == 1  # failed assertion is reported through the exit code
         assert any("off-by-one" in note for note in report["annotations"])
 
+    def test_fig2_fast_target_passes(self):
+        from kelvin import repro
+        result = repro.run_target("fig2", fast=True)
+        assert result.passed, [(a.name, a.measured) for a in result.assertions]
+
     def test_unknown_target(self, tmp_path):
         cfg = write_cfg(tmp_path, {"reproduce": {"target": "fig99"}})
         rc = cli.main(["reproduce", "--config", cfg, "--out", str(tmp_path / "x")])

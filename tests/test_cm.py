@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from kelvin import cm, fock
+from kelvin._linalg import apply_transfer
 from kelvin.analytic import NoiseSpec
 from kelvin.errors import NonUniqueFixedPoint, ResonantDenominator
 from kelvin.model import (
@@ -18,8 +19,7 @@ from kelvin.model import (
 
 def _maps(blk, t, p_e=0.0):
     """(K, c) of one block's cycle map at time t, from the stacked builder."""
-    k_s, c = cm.affine_cycle_maps(blk.generator[None], [t], p_e=p_e)
-    return k_s[0, 0], c[0, 0]
+    return cm.cycle_maps(blk, [t], t, NoiseSpec(p_e=p_e))[t]
 
 
 def _step(k_s, c, gamma):
@@ -60,20 +60,19 @@ class TestEvolveCm:
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=k)
         fb = fock.second_quantize(blk)
         edge = blk.is_edge
-        rho = fock.most_excited_density(edge).matrix
+        rho = fock.most_excited_density(edge)
         d_b = 2 if edge else 4
         rho_b = np.zeros((d_b, d_b), dtype=complex)
         rho_b[0, 0] = 1.0
         joint = np.kron(rho, rho_b)
         ts = (0.7, 1.9, 4.1)
-        k_s, c = cm.affine_cycle_maps(blk.generator[None], ts)
-        for i, t in enumerate(ts):
-            u = fb.propagator(t)
+        maps = cm.cycle_maps(blk, ts, 0.0, NoiseSpec.none())
+        for t, u in zip(ts, fb.propagators(ts)):
             out = u @ joint @ u.conj().T
             rho_s = np.trace(out.reshape(fb.d_sys, fb.d_rest, fb.d_sys, fb.d_rest),
                              axis1=1, axis2=3)
             e_fock, _ = fock.block_energy(rho_s, blk.epsilon, blk.weight)
-            g_t = _step(k_s[i, 0], c[i, 0], cm.most_excited_cm())
+            g_t = _step(*maps[t], cm.most_excited_cm())
             e_cm = cm.cm_energy(g_t, blk.epsilon, blk.weight)
             assert abs(e_fock - e_cm) < 1e-10
 
@@ -90,8 +89,7 @@ class TestCycleMapCm:
     def test_single_cycle_matches_fock(self, small_params, generic_scheme, bath):
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=3)
         s = fock.exact_cycle_map(blk, bath.cycle_time_mean)
-        rho = fock.most_excited_density(False).matrix
-        rho = s.apply(rho)
+        rho = apply_transfer(s, fock.most_excited_density(False))
         e_fock, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
         gam = _step(*_maps(blk, bath.cycle_time_mean), cm.most_excited_cm())
         assert abs(e_fock - cm.cm_energy(gam, blk.epsilon, blk.weight)) < 1e-10
@@ -145,7 +143,7 @@ class TestSteadyStateCm:
         kappa = kappa_over_g2 * generic_scheme.g ** 2
         t = bath.cycle_time_mean
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=3)
-        rho, _ = fock.steady_state(fock.noisy_cycle_map(blk, t, kappa))
+        rho, _ = fock.steady_state(fock.exact_cycle_map(blk, t, kappa))
         e_fock, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
         stack = block_hamiltonian(small_params, generic_scheme, bath, k=[3])
         (k_s, c), = cm.cycle_maps(stack, [t], t, NoiseSpec.depolarizing(kappa)).values()
@@ -192,7 +190,7 @@ class TestFiniteEnvCm:
         bath = BathSpec(0.9, 3.0)
         env = FiniteEnvSpec(g / 20.0, 0.5, -0.5)
         blk = block_hamiltonian(small_params, scheme, bath, k=2, env=env)
-        rho, _ = fock.steady_state(fock.finite_environment_map(blk, 3.0))
+        rho, _ = fock.steady_state(fock.exact_cycle_map(blk, 3.0))
         e_fock, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
         gam = _fixed(*_maps(blk, 3.0, env.p_e))
         e_cm = cm.cm_energy(gam, blk.epsilon, blk.weight)
@@ -296,13 +294,12 @@ class TestMajoranaDamping:
         fb = fock.second_quantize(blk)
         kappa, t = 0.08, 1.9
         # joint initial state: system most excited x bath vacuum
-        rho = np.kron(fock.most_excited_density(False).matrix,
-                      fock.vacuum_density(False).matrix)
+        rho = np.kron(fock.most_excited_density(False), fock.vacuum_density(False))
         gamma = np.zeros((4, 4), dtype=complex)
         gamma[:2, :2] = cm.most_excited_cm()
         gamma[2:, 2:] = cm.vacuum_cm()
         # exact: joint unitary of the block plus gain/loss on all four modes
-        u = fb.propagator(t)
+        u = fb.propagators([t])[0]
         rho_t = fock.noise_transfer(4, kappa, t) @ (
             np.kron(u, u.conj()) @ rho.reshape(-1))
         rho_t = rho_t.reshape(16, 16)
@@ -320,22 +317,22 @@ class TestConversions:
     def test_density_cm_roundtrip(self, small_params, generic_scheme, bath):
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=3)
         s = fock.exact_cycle_map(blk, 2.2)
-        rho = fock.most_excited_density(False).matrix
+        rho = fock.most_excited_density(False)
         for _ in range(5):
-            rho = s.apply(rho)
+            rho = apply_transfer(s, rho)
         gam = cm.density_to_cm(rho)
         cm.validate_blocks([cm.vacuum_cm(), gam, cm.vacuum_cm()])  # gam as a pair
         rho_back = cm.cm_to_density(gam, edge=False)
-        assert np.max(np.abs(rho_back.matrix - rho)) < 1e-12
-        rho_back.validate()
+        assert np.max(np.abs(rho_back - rho)) < 1e-12
+        fock.validate_blocks([fock.vacuum_density(True), rho_back, fock.vacuum_density(True)])
 
     def test_fidelity_matches_fock(self, small_params, generic_scheme, bath):
         for k in (0, 3):
             blk = block_hamiltonian(small_params, generic_scheme, bath, k=k)
             s = fock.exact_cycle_map(blk, 2.2)
-            rho = fock.most_excited_density(blk.is_edge).matrix
+            rho = fock.most_excited_density(blk.is_edge)
             for _ in range(7):
-                rho = s.apply(rho)
+                rho = apply_transfer(s, rho)
             gam = cm.density_to_cm(rho)
             assert cm.cm_fidelity(gam, blk.is_edge) == pytest.approx(rho[0, 0].real, abs=1e-12)
 

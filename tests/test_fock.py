@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kelvin import fock
-from kelvin._linalg import trace_norm
+from kelvin._linalg import apply_transfer, choi_min_eig, trace_norm
 from kelvin.errors import NonUniqueFixedPoint
 from kelvin.fock import mode_operators
 from kelvin.model import (
@@ -69,6 +69,19 @@ def tilde_basis_edge_hamiltonian(theta, n, scheme, delta, k):
     h = w * (a.conj().T @ a - 0.5 * eye) + delta * (b.conj().T @ b - 0.5 * eye)
     v = g * lam * (a.conj().T @ b) + 1j * g * mu * (a @ b)
     return h + v + v.conj().T, (a, b)
+
+
+def tp_defect(s):
+    """Largest deviation of a transfer matrix from trace preservation."""
+    vid = np.eye(math.isqrt(len(s))).reshape(-1)
+    return np.max(np.abs(vid @ s - vid))
+
+
+def restricted(s):
+    """A transfer matrix on the parity-diagonal sector, and that sector's flat
+    index list."""
+    idx = np.flatnonzero(fock._parity_diag_mask(math.isqrt(len(s))))
+    return s[np.ix_(idx, idx)], idx
 
 
 def evolve_and_trace(h, rho_s, rho_b, t, d_sys, d_rest):
@@ -149,7 +162,7 @@ class TestSecondQuantize:
         from kelvin.cm import cm_to_density
         gamma = np.array([[0.5 - s * s, -s * c], [-s * c, s * s - 0.5]],
                          dtype=complex)
-        rho_h = cm_to_density(gamma, edge=False).matrix
+        rho_h = cm_to_density(gamma, edge=False)
         assert np.trace(rho_h @ np.diag([-1.0, 0, 0, 1.0])).real * blk.epsilon == \
             pytest.approx(np.trace(rho_t @ h_sys).real, abs=1e-12)
 
@@ -157,7 +170,7 @@ class TestSecondQuantize:
         rho_b = np.zeros((4, 4), dtype=complex)
         rho_b[0, 0] = 1.0
         for _ in range(4):
-            rho_h = s_map.apply(rho_h)
+            rho_h = apply_transfer(s_map, rho_h)
             rho_t = evolve_and_trace(h_tilde, rho_t, rho_b, 2.1, 4, 4)
             e_h, _ = fock.block_energy(rho_h, blk.epsilon, blk.weight)
             e_t = np.real(np.trace(rho_t @ h_sys))
@@ -184,7 +197,7 @@ class TestSecondQuantize:
         rho_h = np.diag([1.0, 0.0]).astype(complex)
         rho_b = np.diag([1.0, 0.0]).astype(complex)
         for _ in range(5):
-            rho_h = s_map.apply(rho_h)
+            rho_h = apply_transfer(s_map, rho_h)
             rho_t = evolve_and_trace(h_tilde, rho_t, rho_b, bath.cycle_time_mean, 2, 2)
             n_h = rho_h[1, 1].real
             n_t = rho_t[1, 1].real
@@ -200,7 +213,7 @@ class TestExactCycleMap:
     def test_zero_time_is_identity(self, small_params, generic_scheme, bath):
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=2)
         s = fock.exact_cycle_map(blk, 0.0)
-        assert np.allclose(s.matrix, np.eye(16), atol=1e-12)
+        assert np.allclose(s, np.eye(16), atol=1e-12)
 
     def test_decoupled_preserves_populations(self, small_params, bath, rng):
         scheme = CouplingScheme.local(1.0, 1.0, g=0.0)
@@ -208,7 +221,7 @@ class TestExactCycleMap:
         s = fock.exact_cycle_map(blk, 3.7)
         pops = rng.dirichlet(np.ones(4))
         rho = np.diag(pops).astype(complex)
-        assert np.allclose(s.apply(rho), rho, atol=1e-12)
+        assert np.allclose(apply_transfer(s, rho), rho, atol=1e-12)
 
     def test_negative_time_rejected(self, small_params, generic_scheme, bath):
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=2)
@@ -224,8 +237,8 @@ class TestExactCycleMap:
             k = int(rng.integers(0, 6))
             t = float(rng.uniform(0, 10))
             s = fock.exact_cycle_map(block_hamiltonian(p, scheme, bath, k=k), t)
-            assert s.is_trace_preserving(1e-10)
-            assert s.choi_min_eig() >= -1e-9
+            assert tp_defect(s) <= 1e-10
+            assert choi_min_eig(s) >= -1e-9
 
     def test_resonant_averaged_steady_energy(self):
         """Randomized-time steady state at exact resonance: the closed-form
@@ -244,36 +257,43 @@ class TestExactCycleMap:
     def test_parity_superselection(self, small_params, generic_scheme, bath):
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=2)
         s = fock.exact_cycle_map(blk, 2.3)
-        assert s.parity_leakage() < 1e-12
+        mask = fock._parity_diag_mask(4)
+        assert np.max(np.abs(s[~mask][:, mask])) < 1e-12
 
     def test_concatenation_matches_product(self, small_params, generic_scheme, bath):
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=2)
         s1 = fock.exact_cycle_map(blk, 1.2)
         s2 = fock.exact_cycle_map(blk, 2.9)
-        composed = s2.compose(s1)
-        rho = fock.most_excited_density(False).matrix
-        assert np.max(np.abs(composed.apply(rho) - s2.apply(s1.apply(rho)))) < 1e-12
+        rho = fock.most_excited_density(False)
+        step = apply_transfer(s2, apply_transfer(s1, rho))
+        assert np.max(np.abs(apply_transfer(s2 @ s1, rho) - step)) < 1e-12
 
 
 class TestNoisyCycleMap:
     def test_zero_noise_reduces_to_exact(self, small_params, generic_scheme, bath):
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=2)
-        a = fock.noisy_cycle_map(blk, 2.0, 0.0)
+        a = fock.exact_cycle_map(blk, 2.0, 0.0)
         b = fock.exact_cycle_map(blk, 2.0)
-        assert np.allclose(a.matrix, b.matrix, atol=1e-13)
+        assert np.allclose(a, b, atol=1e-13)
 
     def test_strong_noise_depolarizes(self, small_params, generic_scheme, bath):
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=2)
-        s = fock.noisy_cycle_map(blk, 2.0, kappa=50.0)
+        s = fock.exact_cycle_map(blk, 2.0, kappa=50.0)
         rho, _ = fock.steady_state(s)
-        assert np.allclose(rho.matrix, np.eye(4) / 4, atol=1e-8)
+        assert np.allclose(rho, np.eye(4) / 4, atol=1e-8)
         e_val, e_rel = fock.block_energy(rho, blk.epsilon, blk.weight)
         assert abs(e_val) < 1e-8 and abs(e_rel - 1.0) < 1e-8
 
     def test_negative_kappa_rejected(self, small_params, generic_scheme, bath):
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=2)
         with pytest.raises(ValueError):
-            fock.noisy_cycle_map(blk, 1.0, -0.1)
+            fock.exact_cycle_map(blk, 1.0, -0.1)
+
+    def test_environment_block_rejected(self, small_params, generic_scheme, bath):
+        env = FiniteEnvSpec(0.02, 0.7, 0.1)
+        blk = block_hamiltonian(small_params, generic_scheme, bath, k=2, env=env)
+        with pytest.raises(ValueError):
+            fock.exact_cycle_map(blk, 1.0, 0.01)
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_factorized_equals_joint_liouvillian(self, k, small_params,
@@ -289,12 +309,10 @@ class TestNoisyCycleMap:
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=3)
         fb = fock.second_quantize(blk)
         t, kappa = 2.7, 0.03
-        first = fock.noisy_cycle_map(fb, t, kappa)
-        last = fock.Superoperator(
-            fock.noise_transfer(fb.n_sys_modes, kappa, t)
-            @ fock.exact_cycle_map(fb, t).matrix, fb.d_sys)
-        a, idx = first.restricted()
-        b, _ = last.restricted()
+        first = fock.exact_cycle_map(fb, t, kappa)
+        last = fock.noise_transfer(fb.n_sys_modes, kappa, t) @ fock.exact_cycle_map(fb, t)
+        a, idx = restricted(first)
+        b, _ = restricted(last)
         assert np.max(np.abs(a - b)) < 1e-10
 
 
@@ -303,14 +321,9 @@ class TestFiniteEnvironmentMap:
         env = FiniteEnvSpec(0.0, 0.8, 0.3)
         blk_e = block_hamiltonian(small_params, generic_scheme, bath, k=2, env=env)
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=2)
-        a = fock.finite_environment_map(blk_e, 2.0)
+        a = fock.exact_cycle_map(blk_e, 2.0)
         b = fock.exact_cycle_map(blk, 2.0)
-        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12
-
-    def test_requires_environment(self, small_params, generic_scheme, bath):
-        blk = block_hamiltonian(small_params, generic_scheme, bath, k=2)
-        with pytest.raises(ValueError):
-            fock.finite_environment_map(blk, 1.0)
+        assert np.max(np.abs(a - b)) < 1e-12
 
     def test_quadratic_noise_scaling(self):
         p = ModelParams(12, 1.0)
@@ -325,8 +338,7 @@ class TestFiniteEnvironmentMap:
         for kp in kps:
             env = FiniteEnvSpec(kp, 0.7, 0.0)
             blk = block_hamiltonian(p, scheme, bath, k=3, env=env)
-            rho, _ = fock.steady_state(
-                fock.finite_environment_map(blk, bath.cycle_time_mean))
+            rho, _ = fock.steady_state(fock.exact_cycle_map(blk, bath.cycle_time_mean))
             e, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
             incr.append(e - e0)
         slope = np.polyfit(np.log(kps), np.log(incr), 1)[0]
@@ -359,7 +371,7 @@ class TestSteadyState:
         s = fock.exact_cycle_map(blk, 20.0)
         rho, alpha = fock.steady_state(s)
         assert 0.0 < alpha < 1e-9
-        assert trace_norm(s.apply(rho) - rho.matrix) <= 1e-10
+        assert trace_norm(apply_transfer(s, rho) - rho) <= 1e-10
 
     @pytest.mark.parametrize("g", [1e-4, 1e-5, 1e-6])
     def test_weak_coupling_energy_matches_high_precision_solve(self, g):
@@ -374,7 +386,7 @@ class TestSteadyState:
         s = fock.exact_cycle_map(blk, 20.0)
         rho, alpha = fock.steady_state(s)
         e_4, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
-        t_res, idx = s.restricted()
+        t_res, idx = restricted(s)
         n = len(idx)
         pops = [i for i, flat in enumerate(idx) if flat % 5 == 0]  # |j><j| sits at 5 j
         with mpmath.workdps(50):
@@ -391,8 +403,8 @@ class TestSteadyState:
     def test_decoupled_noisy_steady_is_maximally_mixed(self, small_params, bath):
         scheme = CouplingScheme.local(1.0, 1.0, g=0.0)
         blk = block_hamiltonian(small_params, scheme, bath, k=2)
-        rho, _ = fock.steady_state(fock.noisy_cycle_map(blk, 2.0, kappa=0.05))
-        assert np.allclose(rho.matrix, np.eye(4) / 4, atol=1e-9)
+        rho, _ = fock.steady_state(fock.exact_cycle_map(blk, 2.0, kappa=0.05))
+        assert np.allclose(rho, np.eye(4) / 4, atol=1e-9)
         e_val, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
         assert abs(e_val) < 1e-9
 
@@ -417,13 +429,13 @@ class TestSteadyState:
         blk = block_hamiltonian(p, scheme, bath, k=10)
         s = fock.averaged_cycle_map(blk, 20.0)
         rho_ss, alpha = fock.steady_state(s)
-        rho = fock.most_excited_density(False).matrix
+        rho = fock.most_excited_density(False)
         cycles, dist = [], []
         for n in range(40):
-            rho = s.apply(rho)
+            rho = apply_transfer(s, rho)
             if n >= 5:
                 cycles.append(n + 1)
-                dist.append(trace_norm(rho - rho_ss.matrix))
+                dist.append(trace_norm(rho - rho_ss))
         fit = -np.polyfit(cycles, np.log(dist), 1)[0]
         assert abs(fit - alpha) <= 0.01 * alpha
 
@@ -445,14 +457,14 @@ class TestSteadyState:
 
         def steady_spectra(blk, edge):
             rho, alpha = fock.steady_state(fock.exact_cycle_map(blk, t_mean))
-            out = [(np.linalg.eigvalsh(rho.matrix), alpha)]
+            out = [(np.linalg.eigvalsh(rho), alpha)]
             for kappa in (0.0, 0.01):
                 rho, alpha = fock.steady_state(fock.averaged_cycle_map(blk, t_mean, kappa))
-                out.append((np.linalg.eigvalsh(rho.matrix), alpha))
+                out.append((np.linalg.eigvalsh(rho), alpha))
                 k_s, k_sb = cm.averaged_evolution_kron(blk, t_mean, kappa=kappa)
                 x, alpha, _ = cm.fixed_points(k_s[None], (k_sb @ cm.vacuum_cm().reshape(-1))[None],
                                               edge)
-                rho = cm.cm_to_density(x.reshape(2, 2), edge).matrix
+                rho = cm.cm_to_density(x.reshape(2, 2), edge)
                 out.append((np.linalg.eigvalsh(rho), alpha[0]))
             return out
 
@@ -502,15 +514,31 @@ class TestBlockEnergy:
 
 
 class TestDensityBlockValidation:
+    """`validate_blocks` on a chain of two vacuum edges around one pair block."""
+
+    @staticmethod
+    def _validate(pair):
+        fock.validate_blocks([fock.vacuum_density(True), pair, fock.vacuum_density(True)])
+
     def test_accepts_valid(self):
-        fock.maximally_mixed_density(False).validate()
+        self._validate(fock.maximally_mixed_density(False))
 
     def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError):
-            fock.DensityBlock(np.eye(4, dtype=complex), 0).validate()
+        with pytest.raises(ValueError, match="k=1 trace"):
+            self._validate(np.eye(4, dtype=complex))
 
     def test_rejects_parity_coherence(self):
         m = np.eye(4, dtype=complex) / 4
         m[0, 1] = m[1, 0] = 0.1
-        with pytest.raises(ValueError):
-            fock.DensityBlock(m, 0).validate()
+        with pytest.raises(ValueError, match="k=1 carries parity-violating"):
+            self._validate(m)
+
+    def test_rejects_non_hermitian(self):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 3] = 0.1
+        with pytest.raises(ValueError, match="k=1 not hermitian"):
+            self._validate(m)
+
+    def test_rejects_negative_eigenvalue(self):
+        with pytest.raises(ValueError, match="k=1 not positive semidefinite"):
+            self._validate(np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex))

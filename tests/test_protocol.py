@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from kelvin import analytic as an
 from kelvin import cm, fock
 from kelvin import protocol as pr
-from kelvin._linalg import trace_norm
+from kelvin._linalg import apply_transfer, trace_norm
 from kelvin.errors import FitQualityError, NonUniqueFixedPoint
 from kelvin.model import (
     BathSpec,
@@ -88,8 +88,7 @@ class TestInitialState:
 
     def test_maximally_mixed_custom(self, small_params):
         n2 = small_params.N // 2
-        blocks = [fock.maximally_mixed_density(k in (0, n2), k).matrix
-                  for k in range(n2 + 1)]
+        blocks = [fock.maximally_mixed_density(k in (0, n2)) for k in range(n2 + 1)]
         st = pr.initial_state("custom", small_params, custom_blocks=blocks)
         _, e, f = pr.global_metrics(st, small_params)
         assert e == pytest.approx(1.0, abs=1e-13)
@@ -234,13 +233,8 @@ def _reference_trajectory(params, scheme, schedule, noise, engine, n_cycles, str
             return out
         key = (k, delta_r, t_m)
         if key not in fock_maps:
-            if noise.kind == "none":
-                fock_maps[key] = fock.exact_cycle_map(mb, t_m)
-            elif noise.kind == "depolarizing":
-                fock_maps[key] = fock.noisy_cycle_map(mb, t_m, noise.kappa)
-            else:
-                fock_maps[key] = fock.finite_environment_map(mb, t_m)
-        return fock_maps[key].apply(state)
+            fock_maps[key] = fock.exact_cycle_map(mb, t_m, noise.kappa)
+        return apply_transfer(fock_maps[key], state)
 
     def metrics(state):
         e_k, f_k = [], []
@@ -380,10 +374,10 @@ class TestEngineInterface:
 
     def test_fock_custom_blocks_need_the_shape_of_their_mode(self):
         p = ModelParams(8, 0.9)
-        mixed4 = [fock.maximally_mixed_density(False, k).matrix for k in range(5)]
+        mixed4 = [fock.maximally_mixed_density(False)] * 5
         with pytest.raises(ValueError, match="k=0"):
             pr.initial_state("custom", p, engine="fock", custom_blocks=mixed4)
-        good = [fock.maximally_mixed_density(k in (0, 4), k).matrix for k in range(5)]
+        good = [fock.maximally_mixed_density(k in (0, 4)) for k in range(5)]
         with pytest.raises(ValueError, match="k=4"):
             pr.initial_state("custom", p, engine="fock", custom_blocks=good[:4] + [mixed4[4]])
         with pytest.raises(ValueError, match="k=2"):
@@ -417,7 +411,7 @@ class TestEngineInterface:
         for k in range(n2 + 1):
             blk = block_hamiltonian(small_params, scheme, BathSpec(1.0, 2.0), k)
             s = fock.exact_cycle_map(blk, 2.0)
-            rhos.append(s.apply(s.apply(fock.most_excited_density(k in (0, n2)).matrix)))
+            rhos.append(apply_transfer(s, apply_transfer(s, fock.most_excited_density(k in (0, n2)))))
         st_f = pr.initial_state("custom", small_params, engine="fock", custom_blocks=rhos)
         st_c = pr.initial_state("custom", small_params, engine="cm",
                                 custom_blocks=[cm.density_to_cm(r) for r in rhos])
@@ -468,13 +462,13 @@ class TestCoolingRate:
         blk = block_hamiltonian(p, scheme, bath_r, k=10)
         s = fock.averaged_cycle_map(blk, 20.0)
         rho_ss, alpha_map = fock.steady_state(s)
-        rho = fock.most_excited_density(False).matrix
+        rho = fock.most_excited_density(False)
         cycles, dist = [], []
         for n in range(40):
-            rho = s.apply(rho)
+            rho = apply_transfer(s, rho)
             if n >= 5:
                 cycles.append(n + 1)
-                dist.append(trace_norm(rho - rho_ss.matrix))
+                dist.append(trace_norm(rho - rho_ss))
         alpha_fit = pr.rate_from_decay(cycles, dist)
         assert abs(alpha_fit - alpha_map) <= 0.01 * alpha_map
 
@@ -489,17 +483,17 @@ class TestCoolingRate:
 
 class TestKaleidoscope:
     def test_single_mode_equality(self):
-        a = fock.vacuum_density(False).matrix
-        b = fock.maximally_mixed_density(False).matrix
+        a = fock.vacuum_density(False)
+        b = fock.maximally_mixed_density(False)
         d = trace_norm(a - b)
         global_d = pr.product_state_distance([a], [b])
         assert global_d == pytest.approx(d, abs=1e-12)
         assert global_d <= d + 1e-9
 
     def test_one_differing_factor(self):
-        tau = fock.maximally_mixed_density(False).matrix
-        rho = fock.vacuum_density(False).matrix
-        sig = fock.most_excited_density(False).matrix
+        tau = fock.maximally_mixed_density(False)
+        rho = fock.vacuum_density(False)
+        sig = fock.most_excited_density(False)
         global_d = pr.product_state_distance([tau, rho], [tau, sig])
         assert global_d == pytest.approx(trace_norm(rho - sig), abs=1e-12)
         assert global_d <= trace_norm(rho - sig) + 1e-9
@@ -522,7 +516,7 @@ class TestKaleidoscope:
             block_hamiltonian(p, scheme, bath_f, k=k), 4.0)
             for k in range(4)]
         for cycle in range(1, 101):
-            blocks = [maps[k].apply(blocks[k]) for k in range(4)]
+            blocks = [apply_transfer(maps[k], blocks[k]) for k in range(4)]
             if cycle % 10 == 0:
                 per_mode = [trace_norm(blocks[k] - rep.states[k]) for k in range(4)]
                 global_d = pr.product_state_distance(blocks, rep.states)
@@ -684,10 +678,10 @@ class TestSteadyReport:
             for delta_r in deltas:
                 blk = block_hamiltonian(small_params, local_scheme, BathSpec(delta_r, t), k)
                 m = (fock.averaged_cycle_map(blk, t) if sched["kind"] != "single"
-                     else fock.noisy_cycle_map(blk, t, noise.kappa)).matrix
+                     else fock.exact_cycle_map(blk, t, noise.kappa))
                 total = m if total is None else m @ total
-            rho, alpha = fock.steady_state(fock.Superoperator(total, rep.states[k].shape[0]))
-            assert np.array_equal(rep.states[k], rho.matrix), k
+            rho, alpha = fock.steady_state(total)
+            assert np.array_equal(rep.states[k], rho), k
             assert rep.alpha[k] == alpha / len(deltas), k
 
     def test_scalability_of_tabulated_parameters(self):

@@ -17,6 +17,7 @@ from numpy.polynomial.legendre import leggauss
 from kelvin import analytic as an
 from kelvin import cm, fock
 from kelvin import protocol as pr
+from kelvin._linalg import uniform_average
 from kelvin.model import (
     BathSpec,
     CouplingScheme,
@@ -53,7 +54,7 @@ def _loop_transfer(fb, u, w):
 
 def _loop_cycle_map(fb, t, kappa):
     """One cycle at time t; gain/loss noise of rate kappa resolved by sector."""
-    u = fb.propagator(t)
+    u = fb.propagators([t])[0]
     if kappa == 0.0:
         return _loop_transfer(fb, u, _loop_rest_weights(fb, 0.0))
     p = 0.5 * (1.0 - math.exp(-2.0 * kappa * t))
@@ -138,42 +139,32 @@ class TestFockMaps:
     def test_averaged_map_matches_node_loop(self, block, kappa, panels):
         fb = fock.second_quantize(_block(*_BLOCKS[block]))
         s = fock.averaged_cycle_map(fb, 4.3, kappa=kappa)
-        _assert_rel_close(s.matrix, _loop_averaged_map(fb, 4.3, kappa, _panel_nodes(panels),
-                                                       panels))
+        _assert_rel_close(s, _loop_averaged_map(fb, 4.3, kappa, _panel_nodes(panels), panels))
 
     def test_long_cycle_matches_converged_loop(self):
         fb = fock.second_quantize(_block(2))
         s = fock.averaged_cycle_map(fb, _LONG_T, kappa=1e-3)
-        _assert_rel_close(s.matrix, _loop_averaged_map(fb, _LONG_T, 1e-3, 64, 64), 1e-12)
-        assert _rel_err(s.matrix, _loop_averaged_map(fb, _LONG_T, 1e-3, 96)) > 1e-4
+        _assert_rel_close(s, _loop_averaged_map(fb, _LONG_T, 1e-3, 64, 64), 1e-12)
+        assert _rel_err(s, _loop_averaged_map(fb, _LONG_T, 1e-3, 96)) > 1e-4
 
     @pytest.mark.parametrize("kappa", _KAPPAS)
     @pytest.mark.parametrize("block", _BLOCKS)
     def test_zero_mean_time_is_the_map_at_zero(self, block, kappa):
         fb = fock.second_quantize(_block(*_BLOCKS[block]))
-        at_zero = fock.noisy_cycle_map(fb, 0.0, kappa) if kappa else fock.exact_cycle_map(fb, 0.0)
-        _assert_rel_close(fock.averaged_cycle_map(fb, 0.0, kappa=kappa).matrix, at_zero.matrix)
+        _assert_rel_close(fock.averaged_cycle_map(fb, 0.0, kappa=kappa),
+                          fock.exact_cycle_map(fb, 0.0, kappa))
 
     @pytest.mark.parametrize("t", [0.0, 2.7, 9.1])
     @pytest.mark.parametrize("block", _BLOCKS)
     def test_single_time_maps_match_loop(self, block, t):
         fb = fock.second_quantize(_block(*_BLOCKS[block]))
-        _assert_rel_close(fock.exact_cycle_map(fb, t).matrix, _loop_cycle_map(fb, t, 0.0))
-        for kappa in _KAPPAS[1:]:
-            _assert_rel_close(fock.noisy_cycle_map(fb, t, kappa).matrix,
-                              _loop_cycle_map(fb, t, kappa))
+        for kappa in _KAPPAS:
+            _assert_rel_close(fock.exact_cycle_map(fb, t, kappa), _loop_cycle_map(fb, t, kappa))
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_finite_environment_map_matches_loop(self, k):
         fb = fock.second_quantize(_block(k, env=FiniteEnvSpec(0.02, 0.7, 0.1)))
-        _assert_rel_close(fock.finite_environment_map(fb, 2.7).matrix,
-                          _loop_cycle_map(fb, 2.7, 0.0))
-
-    def test_bath_excitation_matches_loop(self):
-        fb = fock.second_quantize(_block(2))
-        u = fb.propagator(2.7)
-        ref = _loop_transfer(fb, u, _loop_rest_weights(fb, 0.3))
-        _assert_rel_close(fock.exact_cycle_map(fb, 2.7, bath_excitation=0.3).matrix, ref)
+        _assert_rel_close(fock.exact_cycle_map(fb, 2.7), _loop_cycle_map(fb, 2.7, 0.0))
 
 
 class TestCmAveragedKron:
@@ -198,11 +189,37 @@ class TestCmAveragedKron:
     @pytest.mark.parametrize("kappa", _KAPPAS)
     @pytest.mark.parametrize("block", _BLOCKS)
     def test_zero_mean_time_is_the_map_at_zero(self, block, kappa):
-        generators = _block(*_BLOCKS[block]).generator[None]
-        k_s, k_sb = cm.averaged_evolution_kron(generators, 0.0, kappa=kappa)
-        k_0, _ = cm.affine_cycle_maps(generators, [0.0])
-        _assert_rel_close(k_s, k_0[0])
+        mb = _block(*_BLOCKS[block])
+        k_s, k_sb = cm.averaged_evolution_kron(mb, 0.0, kappa=kappa)
+        (k_0, _), = cm.cycle_maps(mb, [0.0], 0.0, an.NoiseSpec.none()).values()
+        _assert_rel_close(k_s, k_0)
         assert np.max(np.abs(k_sb)) <= REL_TOL
+
+
+    @pytest.mark.parametrize("kind", ["generic", "edge", "dsp"])
+    def test_unitarity_survives_the_average(self, kind):
+        """K_S vec(I) + K_SB vec(I) = uniform_average(4 kappa t_mean) vec(I).
+
+        The propagator's system rows are orthonormal at every time, A_S A_S^dag
+        + A_SB A_SB^dag = I, so their damped random-time average is
+        E[e^{-2 kappa t}] I, over seeded random stacks with g log-uniform in
+        [1e-6, 1]."""
+        rng = np.random.default_rng({"generic": 21, "edge": 22, "dsp": 23}[kind])
+        vid = np.eye(2).reshape(-1)
+        for _ in range(25):
+            n = int(rng.choice([8, 10, 12]))
+            ks = np.array([0, n // 2]) if kind == "edge" else rng.integers(1, n // 2, size=3)
+            scheme = CouplingScheme(nn=1, lam={j: float(rng.uniform(-1, 1)) for j in (-1, 0, 1)},
+                                    mu={j: float(rng.uniform(-1, 1)) for j in (-1, 0, 1)},
+                                    g=10.0 ** rng.uniform(-6.0, 0.0))
+            stack = block_hamiltonian(ModelParams(n, float(rng.uniform(0.0, math.pi / 2))),
+                                      scheme, BathSpec(float(rng.uniform(0.2, 3.0)), 1.0), ks,
+                                      dsp=kind == "dsp")
+            t_mean = float(rng.uniform(0.1, 40.0))
+            for kappa in (0.0, 1e-9, 1e-3, 0.3):
+                k_s, k_sb = cm.averaged_evolution_kron(stack, t_mean, kappa=kappa)
+                expect = uniform_average(4.0 * kappa * t_mean) * vid
+                assert np.max(np.abs(k_s @ vid + k_sb @ vid - expect)) <= 1e-13, (kappa, t_mean)
 
 
 def _loop_steady_energies(params, scheme, bath, noise, engine, dsp, nodes):
@@ -215,9 +232,8 @@ def _loop_steady_energies(params, scheme, bath, noise, engine, dsp, nodes):
         weight = 0.5 if k in (0, n2) else 1.0
         if engine == "fock":
             fb = fock.second_quantize(mb)
-            superop = fock.Superoperator(
-                _loop_averaged_map(fb, bath.cycle_time_mean, noise.kappa, nodes), fb.d_sys)
-            rho, _ = fock.steady_state(superop)
+            rho, _ = fock.steady_state(
+                _loop_averaged_map(fb, bath.cycle_time_mean, noise.kappa, nodes))
             energies.append(fock.block_energy(rho, eps, weight)[0])
         else:
             k_s, k_sb = _loop_averaged_kron(mb, bath.cycle_time_mean, noise.kappa, nodes)
@@ -299,8 +315,8 @@ class TestPostNoiseIdentity:
             n_sys_map = expm(kappa * t * _gain_loss_generator(n_sys))
             _assert_rel_close(fock.noise_transfer(n_sys, kappa, t), n_sys_map)
             damp = np.where(diag, 1.0, math.exp(-2.0 * n_sys * kappa * t))
-            noisy = fock.noisy_cycle_map(fb, t, kappa).matrix
-            _assert_rel_close(noisy, n_sys_map @ (fock.exact_cycle_map(fb, t).matrix * damp))
+            noisy = fock.exact_cycle_map(fb, t, kappa)
+            _assert_rel_close(noisy, n_sys_map @ (fock.exact_cycle_map(fb, t) * damp))
             _assert_rel_close(noisy, _loop_cycle_map(fb, t, kappa))
 
 
@@ -317,7 +333,7 @@ class TestStackedCycleMaps:
         for t, (k_s, c) in maps.items():
             assert k_s.shape[0] == len(ks) and not c.any()
             for row, k in zip(k_s, ks):
-                assert np.array_equal(row, single(_block(k, dsp=dsp), t).matrix), t
+                assert np.array_equal(row, single(_block(k, dsp=dsp), t)), t
 
     @pytest.mark.parametrize("t_mean", [1, 2, 7, 96])
     @pytest.mark.parametrize("kappa", _KAPPAS)
@@ -329,7 +345,7 @@ class TestStackedCycleMaps:
         def single(blk, t):
             if t is None:
                 return fock.averaged_cycle_map(blk, t_mean, kappa)
-            return fock.noisy_cycle_map(blk, t, kappa) if kappa else fock.exact_cycle_map(blk, t)
+            return fock.exact_cycle_map(blk, t, kappa)
 
         self._check(ks, noise, t_mean, single, dsp)
 
@@ -339,4 +355,4 @@ class TestStackedCycleMaps:
         maps = fock.cycle_maps(_block(np.array(ks), env=env), [2.7], self.T_MEAN,
                                an.NoiseSpec.finite_env(0.02, 0.7, 0.1))
         for row, k in zip(maps[2.7][0], ks):
-            assert np.array_equal(row, fock.finite_environment_map(_block(k, env=env), 2.7).matrix)
+            assert np.array_equal(row, fock.exact_cycle_map(_block(k, env=env), 2.7))
