@@ -33,23 +33,6 @@ def trace_norm(m: np.ndarray) -> float | np.ndarray:
     return np.linalg.svd(np.asarray(m), compute_uv=False).sum(axis=-1)
 
 
-def choi_from_transfer(t: np.ndarray) -> np.ndarray:
-    """Choi matrix (unnormalized) of a transfer matrix in row-major vec.
-
-    C[(m,i),(n,j)] = S(|m><n|)_{ij} = T[(i,j),(m,n)].
-    """
-    d2 = t.shape[0]
-    d = int(round(np.sqrt(d2)))
-    t4 = t.reshape(d, d, d, d)  # (i, j, m, n)
-    c = np.transpose(t4, (2, 0, 3, 1))  # (m, i, n, j)
-    return c.reshape(d2, d2)
-
-
-def choi_min_eig(t: np.ndarray) -> float:
-    c = choi_from_transfer(t)
-    return float(np.linalg.eigvalsh(hermitize(c)).min())
-
-
 def apply_transfer(t: np.ndarray, rho: np.ndarray) -> np.ndarray:
     d = rho.shape[0]
     return (t @ vec(rho)).reshape(d, d)

@@ -47,6 +47,7 @@ __all__ = [
     "coupling_arrays",
     "chain_relative_energy",
     "chain_relative_energies",
+    "chain_relative_energies_and_grad",
     "rate_table",
 ]
 
@@ -99,6 +100,33 @@ def _phase_integral(a, t: float, g: float):
     series = g * t * (1.0 + 0.5j * at - at * at / 6.0)
     out = np.where(small, series, full)
     return complex(out[()]) if out.ndim == 0 else out
+
+
+def _phase_weight_and_grad(a, t: float, g: float):
+    """|phi|^2 of `_phase_integral` and its a- and t-derivatives, on arrays of a.
+
+    With v = a t: |phi|^2 = (2 g t sin(v/2) / v)^2, d/dt |phi|^2 =
+    2 g^2 t sin(v) / v and d/da |phi|^2 = 2 g^2 t^3 (v sin v - 4 sin^2(v/2)) / v^3.
+    The last numerator cancels to -v^4/6 from terms of size v^2, so below
+    |v| = 1e-2 all three take their Taylor series (truncation < 1e-19 of
+    their scale).  Differentiating |phi|^2 rather than phi avoids the
+    e^{iv} - 1 cancellation of `_phase_integral`'s closed branch.
+    """
+    v = a * t
+    small = np.abs(v) < 1e-2
+    vs = np.where(small, 1.0, v)
+    inv = 1.0 / vs
+    v2 = v * v
+    sin_h = np.sin(0.5 * vs)
+    sin_f = np.sin(vs)
+    g2 = g * g
+    weight = np.where(small, (g2 * t * t) * (1.0 - v2 * (1.0 / 12.0 - v2 / 360.0)),
+                      (2.0 * g * t * sin_h * inv) ** 2)
+    d_a = np.where(small, (g2 * t**3) * v * (-1.0 / 6.0 + v2 * (1.0 / 90.0 - v2 / 3360.0)),
+                   (2.0 * g2 * t**3) * (vs * sin_f - 4.0 * sin_h * sin_h) * (inv * inv * inv))
+    d_t = np.where(small, (2.0 * g2 * t) * (1.0 - v2 * (1.0 / 6.0 - v2 / 120.0)),
+                   (2.0 * g2 * t) * sin_f * inv)
+    return weight, d_a, d_t
 
 
 def overlap_coeffs(epsilon: float, delta: float, t: float, g: float) -> tuple[complex, complex]:
@@ -391,6 +419,63 @@ def _single_cycle_energies(eps, cos_phi, sin_phi, a, b, delta: float, t: float,
     return finite_env_ss_energy(eps, (a, x, b, y), (a_e, x_e, b_e, y_e), noise.p_e)
 
 
+def _single_cycle_energy_grad(grid, phases, a, b, e, delta: float, t: float,
+                              g: float, noise: NoiseSpec, mode: str) -> np.ndarray:
+    """Gradient of sum_k weight_k e_k per theta row, shape (thetas, 2 J + 2).
+
+    `e` are the pair energies of `_single_cycle_energies` on `grid`, and the
+    columns follow `ParamVector.to_array`: lambda_j and mu_j over the J
+    `coupling_keys`, then delta and t.  Every noise kind has
+    e = eps (Q - P + n_env) / D with D = P + Q + pad, P = |A|^2 |x|^2 and
+    Q = |B|^2 |y|^2, so de = ((eps - e) dQ - (eps + e) dP + eps dn_env - e dpad) / D.
+    A and B are linear in the couplings (dA/dlambda_j = cos phi e^{-2 pi i j k/N},
+    dA/dmu_j = i sin phi e^{..}, dB/dlambda_j = -sin phi e^{..},
+    dB/dmu_j = i cos phi e^{..}); delta and t enter through |x|^2 and |y|^2,
+    and t also through the noise terms.
+    """
+    eps, cos_phi, sin_phi = grid.eps, grid.cos_phi, grid.sin_phi
+    eps_evo = np.zeros_like(eps) if mode == "dsp" else eps
+    # |x|^2 is even in its phase rate eps - delta, so taking it at delta - eps
+    # makes d/d delta of both |x|^2 and |y|^2 the rate derivative
+    w2, dw2_ddelta, dw2_dt = _phase_weight_and_grad(
+        np.stack([delta - eps_evo, delta + eps_evo]), t, g)
+    ab = np.stack([a, b])
+    ab2 = ab.real ** 2 + ab.imag ** 2
+    pad = dpad_dt = dn_dt = 0.0
+    if noise.kind == "depolarizing":
+        pad, dpad_dt = 2.0 * noise.kappa * t, 2.0 * noise.kappa
+    elif noise.kind == "finite_env":
+        c2, s2 = cos_phi ** 2, sin_phi ** 2
+        (xe2, ye2), _, (dxe2_dt, dye2_dt) = _phase_weight_and_grad(
+            np.stack([noise.delta_e - eps_evo, noise.delta_e + eps_evo]), t, noise.kappa_prime)
+        pad = c2 * xe2 + s2 * ye2
+        dpad_dt = c2 * dxe2_dt + s2 * dye2_dt
+        dn_dt = noise.p_e * (s2 * dye2_dt - c2 * dxe2_dt)
+    pq = ab2 * w2
+    wd = grid.weights / (pq[0] + pq[1] + pad)
+    de_dpq = np.stack([-(eps + e), eps - e]) * wd  # weighted dE/dP and dE/dQ
+    # dP/dc = 2 |x|^2 Re(conj(A) dA/dc) and dQ/dc = 2 |y|^2 Re(conj(B) dB/dc)
+    za, zb = 2.0 * de_dpq * w2 * np.conj(ab)
+    d_lam, d_mu = np.stack([cos_phi * za - sin_phi * zb, sin_phi * za + cos_phi * zb]) @ phases.T
+    de_dw2 = de_dpq * ab2
+    d_delta = np.sum(de_dw2 * dw2_ddelta, axis=(0, -1))
+    d_t = np.sum(np.sum(de_dw2 * dw2_dt, axis=0) + (eps * dn_dt - e * dpad_dt) * wd, axis=-1)
+    return np.concatenate([d_lam.real, -d_mu.imag, d_delta[..., None], d_t[..., None]],
+                          axis=-1)
+
+
+def _chain_pass(n_sites: int, thetas, scheme: CouplingScheme, delta: float, t: float,
+                noise: NoiseSpec, mode: str):
+    """The (theta x k) closed-form pass: its inputs, pair energies and relative energies."""
+    grid = _theta_grid(n_sites, tuple(float(th) for th in thetas))
+    phases = _phases(n_sites, scheme.nn)
+    a, b = _coupling_sum(grid.cos_phi, grid.sin_phi, phases, scheme)
+    e_k = _single_cycle_energies(grid.eps, grid.cos_phi, grid.sin_phi, a, b,
+                                 delta, t, scheme.g, noise, mode)
+    e_total = np.sum(grid.weights * e_k, axis=-1)
+    return grid, phases, a, b, e_k, np.abs((e_total - grid.e_gs) / grid.e_gs)
+
+
 def chain_relative_energies(n_sites: int, thetas, scheme: CouplingScheme,
                             delta: float, t: float, noise: NoiseSpec,
                             mode: str = "cooling") -> np.ndarray:
@@ -400,12 +485,24 @@ def chain_relative_energies(n_sites: int, thetas, scheme: CouplingScheme,
     theta-only inputs are cached per (N, thetas).  Raises
     UndefinedSteadyState if the steady state is undefined at any theta.
     """
-    grid = _theta_grid(n_sites, tuple(float(th) for th in thetas))
-    a, b = _coupling_sum(grid.cos_phi, grid.sin_phi, _phases(n_sites, scheme.nn), scheme)
-    e_k = _single_cycle_energies(grid.eps, grid.cos_phi, grid.sin_phi, a, b,
-                                 delta, t, scheme.g, noise, mode)
-    e_total = np.sum(grid.weights * e_k, axis=-1)
-    return np.abs((e_total - grid.e_gs) / grid.e_gs)
+    return _chain_pass(n_sites, thetas, scheme, delta, t, noise, mode)[-1]
+
+
+def chain_relative_energies_and_grad(n_sites: int, thetas, scheme: CouplingScheme,
+                                     delta: float, t: float, noise: NoiseSpec,
+                                     mode: str = "cooling") -> tuple[np.ndarray, np.ndarray]:
+    """`chain_relative_energies` and its exact gradient, from one pass.
+
+    The values are the same floats `chain_relative_energies` returns.  Row i
+    of the gradient, shape (thetas, 2 J + 2), is the derivative of value i
+    with respect to `ParamVector.to_array()`: lambda_j and mu_j over the J
+    `coupling_keys(scheme.nn)`, then delta and t.
+    """
+    grid, phases, a, b, e_k, rel = _chain_pass(n_sites, thetas, scheme, delta, t, noise, mode)
+    de_total = _single_cycle_energy_grad(grid, phases, a, b, e_k, delta, t, scheme.g,
+                                         noise, mode)
+    # e_total >= e_gs and e_gs < 0, so rel = (e_total - e_gs) / -e_gs
+    return rel, de_total / -grid.e_gs[..., None]
 
 
 def chain_relative_energy(params: ModelParams, scheme: CouplingScheme,

@@ -2,10 +2,12 @@
 
 The decision variables are the coupling weights (lambda_j, mu_j), the bath
 frequency, and the cycle time; objectives are the closed-form steady-state
-relative energies (theta-specific or integrated over a phase).  The search is
-a projected quasi-Newton (L-BFGS-B) with central finite-difference gradients
-and seeded multistarts; the largest coupling of the winner is normalized to 1
-with a compensating rescale of g, which leaves every objective unchanged.
+relative energies (theta-specific or integrated over a phase), returned with
+their exact gradients as a `ValueWithGrad`.  The search is a projected
+quasi-Newton (L-BFGS-B) that takes value and gradient from one objective call
+per step, with seeded multistarts; the largest coupling of the winner is
+normalized to 1 with a compensating rescale of g, which leaves every
+objective unchanged.
 """
 
 from __future__ import annotations
@@ -15,24 +17,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import NoiseSpec, chain_relative_energies, chain_relative_energy
+from .analytic import NoiseSpec, chain_relative_energies_and_grad
 from .errors import OptimizationFailed, UndefinedSteadyState
 from .model import CouplingScheme, ModelParams, coupling_keys
 
 __all__ = [
     "ParamVector",
     "OptResult",
+    "ValueWithGrad",
     "objective_theta_specific",
     "objective_phase_averaged",
     "phase_grid",
-    "phase_average",
     "optimize",
 ]
 
 COUPLING_BOUNDS = (-1.0, 1.0)
 DELTA_BOUNDS = (1e-3, 3.0)
 TIME_BOUNDS = (1e-3, 50.0)
-FD_REL_STEP = 1e-6
 PHASE_INSET = math.pi / 80
 PHASE_NODES = 21
 
@@ -84,14 +85,35 @@ class OptResult:
     history: list[tuple[int, float]]
 
 
+class ValueWithGrad(float):
+    """An objective value carrying its gradient in `grad`.
+
+    It compares and adds as the plain float it equals.  `grad` is the
+    derivative with respect to `ParamVector.to_array()`: lambda_j and mu_j
+    over `coupling_keys`, then delta and t.
+    """
+
+    __slots__ = ("grad",)
+
+    def __new__(cls, value: float, grad: np.ndarray):
+        self = super().__new__(cls, value)
+        self.grad = grad
+        return self
+
+
 def objective_theta_specific(pv: ParamVector, params: ModelParams,
                              noise: NoiseSpec = NoiseSpec.none(),
                              mode: str = "cooling") -> float:
-    """Total closed-form steady-state relative energy at one theta."""
+    """Total closed-form steady-state relative energy at one theta.
+
+    Returns a `ValueWithGrad`, or inf if the steady state is undefined.
+    """
     try:
-        return chain_relative_energy(params, pv.scheme, pv.delta, pv.t, noise, mode)
+        vals, grad = chain_relative_energies_and_grad(params.N, (params.theta,), pv.scheme,
+                                                      pv.delta, pv.t, noise, mode)
     except UndefinedSteadyState:
         return math.inf
+    return ValueWithGrad(vals[0], grad[0])
 
 
 def phase_grid(phase: str, n_nodes: int = PHASE_NODES) -> np.ndarray:
@@ -103,43 +125,24 @@ def phase_grid(phase: str, n_nodes: int = PHASE_NODES) -> np.ndarray:
     raise ValueError(f"unknown phase {phase!r}; use 'low' or 'high'")
 
 
-def phase_average(evaluator, phase: str, n_nodes: int = PHASE_NODES) -> float:
-    """Composite-trapezoid integral of evaluator(theta) over the phase."""
-    thetas = phase_grid(phase, n_nodes)
-    vals = np.array([evaluator(float(th)) for th in thetas])
-    return float(np.trapezoid(vals, thetas))
-
-
 def objective_phase_averaged(pv: ParamVector, phase: str, n_sites: int,
                              noise: NoiseSpec = NoiseSpec.none(),
                              mode: str = "cooling",
                              n_nodes: int = PHASE_NODES) -> float:
     """Integral over a phase of the theta-specific objective.
 
-    Same nodes and trapezoid rule as `phase_average`, with every node
-    evaluated in one closed-form pass; inf if any node has no steady state.
+    The composite trapezoid over `phase_grid(phase, n_nodes)`, with every
+    node evaluated in one closed-form pass.  Returns a `ValueWithGrad`
+    whose gradient is the trapezoid of the nodes' gradients, or inf if any
+    node has no steady state.
     """
     thetas = phase_grid(phase, n_nodes)
     try:
-        vals = chain_relative_energies(n_sites, thetas, pv.scheme, pv.delta, pv.t,
-                                       noise, mode)
+        vals, grad = chain_relative_energies_and_grad(n_sites, thetas, pv.scheme, pv.delta,
+                                                      pv.t, noise, mode)
     except UndefinedSteadyState:
         return math.inf
-    return float(np.trapezoid(vals, thetas))
-
-
-def _central_diff_grad(fun, x: np.ndarray, bounds) -> np.ndarray:
-    g = np.zeros_like(x)
-    for i in range(len(x)):
-        h = FD_REL_STEP * max(1.0, abs(x[i]))
-        lo, hi = bounds[i]
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] = min(x[i] + h, hi)
-        xm[i] = max(x[i] - h, lo)
-        denom = xp[i] - xm[i]
-        g[i] = (fun(xp) - fun(xm)) / denom if denom > 0 else 0.0
-    return g
+    return ValueWithGrad(np.trapezoid(vals, thetas), np.trapezoid(grad, thetas, axis=0))
 
 
 def optimize(objective, init: ParamVector, budget: int = 4000, restarts: int = 8,
@@ -147,9 +150,14 @@ def optimize(objective, init: ParamVector, budget: int = 4000, restarts: int = 8
              extra_starts: list[ParamVector] | None = None) -> OptResult:
     """Projected quasi-Newton multistart minimization of objective(ParamVector).
 
+    The objective returns a `ValueWithGrad`, whose gradient L-BFGS-B takes
+    from the same call (only the coupling entries if not `vary_delta_t`), or
+    a non-finite value, which the search sees as 1e30 with a zero gradient;
+    a finite value without `grad` raises TypeError.
     Restart 0 begins at `init` (then any `extra_starts`); the rest perturb the
     couplings additively and (delta, t) log-normally, all from a seeded
     counter-based stream, so results are reproducible bit for bit.
+    `evaluations` counts the value-and-gradient calls of the search.
     """
     from scipy.optimize import minimize  # imported here to keep SciPy off kelvin's import path
 
@@ -178,17 +186,23 @@ def optimize(objective, init: ParamVector, budget: int = 4000, restarts: int = 8
     best_val = math.inf
     best_x: np.ndarray | None = None
 
-    def fun(x: np.ndarray) -> float:
+    def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal n_eval, best_val, best_x
         n_eval += 1
         val = objective(init.with_array(x, vary_delta_t))
-        if math.isfinite(val) and val < best_val:
-            best_val, best_x = val, x.copy()
+        finite = math.isfinite(val)
+        if finite and not hasattr(val, "grad"):
+            raise TypeError("objective must return a ValueWithGrad (a float carrying "
+                            f".grad) or a non-finite value, got {type(val).__name__}")
+        if finite and val < best_val:
+            best_val, best_x = float(val), x.copy()
         history.append((n_eval, best_val))
-        return val if math.isfinite(val) else 1e30
+        if not finite:
+            return 1e30, np.zeros_like(x)
+        return float(val), np.asarray(val.grad[:len(x)], dtype=float)
 
-    # the budget counts objective evaluations including the 2*dim per
-    # central-difference gradient, so cap the iteration count accordingly
+    # the budget is the currency of the iteration cap: an iteration is priced
+    # at 2*dim + 2 objective calls, and maxfun caps the calls themselves
     per_restart = max(budget // max(len(starts), 1), 25)
     dim = len(bounds)
     max_iter = max(per_restart // (2 * dim + 2), 4)
@@ -197,13 +211,12 @@ def optimize(objective, init: ParamVector, budget: int = 4000, restarts: int = 8
         if not math.isfinite(objective(init.with_array(x0, vary_delta_t))):
             continue
         any_finite = True
-        minimize(fun, x0, jac=lambda x: _central_diff_grad(fun, x, bounds),
-                 method="L-BFGS-B", bounds=bounds,
+        minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
                  options={"maxfun": per_restart, "maxiter": max_iter,
                           "ftol": 1e-14, "gtol": 1e-10})
     if not any_finite or best_x is None:
         raise OptimizationFailed("objective non-finite at every start")
 
     best = init.with_array(best_x, vary_delta_t).normalized()
-    return OptResult(best=best, objective=objective(best), evaluations=n_eval,
+    return OptResult(best=best, objective=float(objective(best)), evaluations=n_eval,
                      restarts_used=len(starts), history=history)

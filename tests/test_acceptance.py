@@ -19,7 +19,7 @@ from kelvin import analytic as an
 from kelvin import cm, fock, repro
 from kelvin import optimize as op
 from kelvin import protocol as pr
-from kelvin._linalg import apply_transfer, choi_min_eig, trace_norm
+from kelvin._linalg import apply_transfer, trace_norm
 from kelvin.model import (
     BathSpec,
     CouplingScheme,
@@ -31,6 +31,8 @@ from kelvin.model import (
     ground_state_energy,
     mode_grid,
 )
+
+from oracles import choi_min_eig
 
 
 class Stopwatch:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kelvin import fock
-from kelvin._linalg import apply_transfer, choi_min_eig, trace_norm
+from kelvin._linalg import apply_transfer, trace_norm
 from kelvin.errors import NonUniqueFixedPoint
 from kelvin.fock import mode_operators
 from kelvin.model import (
@@ -17,6 +17,8 @@ from kelvin.model import (
     canonicalize_theta,
     coupling_keys,
 )
+
+from oracles import choi_min_eig
 
 
 # ---------------------------------------------------------------------------

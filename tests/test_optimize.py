@@ -1,11 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
 from kelvin import analytic as an
 from kelvin import optimize as op
+from kelvin import repro
 from kelvin.errors import OptimizationFailed
-from kelvin.model import CouplingScheme, ModelParams
+from kelvin.model import CouplingScheme, ModelParams, coupling_keys, mode_grid
+
+from oracles import phase_average
 
 
 @pytest.fixture
@@ -71,7 +75,7 @@ class TestObjectives:
     def test_phase_average_of_constant(self):
         for phase in ("low", "high"):
             grid = op.phase_grid(phase)
-            val = op.phase_average(lambda th: 0.7, phase)
+            val = phase_average(lambda th: 0.7, phase)
             assert val == pytest.approx(0.7 * (grid[-1] - grid[0]), abs=1e-12)
 
     def test_phase_grid_insets_critical_point(self):
@@ -160,3 +164,182 @@ class TestOptimize:
         assert res.best.delta == init.delta and res.best.t == init.t
         # near theta = pi/2 the best local DSP coupling is lambda-only
         assert abs(res.best.scheme.mu[0]) <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# exact gradients
+# ---------------------------------------------------------------------------
+
+NOISE_KINDS = ("none", "depolarizing", "depolarizing_zero", "finite_env")
+
+
+def _grad_case(nn, noise_kind, mode, objective, rng, g=0.1):
+    """A seeded interior point (couplings inside (-1, 1), delta and t near the
+    table rows') and its objective as a function of a ParamVector."""
+    noise = {"none": lambda: an.NoiseSpec.none(),
+             "depolarizing": lambda: an.NoiseSpec.depolarizing(
+                 float(10.0 ** rng.uniform(-2, 0)) * g * g),
+             "depolarizing_zero": lambda: an.NoiseSpec.depolarizing(0.0),
+             "finite_env": lambda: an.NoiseSpec.finite_env(
+                 float(rng.uniform(0.1, 0.5)) * g, float(rng.uniform(0.5, 1.5)),
+                 float(rng.uniform(-1, 1)))}[noise_kind]()
+    keys = coupling_keys(nn)
+    scheme = CouplingScheme(nn=nn, lam={j: float(rng.uniform(-0.9, 0.9)) for j in keys},
+                            mu={j: float(rng.uniform(-0.9, 0.9)) for j in keys}, g=g)
+    pv = op.ParamVector(scheme, float(rng.uniform(0.6, 1.2)), float(rng.uniform(2.0, 5.0)))
+    if objective == "theta_specific":
+        params = ModelParams(20, float(rng.uniform(0.05, 1.5)))
+        return pv, lambda p: op.objective_theta_specific(p, params, noise, mode)
+    phase = ("low", "high")[int(rng.integers(2))]
+    return pv, lambda p: op.objective_phase_averaged(p, phase, 20, noise, mode)
+
+
+def _central_diff(fun, pv):
+    x = pv.to_array()
+    grad = np.zeros_like(x)
+    for i in range(len(x)):
+        h = 1e-5 * max(1.0, abs(x[i]))
+        xp, xm = x.copy(), x.copy()
+        xp[i] += h
+        xm[i] -= h
+        grad[i] = (fun(pv.with_array(xp)) - fun(pv.with_array(xm))) / (2 * h)
+    return grad
+
+
+def _assert_grad_close(grad, ref, rel):
+    scale = np.max(np.abs(grad))
+    assert scale > 0
+    assert np.max(np.abs(grad - ref)) <= rel * scale, (grad, ref)
+
+
+class TestGradient:
+    @pytest.mark.parametrize("objective", ["theta_specific", "phase_averaged"])
+    @pytest.mark.parametrize("mode", ["cooling", "dsp"])
+    @pytest.mark.parametrize("noise_kind", NOISE_KINDS)
+    @pytest.mark.parametrize("nn", [0, 0.5, 1, 1.5, 2])
+    def test_matches_central_differences(self, nn, noise_kind, mode, objective):
+        rng = np.random.default_rng([int(2 * nn), NOISE_KINDS.index(noise_kind),
+                                     mode == "dsp", objective == "phase_averaged"])
+        pv, fun = _grad_case(nn, noise_kind, mode, objective, rng)
+        val = fun(pv)
+        assert val.grad.shape == pv.to_array().shape
+        _assert_grad_close(val.grad, _central_diff(fun, pv), 1e-6)
+
+    @pytest.mark.parametrize("noise", [an.NoiseSpec.none(), an.NoiseSpec.depolarizing(1e-3)])
+    @pytest.mark.parametrize("k", [0, 4, 8, 10])
+    def test_resonant_mode(self, k, noise):
+        """delta = eps_k exactly puts mode k on the series branch of the overlap."""
+        params = ModelParams(20, 0.9)
+        scheme = CouplingScheme(nn=1, lam={-1: 0.3, 0: 0.8, 1: -0.5},
+                                mu={-1: 0.2, 0: 0.4, 1: 0.6}, g=0.1)
+        pv = op.ParamVector(scheme, float(mode_grid(params)[1][k]), 3.5)
+        assert pv.delta == mode_grid(params)[1][k]
+
+        def fun(p):
+            return op.objective_theta_specific(p, params, noise)
+        _assert_grad_close(fun(pv).grad, _central_diff(fun, pv), 1e-6)
+
+    def test_phase_weight_branches(self):
+        """|phi|^2 and its derivatives on both sides of the series cut-over,
+        against 30-digit central differences."""
+        mpmath = pytest.importorskip("mpmath")
+        t, g = 3.7, 0.3
+
+        def weight_mp(a, tt):  # g^2 |e^{i a tt} - 1|^2 / a^2, without cancellation
+            if a == 0:
+                return (g * tt) ** 2
+            return (2 * g * mpmath.sin(a * tt / 2) / a) ** 2
+
+        for v in (0.0, 1e-9, -1e-7, 1e-3, 0.0099999, -0.0100001, 0.4, 5.0, -37.0):
+            a = v / t
+            got = an._phase_weight_and_grad(np.array(a), t, g)
+            with mpmath.workdps(30):
+                am, tm, h = mpmath.mpf(a), mpmath.mpf(t), mpmath.mpf("1e-12")
+                want = (weight_mp(am, tm),
+                        (weight_mp(am + h, tm) - weight_mp(am - h, tm)) / (2 * h),
+                        (weight_mp(am, tm + h) - weight_mp(am, tm - h)) / (2 * h))
+            assert abs(got[0] - abs(an._phase_integral(a, t, g)) ** 2) <= 1e-12 * g * g * t * t
+            for x, ref, scale in zip(got, want, (t * t, t ** 3, t)):
+                assert abs(x - float(ref)) <= 1e-13 * g * g * scale, (v, x, ref)
+
+    def test_matches_mpmath_closed_form(self):
+        """Noiseless N = 20 phase-averaged gradient against a 30-digit central
+        difference of an mpmath copy of the closed form."""
+        mpmath = pytest.importorskip("mpmath")
+        n_sites, phase = 20, "high"
+        scheme = CouplingScheme(nn=1, lam={-1: 0.27, 0: 1.0, 1: 0.31},
+                                mu={-1: -0.15, 0: 0.05, 1: 0.22}, g=0.1)
+        pv = op.ParamVector(scheme, 0.71, 3.63)
+        keys = coupling_keys(1)
+
+        def closed_form(x):
+            lam, mu = x[:3], x[3:6]
+            delta, t = x[6], x[7]
+            thetas = [mpmath.mpf(float(th)) for th in op.phase_grid(phase)]
+            vals = []
+            for th in thetas:
+                e_total = e_gs = 0
+                for k in range(n_sites // 2 + 1):
+                    q = 2 * mpmath.pi * k / n_sites
+                    eps = mpmath.sqrt(1 + mpmath.sin(2 * th) * mpmath.cos(q))
+                    w = mpmath.sin(th) + mpmath.cos(th) * mpmath.cos(q)
+                    r = mpmath.cos(th) * mpmath.sin(q)
+                    phi = (mpmath.mpf(0) if w >= 0 else mpmath.pi / 2) if abs(r) < 1e-15 \
+                        else mpmath.atan2(r, w) / 2
+                    c, s = mpmath.cos(phi), mpmath.sin(phi)
+                    ph = [mpmath.expj(-q * j) for j in keys]
+                    a_k = sum((c * lj + 1j * s * mj) * p for lj, mj, p in zip(lam, mu, ph))
+                    b_k = sum((-s * lj + 1j * c * mj) * p for lj, mj, p in zip(lam, mu, ph))
+                    ov = [scheme.g * (mpmath.expj(f * t) - 1) / (1j * f)
+                          for f in (eps - delta, eps + delta)]
+                    p_k, q_k = abs(a_k * ov[0]) ** 2, abs(b_k * ov[1]) ** 2
+                    weight = mpmath.mpf(0.5) if k in (0, n_sites // 2) else 1
+                    e_total += weight * eps * (q_k - p_k) / (p_k + q_k)
+                    e_gs -= weight * eps
+                vals.append(abs((e_total - e_gs) / e_gs))
+            step = thetas[1] - thetas[0]
+            return step * (sum(vals) - (vals[0] + vals[-1]) / 2)
+
+        with mpmath.workdps(30):
+            x0 = [mpmath.mpf(float(v)) for v in pv.to_array()]
+            h = mpmath.mpf("1e-12")
+            ref = []
+            for i in range(len(x0)):
+                xp, xm = list(x0), list(x0)
+                xp[i] += h
+                xm[i] -= h
+                ref.append(float((closed_form(xp) - closed_form(xm)) / (2 * h)))
+            value = float(closed_form(x0))
+        val = op.objective_phase_averaged(pv, phase, n_sites)
+        assert val == pytest.approx(value, rel=1e-12)
+        _assert_grad_close(val.grad, np.array(ref), 1e-10)
+
+
+class TestSearchInterface:
+    def test_plain_float_objective_is_rejected(self, params200):
+        init = op.ParamVector(CouplingScheme.local(1.0, 0.5, 0.1), 1.0, 3.0)
+        with pytest.raises(TypeError):
+            op.optimize(lambda pv: float(op.objective_theta_specific(pv, params200)),
+                        init, budget=100, restarts=1, seed=0)
+
+    def test_value_with_grad_is_its_float(self, params200):
+        pv = op.ParamVector(CouplingScheme.local(1.0, 0.5, 0.1), 1.0, 3.0)
+        val = op.objective_theta_specific(pv, params200)
+        assert isinstance(val, op.ValueWithGrad)
+        assert val == an.chain_relative_energy(params200, pv.scheme, pv.delta, pv.t,
+                                               an.NoiseSpec.none())
+        assert val + 1.0 == float(val) + 1.0
+
+    @pytest.mark.parametrize("nn,phase", list(repro.table_rows()))
+    def test_optimum_stable_under_one_ulp(self, nn, phase):
+        """A one-ulp change of the start moves the optimum by rounding only."""
+        _, init = repro.phase_objective_for_row(nn, phase)
+        nudged = op.ParamVector(init.scheme, float(np.nextafter(init.delta, np.inf)), init.t)
+        assert nudged.delta != init.delta
+
+        def objective(pv):
+            return op.objective_phase_averaged(pv, phase, 20)
+        a = op.optimize(objective, init, budget=300, restarts=3, seed=5)
+        b = op.optimize(objective, nudged, budget=300, restarts=3, seed=5)
+        assert np.max(np.abs(a.best.to_array() - b.best.to_array())) <= 1e-9
+        assert abs(a.objective - b.objective) <= 1e-12 * a.objective
