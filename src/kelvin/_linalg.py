@@ -19,10 +19,6 @@ FIXED_POINT_ATOL = 1e-10
 UNIT_EIGENVALUE_TOL = 40.0 * float(np.finfo(float).eps)
 
 
-def vec(rho: np.ndarray) -> np.ndarray:
-    return np.asarray(rho).reshape(-1)
-
-
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Hermitian part of a matrix, or of each matrix in a stack."""
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
@@ -31,11 +27,6 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 def trace_norm(m: np.ndarray) -> float | np.ndarray:
     """Sum of singular values (Schatten 1-norm) of a matrix, or of each matrix in a stack."""
     return np.linalg.svd(np.asarray(m), compute_uv=False).sum(axis=-1)
-
-
-def apply_transfer(t: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    d = rho.shape[0]
-    return (t @ vec(rho)).reshape(d, d)
 
 
 def uniform_average(z) -> np.ndarray:

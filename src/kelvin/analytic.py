@@ -3,9 +3,9 @@
 Everything here is second order in the coupling: overlap coefficients from
 the time integrals, jump operators of the per-cycle Lindbladian, cooling and
 heating rates (exact time averages and their Lorentzian approximation),
-steady-state energies for the noiseless, depolarizing-noisy, DSP, and
-finite-environment cases, and the cycle-count and ground-state-cooling
-scaling estimates.
+the per-pair steady energy (one routine, `steady_energy`, covers the
+noiseless, depolarizing-noisy, DSP and finite-environment cases), and the
+cycle-count and ground-state-cooling scaling estimates.
 """
 
 from __future__ import annotations
@@ -35,10 +35,7 @@ __all__ = [
     "multifreq_rates",
     "continuum_rates",
     "lindblad_steady",
-    "general_ss_energy",
-    "noisy_ss_energy",
-    "dsp_ss_energy",
-    "finite_env_ss_energy",
+    "steady_energy",
     "cycle_estimates",
     "gs_cooling_plan",
     "CoolingPlan",
@@ -300,49 +297,29 @@ def lindblad_steady(gamma_c, gamma_h, epsilon, noise_kappa_t: float = 0.0):
     return e_val, e_k, m_k, m_k**2
 
 
-def general_ss_energy(epsilon, a_k, b_k, x, y):
-    """Noiseless per-pair steady energy eps (|By|^2 - |Ax|^2)/(|Ax|^2 + |By|^2)."""
-    ax2 = np.abs(np.asarray(a_k) * np.asarray(x)) ** 2
-    by2 = np.abs(np.asarray(b_k) * np.asarray(y)) ** 2
-    denom = ax2 + by2
-    if np.any(denom <= 0):
-        raise UndefinedSteadyState("|Ax|^2 + |By|^2 vanishes")
-    return np.asarray(epsilon, dtype=float) * (by2 - ax2) / denom
+def steady_energy(epsilon, a_k, b_k, x, y, pad: float = 0.0, env=None):
+    """Per-pair steady energy eps (Q - P + n_env) / (P + Q + P_e + Q_e + pad).
 
-
-def noisy_ss_energy(epsilon, a_k, b_k, x, y, kappa: float, t: float):
-    """Depolarizing-noise steady energy; 2 kappa t pads the denominator."""
-    ax2 = np.abs(np.asarray(a_k) * np.asarray(x)) ** 2
-    by2 = np.abs(np.asarray(b_k) * np.asarray(y)) ** 2
-    return np.asarray(epsilon, dtype=float) * (by2 - ax2) / (ax2 + by2 + 2.0 * kappa * t)
-
-
-def dsp_ss_energy(epsilon, a_k, b_k):
-    """Steady energy with the system Hamiltonian switched off during cycles."""
-    a2 = np.abs(np.asarray(a_k)) ** 2
-    b2 = np.abs(np.asarray(b_k)) ** 2
-    denom = a2 + b2
-    if np.any(denom <= 0):
-        raise UndefinedSteadyState("|A|^2 + |B|^2 vanishes")
-    return np.asarray(epsilon, dtype=float) * (b2 - a2) / denom
-
-
-def finite_env_ss_energy(epsilon, bath_terms, env_terms, p_e: float):
-    """Steady energy with one engineered bath and one uncontrolled environment.
-
-    Each of bath_terms and env_terms is (A, x, B, y); the bath carries
-    polarization 1, the environment p_e.
+    P = |A x|^2 and Q = |B y|^2 are the bath's cooling and heating weights.
+    Depolarizing noise of rate kappa pads the denominator by pad = 2 kappa t.
+    A finite environment env = (A_e, x_e, B_e, y_e, p_e) adds its weights
+    P_e = |A_e x_e|^2 and Q_e = |B_e y_e|^2, and n_env = p_e (Q_e - P_e):
+    the bath carries polarization 1, the environment p_e.  With the system
+    Hamiltonian switched off during cycles (DSP), x = y = 1.  Raises
+    UndefinedSteadyState where the denominator is not positive.
     """
-    a_b, x_b, b_b, y_b = bath_terms
-    a_e, x_e, b_e, y_e = env_terms
-    axb = np.abs(np.asarray(a_b) * np.asarray(x_b)) ** 2
-    byb = np.abs(np.asarray(b_b) * np.asarray(y_b)) ** 2
-    axe = np.abs(np.asarray(a_e) * np.asarray(x_e)) ** 2
-    bye = np.abs(np.asarray(b_e) * np.asarray(y_e)) ** 2
-    denom = axb + byb + axe + bye
+    p = np.abs(np.asarray(a_k) * np.asarray(x)) ** 2
+    q = np.abs(np.asarray(b_k) * np.asarray(y)) ** 2
+    num, denom = q - p, p + q
+    if env is not None:
+        a_e, x_e, b_e, y_e, p_e = env
+        p_env = np.abs(np.asarray(a_e) * np.asarray(x_e)) ** 2
+        q_env = np.abs(np.asarray(b_e) * np.asarray(y_e)) ** 2
+        num = num + p_e * (q_env - p_env)
+        denom = denom + p_env + q_env
+    denom = denom + pad
     if np.any(denom <= 0):
         raise UndefinedSteadyState("total overlap weight vanishes")
-    num = 1.0 * (byb - axb) + p_e * (bye - axe)
     return np.asarray(epsilon, dtype=float) * num / denom
 
 
@@ -408,15 +385,14 @@ def _single_cycle_energies(eps, cos_phi, sin_phi, a, b, delta: float, t: float,
     eps_evo = np.zeros_like(eps) if mode == "dsp" else eps
     x = _phase_integral(eps_evo - delta, t, g)
     y = -_phase_integral(eps_evo + delta, t, g)
-    if noise.kind == "none":
-        return general_ss_energy(eps, a, b, x, y)
+    pad, env = 0.0, None
     if noise.kind == "depolarizing":
-        return noisy_ss_energy(eps, a, b, x, y, noise.kappa, t)
-    a_e = cos_phi.astype(complex)
-    b_e = (-sin_phi).astype(complex)
-    x_e = _phase_integral(eps_evo - noise.delta_e, t, noise.kappa_prime)
-    y_e = -_phase_integral(eps_evo + noise.delta_e, t, noise.kappa_prime)
-    return finite_env_ss_energy(eps, (a, x, b, y), (a_e, x_e, b_e, y_e), noise.p_e)
+        pad = 2.0 * noise.kappa * t
+    elif noise.kind == "finite_env":
+        x_e = _phase_integral(eps_evo - noise.delta_e, t, noise.kappa_prime)
+        y_e = -_phase_integral(eps_evo + noise.delta_e, t, noise.kappa_prime)
+        env = (cos_phi.astype(complex), x_e, (-sin_phi).astype(complex), y_e, noise.p_e)
+    return steady_energy(eps, a, b, x, y, pad, env)
 
 
 def _single_cycle_energy_grad(grid, phases, a, b, e, delta: float, t: float,

@@ -9,7 +9,7 @@ are written atomically (temp + rename), CSVs carry a header row, and every
 summary.json embeds the config hash and package version for reproducibility.
 
 Exit codes: 0 success, 1 reproduction assertion failure, 2 invalid config,
-3 non-unique fixed point, 4 unsupported engine/noise combination,
+3 no unique steady state, 4 unsupported engine/noise combination,
 5 optimization failure.
 """
 
@@ -30,7 +30,8 @@ from . import analytic as an
 from . import optimize as op
 from . import protocol as pr
 from . import repro, svgplot
-from .errors import ConfigError, NonUniqueFixedPoint, OptimizationFailed, UnsupportedCombination
+from .errors import (ConfigError, NonUniqueFixedPoint, OptimizationFailed, UndefinedSteadyState,
+                     UnsupportedCombination)
 from .model import (
     BathSpec,
     CouplingScheme,
@@ -44,7 +45,7 @@ from .model import (
 
 EXIT_ASSERTION = 1
 EXIT_CONFIG = 2
-EXIT_NONUNIQUE = 3
+EXIT_NO_STEADY_STATE = 3
 EXIT_UNSUPPORTED = 4
 EXIT_OPTFAIL = 5
 
@@ -61,7 +62,7 @@ _SCHEMA = {
     "noise": {"kind", "kappa", "kappa_prime", "delta_e", "p_e"},
     "run": {"cycles", "snapshot_stride", "initial", "dsp", "cross_check", "wide"},
     "optimize": {"objective", "phase", "mode", "budget", "restarts", "init"},
-    "reproduce": {"target", "fast"},
+    "reproduce": {"target"},
 }
 _TOP_KEYS = set(_SCHEMA) | {"seed", "engine"}
 
@@ -370,7 +371,7 @@ def cmd_reproduce(cfg: dict, out: str, args) -> int:
     if r.get("target") not in repro.TARGETS:
         raise ConfigError(f"unknown reproduction target {r.get('target')!r}; "
                           f"choose from {sorted(repro.TARGETS)}")
-    result = repro.run_target(r["target"], fast=bool(r.get("fast", False)))
+    result = repro.run_target(r["target"])
     payload = _summary(cfg, {
         "target": result.target,
         "passed": result.passed,
@@ -430,7 +431,11 @@ def main(argv=None) -> int:
         json.dump({"error": "non_unique_fixed_point", "message": str(exc),
                    "eigenspace_dim": exc.eigenspace_dim}, sys.stderr)
         sys.stderr.write("\n")
-        return EXIT_NONUNIQUE
+        return EXIT_NO_STEADY_STATE
+    except UndefinedSteadyState as exc:
+        json.dump({"error": "undefined_steady_state", "message": str(exc)}, sys.stderr)
+        sys.stderr.write("\n")
+        return EXIT_NO_STEADY_STATE
     except UnsupportedCombination as exc:
         json.dump({"error": "unsupported_combination", "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

@@ -21,13 +21,10 @@ averaged over random times (`averaged_evolution_kron`).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from ._linalg import affine_fixed_points, hermitize, uniform_average
-from .errors import ResonantDenominator
-from .fock import mode_operators
 from .model import FiniteEnvSpec, ModeBlock
 
 __all__ = [
@@ -43,11 +40,6 @@ __all__ = [
     "reduce",
     "cm_energy",
     "cm_fidelity",
-    "density_to_cm",
-    "cm_to_density",
-    "perturbative_blocks",
-    "majorana_damping_check",
-    "bravyi_noise_matrices",
 ]
 
 CM_EIG_SLACK = 1e-10
@@ -203,7 +195,7 @@ def fixed_points(k_s: np.ndarray, c: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# energies, fidelities, and conversions
+# energies and fidelities
 # ---------------------------------------------------------------------------
 
 def reduce(ks: np.ndarray, x: np.ndarray, eps: np.ndarray, wts: np.ndarray,
@@ -230,152 +222,3 @@ def cm_fidelity(gamma: np.ndarray, edge: bool) -> float:
     or mode 1 (a pair) of n2 = 2."""
     return float(reduce(np.array([0 if edge else 1]), np.reshape(gamma, (1, 4)),
                         np.zeros(2), np.zeros(2), 2)[1][0])
-
-
-@lru_cache(maxsize=2)
-def _pair_moment_ops():
-    a1, a2 = mode_operators(2)
-    return a1.conj().T @ a1, a2.conj().T @ a2, a1 @ a2
-
-
-def density_to_cm(rho: np.ndarray) -> np.ndarray:
-    """System CM of a block density matrix (generic 4x4 or edge 2x2)."""
-    if rho.shape[0] == 2:
-        n = rho[1, 1].real
-        return np.diag([0.5 - n, n - 0.5]).astype(complex)
-    n1_op, n2_op, pair_op = _pair_moment_ops()
-    n1 = np.trace(rho @ n1_op).real
-    n2 = np.trace(rho @ n2_op).real
-    c = np.trace(rho @ pair_op)
-    return np.array([[0.5 - n1, c], [np.conj(c), n2 - 0.5]], dtype=complex)
-
-
-def cm_to_density(gamma: np.ndarray, edge: bool) -> np.ndarray:
-    """Reconstruct the Gaussian block density matrix from its system CM.
-
-    Wick's theorem fixes the double occupancy: <n_+ n_-> = n_+ n_- + |c|^2
-    with c = <a_+ a_->; parity-even Gaussian blocks have no other freedom.
-    """
-    if edge:
-        n = 0.5 + gamma[1, 1].real
-        m = np.diag([1.0 - n, n]).astype(complex)
-        return np.clip(m.real, 0, None).astype(complex)
-    n1 = 0.5 - gamma[0, 0].real
-    n2 = 0.5 + gamma[1, 1].real
-    c = complex(gamma[0, 1])
-    r = n1 * n2 + abs(c) ** 2
-    q = n1 - r
-    p = n2 - r
-    m0 = 1.0 - p - q - r
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = m0, p, q, r
-    rho[0, 3] = -np.conj(c)
-    rho[3, 0] = -c
-    return rho
-
-
-# ---------------------------------------------------------------------------
-# perturbative (Dyson) blocks used for validation
-# ---------------------------------------------------------------------------
-
-def quadrature_couplings(block: ModeBlock) -> tuple[complex, complex]:
-    """Coupling combinations (f_k, p_k) used by the quadrature-basis expansion."""
-    phi = block.phi
-    # f = -e^{i phi} sum (lam_j + mu_j) e^{-i 2 pi j k / N} and
-    # p = e^{-i phi} sum (lam_j - mu_j) e^{-i 2 pi j k / N}; recover the sums
-    # from the stored (A, B): lam-sum = cos(phi)A - sin(phi)B parts.
-    a, b = block.a_coeff, block.b_coeff
-    c, s = math.cos(phi), math.sin(phi)
-    lam_sum = c * a - s * b        # sum lam_j e^{-i phi_k j}
-    mu_sum = (s * a + c * b) / 1j  # sum mu_j e^{-i phi_k j}
-    f = -np.exp(1j * phi) * (lam_sum + mu_sum)
-    p = np.exp(-1j * phi) * (lam_sum - mu_sum)
-    return complex(f), complex(p)
-
-
-def perturbative_blocks(epsilon: float, g: float, delta: float, t: float,
-                        f_k: complex, p_k: complex):
-    """Closed-form Dyson blocks (A_S^0, A_SB^1, A_S^2, Q) at internal time T = 2t.
-
-    The blocks expand the quadrature-basis propagator P(T) = exp(+i h T):
-    P_SS = A_S^0 + g^2 A_S^2 + O(g^4) and P_SB = g A_SB^1 + O(g^3).  Only
-    |A_SB^1| enters steady-state energies, so the overall sign of the odd
-    block is a convention.  Valid away from the resonant denominator
-    eps^2 = delta^2; callers hitting it must use the exact engines.
-    """
-    if abs(epsilon**2 - delta**2) < 1e-9:
-        raise ResonantDenominator(f"eps^2 - delta^2 = {epsilon**2 - delta**2:.2e}")
-    T = 2.0 * t
-    ce, se = math.cos(epsilon * T), math.sin(epsilon * T)
-    cd, sd = math.cos(delta * T), math.sin(delta * T)
-    x1 = (epsilon * p_k - delta * f_k) / (epsilon**2 - delta**2)
-    x2 = -1j * (epsilon * f_k - delta * p_k) / (epsilon**2 - delta**2)
-
-    a_s0 = np.array([[ce, se], [-se, ce]], dtype=complex)
-    a_sb1 = -np.array(
-        [[x1 * (cd - ce), x1 * sd + 1j * x2 * se],
-         [x1 * se + 1j * x2 * sd, -1j * x2 * (cd - ce)]], dtype=complex)
-
-    cross = 1j * f_k * np.conj(x2) - p_k * np.conj(x1)
-    mag = abs(x1) ** 2 + abs(x2) ** 2
-    im_term = (delta / epsilon) * se * np.imag(1j * x1 * np.conj(x2)) if epsilon != 0 else 0.0
-    a11 = abs(x1) ** 2 * (cd - ce) + 0.5 * T * se * cross
-    a12 = (1j * x1 * np.conj(x2) * sd - 0.5 * se * mag
-           - 1j * im_term - cross * 0.5 * T * ce)
-    a21 = (1j * x2 * np.conj(x1) * sd + 0.5 * se * mag
-           - 1j * im_term + cross * 0.5 * T * ce)
-    a22 = abs(x2) ** 2 * (cd - ce) + 0.5 * T * se * cross
-    a_s2 = np.array([[a11, a12], [a21, a22]], dtype=complex)
-
-    q = 2.0 * mag * (1.0 - cd * ce) + 4.0 * sd * se * np.imag(x1 * np.conj(x2))
-    return a_s0, a_sb1, a_s2, float(np.real(q))
-
-
-def omega_basis_generator(epsilon: float, g: float, delta: float,
-                          f_k: complex, p_k: complex) -> np.ndarray:
-    """Single-particle generator in the quadrature basis the Dyson blocks use."""
-    return 1j * np.array(
-        [[0, -epsilon, 0, g * f_k],
-         [epsilon, 0, g * p_k, 0],
-         [0, -g * np.conj(p_k), 0, -delta],
-         [-g * np.conj(f_k), 0, delta, 0]], dtype=complex)
-
-
-# ---------------------------------------------------------------------------
-# noise damping in the Majorana picture
-# ---------------------------------------------------------------------------
-
-def bravyi_noise_matrices(n_modes: int, kappa: float) -> tuple[np.ndarray, np.ndarray]:
-    """(M, Y) for uniform gain/loss noise in the Majorana covariance equation.
-
-    In the convention d rho/dt = sum_mu (2 L rho L^dag - {L^dag L, rho}) with
-    L linear in Majoranas, our rate-kappa gain/loss channel has M =
-    (kappa/4) I and therefore Y = 4i(M* - M) = 0: the noise is pure damping.
-    """
-    m = np.zeros((2 * n_modes, 2 * n_modes), dtype=complex)
-    for j in range(n_modes):
-        for sign in (+1.0, -1.0):
-            l = np.zeros(2 * n_modes, dtype=complex)
-            l[2 * j] = 0.5 * math.sqrt(kappa / 2.0)
-            l[2 * j + 1] = sign * 0.5j * math.sqrt(kappa / 2.0)
-            m += np.outer(l, l.conj())
-    y = 4j * (m.conj() - m)
-    return m, y
-
-
-def majorana_damping_check(block: ModeBlock, kappa: float, t: float,
-                           gamma0: np.ndarray) -> np.ndarray:
-    """Propagate a joint CM one noisy interval and confirm pure damping.
-
-    Verifies M proportional to the identity (so Y = 0) and returns
-    exp(-2 kappa t) U gamma0 U^dag, the damped unitary evolution of the full
-    block CM.
-    """
-    n_modes = block.n_modes
-    m, y = bravyi_noise_matrices(n_modes, kappa)
-    if np.max(np.abs(m - m[0, 0] * np.eye(2 * n_modes))) > 1e-14:
-        raise RuntimeError("noise M-matrix not proportional to identity")
-    if np.max(np.abs(y)) > 1e-14:
-        raise RuntimeError("noise Y-matrix does not vanish")
-    u = _propagators(block.generator, [t])[0]
-    return math.exp(-2.0 * kappa * t) * (u @ gamma0 @ u.conj().T)

@@ -50,11 +50,9 @@ from ._linalg import (
     HERMITICITY_ATOL,
     TRACE_ATOL,
     affine_fixed_points,
-    apply_transfer,
     hermitize,
     trace_norm,
     uniform_average,
-    vec,
 )
 from .errors import NonUniqueFixedPoint
 from .model import FiniteEnvSpec, ModeBlock
@@ -76,8 +74,6 @@ __all__ = [
     "block_energy",
     "vacuum_density",
     "most_excited_density",
-    "maximally_mixed_density",
-    "noise_factorization_gap",
 ]
 
 
@@ -189,11 +185,6 @@ def most_excited_density(edge: bool) -> np.ndarray:
     m = np.zeros((2, 2) if edge else (4, 4), dtype=complex)
     m[-1, -1] = 1.0
     return m
-
-
-def maximally_mixed_density(edge: bool) -> np.ndarray:
-    d = 2 if edge else 4
-    return np.eye(d, dtype=complex) / d
 
 
 def mode_groups(n2: int) -> list[np.ndarray]:
@@ -457,45 +448,3 @@ def fixed_points(k_s: np.ndarray, c: np.ndarray | None = None,
     if np.max(resid, initial=0.0) > FIXED_POINT_ATOL:
         raise NonUniqueFixedPoint(1, f"fixed-point residual {np.max(resid):.2e} above tolerance")
     return rho.reshape(-1, d * d), alpha, resid
-
-
-# ---------------------------------------------------------------------------
-# verification helpers
-# ---------------------------------------------------------------------------
-
-def noise_factorization_gap(block: ModeBlock, kappa: float, t: float) -> float:
-    """Max 1-norm gap between the factorized noisy cycle and the joint Lindbladian.
-
-    Propagates d rho/dt = -i[H, rho] + L_E(rho) on the full system+bath space
-    by dense exponentiation, traces out the bath, and compares channel outputs
-    on all matrix units of the system block.  Should vanish because the noise
-    generator commutes with the quadratic unitary.
-    """
-    from scipy.linalg import expm  # imported here to keep SciPy off kelvin's import path
-
-    fb = second_quantize(block)
-    d = 2**fb.n_modes
-    ds, dr = fb.d_sys, fb.d_rest
-    ops = mode_operators(fb.n_modes)
-    eye = np.eye(d)
-    liou = -1j * (np.kron(fb.hamiltonian, eye) - np.kron(eye, fb.hamiltonian.T))
-    for a in ops:
-        for o in (a, a.conj().T):
-            n_op = o.conj().T @ o
-            liou += kappa * (np.kron(o, o.conj())
-                             - 0.5 * (np.kron(n_op, eye) + np.kron(eye, n_op.T)))
-    prop = expm(liou * t)
-
-    factorized = exact_cycle_map(fb, t, kappa)
-    rho_b = np.zeros((dr, dr), dtype=complex)
-    rho_b[0, 0] = 1.0
-    gap = 0.0
-    for m in range(ds):
-        for n in range(ds):
-            unit = np.zeros((ds, ds), dtype=complex)
-            unit[m, n] = 1.0
-            joint = np.kron(unit, rho_b)
-            out = (prop @ vec(joint)).reshape(d, d)
-            out_s = np.trace(out.reshape(ds, dr, ds, dr), axis1=1, axis2=3)
-            gap = max(gap, trace_norm(out_s - apply_transfer(factorized, unit)))
-    return gap

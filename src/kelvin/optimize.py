@@ -152,8 +152,9 @@ def optimize(objective, init: ParamVector, budget: int = 4000, restarts: int = 8
 
     The objective returns a `ValueWithGrad`, whose gradient L-BFGS-B takes
     from the same call (only the coupling entries if not `vary_delta_t`), or
-    a non-finite value, which the search sees as 1e30 with a zero gradient;
-    a finite value without `grad` raises TypeError.
+    a non-finite value, which the search sees as 1e30 with a zero gradient,
+    so a non-finite start ends its restart after one call; a finite value
+    without `grad` raises TypeError.
     Restart 0 begins at `init` (then any `extra_starts`); the rest perturb the
     couplings additively and (delta, t) log-normally, all from a seeded
     counter-based stream, so results are reproducible bit for bit.
@@ -206,15 +207,11 @@ def optimize(objective, init: ParamVector, budget: int = 4000, restarts: int = 8
     per_restart = max(budget // max(len(starts), 1), 25)
     dim = len(bounds)
     max_iter = max(per_restart // (2 * dim + 2), 4)
-    any_finite = False
     for x0 in starts:
-        if not math.isfinite(objective(init.with_array(x0, vary_delta_t))):
-            continue
-        any_finite = True
         minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
                  options={"maxfun": per_restart, "maxiter": max_iter,
                           "ftol": 1e-14, "gtol": 1e-10})
-    if not any_finite or best_x is None:
+    if best_x is None:
         raise OptimizationFailed("objective non-finite at every start")
 
     best = init.with_array(best_x, vary_delta_t).normalized()

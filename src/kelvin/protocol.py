@@ -28,7 +28,7 @@ import numpy as np
 from . import cm as _cm
 from . import fock as _fock
 from ._linalg import trace_norm
-from .errors import FitQualityError, UnsupportedCombination
+from .errors import UnsupportedCombination
 from .model import (BathSpec, CouplingScheme, FiniteEnvSpec, ModelParams, band_edges,
                     block_hamiltonian, dispersion, ground_state_energy, mode_grid)
 from .analytic import NoiseSpec
@@ -43,8 +43,6 @@ __all__ = [
     "initial_state",
     "run_trajectory",
     "global_metrics",
-    "rate_from_decay",
-    "product_state_distance",
     "SteadyStateReport",
     "steady_report",
 ]
@@ -346,40 +344,6 @@ def run_trajectory(params: ModelParams, scheme: CouplingScheme, schedule: Schedu
 
     final = ChainState(engine, _group_blocks([(ks, x[-1]) for ks, x in groups], n2), params)
     return Trajectory(snapshots=snapshots, converged_at=converged_at, final_state=final)
-
-
-# ---------------------------------------------------------------------------
-# cooling rates and distance bounds
-# ---------------------------------------------------------------------------
-
-def rate_from_decay(cycles, distances, floor: float = 1e-13) -> float:
-    """Least-squares slope of log(distance) vs cycle index.
-
-    Raises FitQualityError when the tail is non-monotone beyond noise or the
-    residual of the linear fit is large.
-    """
-    cyc = np.asarray(cycles, dtype=float)
-    dist = np.asarray(distances, dtype=float)
-    keep = dist > floor
-    cyc, dist = cyc[keep], dist[keep]
-    if len(cyc) < 3:
-        raise FitQualityError(math.inf, "fewer than 3 usable points in decay trace")
-    logd = np.log(dist)
-    a, b = np.polyfit(cyc, logd, 1)
-    resid = float(np.sqrt(np.mean((logd - (a * cyc + b)) ** 2)))
-    if a >= 0 or resid > 0.1:
-        raise FitQualityError(resid, f"decay fit slope {a:.3e}, residual {resid:.3e}")
-    return -a
-
-
-def product_state_distance(blocks_a, blocks_b) -> float:
-    """Trace-norm distance between two product chain states (small chains)."""
-    rho_a = np.array([[1.0]], dtype=complex)
-    rho_b = np.array([[1.0]], dtype=complex)
-    for a, b in zip(blocks_a, blocks_b):
-        rho_a = np.kron(rho_a, a)
-        rho_b = np.kron(rho_b, b)
-    return trace_norm(rho_a - rho_b)
 
 
 # ---------------------------------------------------------------------------

@@ -179,14 +179,14 @@ def phase_objective_for_row(nn: float, phase: str, n_sites: int = 20) -> tuple[f
 # targets
 # ---------------------------------------------------------------------------
 
-def _target_fig2(fast: bool = False) -> TargetResult:
+def _target_fig2() -> TargetResult:
     n = 200
     params = ModelParams(n, math.pi / 3)
     scheme = CouplingScheme.local(1.0, 1.0, 0.01)
     t = 10.0
     bath = BathSpec(dispersion(params.theta, n, n // 4), t)
     sched = pr.make_schedule({"kind": "single"}, params, bath, seed=0)
-    cycles = 1000  # also under --fast: 200 cycles leave the resonant modes at e_k = 0.28
+    cycles = 1000  # 200 cycles leave the resonant modes at e_k = 0.28
     traj = pr.run_trajectory(params, scheme, sched, engine="fock",
                              n_global_cycles=cycles, snapshot_stride=10)
     final = traj.final_state
@@ -214,8 +214,8 @@ def _target_fig2(fast: bool = False) -> TargetResult:
                         data={"e_k": e_k.tolist(), "cycles": cycles})
 
 
-def _target_fig3(fast: bool = False) -> TargetResult:
-    n = 100 if fast else 200
+def _target_fig3() -> TargetResult:
+    n = 200
     rep = fig3_report(n_sites=n)
     e_pred, rt, _ = fig3_analytic(n_sites=n)
     dev = np.abs(rep.mode_relative_energy - e_pred) / np.abs(e_pred)
@@ -233,11 +233,9 @@ def _target_fig3(fast: bool = False) -> TargetResult:
     return TargetResult("fig3", asserts, data={"total_e": rep.relative_energy})
 
 
-def _target_fig4(fast: bool = False) -> TargetResult:
-    # the fast grid takes odd j: nodes at pi/4 +- pi/40, the asserted window's edges
-    thetas = np.array([math.pi / 4 + j * math.pi / 40
-                       for j in (range(-7, 10, 2) if fast else range(-8, 10))])
-    n = 100 if fast else 200
+def _target_fig4() -> TargetResult:
+    thetas = np.array([math.pi / 4 + j * math.pi / 40 for j in range(-8, 10)])
+    n = 200
     th, es, alphas = fig4_sweep(thetas, n_sites=n)
     i_max = int(np.argmax(es))
     g2 = FIG3["g"] ** 2
@@ -260,7 +258,7 @@ def _target_fig4(fast: bool = False) -> TargetResult:
                               "alpha_over_g2": (alphas / g2).tolist()})
 
 
-def _target_fig5(fast: bool = False) -> TargetResult:
+def _target_fig5() -> TargetResult:
     n = 200
     params = ModelParams(n, math.pi / 3)
     scheme = CouplingScheme.local(1.0, 1.0, 1e-4)
@@ -281,7 +279,7 @@ def _target_fig5(fast: bool = False) -> TargetResult:
     return TargetResult("fig5", asserts)
 
 
-def _target_fig6(fast: bool = False) -> TargetResult:
+def _target_fig6() -> TargetResult:
     n = 200
     params = ModelParams(n, math.pi / 3)
     scheme = CouplingScheme.local(1.0, 1.0, 1e-4)
@@ -306,7 +304,7 @@ def _target_fig6(fast: bool = False) -> TargetResult:
     return TargetResult("fig6", asserts)
 
 
-def _target_fig8(fast: bool = False) -> TargetResult:
+def _target_fig8() -> TargetResult:
     params = ModelParams(1000, math.pi / 3)
     _, eps, _, wts = mode_grid(params)
     e_gs = ground_state_energy(params)
@@ -338,9 +336,8 @@ def _target_fig8(fast: bool = False) -> TargetResult:
     return TargetResult("fig8", asserts, notes, data={"e_by_R": es, "e_R2": e_two})
 
 
-def _target_fig10(fast: bool = False) -> TargetResult:
-    n = 100 if fast else 200
-    series = fig10_series(n_sites=n)
+def _target_fig10() -> TargetResult:
+    series = fig10_series(n_sites=200)
     quadruple = [0.052, 0.292, 0.479, 0.673]
     reading_a = [0.0, 0.03, 0.1, 0.3]
     reading_b = [0.0, 0.1, 0.3, 1.0]
@@ -371,11 +368,9 @@ def _target_fig10(fast: bool = False) -> TargetResult:
     return TargetResult("fig10", asserts, notes, data={"series": {str(k): v for k, v in series.items()}})
 
 
-def _target_fig_spec_reopt(fast: bool = False) -> TargetResult:
+def _target_fig_spec_reopt() -> TargetResult:
     targets = {0.01: 0.025, 0.03: 0.066, 0.1: 0.187, 0.3: 0.413}
-    n = 100 if fast else 200
-    res = reoptimized_series(n_sites=n, budget=1200 if fast else 2200,
-                             restarts=4 if fast else 5)
+    res = reoptimized_series(n_sites=200, budget=2200, restarts=5)
     asserts = []
     for r, cap in targets.items():
         _, exact, _ = res[r]
@@ -415,10 +410,9 @@ def _scan_starts(nn: float, objective, n_top: int = 4) -> list[op.ParamVector]:
     return [c[1] for c in cands[:n_top]]
 
 
-def _target_table_optimal_avg(fast: bool = False) -> TargetResult:
+def _target_table_optimal_avg() -> TargetResult:
     asserts = []
-    nns = [0.0] if fast else [0.0, 0.5, 1.0]
-    for nn in nns:
+    for nn in (0.0, 0.5, 1.0):
         for phase in ("low", "high"):
             j_row, _ = phase_objective_for_row(nn, phase)
 
@@ -427,8 +421,7 @@ def _target_table_optimal_avg(fast: bool = False) -> TargetResult:
 
             starts = _scan_starts(nn, objective)
             res = op.optimize(objective, starts[0],
-                              budget=2000 if fast else 4000,
-                              restarts=3 if fast else 6, seed=17,
+                              budget=4000, restarts=6, seed=17,
                               extra_starts=starts[1:])
             asserts.append(Assertion(
                 f"table/nn={nn} {phase}: optimizer <= 1.05 x tabulated row",
@@ -437,7 +430,7 @@ def _target_table_optimal_avg(fast: bool = False) -> TargetResult:
     return TargetResult("table_optimal_avg", asserts)
 
 
-def _target_fig_scalability(fast: bool = False) -> TargetResult:
+def _target_fig_scalability() -> TargetResult:
     """Phase-averaged nn=2 couplings tuned at N=20 keep working at N=200.
 
     The range-2 optimum is recomputed here (seeded, deterministic) since only
@@ -445,14 +438,13 @@ def _target_fig_scalability(fast: bool = False) -> TargetResult:
     """
     from .model import coupling_keys
     worst = 0.0
-    budget = 1500 if fast else 2500
     for phase in ("low", "high"):
         keys = coupling_keys(2)
         init = op.ParamVector(
             CouplingScheme(nn=2, lam={j: 1.0 for j in keys},
                            mu={j: 0.3 for j in keys}, g=0.1), 1.0, 3.0)
         res = op.optimize(lambda pv: op.objective_phase_averaged(pv, phase, 20),
-                          init, budget=budget, restarts=3, seed=23)
+                          init, budget=2500, restarts=3, seed=23)
         for th in op.phase_grid(phase, 13):
             if 0.22 * math.pi <= th <= 0.28 * math.pi:
                 continue
@@ -479,8 +471,8 @@ TARGETS = {
 }
 
 
-def run_target(target_id: str, fast: bool = False) -> TargetResult:
+def run_target(target_id: str) -> TargetResult:
     if target_id not in TARGETS:
         raise ValueError(f"unknown reproduction target {target_id!r}; "
                          f"choose from {sorted(TARGETS)}")
-    return TARGETS[target_id](fast=fast)
+    return TARGETS[target_id]()

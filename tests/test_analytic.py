@@ -236,14 +236,14 @@ class TestLindbladSteady:
 
 class TestSteadyEnergies:
     def test_general_limits(self):
-        assert an.general_ss_energy(1.0, 1.0, 1.0, 10.0, 1e-6) == pytest.approx(-1.0, abs=1e-9)
+        assert an.steady_energy(1.0, 1.0, 1.0, 10.0, 1e-6) == pytest.approx(-1.0, abs=1e-9)
         with pytest.raises(UndefinedSteadyState):
-            an.general_ss_energy(1.0, 0.0, 0.0, 1.0, 1.0)
+            an.steady_energy(1.0, 0.0, 0.0, 1.0, 1.0)
 
     def test_local_reduction(self):
         # nn = 0 with unit couplings: |A| = |B| = 1
         x, y = 0.5, 0.2j
-        e1 = an.general_ss_energy(0.9, np.exp(0.3j), 1j * np.exp(0.3j), x, y)
+        e1 = an.steady_energy(0.9, np.exp(0.3j), 1j * np.exp(0.3j), x, y)
         e2 = 0.9 * (-abs(x) ** 2 + abs(y) ** 2) / (abs(x) ** 2 + abs(y) ** 2)
         assert e1 == pytest.approx(e2, abs=1e-14)
 
@@ -256,8 +256,7 @@ class TestSteadyEnergies:
             rho, _ = fock.steady_state(fock.exact_cycle_map(blk, 20.0))
             e_exact, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
             x, y = an.overlap_coeffs(blk.epsilon, 1.0, 20.0, 1e-4)
-            pred = float(an.general_ss_energy(blk.epsilon, blk.a_coeff,
-                                              blk.b_coeff, x, y))
+            pred = float(an.steady_energy(blk.epsilon, blk.a_coeff, blk.b_coeff, x, y))
             assert abs(e_exact - pred) <= 0.01 * abs(pred)
 
     @pytest.mark.parametrize("nn,lam,mu", [
@@ -275,15 +274,15 @@ class TestSteadyEnergies:
             rho, _ = fock.steady_state(fock.exact_cycle_map(blk, 15.0))
             e_exact, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
             x, y = an.overlap_coeffs(blk.epsilon, 0.9, 15.0, 1e-4)
-            pred = float(an.general_ss_energy(blk.epsilon, blk.a_coeff,
-                                              blk.b_coeff, x, y))
+            pred = float(an.steady_energy(blk.epsilon, blk.a_coeff, blk.b_coeff, x, y))
             assert abs(e_exact - pred) <= 0.01 * abs(pred)
 
     def test_noisy_reduces_and_saturates(self):
         x, y = 0.5, 0.2j
-        base = an.general_ss_energy(0.9, 1.0, 1.0, x, y)
-        assert an.noisy_ss_energy(0.9, 1.0, 1.0, x, y, 0.0, 10.0) == pytest.approx(float(base))
-        assert abs(an.noisy_ss_energy(0.9, 1.0, 1.0, x, y, 100.0, 10.0)) < 1e-3
+        base = an.steady_energy(0.9, 1.0, 1.0, x, y)
+        # pad = 2 kappa t at t = 10: kappa = 0 and kappa = 100
+        assert an.steady_energy(0.9, 1.0, 1.0, x, y, pad=0.0) == pytest.approx(float(base))
+        assert abs(an.steady_energy(0.9, 1.0, 1.0, x, y, pad=2000.0)) < 1e-3
 
     def test_noisy_matches_oracle(self):
         p = ModelParams(40, math.pi / 3)
@@ -296,15 +295,15 @@ class TestSteadyEnergies:
             rho, _ = fock.steady_state(fock.exact_cycle_map(blk, 20.0, kappa))
             e_exact, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
             x, y = an.overlap_coeffs(blk.epsilon, 1.0, 20.0, g)
-            pred = float(an.noisy_ss_energy(blk.epsilon, blk.a_coeff, blk.b_coeff,
-                                            x, y, kappa, 20.0))
+            pred = float(an.steady_energy(blk.epsilon, blk.a_coeff, blk.b_coeff,
+                                          x, y, pad=2.0 * kappa * 20.0))
             assert abs(e_exact - pred) <= 0.03 * abs(pred)
 
     def test_dsp_local_unit_couplings_vanish(self):
         p = ModelParams(12, 0.9)
         scheme = CouplingScheme.local(1.0, 1.0, 1.0)
         a, b = an.coupling_arrays(scheme, p)
-        e = an.dsp_ss_energy(1.0, a, b)
+        e = an.steady_energy(1.0, a, b, 1, 1)
         assert np.max(np.abs(e)) < 1e-12
 
     def test_dsp_lambda_only(self):
@@ -312,7 +311,7 @@ class TestSteadyEnergies:
         scheme = CouplingScheme.local(1.0, 0.0, 1.0)
         _, eps, phi, _ = an.mode_grid(p)
         a, b = an.coupling_arrays(scheme, p)
-        e = an.dsp_ss_energy(eps, a, b)
+        e = an.steady_energy(eps, a, b, 1, 1)
         assert np.allclose(e, -eps * np.cos(2 * phi), atol=1e-12)
 
     def test_dsp_product_state_bound(self):
@@ -326,22 +325,21 @@ class TestSteadyEnergies:
                         continue
                     scheme = CouplingScheme.local(lam0, mu0, 1.0)
                     a, b = an.coupling_arrays(scheme, p)
-                    total = float(np.sum(wts * an.dsp_ss_energy(eps, a, b)))
+                    total = float(np.sum(wts * an.steady_energy(eps, a, b, 1, 1)))
                     assert total >= -p.N * math.sin(theta) / 2 - 1e-9
 
     def test_finite_env_reduces_at_zero_coupling(self):
         x, y = 0.5, 0.2j
-        base = float(an.general_ss_energy(0.9, 1.0, 1.0, x, y))
-        e = float(an.finite_env_ss_energy(0.9, (1.0, x, 1.0, y),
-                                          (0.7, 0.0, -0.2, 0.0), 0.5))
+        base = float(an.steady_energy(0.9, 1.0, 1.0, x, y))
+        e = float(an.steady_energy(0.9, 1.0, 1.0, x, y, env=(0.7, 0.0, -0.2, 0.0, 0.5)))
         assert e == pytest.approx(base, abs=1e-14)
 
     def test_finite_env_sign_flip(self):
         """A dominant fully-excited environment flips the steady energy sign."""
-        bath_terms = (1.0, 1e-6, 1.0, 1e-7)
-        env_terms = (1.0, 0.5, 0.3, 0.05)
-        cold = float(an.finite_env_ss_energy(0.9, bath_terms, env_terms, 1.0))
-        hot = float(an.finite_env_ss_energy(0.9, bath_terms, env_terms, -1.0))
+        bath = (1.0, 1.0, 1e-6, 1e-7)  # A, B, x, y
+        env = (1.0, 0.5, 0.3, 0.05)  # A_e, x_e, B_e, y_e
+        cold = float(an.steady_energy(0.9, *bath, env=(*env, 1.0)))
+        hot = float(an.steady_energy(0.9, *bath, env=(*env, -1.0)))
         assert cold < 0 < hot
         assert hot == pytest.approx(-cold, rel=1e-6)
 
@@ -358,9 +356,9 @@ class TestSteadyEnergies:
             e_exact, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
             x, y = an.overlap_coeffs(blk.epsilon, bath.delta, 3.0, g)
             xe, ye = an.overlap_coeffs(blk.epsilon, env.delta_e, 3.0, env.kappa_prime)
-            pred = float(an.finite_env_ss_energy(
-                blk.epsilon, (blk.a_coeff, x, blk.b_coeff, y),
-                (math.cos(blk.phi), xe, -math.sin(blk.phi), ye), env.p_e))
+            pred = float(an.steady_energy(
+                blk.epsilon, blk.a_coeff, blk.b_coeff, x, y,
+                env=(math.cos(blk.phi), xe, -math.sin(blk.phi), ye, env.p_e)))
             assert abs(e_exact - pred) <= 0.05 * abs(pred)
 
 

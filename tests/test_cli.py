@@ -237,6 +237,17 @@ class TestRates:
         alpha_res = data[10, 4] / 1e-8
         assert alpha_res == pytest.approx(533.84, abs=0.1)
 
+    def test_vanishing_rates_exit_code(self, tmp_path, capsys):
+        payload = {
+            "model": base_model(),
+            "scheme": base_scheme(g=0.0),
+            "bath": {"delta": 1.1, "cycle_time": 4.3},
+            "schedule": {"kind": "single"},
+        }
+        cfg = write_cfg(tmp_path, payload)
+        assert cli.main(["rates", "--config", cfg, "--out", str(tmp_path / "r")]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "undefined_steady_state"
+
 
 class TestOptimizeCmd:
     def test_theta_specific(self, tmp_path):
@@ -284,10 +295,15 @@ class TestReproduce:
         assert rc == 1  # failed assertion is reported through the exit code
         assert any("off-by-one" in note for note in report["annotations"])
 
-    def test_fig2_fast_target_passes(self):
+    def test_fig2_target_passes(self):
         from kelvin import repro
-        result = repro.run_target("fig2", fast=True)
+        result = repro.run_target("fig2")
         assert result.passed, [(a.name, a.measured) for a in result.assertions]
+
+    def test_fast_key_rejected(self, tmp_path):
+        cfg = write_cfg(tmp_path, {"reproduce": {"target": "fig2", "fast": True}})
+        rc = cli.main(["reproduce", "--config", cfg, "--out", str(tmp_path / "x")])
+        assert rc == 2
 
     def test_unknown_target(self, tmp_path):
         cfg = write_cfg(tmp_path, {"reproduce": {"target": "fig99"}})

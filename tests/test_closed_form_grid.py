@@ -2,8 +2,10 @@
 
 The oracles below are the scalar closed-form path: `mode_grid` and
 `coupling_arrays` rebuilt for every theta, the per-theta
-`chain_relative_energy` body, the single-time closed-form e_k, and a phase
-average that evaluates one theta at a time through `oracles.phase_average`.
+`chain_relative_energy` body, the single-time closed-form e_k through the
+per-case steady-energy formulas `analytic.steady_energy` replaced (kept in
+`oracles`), and a phase average that evaluates one theta at a time through
+`oracles.phase_average`.
 The grid keeps every elementwise expression in the same operand order and
 reduces each theta row with the same pairwise sum, so the package must agree
 with them exactly (==), not to a tolerance: the objective values, and the
@@ -21,7 +23,7 @@ from kelvin import optimize as op
 from kelvin.errors import UndefinedSteadyState
 from kelvin.model import CouplingScheme, ModelParams, coupling_keys
 
-from oracles import phase_average
+from oracles import finite_env_ss_energy, general_ss_energy, noisy_ss_energy, phase_average
 
 NN = (0, 0.5, 1, 1.5, 2)
 SIZES = (2, 4, 20, 22, 200)
@@ -69,14 +71,14 @@ def _oracle_pair_energies(params, scheme, delta, t, noise, mode):
     x = an._phase_integral(eps_evo - delta, t, g)
     y = -an._phase_integral(eps_evo + delta, t, g)
     if noise.kind == "none":
-        return an.general_ss_energy(eps, a, b, x, y)
+        return general_ss_energy(eps, a, b, x, y)
     if noise.kind == "depolarizing":
-        return an.noisy_ss_energy(eps, a, b, x, y, noise.kappa, t)
+        return noisy_ss_energy(eps, a, b, x, y, noise.kappa, t)
     a_e = np.cos(phi).astype(complex)
     b_e = (-np.sin(phi)).astype(complex)
     x_e = an._phase_integral(eps_evo - noise.delta_e, t, noise.kappa_prime)
     y_e = -an._phase_integral(eps_evo + noise.delta_e, t, noise.kappa_prime)
-    return an.finite_env_ss_energy(eps, (a, x, b, y), (a_e, x_e, b_e, y_e), noise.p_e)
+    return finite_env_ss_energy(eps, (a, x, b, y), (a_e, x_e, b_e, y_e), noise.p_e)
 
 
 def _oracle_chain_relative_energy(params, scheme, delta, t, noise, mode):
@@ -188,23 +190,38 @@ def test_relative_energies_over_arbitrary_thetas(n_sites):
         assert v == old
 
 
-@pytest.mark.parametrize("noise_kind", ["none", "finite_env"])
+UNDEFINED_NOISES = {"none": an.NoiseSpec.none(),
+                    "depolarizing_zero": an.NoiseSpec.depolarizing(0.0),
+                    "finite_env": an.NoiseSpec.finite_env(0.0, 0.8, 0.3)}
+
+
+@pytest.mark.parametrize("noise_kind", list(UNDEFINED_NOISES))
 @pytest.mark.parametrize("mode", MODES)
 def test_undefined_steady_state(noise_kind, mode):
-    """g = 0 with no environment coupling leaves every ratio undefined."""
+    """g = 0 with no environment coupling or noise leaves every ratio undefined.
+
+    The per-case depolarizing formula divides 0 by 0 there, so that case is
+    checked on the package alone.
+    """
     rng = np.random.default_rng(7)
     pv = _param_vector(1, rng, g=0.0)
-    noise = (an.NoiseSpec.none() if noise_kind == "none"
-             else an.NoiseSpec.finite_env(0.0, 0.8, 0.3))
+    noise = UNDEFINED_NOISES[noise_kind]
+    with_oracle = noise_kind != "depolarizing_zero"
     for n_nodes in (2, 21):
         for phase in ("low", "high"):
             new = op.objective_phase_averaged(pv, phase, 20, noise, mode, n_nodes)
             assert new == math.inf
-            assert new == _oracle_phase_averaged(pv, phase, 20, noise, mode, n_nodes)
+            if with_oracle:
+                assert new == _oracle_phase_averaged(pv, phase, 20, noise, mode, n_nodes)
     params = ModelParams(20, 0.4)
-    for fn in (an.chain_relative_energy, _oracle_chain_relative_energy):
+    args = (params, pv.scheme, pv.delta, pv.t, noise, mode)
+    assert op.objective_theta_specific(pv, params, noise, mode) == math.inf
+    for fn in (an.chain_relative_energy, _oracle_chain_relative_energy)[:1 + with_oracle]:
         with pytest.raises(UndefinedSteadyState):
-            fn(params, pv.scheme, pv.delta, pv.t, noise, mode)
+            fn(*args)
+    with pytest.raises(UndefinedSteadyState):
+        an.closed_form_relative_energies(params, pv.scheme, [pv.delta], pv.t, noise,
+                                         "single", mode)
     # one node spans no interval; an undefined node still rejects the point
     assert op.objective_phase_averaged(pv, "low", 20, noise, mode, 1) == math.inf
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kelvin import fock
-from kelvin._linalg import apply_transfer, trace_norm
+from kelvin._linalg import trace_norm
 from kelvin.errors import NonUniqueFixedPoint
 from kelvin.fock import mode_operators
 from kelvin.model import (
@@ -18,7 +18,8 @@ from kelvin.model import (
     coupling_keys,
 )
 
-from oracles import choi_min_eig
+import oracles
+from oracles import apply_transfer, choi_min_eig
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +162,9 @@ class TestSecondQuantize:
         # the same state in the Bogoliubov frame: Gaussian with occupation
         # sin^2 phi per mode and pairing <a_k a_-k> = -sin phi cos phi
         s, c = math.sin(phi), math.cos(phi)
-        from kelvin.cm import cm_to_density
         gamma = np.array([[0.5 - s * s, -s * c], [-s * c, s * s - 0.5]],
                          dtype=complex)
-        rho_h = cm_to_density(gamma, edge=False)
+        rho_h = oracles.cm_to_density(gamma, edge=False)
         assert np.trace(rho_h @ np.diag([-1.0, 0, 0, 1.0])).real * blk.epsilon == \
             pytest.approx(np.trace(rho_t @ h_sys).real, abs=1e-12)
 
@@ -301,7 +301,7 @@ class TestNoisyCycleMap:
     def test_factorized_equals_joint_liouvillian(self, k, small_params,
                                                  generic_scheme, bath):
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=k)
-        gap = fock.noise_factorization_gap(blk, kappa=0.03, t=2.7)
+        gap = oracles.noise_factorization_gap(blk, kappa=0.03, t=2.7)
         assert gap <= 1e-8
 
     def test_noise_order_independence(self, small_params, generic_scheme, bath):
@@ -411,7 +411,7 @@ class TestSteadyState:
         assert abs(e_val) < 1e-9
 
     def test_weak_coupling_energy_matches_closed_form(self):
-        from kelvin.analytic import general_ss_energy, overlap_coeffs
+        from kelvin.analytic import overlap_coeffs, steady_energy
         p = ModelParams(40, 0.8)
         scheme = CouplingScheme.local(1.0, 1.0, 1e-4)
         bath = BathSpec(1.0, 20.0)
@@ -420,7 +420,7 @@ class TestSteadyState:
             rho, _ = fock.steady_state(fock.exact_cycle_map(blk, 20.0))
             e_val, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
             x, y = overlap_coeffs(blk.epsilon, 1.0, 20.0, 1e-4)
-            pred = float(general_ss_energy(blk.epsilon, blk.a_coeff, blk.b_coeff, x, y))
+            pred = float(steady_energy(blk.epsilon, blk.a_coeff, blk.b_coeff, x, y))
             assert abs(e_val - pred) <= 0.01 * abs(pred)
 
     def test_fitted_decay_matches_alpha(self):
@@ -466,7 +466,7 @@ class TestSteadyState:
                 k_s, k_sb = cm.averaged_evolution_kron(blk, t_mean, kappa=kappa)
                 x, alpha, _ = cm.fixed_points(k_s[None], (k_sb @ cm.vacuum_cm().reshape(-1))[None],
                                               edge)
-                rho = cm.cm_to_density(x.reshape(2, 2), edge)
+                rho = oracles.cm_to_density(x.reshape(2, 2), edge)
                 out.append((np.linalg.eigvalsh(rho), alpha[0]))
             return out
 
@@ -494,7 +494,7 @@ class TestBlockEnergy:
         assert e_val == pytest.approx(-1.3) and e_rel == pytest.approx(0.0)
 
     def test_maximally_mixed(self):
-        rho = fock.maximally_mixed_density(False)
+        rho = oracles.maximally_mixed_density(False)
         e_val, e_rel = fock.block_energy(rho, 1.3, 1.0)
         assert e_val == pytest.approx(0.0) and e_rel == pytest.approx(1.0)
 
@@ -523,7 +523,7 @@ class TestDensityBlockValidation:
         fock.validate_blocks([fock.vacuum_density(True), pair, fock.vacuum_density(True)])
 
     def test_accepts_valid(self):
-        self._validate(fock.maximally_mixed_density(False))
+        self._validate(oracles.maximally_mixed_density(False))
 
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="k=1 trace"):

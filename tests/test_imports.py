@@ -15,3 +15,13 @@ def test_scipy_stays_off_the_import_path():
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "no SciPy module loaded" in proc.stdout
+
+
+def test_scipy_and_engine_imports_by_source():
+    """Only `optimize` names SciPy, and the CM engine does not import the Fock engine."""
+    src = ROOT / "src" / "kelvin"
+    naming_scipy = sorted(p.name for p in src.glob("*.py") if "scipy" in p.read_text())
+    assert naming_scipy == ["optimize.py"]
+    cm_imports = [line for line in (src / "cm.py").read_text().splitlines()
+                  if line.startswith(("import ", "from "))]
+    assert not any("fock" in line for line in cm_imports), cm_imports

@@ -331,6 +331,35 @@ class TestSearchInterface:
         assert val + 1.0 == float(val) + 1.0
 
     @pytest.mark.parametrize("nn,phase", list(repro.table_rows()))
+    def test_every_call_is_counted(self, nn, phase):
+        """The objective is called `evaluations` times by the search, plus once
+        to evaluate the normalized optimum."""
+        _, init = repro.phase_objective_for_row(nn, phase)
+        calls = 0
+
+        def objective(pv):
+            nonlocal calls
+            calls += 1
+            return op.objective_phase_averaged(pv, phase, 20)
+        res = op.optimize(objective, init, budget=300, restarts=3, seed=1)
+        assert calls == res.evaluations + 1
+
+    def test_non_finite_start_costs_one_call(self):
+        params = ModelParams(20, 1.1)
+        bad = op.ParamVector(CouplingScheme.local(1.0, 0.5, 0.1), 1.0, 3.0)
+        good = op.ParamVector(CouplingScheme.local(1.0, 0.5, 0.1), 0.9, 3.0)
+        calls = 0
+
+        def objective(pv):
+            nonlocal calls
+            calls += 1
+            return math.inf if pv.delta == bad.delta else op.objective_theta_specific(pv, params)
+        res = op.optimize(objective, bad, budget=200, restarts=2, seed=0, extra_starts=[good])
+        assert res.history[0] == (1, math.inf)
+        assert math.isfinite(res.history[1][1])
+        assert calls == res.evaluations + 1
+
+    @pytest.mark.parametrize("nn,phase", list(repro.table_rows()))
     def test_optimum_stable_under_one_ulp(self, nn, phase):
         """A one-ulp change of the start moves the optimum by rounding only."""
         _, init = repro.phase_objective_for_row(nn, phase)
