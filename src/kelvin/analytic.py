@@ -2,7 +2,7 @@
 
 Everything here is second order in the coupling: overlap coefficients from
 the time integrals, jump operators of the per-cycle Lindbladian, cooling and
-heating rates (exact time averages and their Lorentzian approximation),
+heating rates (exact time averages),
 the per-pair steady energy (one routine, `steady_energy`, covers the
 noiseless, depolarizing-noisy, DSP and finite-environment cases), and the
 cycle-count and ground-state-cooling scaling estimates.
@@ -23,6 +23,7 @@ from .errors import (
 )
 from .model import (CouplingScheme, ModelParams, _coupling_sum, _mode_row, _phases,
                     _theta_grid, band_edges)
+from .model import NoiseSpec  # re-exported
 from .model import coupling_arrays, mode_grid  # re-exported; perfbench traces these names here
 
 __all__ = [
@@ -47,37 +48,6 @@ __all__ = [
     "chain_relative_energies_and_grad",
     "rate_table",
 ]
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Noise model selector: none, depolarizing(kappa), or finite_env."""
-
-    kind: str = "none"
-    kappa: float = 0.0
-    kappa_prime: float = 0.0
-    delta_e: float = 0.0
-    p_e: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("none", "depolarizing", "finite_env"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.kappa < 0 or self.kappa_prime < 0:
-            raise ValueError("noise strengths must be >= 0")
-        if not (-1.0 <= self.p_e <= 1.0):
-            raise ValueError(f"p_e must lie in [-1, 1], got {self.p_e}")
-
-    @classmethod
-    def none(cls) -> "NoiseSpec":
-        return cls("none")
-
-    @classmethod
-    def depolarizing(cls, kappa: float) -> "NoiseSpec":
-        return cls("depolarizing", kappa=kappa)
-
-    @classmethod
-    def finite_env(cls, kappa_prime: float, delta_e: float, p_e: float) -> "NoiseSpec":
-        return cls("finite_env", kappa_prime=kappa_prime, delta_e=delta_e, p_e=p_e)
 
 
 # ---------------------------------------------------------------------------
@@ -185,42 +155,30 @@ def _avg_abs2_integral(a, t):
     return np.where(small, series, out)
 
 
-def averaged_rates(epsilon, delta, t: float, g: float, a2, b2,
-                   mode: str = "exact_integral"):
+def averaged_rates(epsilon, delta, t: float, g: float, a2, b2):
     """Randomized-time cooling and heating rates per elementary cycle.
 
-    `exact_integral` evaluates the uniform time average of |x|^2 and |y|^2
-    exactly; `lorentzian` replaces the cooling line shape by
-    2 g^2 A2 / ((eps - delta)^2 + gamma_0^2) with gamma_0^2 = 3/(2 t^2) and
-    drops gamma_0 from the heating channel (cooling limit).  a2, b2 are
-    |A_k|^2 and |B_k|^2.
+    The exact uniform time averages of g^2 |A|^2 |x|^2 and g^2 |B|^2 |y|^2,
+    with a2, b2 = |A_k|^2 and |B_k|^2.
     """
     if t <= 0:
         raise ValueError(f"t must be > 0, got {t}")
     epsilon = np.asarray(epsilon, dtype=float)
     a2 = np.asarray(a2, dtype=float)
     b2 = np.asarray(b2, dtype=float)
-    if mode == "exact_integral":
-        gc = g * g * a2 * _avg_abs2_integral(epsilon - delta, t)
-        gh = g * g * b2 * _avg_abs2_integral(epsilon + delta, t)
-    elif mode == "lorentzian":
-        g0sq = GAMMA0_SQ_FACTOR / (t * t)
-        gc = 2.0 * g * g * a2 / ((epsilon - delta) ** 2 + g0sq)
-        gh = 2.0 * g * g * b2 / (epsilon + delta) ** 2
-    else:
-        raise ValueError(f"unknown rate mode {mode!r}")
+    gc = g * g * a2 * _avg_abs2_integral(epsilon - delta, t)
+    gh = g * g * b2 * _avg_abs2_integral(epsilon + delta, t)
     return gc, gh
 
 
-def multifreq_rates(epsilon, deltas, t: float, g: float, a2, b2,
-                    mode: str = "exact_integral"):
+def multifreq_rates(epsilon, deltas, t: float, g: float, a2, b2):
     """Arithmetic mean over bath frequencies of the per-frequency rates."""
     deltas = list(deltas)
     if not deltas:
         raise ValueError("frequency list must be nonempty")
     gc_tot, gh_tot = 0.0, 0.0
     for d in deltas:
-        gc, gh = averaged_rates(epsilon, d, t, g, a2, b2, mode=mode)
+        gc, gh = averaged_rates(epsilon, d, t, g, a2, b2)
         gc_tot = gc_tot + gc
         gh_tot = gh_tot + gh
     r = len(deltas)
@@ -266,11 +224,11 @@ class RateTable:
 
 
 def rate_table(params: ModelParams, deltas, t: float, g: float,
-               a2=1.0, b2=1.0, mode: str = "exact_integral") -> RateTable:
+               a2=1.0, b2=1.0) -> RateTable:
     ks, eps, _, _ = mode_grid(params)
     a2 = np.broadcast_to(np.asarray(a2, dtype=float), eps.shape)
     b2 = np.broadcast_to(np.asarray(b2, dtype=float), eps.shape)
-    gc, gh = multifreq_rates(eps, deltas, t, g, a2, b2, mode=mode)
+    gc, gh = multifreq_rates(eps, deltas, t, g, a2, b2)
     return RateTable(ks=ks, gamma_c=gc, gamma_h=gh,
                      gamma0=math.sqrt(GAMMA0_SQ_FACTOR) / t)
 
@@ -385,14 +343,12 @@ def _single_cycle_energies(eps, cos_phi, sin_phi, a, b, delta: float, t: float,
     eps_evo = np.zeros_like(eps) if mode == "dsp" else eps
     x = _phase_integral(eps_evo - delta, t, g)
     y = -_phase_integral(eps_evo + delta, t, g)
-    pad, env = 0.0, None
-    if noise.kind == "depolarizing":
-        pad = 2.0 * noise.kappa * t
-    elif noise.kind == "finite_env":
+    env = None
+    if noise.env is not None:
         x_e = _phase_integral(eps_evo - noise.delta_e, t, noise.kappa_prime)
         y_e = -_phase_integral(eps_evo + noise.delta_e, t, noise.kappa_prime)
         env = (cos_phi.astype(complex), x_e, (-sin_phi).astype(complex), y_e, noise.p_e)
-    return steady_energy(eps, a, b, x, y, pad, env)
+    return steady_energy(eps, a, b, x, y, 2.0 * noise.kappa * t, env)
 
 
 def _single_cycle_energy_grad(grid, phases, a, b, e, delta: float, t: float,
@@ -417,15 +373,15 @@ def _single_cycle_energy_grad(grid, phases, a, b, e, delta: float, t: float,
         np.stack([delta - eps_evo, delta + eps_evo]), t, g)
     ab = np.stack([a, b])
     ab2 = ab.real ** 2 + ab.imag ** 2
-    pad = dpad_dt = dn_dt = 0.0
-    if noise.kind == "depolarizing":
-        pad, dpad_dt = 2.0 * noise.kappa * t, 2.0 * noise.kappa
-    elif noise.kind == "finite_env":
+    # pad collects every denominator term besides P + Q: 2 kappa t, and the
+    # environment's weights P_e + Q_e
+    pad, dpad_dt, dn_dt = 2.0 * noise.kappa * t, 2.0 * noise.kappa, 0.0
+    if noise.env is not None:
         c2, s2 = cos_phi ** 2, sin_phi ** 2
         (xe2, ye2), _, (dxe2_dt, dye2_dt) = _phase_weight_and_grad(
             np.stack([noise.delta_e - eps_evo, noise.delta_e + eps_evo]), t, noise.kappa_prime)
-        pad = c2 * xe2 + s2 * ye2
-        dpad_dt = c2 * dxe2_dt + s2 * dye2_dt
+        pad = pad + (c2 * xe2 + s2 * ye2)
+        dpad_dt = dpad_dt + (c2 * dxe2_dt + s2 * dye2_dt)
         dn_dt = noise.p_e * (s2 * dye2_dt - c2 * dxe2_dt)
     pq = ab2 * w2
     wd = grid.weights / (pq[0] + pq[1] + pad)
@@ -516,9 +472,8 @@ def closed_form_relative_energies(params: ModelParams, scheme: CouplingScheme,
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(eps > 0, (e_val + eps) / eps, np.nan)
 
-    if noise.kind == "finite_env":
+    if noise.env is not None:
         return np.full_like(eps, np.nan)
     gc, gh = multifreq_rates(eps, deltas, t, scheme.g, np.abs(a) ** 2, np.abs(b) ** 2)
-    kappa_t = noise.kappa * t if noise.kind == "depolarizing" else 0.0
-    _, e_rel, *_ = lindblad_steady(gc, gh, eps, noise_kappa_t=kappa_t)
+    _, e_rel, *_ = lindblad_steady(gc, gh, eps, noise_kappa_t=noise.kappa * t)
     return np.asarray(e_rel)

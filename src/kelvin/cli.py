@@ -33,9 +33,11 @@ from . import repro, svgplot
 from .errors import (ConfigError, NonUniqueFixedPoint, OptimizationFailed, UndefinedSteadyState,
                      UnsupportedCombination)
 from .model import (
+    NOISE_KEYS,
     BathSpec,
     CouplingScheme,
     ModelParams,
+    NoiseSpec,
     coupling_arrays,
     dispersion,
     energy_density_limit,
@@ -143,20 +145,20 @@ def _bath(cfg: dict, params: ModelParams) -> BathSpec:
         raise ConfigError(f"invalid bath section: {exc}") from exc
 
 
-def _noise(cfg: dict) -> an.NoiseSpec:
+def _noise(cfg: dict) -> NoiseSpec:
+    """The noise section as a NoiseSpec: its kind and exactly that kind's
+    `NOISE_KEYS`."""
     n = cfg.get("noise", {"kind": "none"})
     kind = n.get("kind")
+    if not isinstance(kind, str) or kind not in NOISE_KEYS:
+        raise ConfigError(f"unknown noise kind {kind!r}")
+    foreign = sorted(set(n) - {"kind", *NOISE_KEYS[kind]})
+    if foreign:
+        raise ConfigError(f"noise kind {kind!r} takes no {foreign}")
     try:
-        if kind == "none":
-            return an.NoiseSpec.none()
-        if kind == "depolarizing":
-            return an.NoiseSpec.depolarizing(float(n["kappa"]))
-        if kind == "finite_env":
-            return an.NoiseSpec.finite_env(float(n["kappa_prime"]),
-                                           float(n["delta_e"]), float(n["p_e"]))
+        return NoiseSpec(kind, **{key: float(n[key]) for key in NOISE_KEYS[kind]})
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"invalid noise section: {exc}") from exc
-    raise ConfigError(f"unknown noise kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -350,19 +352,20 @@ def cmd_optimize(cfg: dict, out: str, args) -> int:
         "history": res.history[-200:],
     }))
 
-    # exact-engine validation at the optimum (theta-specific point evaluations)
+    # validation at the optimum on the exact engine (theta-specific point evaluations)
     thetas = [params.theta] if objective_kind == "theta_specific" else \
         [float(t) for t in op.phase_grid(o["phase"], 5)]
     rows = {}
     for th in thetas:
         p_th = ModelParams(params.N, th)
         rep = pr.steady_report(p_th, best.scheme, BathSpec(best.delta, best.t),
-                               {"kind": "single"}, noise=noise, engine="fock",
+                               {"kind": "single"}, noise=noise, engine=args.engine,
                                dsp=(mode == "dsp"))
         analytic = op.objective_theta_specific(best, p_th, noise, mode)
         rows[f"{th:.6f}"] = {"exact_e": rep.relative_energy, "analytic_e": analytic,
                              "difference": rep.relative_energy - analytic}
-    write_json(os.path.join(out, "validation.json"), _summary(cfg, {"by_theta": rows}))
+    write_json(os.path.join(out, "validation.json"),
+               _summary(cfg, {"engine": args.engine, "by_theta": rows}))
     return 0
 
 

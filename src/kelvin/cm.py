@@ -5,7 +5,9 @@ alpha_j^dag]) over the operator vector (a_k, a_-k^dag) for the system pair
 (2x2; edges reduce to a diagonal 2x2 on (a, a^dag)).  One cooling cycle acts
 as gamma -> A_S gamma A_S^dag + A_SB gamma_B0 A_SB^dag with the A-blocks cut
 out of the single-particle propagator, and uniform gain/loss noise of rate
-kappa multiplies the whole cycle by exp(-2 kappa t).
+kappa multiplies the whole cycle by exp(-2 kappa t).  A block built with
+finite environments (`ModeBlock.env`) adds their injections, with the
+polarization p_E read from the block.
 
 Conventions differ from Majorana-covariance treatments that absorb a factor
 of two into the time and normalize the noise rate differently; here the
@@ -25,7 +27,7 @@ import math
 import numpy as np
 
 from ._linalg import affine_fixed_points, hermitize, uniform_average
-from .model import FiniteEnvSpec, ModeBlock
+from .model import ModeBlock, NoiseSpec
 
 __all__ = [
     "vacuum_cm",
@@ -127,7 +129,7 @@ def averaged_evolution_kron(block: ModeBlock | np.ndarray, t_mean: float,
     return k[..., :4], k[..., 4:]
 
 
-def cycle_maps(block: ModeBlock, ts, t_mean: float, noise) -> dict:
+def cycle_maps(block: ModeBlock, ts, t_mean: float, kappa: float) -> dict:
     """Maps vec(gamma) -> K vec(gamma) + c of one bath frequency per time in
     `ts`, as (K, c) stacked over `block`.
 
@@ -135,15 +137,15 @@ def cycle_maps(block: ModeBlock, ts, t_mean: float, noise) -> dict:
     A_SB^dag in row-major vectorized form, K = A_S (x) A_S* and
     c = vec(A_SB gamma_B0 A_SB^dag), gamma_B0 the reset bath's vacuum CM, with
     the A-blocks cut from one batched propagator stack.  Environment-extended
-    (8x8) generators add the injections p_e vec(A_SE gamma_B0 A_SE^dag) of
-    both environment pairs, each pair starting in p_e times the bath's vacuum
-    CM; pair 1 couples to the system and pair 2 to the bath, which passes its
-    share on within the cycle, so with both the map is exact.  A time of None
-    stands for `averaged_evolution_kron` over [0, 2 t_mean].  Depolarizing
-    noise damps a map by exp(-2 kappa t), averaged with the phases.
+    (8x8) blocks add the injections p_e vec(A_SE gamma_B0 A_SE^dag) of both
+    environment pairs, each pair starting in p_e = `block.env.p_e` times the
+    bath's vacuum CM; pair 1 couples to the system and pair 2 to the bath,
+    which passes its share on within the cycle, so with both the map is
+    exact.  A time of None stands for `averaged_evolution_kron` over
+    [0, 2 t_mean].  Gain/loss noise of rate `kappa` damps a map by
+    exp(-2 kappa t), averaged with the phases.
     """
     generators = block.generator
-    kappa = noise.kappa if noise.kind == "depolarizing" else 0.0
     maps = {}
     fixed = [t for t in ts if t is not None]
     if fixed:
@@ -151,8 +153,8 @@ def cycle_maps(block: ModeBlock, ts, t_mean: float, noise) -> dict:
         a_s = u[..., :2, :2]
         k_s = np.einsum("...ij,...ab->...iajb", a_s, a_s.conj()).reshape(a_s.shape[:-2] + (4, 4))
         c = _injection(u[..., :2, 2:4])
-        if u.shape[-1] > 4:
-            c = c + noise.p_e * (_injection(u[..., :2, 4:6]) + _injection(u[..., :2, 6:8]))
+        if block.env is not None:
+            c = c + block.env.p_e * (_injection(u[..., :2, 4:6]) + _injection(u[..., :2, 6:8]))
         damping = np.exp(-2.0 * kappa * np.array(fixed)).reshape((-1,) + (1,) * (c.ndim - 1))
         maps.update(zip(fixed, zip(damping[..., None] * k_s, damping * c)))
     if None in ts:
@@ -161,7 +163,7 @@ def cycle_maps(block: ModeBlock, ts, t_mean: float, noise) -> dict:
     return maps
 
 
-def mode_chunks(ks: np.ndarray, env: FiniteEnvSpec | None) -> list[np.ndarray]:
+def mode_chunks(ks: np.ndarray, env: NoiseSpec | None) -> list[np.ndarray]:
     """Chunks of the modes `ks` for `cycle_maps`: one, CM maps are 4x4."""
     return [ks]
 

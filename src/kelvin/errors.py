@@ -42,13 +42,5 @@ class OptimizationFailed(KelvinError):
     """Every restart of the optimizer failed to produce a finite objective."""
 
 
-class FitQualityError(KelvinError):
-    """Exponential fit of a decay trace rejected; carries residual diagnostics."""
-
-    def __init__(self, residual: float, message: str | None = None):
-        self.residual = residual
-        super().__init__(message or f"decay fit rejected (residual {residual:.3e})")
-
-
 class ConfigError(KelvinError):
     """Invalid experiment configuration."""

@@ -55,7 +55,7 @@ from ._linalg import (
     uniform_average,
 )
 from .errors import NonUniqueFixedPoint
-from .model import FiniteEnvSpec, ModeBlock
+from .model import ModeBlock, NoiseSpec
 
 __all__ = [
     "FockBlock",
@@ -375,20 +375,20 @@ def averaged_cycle_map(block: ModeBlock | FockBlock, t_mean: float,
     return (proj @ (maps * cols[:, None, :])).sum(axis=0)
 
 
-def cycle_maps(block: ModeBlock, ts, t_mean: float, noise) -> dict:
+def cycle_maps(block: ModeBlock, ts, t_mean: float, kappa: float) -> dict:
     """Transfers (K, 0) of one bath frequency per time in `ts`, stacked over
     `block`, a stack of edges or of pairs (one `mode_groups` group).
 
     The stack is second-quantized at once, with eigenbases from one stacked
-    eigh.  Each fixed time gives the stack of `exact_cycle_map`s, with the
-    noise rate kappa of depolarizing noise; a time of None stands for
-    `averaged_cycle_map` over [0, 2 t_mean], taken per mode.
+    eigh.  Each fixed time gives the stack of `exact_cycle_map`s at the
+    gain/loss rate `kappa`, with the environments' p_E read from
+    `block.env`; a time of None stands for `averaged_cycle_map` over
+    [0, 2 t_mean], taken per mode.
     """
     ham = _hamiltonians(block)
     e, v = np.linalg.eigh(ham)
     n_modes, n_sys = block.n_modes, 1 if np.all(block.is_edge) else 2
     fbs = [FockBlock(n_modes, h, n_sys, block, (e_b, v_b)) for h, e_b, v_b in zip(ham, e, v)]
-    kappa = noise.kappa if noise.kind == "depolarizing" else 0.0
     maps = {}
     fixed = [t for t in ts if t is not None]
     if fixed:
@@ -398,7 +398,7 @@ def cycle_maps(block: ModeBlock, ts, t_mean: float, noise) -> dict:
     return {t: (k_s, np.zeros(k_s.shape[:2], dtype=complex)) for t, k_s in maps.items()}
 
 
-def mode_chunks(ks: np.ndarray, env: FiniteEnvSpec | None) -> list[np.ndarray]:
+def mode_chunks(ks: np.ndarray, env: NoiseSpec | None) -> list[np.ndarray]:
     """Chunks of the `mode_groups` group `ks` for `cycle_maps`: 16 kB of d x d
     complex stacks per time, d = 2^(Fock modes): 2 for the edges (the group
     with k = 0) and 4 for pairs, twice that with environments."""

@@ -24,7 +24,8 @@ __all__ = [
     "ModelParams",
     "CouplingScheme",
     "BathSpec",
-    "FiniteEnvSpec",
+    "NoiseSpec",
+    "NOISE_KEYS",
     "ModeBlock",
     "coupling_keys",
     "dispersion",
@@ -135,19 +136,56 @@ class BathSpec:
             raise ValueError(f"cycle_time_mean must be positive and finite, got {self.cycle_time_mean}")
 
 
-@dataclass(frozen=True)
-class FiniteEnvSpec:
-    """Finite fermionic environments attached to system and bath."""
+# The fields each noise kind uses; every other field of its NoiseSpec is 0.
+NOISE_KEYS = {"none": (), "depolarizing": ("kappa",),
+              "finite_env": ("kappa_prime", "delta_e", "p_e")}
 
-    kappa_prime: float
-    delta_e: float
-    p_e: float
+
+@dataclass(frozen=True)
+class NoiseSpec:
+    """Noise on the cooling cycles, one of the kinds in `NOISE_KEYS`.
+
+    "depolarizing" is uniform gain/loss of rate kappa on every mode;
+    "finite_env" attaches one finite fermionic environment pair to the system
+    and one to the bath, with coupling kappa_prime, splitting delta_e and
+    polarization p_e.  A field the kind does not use must be 0, so every
+    spec's gain/loss rate is `kappa` and its environment is `env`.
+    """
+
+    kind: str = "none"
+    kappa: float = 0.0
+    kappa_prime: float = 0.0
+    delta_e: float = 0.0
+    p_e: float = 0.0
 
     def __post_init__(self):
-        if self.kappa_prime < 0:
-            raise ValueError(f"kappa_prime must be >= 0, got {self.kappa_prime}")
-        if not (-1 <= self.p_e <= 1):
+        if self.kind not in NOISE_KEYS:
+            raise ValueError(f"unknown noise kind {self.kind!r}")
+        foreign = [name for name in ("kappa", "kappa_prime", "delta_e", "p_e")
+                   if name not in NOISE_KEYS[self.kind] and getattr(self, name) != 0]
+        if foreign:
+            raise ValueError(f"{self.kind!r} noise does not use {', '.join(foreign)}")
+        if self.kappa < 0 or self.kappa_prime < 0:
+            raise ValueError("noise strengths must be >= 0")
+        if not (-1.0 <= self.p_e <= 1.0):
             raise ValueError(f"p_e must lie in [-1, 1], got {self.p_e}")
+
+    @property
+    def env(self) -> "NoiseSpec | None":
+        """The spec itself if it describes finite environments, else None."""
+        return self if self.kind == "finite_env" else None
+
+    @classmethod
+    def none(cls) -> "NoiseSpec":
+        return cls("none")
+
+    @classmethod
+    def depolarizing(cls, kappa: float) -> "NoiseSpec":
+        return cls("depolarizing", kappa=kappa)
+
+    @classmethod
+    def finite_env(cls, kappa_prime: float, delta_e: float, p_e: float) -> "NoiseSpec":
+        return cls("finite_env", kappa_prime=kappa_prime, delta_e=delta_e, p_e=p_e)
 
 
 def dispersion(theta: float, N: int, k):
@@ -322,7 +360,7 @@ class ModeBlock:
     delta: float
     g: float
     h_sb: np.ndarray = field(repr=False)
-    env: FiniteEnvSpec | None = None
+    env: NoiseSpec | None = None
     dsp: bool = False
 
     def __post_init__(self):
@@ -356,15 +394,15 @@ def block_hamiltonian(
     scheme: CouplingScheme,
     bath: BathSpec,
     k,
-    env: FiniteEnvSpec | None = None,
+    env: NoiseSpec | None = None,
     dsp: bool = False,
 ) -> ModeBlock:
     """Assemble the per-pair single-particle matrix of k, stacked for an array.
 
     Without environments the matrix is 4x4 over (a_k, a_-k^dag, b_k, b_-k^dag);
-    with a FiniteEnvSpec it is 8x8, appending one environment pair coupled to
-    the system (amplitudes cos phi, -sin phi) and one coupled to the bath
-    (amplitudes 1, 0).  With dsp=True the system splitting is removed from the
+    with `env`, a finite-environment NoiseSpec (`noise.env`), it is 8x8,
+    appending one environment pair coupled to the system (amplitudes
+    cos phi, -sin phi) and one coupled to the bath (amplitudes 1, 0).  With dsp=True the system splitting is removed from the
     evolution (the energy bookkeeping still uses the true epsilon).
     """
     return _block_raw(params.theta, params.N, scheme, bath, k, env=env, dsp=dsp)
@@ -376,7 +414,7 @@ def _block_raw(
     scheme: CouplingScheme,
     bath: BathSpec,
     k,
-    env: FiniteEnvSpec | None = None,
+    env: NoiseSpec | None = None,
     dsp: bool = False,
 ) -> ModeBlock:
     """block_hamiltonian on raw values; accepts any finite theta (used by the
@@ -392,6 +430,8 @@ def _block_raw(
     ks = np.asarray(k)
     if not np.all((0 <= ks) & (ks <= N // 2)):
         raise ValueError(f"k must lie in [0, N/2], got {k}")
+    if env is not None and env.env is None:
+        raise ValueError(f"env must be a finite-environment NoiseSpec, got {env.kind!r} noise")
     kv = ks.reshape(-1)
     row = _mode_row(N, theta)
     a_k, b_k = _coupling_table(N, theta, scheme)

@@ -15,7 +15,9 @@ fidelity.
 
 Engines are modules looked up in `ENGINES`, with one interface that hides
 their block layout: `mode_groups`, `initial_blocks`, `validate_blocks`,
-`mode_chunks`, `cycle_maps`, `fixed_points` and `reduce`.
+`mode_chunks`, `cycle_maps`, `fixed_points` and `reduce`.  The NoiseSpec is
+resolved here, once: its environment `noise.env` goes into the blocks and its
+gain/loss rate `noise.kappa` into `cycle_maps`, so no engine sees the spec.
 """
 
 from __future__ import annotations
@@ -29,9 +31,8 @@ from . import cm as _cm
 from . import fock as _fock
 from ._linalg import trace_norm
 from .errors import UnsupportedCombination
-from .model import (BathSpec, CouplingScheme, FiniteEnvSpec, ModelParams, band_edges,
+from .model import (BathSpec, CouplingScheme, ModelParams, NoiseSpec, band_edges,
                     block_hamiltonian, dispersion, ground_state_energy, mode_grid)
-from .analytic import NoiseSpec
 
 __all__ = [
     "ENGINES",
@@ -239,26 +240,26 @@ def _global_maps(params: ModelParams, scheme: CouplingScheme, noise: NoiseSpec, 
     ensemble limit of a randomized schedule.  Each distinct subcycle's map is
     built once, and the maps are composed in schedule order; K is stacked
     over modes to (modes, D, D) and c to (modes, D).  Each (frequency, chunk)
-    is one `block_hamiltonian` call over the chunk's k, and the engine
-    `eng`'s `cycle_maps` turns that stacked block into the frequency's maps;
-    chunks come from its `mode_chunks` (CM: all modes at once; Fock: a few
-    modes, so that only their transient stacks are held).
+    is one `block_hamiltonian` call over the chunk's k (with `noise.env`),
+    and the engine `eng`'s `cycle_maps` turns that stacked block into the
+    frequency's maps at the rate `noise.kappa`; chunks come from its
+    `mode_chunks` (CM: all modes at once; Fock: a few modes, so that only
+    their transient stacks are held).
     """
     times: dict[float, dict[float | None, None]] = {}
     for delta_r, t_m in subcycles:
         times.setdefault(delta_r, {})[t_m] = None
-    if noise.kind == "finite_env" and any(None in ts for ts in times.values()):
+    env = noise.env
+    if env is not None and any(None in ts for ts in times.values()):
         raise UnsupportedCombination(
             "randomized finite-environment steady states are not implemented")
-    env = FiniteEnvSpec(noise.kappa_prime, noise.delta_e, noise.p_e) \
-        if noise.kind == "finite_env" else None
     composed = []
     for chunk in eng.mode_chunks(ks, env):
         maps = {}
         for delta_r, ts in times.items():
             block = block_hamiltonian(params, scheme, BathSpec(delta_r, t_mean), chunk,
                                       env=env, dsp=dsp)
-            for t_m, m in eng.cycle_maps(block, list(ts), t_mean, noise).items():
+            for t_m, m in eng.cycle_maps(block, list(ts), t_mean, noise.kappa).items():
                 maps[delta_r, t_m] = m
         composed.append(_global_cycle_map(maps, subcycles))
     return (np.concatenate([k for k, _ in composed]),

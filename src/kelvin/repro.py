@@ -69,36 +69,35 @@ class TargetResult:
 FIG3 = dict(N=200, theta=math.pi / 3, g=1e-4, t=20.0, L=100)
 
 
-def fig3_report(n_sites: int = 200, engine: str = "fock",
-                kappa: float = 0.0) -> pr.SteadyStateReport:
-    params = ModelParams(n_sites, FIG3["theta"])
+def fig3_report(kappa: float = 0.0) -> pr.SteadyStateReport:
+    """The Fock steady report of the Fig. 3 protocol under gain/loss noise of
+    rate kappa."""
+    params = ModelParams(FIG3["N"], FIG3["theta"])
     scheme = CouplingScheme.local(1.0, 1.0, FIG3["g"])
-    bath = BathSpec(dispersion(params.theta, n_sites, n_sites // 4), FIG3["t"])
-    noise = an.NoiseSpec.none() if kappa == 0 else an.NoiseSpec.depolarizing(kappa)
+    bath = BathSpec(dispersion(params.theta, params.N, params.N // 4), FIG3["t"])
     return pr.steady_report(params, scheme, bath, {"kind": "randomized", "L": FIG3["L"]},
-                            noise=noise, engine=engine)
+                            noise=an.NoiseSpec.depolarizing(kappa))
 
 
-def fig3_analytic(n_sites: int = 200, kappa: float = 0.0, mode: str = "exact_integral"):
-    params = ModelParams(n_sites, FIG3["theta"])
-    rt = an.rate_table(params, [1.0], FIG3["t"], FIG3["g"], mode=mode)
+def fig3_analytic():
+    params = ModelParams(FIG3["N"], FIG3["theta"])
+    rt = an.rate_table(params, [1.0], FIG3["t"], FIG3["g"])
     _, eps, _, wts = mode_grid(params)
-    e_val, e_rel, m, f = an.lindblad_steady(rt.gamma_c, rt.gamma_h, eps,
-                                            noise_kappa_t=kappa * FIG3["t"])
+    e_val, e_rel, m, f = an.lindblad_steady(rt.gamma_c, rt.gamma_h, eps)
     e_gs = ground_state_energy(params)
     e_tot = abs((np.sum(wts * e_val) - e_gs) / e_gs)
     return e_rel, rt, float(e_tot)
 
 
-def fig4_sweep(thetas=None, n_sites: int = 200):
+def fig4_sweep():
     """Total relative energy and bottleneck rate over a theta grid (exact).
 
-    The default grid is aligned on the critical point with spacing pi/40,
-    matching the precision at which the peak location is asserted (the peak
-    is a plateau, flat to ~3% over +-0.1 rad around criticality).
+    The grid is aligned on the critical point with spacing pi/40, matching
+    the precision at which the peak location is asserted (the peak is a
+    plateau, flat to ~3% over +-0.1 rad around criticality).
     """
-    if thetas is None:
-        thetas = np.array([math.pi / 4 + j * math.pi / 40 for j in range(-8, 10)])
+    thetas = np.array([math.pi / 4 + j * math.pi / 40 for j in range(-8, 10)])
+    n_sites = FIG3["N"]
     es, alphas = [], []
     for th in thetas:
         params = ModelParams(n_sites, float(th))
@@ -107,25 +106,22 @@ def fig4_sweep(thetas=None, n_sites: int = 200):
         rep = pr.steady_report(params, scheme, bath, {"kind": "randomized", "L": FIG3["L"]})
         es.append(rep.relative_energy)
         alphas.append(float(np.min(rep.alpha)))
-    return np.asarray(thetas), np.array(es), np.array(alphas)
+    return thetas, np.array(es), np.array(alphas)
 
 
-def fig10_series(ratios=(0.0, 0.03, 0.1, 0.3, 1.0), n_sites: int = 200):
+def fig10_series(ratios=(0.0, 0.03, 0.1, 0.3, 1.0)):
     g = FIG3["g"]
-    out = {}
-    for r in ratios:
-        out[r] = fig3_report(n_sites=n_sites, kappa=r * g * g).relative_energy
-    return out
+    return {r: fig3_report(kappa=r * g * g).relative_energy for r in ratios}
 
 
-def reoptimized_series(ratios=(0.01, 0.03, 0.1, 0.3), n_sites: int = 200,
-                       seed: int = 11, budget: int = 2200, restarts: int = 5):
-    """Depolarizing-noise re-optimization at g = 0.1, nn = 0, theta = pi/3.
+def reoptimized_series(ratios=(0.01, 0.03, 0.1, 0.3), seed: int = 11):
+    """Depolarizing-noise re-optimization at N = 200, g = 0.1, nn = 0,
+    theta = pi/3, with budget 2200 and 5 restarts per ratio.
 
     Returns per-ratio (analytic optimum, exact-engine validation at optimum).
     """
     g = 0.1
-    params = ModelParams(n_sites, math.pi / 3)
+    params = ModelParams(200, math.pi / 3)
     results = {}
     prev_best: op.ParamVector | None = None
     for r in ratios:
@@ -136,7 +132,7 @@ def reoptimized_series(ratios=(0.01, 0.03, 0.1, 0.3), n_sites: int = 200,
         if prev_best is not None:
             extra.append(prev_best)  # warm start from the previous noise level
         res = op.optimize(lambda pv: op.objective_theta_specific(pv, params, noise),
-                          init, budget=budget, restarts=restarts, seed=seed,
+                          init, budget=2200, restarts=5, seed=seed,
                           extra_starts=extra)
         prev_best = res.best
         exact = _exact_chain_energy(params, res.best, noise)
@@ -145,10 +141,10 @@ def reoptimized_series(ratios=(0.01, 0.03, 0.1, 0.3), n_sites: int = 200,
 
 
 def _exact_chain_energy(params: ModelParams, pv: op.ParamVector,
-                        noise: an.NoiseSpec, dsp: bool = False) -> float:
+                        noise: an.NoiseSpec) -> float:
     bath = BathSpec(pv.delta, pv.t)
     rep = pr.steady_report(params, pv.scheme, bath, {"kind": "single"},
-                           noise=noise, engine="fock", dsp=dsp)
+                           noise=noise, engine="fock")
     return rep.relative_energy
 
 
@@ -215,9 +211,9 @@ def _target_fig2() -> TargetResult:
 
 
 def _target_fig3() -> TargetResult:
-    n = 200
-    rep = fig3_report(n_sites=n)
-    e_pred, rt, _ = fig3_analytic(n_sites=n)
+    n = FIG3["N"]
+    rep = fig3_report()
+    e_pred, rt, _ = fig3_analytic()
     dev = np.abs(rep.mode_relative_energy - e_pred) / np.abs(e_pred)
     g2 = FIG3["g"] ** 2
     alpha_res = rep.alpha[n // 4] / g2
@@ -234,9 +230,7 @@ def _target_fig3() -> TargetResult:
 
 
 def _target_fig4() -> TargetResult:
-    thetas = np.array([math.pi / 4 + j * math.pi / 40 for j in range(-8, 10)])
-    n = 200
-    th, es, alphas = fig4_sweep(thetas, n_sites=n)
+    th, es, alphas = fig4_sweep()
     i_max = int(np.argmax(es))
     g2 = FIG3["g"] ** 2
     amin = float(np.min(alphas)) / g2
@@ -337,7 +331,7 @@ def _target_fig8() -> TargetResult:
 
 
 def _target_fig10() -> TargetResult:
-    series = fig10_series(n_sites=200)
+    series = fig10_series()
     quadruple = [0.052, 0.292, 0.479, 0.673]
     reading_a = [0.0, 0.03, 0.1, 0.3]
     reading_b = [0.0, 0.1, 0.3, 1.0]
@@ -370,7 +364,7 @@ def _target_fig10() -> TargetResult:
 
 def _target_fig_spec_reopt() -> TargetResult:
     targets = {0.01: 0.025, 0.03: 0.066, 0.1: 0.187, 0.3: 0.413}
-    res = reoptimized_series(n_sites=200, budget=2200, restarts=5)
+    res = reoptimized_series()
     asserts = []
     for r, cap in targets.items():
         _, exact, _ = res[r]

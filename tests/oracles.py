@@ -7,7 +7,9 @@ helpers check complete positivity of the exact engines' cycle maps.
 The four steady-energy formulas (`general_ss_energy`, `noisy_ss_energy`,
 `dsp_ss_energy`, `finite_env_ss_energy`) are the per-case closed forms that
 `analytic.steady_energy` replaces, kept word for word so that the
-closed-form grid tests can compare the package with them under `==`.
+closed-form grid tests can compare the package with them under `==`;
+`lorentzian_rates` is the Lorentzian line shape that approximates
+`analytic.averaged_rates`.
 
 The rest are independent references for the exact engines: `vec` and
 `apply_transfer` step a density through a transfer matrix; the CM
@@ -17,7 +19,8 @@ quadrature-basis propagator (`quadrature_couplings`, `perturbative_blocks`,
 (`bravyi_noise_matrices`, `majorana_damping_check`); the joint-Lindbladian
 check of the Fock engine's noise factorization (`noise_factorization_gap`);
 `maximally_mixed_density`; and the decay-rate fit and product-state distance
-of small chains (`rate_from_decay`, `product_state_distance`).
+of small chains (`rate_from_decay`, which raises `FitQualityError`, and
+`product_state_distance`).
 """
 
 import math
@@ -28,7 +31,8 @@ from scipy.linalg import expm
 
 from kelvin._linalg import hermitize, trace_norm
 from kelvin.cm import _propagators
-from kelvin.errors import FitQualityError, ResonantDenominator, UndefinedSteadyState
+from kelvin.analytic import GAMMA0_SQ_FACTOR
+from kelvin.errors import KelvinError, ResonantDenominator, UndefinedSteadyState
 from kelvin.fock import exact_cycle_map, mode_operators, second_quantize
 from kelvin.model import ModeBlock
 from kelvin.optimize import PHASE_NODES, phase_grid
@@ -106,6 +110,17 @@ def finite_env_ss_energy(epsilon, bath_terms, env_terms, p_e: float):
         raise UndefinedSteadyState("total overlap weight vanishes")
     num = 1.0 * (byb - axb) + p_e * (bye - axe)
     return np.asarray(epsilon, dtype=float) * num / denom
+
+
+def lorentzian_rates(epsilon, delta, t: float, g: float, a2, b2):
+    """Lorentzian approximation of `analytic.averaged_rates`: cooling line
+    2 g^2 A2 / ((eps - delta)^2 + gamma_0^2) with gamma_0^2 = 3/(2 t^2), and
+    heating 2 g^2 B2 / (eps + delta)^2 without gamma_0 (cooling limit)."""
+    epsilon = np.asarray(epsilon, dtype=float)
+    g0sq = GAMMA0_SQ_FACTOR / (t * t)
+    gc = 2.0 * g * g * np.asarray(a2, dtype=float) / ((epsilon - delta) ** 2 + g0sq)
+    gh = 2.0 * g * g * np.asarray(b2, dtype=float) / (epsilon + delta) ** 2
+    return gc, gh
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +329,14 @@ def noise_factorization_gap(block: ModeBlock, kappa: float, t: float) -> float:
 # ---------------------------------------------------------------------------
 # decay rates and distances of small chains
 # ---------------------------------------------------------------------------
+
+class FitQualityError(KelvinError):
+    """Exponential fit of a decay trace rejected; carries residual diagnostics."""
+
+    def __init__(self, residual: float, message: str | None = None):
+        self.residual = residual
+        super().__init__(message or f"decay fit rejected (residual {residual:.3e})")
+
 
 def rate_from_decay(cycles, distances, floor: float = 1e-13) -> float:
     """Least-squares slope of log(distance) vs cycle index.

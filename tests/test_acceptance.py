@@ -23,8 +23,8 @@ from kelvin._linalg import trace_norm
 from kelvin.model import (
     BathSpec,
     CouplingScheme,
-    FiniteEnvSpec,
     ModelParams,
+    NoiseSpec,
     block_hamiltonian,
     dispersion,
     energy_density_limit,
@@ -117,7 +117,7 @@ def test_criterion_02_oracle_equivalence():
             rho, _ = fock.steady_state(fock.exact_cycle_map(blk, t, kappa))
             e_fock, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
             (k_s, c), = cm.cycle_maps(block_hamiltonian(params, scheme, bath, k=[k]), [t], t,
-                                      an.NoiseSpec.depolarizing(kappa)).values()
+                                      kappa).values()
             gam = cm.fixed_points(k_s, c, blk.is_edge)[0].reshape(2, 2)
             e_cm = cm.cm_energy(gam, blk.epsilon, blk.weight)
             worst = max(worst, abs(e_fock - e_cm))
@@ -135,7 +135,7 @@ def test_criterion_03_randomized_time_regime():
         g2 = repro.FIG3["g"] ** 2
         alpha_res = rep.alpha[50] / g2
         # closed-form rate: gamma_c + gamma_h = (4/3) t^2 + 1/2 in units of g^2
-        gc, gh = an.averaged_rates(1.0, 1.0, 20.0, 1.0, 1.0, 1.0, "lorentzian")
+        gc, gh = oracles.lorentzian_rates(1.0, 1.0, 20.0, 1.0, 1.0, 1.0)
         alpha_analytic = gc + gh
         assert dev <= 0.05
         assert 500.0 <= alpha_res <= 700.0
@@ -332,7 +332,7 @@ def test_criterion_10_finite_environment():
         kps = np.array([1e-3, 3e-3, 1e-2, 3e-2, 1e-1]) * g
         incr = []
         for kp in kps:
-            env = FiniteEnvSpec(float(kp), 0.7, 0.0)
+            env = NoiseSpec.finite_env(float(kp), 0.7, 0.0)
             blk = block_hamiltonian(p, scheme, bath, k=5, env=env)
             rho, _ = fock.steady_state(fock.exact_cycle_map(blk, bath.cycle_time_mean))
             e_val, _ = fock.block_energy(rho, blk.epsilon, blk.weight)

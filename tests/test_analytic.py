@@ -20,6 +20,8 @@ from kelvin.model import (
     dispersion,
 )
 
+from oracles import lorentzian_rates
+
 
 class TestOverlapCoeffs:
     def test_resonant_limit(self):
@@ -106,12 +108,12 @@ class TestAveragedRates:
         assert gc == pytest.approx(4.0 / 3.0 * 49.0, rel=1e-10)
 
     def test_resonant_lorentzian_coincides(self):
-        gc, _ = an.averaged_rates(1.0, 1.0, 7.0, 1.0, 1.0, 1.0, "lorentzian")
+        gc, _ = lorentzian_rates(1.0, 1.0, 7.0, 1.0, 1.0, 1.0)
         assert gc == pytest.approx(4.0 / 3.0 * 49.0, rel=1e-12)
 
     def test_far_off_resonance(self):
         eps, delta, t = 1.0, 3.0, 50.0
-        gc, _ = an.averaged_rates(eps, delta, t, 1.0, 1.0, 1.0, "lorentzian")
+        gc, _ = lorentzian_rates(eps, delta, t, 1.0, 1.0, 1.0)
         assert gc == pytest.approx(2.0 / (delta - eps) ** 2, rel=1e-3)
 
     def test_exact_integral_matches_quadrature(self, rng):
@@ -142,7 +144,7 @@ class TestAveragedRates:
         for at in (0.0, 1.0, 10.0):
             delta = 1.0 + at / t
             exact, _ = an.averaged_rates(1.0, delta, t, 1.0, 1.0, 1.0)
-            lor, _ = an.averaged_rates(1.0, delta, t, 1.0, 1.0, 1.0, "lorentzian")
+            lor, _ = lorentzian_rates(1.0, delta, t, 1.0, 1.0, 1.0)
             assert 0.7 <= exact / lor <= 1.45
 
     def test_rates_nonnegative_and_continuous(self, rng):
@@ -176,7 +178,8 @@ class TestMultifreqRates:
         for r in (25, 50, 100):
             deltas = [eps_m + (eps_max - eps_m) / r * (i - 0.5)
                       for i in range(1, r + 1)]
-            gc, gh = an.multifreq_rates(0.9, deltas, t, g, 1.0, 1.0, "lorentzian")
+            gc, gh = (rate.mean() for rate in lorentzian_rates(0.9, np.array(deltas), t, g,
+                                                               1.0, 1.0))
             gap = abs(gc / cc - 1.0)
             assert gap <= 1.0 / r  # first-order Riemann-sum envelope
             assert abs(gh / ch - 1.0) <= 1.0 / r
@@ -348,8 +351,7 @@ class TestSteadyEnergies:
         g = 0.1
         scheme = CouplingScheme.local(1.0, 0.0, g)
         bath = BathSpec(0.9, 3.0)
-        from kelvin.model import FiniteEnvSpec
-        env = FiniteEnvSpec(g / 10.0, 0.5, -0.5)
+        env = an.NoiseSpec.finite_env(g / 10.0, 0.5, -0.5)
         for k in (2, 4):
             blk = block_hamiltonian(p, scheme, bath, k=k, env=env)
             rho, _ = fock.steady_state(fock.exact_cycle_map(blk, 3.0))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kelvin import cli
+from kelvin import cli, repro
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -53,6 +53,17 @@ class TestConfigValidation:
         p = tmp_path / "bad.json"
         p.write_text("{nope")
         assert cli.main(["spectrum", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("noise", [
+        {"kind": "none", "kappa": 0.5, "p_e": 0.3},
+        {"kind": "none", "kappa": 0.5},
+        {"kind": "none", "p_e": 0.3},
+        {"kind": "depolarizing", "kappa": 1e-3, "p_e": 0.3},
+        {"kind": "finite_env", "kappa_prime": 1e-3, "delta_e": 0.7, "p_e": 0.1, "kappa": 1e-3},
+    ], ids=["none+kappa+p_e", "none+kappa", "none+p_e", "depolarizing+p_e", "finite_env+kappa"])
+    def test_noise_key_of_another_kind(self, tmp_path, noise):
+        cfg = write_cfg(tmp_path, {**STEADY_CFG, "noise": noise})
+        assert cli.main(["steady", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
     def test_unknown_engine(self, tmp_path):
         cfg = write_cfg(tmp_path, {**STEADY_CFG, "engine": "bogus"})
@@ -266,6 +277,31 @@ class TestOptimizeCmd:
         val = json.loads((out / "validation.json").read_text())
         point = list(val["by_theta"].values())[0]
         assert abs(point["difference"]) < 0.2 * abs(point["exact_e"]) + 1e-3
+
+    def test_validation_runs_on_the_engine(self, tmp_path):
+        """The validation of the table row nn = 1 (high phase) runs on
+        --engine; both engines give the same exact e to 1e-10 relative."""
+        row = repro.table_rows()[1.0, "high"]
+        payload = {
+            "model": base_model(20, 3 * math.pi / 8),
+            "scheme": {"nn": 1.0, "lambda": {str(j): v for j, v in row["lam"].items()},
+                       "mu": {str(j): v for j, v in row["mu"].items()}, "g": 0.1},
+            "optimize": {"objective": "phase_averaged", "phase": "high", "budget": 300,
+                         "restarts": 3, "init": {"delta": row["delta"], "t": row["t"]}},
+        }
+        cfg = write_cfg(tmp_path, payload)
+        val = {}
+        for engine in ("fock", "cm"):
+            out = tmp_path / engine
+            assert cli.main(["optimize", "--config", cfg, "--out", str(out),
+                             "--engine", engine]) == 0
+            val[engine] = json.loads((out / "validation.json").read_text())
+            assert val[engine]["engine"] == engine
+        fock_rows, cm_rows = val["fock"]["by_theta"], val["cm"]["by_theta"]
+        assert fock_rows.keys() == cm_rows.keys() and len(fock_rows) == 5
+        for theta, row_f in fock_rows.items():
+            assert cm_rows[theta]["analytic_e"] == row_f["analytic_e"]
+            assert cm_rows[theta]["exact_e"] == pytest.approx(row_f["exact_e"], rel=1e-10)
 
     def test_dsp_smoke(self, tmp_path):
         payload = {

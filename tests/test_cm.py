@@ -5,23 +5,23 @@ import pytest
 from scipy.linalg import expm
 
 from kelvin import cm, fock
-from kelvin.analytic import NoiseSpec
 from kelvin.errors import NonUniqueFixedPoint, ResonantDenominator
 from kelvin.model import (
     BathSpec,
     CouplingScheme,
-    FiniteEnvSpec,
     ModelParams,
+    NoiseSpec,
     block_hamiltonian,
+    mode_grid,
 )
 
 import oracles
 from oracles import apply_transfer
 
 
-def _maps(blk, t, p_e=0.0):
+def _maps(blk, t):
     """(K, c) of one block's cycle map at time t, from the stacked builder."""
-    return cm.cycle_maps(blk, [t], t, NoiseSpec(p_e=p_e))[t]
+    return cm.cycle_maps(blk, [t], t, 0.0)[t]
 
 
 def _step(k_s, c, gamma):
@@ -68,7 +68,7 @@ class TestEvolveCm:
         rho_b[0, 0] = 1.0
         joint = np.kron(rho, rho_b)
         ts = (0.7, 1.9, 4.1)
-        maps = cm.cycle_maps(blk, ts, 0.0, NoiseSpec.none())
+        maps = cm.cycle_maps(blk, ts, 0.0, 0.0)
         for t, u in zip(ts, fb.propagators(ts)):
             out = u @ joint @ u.conj().T
             rho_s = np.trace(out.reshape(fb.d_sys, fb.d_rest, fb.d_sys, fb.d_rest),
@@ -148,17 +148,17 @@ class TestSteadyStateCm:
         rho, _ = fock.steady_state(fock.exact_cycle_map(blk, t, kappa))
         e_fock, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
         stack = block_hamiltonian(small_params, generic_scheme, bath, k=[3])
-        (k_s, c), = cm.cycle_maps(stack, [t], t, NoiseSpec.depolarizing(kappa)).values()
+        (k_s, c), = cm.cycle_maps(stack, [t], t, kappa).values()
         gam = _fixed(k_s[0], c[0])
         assert abs(e_fock - cm.cm_energy(gam, blk.epsilon, blk.weight)) < 1e-8
 
 
 class TestFiniteEnvCm:
     def test_zero_coupling_matches_noiseless(self, small_params, generic_scheme, bath):
-        env = FiniteEnvSpec(0.0, 0.6, 0.4)
+        env = NoiseSpec.finite_env(0.0, 0.6, 0.4)
         blk_e = block_hamiltonian(small_params, generic_scheme, bath, k=3, env=env)
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=3)
-        gam_env = _fixed(*_maps(blk_e, 2.0, env.p_e))
+        gam_env = _fixed(*_maps(blk_e, 2.0))
         gam = _fixed(*_maps(blk, 2.0))
         assert np.max(np.abs(gam_env - gam)) < 1e-12
 
@@ -168,9 +168,9 @@ class TestFiniteEnvCm:
         bath's, and pair 2 a third one through the bath."""
         scheme = CouplingScheme.local(1.0, 0.0, g=0.05)
         k = 3
-        env = FiniteEnvSpec(scheme.g, bath.delta, 1.0)
+        env = NoiseSpec.finite_env(scheme.g, bath.delta, 1.0)
         blk = block_hamiltonian(small_params, scheme, bath, k=k, env=env)
-        gam = _fixed(*_maps(blk, 2.0, 1.0))
+        gam = _fixed(*_maps(blk, 2.0))
         # reference: the three vacuum injections cut from a dense propagator
         u = expm(-1j * blk.generator * 2.0)
         a_s, a_sb, a_se1, a_se2 = (u[:2, j:j + 2] for j in (0, 2, 4, 6))
@@ -190,13 +190,31 @@ class TestFiniteEnvCm:
         g = 0.1
         scheme = CouplingScheme.local(1.0, 0.0, g)
         bath = BathSpec(0.9, 3.0)
-        env = FiniteEnvSpec(g / 20.0, 0.5, -0.5)
+        env = NoiseSpec.finite_env(g / 20.0, 0.5, -0.5)
         blk = block_hamiltonian(small_params, scheme, bath, k=2, env=env)
         rho, _ = fock.steady_state(fock.exact_cycle_map(blk, 3.0))
         e_fock, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
-        gam = _fixed(*_maps(blk, 3.0, env.p_e))
+        gam = _fixed(*_maps(blk, 3.0))
         e_cm = cm.cm_energy(gam, blk.epsilon, blk.weight)
         assert abs(e_cm - e_fock) <= 1e-12 * abs(e_fock)
+
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_engines_agree_reading_p_e_from_the_block(self, k):
+        """An environment block (N = 8, theta = 0.9) with p_E = 0.6: both
+        engines' maps, taken with no noise rate, give the same steady E_k,
+        with p_E known only to the block."""
+        params = ModelParams(8, 0.9)
+        block = block_hamiltonian(params, CouplingScheme.local(1.0, 1.0, 0.2),
+                                  BathSpec(1.0, 3.0), np.array([k]),
+                                  env=NoiseSpec.finite_env(0.1, 0.8, 0.6))
+        _, eps, _, wts = mode_grid(params)
+        energy = {}
+        for engine in (cm, fock):
+            (k_s, c), = engine.cycle_maps(block, [3.0], 3.0, 0.0).values()
+            x, _, _ = engine.fixed_points(k_s, c, block.is_edge)
+            energy[engine] = engine.reduce(np.array([k]), x, eps, wts, 4)[0][0]
+        assert abs(energy[cm] - energy[fock]) <= 1e-10 * abs(energy[fock])
 
 
 class TestPerturbativeBlocks:

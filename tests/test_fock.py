@@ -11,8 +11,8 @@ from kelvin.fock import mode_operators
 from kelvin.model import (
     BathSpec,
     CouplingScheme,
-    FiniteEnvSpec,
     ModelParams,
+    NoiseSpec,
     block_hamiltonian,
     canonicalize_theta,
     coupling_keys,
@@ -292,7 +292,7 @@ class TestNoisyCycleMap:
             fock.exact_cycle_map(blk, 1.0, -0.1)
 
     def test_environment_block_rejected(self, small_params, generic_scheme, bath):
-        env = FiniteEnvSpec(0.02, 0.7, 0.1)
+        env = NoiseSpec.finite_env(0.02, 0.7, 0.1)
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=2, env=env)
         with pytest.raises(ValueError):
             fock.exact_cycle_map(blk, 1.0, 0.01)
@@ -320,7 +320,7 @@ class TestNoisyCycleMap:
 
 class TestFiniteEnvironmentMap:
     def test_zero_coupling_equals_exact(self, small_params, generic_scheme, bath):
-        env = FiniteEnvSpec(0.0, 0.8, 0.3)
+        env = NoiseSpec.finite_env(0.0, 0.8, 0.3)
         blk_e = block_hamiltonian(small_params, generic_scheme, bath, k=2, env=env)
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=2)
         a = fock.exact_cycle_map(blk_e, 2.0)
@@ -338,7 +338,7 @@ class TestFiniteEnvironmentMap:
         kps = [1e-3 * g, 1e-2 * g, 1e-1 * g]
         incr = []
         for kp in kps:
-            env = FiniteEnvSpec(kp, 0.7, 0.0)
+            env = NoiseSpec.finite_env(kp, 0.7, 0.0)
             blk = block_hamiltonian(p, scheme, bath, k=3, env=env)
             rho, _ = fock.steady_state(fock.exact_cycle_map(blk, bath.cycle_time_mean))
             e, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
@@ -348,7 +348,7 @@ class TestFiniteEnvironmentMap:
 
     def test_invalid_pe_rejected(self):
         with pytest.raises(ValueError):
-            FiniteEnvSpec(0.1, 0.5, 1.5)
+            NoiseSpec.finite_env(0.1, 0.5, 1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ from scipy.integrate import quad
 from kelvin.model import (
     BathSpec,
     CouplingScheme,
-    FiniteEnvSpec,
     ModeBlock,
     ModelParams,
+    NoiseSpec,
     _block_raw,
     _coupling_table,
     _mode_row,
@@ -289,7 +289,7 @@ class TestBlockHamiltonian:
         """One grid: every block's eps, phi, A and B are row k of mode_grid
         and coupling_arrays, bit for bit, also at the edges, with an
         environment or DSP, and for raw theta outside [0, pi/2]."""
-        env = FiniteEnvSpec(0.01, 0.5, 0.3)
+        env = NoiseSpec.finite_env(0.01, 0.5, 0.3)
         for _ in range(40):
             n = 2 * int(rng.integers(1, 60))
             nn = float(rng.choice([0, 0.5, 1, 1.5]))
@@ -342,7 +342,7 @@ def _oracle_block_raw(
     scheme: CouplingScheme,
     bath: BathSpec,
     k: int,
-    env: FiniteEnvSpec | None = None,
+    env: NoiseSpec | None = None,
     dsp: bool = False,
 ) -> ModeBlock:
     """block_hamiltonian on raw values; accepts any finite theta (used by the
@@ -399,7 +399,7 @@ class TestStackedBlocks:
 
     def test_rows_equal_per_mode_oracle(self):
         rng = np.random.default_rng(20261018)
-        env = FiniteEnvSpec(0.03, 0.6, -0.4)
+        env = NoiseSpec.finite_env(0.03, 0.6, -0.4)
         for case in range(240):
             n = 2 * int(rng.integers(1, 61))
             nn = float(rng.choice([0, 0.5, 1, 1.5]))
@@ -443,6 +443,42 @@ class TestStackedBlocks:
         with pytest.raises(ValueError, match="mixes edge and pair"):
             stack.n_modes
         assert block_hamiltonian(small_params, generic_scheme, bath, np.array([0, n2])).n_modes == 2
+
+
+class TestNoiseSpec:
+    @pytest.mark.parametrize("fields", [
+        dict(kind="none", kappa=0.5),
+        dict(kind="none", p_e=0.3),
+        dict(kind="none", kappa_prime=0.1),
+        dict(kind="none", delta_e=0.7),
+        dict(kind="depolarizing", kappa=1e-3, p_e=0.3),
+        dict(kind="depolarizing", kappa=1e-3, delta_e=0.7),
+        dict(kind="finite_env", kappa=1e-3, kappa_prime=0.1, delta_e=0.7, p_e=0.3),
+    ], ids=["none+kappa", "none+p_e", "none+kappa_prime", "none+delta_e",
+            "depolarizing+p_e", "depolarizing+delta_e", "finite_env+kappa"])
+    def test_field_of_another_kind_rejected(self, fields):
+        with pytest.raises(ValueError, match="does not use"):
+            NoiseSpec(**fields)
+
+    @pytest.mark.parametrize("fields", [
+        dict(kind="bogus"), dict(kind="depolarizing", kappa=-1e-3),
+        dict(kind="finite_env", kappa_prime=-0.1),
+    ])
+    def test_invalid_values_rejected(self, fields):
+        with pytest.raises(ValueError):
+            NoiseSpec(**fields)
+
+    def test_kappa_and_env_of_every_kind(self):
+        env = NoiseSpec.finite_env(0.1, 0.7, 0.3)
+        assert env.env is env and env.kappa == 0.0
+        assert NoiseSpec.none().env is None and NoiseSpec.none().kappa == 0.0
+        dep = NoiseSpec.depolarizing(1e-3)
+        assert dep.env is None and dep.kappa == 1e-3
+
+    @pytest.mark.parametrize("noise", [NoiseSpec.none(), NoiseSpec.depolarizing(1e-3)])
+    def test_block_takes_only_an_environment(self, small_params, generic_scheme, bath, noise):
+        with pytest.raises(ValueError, match="finite-environment"):
+            block_hamiltonian(small_params, generic_scheme, bath, 2, env=noise)
 
 
 class TestSchemeValidation:

@@ -9,11 +9,10 @@ from kelvin import analytic as an
 from kelvin import cm, fock
 from kelvin import protocol as pr
 from kelvin._linalg import trace_norm
-from kelvin.errors import FitQualityError, NonUniqueFixedPoint
+from kelvin.errors import NonUniqueFixedPoint
 from kelvin.model import (
     BathSpec,
     CouplingScheme,
-    FiniteEnvSpec,
     ModelParams,
     band_edges,
     block_hamiltonian,
@@ -23,7 +22,7 @@ from kelvin.model import (
 )
 
 import oracles
-from oracles import apply_transfer
+from oracles import FitQualityError, apply_transfer
 
 
 class TestMakeSchedule:
@@ -209,9 +208,7 @@ def _reference_trajectory(params, scheme, schedule, noise, engine, n_cycles, str
     per-block maps and metrics.
     """
     n2 = params.N // 2
-    env = None
-    if noise.kind == "finite_env":
-        env = FiniteEnvSpec(noise.kappa_prime, noise.delta_e, noise.p_e)
+    env = noise.env
     blocks = list(pr.initial_state("most_excited", params, engine=engine).blocks)
     mode_blocks = {(k, d): block_hamiltonian(params, scheme, BathSpec(d, 1.0), k,
                                              env=env, dsp=dsp)
@@ -646,7 +643,7 @@ class TestSteadyReport:
         noise = an.NoiseSpec.finite_env(0.01, 0.5, 0.3)
         rep = pr.steady_report(small_params, local_scheme, bath, {"kind": "single"},
                                noise=noise, engine="cm", keep_states=True)
-        env = FiniteEnvSpec(noise.kappa_prime, noise.delta_e, noise.p_e)
+        env = noise.env
         for k in range(small_params.N // 2 + 1):
             blk = block_hamiltonian(small_params, local_scheme, bath, k, env=env)
             u = expm(-1j * blk.generator * bath.cycle_time_mean)

@@ -21,8 +21,8 @@ from kelvin._linalg import uniform_average
 from kelvin.model import (
     BathSpec,
     CouplingScheme,
-    FiniteEnvSpec,
     ModelParams,
+    NoiseSpec,
     block_hamiltonian,
     dispersion,
 )
@@ -163,7 +163,7 @@ class TestFockMaps:
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_finite_environment_map_matches_loop(self, k):
-        fb = fock.second_quantize(_block(k, env=FiniteEnvSpec(0.02, 0.7, 0.1)))
+        fb = fock.second_quantize(_block(k, env=NoiseSpec.finite_env(0.02, 0.7, 0.1)))
         _assert_rel_close(fock.exact_cycle_map(fb, 2.7), _loop_cycle_map(fb, 2.7, 0.0))
 
 
@@ -191,7 +191,7 @@ class TestCmAveragedKron:
     def test_zero_mean_time_is_the_map_at_zero(self, block, kappa):
         mb = _block(*_BLOCKS[block])
         k_s, k_sb = cm.averaged_evolution_kron(mb, 0.0, kappa=kappa)
-        (k_0, _), = cm.cycle_maps(mb, [0.0], 0.0, an.NoiseSpec.none()).values()
+        (k_0, _), = cm.cycle_maps(mb, [0.0], 0.0, 0.0).values()
         _assert_rel_close(k_s, k_0)
         assert np.max(np.abs(k_sb)) <= REL_TOL
 
@@ -327,8 +327,8 @@ class TestStackedCycleMaps:
     T_MEAN = 4.3
     TIMES = [0.0, 2.7, 9.1, None]
 
-    def _check(self, ks, noise, t_mean, single, dsp):
-        maps = fock.cycle_maps(_block(np.array(ks), dsp=dsp), self.TIMES, t_mean, noise)
+    def _check(self, ks, kappa, t_mean, single, dsp):
+        maps = fock.cycle_maps(_block(np.array(ks), dsp=dsp), self.TIMES, t_mean, kappa)
         assert set(maps) == set(self.TIMES)
         for t, (k_s, c) in maps.items():
             assert k_s.shape[0] == len(ks) and not c.any()
@@ -340,19 +340,16 @@ class TestStackedCycleMaps:
     @pytest.mark.parametrize("ks, dsp", [([1, 2, 3], False), ([1, 3], True), ([0, N2], False)],
                              ids=["pairs", "dsp", "edges"])
     def test_rows_equal_single_block_maps(self, ks, dsp, kappa, t_mean):
-        noise = an.NoiseSpec.depolarizing(kappa) if kappa else an.NoiseSpec.none()
-
         def single(blk, t):
             if t is None:
                 return fock.averaged_cycle_map(blk, t_mean, kappa)
             return fock.exact_cycle_map(blk, t, kappa)
 
-        self._check(ks, noise, t_mean, single, dsp)
+        self._check(ks, kappa, t_mean, single, dsp)
 
     @pytest.mark.parametrize("ks", [[1, 2], [0, N2]], ids=["pairs", "edges"])
     def test_finite_environment_rows(self, ks):
-        env = FiniteEnvSpec(0.02, 0.7, 0.1)
-        maps = fock.cycle_maps(_block(np.array(ks), env=env), [2.7], self.T_MEAN,
-                               an.NoiseSpec.finite_env(0.02, 0.7, 0.1))
+        env = NoiseSpec.finite_env(0.02, 0.7, 0.1)
+        maps = fock.cycle_maps(_block(np.array(ks), env=env), [2.7], self.T_MEAN, 0.0)
         for row, k in zip(maps[2.7][0], ks):
             assert np.array_equal(row, fock.exact_cycle_map(_block(k, env=env), 2.7))
