@@ -3,9 +3,11 @@
 Everything here is second order in the coupling: overlap coefficients from
 the time integrals, jump operators of the per-cycle Lindbladian, cooling and
 heating rates (exact time averages),
-the per-pair steady energy (one routine, `steady_energy`, covers the
-noiseless, depolarizing-noisy, DSP and finite-environment cases), and the
-cycle-count and ground-state-cooling scaling estimates.
+the per-pair steady energy (one routine, `steady_energy`, on the bath's
+cooling and heating weights at a fixed time or averaged over random times
+and frequencies, covers the noiseless, depolarizing-noisy, DSP and
+finite-environment cases), and the cycle-count and ground-state-cooling
+scaling estimates.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ __all__ = [
     "averaged_rates",
     "multifreq_rates",
     "continuum_rates",
-    "lindblad_steady",
     "steady_energy",
     "cycle_estimates",
     "gs_cooling_plan",
@@ -223,12 +224,12 @@ class RateTable:
         return self.gamma_c + self.gamma_h
 
 
-def rate_table(params: ModelParams, deltas, t: float, g: float,
-               a2=1.0, b2=1.0) -> RateTable:
+def rate_table(params: ModelParams, scheme: CouplingScheme, deltas, t: float) -> RateTable:
+    """Time-averaged rates of every mode under `scheme` (g, |A_k|^2 and |B_k|^2
+    from `coupling_arrays`), for bath frequencies `deltas` and mean time t."""
     ks, eps, _, _ = mode_grid(params)
-    a2 = np.broadcast_to(np.asarray(a2, dtype=float), eps.shape)
-    b2 = np.broadcast_to(np.asarray(b2, dtype=float), eps.shape)
-    gc, gh = multifreq_rates(eps, deltas, t, g, a2, b2)
+    a, b = coupling_arrays(scheme, params)
+    gc, gh = multifreq_rates(eps, deltas, t, scheme.g, np.abs(a) ** 2, np.abs(b) ** 2)
     return RateTable(ks=ks, gamma_c=gc, gamma_h=gh,
                      gamma0=math.sqrt(GAMMA0_SQ_FACTOR) / t)
 
@@ -237,42 +238,20 @@ def rate_table(params: ModelParams, deltas, t: float, g: float,
 # steady states
 # ---------------------------------------------------------------------------
 
-def lindblad_steady(gamma_c, gamma_h, epsilon, noise_kappa_t: float = 0.0):
-    """Steady state of the averaged per-mode Lindbladian.
-
-    Returns (E_k, e_k, m_k, F_k) with both channels shifted by kappa*t:
-    E_k = eps (gh~ - gc~)/(gc~ + gh~), e_k = 2 gh~/(gc~ + gh~), m_k the
-    single-mode ground population, and F_k = m_k^2 the pair fidelity.
-    """
-    gc = np.asarray(gamma_c, dtype=float) + noise_kappa_t
-    gh = np.asarray(gamma_h, dtype=float) + noise_kappa_t
-    tot = gc + gh
-    if np.any(tot <= 0):
-        raise UndefinedSteadyState("all rates vanish")
-    e_k = 2.0 * gh / tot
-    m_k = gc / tot
-    e_val = np.asarray(epsilon, dtype=float) * (gh - gc) / tot
-    return e_val, e_k, m_k, m_k**2
-
-
-def steady_energy(epsilon, a_k, b_k, x, y, pad: float = 0.0, env=None):
+def steady_energy(epsilon, p, q, pad: float = 0.0, env=None):
     """Per-pair steady energy eps (Q - P + n_env) / (P + Q + P_e + Q_e + pad).
 
-    P = |A x|^2 and Q = |B y|^2 are the bath's cooling and heating weights.
-    Depolarizing noise of rate kappa pads the denominator by pad = 2 kappa t.
-    A finite environment env = (A_e, x_e, B_e, y_e, p_e) adds its weights
-    P_e = |A_e x_e|^2 and Q_e = |B_e y_e|^2, and n_env = p_e (Q_e - P_e):
-    the bath carries polarization 1, the environment p_e.  With the system
-    Hamiltonian switched off during cycles (DSP), x = y = 1.  Raises
+    P and Q are the bath's cooling and heating weights: |A x|^2 and |B y|^2
+    of one fixed-time cycle, or the rates `multifreq_rates` averages over
+    random times and bath frequencies.  Depolarizing noise of rate kappa pads
+    the denominator by pad = 2 kappa t.  A finite environment
+    env = (P_e, Q_e, p_e) adds its weights and n_env = p_e (Q_e - P_e): the
+    bath carries polarization 1, the environment p_e.  Raises
     UndefinedSteadyState where the denominator is not positive.
     """
-    p = np.abs(np.asarray(a_k) * np.asarray(x)) ** 2
-    q = np.abs(np.asarray(b_k) * np.asarray(y)) ** 2
     num, denom = q - p, p + q
     if env is not None:
-        a_e, x_e, b_e, y_e, p_e = env
-        p_env = np.abs(np.asarray(a_e) * np.asarray(x_e)) ** 2
-        q_env = np.abs(np.asarray(b_e) * np.asarray(y_e)) ** 2
+        p_env, q_env, p_e = env
         num = num + p_e * (q_env - p_env)
         denom = denom + p_env + q_env
     denom = denom + pad
@@ -333,9 +312,10 @@ def gs_cooling_plan(n_sites: int, theta: float) -> CoolingPlan:
 # per-chain aggregation (vectorized over modes and theta)
 # ---------------------------------------------------------------------------
 
-def _single_cycle_energies(eps, cos_phi, sin_phi, a, b, delta: float, t: float,
-                           g: float, noise: NoiseSpec, mode: str):
-    """Per-pair steady energies of a fixed-time cycle, any array shape.
+def _single_cycle_weights(eps, cos_phi, sin_phi, a, b, delta: float, t: float,
+                          g: float, noise: NoiseSpec, mode: str):
+    """`steady_energy`'s weights of a fixed-time cycle, any array shape: P, Q
+    and the finite environment's (P_e, Q_e, p_e), or None without one.
 
     `mode` is "cooling" or "dsp"; DSP evaluates the overlaps at zero system
     splitting.
@@ -347,15 +327,16 @@ def _single_cycle_energies(eps, cos_phi, sin_phi, a, b, delta: float, t: float,
     if noise.env is not None:
         x_e = _phase_integral(eps_evo - noise.delta_e, t, noise.kappa_prime)
         y_e = -_phase_integral(eps_evo + noise.delta_e, t, noise.kappa_prime)
-        env = (cos_phi.astype(complex), x_e, (-sin_phi).astype(complex), y_e, noise.p_e)
-    return steady_energy(eps, a, b, x, y, 2.0 * noise.kappa * t, env)
+        env = (np.abs(cos_phi.astype(complex) * x_e) ** 2,
+               np.abs((-sin_phi).astype(complex) * y_e) ** 2, noise.p_e)
+    return np.abs(a * x) ** 2, np.abs(b * y) ** 2, env
 
 
 def _single_cycle_energy_grad(grid, phases, a, b, e, delta: float, t: float,
                               g: float, noise: NoiseSpec, mode: str) -> np.ndarray:
     """Gradient of sum_k weight_k e_k per theta row, shape (thetas, 2 J + 2).
 
-    `e` are the pair energies of `_single_cycle_energies` on `grid`, and the
+    `e` are the fixed-time pair energies `steady_energy` gives on `grid`, and the
     columns follow `ParamVector.to_array`: lambda_j and mu_j over the J
     `coupling_keys`, then delta and t.  Every noise kind has
     e = eps (Q - P + n_env) / D with D = P + Q + pad, P = |A|^2 |x|^2 and
@@ -402,8 +383,9 @@ def _chain_pass(n_sites: int, thetas, scheme: CouplingScheme, delta: float, t: f
     grid = _theta_grid(n_sites, tuple(float(th) for th in thetas))
     phases = _phases(n_sites, scheme.nn)
     a, b = _coupling_sum(grid.cos_phi, grid.sin_phi, phases, scheme)
-    e_k = _single_cycle_energies(grid.eps, grid.cos_phi, grid.sin_phi, a, b,
-                                 delta, t, scheme.g, noise, mode)
+    p, q, env = _single_cycle_weights(grid.eps, grid.cos_phi, grid.sin_phi, a, b,
+                                      delta, t, scheme.g, noise, mode)
+    e_k = steady_energy(grid.eps, p, q, 2.0 * noise.kappa * t, env)
     e_total = np.sum(grid.weights * e_k, axis=-1)
     return grid, phases, a, b, e_k, np.abs((e_total - grid.e_gs) / grid.e_gs)
 
@@ -455,25 +437,26 @@ def closed_form_relative_energies(params: ModelParams, scheme: CouplingScheme,
                                   deltas, t: float, noise: NoiseSpec,
                                   schedule_kind: str = "single",
                                   mode: str = "cooling") -> np.ndarray:
-    """Per-mode relative energies e_k from the weak-coupling closed forms.
+    """Per-mode relative energies e_k = (E_k + eps_k) / eps_k of `steady_energy`.
 
-    Fixed-time schedules use the single-cycle overlap formulas; randomized
-    and multi-frequency schedules use the time-averaged rates.  Entries are
-    NaN where no closed form applies (finite environments with randomized
-    times) or where eps = 0.
+    The bath weights are taken at the evolution splitting (zero under DSP,
+    `mode="dsp"`): at the fixed time t for a "single" schedule, and averaged
+    over random times and the frequencies `deltas` (`multifreq_rates`) for
+    the others.  Entries are NaN where eps_k = 0, and all of them for a
+    finite environment with random times, which has no closed form here.
     """
     row = _mode_row(params.N, params.theta)
     eps = row.eps
     a, b = coupling_arrays(scheme, params)
-
     if schedule_kind == "single":
-        e_val = _single_cycle_energies(eps, row.cos_phi, row.sin_phi, a, b,
-                                       deltas[0], t, scheme.g, noise, mode)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(eps > 0, (e_val + eps) / eps, np.nan)
-
-    if noise.env is not None:
+        p, q, env = _single_cycle_weights(eps, row.cos_phi, row.sin_phi, a, b,
+                                          deltas[0], t, scheme.g, noise, mode)
+    elif noise.env is not None:
         return np.full_like(eps, np.nan)
-    gc, gh = multifreq_rates(eps, deltas, t, scheme.g, np.abs(a) ** 2, np.abs(b) ** 2)
-    _, e_rel, *_ = lindblad_steady(gc, gh, eps, noise_kappa_t=noise.kappa * t)
-    return np.asarray(e_rel)
+    else:
+        eps_evo = np.zeros_like(eps) if mode == "dsp" else eps
+        p, q = multifreq_rates(eps_evo, deltas, t, scheme.g, np.abs(a) ** 2, np.abs(b) ** 2)
+        env = None
+    e_val = steady_energy(eps, p, q, 2.0 * noise.kappa * t, env)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(eps > 0, (e_val + eps) / eps, np.nan)

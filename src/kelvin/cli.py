@@ -38,7 +38,6 @@ from .model import (
     CouplingScheme,
     ModelParams,
     NoiseSpec,
-    coupling_arrays,
     dispersion,
     energy_density_limit,
     ground_state_energy,
@@ -161,6 +160,14 @@ def _noise(cfg: dict) -> NoiseSpec:
         raise ConfigError(f"invalid noise section: {exc}") from exc
 
 
+def _run_flag(cfg: dict, key: str) -> bool:
+    """run.<key> as a JSON boolean, False when absent."""
+    value = cfg.get("run", {}).get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"run.{key} must be true or false, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
@@ -223,7 +230,7 @@ def cmd_steady(cfg: dict, out: str, args) -> int:
     scheme = _scheme(cfg)
     bath = _bath(cfg, params)
     noise = _noise(cfg)
-    dsp = cfg.get("run", {}).get("dsp", False)
+    dsp = _run_flag(cfg, "dsp")
     rep = pr.steady_report(params, scheme, bath, cfg["schedule"], noise=noise,
                            engine=args.engine, dsp=dsp)
     deltas = pr.schedule_frequencies(cfg["schedule"], params, bath)
@@ -254,11 +261,11 @@ def cmd_trajectory(cfg: dict, out: str, args) -> int:
     kwargs = dict(noise=_noise(cfg), n_global_cycles=int(run["cycles"]),
                   snapshot_stride=int(run.get("snapshot_stride", 10)),
                   initial=run.get("initial", "most_excited"),
-                  dsp=bool(run.get("dsp", False)))
+                  dsp=_run_flag(cfg, "dsp"))
+    wide, cross_check = _run_flag(cfg, "wide"), _run_flag(cfg, "cross_check")
     traj = pr.run_trajectory(params, _scheme(cfg), sched, engine=args.engine, **kwargs)
 
     header = ["cycle", "E", "e", "F"]
-    wide = bool(run.get("wide", False))
     if wide:
         header += [f"E_k{k}" for k in range(params.N // 2 + 1)]
     rows = []
@@ -282,7 +289,7 @@ def cmd_trajectory(cfg: dict, out: str, args) -> int:
     extra = {"converged_at": traj.converged_at,
              "final_e": traj.snapshots[-1].relative_energy,
              "final_F": traj.snapshots[-1].fidelity}
-    if run.get("cross_check", False):
+    if cross_check:
         other = next(name for name in pr.ENGINES if name != args.engine)
         traj2 = pr.run_trajectory(params, _scheme(cfg), sched, engine=other, **kwargs)
         extra["cross_check_max_dE_k"] = float(max(
@@ -297,11 +304,12 @@ def cmd_rates(cfg: dict, out: str, args) -> int:
     scheme = _scheme(cfg)
     bath = _bath(cfg, params)
     deltas = pr.schedule_frequencies(cfg["schedule"], params, bath)
-    a, b = coupling_arrays(scheme, params)
-    rt = an.rate_table(params, deltas, bath.cycle_time_mean, scheme.g,
-                       a2=np.abs(a) ** 2, b2=np.abs(b) ** 2)
+    rt = an.rate_table(params, scheme, deltas, bath.cycle_time_mean)
     _, eps, _, _ = mode_grid(params)
-    e_val, e_rel, m, f = an.lindblad_steady(rt.gamma_c, rt.gamma_h, eps)
+    # the table's rates are random-time averages over `deltas`, whatever the
+    # schedule kind, and so is e_k
+    e_rel = an.closed_form_relative_energies(params, scheme, deltas, bath.cycle_time_mean,
+                                             NoiseSpec.none(), "multifreq")
     rows = [(int(k), eps[k], rt.gamma_c[k], rt.gamma_h[k], rt.alpha[k], e_rel[k])
             for k in rt.ks]
     write_csv(os.path.join(out, "rates.csv"),
@@ -316,6 +324,8 @@ def cmd_optimize(cfg: dict, out: str, args) -> int:
     scheme = _scheme(cfg)
     o = cfg["optimize"]
     mode = o.get("mode", "cooling")
+    if mode not in ("cooling", "dsp"):
+        raise ConfigError(f"optimize.mode must be 'cooling' or 'dsp', got {mode!r}")
     objective_kind = o["objective"]
     noise = _noise(cfg)
     init_cfg = o.get("init", {})

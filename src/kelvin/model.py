@@ -361,7 +361,6 @@ class ModeBlock:
     g: float
     h_sb: np.ndarray = field(repr=False)
     env: NoiseSpec | None = None
-    dsp: bool = False
 
     def __post_init__(self):
         h = self.h_sb
@@ -462,7 +461,7 @@ def _block_raw(
     per_mode, h_sb = (kv, eps, row.phi[kv], weight, a, b), weight[:, None, None] * h
     if ks.ndim == 0:
         per_mode, h_sb = tuple(x.item() for x in per_mode), h_sb[0]
-    return ModeBlock(*per_mode, bath.delta, scheme.g, h_sb, env, dsp)
+    return ModeBlock(*per_mode, bath.delta, scheme.g, h_sb, env)
 
 
 @dataclass(frozen=True)

@@ -80,13 +80,13 @@ def fig3_report(kappa: float = 0.0) -> pr.SteadyStateReport:
 
 
 def fig3_analytic():
+    """The closed-form per-mode relative energies and rate table of the Fig. 3
+    protocol."""
     params = ModelParams(FIG3["N"], FIG3["theta"])
-    rt = an.rate_table(params, [1.0], FIG3["t"], FIG3["g"])
-    _, eps, _, wts = mode_grid(params)
-    e_val, e_rel, m, f = an.lindblad_steady(rt.gamma_c, rt.gamma_h, eps)
-    e_gs = ground_state_energy(params)
-    e_tot = abs((np.sum(wts * e_val) - e_gs) / e_gs)
-    return e_rel, rt, float(e_tot)
+    scheme = CouplingScheme.local(1.0, 1.0, FIG3["g"])
+    e_rel = an.closed_form_relative_energies(params, scheme, [1.0], FIG3["t"],
+                                             an.NoiseSpec.none(), "randomized")
+    return e_rel, an.rate_table(params, scheme, [1.0], FIG3["t"])
 
 
 def fig4_sweep():
@@ -213,7 +213,7 @@ def _target_fig2() -> TargetResult:
 def _target_fig3() -> TargetResult:
     n = FIG3["N"]
     rep = fig3_report()
-    e_pred, rt, _ = fig3_analytic()
+    e_pred, rt = fig3_analytic()
     dev = np.abs(rep.mode_relative_energy - e_pred) / np.abs(e_pred)
     g2 = FIG3["g"] ** 2
     alpha_res = rep.alpha[n // 4] / g2
@@ -305,7 +305,7 @@ def _target_fig8() -> TargetResult:
 
     def relative_energy(k_list):
         gc, gh = an.multifreq_rates(eps, eps[k_list], 50.0, 1e-3, 1.0, 1.0)
-        e_val, *_ = an.lindblad_steady(gc, gh, eps)
+        e_val = an.steady_energy(eps, gc, gh)
         return float(abs((np.sum(wts * e_val) - e_gs) / e_gs))
 
     es = {r: relative_energy([int(round(params.N / 2 * i / (r + 1))) for i in range(1, r + 1)])

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -218,35 +219,45 @@ class TestContinuumRates:
 
 
 class TestLindbladSteady:
+    """`steady_energy` on the averaged Lindbladian's rates: P = gamma_c and
+    Q = gamma_h, with depolarizing noise as pad = 2 kappa t."""
+
     def test_pure_cooling(self):
-        e_val, e_rel, m, f = an.lindblad_steady(1.0, 0.0, 0.8)
+        e_val = an.steady_energy(0.8, 1.0, 0.0)
         assert e_val == pytest.approx(-0.8)
-        assert e_rel == pytest.approx(0.0)
-        assert f == pytest.approx(1.0)
+        # F_k = m_k^2 with m_k = (1 - E/eps)/2 the single-mode ground population
+        assert ((1.0 - e_val / 0.8) / 2.0) ** 2 == pytest.approx(1.0)
 
     def test_balanced_rates(self):
-        e_val, e_rel, *_ = an.lindblad_steady(0.5, 0.5, 0.8)
-        assert e_val == pytest.approx(0.0) and e_rel == pytest.approx(1.0)
+        e_val = an.steady_energy(0.8, 0.5, 0.5)
+        assert e_val == pytest.approx(0.0) and (e_val + 0.8) / 0.8 == pytest.approx(1.0)
 
     def test_noise_dominated(self):
-        _, e_rel, *_ = an.lindblad_steady(1e-8, 1e-9, 0.8, noise_kappa_t=10.0)
-        assert e_rel == pytest.approx(1.0, abs=1e-8)
+        """The exact rational to 1e-15: the pad enters only the denominator, so
+        no (gh + kappa t) - (gc + kappa t) cancellation loses the numerator."""
+        gc, gh, kappa_t, eps = 1e-8, 1e-9, 10.0, 0.8
+        e_val = float(an.steady_energy(eps, gc, gh, pad=2.0 * kappa_t))
+        fr = [Fraction(v) for v in (gc, gh, kappa_t, eps)]
+        exact = fr[3] * (fr[1] - fr[0]) / (fr[0] + fr[1] + 2 * fr[2])
+        assert abs(Fraction(e_val) - exact) <= Fraction(1, 10 ** 15) * abs(exact)
+        assert (e_val + eps) / eps == pytest.approx(1.0, abs=1e-8)
 
     def test_all_zero_raises(self):
         with pytest.raises(UndefinedSteadyState):
-            an.lindblad_steady(0.0, 0.0, 0.8)
+            an.steady_energy(0.8, 0.0, 0.0)
 
 
 class TestSteadyEnergies:
     def test_general_limits(self):
-        assert an.steady_energy(1.0, 1.0, 1.0, 10.0, 1e-6) == pytest.approx(-1.0, abs=1e-9)
+        assert an.steady_energy(1.0, 100.0, 1e-12) == pytest.approx(-1.0, abs=1e-9)
         with pytest.raises(UndefinedSteadyState):
-            an.steady_energy(1.0, 0.0, 0.0, 1.0, 1.0)
+            an.steady_energy(1.0, 0.0, 0.0)
 
     def test_local_reduction(self):
         # nn = 0 with unit couplings: |A| = |B| = 1
         x, y = 0.5, 0.2j
-        e1 = an.steady_energy(0.9, np.exp(0.3j), 1j * np.exp(0.3j), x, y)
+        a, b = np.exp(0.3j), 1j * np.exp(0.3j)
+        e1 = an.steady_energy(0.9, abs(a * x) ** 2, abs(b * y) ** 2)
         e2 = 0.9 * (-abs(x) ** 2 + abs(y) ** 2) / (abs(x) ** 2 + abs(y) ** 2)
         assert e1 == pytest.approx(e2, abs=1e-14)
 
@@ -259,7 +270,8 @@ class TestSteadyEnergies:
             rho, _ = fock.steady_state(fock.exact_cycle_map(blk, 20.0))
             e_exact, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
             x, y = an.overlap_coeffs(blk.epsilon, 1.0, 20.0, 1e-4)
-            pred = float(an.steady_energy(blk.epsilon, blk.a_coeff, blk.b_coeff, x, y))
+            pred = float(an.steady_energy(blk.epsilon, abs(blk.a_coeff * x) ** 2,
+                                          abs(blk.b_coeff * y) ** 2))
             assert abs(e_exact - pred) <= 0.01 * abs(pred)
 
     @pytest.mark.parametrize("nn,lam,mu", [
@@ -277,15 +289,16 @@ class TestSteadyEnergies:
             rho, _ = fock.steady_state(fock.exact_cycle_map(blk, 15.0))
             e_exact, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
             x, y = an.overlap_coeffs(blk.epsilon, 0.9, 15.0, 1e-4)
-            pred = float(an.steady_energy(blk.epsilon, blk.a_coeff, blk.b_coeff, x, y))
+            pred = float(an.steady_energy(blk.epsilon, abs(blk.a_coeff * x) ** 2,
+                                          abs(blk.b_coeff * y) ** 2))
             assert abs(e_exact - pred) <= 0.01 * abs(pred)
 
     def test_noisy_reduces_and_saturates(self):
-        x, y = 0.5, 0.2j
-        base = an.steady_energy(0.9, 1.0, 1.0, x, y)
+        p, q = 0.25, 0.04  # |x|^2 and |y|^2 at x = 0.5, y = 0.2i
+        base = an.steady_energy(0.9, p, q)
         # pad = 2 kappa t at t = 10: kappa = 0 and kappa = 100
-        assert an.steady_energy(0.9, 1.0, 1.0, x, y, pad=0.0) == pytest.approx(float(base))
-        assert abs(an.steady_energy(0.9, 1.0, 1.0, x, y, pad=2000.0)) < 1e-3
+        assert an.steady_energy(0.9, p, q, pad=0.0) == pytest.approx(float(base))
+        assert abs(an.steady_energy(0.9, p, q, pad=2000.0)) < 1e-3
 
     def test_noisy_matches_oracle(self):
         p = ModelParams(40, math.pi / 3)
@@ -298,15 +311,15 @@ class TestSteadyEnergies:
             rho, _ = fock.steady_state(fock.exact_cycle_map(blk, 20.0, kappa))
             e_exact, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
             x, y = an.overlap_coeffs(blk.epsilon, 1.0, 20.0, g)
-            pred = float(an.steady_energy(blk.epsilon, blk.a_coeff, blk.b_coeff,
-                                          x, y, pad=2.0 * kappa * 20.0))
+            pred = float(an.steady_energy(blk.epsilon, abs(blk.a_coeff * x) ** 2,
+                                          abs(blk.b_coeff * y) ** 2, pad=2.0 * kappa * 20.0))
             assert abs(e_exact - pred) <= 0.03 * abs(pred)
 
     def test_dsp_local_unit_couplings_vanish(self):
         p = ModelParams(12, 0.9)
         scheme = CouplingScheme.local(1.0, 1.0, 1.0)
         a, b = an.coupling_arrays(scheme, p)
-        e = an.steady_energy(1.0, a, b, 1, 1)
+        e = an.steady_energy(1.0, np.abs(a) ** 2, np.abs(b) ** 2)
         assert np.max(np.abs(e)) < 1e-12
 
     def test_dsp_lambda_only(self):
@@ -314,7 +327,7 @@ class TestSteadyEnergies:
         scheme = CouplingScheme.local(1.0, 0.0, 1.0)
         _, eps, phi, _ = an.mode_grid(p)
         a, b = an.coupling_arrays(scheme, p)
-        e = an.steady_energy(eps, a, b, 1, 1)
+        e = an.steady_energy(eps, np.abs(a) ** 2, np.abs(b) ** 2)
         assert np.allclose(e, -eps * np.cos(2 * phi), atol=1e-12)
 
     def test_dsp_product_state_bound(self):
@@ -328,19 +341,21 @@ class TestSteadyEnergies:
                         continue
                     scheme = CouplingScheme.local(lam0, mu0, 1.0)
                     a, b = an.coupling_arrays(scheme, p)
-                    total = float(np.sum(wts * an.steady_energy(eps, a, b, 1, 1)))
+                    e = an.steady_energy(eps, np.abs(a) ** 2, np.abs(b) ** 2)
+                    total = float(np.sum(wts * e))
                     assert total >= -p.N * math.sin(theta) / 2 - 1e-9
 
     def test_finite_env_reduces_at_zero_coupling(self):
-        x, y = 0.5, 0.2j
-        base = float(an.steady_energy(0.9, 1.0, 1.0, x, y))
-        e = float(an.steady_energy(0.9, 1.0, 1.0, x, y, env=(0.7, 0.0, -0.2, 0.0, 0.5)))
+        p, q = 0.25, 0.04
+        base = float(an.steady_energy(0.9, p, q))
+        # kappa' = 0: the environment's overlaps, and so its weights, vanish
+        e = float(an.steady_energy(0.9, p, q, env=(0.0, 0.0, 0.5)))
         assert e == pytest.approx(base, abs=1e-14)
 
     def test_finite_env_sign_flip(self):
         """A dominant fully-excited environment flips the steady energy sign."""
-        bath = (1.0, 1.0, 1e-6, 1e-7)  # A, B, x, y
-        env = (1.0, 0.5, 0.3, 0.05)  # A_e, x_e, B_e, y_e
+        bath = (1e-12, 1e-14)  # P, Q: A = B = 1, x = 1e-6, y = 1e-7
+        env = (0.25, 0.3 ** 2 * 0.05 ** 2)  # P_e, Q_e: A_e = 1, x_e = 0.5, B_e = 0.3, y_e = 0.05
         cold = float(an.steady_energy(0.9, *bath, env=(*env, 1.0)))
         hot = float(an.steady_energy(0.9, *bath, env=(*env, -1.0)))
         assert cold < 0 < hot
@@ -359,9 +374,29 @@ class TestSteadyEnergies:
             x, y = an.overlap_coeffs(blk.epsilon, bath.delta, 3.0, g)
             xe, ye = an.overlap_coeffs(blk.epsilon, env.delta_e, 3.0, env.kappa_prime)
             pred = float(an.steady_energy(
-                blk.epsilon, blk.a_coeff, blk.b_coeff, x, y,
-                env=(math.cos(blk.phi), xe, -math.sin(blk.phi), ye, env.p_e)))
+                blk.epsilon, abs(blk.a_coeff * x) ** 2, abs(blk.b_coeff * y) ** 2,
+                env=(abs(math.cos(blk.phi) * xe) ** 2, abs(math.sin(blk.phi) * ye) ** 2,
+                     env.p_e)))
             assert abs(e_exact - pred) <= 0.05 * abs(pred)
+
+
+class TestClosedFormRelativeEnergies:
+    @pytest.mark.parametrize("kind", ["single", "randomized", "multifreq"])
+    @pytest.mark.parametrize("mode", ["cooling", "dsp"])
+    @pytest.mark.parametrize("noise", [an.NoiseSpec.depolarizing(1e-4),
+                                       an.NoiseSpec.finite_env(0.01, 0.8, 0.3)],
+                             ids=["depolarizing", "finite_env"])
+    def test_nan_where_no_closed_form_applies(self, kind, mode, noise):
+        """NaN exactly where eps_k = 0, and everywhere for a finite
+        environment with random times."""
+        p = ModelParams(12, math.pi / 4)  # critical: eps_{N/2} = 0
+        _, eps, _, _ = an.mode_grid(p)
+        deltas = [0.6, 1.1] if kind == "multifreq" else [1.1]
+        e = an.closed_form_relative_energies(p, CouplingScheme.local(1.0, 0.5, 0.05), deltas,
+                                             4.3, noise, kind, mode)
+        no_closed_form = noise.env is not None and kind != "single"
+        assert eps[-1] == 0
+        assert np.array_equal(np.isnan(e), (eps == 0) | no_closed_form)
 
 
 class TestCycleEstimates:
@@ -401,7 +436,8 @@ class TestGsCoolingPlan:
                       for r in range(1, plan.R + 1)]
             eps_k = dispersion(theta, n, n // 3)
             gc, gh = an.multifreq_rates(eps_k, deltas, plan.t, plan.g, 1.0, 1.0)
-            *_, f_k = an.lindblad_steady(gc, gh, eps_k)
+            # pair fidelity F_k = m_k^2, m_k = (1 - E_k/eps_k)/2 the ground population
+            f_k = ((1.0 - an.steady_energy(eps_k, gc, gh) / eps_k) / 2.0) ** 2
             vals[n] = 1.0 - float(f_k)
         assert vals[50] / vals[100] == pytest.approx(2.0, rel=0.35)
         assert vals[100] / vals[200] == pytest.approx(2.0, rel=0.35)
@@ -437,12 +473,12 @@ class TestRandomizedSteadyInvariant:
         g = 1e-4
         scheme = CouplingScheme.local(1.0, 1.0, g)
         bath = BathSpec(1.0, 20.0)
-        rt = an.rate_table(p, [1.0], 20.0, g)
+        rt = an.rate_table(p, scheme, [1.0], 20.0)
         for k in (0, 5, 10, 15, 20):
             blk = block_hamiltonian(p, scheme, bath, k=k)
             s = fock.averaged_cycle_map(blk, 20.0)
             rho, _ = fock.steady_state(s)
             _, e_rel = fock.block_energy(rho, blk.epsilon, blk.weight)
-            _, e_pred, *_ = an.lindblad_steady(rt.gamma_c[k], rt.gamma_h[k],
-                                               blk.epsilon)
+            e_val = an.steady_energy(blk.epsilon, rt.gamma_c[k], rt.gamma_h[k])
+            e_pred = (e_val + blk.epsilon) / blk.epsilon
             assert abs(e_rel - e_pred) <= 0.05 * abs(e_pred)

@@ -65,6 +65,24 @@ class TestConfigValidation:
         cfg = write_cfg(tmp_path, {**STEADY_CFG, "noise": noise})
         assert cli.main(["steady", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("mode", ["Dsp", "DSP", "", None, 1])
+    def test_optimize_mode(self, tmp_path, mode):
+        payload = {"model": base_model(), "scheme": base_scheme(),
+                   "optimize": {"objective": "theta_specific", "mode": mode, "budget": 10}}
+        cfg = write_cfg(tmp_path, payload)
+        assert cli.main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "optimum.json").exists()
+
+    @pytest.mark.parametrize("key", ["dsp", "cross_check", "wide"])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_run_flags_are_booleans(self, tmp_path, key, value):
+        payload = {**TestTrajectory.CFG, "run": {"cycles": 3, key: value}}
+        cfg = write_cfg(tmp_path, payload)
+        assert cli.main(["trajectory", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        if key == "dsp":
+            cfg = write_cfg(tmp_path, {**STEADY_CFG, "run": {"dsp": value}}, name="s.json")
+            assert cli.main(["steady", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+
     def test_unknown_engine(self, tmp_path):
         cfg = write_cfg(tmp_path, {**STEADY_CFG, "engine": "bogus"})
         assert cli.main(["steady", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -116,20 +134,30 @@ class TestSteady:
         assert summary["max_residual"] <= 1e-10
 
     def test_closed_form_delta_small_at_weak_coupling(self, tmp_path):
-        payload = {
-            "model": {"N": 40, "theta": math.pi / 3},
-            "scheme": {"nn": 0, "lambda": {"0": 1.0}, "mu": {"0": 1.0}, "g": 1e-4},
-            "bath": {"delta": {"mode_fraction": 0.5}, "cycle_time": 20.0},
-            "schedule": {"kind": "randomized", "L": 100},
-            "noise": {"kind": "none"},
-        }
-        cfg = write_cfg(tmp_path, payload)
-        out = tmp_path / "sd"
-        cli.main(["steady", "--config", cfg, "--out", str(out)])
-        data = np.genfromtxt(out / "steady.csv", delimiter=",", skip_header=1)
-        deltas = data[:, 6]
-        rel = np.abs(deltas) / np.abs(data[:, 5])
-        assert np.nanmax(rel) <= 0.05
+        """The closed form's e_k within 5% of the exact engines', with and
+        without DSP (at mu = 0.5: local unit couplings leave DSP nothing to do)."""
+        cases = [
+            (1.0, {"kind": "randomized", "L": 100}, False),
+            (0.5, {"kind": "randomized", "L": 100}, True),
+            (0.5, {"kind": "multifreq", "R": 3, "L": 100, "freq_rule": "grid"}, True),
+        ]
+        for i, (mu, schedule, dsp) in enumerate(cases):
+            payload = {
+                "model": {"N": 40, "theta": math.pi / 3},
+                "scheme": {"nn": 0, "lambda": {"0": 1.0}, "mu": {"0": mu}, "g": 1e-4},
+                "bath": {"delta": {"mode_fraction": 0.5}, "cycle_time": 20.0},
+                "schedule": schedule,
+                "noise": {"kind": "none"},
+                "run": {"dsp": dsp},
+            }
+            cfg = write_cfg(tmp_path, payload, name=f"cfg{i}.json")
+            for engine in ("fock", "cm"):
+                out = tmp_path / f"sd{i}{engine}"
+                assert cli.main(["steady", "--config", cfg, "--out", str(out),
+                                 "--engine", engine]) == 0
+                data = np.genfromtxt(out / "steady.csv", delimiter=",", skip_header=1)
+                rel = np.abs(data[:, 6]) / np.abs(data[:, 5])
+                assert np.nanmax(rel) <= 0.05, (schedule, dsp, engine)
 
     def test_identity_map_exit_code(self, tmp_path):
         payload = dict(STEADY_CFG)

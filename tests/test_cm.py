@@ -136,7 +136,8 @@ class TestSteadyStateCm:
         blk = block_hamiltonian(p, scheme, bath, k=7)
         gam = _fixed(*_maps(blk, 20.0))
         x, y = overlap_coeffs(blk.epsilon, 1.0, 20.0, 1e-4)
-        pred = float(steady_energy(blk.epsilon, blk.a_coeff, blk.b_coeff, x, y))
+        pred = float(steady_energy(blk.epsilon, abs(blk.a_coeff * x) ** 2,
+                                   abs(blk.b_coeff * y) ** 2))
         assert abs(cm.cm_energy(gam, blk.epsilon, blk.weight) - pred) <= 0.01 * abs(pred)
 
     @pytest.mark.parametrize("kappa_over_g2", [0.1])

@@ -420,7 +420,8 @@ class TestSteadyState:
             rho, _ = fock.steady_state(fock.exact_cycle_map(blk, 20.0))
             e_val, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
             x, y = overlap_coeffs(blk.epsilon, 1.0, 20.0, 1e-4)
-            pred = float(steady_energy(blk.epsilon, blk.a_coeff, blk.b_coeff, x, y))
+            pred = float(steady_energy(blk.epsilon, abs(blk.a_coeff * x) ** 2,
+                                       abs(blk.b_coeff * y) ** 2))
             assert abs(e_val - pred) <= 0.01 * abs(pred)
 
     def test_fitted_decay_matches_alpha(self):

@@ -1,5 +1,8 @@
-"""kelvin loads SciPy only where it uses it: see tests/import_guard.py."""
+"""Import contracts: kelvin loads SciPy only where it uses it (see
+tests/import_guard.py), and every function the benchmark traces exists."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -25,3 +28,22 @@ def test_scipy_and_engine_imports_by_source():
     cm_imports = [line for line in (src / "cm.py").read_text().splitlines()
                   if line.startswith(("import ", "from "))]
     assert not any("fock" in line for line in cm_imports), cm_imports
+
+
+def test_perfbench_wrapped_names_resolve():
+    """Every function the benchmark's tracer wraps exists under its name, so
+    a rename fails here and not only in a traced benchmark run."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for layer, names in spans.WRAPPED.items():
+        module = importlib.import_module(f"kelvin.{layer}")
+        for name in names:
+            obj = module
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+            if not callable(obj):
+                missing.append(f"{layer}.{name}")
+    assert not missing, missing

@@ -388,7 +388,6 @@ def _oracle_block_raw(
         g=scheme.g,
         h_sb=weight * h,
         env=env,
-        dsp=dsp,
     )
 
 
