@@ -160,6 +160,22 @@ def _noise(cfg: dict) -> NoiseSpec:
         raise ConfigError(f"invalid noise section: {exc}") from exc
 
 
+def _frequencies(cfg: dict, params: ModelParams, bath: BathSpec) -> list[float]:
+    """The schedule section's bath frequencies (`protocol.schedule_frequencies`)."""
+    try:
+        return pr.schedule_frequencies(cfg["schedule"], params, bath)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid schedule section: {exc}") from exc
+
+
+def _schedule(cfg: dict, params: ModelParams, bath: BathSpec, seed: int) -> pr.Schedule:
+    """The schedule section's subcycles (`protocol.make_schedule`)."""
+    try:
+        return pr.make_schedule(cfg["schedule"], params, bath, seed)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid schedule section: {exc}") from exc
+
+
 def _run_flag(cfg: dict, key: str) -> bool:
     """run.<key> as a JSON boolean, False when absent."""
     value = cfg.get("run", {}).get(key, False)
@@ -231,9 +247,9 @@ def cmd_steady(cfg: dict, out: str, args) -> int:
     bath = _bath(cfg, params)
     noise = _noise(cfg)
     dsp = _run_flag(cfg, "dsp")
+    deltas = _frequencies(cfg, params, bath)
     rep = pr.steady_report(params, scheme, bath, cfg["schedule"], noise=noise,
                            engine=args.engine, dsp=dsp)
-    deltas = pr.schedule_frequencies(cfg["schedule"], params, bath)
     e_closed = an.closed_form_relative_energies(
         params, scheme, deltas, bath.cycle_time_mean, noise,
         schedule_kind=cfg["schedule"].get("kind", "single"),
@@ -257,11 +273,18 @@ def cmd_steady(cfg: dict, out: str, args) -> int:
 def cmd_trajectory(cfg: dict, out: str, args) -> int:
     params = _params(cfg)
     run = cfg["run"]
-    sched = pr.make_schedule(cfg["schedule"], params, _bath(cfg, params), args.seed)
-    kwargs = dict(noise=_noise(cfg), n_global_cycles=int(run["cycles"]),
-                  snapshot_stride=int(run.get("snapshot_stride", 10)),
-                  initial=run.get("initial", "most_excited"),
-                  dsp=_run_flag(cfg, "dsp"))
+    sched = _schedule(cfg, params, _bath(cfg, params), args.seed)
+    initial = run.get("initial", "most_excited")
+    if initial not in ("vacuum", "most_excited"):
+        raise ConfigError(f"run.initial must be 'vacuum' or 'most_excited', got {initial!r}")
+    try:
+        cycles, stride = int(run["cycles"]), int(run.get("snapshot_stride", 10))
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid run section: {exc}") from exc
+    if stride < 1:
+        raise ConfigError(f"run.snapshot_stride must be >= 1, got {stride}")
+    kwargs = dict(noise=_noise(cfg), n_global_cycles=cycles, snapshot_stride=stride,
+                  initial=initial, dsp=_run_flag(cfg, "dsp"))
     wide, cross_check = _run_flag(cfg, "wide"), _run_flag(cfg, "cross_check")
     traj = pr.run_trajectory(params, _scheme(cfg), sched, engine=args.engine, **kwargs)
 
@@ -303,7 +326,7 @@ def cmd_rates(cfg: dict, out: str, args) -> int:
     params = _params(cfg)
     scheme = _scheme(cfg)
     bath = _bath(cfg, params)
-    deltas = pr.schedule_frequencies(cfg["schedule"], params, bath)
+    deltas = _frequencies(cfg, params, bath)
     rt = an.rate_table(params, scheme, deltas, bath.cycle_time_mean)
     _, eps, _, _ = mode_grid(params)
     # the table's rates are random-time averages over `deltas`, whatever the

@@ -15,9 +15,10 @@ propagator for a physical cycle of duration t is exp(-i G t) with G the
 block's Heisenberg generator, which is what reproduces the Fock-space engine
 exactly.
 
-States and maps are plain arrays: `cycle_maps` builds the affine maps
-vec(gamma) -> K vec(gamma) + c of a stack of modes, at fixed times or
-averaged over random times (`averaged_evolution_kron`).
+States and maps are plain arrays: `cycle_maps` yields the affine maps
+vec(gamma) -> K vec(gamma) + c of a stack of modes, one per time, at fixed
+times from one stacked eigendecomposition or averaged over random times
+(`averaged_evolution_kron`).
 """
 
 from __future__ import annotations
@@ -85,16 +86,6 @@ def validate_blocks(blocks: list[np.ndarray]) -> None:
             raise ValueError(f"CM edge block k={k} is not diag(1/2 - n, n - 1/2)")
 
 
-def _propagators(generators: np.ndarray, ts) -> np.ndarray:
-    """e^{-iGt} for every time in `ts` and every stacked generator G.
-
-    Shape (len(ts),) + generators.shape, from one batched eigendecomposition.
-    """
-    e, v = np.linalg.eigh(generators)
-    phases = np.exp(-1j * np.asarray(ts, dtype=float).reshape((-1,) + (1,) * e.ndim) * e)
-    return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
 def _injection(a: np.ndarray) -> np.ndarray:
     """vec(A gamma_B0 A^dag) for stacked blocks A, gamma_B0 the vacuum CM."""
     return (a @ vacuum_cm() @ a.conj().swapaxes(-1, -2)).reshape(a.shape[:-2] + (4,))
@@ -129,38 +120,40 @@ def averaged_evolution_kron(block: ModeBlock | np.ndarray, t_mean: float,
     return k[..., :4], k[..., 4:]
 
 
-def cycle_maps(block: ModeBlock, ts, t_mean: float, kappa: float) -> dict:
-    """Maps vec(gamma) -> K vec(gamma) + c of one bath frequency per time in
-    `ts`, as (K, c) stacked over `block`.
+def cycle_maps(block: ModeBlock, ts, t_mean: float, kappa: float):
+    """Yield the maps vec(gamma) -> K vec(gamma) + c of one bath frequency,
+    as (K, c) stacked over `block`, one per time in `ts`, in order.
 
-    A fixed time t gives the cycle gamma -> A_S gamma A_S^dag + A_SB gamma_B0
-    A_SB^dag in row-major vectorized form, K = A_S (x) A_S* and
-    c = vec(A_SB gamma_B0 A_SB^dag), gamma_B0 the reset bath's vacuum CM, with
-    the A-blocks cut from one batched propagator stack.  Environment-extended
-    (8x8) blocks add the injections p_e vec(A_SE gamma_B0 A_SE^dag) of both
-    environment pairs, each pair starting in p_e = `block.env.p_e` times the
-    bath's vacuum CM; pair 1 couples to the system and pair 2 to the bath,
-    which passes its share on within the cycle, so with both the map is
-    exact.  A time of None stands for `averaged_evolution_kron` over
-    [0, 2 t_mean].  Gain/loss noise of rate `kappa` damps a map by
-    exp(-2 kappa t), averaged with the phases.
+    For the fixed times the generators are diagonalized once, G = V diag(e)
+    V^dag, in one batched eigh.  A fixed time t gives the cycle gamma ->
+    A_S gamma A_S^dag + A_SB gamma_B0 A_SB^dag in row-major vectorized form,
+    K = A_S (x) A_S* and c = vec(A_SB gamma_B0 A_SB^dag), gamma_B0 the reset
+    bath's vacuum CM, with the A-blocks cut from the propagator e^{-iGt}.
+    Environment-extended (8x8) blocks add the injections p_e vec(A_SE
+    gamma_B0 A_SE^dag) of both environment pairs, each pair starting in p_e =
+    `block.env.p_e` times the bath's vacuum CM; pair 1 couples to the system
+    and pair 2 to the bath, which passes its share on within the cycle, so
+    with both the map is exact.  A time of None stands for
+    `averaged_evolution_kron` over [0, 2 t_mean].  Gain/loss noise of rate
+    `kappa` damps a map by exp(-2 kappa t), averaged with the phases.
     """
     generators = block.generator
-    maps = {}
-    fixed = [t for t in ts if t is not None]
-    if fixed:
-        u = _propagators(generators, fixed)
+    if any(t is not None for t in ts):
+        e, v = np.linalg.eigh(generators)
+        v_dag = v.conj().swapaxes(-1, -2)
+    for t in ts:
+        if t is None:
+            k_s, k_sb = averaged_evolution_kron(generators, t_mean, kappa=kappa)
+            yield k_s, k_sb @ vacuum_cm().reshape(-1)
+            continue
+        u = (v * np.exp(-1j * (t * e))[..., None, :]) @ v_dag
         a_s = u[..., :2, :2]
         k_s = np.einsum("...ij,...ab->...iajb", a_s, a_s.conj()).reshape(a_s.shape[:-2] + (4, 4))
         c = _injection(u[..., :2, 2:4])
         if block.env is not None:
             c = c + block.env.p_e * (_injection(u[..., :2, 4:6]) + _injection(u[..., :2, 6:8]))
-        damping = np.exp(-2.0 * kappa * np.array(fixed)).reshape((-1,) + (1,) * (c.ndim - 1))
-        maps.update(zip(fixed, zip(damping[..., None] * k_s, damping * c)))
-    if None in ts:
-        k_s, k_sb = averaged_evolution_kron(generators, t_mean, kappa=kappa)
-        maps[None] = (k_s, k_sb @ vacuum_cm().reshape(-1))
-    return maps
+        damping = np.exp(-2.0 * kappa * np.array([t]))
+        yield damping * k_s, damping * c
 
 
 def mode_chunks(ks: np.ndarray, env: NoiseSpec | None) -> list[np.ndarray]:

@@ -6,10 +6,11 @@ subcycle.  Per-mode dynamics are independent and every subcycle acts on a
 vectorized block as an affine map x -> K x + c (linear for the Fock engine).
 Trajectories and steady reports share one map pipeline: each frequency's
 modes are built as one stacked block by `model.block_hamiltonian`, the
-engine turns it into subcycle maps stacked over modes (a randomized steady
-schedule uses each map's exact time average), these are composed into one
-global-cycle map per momentum pair, and then either stepped as a stacked
-product or handed to the engine's stacked fixed-point solve.  Both reduce
+engine's `cycle_maps` generator yields its subcycle maps stacked over modes
+(a randomized steady schedule uses each map's exact time average), each is
+folded as soon as it is made into one global-cycle map per momentum pair,
+and that map is then either stepped as a stacked product or handed to the
+engine's stacked fixed-point solve.  Both reduce
 the stacked blocks to per-mode and chain-level energy, relative energy, and
 fidelity.
 
@@ -29,7 +30,6 @@ import numpy as np
 
 from . import cm as _cm
 from . import fock as _fock
-from ._linalg import trace_norm
 from .errors import UnsupportedCombination
 from .model import (BathSpec, CouplingScheme, ModelParams, NoiseSpec, band_edges,
                     block_hamiltonian, dispersion, ground_state_energy, mode_grid)
@@ -221,34 +221,27 @@ class Trajectory:
         return np.array([getattr(s, name) for s in self.snapshots])
 
 
-def _global_cycle_map(maps: dict, subcycles) -> tuple[np.ndarray, np.ndarray]:
-    """Compose the subcycle maps in schedule order into one global-cycle map."""
-    k_tot, c_tot = maps[subcycles[0]]
-    for key in subcycles[1:]:
-        k_s, c = maps[key]
-        k_tot = k_s @ k_tot
-        c_tot = (k_s @ c_tot[..., None])[..., 0] + c
-    return k_tot, c_tot
-
-
 def _global_maps(params: ModelParams, scheme: CouplingScheme, noise: NoiseSpec, dsp: bool,
                  eng, ks: np.ndarray, t_mean: float, subcycles) -> tuple[np.ndarray, np.ndarray]:
     """Global-cycle maps vec(block) -> K vec(block) + c of the modes `ks`.
 
     Subcycles are (delta_r, t_m) pairs, and t_m = None stands for the average
     over uniformly random times on [0, 2 t_mean] (exact, in closed form), the
-    ensemble limit of a randomized schedule.  Each distinct subcycle's map is
-    built once, and the maps are composed in schedule order; K is stacked
-    over modes to (modes, D, D) and c to (modes, D).  Each (frequency, chunk)
-    is one `block_hamiltonian` call over the chunk's k (with `noise.env`),
-    and the engine `eng`'s `cycle_maps` turns that stacked block into the
-    frequency's maps at the rate `noise.kappa`; chunks come from its
-    `mode_chunks` (CM: all modes at once; Fock: a few modes, so that only
-    their transient stacks are held).
+    ensemble limit of a randomized schedule.  K is stacked over modes to
+    (modes, D, D) and c to (modes, D).  Each (frequency, chunk) is one
+    `block_hamiltonian` call over the chunk's k (with `noise.env`), and the
+    engine `eng`'s `cycle_maps` generator turns that stacked block into the
+    frequency's maps at the rate `noise.kappa`, one per subcycle of that
+    frequency in schedule order.  Each map is folded into the running product
+    as soon as it is made, K <- K_s K and c <- K_s c + c_s, and a frequency's
+    generator, with its eigenbasis, is dropped after its last subcycle.
+    Chunks come from `mode_chunks` (CM: all modes at once; Fock: about 16
+    pairs, so that only their stacks are held).
     """
-    times: dict[float, dict[float | None, None]] = {}
+    times: dict[float, list[float | None]] = {}
     for delta_r, t_m in subcycles:
-        times.setdefault(delta_r, {})[t_m] = None
+        times.setdefault(delta_r, []).append(t_m)
+    last = {delta_r: i for i, (delta_r, _) in enumerate(subcycles)}
     env = noise.env
     if env is not None and any(None in ts for ts in times.values()):
         raise UnsupportedCombination(
@@ -256,12 +249,21 @@ def _global_maps(params: ModelParams, scheme: CouplingScheme, noise: NoiseSpec, 
     composed = []
     for chunk in eng.mode_chunks(ks, env):
         maps = {}
-        for delta_r, ts in times.items():
-            block = block_hamiltonian(params, scheme, BathSpec(delta_r, t_mean), chunk,
-                                      env=env, dsp=dsp)
-            for t_m, m in eng.cycle_maps(block, list(ts), t_mean, noise.kappa).items():
-                maps[delta_r, t_m] = m
-        composed.append(_global_cycle_map(maps, subcycles))
+        k_tot = c_tot = None
+        for i, (delta_r, _) in enumerate(subcycles):
+            if delta_r not in maps:
+                block = block_hamiltonian(params, scheme, BathSpec(delta_r, t_mean), chunk,
+                                          env=env, dsp=dsp)
+                maps[delta_r] = eng.cycle_maps(block, times[delta_r], t_mean, noise.kappa)
+            k_s, c = next(maps[delta_r])
+            if last[delta_r] == i:
+                del maps[delta_r]
+            if k_tot is None:
+                k_tot, c_tot = k_s, c
+            else:
+                k_tot = k_s @ k_tot
+                c_tot = (k_s @ c_tot[..., None])[..., 0] + c
+        composed.append((k_tot, c_tot))
     return (np.concatenate([k for k, _ in composed]),
             np.concatenate([c for _, c in composed]))
 
@@ -290,10 +292,11 @@ def _step_snapshots(k_tot: np.ndarray, c_tot: np.ndarray, x0: np.ndarray,
 
 
 def _trace_norm_steps(x: np.ndarray) -> np.ndarray:
-    """Largest per-mode trace-norm change between consecutive snapshots."""
+    """Largest per-mode trace-norm change between consecutive snapshots: the
+    differences are hermitian, so their trace norms are sum |eigenvalue|."""
     d = math.isqrt(x.shape[-1])
     diff = np.diff(x, axis=0)
-    return trace_norm(diff.reshape(diff.shape[:2] + (d, d))).max(-1)
+    return np.abs(np.linalg.eigvalsh(diff.reshape(diff.shape[:2] + (d, d)))).sum(-1).max(-1)
 
 
 def run_trajectory(params: ModelParams, scheme: CouplingScheme, schedule: Schedule,
@@ -303,9 +306,9 @@ def run_trajectory(params: ModelParams, scheme: CouplingScheme, schedule: Schedu
                    dsp: bool = False) -> Trajectory:
     """Apply the schedule's subcycles for n global cycles, recording snapshots.
 
-    All modes see the same subcycle time sequence.  Each distinct subcycle's
-    map is built once per mode, the maps are composed in schedule order into
-    one global-cycle map per mode, and all modes are stepped together as a
+    All modes see the same subcycle time sequence.  Each subcycle's map is
+    built once, stacked over modes, and folded in schedule order into one
+    global-cycle map per mode, and all modes are stepped together as a
     stacked product, one stack per group of the engine's `mode_groups`
     (CM: all modes; Fock: edges and generic pairs).  Convergence is
     declared when the per-mode trace-norm change between consecutive

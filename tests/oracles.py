@@ -16,7 +16,8 @@ The rest are independent references for the exact engines: `vec` and
 conversions `density_to_cm` and `cm_to_density`; the Dyson blocks of the
 quadrature-basis propagator (`quadrature_couplings`, `perturbative_blocks`,
 `omega_basis_generator`); the Majorana-picture noise check
-(`bravyi_noise_matrices`, `majorana_damping_check`); the joint-Lindbladian
+(`bravyi_noise_matrices`, `majorana_damping_check`, with the block
+propagators `propagators`); the joint-Lindbladian
 check of the Fock engine's noise factorization (`noise_factorization_gap`);
 `maximally_mixed_density`; and the decay-rate fit and product-state distance
 of small chains (`rate_from_decay`, which raises `FitQualityError`, and
@@ -30,12 +31,19 @@ import numpy as np
 from scipy.linalg import expm
 
 from kelvin._linalg import hermitize, trace_norm
-from kelvin.cm import _propagators
 from kelvin.analytic import GAMMA0_SQ_FACTOR
 from kelvin.errors import KelvinError, ResonantDenominator, UndefinedSteadyState
 from kelvin.fock import exact_cycle_map, mode_operators, second_quantize
 from kelvin.model import ModeBlock
 from kelvin.optimize import PHASE_NODES, phase_grid
+
+
+def propagators(generators: np.ndarray, ts) -> np.ndarray:
+    """e^{-iGt} for every time in `ts` and every stacked generator G, shape
+    (len(ts),) + generators.shape, from one batched eigendecomposition."""
+    e, v = np.linalg.eigh(generators)
+    phases = np.exp(-1j * np.asarray(ts, dtype=float).reshape((-1,) + (1,) * e.ndim) * e)
+    return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def phase_average(evaluator, phase: str, n_nodes: int = PHASE_NODES) -> float:
@@ -277,7 +285,7 @@ def majorana_damping_check(block: ModeBlock, kappa: float, t: float,
         raise RuntimeError("noise M-matrix not proportional to identity")
     if np.max(np.abs(y)) > 1e-14:
         raise RuntimeError("noise Y-matrix does not vanish")
-    u = _propagators(block.generator, [t])[0]
+    u = propagators(block.generator, [t])[0]
     return math.exp(-2.0 * kappa * t) * (u @ gamma0 @ u.conj().T)
 
 

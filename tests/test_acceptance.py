@@ -116,8 +116,8 @@ def test_criterion_02_oracle_equivalence():
             blk = block_hamiltonian(params, scheme, bath, k=k)
             rho, _ = fock.steady_state(fock.exact_cycle_map(blk, t, kappa))
             e_fock, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
-            (k_s, c), = cm.cycle_maps(block_hamiltonian(params, scheme, bath, k=[k]), [t], t,
-                                      kappa).values()
+            k_s, c = next(cm.cycle_maps(block_hamiltonian(params, scheme, bath, k=[k]), [t], t,
+                                        kappa))
             gam = cm.fixed_points(k_s, c, blk.is_edge)[0].reshape(2, 2)
             e_cm = cm.cm_energy(gam, blk.epsilon, blk.weight)
             worst = max(worst, abs(e_fock - e_cm))

@@ -83,6 +83,22 @@ class TestConfigValidation:
             cfg = write_cfg(tmp_path, {**STEADY_CFG, "run": {"dsp": value}}, name="s.json")
             assert cli.main(["steady", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
 
+    @pytest.mark.parametrize("command, section, value", [
+        ("steady", "schedule", {"kind": "bogus"}),
+        ("rates", "schedule", {"kind": "bogus"}),
+        ("steady", "schedule", {"kind": "multifreq", "R": 0, "L": 1}),
+        ("trajectory", "schedule", {"kind": "randomized", "L": 0}),
+        ("trajectory", "run", {"cycles": 3, "initial": "hot"}),
+        ("trajectory", "run", {"cycles": 3, "snapshot_stride": 0}),
+        ("trajectory", "run", {"snapshot_stride": 1}),
+    ], ids=["steady-kind", "rates-kind", "steady-R0", "trajectory-L0", "trajectory-initial",
+            "trajectory-stride0", "trajectory-no-cycles"])
+    def test_bad_schedule_and_run_inputs(self, tmp_path, capsys, command, section, value):
+        base = TestTrajectory.CFG if command == "trajectory" else STEADY_CFG
+        cfg = write_cfg(tmp_path, {**base, section: value})
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "config"
+
     def test_unknown_engine(self, tmp_path):
         cfg = write_cfg(tmp_path, {**STEADY_CFG, "engine": "bogus"})
         assert cli.main(["steady", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

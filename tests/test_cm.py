@@ -21,7 +21,7 @@ from oracles import apply_transfer
 
 def _maps(blk, t):
     """(K, c) of one block's cycle map at time t, from the stacked builder."""
-    return cm.cycle_maps(blk, [t], t, 0.0)[t]
+    return next(cm.cycle_maps(blk, [t], t, 0.0))
 
 
 def _step(k_s, c, gamma):
@@ -68,7 +68,7 @@ class TestEvolveCm:
         rho_b[0, 0] = 1.0
         joint = np.kron(rho, rho_b)
         ts = (0.7, 1.9, 4.1)
-        maps = cm.cycle_maps(blk, ts, 0.0, 0.0)
+        maps = dict(zip(ts, cm.cycle_maps(blk, ts, 0.0, 0.0)))
         for t, u in zip(ts, fb.propagators(ts)):
             out = u @ joint @ u.conj().T
             rho_s = np.trace(out.reshape(fb.d_sys, fb.d_rest, fb.d_sys, fb.d_rest),
@@ -110,7 +110,7 @@ class TestCycleMapCm:
 
     def test_assembled_blocks_unitary(self, small_params, generic_scheme, bath):
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=3)
-        u = cm._propagators(blk.generator, [1.7])[0]
+        u = oracles.propagators(blk.generator, [1.7])[0]
         assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-12
 
 
@@ -149,7 +149,7 @@ class TestSteadyStateCm:
         rho, _ = fock.steady_state(fock.exact_cycle_map(blk, t, kappa))
         e_fock, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
         stack = block_hamiltonian(small_params, generic_scheme, bath, k=[3])
-        (k_s, c), = cm.cycle_maps(stack, [t], t, kappa).values()
+        k_s, c = next(cm.cycle_maps(stack, [t], t, kappa))
         gam = _fixed(k_s[0], c[0])
         assert abs(e_fock - cm.cm_energy(gam, blk.epsilon, blk.weight)) < 1e-8
 
@@ -212,7 +212,7 @@ class TestFiniteEnvCm:
         _, eps, _, wts = mode_grid(params)
         energy = {}
         for engine in (cm, fock):
-            (k_s, c), = engine.cycle_maps(block, [3.0], 3.0, 0.0).values()
+            k_s, c = next(engine.cycle_maps(block, [3.0], 3.0, 0.0))
             x, _, _ = engine.fixed_points(k_s, c, block.is_edge)
             energy[engine] = engine.reduce(np.array([k]), x, eps, wts, 4)[0][0]
         assert abs(energy[cm] - energy[fock]) <= 1e-10 * abs(energy[fock])

@@ -692,12 +692,97 @@ class TestSteadyReport:
         assert res.passed, [a.__dict__ for a in res.assertions]
 
 
+class TestComposedMaps:
+    """`_global_maps` folds each subcycle's map into the running product as
+    it is built; the product does not depend on how the modes are chunked,
+    and on Fock it is the per-mode `exact_cycle_map`s composed in schedule
+    order, bit for bit.  At N = 80 the 39 pairs span three Fock chunks;
+    environment pairs (d = 256) are one per chunk, so three of them do."""
+
+    PARAMS = ModelParams(80, math.pi / 3)
+    SCHEME = CouplingScheme.local(1.0, 0.5, g=0.05)
+    BATH = BathSpec(1.0, 4.0)
+    NOISES = {"depolarizing": an.NoiseSpec.depolarizing(1e-4),
+              "finite_env": an.NoiseSpec.finite_env(0.02, 0.7, 0.1)}
+
+    def _groups(self, engine, noise):
+        groups = pr.ENGINES[engine].mode_groups(self.PARAMS.N // 2)
+        if engine == "fock" and noise == "finite_env":
+            return [ks if ks[0] == 0 else ks[:3] for ks in groups]
+        return groups
+
+    def _maps(self, engine, noise, ks):
+        sched = pr.make_schedule({"kind": "multifreq", "R": 2 if noise == "finite_env" else 3,
+                                  "L": 2, "freq_rule": "grid"}, self.PARAMS, self.BATH, 5)
+        return sched, pr._global_maps(self.PARAMS, self.SCHEME, self.NOISES[noise], False,
+                                      pr.ENGINES[engine], ks, self.BATH.cycle_time_mean,
+                                      sched.subcycles)
+
+    @pytest.mark.parametrize("noise", ["depolarizing", "finite_env"])
+    @pytest.mark.parametrize("engine", ["fock", "cm"])
+    def test_one_mode_chunks_give_the_same_bits(self, engine, noise, monkeypatch):
+        eng, groups = pr.ENGINES[engine], self._groups(engine, noise)
+        if engine == "fock":
+            assert len(eng.mode_chunks(groups[-1], self.NOISES[noise].env)) > 1
+        default = [self._maps(engine, noise, ks)[1] for ks in groups]
+        monkeypatch.setattr(eng, "mode_chunks",
+                            lambda ks, env: [ks[i:i + 1] for i in range(len(ks))])
+        for ks, (k_tot, c_tot) in zip(groups, default):
+            k_one, c_one = self._maps(engine, noise, ks)[1]
+            assert np.array_equal(k_tot, k_one) and np.array_equal(c_tot, c_one)
+
+    @pytest.mark.parametrize("noise", ["depolarizing", "finite_env"])
+    def test_fock_product_is_the_composed_exact_maps(self, noise):
+        spec = self.NOISES[noise]
+        for ks in self._groups("fock", noise):
+            sched, (k_tot, c_tot) = self._maps("fock", noise, ks)
+            assert not c_tot.any()
+            for k in ks:
+                product = None
+                for delta_r, t_m in sched.subcycles:
+                    blk = block_hamiltonian(self.PARAMS, self.SCHEME,
+                                            BathSpec(delta_r, self.BATH.cycle_time_mean), k,
+                                            env=spec.env)
+                    t_s = fock.exact_cycle_map(blk, t_m, spec.kappa)
+                    product = t_s if product is None else t_s @ product
+                assert np.array_equal(k_tot[np.flatnonzero(ks == k)[0]], product), k
+
+    @pytest.mark.parametrize("engine, n, bound_mb", [("cm", 400, 3.0), ("fock", 100, 1.5)])
+    def test_plan_report_holds_one_frequency_at_a_time(self, engine, n, bound_mb):
+        """The paper's plan (R = N/5 frequencies) as a steady report: each
+        frequency's eigenbasis is dropped once its map is folded in.  The
+        tracemalloc peaks (numpy 2.4.6, CPython 3.11) are 1.88 MB (CM, N=400)
+        and 0.58 MB (Fock, N=100); holding every frequency's maps, as the
+        dict of maps did, took 10.9 and 0.68 MB, and keeping every
+        frequency's generator open takes 19.1 and 4.6 MB."""
+        import tracemalloc
+
+        plan = an.gs_cooling_plan(n, math.pi / 3)
+        args = (ModelParams(n, math.pi / 3), CouplingScheme.local(1.0, 1.0, plan.g),
+                BathSpec(1.0, plan.t), {"kind": "multifreq", "R": plan.R, "L": 1})
+        pr.steady_report(*args, engine=engine)  # warm the caches
+        tracemalloc.start()
+        try:
+            pr.steady_report(*args, engine=engine)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 1e6
+
+
 class TestFockReportMemory:
     """Chunked Fock map building holds no more memory than one mode at a time.
 
     The bounds are the tracemalloc peaks of the same calls, after the same
     warm-up call, on the builder that formed one propagator per quadrature
     node and mode (numpy 2.4.6, CPython 3.11): 3.265 MB and 7.502 MB.
+
+    A trajectory holds one chunk's eigenbasis per open frequency and the
+    running products.  On the benchmark's two trajectory schedules the peaks
+    were 1.155 and 1.129 MB with 4-pair chunks and a dict of every map, and
+    are 1.120 and 1.446 MB with 16-pair chunks composed as they are built
+    (the multifreq run keeps its three frequencies' eigenbases open); the
+    bound is 2.0 MB.
     """
 
     @pytest.mark.parametrize("case, parent_peak_mb", [
@@ -722,3 +807,26 @@ class TestFockReportMemory:
         finally:
             tracemalloc.stop()
         assert peak <= parent_peak_mb * 1e6
+
+    @pytest.mark.parametrize("descriptor", [
+        {"kind": "randomized", "L": 10},
+        {"kind": "multifreq", "R": 3, "L": 4, "freq_rule": "grid"}],
+        ids=["randomized", "multifreq"])
+    def test_trajectory_peak(self, descriptor):
+        import tracemalloc
+
+        params, bath = ModelParams(200, math.pi / 3), BathSpec(1.0, 10.0)
+        sched = pr.make_schedule(descriptor, params, bath, 7)
+
+        def run():
+            pr.run_trajectory(params, CouplingScheme.local(1.0, 1.0, g=1e-2), sched,
+                              engine="fock", n_global_cycles=100, snapshot_stride=10)
+
+        run()  # warm the caches
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0e6
