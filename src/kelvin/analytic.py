@@ -313,14 +313,13 @@ def gs_cooling_plan(n_sites: int, theta: float) -> CoolingPlan:
 # ---------------------------------------------------------------------------
 
 def _single_cycle_weights(eps, cos_phi, sin_phi, a, b, delta: float, t: float,
-                          g: float, noise: NoiseSpec, mode: str):
+                          g: float, noise: NoiseSpec, *, dsp: bool = False):
     """`steady_energy`'s weights of a fixed-time cycle, any array shape: P, Q
     and the finite environment's (P_e, Q_e, p_e), or None without one.
 
-    `mode` is "cooling" or "dsp"; DSP evaluates the overlaps at zero system
-    splitting.
+    DSP (`dsp=True`) evaluates the overlaps at zero system splitting.
     """
-    eps_evo = np.zeros_like(eps) if mode == "dsp" else eps
+    eps_evo = np.zeros_like(eps) if dsp else eps
     x = _phase_integral(eps_evo - delta, t, g)
     y = -_phase_integral(eps_evo + delta, t, g)
     env = None
@@ -333,7 +332,7 @@ def _single_cycle_weights(eps, cos_phi, sin_phi, a, b, delta: float, t: float,
 
 
 def _single_cycle_energy_grad(grid, phases, a, b, e, delta: float, t: float,
-                              g: float, noise: NoiseSpec, mode: str) -> np.ndarray:
+                              g: float, noise: NoiseSpec, *, dsp: bool = False) -> np.ndarray:
     """Gradient of sum_k weight_k e_k per theta row, shape (thetas, 2 J + 2).
 
     `e` are the fixed-time pair energies `steady_energy` gives on `grid`, and the
@@ -347,7 +346,7 @@ def _single_cycle_energy_grad(grid, phases, a, b, e, delta: float, t: float,
     and t also through the noise terms.
     """
     eps, cos_phi, sin_phi = grid.eps, grid.cos_phi, grid.sin_phi
-    eps_evo = np.zeros_like(eps) if mode == "dsp" else eps
+    eps_evo = np.zeros_like(eps) if dsp else eps
     # |x|^2 is even in its phase rate eps - delta, so taking it at delta - eps
     # makes d/d delta of both |x|^2 and |y|^2 the rate derivative
     w2, dw2_ddelta, dw2_dt = _phase_weight_and_grad(
@@ -378,33 +377,33 @@ def _single_cycle_energy_grad(grid, phases, a, b, e, delta: float, t: float,
 
 
 def _chain_pass(n_sites: int, thetas, scheme: CouplingScheme, delta: float, t: float,
-                noise: NoiseSpec, mode: str):
+                noise: NoiseSpec, *, dsp: bool = False):
     """The (theta x k) closed-form pass: its inputs, pair energies and relative energies."""
     grid = _theta_grid(n_sites, tuple(float(th) for th in thetas))
     phases = _phases(n_sites, scheme.nn)
     a, b = _coupling_sum(grid.cos_phi, grid.sin_phi, phases, scheme)
     p, q, env = _single_cycle_weights(grid.eps, grid.cos_phi, grid.sin_phi, a, b,
-                                      delta, t, scheme.g, noise, mode)
+                                      delta, t, scheme.g, noise, dsp=dsp)
     e_k = steady_energy(grid.eps, p, q, 2.0 * noise.kappa * t, env)
     e_total = np.sum(grid.weights * e_k, axis=-1)
     return grid, phases, a, b, e_k, np.abs((e_total - grid.e_gs) / grid.e_gs)
 
 
 def chain_relative_energies(n_sites: int, thetas, scheme: CouplingScheme,
-                            delta: float, t: float, noise: NoiseSpec,
-                            mode: str = "cooling") -> np.ndarray:
+                            delta: float, t: float, noise: NoiseSpec, *,
+                            dsp: bool = False) -> np.ndarray:
     """`chain_relative_energy` at every theta in `thetas`, as one array.
 
     All thetas are evaluated in one pass over a (theta x k) grid; the
     theta-only inputs are cached per (N, thetas).  Raises
     UndefinedSteadyState if the steady state is undefined at any theta.
     """
-    return _chain_pass(n_sites, thetas, scheme, delta, t, noise, mode)[-1]
+    return _chain_pass(n_sites, thetas, scheme, delta, t, noise, dsp=dsp)[-1]
 
 
 def chain_relative_energies_and_grad(n_sites: int, thetas, scheme: CouplingScheme,
-                                     delta: float, t: float, noise: NoiseSpec,
-                                     mode: str = "cooling") -> tuple[np.ndarray, np.ndarray]:
+                                     delta: float, t: float, noise: NoiseSpec, *,
+                                     dsp: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """`chain_relative_energies` and its exact gradient, from one pass.
 
     The values are the same floats `chain_relative_energies` returns.  Row i
@@ -412,49 +411,50 @@ def chain_relative_energies_and_grad(n_sites: int, thetas, scheme: CouplingSchem
     with respect to `ParamVector.to_array()`: lambda_j and mu_j over the J
     `coupling_keys(scheme.nn)`, then delta and t.
     """
-    grid, phases, a, b, e_k, rel = _chain_pass(n_sites, thetas, scheme, delta, t, noise, mode)
+    grid, phases, a, b, e_k, rel = _chain_pass(n_sites, thetas, scheme, delta, t, noise,
+                                               dsp=dsp)
     de_total = _single_cycle_energy_grad(grid, phases, a, b, e_k, delta, t, scheme.g,
-                                         noise, mode)
+                                         noise, dsp=dsp)
     # e_total >= e_gs and e_gs < 0, so rel = (e_total - e_gs) / -e_gs
     return rel, de_total / -grid.e_gs[..., None]
 
 
 def chain_relative_energy(params: ModelParams, scheme: CouplingScheme,
-                          delta: float, t: float, noise: NoiseSpec,
-                          mode: str = "cooling") -> float:
+                          delta: float, t: float, noise: NoiseSpec, *,
+                          dsp: bool = False) -> float:
     """Total relative energy of the closed-form steady state.
 
     Sums the per-pair steady energies (edge modes half-weighted) and
-    normalizes by the ground-state energy.  `mode` is "cooling" or "dsp";
-    DSP evaluates the overlaps at zero system splitting, which removes the
-    delta and t dependence in the noiseless case.
+    normalizes by the ground-state energy.  DSP (`dsp=True`) evaluates the
+    overlaps at zero system splitting, which removes the delta and t
+    dependence in the noiseless case.
     """
     return float(chain_relative_energies(params.N, (params.theta,), scheme,
-                                         delta, t, noise, mode)[0])
+                                         delta, t, noise, dsp=dsp)[0])
 
 
 def closed_form_relative_energies(params: ModelParams, scheme: CouplingScheme,
-                                  deltas, t: float, noise: NoiseSpec,
-                                  schedule_kind: str = "single",
-                                  mode: str = "cooling") -> np.ndarray:
+                                  deltas, t: float, noise: NoiseSpec, *,
+                                  random_times: bool, dsp: bool = False) -> np.ndarray:
     """Per-mode relative energies e_k = (E_k + eps_k) / eps_k of `steady_energy`.
 
     The bath weights are taken at the evolution splitting (zero under DSP,
-    `mode="dsp"`): at the fixed time t for a "single" schedule, and averaged
-    over random times and the frequencies `deltas` (`multifreq_rates`) for
-    the others.  Entries are NaN where eps_k = 0, and all of them for a
-    finite environment with random times, which has no closed form here.
+    `dsp=True`): at the fixed time t and frequency `deltas[0]` without
+    `random_times`, and averaged over random times and the frequencies
+    `deltas` (`multifreq_rates`) with them.  Entries are NaN where eps_k = 0,
+    and all of them for a finite environment with random times, which has
+    no closed form here.
     """
     row = _mode_row(params.N, params.theta)
     eps = row.eps
     a, b = coupling_arrays(scheme, params)
-    if schedule_kind == "single":
+    if not random_times:
         p, q, env = _single_cycle_weights(eps, row.cos_phi, row.sin_phi, a, b,
-                                          deltas[0], t, scheme.g, noise, mode)
+                                          deltas[0], t, scheme.g, noise, dsp=dsp)
     elif noise.env is not None:
         return np.full_like(eps, np.nan)
     else:
-        eps_evo = np.zeros_like(eps) if mode == "dsp" else eps
+        eps_evo = np.zeros_like(eps) if dsp else eps
         p, q = multifreq_rates(eps_evo, deltas, t, scheme.g, np.abs(a) ** 2, np.abs(b) ** 2)
         env = None
     e_val = steady_energy(eps, p, q, 2.0 * noise.kappa * t, env)

@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 reproduction assertion failure, 2 invalid config,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -49,6 +50,15 @@ EXIT_CONFIG = 2
 EXIT_NO_STEADY_STATE = 3
 EXIT_UNSUPPORTED = 4
 EXIT_OPTFAIL = 5
+
+# the errors `main` reports: JSON error name and exit code of each
+_ERRORS = {
+    ConfigError: ("config", EXIT_CONFIG),
+    NonUniqueFixedPoint: ("non_unique_fixed_point", EXIT_NO_STEADY_STATE),
+    UndefinedSteadyState: ("undefined_steady_state", EXIT_NO_STEADY_STATE),
+    UnsupportedCombination: ("unsupported_combination", EXIT_UNSUPPORTED),
+    OptimizationFailed: ("optimization_failed", EXIT_OPTFAIL),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -108,27 +118,33 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+@contextlib.contextmanager
+def _section(name: str):
+    """Report a KeyError, ValueError or TypeError raised while reading config
+    section `name` as a ConfigError."""
+    try:
+        yield
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid {name} section: {exc}") from exc
+
+
 def _params(cfg: dict) -> ModelParams:
     m = cfg["model"]
-    try:
+    with _section("model"):
         return ModelParams(int(m["N"]), float(m["theta"]))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid model section: {exc}") from exc
 
 
 def _scheme(cfg: dict) -> CouplingScheme:
     s = cfg["scheme"]
-    try:
+    with _section("scheme"):
         lam = {int(k): float(v) for k, v in s["lambda"].items()}
         mu = {int(k): float(v) for k, v in s["mu"].items()}
         return CouplingScheme(nn=float(s["nn"]), lam=lam, mu=mu, g=float(s["g"]))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid scheme section: {exc}") from exc
 
 
 def _bath(cfg: dict, params: ModelParams) -> BathSpec:
     b = cfg["bath"]
-    try:
+    with _section("bath"):
         d = b["delta"]
         if isinstance(d, dict):
             _check_keys("bath.delta", d, {"mode_k", "mode_fraction"})
@@ -140,8 +156,6 @@ def _bath(cfg: dict, params: ModelParams) -> BathSpec:
         else:
             delta = float(d)
         return BathSpec(delta, float(b["cycle_time"]))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid bath section: {exc}") from exc
 
 
 def _noise(cfg: dict) -> NoiseSpec:
@@ -154,26 +168,14 @@ def _noise(cfg: dict) -> NoiseSpec:
     foreign = sorted(set(n) - {"kind", *NOISE_KEYS[kind]})
     if foreign:
         raise ConfigError(f"noise kind {kind!r} takes no {foreign}")
-    try:
+    with _section("noise"):
         return NoiseSpec(kind, **{key: float(n[key]) for key in NOISE_KEYS[kind]})
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid noise section: {exc}") from exc
 
 
 def _frequencies(cfg: dict, params: ModelParams, bath: BathSpec) -> list[float]:
     """The schedule section's bath frequencies (`protocol.schedule_frequencies`)."""
-    try:
+    with _section("schedule"):
         return pr.schedule_frequencies(cfg["schedule"], params, bath)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid schedule section: {exc}") from exc
-
-
-def _schedule(cfg: dict, params: ModelParams, bath: BathSpec, seed: int) -> pr.Schedule:
-    """The schedule section's subcycles (`protocol.make_schedule`)."""
-    try:
-        return pr.make_schedule(cfg["schedule"], params, bath, seed)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid schedule section: {exc}") from exc
 
 
 def _run_flag(cfg: dict, key: str) -> bool:
@@ -252,8 +254,7 @@ def cmd_steady(cfg: dict, out: str, args) -> int:
                            engine=args.engine, dsp=dsp)
     e_closed = an.closed_form_relative_energies(
         params, scheme, deltas, bath.cycle_time_mean, noise,
-        schedule_kind=cfg["schedule"].get("kind", "single"),
-        mode="dsp" if dsp else "cooling")
+        random_times=cfg["schedule"].get("kind", "single") != "single", dsp=dsp)
 
     # write_csv leaves NaN (undefined e_k) cells empty
     rows = [(int(k), rep.epsilon[k], rep.mode_energy[k], rep.mode_relative_energy[k],
@@ -273,14 +274,16 @@ def cmd_steady(cfg: dict, out: str, args) -> int:
 def cmd_trajectory(cfg: dict, out: str, args) -> int:
     params = _params(cfg)
     run = cfg["run"]
-    sched = _schedule(cfg, params, _bath(cfg, params), args.seed)
+    bath = _bath(cfg, params)
+    with _section("schedule"):
+        sched = pr.make_schedule(cfg["schedule"], params, bath, args.seed)
     initial = run.get("initial", "most_excited")
     if initial not in ("vacuum", "most_excited"):
         raise ConfigError(f"run.initial must be 'vacuum' or 'most_excited', got {initial!r}")
-    try:
+    with _section("run"):
         cycles, stride = int(run["cycles"]), int(run.get("snapshot_stride", 10))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid run section: {exc}") from exc
+    if cycles < 0:
+        raise ConfigError(f"run.cycles must be >= 0, got {cycles}")
     if stride < 1:
         raise ConfigError(f"run.snapshot_stride must be >= 1, got {stride}")
     kwargs = dict(noise=_noise(cfg), n_global_cycles=cycles, snapshot_stride=stride,
@@ -332,7 +335,7 @@ def cmd_rates(cfg: dict, out: str, args) -> int:
     # the table's rates are random-time averages over `deltas`, whatever the
     # schedule kind, and so is e_k
     e_rel = an.closed_form_relative_energies(params, scheme, deltas, bath.cycle_time_mean,
-                                             NoiseSpec.none(), "multifreq")
+                                             NoiseSpec.none(), random_times=True)
     rows = [(int(k), eps[k], rt.gamma_c[k], rt.gamma_h[k], rt.alpha[k], e_rel[k])
             for k in rt.ks]
     write_csv(os.path.join(out, "rates.csv"),
@@ -349,6 +352,7 @@ def cmd_optimize(cfg: dict, out: str, args) -> int:
     mode = o.get("mode", "cooling")
     if mode not in ("cooling", "dsp"):
         raise ConfigError(f"optimize.mode must be 'cooling' or 'dsp', got {mode!r}")
+    dsp = mode == "dsp"
     objective_kind = o["objective"]
     noise = _noise(cfg)
     init_cfg = o.get("init", {})
@@ -357,20 +361,20 @@ def cmd_optimize(cfg: dict, out: str, args) -> int:
 
     if objective_kind == "theta_specific":
         def objective(pv):
-            return op.objective_theta_specific(pv, params, noise, mode)
+            return op.objective_theta_specific(pv, params, noise, dsp=dsp)
     elif objective_kind == "phase_averaged":
         phase = o.get("phase")
         if phase not in ("low", "high"):
             raise ConfigError("phase_averaged objective requires phase: low|high")
 
         def objective(pv):
-            return op.objective_phase_averaged(pv, phase, params.N, noise, mode)
+            return op.objective_phase_averaged(pv, phase, params.N, noise, dsp=dsp)
     else:
         raise ConfigError(f"unknown objective {objective_kind!r}")
 
     res = op.optimize(objective, init, budget=int(o.get("budget", 4000)),
                       restarts=int(o.get("restarts", 8)), seed=args.seed,
-                      vary_delta_t=(mode != "dsp"))
+                      vary_delta_t=not dsp)
     best = res.best
     write_json(os.path.join(out, "optimum.json"), _summary(cfg, {
         "params": {
@@ -385,16 +389,17 @@ def cmd_optimize(cfg: dict, out: str, args) -> int:
         "history": res.history[-200:],
     }))
 
-    # validation at the optimum on the exact engine (theta-specific point evaluations)
+    # validation at the optimum: the exact engine against the closed form at
+    # each theta of the objective (five nodes of a phase)
     thetas = [params.theta] if objective_kind == "theta_specific" else \
         [float(t) for t in op.phase_grid(o["phase"], 5)]
+    closed = an.chain_relative_energies(params.N, thetas, best.scheme, best.delta, best.t,
+                                        noise, dsp=dsp)
     rows = {}
-    for th in thetas:
-        p_th = ModelParams(params.N, th)
-        rep = pr.steady_report(p_th, best.scheme, BathSpec(best.delta, best.t),
-                               {"kind": "single"}, noise=noise, engine=args.engine,
-                               dsp=(mode == "dsp"))
-        analytic = op.objective_theta_specific(best, p_th, noise, mode)
+    for th, analytic in zip(thetas, closed.tolist()):
+        rep = pr.steady_report(ModelParams(params.N, th), best.scheme,
+                               BathSpec(best.delta, best.t), {"kind": "single"},
+                               noise=noise, engine=args.engine, dsp=dsp)
         rows[f"{th:.6f}"] = {"exact_e": rep.relative_energy, "analytic_e": analytic,
                              "difference": rep.relative_energy - analytic}
     write_json(os.path.join(out, "validation.json"),
@@ -459,27 +464,14 @@ def main(argv=None) -> int:
                 raise ConfigError(f"unknown engine {args.engine!r}")
         os.makedirs(args.out, exist_ok=True)
         return COMMANDS[args.command](cfg, args.out, args)
-    except ConfigError as exc:
-        json.dump({"error": "config", "message": str(exc)}, sys.stderr)
+    except tuple(_ERRORS) as exc:
+        name, code = next(v for cls, v in _ERRORS.items() if isinstance(exc, cls))
+        payload = {"error": name, "message": str(exc)}
+        if isinstance(exc, NonUniqueFixedPoint):
+            payload["eigenspace_dim"] = exc.eigenspace_dim
+        json.dump(payload, sys.stderr)
         sys.stderr.write("\n")
-        return EXIT_CONFIG
-    except NonUniqueFixedPoint as exc:
-        json.dump({"error": "non_unique_fixed_point", "message": str(exc),
-                   "eigenspace_dim": exc.eigenspace_dim}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_NO_STEADY_STATE
-    except UndefinedSteadyState as exc:
-        json.dump({"error": "undefined_steady_state", "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_NO_STEADY_STATE
-    except UnsupportedCombination as exc:
-        json.dump({"error": "unsupported_combination", "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_UNSUPPORTED
-    except OptimizationFailed as exc:
-        json.dump({"error": "optimization_failed", "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_OPTFAIL
+        return code
 
 
 if __name__ == "__main__":

@@ -342,24 +342,19 @@ def _theta_grid(n_sites: int, thetas: tuple[float, ...]) -> _ModeGrid:
 
 @dataclass(frozen=True)
 class ModeBlock:
-    """Single-particle matrix and bookkeeping for one (k, -k) pair.
+    """Single-particle matrix of one (k, -k) pair, or of a stack of them.
 
     `h_sb` is the weighted matrix whose second quantization is the exact block
     Hamiltonian.  For edge modes (k = 0, N/2, weight 1/2) the operator basis is
     doubled, (a, a^dag, b, b^dag, ...), so the Heisenberg generator of the
-    mode operators is h_sb / weight.  A stack (an array of k) holds per-mode
-    arrays from `k` to `b_coeff` and an `h_sb` of shape (modes, D, D).
+    mode operators is h_sb / weight.  A stack (an array of k) holds an `h_sb`
+    of shape (modes, D, D) and one weight per mode.  `env` is the
+    finite-environment NoiseSpec the matrix includes, or None; eps_k, phi_k,
+    A_k and B_k are read from `mode_grid` and `coupling_arrays`.
     """
 
-    k: int | np.ndarray
-    epsilon: float | np.ndarray
-    phi: float | np.ndarray
-    weight: float | np.ndarray
-    a_coeff: complex | np.ndarray
-    b_coeff: complex | np.ndarray
-    delta: float
-    g: float
     h_sb: np.ndarray = field(repr=False)
+    weight: float | np.ndarray
     env: NoiseSpec | None = None
 
     def __post_init__(self):
@@ -401,8 +396,9 @@ def block_hamiltonian(
     Without environments the matrix is 4x4 over (a_k, a_-k^dag, b_k, b_-k^dag);
     with `env`, a finite-environment NoiseSpec (`noise.env`), it is 8x8,
     appending one environment pair coupled to the system (amplitudes
-    cos phi, -sin phi) and one coupled to the bath (amplitudes 1, 0).  With dsp=True the system splitting is removed from the
-    evolution (the energy bookkeeping still uses the true epsilon).
+    cos phi, -sin phi) and one coupled to the bath (amplitudes 1, 0).  With
+    dsp=True the system splitting is removed from the evolution (energies
+    are still measured with the true epsilon of `mode_grid`).
     """
     return _block_raw(params.theta, params.N, scheme, bath, k, env=env, dsp=dsp)
 
@@ -458,10 +454,10 @@ def _block_raw(
                           -1, 0)
         h[:, 2 * m_row:2 * m_row + 2, 2 * m_col:2 * m_col + 2] = top
         h[:, 2 * m_col:2 * m_col + 2, 2 * m_row:2 * m_row + 2] = top.conj().swapaxes(-1, -2)
-    per_mode, h_sb = (kv, eps, row.phi[kv], weight, a, b), weight[:, None, None] * h
+    h_sb = weight[:, None, None] * h
     if ks.ndim == 0:
-        per_mode, h_sb = tuple(x.item() for x in per_mode), h_sb[0]
-    return ModeBlock(*per_mode, bath.delta, scheme.g, h_sb, env)
+        return ModeBlock(h_sb[0], weight.item(), env)
+    return ModeBlock(h_sb, weight, env)
 
 
 @dataclass(frozen=True)

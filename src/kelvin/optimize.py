@@ -102,15 +102,16 @@ class ValueWithGrad(float):
 
 
 def objective_theta_specific(pv: ParamVector, params: ModelParams,
-                             noise: NoiseSpec = NoiseSpec.none(),
-                             mode: str = "cooling") -> float:
-    """Total closed-form steady-state relative energy at one theta.
+                             noise: NoiseSpec = NoiseSpec.none(), *,
+                             dsp: bool = False) -> float:
+    """Total closed-form steady-state relative energy at one theta, of
+    cooling or, with `dsp`, of DSP.
 
     Returns a `ValueWithGrad`, or inf if the steady state is undefined.
     """
     try:
         vals, grad = chain_relative_energies_and_grad(params.N, (params.theta,), pv.scheme,
-                                                      pv.delta, pv.t, noise, mode)
+                                                      pv.delta, pv.t, noise, dsp=dsp)
     except UndefinedSteadyState:
         return math.inf
     return ValueWithGrad(vals[0], grad[0])
@@ -126,9 +127,8 @@ def phase_grid(phase: str, n_nodes: int = PHASE_NODES) -> np.ndarray:
 
 
 def objective_phase_averaged(pv: ParamVector, phase: str, n_sites: int,
-                             noise: NoiseSpec = NoiseSpec.none(),
-                             mode: str = "cooling",
-                             n_nodes: int = PHASE_NODES) -> float:
+                             noise: NoiseSpec = NoiseSpec.none(), *,
+                             dsp: bool = False, n_nodes: int = PHASE_NODES) -> float:
     """Integral over a phase of the theta-specific objective.
 
     The composite trapezoid over `phase_grid(phase, n_nodes)`, with every
@@ -139,7 +139,7 @@ def objective_phase_averaged(pv: ParamVector, phase: str, n_sites: int,
     thetas = phase_grid(phase, n_nodes)
     try:
         vals, grad = chain_relative_energies_and_grad(n_sites, thetas, pv.scheme, pv.delta,
-                                                      pv.t, noise, mode)
+                                                      pv.t, noise, dsp=dsp)
     except UndefinedSteadyState:
         return math.inf
     return ValueWithGrad(np.trapezoid(vals, thetas), np.trapezoid(grad, thetas, axis=0))

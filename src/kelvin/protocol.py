@@ -58,8 +58,6 @@ class Schedule:
     """Ordered subcycles (delta_r, t_m) forming one global cycle."""
 
     subcycles: tuple[tuple[float, float], ...]
-    seed: int
-    descriptor: dict
 
     @property
     def deltas(self) -> tuple[float, ...]:
@@ -121,7 +119,7 @@ def make_schedule(descriptor: dict, params: ModelParams, bath: BathSpec, seed: i
         n_sub = l * len(freqs)
         times = rng.uniform(0.0, 2.0 * t_mean, size=n_sub)
         subs = [(freqs[c % len(freqs)], float(times[c])) for c in range(n_sub)]
-    return Schedule(subcycles=tuple(subs), seed=seed, descriptor=dict(descriptor))
+    return Schedule(subcycles=tuple(subs))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +213,6 @@ class TrajectorySnapshot:
 class Trajectory:
     snapshots: list[TrajectorySnapshot]
     converged_at: int | None = None
-    final_state: ChainState | None = None
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(s, name) for s in self.snapshots])
@@ -312,8 +309,11 @@ def run_trajectory(params: ModelParams, scheme: CouplingScheme, schedule: Schedu
     stacked product, one stack per group of the engine's `mode_groups`
     (CM: all modes; Fock: edges and generic pairs).  Convergence is
     declared when the per-mode trace-norm change between consecutive
-    snapshots stays below 1e-10 three snapshots in a row.
+    snapshots stays below 1e-10 three snapshots in a row.  A negative
+    `n_global_cycles` raises ValueError.
     """
+    if n_global_cycles < 0:
+        raise ValueError(f"n_global_cycles must be >= 0, got {n_global_cycles}")
     eng = _engine(engine)
     if isinstance(initial, ChainState):
         state0 = initial
@@ -325,7 +325,7 @@ def run_trajectory(params: ModelParams, scheme: CouplingScheme, schedule: Schedu
         state0 = initial_state(initial, params, engine=engine)
 
     n2 = params.N // 2
-    snap_cycles = sorted({0, max(n_global_cycles, 0),
+    snap_cycles = sorted({0, n_global_cycles,
                           *range(snapshot_stride, n_global_cycles + 1, snapshot_stride)})
     groups = []
     for ks, x0 in _stack_groups(eng, state0.blocks, n2):
@@ -346,8 +346,7 @@ def run_trajectory(params: ModelParams, scheme: CouplingScheme, schedule: Schedu
             converged_at = cyc
             break
 
-    final = ChainState(engine, _group_blocks([(ks, x[-1]) for ks, x in groups], n2), params)
-    return Trajectory(snapshots=snapshots, converged_at=converged_at, final_state=final)
+    return Trajectory(snapshots=snapshots, converged_at=converged_at)
 
 
 # ---------------------------------------------------------------------------

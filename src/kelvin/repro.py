@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic as an
-from . import fock
 from . import optimize as op
 from . import protocol as pr
 from .model import BathSpec, CouplingScheme, ModelParams, dispersion, ground_state_energy, mode_grid
@@ -85,7 +84,7 @@ def fig3_analytic():
     params = ModelParams(FIG3["N"], FIG3["theta"])
     scheme = CouplingScheme.local(1.0, 1.0, FIG3["g"])
     e_rel = an.closed_form_relative_energies(params, scheme, [1.0], FIG3["t"],
-                                             an.NoiseSpec.none(), "randomized")
+                                             an.NoiseSpec.none(), random_times=True)
     return e_rel, an.rate_table(params, scheme, [1.0], FIG3["t"])
 
 
@@ -109,14 +108,19 @@ def fig4_sweep():
     return thetas, np.array(es), np.array(alphas)
 
 
-def fig10_series(ratios=(0.0, 0.03, 0.1, 0.3, 1.0)):
+FIG10_RATIOS = (0.0, 0.03, 0.1, 0.3, 1.0)  # kappa / g^2 of the noisy Fig. 3 series
+REOPT_RATIOS = (0.01, 0.03, 0.1, 0.3)  # kappa / g^2 of the re-optimized series
+
+
+def fig10_series():
+    """Total relative energy of the Fig. 3 protocol at each of `FIG10_RATIOS`."""
     g = FIG3["g"]
-    return {r: fig3_report(kappa=r * g * g).relative_energy for r in ratios}
+    return {r: fig3_report(kappa=r * g * g).relative_energy for r in FIG10_RATIOS}
 
 
-def reoptimized_series(ratios=(0.01, 0.03, 0.1, 0.3), seed: int = 11):
+def reoptimized_series():
     """Depolarizing-noise re-optimization at N = 200, g = 0.1, nn = 0,
-    theta = pi/3, with budget 2200 and 5 restarts per ratio.
+    theta = pi/3, with budget 2200 and 5 restarts per ratio of `REOPT_RATIOS`.
 
     Returns per-ratio (analytic optimum, exact-engine validation at optimum).
     """
@@ -124,7 +128,7 @@ def reoptimized_series(ratios=(0.01, 0.03, 0.1, 0.3), seed: int = 11):
     params = ModelParams(200, math.pi / 3)
     results = {}
     prev_best: op.ParamVector | None = None
-    for r in ratios:
+    for r in REOPT_RATIOS:
         kappa = r * g * g
         noise = an.NoiseSpec.depolarizing(kappa)
         init = op.ParamVector(CouplingScheme.local(1.0, 0.3, g), 1.0, 3.3)
@@ -132,7 +136,7 @@ def reoptimized_series(ratios=(0.01, 0.03, 0.1, 0.3), seed: int = 11):
         if prev_best is not None:
             extra.append(prev_best)  # warm start from the previous noise level
         res = op.optimize(lambda pv: op.objective_theta_specific(pv, params, noise),
-                          init, budget=2200, restarts=5, seed=seed,
+                          init, budget=2200, restarts=5, seed=11,
                           extra_starts=extra)
         prev_best = res.best
         exact = _exact_chain_energy(params, res.best, noise)
@@ -164,11 +168,12 @@ def table_rows() -> dict:
     }
 
 
-def phase_objective_for_row(nn: float, phase: str, n_sites: int = 20) -> tuple[float, op.ParamVector]:
+def phase_objective_for_row(nn: float, phase: str) -> tuple[float, op.ParamVector]:
+    """A `table_rows` row's phase-averaged objective at N = 20, and the row."""
     row = table_rows()[(nn, phase)]
     pv = op.ParamVector(CouplingScheme(nn=nn, lam=row["lam"], mu=row["mu"], g=0.1),
                         row["delta"], row["t"])
-    return op.objective_phase_averaged(pv, phase, n_sites), pv
+    return op.objective_phase_averaged(pv, phase, 20), pv
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +190,9 @@ def _target_fig2() -> TargetResult:
     cycles = 1000  # 200 cycles leave the resonant modes at e_k = 0.28
     traj = pr.run_trajectory(params, scheme, sched, engine="fock",
                              n_global_cycles=cycles, snapshot_stride=10)
-    final = traj.final_state
     _, eps, _, wts = mode_grid(params)
-    e_k = np.array([
-        fock.block_energy(final.blocks[k], eps[k], wts[k])[1]
-        for k in range(n // 2 + 1)])
+    scale = wts * eps
+    e_k = (traj.snapshots[-1].mode_energies + scale) / scale
 
     asserts = [
         Assertion("fig2/resonant modes cooled (e_k < 0.05 near k = N/4)",
@@ -376,9 +379,9 @@ def _target_fig_spec_reopt() -> TargetResult:
                               for r, v in res.items()})
 
 
-def _scan_starts(nn: float, objective, n_top: int = 4) -> list[op.ParamVector]:
+def _scan_starts(nn: float, objective) -> list[op.ParamVector]:
     """Deterministic coarse scan over structured coupling patterns and a
-    (delta, t) grid; returns the best candidates as optimizer starts."""
+    (delta, t) grid; returns the best four candidates as optimizer starts."""
     import itertools
 
     from .model import coupling_keys
@@ -401,7 +404,7 @@ def _scan_starts(nn: float, objective, n_top: int = 4) -> list[op.ParamVector]:
                                                    mu=dict(mp), g=0.1), delta, t)
                 cands.append((objective(pv), pv))
     cands.sort(key=lambda c: c[0])
-    return [c[1] for c in cands[:n_top]]
+    return [c[1] for c in cands[:4]]
 
 
 def _target_table_optimal_avg() -> TargetResult:

@@ -21,7 +21,8 @@ propagators `propagators`); the joint-Lindbladian
 check of the Fock engine's noise factorization (`noise_factorization_gap`);
 `maximally_mixed_density`; and the decay-rate fit and product-state distance
 of small chains (`rate_from_decay`, which raises `FitQualityError`, and
-`product_state_distance`).
+`product_state_distance`).  `mode_values` reads one mode's eps, phi, A and
+B from the grids a block is built from.
 """
 
 import math
@@ -34,8 +35,17 @@ from kelvin._linalg import hermitize, trace_norm
 from kelvin.analytic import GAMMA0_SQ_FACTOR
 from kelvin.errors import KelvinError, ResonantDenominator, UndefinedSteadyState
 from kelvin.fock import exact_cycle_map, mode_operators, second_quantize
-from kelvin.model import ModeBlock
+from kelvin.model import ModeBlock, coupling_arrays, mode_grid
 from kelvin.optimize import PHASE_NODES, phase_grid
+
+
+def mode_values(params, scheme, k: int) -> tuple[float, float, complex, complex]:
+    """(eps_k, phi_k, A_k, B_k) of mode k as Python scalars: row k of
+    `mode_grid` and `coupling_arrays`, which `block_hamiltonian` builds the
+    block of k from."""
+    _, eps, phi, _ = mode_grid(params)
+    a, b = coupling_arrays(scheme, params)
+    return eps[k].item(), phi[k].item(), a[k].item(), b[k].item()
 
 
 def propagators(generators: np.ndarray, ts) -> np.ndarray:
@@ -190,13 +200,12 @@ def cm_to_density(gamma: np.ndarray, edge: bool) -> np.ndarray:
     return rho
 
 
-def quadrature_couplings(block: ModeBlock) -> tuple[complex, complex]:
+def quadrature_couplings(params, scheme, k: int) -> tuple[complex, complex]:
     """Coupling combinations (f_k, p_k) used by the quadrature-basis expansion."""
-    phi = block.phi
+    _, phi, a, b = mode_values(params, scheme, k)
     # f = -e^{i phi} sum (lam_j + mu_j) e^{-i 2 pi j k / N} and
     # p = e^{-i phi} sum (lam_j - mu_j) e^{-i 2 pi j k / N}; recover the sums
-    # from the stored (A, B): lam-sum = cos(phi)A - sin(phi)B parts.
-    a, b = block.a_coeff, block.b_coeff
+    # from (A, B): lam-sum = cos(phi)A - sin(phi)B parts.
     c, s = math.cos(phi), math.sin(phi)
     lam_sum = c * a - s * b        # sum lam_j e^{-i phi_k j}
     mu_sum = (s * a + c * b) / 1j  # sum mu_j e^{-i phi_k j}

@@ -33,7 +33,7 @@ from kelvin.model import (
 )
 
 import oracles
-from oracles import apply_transfer, choi_min_eig
+from oracles import apply_transfer, choi_min_eig, mode_values
 
 
 class Stopwatch:
@@ -114,12 +114,13 @@ def test_criterion_02_oracle_equivalence():
             bath = BathSpec(dispersion(theta, n, n // 4), t)
             kappa = kappa_ratio * g * g
             blk = block_hamiltonian(params, scheme, bath, k=k)
+            eps = mode_values(params, scheme, k)[0]
             rho, _ = fock.steady_state(fock.exact_cycle_map(blk, t, kappa))
-            e_fock, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
+            e_fock, _ = fock.block_energy(rho, eps, blk.weight)
             k_s, c = next(cm.cycle_maps(block_hamiltonian(params, scheme, bath, k=[k]), [t], t,
                                         kappa))
             gam = cm.fixed_points(k_s, c, blk.is_edge)[0].reshape(2, 2)
-            e_cm = cm.cm_energy(gam, blk.epsilon, blk.weight)
+            e_cm = cm.cm_energy(gam, eps, blk.weight)
             worst = max(worst, abs(e_fock - e_cm))
         assert worst <= 1e-9
     report(2, True, f"36-point grid, max |E_k| gap {worst:.2e}", sw.elapsed)
@@ -326,16 +327,17 @@ def test_criterion_10_finite_environment():
         g = 0.1
         scheme = CouplingScheme.local(1.0, 0.0, g)
         bath = BathSpec(0.744, 3.33)
+        eps = mode_values(p, scheme, 5)[0]
         blk0 = block_hamiltonian(p, scheme, bath, k=5)
         rho0, _ = fock.steady_state(fock.exact_cycle_map(blk0, bath.cycle_time_mean))
-        e_base, _ = fock.block_energy(rho0, blk0.epsilon, blk0.weight)
+        e_base, _ = fock.block_energy(rho0, eps, blk0.weight)
         kps = np.array([1e-3, 3e-3, 1e-2, 3e-2, 1e-1]) * g
         incr = []
         for kp in kps:
             env = NoiseSpec.finite_env(float(kp), 0.7, 0.0)
             blk = block_hamiltonian(p, scheme, bath, k=5, env=env)
             rho, _ = fock.steady_state(fock.exact_cycle_map(blk, bath.cycle_time_mean))
-            e_val, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
+            e_val, _ = fock.block_energy(rho, eps, blk.weight)
             incr.append(e_val - e_base)
         slope = float(np.polyfit(np.log(kps), np.log(incr), 1)[0])
         assert abs(slope - 2.0) <= 0.1
@@ -347,7 +349,7 @@ def test_criterion_10_finite_environment():
         cool = op.optimize(lambda pv: op.objective_theta_specific(pv, params),
                            init, budget=1200, restarts=4, seed=31)
         dsp = op.optimize(
-            lambda pv: op.objective_theta_specific(pv, params, mode="dsp"),
+            lambda pv: op.objective_theta_specific(pv, params, dsp=True),
             init, budget=600, restarts=4, seed=31, vary_delta_t=False)
         noise = an.NoiseSpec.finite_env(0.04 * g, 0.7, 0.0)
         rep_cool = pr.steady_report(params, cool.best.scheme,

@@ -21,7 +21,7 @@ from kelvin.model import (
     dispersion,
 )
 
-from oracles import lorentzian_rates
+from oracles import lorentzian_rates, mode_values
 
 
 class TestOverlapCoeffs:
@@ -81,14 +81,14 @@ class TestJumpOps:
         for g in (2e-3, 1e-3):
             scheme = CouplingScheme.local(1.0, 1.0, g)
             blk = block_hamiltonian(small_params, scheme, bath, k=3)
+            eps, _, a, b = mode_values(small_params, scheme, 3)
             exact = fock.exact_cycle_map(blk, bath.cycle_time_mean)
-            x, y = an.overlap_coeffs(blk.epsilon, bath.delta,
-                                     bath.cycle_time_mean, g)
-            ops_c = an.single_cycle_jump_ops(blk.a_coeff, blk.b_coeff, x, y)
+            x, y = an.overlap_coeffs(eps, bath.delta, bath.cycle_time_mean, g)
+            ops_c = an.single_cycle_jump_ops(a, b, x, y)
             a1, a2 = fock.mode_operators(2)
             l1 = ops_c.c1_a * a1 + ops_c.c1_adag * a2.conj().T
             l2 = ops_c.c2_a * a2 + ops_c.c2_adag * a1.conj().T
-            h_sys = blk.epsilon * (a1.conj().T @ a1 + a2.conj().T @ a2 - np.eye(4))
+            h_sys = eps * (a1.conj().T @ a1 + a2.conj().T @ a2 - np.eye(4))
             e, v = np.linalg.eigh(h_sys)
             u = (v * np.exp(-1j * e * bath.cycle_time_mean)) @ v.conj().T
             eye = np.eye(4)
@@ -267,11 +267,11 @@ class TestSteadyEnergies:
         bath = BathSpec(1.0, 20.0)
         for k in range(1, 20, 3):
             blk = block_hamiltonian(p, scheme, bath, k=k)
+            eps, _, a, b = mode_values(p, scheme, k)
             rho, _ = fock.steady_state(fock.exact_cycle_map(blk, 20.0))
-            e_exact, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
-            x, y = an.overlap_coeffs(blk.epsilon, 1.0, 20.0, 1e-4)
-            pred = float(an.steady_energy(blk.epsilon, abs(blk.a_coeff * x) ** 2,
-                                          abs(blk.b_coeff * y) ** 2))
+            e_exact, _ = fock.block_energy(rho, eps, blk.weight)
+            x, y = an.overlap_coeffs(eps, 1.0, 20.0, 1e-4)
+            pred = float(an.steady_energy(eps, abs(a * x) ** 2, abs(b * y) ** 2))
             assert abs(e_exact - pred) <= 0.01 * abs(pred)
 
     @pytest.mark.parametrize("nn,lam,mu", [
@@ -286,11 +286,11 @@ class TestSteadyEnergies:
         bath = BathSpec(0.9, 15.0)
         for k in (2, 7, 11):
             blk = block_hamiltonian(p, scheme, bath, k=k)
+            eps, _, a, b = mode_values(p, scheme, k)
             rho, _ = fock.steady_state(fock.exact_cycle_map(blk, 15.0))
-            e_exact, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
-            x, y = an.overlap_coeffs(blk.epsilon, 0.9, 15.0, 1e-4)
-            pred = float(an.steady_energy(blk.epsilon, abs(blk.a_coeff * x) ** 2,
-                                          abs(blk.b_coeff * y) ** 2))
+            e_exact, _ = fock.block_energy(rho, eps, blk.weight)
+            x, y = an.overlap_coeffs(eps, 0.9, 15.0, 1e-4)
+            pred = float(an.steady_energy(eps, abs(a * x) ** 2, abs(b * y) ** 2))
             assert abs(e_exact - pred) <= 0.01 * abs(pred)
 
     def test_noisy_reduces_and_saturates(self):
@@ -308,11 +308,12 @@ class TestSteadyEnergies:
         bath = BathSpec(1.0, 20.0)
         for k in (3, 10, 17):
             blk = block_hamiltonian(p, scheme, bath, k=k)
+            eps, _, a, b = mode_values(p, scheme, k)
             rho, _ = fock.steady_state(fock.exact_cycle_map(blk, 20.0, kappa))
-            e_exact, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
-            x, y = an.overlap_coeffs(blk.epsilon, 1.0, 20.0, g)
-            pred = float(an.steady_energy(blk.epsilon, abs(blk.a_coeff * x) ** 2,
-                                          abs(blk.b_coeff * y) ** 2, pad=2.0 * kappa * 20.0))
+            e_exact, _ = fock.block_energy(rho, eps, blk.weight)
+            x, y = an.overlap_coeffs(eps, 1.0, 20.0, g)
+            pred = float(an.steady_energy(eps, abs(a * x) ** 2, abs(b * y) ** 2,
+                                          pad=2.0 * kappa * 20.0))
             assert abs(e_exact - pred) <= 0.03 * abs(pred)
 
     def test_dsp_local_unit_couplings_vanish(self):
@@ -369,13 +370,14 @@ class TestSteadyEnergies:
         env = an.NoiseSpec.finite_env(g / 10.0, 0.5, -0.5)
         for k in (2, 4):
             blk = block_hamiltonian(p, scheme, bath, k=k, env=env)
+            eps, phi, a, b = mode_values(p, scheme, k)
             rho, _ = fock.steady_state(fock.exact_cycle_map(blk, 3.0))
-            e_exact, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
-            x, y = an.overlap_coeffs(blk.epsilon, bath.delta, 3.0, g)
-            xe, ye = an.overlap_coeffs(blk.epsilon, env.delta_e, 3.0, env.kappa_prime)
+            e_exact, _ = fock.block_energy(rho, eps, blk.weight)
+            x, y = an.overlap_coeffs(eps, bath.delta, 3.0, g)
+            xe, ye = an.overlap_coeffs(eps, env.delta_e, 3.0, env.kappa_prime)
             pred = float(an.steady_energy(
-                blk.epsilon, abs(blk.a_coeff * x) ** 2, abs(blk.b_coeff * y) ** 2,
-                env=(abs(math.cos(blk.phi) * xe) ** 2, abs(math.sin(blk.phi) * ye) ** 2,
+                eps, abs(a * x) ** 2, abs(b * y) ** 2,
+                env=(abs(math.cos(phi) * xe) ** 2, abs(math.sin(phi) * ye) ** 2,
                      env.p_e)))
             assert abs(e_exact - pred) <= 0.05 * abs(pred)
 
@@ -393,7 +395,8 @@ class TestClosedFormRelativeEnergies:
         _, eps, _, _ = an.mode_grid(p)
         deltas = [0.6, 1.1] if kind == "multifreq" else [1.1]
         e = an.closed_form_relative_energies(p, CouplingScheme.local(1.0, 0.5, 0.05), deltas,
-                                             4.3, noise, kind, mode)
+                                             4.3, noise, random_times=kind != "single",
+                                             dsp=mode == "dsp")
         no_closed_form = noise.env is not None and kind != "single"
         assert eps[-1] == 0
         assert np.array_equal(np.isnan(e), (eps == 0) | no_closed_form)
@@ -476,9 +479,10 @@ class TestRandomizedSteadyInvariant:
         rt = an.rate_table(p, scheme, [1.0], 20.0)
         for k in (0, 5, 10, 15, 20):
             blk = block_hamiltonian(p, scheme, bath, k=k)
+            eps = mode_values(p, scheme, k)[0]
             s = fock.averaged_cycle_map(blk, 20.0)
             rho, _ = fock.steady_state(s)
-            _, e_rel = fock.block_energy(rho, blk.epsilon, blk.weight)
-            e_val = an.steady_energy(blk.epsilon, rt.gamma_c[k], rt.gamma_h[k])
-            e_pred = (e_val + blk.epsilon) / blk.epsilon
+            _, e_rel = fock.block_energy(rho, eps, blk.weight)
+            e_val = an.steady_energy(eps, rt.gamma_c[k], rt.gamma_h[k])
+            e_pred = (e_val + eps) / eps
             assert abs(e_rel - e_pred) <= 0.05 * abs(e_pred)

@@ -91,8 +91,9 @@ class TestConfigValidation:
         ("trajectory", "run", {"cycles": 3, "initial": "hot"}),
         ("trajectory", "run", {"cycles": 3, "snapshot_stride": 0}),
         ("trajectory", "run", {"snapshot_stride": 1}),
+        ("trajectory", "run", {"cycles": -5}),
     ], ids=["steady-kind", "rates-kind", "steady-R0", "trajectory-L0", "trajectory-initial",
-            "trajectory-stride0", "trajectory-no-cycles"])
+            "trajectory-stride0", "trajectory-no-cycles", "trajectory-negative-cycles"])
     def test_bad_schedule_and_run_inputs(self, tmp_path, capsys, command, section, value):
         base = TestTrajectory.CFG if command == "trajectory" else STEADY_CFG
         cfg = write_cfg(tmp_path, {**base, section: value})
@@ -346,6 +347,17 @@ class TestOptimizeCmd:
         for theta, row_f in fock_rows.items():
             assert cm_rows[theta]["analytic_e"] == row_f["analytic_e"]
             assert cm_rows[theta]["exact_e"] == pytest.approx(row_f["exact_e"], rel=1e-10)
+
+    def test_no_finite_start_exits_5(self, tmp_path, capsys):
+        """Zero couplings leave the steady state undefined at every start, so
+        the search fails and the CLI reports it with exit status 5."""
+        payload = {"model": base_model(12, 1.0),
+                   "scheme": {"nn": 0, "lambda": {"0": 0.0}, "mu": {"0": 0.0}, "g": 0.1},
+                   "optimize": {"objective": "theta_specific", "restarts": 1}}
+        cfg = write_cfg(tmp_path, payload)
+        assert cli.main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 5
+        assert json.loads(capsys.readouterr().err)["error"] == "optimization_failed"
+        assert not (tmp_path / "o" / "optimum.json").exists()
 
     def test_dsp_smoke(self, tmp_path):
         payload = {

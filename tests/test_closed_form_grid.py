@@ -156,21 +156,22 @@ CASES = [(nn, n, noise, mode) for nn in NN for n in SIZES
 def test_matches_per_theta_code(nn, n_sites, noise_kind, mode):
     rng = np.random.default_rng([int(2 * nn), n_sites, NOISES.index(noise_kind),
                                  MODES.index(mode)])
+    dsp = mode == "dsp"
     for i, n_nodes in enumerate(NODES):
         pv = _param_vector(nn, rng)
         noise = _noise(noise_kind, rng)
         phase = ("low", "high")[i % 2]
-        new = op.objective_phase_averaged(pv, phase, n_sites, noise, mode, n_nodes)
+        new = op.objective_phase_averaged(pv, phase, n_sites, noise, dsp=dsp, n_nodes=n_nodes)
         old = _oracle_phase_averaged(pv, phase, n_sites, noise, mode, n_nodes)
         assert _same(new, old), (new, old)
 
         params = ModelParams(n_sites, float(rng.uniform(0.0, math.pi / 2)))
-        args = (params, pv.scheme, pv.delta, pv.t, noise, mode)
-        assert _same(_outcome(lambda: an.chain_relative_energy(*args)),
-                     _outcome(lambda: _oracle_chain_relative_energy(*args)))
+        args = (params, pv.scheme, pv.delta, pv.t, noise)
+        assert _same(_outcome(lambda: an.chain_relative_energy(*args, dsp=dsp)),
+                     _outcome(lambda: _oracle_chain_relative_energy(*args, mode)))
         assert _same(an.closed_form_relative_energies(
-            params, pv.scheme, [pv.delta], pv.t, noise, "single", mode),
-            _oracle_closed_form_single(*args))
+            params, pv.scheme, [pv.delta], pv.t, noise, random_times=False, dsp=dsp),
+            _oracle_closed_form_single(*args, mode))
         new_ab = an.coupling_arrays(pv.scheme, params)
         old_ab = _oracle_coupling_arrays(pv.scheme, params)
         assert _same(new_ab[0], old_ab[0]) and _same(new_ab[1], old_ab[1])
@@ -207,23 +208,26 @@ def test_undefined_steady_state(noise_kind, mode):
     pv = _param_vector(1, rng, g=0.0)
     noise = UNDEFINED_NOISES[noise_kind]
     with_oracle = noise_kind != "depolarizing_zero"
+    dsp = mode == "dsp"
     for n_nodes in (2, 21):
         for phase in ("low", "high"):
-            new = op.objective_phase_averaged(pv, phase, 20, noise, mode, n_nodes)
+            new = op.objective_phase_averaged(pv, phase, 20, noise, dsp=dsp, n_nodes=n_nodes)
             assert new == math.inf
             if with_oracle:
                 assert new == _oracle_phase_averaged(pv, phase, 20, noise, mode, n_nodes)
     params = ModelParams(20, 0.4)
-    args = (params, pv.scheme, pv.delta, pv.t, noise, mode)
-    assert op.objective_theta_specific(pv, params, noise, mode) == math.inf
-    for fn in (an.chain_relative_energy, _oracle_chain_relative_energy)[:1 + with_oracle]:
+    args = (params, pv.scheme, pv.delta, pv.t, noise)
+    assert op.objective_theta_specific(pv, params, noise, dsp=dsp) == math.inf
+    with pytest.raises(UndefinedSteadyState):
+        an.chain_relative_energy(*args, dsp=dsp)
+    if with_oracle:
         with pytest.raises(UndefinedSteadyState):
-            fn(*args)
+            _oracle_chain_relative_energy(*args, mode)
     with pytest.raises(UndefinedSteadyState):
         an.closed_form_relative_energies(params, pv.scheme, [pv.delta], pv.t, noise,
-                                         "single", mode)
+                                         random_times=False, dsp=dsp)
     # one node spans no interval; an undefined node still rejects the point
-    assert op.objective_phase_averaged(pv, "low", 20, noise, mode, 1) == math.inf
+    assert op.objective_phase_averaged(pv, "low", 20, noise, dsp=dsp, n_nodes=1) == math.inf
 
 
 def test_cached_theta_inputs_are_read_only():

@@ -16,7 +16,7 @@ from kelvin.model import (
 )
 
 import oracles
-from oracles import apply_transfer
+from oracles import apply_transfer, mode_values
 
 
 def _maps(blk, t):
@@ -60,6 +60,7 @@ class TestEvolveCm:
         joint CM evolution from (most excited) x (bath vacuum); it tracks the
         exact Fock expectation values on Gaussian states to 1e-10."""
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=k)
+        eps = mode_values(small_params, generic_scheme, k)[0]
         fb = fock.second_quantize(blk)
         edge = blk.is_edge
         rho = fock.most_excited_density(edge)
@@ -73,9 +74,9 @@ class TestEvolveCm:
             out = u @ joint @ u.conj().T
             rho_s = np.trace(out.reshape(fb.d_sys, fb.d_rest, fb.d_sys, fb.d_rest),
                              axis1=1, axis2=3)
-            e_fock, _ = fock.block_energy(rho_s, blk.epsilon, blk.weight)
+            e_fock, _ = fock.block_energy(rho_s, eps, blk.weight)
             g_t = _step(*maps[t], cm.most_excited_cm())
-            e_cm = cm.cm_energy(g_t, blk.epsilon, blk.weight)
+            e_cm = cm.cm_energy(g_t, eps, blk.weight)
             assert abs(e_fock - e_cm) < 1e-10
 
 
@@ -90,11 +91,12 @@ class TestCycleMapCm:
 
     def test_single_cycle_matches_fock(self, small_params, generic_scheme, bath):
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=3)
+        eps = mode_values(small_params, generic_scheme, 3)[0]
         s = fock.exact_cycle_map(blk, bath.cycle_time_mean)
         rho = apply_transfer(s, fock.most_excited_density(False))
-        e_fock, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
+        e_fock, _ = fock.block_energy(rho, eps, blk.weight)
         gam = _step(*_maps(blk, bath.cycle_time_mean), cm.most_excited_cm())
-        assert abs(e_fock - cm.cm_energy(gam, blk.epsilon, blk.weight)) < 1e-10
+        assert abs(e_fock - cm.cm_energy(gam, eps, blk.weight)) < 1e-10
 
     def test_repeated_application_converges_to_linear_solve(self, small_params,
                                                             generic_scheme, bath):
@@ -104,8 +106,9 @@ class TestCycleMapCm:
         gam = cm.most_excited_cm()
         for _ in range(2000):
             gam = _step(k_s, c, gam)
-        e1 = cm.cm_energy(gam, blk.epsilon, blk.weight)
-        e2 = cm.cm_energy(target, blk.epsilon, blk.weight)
+        eps = mode_values(small_params, generic_scheme, 3)[0]
+        e1 = cm.cm_energy(gam, eps, blk.weight)
+        e2 = cm.cm_energy(target, eps, blk.weight)
         assert abs(e1 - e2) < 1e-8
 
     def test_assembled_blocks_unitary(self, small_params, generic_scheme, bath):
@@ -134,11 +137,11 @@ class TestSteadyStateCm:
         scheme = CouplingScheme.local(1.0, 1.0, 1e-4)
         bath = BathSpec(1.0, 20.0)
         blk = block_hamiltonian(p, scheme, bath, k=7)
+        eps, _, a, b = mode_values(p, scheme, 7)
         gam = _fixed(*_maps(blk, 20.0))
-        x, y = overlap_coeffs(blk.epsilon, 1.0, 20.0, 1e-4)
-        pred = float(steady_energy(blk.epsilon, abs(blk.a_coeff * x) ** 2,
-                                   abs(blk.b_coeff * y) ** 2))
-        assert abs(cm.cm_energy(gam, blk.epsilon, blk.weight) - pred) <= 0.01 * abs(pred)
+        x, y = overlap_coeffs(eps, 1.0, 20.0, 1e-4)
+        pred = float(steady_energy(eps, abs(a * x) ** 2, abs(b * y) ** 2))
+        assert abs(cm.cm_energy(gam, eps, blk.weight) - pred) <= 0.01 * abs(pred)
 
     @pytest.mark.parametrize("kappa_over_g2", [0.1])
     def test_noisy_fixed_point_matches_fock(self, kappa_over_g2, small_params,
@@ -146,12 +149,13 @@ class TestSteadyStateCm:
         kappa = kappa_over_g2 * generic_scheme.g ** 2
         t = bath.cycle_time_mean
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=3)
+        eps = mode_values(small_params, generic_scheme, 3)[0]
         rho, _ = fock.steady_state(fock.exact_cycle_map(blk, t, kappa))
-        e_fock, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
+        e_fock, _ = fock.block_energy(rho, eps, blk.weight)
         stack = block_hamiltonian(small_params, generic_scheme, bath, k=[3])
         k_s, c = next(cm.cycle_maps(stack, [t], t, kappa))
         gam = _fixed(k_s[0], c[0])
-        assert abs(e_fock - cm.cm_energy(gam, blk.epsilon, blk.weight)) < 1e-8
+        assert abs(e_fock - cm.cm_energy(gam, eps, blk.weight)) < 1e-8
 
 
 class TestFiniteEnvCm:
@@ -193,10 +197,11 @@ class TestFiniteEnvCm:
         bath = BathSpec(0.9, 3.0)
         env = NoiseSpec.finite_env(g / 20.0, 0.5, -0.5)
         blk = block_hamiltonian(small_params, scheme, bath, k=2, env=env)
+        eps = mode_values(small_params, scheme, 2)[0]
         rho, _ = fock.steady_state(fock.exact_cycle_map(blk, 3.0))
-        e_fock, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
+        e_fock, _ = fock.block_energy(rho, eps, blk.weight)
         gam = _fixed(*_maps(blk, 3.0))
-        e_cm = cm.cm_energy(gam, blk.epsilon, blk.weight)
+        e_cm = cm.cm_energy(gam, eps, blk.weight)
         assert abs(e_cm - e_fock) <= 1e-12 * abs(e_fock)
 
 
@@ -272,13 +277,12 @@ class TestPerturbativeBlocks:
         with pytest.raises(ResonantDenominator):
             oracles.perturbative_blocks(1.0, 0.01, 1.0, 2.0, self.f, self.p)
 
-    def test_quadrature_couplings_consistency(self, small_params, generic_scheme, bath):
+    def test_quadrature_couplings_consistency(self, small_params, generic_scheme):
         """f_k, p_k recovered from (A_k, B_k) match their direct sums."""
         from kelvin.model import coupling_keys
         for k in (1, 3, 5):
-            blk = block_hamiltonian(small_params, generic_scheme, bath, k=k)
-            f, p = oracles.quadrature_couplings(blk)
-            phi = blk.phi
+            f, p = oracles.quadrature_couplings(small_params, generic_scheme, k)
+            phi = mode_values(small_params, generic_scheme, k)[1]
             n = small_params.N
             lam_s = sum(generic_scheme.lam[j] * np.exp(-2j * math.pi * j * k / n)
                         for j in coupling_keys(generic_scheme.nn))

@@ -19,7 +19,7 @@ from kelvin.model import (
 )
 
 import oracles
-from oracles import apply_transfer, choi_min_eig
+from oracles import apply_transfer, choi_min_eig, mode_values
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +104,7 @@ class TestSecondQuantize:
         scheme = CouplingScheme.local(1.0, 1.0, g=0.0)
         blk = block_hamiltonian(small_params, scheme, bath, k=3)
         fb = fock.second_quantize(blk)
-        eps, dl = blk.epsilon, bath.delta
+        eps, dl = mode_values(small_params, scheme, 3)[0], bath.delta
         expect = sorted(
             eps * (n1 + n2 - 1) + dl * (m1 + m2 - 1)
             for n1, n2, m1, m2 in itertools.product((0, 1), repeat=4))
@@ -115,7 +115,7 @@ class TestSecondQuantize:
         scheme = CouplingScheme.local(1.0, 1.0, g=0.0)
         blk = block_hamiltonian(small_params, scheme, bath, k=0)
         fb = fock.second_quantize(blk)
-        eps, dl = blk.epsilon, bath.delta
+        eps, dl = mode_values(small_params, scheme, 0)[0], bath.delta
         expect = sorted(eps * (n - 0.5) + dl * (m - 0.5)
                         for n, m in itertools.product((0, 1), repeat=2))
         assert np.allclose(np.sort(np.linalg.eigvalsh(fb.hamiltonian)), expect,
@@ -138,6 +138,7 @@ class TestSecondQuantize:
         theta, n = 0.7, 12
         p = ModelParams(n, theta)
         blk = block_hamiltonian(p, generic_scheme, bath, k=k)
+        eps, phi, _, _ = mode_values(p, generic_scheme, k)
         fb = fock.second_quantize(blk)
         h_tilde, (a_k, a_mk, _, _) = tilde_basis_pair_hamiltonian(
             theta, n, generic_scheme, bath.delta, k)
@@ -149,11 +150,9 @@ class TestSecondQuantize:
         # and compare the quasiparticle pair energy after every cycle.  The
         # pair Hamiltonian acts on the first two tensor factors only, so it
         # restricts exactly to the system block.
-        phi = blk.phi
         ahat_k = math.cos(phi) * a_k + math.sin(phi) * a_mk.conj().T
         ahat_mk = math.cos(phi) * a_mk - math.sin(phi) * a_k.conj().T
-        h_pair = blk.epsilon * (ahat_k.conj().T @ ahat_k
-                                + ahat_mk.conj().T @ ahat_mk - np.eye(16))
+        h_pair = eps * (ahat_k.conj().T @ ahat_k + ahat_mk.conj().T @ ahat_mk - np.eye(16))
         h_sys = np.trace(h_pair.reshape(4, 4, 4, 4), axis1=1, axis2=3) / 4.0
         assert np.max(np.abs(h_pair - np.kron(h_sys, np.eye(4)))) < 1e-12
 
@@ -165,7 +164,7 @@ class TestSecondQuantize:
         gamma = np.array([[0.5 - s * s, -s * c], [-s * c, s * s - 0.5]],
                          dtype=complex)
         rho_h = oracles.cm_to_density(gamma, edge=False)
-        assert np.trace(rho_h @ np.diag([-1.0, 0, 0, 1.0])).real * blk.epsilon == \
+        assert np.trace(rho_h @ np.diag([-1.0, 0, 0, 1.0])).real * eps == \
             pytest.approx(np.trace(rho_t @ h_sys).real, abs=1e-12)
 
         s_map = fock.exact_cycle_map(fb, 2.1)
@@ -174,7 +173,7 @@ class TestSecondQuantize:
         for _ in range(4):
             rho_h = apply_transfer(s_map, rho_h)
             rho_t = evolve_and_trace(h_tilde, rho_t, rho_b, 2.1, 4, 4)
-            e_h, _ = fock.block_energy(rho_h, blk.epsilon, blk.weight)
+            e_h, _ = fock.block_energy(rho_h, eps, blk.weight)
             e_t = np.real(np.trace(rho_t @ h_sys))
             assert e_h == pytest.approx(e_t, abs=1e-10)
 
@@ -193,7 +192,7 @@ class TestSecondQuantize:
 
         h_tilde, _ = tilde_basis_edge_hamiltonian(theta, n, generic_scheme,
                                                   bath.delta, k)
-        flipped = blk.phi > 1.0  # phi = pi/2 branch: hatted mode is the hole
+        flipped = mode_values(p, generic_scheme, k)[1] > 1.0  # phi = pi/2 branch: hatted mode is the hole
         rho_t = np.diag([0.0, 1.0]).astype(complex) if flipped \
             else np.diag([1.0, 0.0]).astype(complex)
         rho_h = np.diag([1.0, 0.0]).astype(complex)
@@ -253,7 +252,7 @@ class TestExactCycleMap:
         blk = block_hamiltonian(p, scheme, bath, k=50)
         s = fock.averaged_cycle_map(blk, 20.0)
         rho, _ = fock.steady_state(s)
-        _, e_rel = fock.block_energy(rho, blk.epsilon, blk.weight)
+        _, e_rel = fock.block_energy(rho, mode_values(p, scheme, 50)[0], blk.weight)
         assert abs(e_rel - 3.0 / (4.0 * 400.0)) <= 0.2 * 3.0 / (4.0 * 400.0)
 
     def test_parity_superselection(self, small_params, generic_scheme, bath):
@@ -283,7 +282,8 @@ class TestNoisyCycleMap:
         s = fock.exact_cycle_map(blk, 2.0, kappa=50.0)
         rho, _ = fock.steady_state(s)
         assert np.allclose(rho, np.eye(4) / 4, atol=1e-8)
-        e_val, e_rel = fock.block_energy(rho, blk.epsilon, blk.weight)
+        e_val, e_rel = fock.block_energy(rho, mode_values(small_params, generic_scheme, 2)[0],
+                                         blk.weight)
         assert abs(e_val) < 1e-8 and abs(e_rel - 1.0) < 1e-8
 
     def test_negative_kappa_rejected(self, small_params, generic_scheme, bath):
@@ -332,16 +332,17 @@ class TestFiniteEnvironmentMap:
         g = 0.1
         scheme = CouplingScheme.local(1.0, 0.0, g)
         bath = BathSpec(0.744, 3.33)
+        eps = mode_values(p, scheme, 3)[0]
         blk0 = block_hamiltonian(p, scheme, bath, k=3)
         rho0, _ = fock.steady_state(fock.exact_cycle_map(blk0, bath.cycle_time_mean))
-        e0, _ = fock.block_energy(rho0, blk0.epsilon, blk0.weight)
+        e0, _ = fock.block_energy(rho0, eps, blk0.weight)
         kps = [1e-3 * g, 1e-2 * g, 1e-1 * g]
         incr = []
         for kp in kps:
             env = NoiseSpec.finite_env(kp, 0.7, 0.0)
             blk = block_hamiltonian(p, scheme, bath, k=3, env=env)
             rho, _ = fock.steady_state(fock.exact_cycle_map(blk, bath.cycle_time_mean))
-            e, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
+            e, _ = fock.block_energy(rho, eps, blk.weight)
             incr.append(e - e0)
         slope = np.polyfit(np.log(kps), np.log(incr), 1)[0]
         assert abs(slope - 2.0) <= 0.1
@@ -384,10 +385,12 @@ class TestSteadyState:
         solve, not the rounding of T itself."""
         mpmath = pytest.importorskip("mpmath")
         p = ModelParams(40, math.pi / 3)
-        blk = block_hamiltonian(p, CouplingScheme.local(1.0, 1.0, g), BathSpec(1.0, 20.0), k=4)
+        scheme = CouplingScheme.local(1.0, 1.0, g)
+        blk = block_hamiltonian(p, scheme, BathSpec(1.0, 20.0), k=4)
+        eps = mode_values(p, scheme, 4)[0]
         s = fock.exact_cycle_map(blk, 20.0)
         rho, alpha = fock.steady_state(s)
-        e_4, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
+        e_4, _ = fock.block_energy(rho, eps, blk.weight)
         t_res, idx = restricted(s)
         n = len(idx)
         pops = [i for i, flat in enumerate(idx) if flat % 5 == 0]  # |j><j| sits at 5 j
@@ -399,7 +402,7 @@ class TestSteadyState:
                 a[0, j] = int(j in pops)
             b[0] = 1
             v = mpmath.lu_solve(a, b)
-            e_ref = blk.epsilon * float(mpmath.re(v[pops[-1]] - v[pops[0]]))
+            e_ref = eps * float(mpmath.re(v[pops[-1]] - v[pops[0]]))
         assert abs(e_4 - e_ref) <= 4 * np.finfo(float).eps / alpha * abs(e_ref)
 
     def test_decoupled_noisy_steady_is_maximally_mixed(self, small_params, bath):
@@ -407,7 +410,7 @@ class TestSteadyState:
         blk = block_hamiltonian(small_params, scheme, bath, k=2)
         rho, _ = fock.steady_state(fock.exact_cycle_map(blk, 2.0, kappa=0.05))
         assert np.allclose(rho, np.eye(4) / 4, atol=1e-9)
-        e_val, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
+        e_val, _ = fock.block_energy(rho, mode_values(small_params, scheme, 2)[0], blk.weight)
         assert abs(e_val) < 1e-9
 
     def test_weak_coupling_energy_matches_closed_form(self):
@@ -417,11 +420,11 @@ class TestSteadyState:
         bath = BathSpec(1.0, 20.0)
         for k in (3, 10, 17):
             blk = block_hamiltonian(p, scheme, bath, k=k)
+            eps, _, a, b = mode_values(p, scheme, k)
             rho, _ = fock.steady_state(fock.exact_cycle_map(blk, 20.0))
-            e_val, _ = fock.block_energy(rho, blk.epsilon, blk.weight)
-            x, y = overlap_coeffs(blk.epsilon, 1.0, 20.0, 1e-4)
-            pred = float(steady_energy(blk.epsilon, abs(blk.a_coeff * x) ** 2,
-                                       abs(blk.b_coeff * y) ** 2))
+            e_val, _ = fock.block_energy(rho, eps, blk.weight)
+            x, y = overlap_coeffs(eps, 1.0, 20.0, 1e-4)
+            pred = float(steady_energy(eps, abs(a * x) ** 2, abs(b * y) ** 2))
             assert abs(e_val - pred) <= 0.01 * abs(pred)
 
     def test_fitted_decay_matches_alpha(self):
@@ -455,7 +458,7 @@ class TestSteadyState:
         density matrix, since relabeling k swaps the pair's modes and so
         negates the CM spectrum."""
         from kelvin import cm
-        from kelvin.model import _block_raw
+        from kelvin.model import _block_raw, _mode_row
         n, t_mean = 12, bath.cycle_time_mean
 
         def steady_spectra(blk, edge):
@@ -477,10 +480,11 @@ class TestSteadyState:
                                     mu={j: float(rng.uniform(-1, 1)) for j in keys}, g=0.2)
             res = canonicalize_theta(theta_raw, scheme)
             for k in range(0, n // 2 + 1):
+                k_can = n // 2 - k if res.mode_relabeled else k
                 blk_raw = _block_raw(theta_raw, n, scheme, bath, k)
-                blk_can = _block_raw(res.theta, n, res.scheme, bath,
-                                     n // 2 - k if res.mode_relabeled else k)
-                assert blk_raw.epsilon == pytest.approx(blk_can.epsilon, abs=1e-12)
+                blk_can = _block_raw(res.theta, n, res.scheme, bath, k_can)
+                assert _mode_row(n, theta_raw).eps[k] == \
+                    pytest.approx(_mode_row(n, res.theta).eps[k_can], abs=1e-12)
                 edge = k in (0, n // 2)
                 for i, ((ev_raw, alpha_raw), (ev_can, alpha_can)) in enumerate(
                         zip(steady_spectra(blk_raw, edge), steady_spectra(blk_can, edge))):

@@ -1,6 +1,8 @@
 """Import contracts: kelvin loads SciPy only where it uses it (see
-tests/import_guard.py), and every function the benchmark traces exists."""
+tests/import_guard.py), every function the benchmark traces exists, and the
+package's settable values do not grow."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -47,3 +49,35 @@ def test_perfbench_wrapped_names_resolve():
             if not callable(obj):
                 missing.append(f"{layer}.{name}")
     assert not missing, missing
+
+
+# Settable values in src/kelvin/*.py after the last change that removed some.
+SETTABLE_VALUES_BOUND = 472
+
+
+def _settable_values(tree: ast.Module) -> int:
+    """Function parameters other than self and cls (with *args and **kwargs)
+    plus the annotated fields of dataclasses and NamedTuples."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            count += sum(p.arg not in ("self", "cls") for p in params)
+        elif isinstance(node, ast.ClassDef):
+            record = any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                         for d in node.decorator_list)
+            record = record or any(getattr(b, "id", None) == "NamedTuple" for b in node.bases)
+            if record:
+                count += sum(isinstance(s, ast.AnnAssign) for s in node.body)
+    return count
+
+
+def test_settable_values_do_not_grow():
+    """Each settable value is a setting that tests and benchmarks must cover,
+    so their count may only fall.  A change that adds a justified option
+    raises SETTABLE_VALUES_BOUND in the same diff and says why in CHANGES.md;
+    a change that removes some lowers it."""
+    total = sum(_settable_values(ast.parse(path.read_text()))
+                for path in sorted((ROOT / "src" / "kelvin").glob("*.py")))
+    assert total <= SETTABLE_VALUES_BOUND, total

@@ -88,9 +88,11 @@ class TestBogoliubovAngle:
         thetas = theta_grid() + list(np.linspace(0.0, math.pi / 2, 21)) + [math.pi / 4]
         for theta in thetas:
             p = ModelParams(n, theta)
-            phi = mode_grid(p)[2]
+            _, eps, phi, wts = mode_grid(p)
+            a, b = coupling_arrays(local_scheme, p)
             for k in (0, n // 2):
-                assert block_hamiltonian(p, local_scheme, bath, k).phi == phi[k], (theta, k)
+                assert _grid_entries(block_hamiltonian(p, local_scheme, bath, k).h_sb) == \
+                    _grid_expected(eps[k], wts[k], local_scheme.g, a[k], b[k]), (theta, k)
                 assert phi[k] in (0.0, math.pi / 2), (theta, k)
 
     @pytest.mark.parametrize("theta", theta_grid())
@@ -242,23 +244,22 @@ class TestCouplingCoefficients:
 class TestBlockHamiltonian:
     def test_decoupled_is_diagonal(self, small_params, bath):
         scheme = CouplingScheme.local(1.0, 1.0, g=0.0)
+        eps = mode_grid(small_params)[1]
         blk = block_hamiltonian(small_params, scheme, bath, k=3)
-        eps = blk.epsilon
-        assert np.allclose(blk.h_sb, np.diag([eps, -eps, bath.delta, -bath.delta]),
+        assert np.allclose(blk.h_sb, np.diag([eps[3], -eps[3], bath.delta, -bath.delta]),
                            atol=1e-14)
         edge = block_hamiltonian(small_params, scheme, bath, k=0)
         assert np.allclose(edge.h_sb,
-                           0.5 * np.diag([edge.epsilon, -edge.epsilon,
-                                          bath.delta, -bath.delta]), atol=1e-14)
+                           0.5 * np.diag([eps[0], -eps[0], bath.delta, -bath.delta]), atol=1e-14)
 
     def test_local_coupling_entries(self, small_params, bath):
         scheme = CouplingScheme.local(1.0, 1.0, g=0.3)
         blk = block_hamiltonian(small_params, scheme, bath, k=4)
-        phi = blk.phi
+        _, eps, phi, _ = (arr[4] for arr in mode_grid(small_params))
         g = 0.3
         expected = np.array([
-            [blk.epsilon, 0, g * np.exp(1j * phi), 1j * g * np.exp(1j * phi)],
-            [0, -blk.epsilon, 1j * g * np.exp(1j * phi), -g * np.exp(1j * phi)],
+            [eps, 0, g * np.exp(1j * phi), 1j * g * np.exp(1j * phi)],
+            [0, -eps, 1j * g * np.exp(1j * phi), -g * np.exp(1j * phi)],
             [g * np.exp(-1j * phi), -1j * g * np.exp(-1j * phi), bath.delta, 0],
             [-1j * g * np.exp(-1j * phi), -g * np.exp(-1j * phi), 0, -bath.delta],
         ])
@@ -282,13 +283,14 @@ class TestBlockHamiltonian:
         for k in range(0, 7):
             blk = block_hamiltonian(small_params, local_scheme, bath, k=k)
             assert blk.weight == (0.5 if k in (0, 6) else 1.0)
-            assert blk.epsilon == pytest.approx(
-                dispersion(small_params.theta, 12, k))
+            assert blk.h_sb[0, 0] == pytest.approx(
+                blk.weight * dispersion(small_params.theta, 12, k))
 
     def test_blocks_read_the_mode_grid(self, rng, bath):
-        """One grid: every block's eps, phi, A and B are row k of mode_grid
-        and coupling_arrays, bit for bit, also at the edges, with an
-        environment or DSP, and for raw theta outside [0, pi/2]."""
+        """One grid: every block's h_sb holds w eps_k, w g A_k and w g B_k of
+        row k of mode_grid and coupling_arrays, bit for bit (no splitting
+        under DSP), also at the edges, with an environment, and for raw theta
+        outside [0, pi/2]."""
         env = NoiseSpec.finite_env(0.01, 0.5, 0.3)
         for _ in range(40):
             n = 2 * int(rng.integers(1, 60))
@@ -301,22 +303,39 @@ class TestBlockHamiltonian:
                                       math.pi / 2]))
             theta_raw = float(rng.uniform(-math.pi / 2, 3 * math.pi / 2))
             p = ModelParams(n, theta)
-            _, eps, phi, _ = mode_grid(p)
+            _, eps, _, wts = mode_grid(p)
             a, b = coupling_arrays(scheme, p)
             row, (a_raw, b_raw) = _mode_row(n, theta_raw), _coupling_table(n, theta_raw, scheme)
             for k in {0, n // 2, int(rng.integers(0, n // 2 + 1))}:
                 for kw in ({}, {"env": env}, {"dsp": True}):
+                    split = 0.0 if kw.get("dsp") else 1.0
                     blk = block_hamiltonian(p, scheme, bath, k, **kw)
-                    assert (blk.epsilon, blk.phi, blk.a_coeff, blk.b_coeff) == \
-                        (eps[k], phi[k], a[k], b[k]), (n, theta, k, kw)
+                    assert _grid_entries(blk.h_sb) == \
+                        _grid_expected(split * eps[k], wts[k], scheme.g, a[k], b[k]), \
+                        (n, theta, k, kw)
                     raw = _block_raw(theta_raw, n, scheme, bath, k, **kw)
-                    assert (raw.epsilon, raw.phi, raw.a_coeff, raw.b_coeff) == \
-                        (row.eps[k], row.phi[k], a_raw[k], b_raw[k]), (n, theta_raw, k, kw)
+                    assert _grid_entries(raw.h_sb) == _grid_expected(
+                        split * row.eps[k], row.weights[k], scheme.g, a_raw[k], b_raw[k]), \
+                        (n, theta_raw, k, kw)
 
     def test_dsp_removes_system_splitting(self, small_params, local_scheme, bath):
         blk = block_hamiltonian(small_params, local_scheme, bath, k=3, dsp=True)
         assert blk.h_sb[0, 0] == 0 and blk.h_sb[1, 1] == 0
-        assert blk.epsilon > 0  # bookkeeping keeps the true energy scale
+        # and nothing else: the cooling block adds only the true splitting
+        cool = block_hamiltonian(small_params, local_scheme, bath, k=3)
+        eps = mode_grid(small_params)[1][3]
+        assert eps > 0 and np.array_equal(cool.h_sb - blk.h_sb, np.diag([eps, -eps, 0, 0]))
+
+
+def _grid_entries(h_sb: np.ndarray) -> tuple[complex, complex, complex]:
+    """The system splitting and the bath couplings A and B in row 0 of a block."""
+    return h_sb[0, 0], h_sb[0, 2], h_sb[0, 3]
+
+
+def _grid_expected(eps, w, g, a, b) -> tuple[complex, complex, complex]:
+    """What `_grid_entries` holds for mode values (eps, A, B), weight w and
+    coupling strength g, in the block builder's operation order."""
+    return w * eps, w * (g * a), w * (g * b)
 
 
 # The per-mode builder that the stacked one replaced, kept verbatim as the
@@ -351,7 +370,7 @@ def _oracle_block_raw(
         raise ValueError(f"k must lie in [0, N/2], got {k}")
     row = _mode_row(N, theta)
     a_k, b_k = _coupling_table(N, theta, scheme)
-    eps, phi, weight = float(row.eps[k]), float(row.phi[k]), float(row.weights[k])
+    eps, weight = float(row.eps[k]), float(row.weights[k])
     a, b = complex(a_k[k]), complex(b_k[k])
     edge = k == 0 or k == N // 2
 
@@ -377,24 +396,11 @@ def _oracle_block_raw(
         couple(0, 2, float(row.cos_phi[k]), -float(row.sin_phi[k]), env.kappa_prime)
         couple(1, 3, 1.0, 0.0, env.kappa_prime)
 
-    return ModeBlock(
-        k=k,
-        epsilon=eps,
-        phi=phi,
-        weight=weight,
-        a_coeff=a,
-        b_coeff=b,
-        delta=bath.delta,
-        g=scheme.g,
-        h_sb=weight * h,
-        env=env,
-    )
+    return ModeBlock(h_sb=weight * h, weight=weight, env=env)
 
 
 class TestStackedBlocks:
     """`_block_raw` over an array of k is, row by row, the per-mode builder."""
-
-    FIELDS = ("epsilon", "phi", "weight", "a_coeff", "b_coeff")
 
     def test_rows_equal_per_mode_oracle(self):
         rng = np.random.default_rng(20261018)
@@ -412,25 +418,21 @@ class TestStackedBlocks:
             kw = {"env": env if case % 2 else None, "dsp": case % 3 == 0}
             ks = np.concatenate([[0, n // 2], rng.integers(0, n // 2 + 1, size=3)])
             stack = _block_raw(theta, n, scheme, bath, ks, **kw)
-            assert np.array_equal(stack.k, ks)
+            assert stack.env is kw["env"] and stack.weight.shape == ks.shape
             for i, k in enumerate(ks):
                 oracle = _oracle_block_raw(theta, n, scheme, bath, int(k), **kw)
                 assert np.array_equal(stack.h_sb[i], oracle.h_sb), (case, k)
                 assert np.array_equal(stack.generator[i], oracle.generator), (case, k)
-                assert tuple(getattr(stack, f)[i] for f in self.FIELDS) == \
-                    tuple(getattr(oracle, f) for f in self.FIELDS), (case, k)
+                assert stack.weight[i] == oracle.weight, (case, k)
                 one = _block_raw(theta, n, scheme, bath, int(k), **kw)
                 assert np.array_equal(one.h_sb, oracle.h_sb), (case, k)
-                assert tuple(getattr(one, f) for f in self.FIELDS) == \
-                    tuple(getattr(oracle, f) for f in self.FIELDS), (case, k)
+                assert (one.weight, one.env) == (oracle.weight, oracle.env), (case, k)
 
     def test_an_int_gives_one_block(self, small_params, generic_scheme, bath):
         blk = block_hamiltonian(small_params, generic_scheme, bath, 3)
         oracle = _oracle_block_raw(small_params.theta, small_params.N, generic_scheme, bath, 3)
-        assert isinstance(blk.k, int) and blk.h_sb.shape == (4, 4)
-        assert tuple(getattr(blk, f) for f in ("k",) + self.FIELDS) == \
-            tuple(getattr(oracle, f) for f in ("k",) + self.FIELDS)
-        assert all(type(getattr(blk, f)) is type(getattr(oracle, f)) for f in self.FIELDS)
+        assert blk.h_sb.shape == (4, 4) and type(blk.weight) is float
+        assert (blk.weight, blk.env) == (oracle.weight, oracle.env)
         assert np.array_equal(blk.h_sb, oracle.h_sb) and blk.n_modes == oracle.n_modes
 
     def test_stack_checks(self, small_params, generic_scheme, bath):

@@ -62,8 +62,30 @@ class TestObjectives:
         for _ in range(5):
             pv = op.ParamVector(scheme, float(rng.uniform(0.1, 3)),
                                 float(rng.uniform(0.1, 50)))
-            vals.add(round(op.objective_theta_specific(pv, params200, mode="dsp"), 14))
+            vals.add(round(op.objective_theta_specific(pv, params200, dsp=True), 14))
         assert len(vals) == 1
+
+    @pytest.mark.parametrize("word", ["dsp", "cooling"])
+    def test_protocol_switches_are_keyword_booleans(self, word):
+        """DSP and random times are keyword-only booleans: a protocol name
+        passed where a `mode` or `schedule_kind` string used to go raises
+        TypeError, so no string can become a truthy switch."""
+        p = ModelParams(12, 1.0)
+        scheme = CouplingScheme.local(1.0, 0.5, 0.05)
+        none = an.NoiseSpec.none()
+        pv = op.ParamVector(scheme, 1.0, 3.0)
+        calls = [
+            lambda: an.chain_relative_energy(p, scheme, 1.0, 3.0, none, word),
+            lambda: an.chain_relative_energies(12, [1.0], scheme, 1.0, 3.0, none, word),
+            lambda: an.chain_relative_energies_and_grad(12, [1.0], scheme, 1.0, 3.0, none, word),
+            lambda: an.closed_form_relative_energies(p, scheme, [1.0], 3.0, none, word),
+            lambda: an.closed_form_relative_energies(p, scheme, [1.0], 3.0, none, "single", word),
+            lambda: op.objective_theta_specific(pv, p, none, word),
+            lambda: op.objective_phase_averaged(pv, "low", 12, none, word),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
 
     def test_noisy_objective_monotone_in_kappa(self, params200):
         pv = op.ParamVector(CouplingScheme.local(1.0, 0.0, 0.1), 0.9, 3.3)
@@ -159,7 +181,7 @@ class TestOptimize:
         params = ModelParams(40, 1.3)
         init = op.ParamVector(CouplingScheme.local(0.8, 0.5, 0.1), 1.0, 3.0)
         res = op.optimize(
-            lambda pv: op.objective_theta_specific(pv, params, mode="dsp"),
+            lambda pv: op.objective_theta_specific(pv, params, dsp=True),
             init, budget=600, restarts=3, seed=4, vary_delta_t=False)
         assert res.best.delta == init.delta and res.best.t == init.t
         # near theta = pi/2 the best local DSP coupling is lambda-only
@@ -189,9 +211,9 @@ def _grad_case(nn, noise_kind, mode, objective, rng, g=0.1):
     pv = op.ParamVector(scheme, float(rng.uniform(0.6, 1.2)), float(rng.uniform(2.0, 5.0)))
     if objective == "theta_specific":
         params = ModelParams(20, float(rng.uniform(0.05, 1.5)))
-        return pv, lambda p: op.objective_theta_specific(p, params, noise, mode)
+        return pv, lambda p: op.objective_theta_specific(p, params, noise, dsp=mode == "dsp")
     phase = ("low", "high")[int(rng.integers(2))]
-    return pv, lambda p: op.objective_phase_averaged(p, phase, 20, noise, mode)
+    return pv, lambda p: op.objective_phase_averaged(p, phase, 20, noise, dsp=mode == "dsp")
 
 
 def _central_diff(fun, pv):

@@ -116,6 +116,11 @@ class TestRunTrajectory:
         assert len(traj.snapshots) == 1
         assert traj.snapshots[0].relative_energy == pytest.approx(2.0)
 
+    def test_negative_cycles_rejected(self, small_params, local_scheme, bath):
+        sched = pr.make_schedule({"kind": "single"}, small_params, bath, 0)
+        with pytest.raises(ValueError, match="n_global_cycles"):
+            pr.run_trajectory(small_params, local_scheme, sched, n_global_cycles=-5)
+
     def test_determinism(self, small_params, local_scheme, bath):
         sched = pr.make_schedule({"kind": "randomized", "L": 7},
                                  small_params, bath, seed=5)
