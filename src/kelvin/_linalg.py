@@ -12,7 +12,6 @@ import numpy as np
 from .errors import NonUniqueFixedPoint
 
 HERMITICITY_ATOL = 1e-12
-TRACE_ATOL = 1e-10
 FIXED_POINT_ATOL = 1e-10
 # an eigenvalue of K counts as 1 up to this multiple of eps ||K||_F: 10 n eps
 # with n = 4, the dimension of a CM block's vec(gamma)

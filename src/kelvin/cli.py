@@ -353,11 +353,18 @@ def cmd_optimize(cfg: dict, out: str, args) -> int:
     if mode not in ("cooling", "dsp"):
         raise ConfigError(f"optimize.mode must be 'cooling' or 'dsp', got {mode!r}")
     dsp = mode == "dsp"
-    objective_kind = o["objective"]
     noise = _noise(cfg)
-    init_cfg = o.get("init", {})
-    init = op.ParamVector(scheme, float(init_cfg.get("delta", 1.0)),
-                          float(init_cfg.get("t", 3.0)))
+    with _section("optimize"):
+        objective_kind = o["objective"]
+        init_cfg = o.get("init", {})
+        if not isinstance(init_cfg, dict):
+            raise TypeError(f"init must be an object, got {init_cfg!r}")
+        _check_keys("optimize.init", init_cfg, {"delta", "t"})
+        init = op.ParamVector(scheme, float(init_cfg.get("delta", 1.0)),
+                              float(init_cfg.get("t", 3.0)))
+        budget, restarts = int(o.get("budget", 4000)), int(o.get("restarts", 8))
+    if budget < 1:
+        raise ConfigError(f"optimize.budget must be >= 1, got {budget}")
 
     if objective_kind == "theta_specific":
         def objective(pv):
@@ -372,8 +379,7 @@ def cmd_optimize(cfg: dict, out: str, args) -> int:
     else:
         raise ConfigError(f"unknown objective {objective_kind!r}")
 
-    res = op.optimize(objective, init, budget=int(o.get("budget", 4000)),
-                      restarts=int(o.get("restarts", 8)), seed=args.seed,
+    res = op.optimize(objective, init, budget=budget, restarts=restarts, seed=args.seed,
                       vary_delta_t=not dsp)
     best = res.best
     write_json(os.path.join(out, "optimum.json"), _summary(cfg, {

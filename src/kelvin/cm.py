@@ -35,7 +35,6 @@ __all__ = [
     "most_excited_cm",
     "mode_groups",
     "initial_blocks",
-    "validate_blocks",
     "averaged_evolution_kron",
     "cycle_maps",
     "mode_chunks",
@@ -44,8 +43,6 @@ __all__ = [
     "cm_energy",
     "cm_fidelity",
 ]
-
-CM_EIG_SLACK = 1e-10
 
 
 def vacuum_cm() -> np.ndarray:
@@ -62,28 +59,13 @@ def mode_groups(n2: int) -> list[np.ndarray]:
     return [np.arange(n2 + 1)]
 
 
-def initial_blocks(kind: str, n2: int) -> list[np.ndarray]:
-    """Product initial blocks over k = 0..n2: "vacuum" or "most_excited"."""
+def initial_blocks(kind: str, n2: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Product initial state over k = 0..n2, "vacuum" or "most_excited", as
+    (ks, vec(gamma) stacked over ks) for each group of `mode_groups`."""
     if kind not in ("vacuum", "most_excited"):
         raise ValueError(f"unknown initial state kind {kind!r}")
-    maker = vacuum_cm if kind == "vacuum" else most_excited_cm
-    return [maker() for _ in range(n2 + 1)]
-
-
-def validate_blocks(blocks: list[np.ndarray]) -> None:
-    """Raise ValueError unless `blocks` are CMs of k = 0..len - 1: hermitian 2x2
-    with spectrum in [-1/2, 1/2], the edges (first and last) diag(1/2 - n, n - 1/2)."""
-    n2 = len(blocks) - 1
-    for k, b in enumerate(blocks):
-        if b.shape != (2, 2):
-            raise ValueError(f"CM block k={k} has shape {b.shape}, need (2, 2)")
-        if np.max(np.abs(b - b.conj().T)) > 1e-10:
-            raise ValueError(f"CM block k={k} not hermitian")
-        ev = np.linalg.eigvalsh(hermitize(b))
-        if ev.min() < -0.5 - CM_EIG_SLACK or ev.max() > 0.5 + CM_EIG_SLACK:
-            raise ValueError(f"CM block k={k} spectrum {ev} outside [-1/2, 1/2]")
-        if k in (0, n2) and max(abs(b[0, 1]), abs(b[1, 0]), abs(np.trace(b))) > 1e-10:
-            raise ValueError(f"CM edge block k={k} is not diag(1/2 - n, n - 1/2)")
+    gamma = vacuum_cm() if kind == "vacuum" else most_excited_cm()
+    return [(ks, np.tile(gamma.reshape(-1), (len(ks), 1))) for ks in mode_groups(n2)]
 
 
 def _injection(a: np.ndarray) -> np.ndarray:

@@ -48,8 +48,6 @@ import numpy as np
 
 from ._linalg import (
     FIXED_POINT_ATOL,
-    HERMITICITY_ATOL,
-    TRACE_ATOL,
     affine_fixed_points,
     hermitize,
     trace_norm,
@@ -70,7 +68,6 @@ __all__ = [
     "fixed_points",
     "mode_groups",
     "initial_blocks",
-    "validate_blocks",
     "reduce",
     "block_energy",
     "vacuum_density",
@@ -194,31 +191,14 @@ def mode_groups(n2: int) -> list[np.ndarray]:
     return [g for g in (np.array([0, n2]), ks[1:n2]) if g.size]
 
 
-def initial_blocks(kind: str, n2: int) -> list[np.ndarray]:
-    """Product initial blocks over k = 0..n2: "vacuum" or "most_excited"."""
+def initial_blocks(kind: str, n2: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Product initial state over k = 0..n2, "vacuum" or "most_excited", as
+    (ks, vec(rho) stacked over ks) for each group of `mode_groups`."""
     if kind not in ("vacuum", "most_excited"):
         raise ValueError(f"unknown initial state kind {kind!r}")
     maker = vacuum_density if kind == "vacuum" else most_excited_density
-    return [maker(k in (0, n2)) for k in range(n2 + 1)]
-
-
-def validate_blocks(blocks: list[np.ndarray]) -> None:
-    """Raise ValueError unless `blocks` are physical densities of k = 0..len - 1:
-    2x2 at the edges (k = 0 and the last), 4x4 elsewhere, each hermitian, of
-    unit trace, positive semidefinite and without parity-violating coherence."""
-    n2 = len(blocks) - 1
-    for k, m in enumerate(blocks):
-        d = 2 if k in (0, n2) else 4
-        if m.shape != (d, d):
-            raise ValueError(f"Fock block k={k} has shape {m.shape}, need ({d}, {d})")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
-            raise ValueError(f"density block k={k} not hermitian")
-        if abs(np.trace(m).real - 1.0) > TRACE_ATOL:
-            raise ValueError(f"density block k={k} trace {np.trace(m)!r} != 1")
-        if np.linalg.eigvalsh(hermitize(m)).min() < -1e-10:
-            raise ValueError(f"density block k={k} not positive semidefinite")
-        if np.max(np.abs(m.reshape(-1)[~_parity_diag_mask(d)]), initial=0.0) > 1e-12:
-            raise ValueError(f"density block k={k} carries parity-violating coherence")
+    return [(ks, np.tile(maker(ks[0] in (0, n2)).reshape(-1), (len(ks), 1)))
+            for ks in mode_groups(n2)]
 
 
 def reduce(ks: np.ndarray, x: np.ndarray, eps: np.ndarray, wts: np.ndarray,

@@ -128,15 +128,15 @@ def phase_grid(phase: str, n_nodes: int = PHASE_NODES) -> np.ndarray:
 
 def objective_phase_averaged(pv: ParamVector, phase: str, n_sites: int,
                              noise: NoiseSpec = NoiseSpec.none(), *,
-                             dsp: bool = False, n_nodes: int = PHASE_NODES) -> float:
+                             dsp: bool = False) -> float:
     """Integral over a phase of the theta-specific objective.
 
-    The composite trapezoid over `phase_grid(phase, n_nodes)`, with every
+    The composite trapezoid over `phase_grid(phase)`, with every
     node evaluated in one closed-form pass.  Returns a `ValueWithGrad`
     whose gradient is the trapezoid of the nodes' gradients, or inf if any
     node has no steady state.
     """
-    thetas = phase_grid(phase, n_nodes)
+    thetas = phase_grid(phase)
     try:
         vals, grad = chain_relative_energies_and_grad(n_sites, thetas, pv.scheme, pv.delta,
                                                       pv.t, noise, dsp=dsp)

@@ -11,12 +11,15 @@ engine's `cycle_maps` generator yields its subcycle maps stacked over modes
 folded as soon as it is made into one global-cycle map per momentum pair,
 and that map is then either stepped as a stacked product or handed to the
 engine's stacked fixed-point solve.  Both reduce
-the stacked blocks to per-mode and chain-level energy, relative energy, and
-fidelity.
+the stacked blocks to per-mode energies and fidelities with the engine's
+`reduce`, and those to chain-level energy, relative energy and fidelity with
+`global_metrics`.
 
 Engines are modules looked up in `ENGINES`, with one interface that hides
-their block layout: `mode_groups`, `initial_blocks`, `validate_blocks`,
-`mode_chunks`, `cycle_maps`, `fixed_points` and `reduce`.  The NoiseSpec is
+their block layout: `mode_groups`, `initial_blocks`, `mode_chunks`,
+`cycle_maps`, `fixed_points` and `reduce`.  A chain state has one form
+throughout, the engine's stacked groups [(ks, x)]: for each group ks of
+`mode_groups`, x stacks vec(block) over ks.  The NoiseSpec is
 resolved here, once: its environment `noise.env` goes into the blocks and its
 gain/loss rate `noise.kappa` into `cycle_maps`, so no engine sees the spec.
 """
@@ -24,7 +27,7 @@ gain/loss rate `noise.kappa` into `cycle_maps`, so no engine sees the spec.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +42,7 @@ __all__ = [
     "Schedule",
     "Trajectory",
     "TrajectorySnapshot",
-    "ChainState",
     "make_schedule",
-    "initial_state",
     "run_trajectory",
     "global_metrics",
     "SteadyStateReport",
@@ -123,30 +124,14 @@ def make_schedule(descriptor: dict, params: ModelParams, bath: BathSpec, seed: i
 
 
 # ---------------------------------------------------------------------------
-# chain states
+# chain metrics
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ChainState:
-    """Per-mode block states for the whole chain (k = 0..N/2)."""
-
-    engine: str  # a key of ENGINES
-    blocks: list[np.ndarray]
-    params: ModelParams
-
 
 def _engine(name: str):
     """The engine module `ENGINES[name]`; ValueError for an unknown name."""
     if name not in ENGINES:
         raise ValueError(f"unknown engine {name!r}; choose from {list(ENGINES)}")
     return ENGINES[name]
-
-
-def _stack_groups(eng, blocks: list[np.ndarray],
-                  n2: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(ks, vec(block) stacked over ks) per mode group of the engine `eng`."""
-    return [(ks, np.stack([np.asarray(blocks[k], dtype=complex).reshape(-1) for k in ks]))
-            for ks in eng.mode_groups(n2)]
 
 
 def _chain_reduce(eng, params: ModelParams,
@@ -162,38 +147,13 @@ def _chain_reduce(eng, params: ModelParams,
     return energies, fids
 
 
-def _chain_metrics(energies: np.ndarray, fidelities: np.ndarray,
+def global_metrics(energies: np.ndarray, fidelities: np.ndarray,
                    params: ModelParams) -> tuple[float, float, float]:
-    """(total E, relative energy e, fidelity F) from per-mode values."""
+    """(total E, relative energy e, fidelity F) of a chain from its per-mode
+    energies and vacuum fidelities over k = 0..N/2."""
     e_total = float(np.sum(energies))
     e_gs = ground_state_energy(params)
     return e_total, abs((e_total - e_gs) / e_gs), float(np.prod(fidelities))
-
-
-def initial_state(kind: str, params: ModelParams, engine: str = "fock",
-                  custom_blocks: list[np.ndarray] | None = None) -> ChainState:
-    """Product initial state: Bogoliubov vacuum (= ground state), most
-    excited, or caller-supplied per-mode blocks (validated by the engine)."""
-    eng = _engine(engine)
-    n2 = params.N // 2
-    if kind != "custom":
-        return ChainState(engine, eng.initial_blocks(kind, n2), params)
-    if custom_blocks is None or len(custom_blocks) != n2 + 1:
-        raise ValueError("custom initial state needs one block per k = 0..N/2")
-    blocks = [np.asarray(b, dtype=complex) for b in custom_blocks]
-    eng.validate_blocks(blocks)
-    return ChainState(engine, blocks, params)
-
-
-def global_metrics(state: ChainState, params: ModelParams) -> tuple[float, float, float]:
-    """(total E, relative energy e, fidelity F) of a chain state."""
-    if state.params != params:
-        raise ValueError(f"state belongs to {state.params}, not {params}")
-    if len(state.blocks) != params.N // 2 + 1:
-        raise ValueError("state is missing modes; need k = 0..N/2")
-    eng = _engine(state.engine)
-    groups = _stack_groups(eng, state.blocks, params.N // 2)
-    return _chain_metrics(*_chain_reduce(eng, params, groups), params)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +173,6 @@ class TrajectorySnapshot:
 class Trajectory:
     snapshots: list[TrajectorySnapshot]
     converged_at: int | None = None
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(s, name) for s in self.snapshots])
 
 
 def _global_maps(params: ModelParams, scheme: CouplingScheme, noise: NoiseSpec, dsp: bool,
@@ -265,16 +222,6 @@ def _global_maps(params: ModelParams, scheme: CouplingScheme, noise: NoiseSpec, 
             np.concatenate([c for _, c in composed]))
 
 
-def _group_blocks(groups: list[tuple[np.ndarray, np.ndarray]], n2: int) -> list[np.ndarray]:
-    """Per-mode d x d blocks over k = 0..N/2 from per-group stacks of vec(block)."""
-    blocks: list[np.ndarray] = [None] * (n2 + 1)
-    for ks, x in groups:
-        d = math.isqrt(x.shape[-1])
-        for k, block in zip(ks, x.reshape(len(ks), d, d)):
-            blocks[k] = block
-    return blocks
-
-
 def _step_snapshots(k_tot: np.ndarray, c_tot: np.ndarray, x0: np.ndarray,
                     snap_cycles: list[int]) -> np.ndarray:
     """States after each snapshot cycle, stacked to (snapshots, modes, D)."""
@@ -299,42 +246,36 @@ def _trace_norm_steps(x: np.ndarray) -> np.ndarray:
 def run_trajectory(params: ModelParams, scheme: CouplingScheme, schedule: Schedule,
                    noise: NoiseSpec = NoiseSpec.none(), engine: str = "fock",
                    n_global_cycles: int = 100, snapshot_stride: int = 10,
-                   initial: str | ChainState = "most_excited",
-                   dsp: bool = False) -> Trajectory:
+                   initial: str = "most_excited", dsp: bool = False) -> Trajectory:
     """Apply the schedule's subcycles for n global cycles, recording snapshots.
 
-    All modes see the same subcycle time sequence.  Each subcycle's map is
-    built once, stacked over modes, and folded in schedule order into one
-    global-cycle map per mode, and all modes are stepped together as a
-    stacked product, one stack per group of the engine's `mode_groups`
-    (CM: all modes; Fock: edges and generic pairs).  Convergence is
+    The chain starts in the product state `initial` ("vacuum", the ground
+    state, or "most_excited"), given by the engine's `initial_blocks` as
+    stacks over its `mode_groups` (CM: all modes; Fock: edges and generic
+    pairs).  All modes see the same subcycle time sequence.  Each
+    subcycle's map is built once, stacked over modes, and folded in
+    schedule order into one global-cycle map per mode, and each group is
+    stepped as a stacked product.  Snapshots are taken at cycle 0, every
+    `snapshot_stride` cycles and at the last cycle.  Convergence is
     declared when the per-mode trace-norm change between consecutive
     snapshots stays below 1e-10 three snapshots in a row.  A negative
-    `n_global_cycles` raises ValueError.
+    `n_global_cycles` or a `snapshot_stride` below 1 raises ValueError.
     """
     if n_global_cycles < 0:
         raise ValueError(f"n_global_cycles must be >= 0, got {n_global_cycles}")
+    if snapshot_stride < 1:
+        raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
     eng = _engine(engine)
-    if isinstance(initial, ChainState):
-        state0 = initial
-        if ENGINES.get(state0.engine) is not eng:
-            raise UnsupportedCombination("initial state engine does not match run engine")
-        if state0.params != params:
-            raise ValueError(f"initial state belongs to {state0.params}, not {params}")
-    else:
-        state0 = initial_state(initial, params, engine=engine)
-
-    n2 = params.N // 2
     snap_cycles = sorted({0, n_global_cycles,
                           *range(snapshot_stride, n_global_cycles + 1, snapshot_stride)})
     groups = []
-    for ks, x0 in _stack_groups(eng, state0.blocks, n2):
+    for ks, x0 in eng.initial_blocks(initial, params.N // 2):
         k_tot, c_tot = _global_maps(params, scheme, noise, dsp, eng, ks,
                                     schedule.mean_time, schedule.subcycles)
         groups.append((ks, _step_snapshots(k_tot, c_tot, x0, snap_cycles)))
 
     energies, fids = _chain_reduce(eng, params, groups)
-    snapshots = [TrajectorySnapshot(cyc, *_chain_metrics(e_k, f_k, params), e_k)
+    snapshots = [TrajectorySnapshot(cyc, *global_metrics(e_k, f_k, params), e_k)
                  for cyc, e_k, f_k in zip(snap_cycles, energies, fids)]
 
     steps = np.max([_trace_norm_steps(x) for _, x in groups], axis=0)
@@ -365,13 +306,11 @@ class SteadyStateReport:
     fidelity: float
     engine: str
     max_residual: float
-    states: list[np.ndarray] = field(default_factory=list)
 
 
 def steady_report(params: ModelParams, scheme: CouplingScheme, bath: BathSpec,
                   schedule_descriptor: dict, noise: NoiseSpec = NoiseSpec.none(),
-                  engine: str = "fock", dsp: bool = False,
-                  keep_states: bool = False) -> SteadyStateReport:
+                  engine: str = "fock", dsp: bool = False) -> SteadyStateReport:
     """Per-mode steady states of the scheduled cycle map plus chain aggregates.
 
     Steady reports share the trajectory map pipeline: each schedule
@@ -401,7 +340,7 @@ def steady_report(params: ModelParams, scheme: CouplingScheme, bath: BathSpec,
     alpha /= len(deltas)
 
     energies, fids = _chain_reduce(eng, params, groups)
-    e_total, e_rel_total, fidelity = _chain_metrics(energies, fids, params)
+    e_total, e_rel_total, fidelity = global_metrics(energies, fids, params)
     ks, eps, _, wts = mode_grid(params)
     scale = wts * eps
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -409,5 +348,4 @@ def steady_report(params: ModelParams, scheme: CouplingScheme, bath: BathSpec,
     return SteadyStateReport(
         ks=ks, epsilon=eps, mode_energy=energies, mode_relative_energy=e_rel,
         alpha=alpha, energy=e_total, relative_energy=e_rel_total, fidelity=fidelity,
-        engine=engine, max_residual=float(np.max(resid)),
-        states=_group_blocks(groups, n2) if keep_states else [])
+        engine=engine, max_residual=float(np.max(resid)))

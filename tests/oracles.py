@@ -1,8 +1,9 @@
 """Reference helpers that only the tests use.
 
 `phase_average` is the one-theta-at-a-time phase integral that the package's
-stacked `objective_phase_averaged` must reproduce bit for bit, and the Choi
-helpers check complete positivity of the exact engines' cycle maps.
+stacked `objective_phase_averaged` must reproduce bit for bit, and
+`phase_averaged_on` evaluates that objective on a grid of any size.  The
+Choi helpers check complete positivity of the exact engines' cycle maps.
 
 The four steady-energy formulas (`general_ss_energy`, `noisy_ss_energy`,
 `dsp_ss_energy`, `finite_env_ss_energy`) are the per-case closed forms that
@@ -19,9 +20,11 @@ quadrature-basis propagator (`quadrature_couplings`, `perturbative_blocks`,
 (`bravyi_noise_matrices`, `majorana_damping_check`, with the block
 propagators `propagators`); the joint-Lindbladian
 check of the Fock engine's noise factorization (`noise_factorization_gap`);
-`maximally_mixed_density`; and the decay-rate fit and product-state distance
-of small chains (`rate_from_decay`, which raises `FitQualityError`, and
-`product_state_distance`).  `mode_values` reads one mode's eps, phi, A and
+`maximally_mixed_density`; the physical-state checks of per-mode blocks
+(`check_cm_blocks`, `check_density_blocks`); `steady_blocks`, the per-mode
+steady states that `protocol.steady_report` reduces; and the decay-rate
+fit and product-state distance of small chains (`rate_from_decay`, which
+raises `FitQualityError`, and `product_state_distance`).  `mode_values` reads one mode's eps, phi, A and
 B from the grids a block is built from.
 """
 
@@ -31,11 +34,13 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from kelvin._linalg import hermitize, trace_norm
+from kelvin import optimize
+from kelvin import protocol as pr
+from kelvin._linalg import HERMITICITY_ATOL, hermitize, trace_norm
 from kelvin.analytic import GAMMA0_SQ_FACTOR
 from kelvin.errors import KelvinError, ResonantDenominator, UndefinedSteadyState
 from kelvin.fock import exact_cycle_map, mode_operators, second_quantize
-from kelvin.model import ModeBlock, coupling_arrays, mode_grid
+from kelvin.model import ModeBlock, NoiseSpec, coupling_arrays, mode_grid
 from kelvin.optimize import PHASE_NODES, phase_grid
 
 
@@ -61,6 +66,18 @@ def phase_average(evaluator, phase: str, n_nodes: int = PHASE_NODES) -> float:
     thetas = phase_grid(phase, n_nodes)
     vals = np.array([evaluator(float(th)) for th in thetas])
     return float(np.trapezoid(vals, thetas))
+
+
+def phase_averaged_on(n_nodes: int, pv, phase: str, n_sites: int,
+                      noise: NoiseSpec = NoiseSpec.none(), *, dsp: bool = False) -> float:
+    """`optimize.objective_phase_averaged` on an n_nodes-point phase grid: the
+    objective takes its nodes from `optimize.phase_grid(phase)`, which is
+    rebound to the n_nodes grid for this one call."""
+    optimize.phase_grid = lambda ph: phase_grid(ph, n_nodes)
+    try:
+        return optimize.objective_phase_averaged(pv, phase, n_sites, noise, dsp=dsp)
+    finally:
+        optimize.phase_grid = phase_grid
 
 
 def choi_from_transfer(t: np.ndarray) -> np.ndarray:
@@ -305,6 +322,64 @@ def majorana_damping_check(block: ModeBlock, kappa: float, t: float,
 def maximally_mixed_density(edge: bool) -> np.ndarray:
     d = 2 if edge else 4
     return np.eye(d, dtype=complex) / d
+
+
+def check_density_blocks(blocks) -> None:
+    """Raise ValueError unless `blocks` are physical densities of k = 0..len - 1:
+    2x2 at the edges (k = 0 and the last), 4x4 elsewhere, each hermitian, of
+    unit trace, positive semidefinite and without parity-violating coherence
+    (an entry between basis states |n_k n_-k> of different parity)."""
+    n2 = len(blocks) - 1
+    for k, m in enumerate(blocks):
+        d = 2 if k in (0, n2) else 4
+        if m.shape != (d, d):
+            raise ValueError(f"Fock block k={k} has shape {m.shape}, need ({d}, {d})")
+        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
+            raise ValueError(f"density block k={k} not hermitian")
+        if abs(np.trace(m).real - 1.0) > 1e-10:
+            raise ValueError(f"density block k={k} trace {np.trace(m)!r} != 1")
+        if np.linalg.eigvalsh(hermitize(m)).min() < -1e-10:
+            raise ValueError(f"density block k={k} not positive semidefinite")
+        parity = np.array([bin(i).count("1") % 2 for i in range(d)])
+        if np.max(np.abs(m[parity[:, None] != parity]), initial=0.0) > 1e-12:
+            raise ValueError(f"density block k={k} carries parity-violating coherence")
+
+
+def check_cm_blocks(blocks) -> None:
+    """Raise ValueError unless `blocks` are CMs of k = 0..len - 1: hermitian 2x2
+    with spectrum in [-1/2, 1/2], the edges (first and last) diag(1/2 - n, n - 1/2)."""
+    n2 = len(blocks) - 1
+    for k, b in enumerate(blocks):
+        if b.shape != (2, 2):
+            raise ValueError(f"CM block k={k} has shape {b.shape}, need (2, 2)")
+        if np.max(np.abs(b - b.conj().T)) > 1e-10:
+            raise ValueError(f"CM block k={k} not hermitian")
+        ev = np.linalg.eigvalsh(hermitize(b))
+        if ev.min() < -0.5 - 1e-10 or ev.max() > 0.5 + 1e-10:
+            raise ValueError(f"CM block k={k} spectrum {ev} outside [-1/2, 1/2]")
+        if k in (0, n2) and max(abs(b[0, 1]), abs(b[1, 0]), abs(np.trace(b))) > 1e-10:
+            raise ValueError(f"CM edge block k={k} is not diag(1/2 - n, n - 1/2)")
+
+
+def steady_blocks(params, scheme, bath, descriptor: dict, noise: NoiseSpec = NoiseSpec.none(),
+                  engine: str = "fock") -> list[np.ndarray]:
+    """Per-mode steady blocks (d x d) over k = 0..N/2, solved as
+    `protocol.steady_report` solves them before reducing: the schedule's
+    global-cycle maps from `protocol._global_maps`, then the engine's stacked
+    `fixed_points`, one call per group of its `mode_groups`."""
+    eng = pr.ENGINES[engine]
+    n2 = params.N // 2
+    t_m = bath.cycle_time_mean if descriptor.get("kind", "single") == "single" else None
+    subcycles = [(d, t_m) for d in pr.schedule_frequencies(descriptor, params, bath)]
+    blocks = [None] * (n2 + 1)
+    for ks in eng.mode_groups(n2):
+        k_tot, c_tot = pr._global_maps(params, scheme, noise, False, eng, ks,
+                                       bath.cycle_time_mean, subcycles)
+        x = eng.fixed_points(k_tot, c_tot, (ks == 0) | (ks == n2))[0]
+        d = math.isqrt(x.shape[-1])
+        for k, block in zip(ks, x.reshape(len(ks), d, d)):
+            blocks[k] = block
+    return blocks
 
 
 def noise_factorization_gap(block: ModeBlock, kappa: float, t: float) -> float:

@@ -392,17 +392,16 @@ def test_criterion_11_convergence_theory():
         p6 = ModelParams(6, 1.0)
         sch6 = CouplingScheme.local(1.0, 1.0, 0.05)
         bath6 = BathSpec(1.0, 4.0)
-        rep6 = pr.steady_report(p6, sch6, bath6, {"kind": "single"},
-                                keep_states=True)
+        states6 = oracles.steady_blocks(p6, sch6, bath6, {"kind": "single"})
         maps = [fock.exact_cycle_map(block_hamiltonian(p6, sch6, bath6, k=k), 4.0)
                 for k in range(4)]
-        blocks = pr.initial_state("most_excited", p6).blocks
+        blocks = [fock.most_excited_density(k in (0, 3)) for k in range(4)]
         checked = 0
         for cycle in range(1, 151):
             blocks = [apply_transfer(maps[k], blocks[k]) for k in range(4)]
             if cycle % 10 == 0:
-                per_mode = [trace_norm(blocks[k] - rep6.states[k]) for k in range(4)]
-                full = oracles.product_state_distance(blocks, rep6.states)
+                per_mode = [trace_norm(blocks[k] - states6[k]) for k in range(4)]
+                full = oracles.product_state_distance(blocks, states6)
                 assert full <= sum(per_mode) + 1e-9
                 checked += 1
         assert checked == 15
@@ -420,7 +419,7 @@ def test_criterion_11_convergence_theory():
             alphas.append(a_k)
         target_eps = 1e-3
         n_state, n_energy = an.cycle_estimates(min(alphas), p.N, target_eps)
-        blocks = pr.initial_state("most_excited", p).blocks
+        blocks = [fock.most_excited_density(k in (0, 20)) for k in range(21)]
         n_obs = None
         for n in range(1, 200):
             blocks = [apply_transfer(maps40[k], blocks[k]) for k in range(21)]

@@ -73,6 +73,19 @@ class TestConfigValidation:
         assert cli.main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o" / "optimum.json").exists()
 
+    def test_optimizer_errors_are_not_config_errors(self, tmp_path, monkeypatch):
+        """Only the section is parsed as config: a ValueError from the search
+        itself propagates."""
+        def failing(*args, **kwargs):
+            raise ValueError("numerics")
+
+        monkeypatch.setattr(cli.op, "optimize", failing)
+        payload = {"model": base_model(), "scheme": base_scheme(),
+                   "optimize": {"objective": "theta_specific", "budget": 10}}
+        cfg = write_cfg(tmp_path, payload)
+        with pytest.raises(ValueError, match="numerics"):
+            cli.main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")])
+
     @pytest.mark.parametrize("key", ["dsp", "cross_check", "wide"])
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
     def test_run_flags_are_booleans(self, tmp_path, key, value):
@@ -92,8 +105,18 @@ class TestConfigValidation:
         ("trajectory", "run", {"cycles": 3, "snapshot_stride": 0}),
         ("trajectory", "run", {"snapshot_stride": 1}),
         ("trajectory", "run", {"cycles": -5}),
+        ("optimize", "optimize", {"objective": "theta_specific", "budget": 0}),
+        ("optimize", "optimize", {"objective": "theta_specific", "budget": "many"}),
+        ("optimize", "optimize", {"objective": "theta_specific", "restarts": "two"}),
+        ("optimize", "optimize", {"objective": "theta_specific", "init": 3}),
+        ("optimize", "optimize", {"objective": "theta_specific", "init": {"delta": -1}}),
+        ("optimize", "optimize", {"objective": "theta_specific", "init": {"dt": 3.0}}),
+        ("optimize", "optimize", {"budget": 10}),
     ], ids=["steady-kind", "rates-kind", "steady-R0", "trajectory-L0", "trajectory-initial",
-            "trajectory-stride0", "trajectory-no-cycles", "trajectory-negative-cycles"])
+            "trajectory-stride0", "trajectory-no-cycles", "trajectory-negative-cycles",
+            "optimize-budget0", "optimize-budget-string", "optimize-restarts-string",
+            "optimize-init-number", "optimize-init-negative-delta", "optimize-init-unknown-key",
+            "optimize-no-objective"])
     def test_bad_schedule_and_run_inputs(self, tmp_path, capsys, command, section, value):
         base = TestTrajectory.CFG if command == "trajectory" else STEADY_CFG
         cfg = write_cfg(tmp_path, {**base, section: value})

@@ -23,7 +23,8 @@ from kelvin import optimize as op
 from kelvin.errors import UndefinedSteadyState
 from kelvin.model import CouplingScheme, ModelParams, coupling_keys
 
-from oracles import finite_env_ss_energy, general_ss_energy, noisy_ss_energy, phase_average
+from oracles import (finite_env_ss_energy, general_ss_energy, noisy_ss_energy, phase_average,
+                     phase_averaged_on)
 
 NN = (0, 0.5, 1, 1.5, 2)
 SIZES = (2, 4, 20, 22, 200)
@@ -161,7 +162,7 @@ def test_matches_per_theta_code(nn, n_sites, noise_kind, mode):
         pv = _param_vector(nn, rng)
         noise = _noise(noise_kind, rng)
         phase = ("low", "high")[i % 2]
-        new = op.objective_phase_averaged(pv, phase, n_sites, noise, dsp=dsp, n_nodes=n_nodes)
+        new = phase_averaged_on(n_nodes, pv, phase, n_sites, noise, dsp=dsp)
         old = _oracle_phase_averaged(pv, phase, n_sites, noise, mode, n_nodes)
         assert _same(new, old), (new, old)
 
@@ -211,7 +212,7 @@ def test_undefined_steady_state(noise_kind, mode):
     dsp = mode == "dsp"
     for n_nodes in (2, 21):
         for phase in ("low", "high"):
-            new = op.objective_phase_averaged(pv, phase, 20, noise, dsp=dsp, n_nodes=n_nodes)
+            new = phase_averaged_on(n_nodes, pv, phase, 20, noise, dsp=dsp)
             assert new == math.inf
             if with_oracle:
                 assert new == _oracle_phase_averaged(pv, phase, 20, noise, mode, n_nodes)
@@ -227,7 +228,7 @@ def test_undefined_steady_state(noise_kind, mode):
         an.closed_form_relative_energies(params, pv.scheme, [pv.delta], pv.t, noise,
                                          random_times=False, dsp=dsp)
     # one node spans no interval; an undefined node still rejects the point
-    assert op.objective_phase_averaged(pv, "low", 20, noise, dsp=dsp, n_nodes=1) == math.inf
+    assert phase_averaged_on(1, pv, "low", 20, noise, dsp=dsp) == math.inf
 
 
 def test_cached_theta_inputs_are_read_only():

@@ -346,10 +346,11 @@ class TestConversions:
         for _ in range(5):
             rho = apply_transfer(s, rho)
         gam = oracles.density_to_cm(rho)
-        cm.validate_blocks([cm.vacuum_cm(), gam, cm.vacuum_cm()])  # gam as a pair
+        oracles.check_cm_blocks([cm.vacuum_cm(), gam, cm.vacuum_cm()])  # gam as a pair
         rho_back = oracles.cm_to_density(gam, edge=False)
         assert np.max(np.abs(rho_back - rho)) < 1e-12
-        fock.validate_blocks([fock.vacuum_density(True), rho_back, fock.vacuum_density(True)])
+        oracles.check_density_blocks([fock.vacuum_density(True), rho_back,
+                                      fock.vacuum_density(True)])
 
     def test_fidelity_matches_fock(self, small_params, generic_scheme, bath):
         for k in (0, 3):

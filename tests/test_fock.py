@@ -521,11 +521,13 @@ class TestBlockEnergy:
 
 
 class TestDensityBlockValidation:
-    """`validate_blocks` on a chain of two vacuum edges around one pair block."""
+    """`oracles.check_density_blocks`, the physical-state check the tests use,
+    on a chain of two vacuum edges around one pair block."""
 
     @staticmethod
     def _validate(pair):
-        fock.validate_blocks([fock.vacuum_density(True), pair, fock.vacuum_density(True)])
+        oracles.check_density_blocks([fock.vacuum_density(True), pair,
+                                      fock.vacuum_density(True)])
 
     def test_accepts_valid(self):
         self._validate(oracles.maximally_mixed_density(False))

@@ -9,7 +9,7 @@ from kelvin import repro
 from kelvin.errors import OptimizationFailed
 from kelvin.model import CouplingScheme, ModelParams, coupling_keys, mode_grid
 
-from oracles import phase_average
+from oracles import phase_average, phase_averaged_on
 
 
 @pytest.fixture
@@ -108,9 +108,7 @@ class TestObjectives:
 
     def test_grid_refinement_stability(self):
         pv = op.ParamVector(CouplingScheme.local(1.0, 0.0, 0.1), 0.744, 3.33)
-        a = op.objective_phase_averaged(pv, "high", 20, n_nodes=21)
-        b = op.objective_phase_averaged(pv, "high", 20, n_nodes=41)
-        c = op.objective_phase_averaged(pv, "high", 20, n_nodes=81)
+        a, b, c = (phase_averaged_on(n, pv, "high", 20) for n in (21, 41, 81))
         assert abs(a - b) <= 0.01 * abs(a)   # default grid within 1% of refined
         assert abs(b - c) <= 0.005 * abs(b)  # doubling a refined grid: < 0.5%
 

@@ -74,38 +74,48 @@ class TestMakeSchedule:
                              small_params, bath, 0)
 
 
+def _stacked(engine, params, blocks):
+    """Per-mode blocks over k = 0..N/2 as the engine's stacked groups [(ks, x)]."""
+    return [(ks, np.stack([blocks[k].reshape(-1) for k in ks]))
+            for ks in pr.ENGINES[engine].mode_groups(params.N // 2)]
+
+
+def _metrics(engine, params, groups):
+    """`global_metrics` of a chain state given as the engine's stacked groups."""
+    return pr.global_metrics(*pr._chain_reduce(pr.ENGINES[engine], params, groups), params)
+
+
 class TestInitialState:
     def test_ground_state_metrics(self, small_params):
-        st = pr.initial_state("vacuum", small_params)
-        _, e, f = pr.global_metrics(st, small_params)
-        assert e == pytest.approx(0.0, abs=1e-13)
-        assert f == pytest.approx(1.0)
+        for engine in ("fock", "cm"):
+            _, e, f = _metrics(engine, small_params,
+                               pr.ENGINES[engine].initial_blocks("vacuum", small_params.N // 2))
+            assert e == pytest.approx(0.0, abs=1e-13)
+            assert f == pytest.approx(1.0)
 
     def test_most_excited_metrics(self, small_params):
         for engine in ("fock", "cm"):
-            st = pr.initial_state("most_excited", small_params, engine=engine)
-            _, e, f = pr.global_metrics(st, small_params)
+            _, e, f = _metrics(engine, small_params,
+                               pr.ENGINES[engine].initial_blocks("most_excited",
+                                                                 small_params.N // 2))
             assert e == pytest.approx(2.0, abs=1e-13)
             assert f == pytest.approx(0.0, abs=1e-13)
 
     def test_maximally_mixed_custom(self, small_params):
         n2 = small_params.N // 2
         blocks = [oracles.maximally_mixed_density(k in (0, n2)) for k in range(n2 + 1)]
-        st = pr.initial_state("custom", small_params, custom_blocks=blocks)
-        _, e, f = pr.global_metrics(st, small_params)
+        _, e, f = _metrics("fock", small_params, _stacked("fock", small_params, blocks))
         assert e == pytest.approx(1.0, abs=1e-13)
         # overlap of the maximally mixed block with the pair vacuum: 1/4
         # per generic pair, 1/2 per edge mode
         assert f == pytest.approx(0.25 ** (n2 - 1) * 0.25, abs=1e-15)
 
-    def test_custom_validation(self, small_params):
-        bad = [np.eye(4, dtype=complex)] * (small_params.N // 2 + 1)
-        with pytest.raises(ValueError):
-            pr.initial_state("custom", small_params, custom_blocks=bad)
-
-    def test_unknown_kind(self, small_params):
-        with pytest.raises(ValueError):
-            pr.initial_state("thermal", small_params)
+    def test_unknown_kind(self, small_params, local_scheme, bath):
+        sched = pr.make_schedule({"kind": "single"}, small_params, bath, 0)
+        for engine in ("fock", "cm"):
+            with pytest.raises(ValueError, match="unknown initial state kind"):
+                pr.run_trajectory(small_params, local_scheme, sched, engine=engine,
+                                  n_global_cycles=1, initial="thermal")
 
 
 class TestRunTrajectory:
@@ -121,6 +131,16 @@ class TestRunTrajectory:
         with pytest.raises(ValueError, match="n_global_cycles"):
             pr.run_trajectory(small_params, local_scheme, sched, n_global_cycles=-5)
 
+    @pytest.mark.parametrize("stride", [-10, 0])
+    def test_stride_below_one_rejected(self, local_scheme, bath, stride):
+        """A negative stride used to record only cycles 0 and n, and 0 reached
+        range()'s own error."""
+        p = ModelParams(8, 0.9)
+        sched = pr.make_schedule({"kind": "single"}, p, bath, 0)
+        with pytest.raises(ValueError, match="snapshot_stride must be >= 1"):
+            pr.run_trajectory(p, local_scheme, sched, n_global_cycles=30,
+                              snapshot_stride=stride)
+
     def test_determinism(self, small_params, local_scheme, bath):
         sched = pr.make_schedule({"kind": "randomized", "L": 7},
                                  small_params, bath, seed=5)
@@ -128,7 +148,7 @@ class TestRunTrajectory:
                               n_global_cycles=20, snapshot_stride=5)
         b = pr.run_trajectory(small_params, local_scheme, sched,
                               n_global_cycles=20, snapshot_stride=5)
-        assert a.column("relative_energy").tolist() == b.column("relative_energy").tolist()
+        assert [s.relative_energy for s in a.snapshots] == [s.relative_energy for s in b.snapshots]
 
     @pytest.mark.parametrize("noise_kind,kappa", [("none", 0.0), ("depolarizing", 1e-3)])
     def test_engine_equivalence(self, small_params, local_scheme, bath,
@@ -188,14 +208,6 @@ class TestRunTrajectory:
         diffs = np.diff(e4[1:])
         assert np.all(diffs <= 1e-9)
 
-    def test_initial_state_of_other_params_rejected(self, local_scheme, bath):
-        p = ModelParams(12, 0.9)
-        state = pr.initial_state("most_excited", ModelParams(16, 0.9), engine="cm")
-        sched = pr.make_schedule({"kind": "single"}, p, bath, 0)
-        with pytest.raises(ValueError, match="initial state belongs to"):
-            pr.run_trajectory(p, local_scheme, sched, engine="cm", n_global_cycles=1,
-                              initial=state)
-
     def test_convergence_declared(self):
         p = ModelParams(8, 0.9)
         scheme = CouplingScheme.local(1.0, 1.0, 0.3)
@@ -214,7 +226,8 @@ def _reference_trajectory(params, scheme, schedule, noise, engine, n_cycles, str
     """
     n2 = params.N // 2
     env = noise.env
-    blocks = list(pr.initial_state("most_excited", params, engine=engine).blocks)
+    blocks = [cm.most_excited_cm() if engine == "cm" else fock.most_excited_density(k in (0, n2))
+              for k in range(n2 + 1)]
     mode_blocks = {(k, d): block_hamiltonian(params, scheme, BathSpec(d, 1.0), k,
                                              env=env, dsp=dsp)
                    for k in range(n2 + 1) for d in schedule.deltas}
@@ -356,8 +369,8 @@ def _random_density(rng, edge):
 class TestEngineInterface:
     """Both engines expose one interface, and protocol only goes through it."""
 
-    NAMES = ("mode_groups", "reduce", "initial_blocks", "validate_blocks",
-             "cycle_maps", "mode_chunks", "fixed_points")
+    NAMES = ("mode_groups", "reduce", "initial_blocks", "cycle_maps", "mode_chunks",
+             "fixed_points")
 
     def test_engines_share_one_interface(self):
         assert list(pr.ENGINES) == ["fock", "cm"]
@@ -371,41 +384,9 @@ class TestEngineInterface:
         p = ModelParams(8, 0.9)
         sched = pr.make_schedule({"kind": "single"}, p, bath, 0)
         with pytest.raises(ValueError, match="unknown engine"):
-            pr.initial_state("vacuum", p, engine="bogus")
-        with pytest.raises(ValueError, match="unknown engine"):
             pr.run_trajectory(p, local_scheme, sched, engine="bogus", n_global_cycles=1)
         with pytest.raises(ValueError, match="unknown engine"):
             pr.steady_report(p, local_scheme, bath, {"kind": "single"}, engine="bogus")
-
-    def test_fock_custom_blocks_need_the_shape_of_their_mode(self):
-        p = ModelParams(8, 0.9)
-        mixed4 = [oracles.maximally_mixed_density(False)] * 5
-        with pytest.raises(ValueError, match="k=0"):
-            pr.initial_state("custom", p, engine="fock", custom_blocks=mixed4)
-        good = [oracles.maximally_mixed_density(k in (0, 4)) for k in range(5)]
-        with pytest.raises(ValueError, match="k=4"):
-            pr.initial_state("custom", p, engine="fock", custom_blocks=good[:4] + [mixed4[4]])
-        with pytest.raises(ValueError, match="k=2"):
-            pr.initial_state("custom", p, engine="fock",
-                             custom_blocks=good[:2] + [good[0]] + good[3:])
-
-    def test_cm_custom_blocks_are_2x2_with_physical_edges(self):
-        p = ModelParams(8, 0.9)
-        with pytest.raises(ValueError, match="k=0"):
-            pr.initial_state("custom", p, engine="cm",
-                             custom_blocks=[np.zeros((4, 4))] * 5)
-        good = [np.diag([0.2, -0.2]).astype(complex)] * 5
-        pr.initial_state("custom", p, engine="cm", custom_blocks=good)
-        coherent = np.array([[0.2, 0.1], [0.1, -0.2]], dtype=complex)
-        shifted = np.diag([0.3, 0.1]).astype(complex)
-        for bad in (coherent, shifted):
-            # a valid pair CM, but not an edge's diag(1/2 - n, n - 1/2)
-            pr.initial_state("custom", p, engine="cm", custom_blocks=good[:2] + [bad] + good[3:])
-            for k in (0, 4):
-                blocks = list(good)
-                blocks[k] = bad
-                with pytest.raises(ValueError, match=f"k={k}"):
-                    pr.initial_state("custom", p, engine="cm", custom_blocks=blocks)
 
     def test_cm_custom_blocks_match_fock(self, small_params):
         """The same Gaussian chain state, given as CM or as Fock blocks, has
@@ -417,11 +398,10 @@ class TestEngineInterface:
             blk = block_hamiltonian(small_params, scheme, BathSpec(1.0, 2.0), k)
             s = fock.exact_cycle_map(blk, 2.0)
             rhos.append(apply_transfer(s, apply_transfer(s, fock.most_excited_density(k in (0, n2)))))
-        st_f = pr.initial_state("custom", small_params, engine="fock", custom_blocks=rhos)
-        st_c = pr.initial_state("custom", small_params, engine="cm",
-                                custom_blocks=[oracles.density_to_cm(r) for r in rhos])
-        np.testing.assert_allclose(pr.global_metrics(st_c, small_params),
-                                   pr.global_metrics(st_f, small_params), rtol=1e-12)
+        gammas = [oracles.density_to_cm(r) for r in rhos]
+        np.testing.assert_allclose(_metrics("cm", small_params, _stacked("cm", small_params, gammas)),
+                                   _metrics("fock", small_params, _stacked("fock", small_params, rhos)),
+                                   rtol=1e-12)
 
     def test_scalar_views_are_rows_of_reduce(self, rng):
         p = ModelParams(12, 0.9)
@@ -429,33 +409,20 @@ class TestEngineInterface:
         ks, eps, _, wts = mode_grid(p)
         for _ in range(10):
             gammas = [_random_cm(rng, k in (0, n2)) for k in ks]
-            cm.validate_blocks(gammas)
+            oracles.check_cm_blocks(gammas)
             energies, fids = cm.reduce(ks, np.stack([g.reshape(-1) for g in gammas]),
                                        eps, wts, n2)
             for k, g in zip(ks, gammas):
                 assert cm.cm_energy(g, eps[k], wts[k]) == energies[k]
                 assert cm.cm_fidelity(g, k in (0, n2)) == fids[k]
             rhos = [_random_density(rng, k in (0, n2)) for k in ks]
-            fock.validate_blocks(rhos)
+            oracles.check_density_blocks(rhos)
             for group in fock.mode_groups(n2):
                 energies, fids = fock.reduce(group, np.stack([rhos[k].reshape(-1) for k in group]),
                                              eps, wts, n2)
                 for k, e_k, f_k in zip(group, energies, fids):
                     assert fock.block_energy(rhos[k], eps[k], wts[k])[0] == e_k
                     assert rhos[k][0, 0].real == f_k
-
-
-class TestGlobalMetrics:
-    def test_missing_modes_rejected(self, small_params):
-        st = pr.initial_state("vacuum", small_params)
-        st.blocks = st.blocks[:-1]
-        with pytest.raises(ValueError):
-            pr.global_metrics(st, small_params)
-
-    def test_state_of_other_params_rejected(self):
-        st = pr.initial_state("vacuum", ModelParams(12, 0.9))
-        with pytest.raises(ValueError, match="state belongs to"):
-            pr.global_metrics(st, ModelParams(12, 0.3))
 
 
 class TestCoolingRate:
@@ -509,22 +476,19 @@ class TestKaleidoscope:
         scheme = CouplingScheme.local(1.0, 1.0, 0.05)
         bath_f = BathSpec(1.0, 4.0)
         sched = pr.make_schedule({"kind": "single"}, p, bath_f, 0)
-        rep = pr.steady_report(p, scheme, bath_f, {"kind": "single"},
-                               keep_states=True)
+        states = oracles.steady_blocks(p, scheme, bath_f, {"kind": "single"})
         traj = pr.run_trajectory(p, scheme, sched, n_global_cycles=100,
                                  snapshot_stride=10)
         # rebuild the per-mode states at each snapshot to measure distances
-        state = pr.initial_state("most_excited", p)
-        blocks = state.blocks
-        from kelvin.model import block_hamiltonian
+        blocks = [fock.most_excited_density(k in (0, 3)) for k in range(4)]
         maps = [fock.exact_cycle_map(
             block_hamiltonian(p, scheme, bath_f, k=k), 4.0)
             for k in range(4)]
         for cycle in range(1, 101):
             blocks = [apply_transfer(maps[k], blocks[k]) for k in range(4)]
             if cycle % 10 == 0:
-                per_mode = [trace_norm(blocks[k] - rep.states[k]) for k in range(4)]
-                global_d = oracles.product_state_distance(blocks, rep.states)
+                per_mode = [trace_norm(blocks[k] - states[k]) for k in range(4)]
+                global_d = oracles.product_state_distance(blocks, states)
                 assert global_d <= sum(per_mode) + 1e-9
 
 
@@ -592,12 +556,13 @@ class TestSteadyReport:
         p = ModelParams(8, math.pi / 4)
         sched = {"kind": kind, "L": 10}
         rf = pr.steady_report(p, local_scheme, bath, sched, engine="fock")
-        rc = pr.steady_report(p, local_scheme, bath, sched, engine="cm", keep_states=True)
+        rc = pr.steady_report(p, local_scheme, bath, sched, engine="cm")
         assert rc.epsilon[-1] == 0.0
         np.testing.assert_allclose(rc.alpha, rf.alpha, rtol=1e-10)
         assert np.max(np.abs(rf.mode_energy - rc.mode_energy)) <= 1e-12
         # edges are solved on diag(1, -1) alone, so no <a a> entry appears
-        for gamma in (rc.states[0], rc.states[-1]):
+        states = oracles.steady_blocks(p, local_scheme, bath, sched, engine="cm")
+        for gamma in (states[0], states[-1]):
             assert gamma[0, 1] == 0.0 and gamma[1, 0] == 0.0
 
     # (case, params, scheme, bath, noise, dsp, schedule kinds, expected outcome)
@@ -646,8 +611,8 @@ class TestSteadyReport:
         fixed points of the cycle map with the bath and both environment
         injections, its A-blocks cut from a dense propagator."""
         noise = an.NoiseSpec.finite_env(0.01, 0.5, 0.3)
-        rep = pr.steady_report(small_params, local_scheme, bath, {"kind": "single"},
-                               noise=noise, engine="cm", keep_states=True)
+        states = oracles.steady_blocks(small_params, local_scheme, bath, {"kind": "single"},
+                                       noise=noise, engine="cm")
         env = noise.env
         for k in range(small_params.N // 2 + 1):
             blk = block_hamiltonian(small_params, local_scheme, bath, k, env=env)
@@ -664,7 +629,7 @@ class TestSteadyReport:
             else:
                 ref = np.linalg.solve(np.eye(4) - k_s, inj)
             ref = ref.reshape(2, 2)
-            assert np.max(np.abs(rep.states[k] - ref)) <= 1e-12, k
+            assert np.max(np.abs(states[k] - ref)) <= 1e-12, k
 
     @pytest.mark.parametrize("sched, noise", [
         ({"kind": "multifreq", "R": 2, "L": 10}, an.NoiseSpec.none()),
@@ -673,12 +638,16 @@ class TestSteadyReport:
     def test_fock_states_are_the_oracle_fixed_points(self, small_params, local_scheme,
                                                      bath, sched, noise):
         """The stacked Fock pipeline returns exactly fock.steady_state of the
-        per-frequency cycle maps composed in frequency order."""
+        per-frequency cycle maps composed in frequency order, and the report's
+        mode energies are those of these states."""
         rep = pr.steady_report(small_params, local_scheme, bath, sched, noise=noise,
-                               engine="fock", keep_states=True)
+                               engine="fock")
+        states = oracles.steady_blocks(small_params, local_scheme, bath, sched, noise=noise)
         deltas = pr.schedule_frequencies(sched, small_params, bath)
         t = bath.cycle_time_mean
+        _, eps, _, wts = mode_grid(small_params)
         for k in range(small_params.N // 2 + 1):
+            assert fock.block_energy(states[k], eps[k], wts[k])[0] == rep.mode_energy[k], k
             total = None
             for delta_r in deltas:
                 blk = block_hamiltonian(small_params, local_scheme, BathSpec(delta_r, t), k)
@@ -686,7 +655,7 @@ class TestSteadyReport:
                      else fock.exact_cycle_map(blk, t, noise.kappa))
                 total = m if total is None else m @ total
             rho, alpha = fock.steady_state(total)
-            assert np.array_equal(rep.states[k], rho), k
+            assert np.array_equal(states[k], rho), k
             assert rep.alpha[k] == alpha / len(deltas), k
 
     def test_scalability_of_tabulated_parameters(self):
