@@ -365,6 +365,8 @@ def cmd_optimize(cfg: dict, out: str, args) -> int:
         budget, restarts = int(o.get("budget", 4000)), int(o.get("restarts", 8))
     if budget < 1:
         raise ConfigError(f"optimize.budget must be >= 1, got {budget}")
+    if restarts < 1:
+        raise ConfigError(f"optimize.restarts must be >= 1, got {restarts}")
 
     if objective_kind == "theta_specific":
         def objective(pv):

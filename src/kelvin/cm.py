@@ -40,6 +40,7 @@ __all__ = [
     "mode_chunks",
     "fixed_points",
     "reduce",
+    "matrices",
     "cm_energy",
     "cm_fidelity",
 ]
@@ -174,6 +175,11 @@ def fixed_points(k_s: np.ndarray, c: np.ndarray,
 # ---------------------------------------------------------------------------
 # energies and fidelities
 # ---------------------------------------------------------------------------
+
+def matrices(x: np.ndarray) -> np.ndarray:
+    """The 2x2 CMs gamma of vec(gamma) stacked to (..., 4)."""
+    return x.reshape(x.shape[:-1] + (2, 2))
+
 
 def reduce(ks: np.ndarray, x: np.ndarray, eps: np.ndarray, wts: np.ndarray,
            n2: int) -> tuple[np.ndarray, np.ndarray]:

@@ -158,12 +158,15 @@ def optimize(objective, init: ParamVector, budget: int = 4000, restarts: int = 8
     Restart 0 begins at `init` (then any `extra_starts`); the rest perturb the
     couplings additively and (delta, t) log-normally, all from a seeded
     counter-based stream, so results are reproducible bit for bit.
-    `evaluations` counts the value-and-gradient calls of the search.
+    `evaluations` counts the value-and-gradient calls of the search.  A
+    `budget` or a `restarts` below 1 raises ValueError.
     """
     from scipy.optimize import minimize  # imported here to keep SciPy off kelvin's import path
 
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     keys = coupling_keys(init.scheme.nn)
     n_c = 2 * len(keys)
     bounds = [COUPLING_BOUNDS] * n_c

@@ -17,9 +17,11 @@ the stacked blocks to per-mode energies and fidelities with the engine's
 
 Engines are modules looked up in `ENGINES`, with one interface that hides
 their block layout: `mode_groups`, `initial_blocks`, `mode_chunks`,
-`cycle_maps`, `fixed_points` and `reduce`.  A chain state has one form
-throughout, the engine's stacked groups [(ks, x)]: for each group ks of
-`mode_groups`, x stacks vec(block) over ks.  The NoiseSpec is
+`cycle_maps`, `fixed_points`, `reduce` and `matrices`.  A chain state has
+one form throughout, the engine's stacked groups [(ks, x)]: for each group
+ks of `mode_groups`, x stacks the engine's state vector of each block over
+ks (CM: vec(gamma); Fock: the physical, parity-diagonal sector of vec(rho)),
+and the engine's `matrices` is the block of a state vector.  The NoiseSpec is
 resolved here, once: its environment `noise.env` goes into the blocks and its
 gain/loss rate `noise.kappa` into `cycle_maps`, so no engine sees the spec.
 """
@@ -189,7 +191,7 @@ def _global_maps(params: ModelParams, scheme: CouplingScheme, noise: NoiseSpec, 
     frequency in schedule order.  Each map is folded into the running product
     as soon as it is made, K <- K_s K and c <- K_s c + c_s, and a frequency's
     generator, with its eigenbasis, is dropped after its last subcycle.
-    Chunks come from `mode_chunks` (CM: all modes at once; Fock: about 16
+    Chunks come from `mode_chunks` (CM: all modes at once; Fock: about 32
     pairs, so that only their stacks are held).
     """
     times: dict[float, list[float | None]] = {}
@@ -235,14 +237,6 @@ def _step_snapshots(k_tot: np.ndarray, c_tot: np.ndarray, x0: np.ndarray,
     return out
 
 
-def _trace_norm_steps(x: np.ndarray) -> np.ndarray:
-    """Largest per-mode trace-norm change between consecutive snapshots: the
-    differences are hermitian, so their trace norms are sum |eigenvalue|."""
-    d = math.isqrt(x.shape[-1])
-    diff = np.diff(x, axis=0)
-    return np.abs(np.linalg.eigvalsh(diff.reshape(diff.shape[:2] + (d, d)))).sum(-1).max(-1)
-
-
 def run_trajectory(params: ModelParams, scheme: CouplingScheme, schedule: Schedule,
                    noise: NoiseSpec = NoiseSpec.none(), engine: str = "fock",
                    n_global_cycles: int = 100, snapshot_stride: int = 10,
@@ -278,7 +272,10 @@ def run_trajectory(params: ModelParams, scheme: CouplingScheme, schedule: Schedu
     snapshots = [TrajectorySnapshot(cyc, *global_metrics(e_k, f_k, params), e_k)
                  for cyc, e_k, f_k in zip(snap_cycles, energies, fids)]
 
-    steps = np.max([_trace_norm_steps(x) for _, x in groups], axis=0)
+    # largest per-mode trace-norm change between consecutive snapshots: the
+    # differences are hermitian, so their trace norms are sum |eigenvalue|
+    steps = np.max([np.abs(np.linalg.eigvalsh(eng.matrices(np.diff(x, axis=0)))).sum(-1).max(-1)
+                    for _, x in groups], axis=0)
     converged_at = None
     streak = 0
     for cyc, step in zip(snap_cycles[1:], steps):

@@ -13,7 +13,9 @@ closed-form grid tests can compare the package with them under `==`;
 `analytic.averaged_rates`.
 
 The rest are independent references for the exact engines: `vec` and
-`apply_transfer` step a density through a transfer matrix; the CM
+`apply_transfer` step a density through a transfer matrix, and
+`physical_sector` cuts a transfer matrix down to the sector the Fock
+engine's `cycle_maps` yields; the CM
 conversions `density_to_cm` and `cm_to_density`; the Dyson blocks of the
 quadrature-basis propagator (`quadrature_couplings`, `perturbative_blocks`,
 `omega_basis_generator`); the Majorana-picture noise check
@@ -39,7 +41,7 @@ from kelvin import protocol as pr
 from kelvin._linalg import HERMITICITY_ATOL, hermitize, trace_norm
 from kelvin.analytic import GAMMA0_SQ_FACTOR
 from kelvin.errors import KelvinError, ResonantDenominator, UndefinedSteadyState
-from kelvin.fock import exact_cycle_map, mode_operators, second_quantize
+from kelvin.fock import _vec_sectors, exact_cycle_map, mode_operators, second_quantize
 from kelvin.model import ModeBlock, NoiseSpec, coupling_arrays, mode_grid
 from kelvin.optimize import PHASE_NODES, phase_grid
 
@@ -169,6 +171,13 @@ def vec(rho: np.ndarray) -> np.ndarray:
 def apply_transfer(t: np.ndarray, rho: np.ndarray) -> np.ndarray:
     d = rho.shape[0]
     return (t @ vec(rho)).reshape(d, d)
+
+
+def physical_sector(t: np.ndarray) -> np.ndarray:
+    """A transfer matrix on row-major vec(rho) restricted to the physical
+    (parity-diagonal) sector, in the order of `fock.cycle_maps`."""
+    sector = _vec_sectors(math.isqrt(len(t)))[0]
+    return t[np.ix_(sector, sector)]
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +375,8 @@ def steady_blocks(params, scheme, bath, descriptor: dict, noise: NoiseSpec = Noi
     """Per-mode steady blocks (d x d) over k = 0..N/2, solved as
     `protocol.steady_report` solves them before reducing: the schedule's
     global-cycle maps from `protocol._global_maps`, then the engine's stacked
-    `fixed_points`, one call per group of its `mode_groups`."""
+    `fixed_points`, one call per group of its `mode_groups`, read through
+    the engine's `matrices`."""
     eng = pr.ENGINES[engine]
     n2 = params.N // 2
     t_m = bath.cycle_time_mean if descriptor.get("kind", "single") == "single" else None
@@ -376,8 +386,7 @@ def steady_blocks(params, scheme, bath, descriptor: dict, noise: NoiseSpec = Noi
         k_tot, c_tot = pr._global_maps(params, scheme, noise, False, eng, ks,
                                        bath.cycle_time_mean, subcycles)
         x = eng.fixed_points(k_tot, c_tot, (ks == 0) | (ks == n2))[0]
-        d = math.isqrt(x.shape[-1])
-        for k, block in zip(ks, x.reshape(len(ks), d, d)):
+        for k, block in zip(ks, eng.matrices(x)):
             blocks[k] = block
     return blocks
 

@@ -108,6 +108,7 @@ class TestConfigValidation:
         ("optimize", "optimize", {"objective": "theta_specific", "budget": 0}),
         ("optimize", "optimize", {"objective": "theta_specific", "budget": "many"}),
         ("optimize", "optimize", {"objective": "theta_specific", "restarts": "two"}),
+        ("optimize", "optimize", {"objective": "theta_specific", "restarts": -4}),
         ("optimize", "optimize", {"objective": "theta_specific", "init": 3}),
         ("optimize", "optimize", {"objective": "theta_specific", "init": {"delta": -1}}),
         ("optimize", "optimize", {"objective": "theta_specific", "init": {"dt": 3.0}}),
@@ -115,6 +116,7 @@ class TestConfigValidation:
     ], ids=["steady-kind", "rates-kind", "steady-R0", "trajectory-L0", "trajectory-initial",
             "trajectory-stride0", "trajectory-no-cycles", "trajectory-negative-cycles",
             "optimize-budget0", "optimize-budget-string", "optimize-restarts-string",
+            "optimize-restarts-negative",
             "optimize-init-number", "optimize-init-negative-delta", "optimize-init-unknown-key",
             "optimize-no-objective"])
     def test_bad_schedule_and_run_inputs(self, tmp_path, capsys, command, section, value):

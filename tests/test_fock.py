@@ -81,9 +81,10 @@ def tp_defect(s):
 
 
 def restricted(s):
-    """A transfer matrix on the parity-diagonal sector, and that sector's flat
-    index list."""
-    idx = np.flatnonzero(fock._parity_diag_mask(math.isqrt(len(s))))
+    """A transfer matrix on row-major vec(rho) restricted to the physical
+    (parity-diagonal) sector, in the order of `fock.cycle_maps`, and that
+    sector's flat index list."""
+    idx = fock._vec_sectors(math.isqrt(len(s)))[0]
     return s[np.ix_(idx, idx)], idx
 
 
@@ -207,6 +208,135 @@ class TestSecondQuantize:
 
 
 # ---------------------------------------------------------------------------
+# parity superselection: the invariant the engine's parity blocks rest on
+# ---------------------------------------------------------------------------
+
+def _dense_hamiltonian(block):
+    """H = alpha^dag h alpha of one block on the Fock basis, from dense
+    Jordan-Wigner products summed in (i, j) order."""
+    dim = block.h_sb.shape[-1]
+    edge = bool(block.is_edge)
+    ops = [a.real for a in mode_operators(dim // 2 if edge else dim)]  # real matrices
+    alpha = [x for a in ops for x in (a, a.T)] if edge else \
+        [x for p in range(dim // 2) for x in (ops[2 * p], ops[2 * p + 1].T)]
+    h = np.zeros(ops[0].shape, dtype=complex)
+    for (i, a_i), (j, a_j) in itertools.product(enumerate(alpha), repeat=2):
+        h = h + block.h_sb[i, j] * (a_i.T @ a_j)
+    return h
+
+
+def _parity(d):
+    return np.array([bin(i).count("1") % 2 for i in range(d)])
+
+
+def _dense_cycle_map(block, t, kappa):
+    """Transfer matrix on row-major vec(rho) of one cycle of a block, from
+    the dense H: e^{-iHt} on the joint state, or, with gain/loss noise of
+    rate kappa on every mode, the joint Lindbladian exponentiated, then the
+    partial trace over the rest (bath vacuum, environments at p_E)."""
+    from scipy.linalg import expm
+
+    h = _dense_hamiltonian(block)
+    d = len(h)
+    ds = 2 if block.is_edge else 4
+    dr = d // ds
+    p_env = (1.0 - block.env.p_e) / 2.0 if block.env is not None else 0.0
+    rest = np.ones(1)
+    for m in range(round(math.log2(dr))):
+        rest = np.kron(rest, [1.0, 0.0] if 2**m < ds else [1.0 - p_env, p_env])
+    if kappa == 0.0:
+        u = expm(-1j * t * h)
+
+        def step(joint):
+            return u @ joint @ u.conj().T
+    else:
+        eye = np.eye(d)
+        liou = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        for a in mode_operators(round(math.log2(d))):
+            for o in (a, a.conj().T):
+                n_op = o.conj().T @ o
+                liou += kappa * (np.kron(o, o.conj())
+                                 - 0.5 * (np.kron(n_op, eye) + np.kron(eye, n_op.T)))
+        prop = expm(t * liou)
+
+        def step(joint):
+            return (prop @ joint.reshape(-1)).reshape(d, d)
+    cols = []
+    for m, n in itertools.product(range(ds), repeat=2):
+        unit = np.zeros((ds, ds))
+        unit[m, n] = 1.0
+        out = step(np.kron(unit, np.diag(rest)))
+        cols.append(np.trace(out.reshape(ds, dr, ds, dr), axis1=1, axis2=3).reshape(-1))
+    return np.array(cols).T
+
+
+_NN2 = CouplingScheme(nn=2, lam={-2: 0.1, -1: 0.3, 0: 1.0, 1: -0.7, 2: 0.2},
+                      mu={-2: -0.3, -1: 0.2, 0: 0.5, 1: 0.9, 2: 0.4}, g=0.25)
+_ENV = NoiseSpec.finite_env(0.02, 0.7, 0.1).env
+# (k, dsp, env, nn = 2) on a 12-site chain
+_SUPERSELECTION_BLOCKS = {
+    "pair": (2, False, None, False), "edge0": (0, False, None, False),
+    "edgeN2": (6, False, None, False), "env_pair": (3, False, _ENV, False),
+    "env_edge": (0, False, _ENV, False), "dsp": (4, True, None, False),
+    "nn2_pair": (5, False, None, True), "nn2_edge": (6, False, None, True),
+}
+
+
+def _superselection_block(case, generic_scheme, bath):
+    k, dsp, env, nn2 = _SUPERSELECTION_BLOCKS[case]
+    return block_hamiltonian(ModelParams(12, 0.7), _NN2 if nn2 else generic_scheme, bath, k,
+                             env=env, dsp=dsp)
+
+
+class TestParitySuperselection:
+    """Every block Hamiltonian is quadratic, so it keeps the fermion parity:
+    the engine holds H as its even and odd blocks, and its cycle maps as
+    their physical sector, because nothing couples the parities."""
+
+    @pytest.mark.parametrize("case", _SUPERSELECTION_BLOCKS)
+    def test_hamiltonian_blocks_are_the_whole_hamiltonian(self, case, generic_scheme, bath):
+        blk = _superselection_block(case, generic_scheme, bath)
+        h = _dense_hamiltonian(blk)
+        par = _parity(len(h))
+        assert np.all(h[np.not_equal.outer(par, par)] == 0.0)
+        blocks = fock._hamiltonians(blk)[0]
+        for q in (0, 1):
+            states = np.flatnonzero(par == q)
+            assert np.array_equal(blocks[q], h[np.ix_(states, states)]), q
+
+    @pytest.mark.parametrize("case", _SUPERSELECTION_BLOCKS)
+    def test_parity_block_eigh_rebuilds_the_hamiltonian(self, case, generic_scheme, bath):
+        blk = _superselection_block(case, generic_scheme, bath)
+        h = _dense_hamiltonian(blk)
+        par = _parity(len(h))
+        e, v = fock.second_quantize(blk).eig()
+        rebuilt = (v * e[:, None, :]) @ v.conj().swapaxes(-1, -2)
+        for q in (0, 1):
+            states = np.flatnonzero(par == q)
+            gap = np.max(np.abs(rebuilt[q] - h[np.ix_(states, states)]))
+            assert gap <= 1e-14 * np.linalg.norm(h, 2), q
+
+    @pytest.mark.parametrize("case, kappa", [
+        ("pair", 0.0), ("pair", 0.03), ("edge0", 0.03), ("dsp", 0.03), ("nn2_pair", 0.03),
+        ("env_pair", 0.0), ("env_edge", 0.0)])
+    def test_cycle_maps_do_not_mix_the_sectors(self, case, kappa, generic_scheme, bath):
+        """The dense joint evolution, with or without gain/loss noise and
+        environments, maps the physical sector and the coherences each into
+        themselves, and the engine's map is that map."""
+        blk = _superselection_block(case, generic_scheme, bath)
+        dense = _dense_cycle_map(blk, 2.3, kappa)
+        ds = math.isqrt(len(dense))
+        par = _parity(ds)
+        phys = np.flatnonzero(np.equal.outer(par, par))
+        coh = np.flatnonzero(np.not_equal.outer(par, par))
+        engine = fock.exact_cycle_map(blk, 2.3, kappa)
+        for s in (dense, engine):
+            assert np.max(np.abs(s[np.ix_(phys, coh)])) <= 1e-15
+            assert np.max(np.abs(s[np.ix_(coh, phys)])) <= 1e-15
+        assert np.max(np.abs(engine - dense)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # cycle maps
 # ---------------------------------------------------------------------------
 
@@ -258,8 +388,9 @@ class TestExactCycleMap:
     def test_parity_superselection(self, small_params, generic_scheme, bath):
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=2)
         s = fock.exact_cycle_map(blk, 2.3)
-        mask = fock._parity_diag_mask(4)
-        assert np.max(np.abs(s[~mask][:, mask])) < 1e-12
+        phys, coh = fock._vec_sectors(4)
+        assert np.max(np.abs(s[np.ix_(coh, phys)])) < 1e-12
+        assert np.max(np.abs(s[np.ix_(phys, coh)])) < 1e-12
 
     def test_concatenation_matches_product(self, small_params, generic_scheme, bath):
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=2)
@@ -394,6 +525,7 @@ class TestSteadyState:
         t_res, idx = restricted(s)
         n = len(idx)
         pops = [i for i, flat in enumerate(idx) if flat % 5 == 0]  # |j><j| sits at 5 j
+        pop_0, pop_3 = (list(idx).index(5 * j) for j in (0, 3))
         with mpmath.workdps(50):
             a = mpmath.matrix([[mpmath.mpc(complex(t_res[i, j])) - (i == j) for j in range(n)]
                                for i in range(n)])
@@ -402,7 +534,7 @@ class TestSteadyState:
                 a[0, j] = int(j in pops)
             b[0] = 1
             v = mpmath.lu_solve(a, b)
-            e_ref = eps * float(mpmath.re(v[pops[-1]] - v[pops[0]]))
+            e_ref = eps * float(mpmath.re(v[pop_3] - v[pop_0]))
         assert abs(e_4 - e_ref) <= 4 * np.finfo(float).eps / alpha * abs(e_ref)
 
     def test_decoupled_noisy_steady_is_maximally_mixed(self, small_params, bath):

@@ -342,6 +342,13 @@ class TestSearchInterface:
             op.optimize(lambda pv: float(op.objective_theta_specific(pv, params200)),
                         init, budget=100, restarts=1, seed=0)
 
+    @pytest.mark.parametrize("budget, restarts", [(0, 3), (100, 0), (100, -4)])
+    def test_budget_and_restarts_below_one_are_rejected(self, params200, budget, restarts):
+        init = op.ParamVector(CouplingScheme.local(1.0, 0.5, 0.1), 1.0, 3.0)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            op.optimize(lambda pv: op.objective_theta_specific(pv, params200),
+                        init, budget=budget, restarts=restarts, seed=0)
+
     def test_value_with_grad_is_its_float(self, params200):
         pv = op.ParamVector(CouplingScheme.local(1.0, 0.5, 0.1), 1.0, 3.0)
         val = op.objective_theta_specific(pv, params200)

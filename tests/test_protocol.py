@@ -74,9 +74,17 @@ class TestMakeSchedule:
                              small_params, bath, 0)
 
 
+def _state_vector(engine, block):
+    """A block as the engine's state vector: vec(gamma) for CM, the physical
+    sector of vec(rho) for Fock."""
+    if engine == "cm":
+        return block.reshape(-1)
+    return block.reshape(-1)[fock._vec_sectors(len(block))[0]]
+
+
 def _stacked(engine, params, blocks):
     """Per-mode blocks over k = 0..N/2 as the engine's stacked groups [(ks, x)]."""
-    return [(ks, np.stack([blocks[k].reshape(-1) for k in ks]))
+    return [(ks, np.stack([_state_vector(engine, blocks[k]) for k in ks]))
             for ks in pr.ENGINES[engine].mode_groups(params.N // 2)]
 
 
@@ -370,7 +378,7 @@ class TestEngineInterface:
     """Both engines expose one interface, and protocol only goes through it."""
 
     NAMES = ("mode_groups", "reduce", "initial_blocks", "cycle_maps", "mode_chunks",
-             "fixed_points")
+             "fixed_points", "matrices")
 
     def test_engines_share_one_interface(self):
         assert list(pr.ENGINES) == ["fock", "cm"]
@@ -418,8 +426,10 @@ class TestEngineInterface:
             rhos = [_random_density(rng, k in (0, n2)) for k in ks]
             oracles.check_density_blocks(rhos)
             for group in fock.mode_groups(n2):
-                energies, fids = fock.reduce(group, np.stack([rhos[k].reshape(-1) for k in group]),
-                                             eps, wts, n2)
+                x = np.stack([_state_vector("fock", rhos[k]) for k in group])
+                assert all(np.array_equal(rho, rhos[k])
+                           for rho, k in zip(fock.matrices(x), group))
+                energies, fids = fock.reduce(group, x, eps, wts, n2)
                 for k, e_k, f_k in zip(group, energies, fids):
                     assert fock.block_energy(rhos[k], eps[k], wts[k])[0] == e_k
                     assert rhos[k][0, 0].real == f_k
@@ -638,8 +648,9 @@ class TestSteadyReport:
     def test_fock_states_are_the_oracle_fixed_points(self, small_params, local_scheme,
                                                      bath, sched, noise):
         """The stacked Fock pipeline returns exactly fock.steady_state of the
-        per-frequency cycle maps composed in frequency order, and the report's
-        mode energies are those of these states."""
+        per-frequency cycle maps composed in frequency order (on each
+        superselection sector, where the cross-sector blocks are zero), and
+        the report's mode energies are those of these states."""
         rep = pr.steady_report(small_params, local_scheme, bath, sched, noise=noise,
                                engine="fock")
         states = oracles.steady_blocks(small_params, local_scheme, bath, sched, noise=noise)
@@ -649,12 +660,18 @@ class TestSteadyReport:
         for k in range(small_params.N // 2 + 1):
             assert fock.block_energy(states[k], eps[k], wts[k])[0] == rep.mode_energy[k], k
             total = None
+            sectors = fock._vec_sectors(2 if k in (0, small_params.N // 2) else 4)
             for delta_r in deltas:
                 blk = block_hamiltonian(small_params, local_scheme, BathSpec(delta_r, t), k)
                 m = (fock.averaged_cycle_map(blk, t) if sched["kind"] != "single"
                      else fock.exact_cycle_map(blk, t, noise.kappa))
-                total = m if total is None else m @ total
-            rho, alpha = fock.steady_state(total)
+                # composed on each sector, as the pipeline composes the physical one
+                m = [m[np.ix_(idx, idx)] for idx in sectors]
+                total = m if total is None else [a @ b for a, b in zip(m, total)]
+            full = np.zeros((len(sectors[0]) * 2,) * 2, dtype=complex)
+            for idx, block in zip(sectors, total):
+                full[np.ix_(idx, idx)] = block
+            rho, alpha = fock.steady_state(full)
             assert np.array_equal(states[k], rho), k
             assert rep.alpha[k] == alpha / len(deltas), k
 
@@ -669,9 +686,10 @@ class TestSteadyReport:
 class TestComposedMaps:
     """`_global_maps` folds each subcycle's map into the running product as
     it is built; the product does not depend on how the modes are chunked,
-    and on Fock it is the per-mode `exact_cycle_map`s composed in schedule
-    order, bit for bit.  At N = 80 the 39 pairs span three Fock chunks;
-    environment pairs (d = 256) are one per chunk, so three of them do."""
+    and on Fock it is the physical sectors of the per-mode `exact_cycle_map`s
+    composed in schedule order, bit for bit.  At N = 80 the 39 pairs span
+    two Fock chunks; environment pairs (d = 256) are one per chunk, so three
+    of them span three."""
 
     PARAMS = ModelParams(80, math.pi / 3)
     SCHEME = CouplingScheme.local(1.0, 0.5, g=0.05)
@@ -717,7 +735,7 @@ class TestComposedMaps:
                     blk = block_hamiltonian(self.PARAMS, self.SCHEME,
                                             BathSpec(delta_r, self.BATH.cycle_time_mean), k,
                                             env=spec.env)
-                    t_s = fock.exact_cycle_map(blk, t_m, spec.kappa)
+                    t_s = oracles.physical_sector(fock.exact_cycle_map(blk, t_m, spec.kappa))
                     product = t_s if product is None else t_s @ product
                 assert np.array_equal(k_tot[np.flatnonzero(ks == k)[0]], product), k
 
@@ -753,10 +771,11 @@ class TestFockReportMemory:
 
     A trajectory holds one chunk's eigenbasis per open frequency and the
     running products.  On the benchmark's two trajectory schedules the peaks
-    were 1.155 and 1.129 MB with 4-pair chunks and a dict of every map, and
-    are 1.120 and 1.446 MB with 16-pair chunks composed as they are built
-    (the multifreq run keeps its three frequencies' eigenbases open); the
-    bound is 2.0 MB.
+    were 1.155 and 1.129 MB with 4-pair chunks and a dict of every map,
+    1.120 and 1.446 MB with 16-pair chunks composed as they are built (the
+    multifreq run keeps its three frequencies' eigenbases open), and are
+    0.677 and 1.217 MB with 32-pair chunks of parity blocks and physical
+    sectors; the bound is 2.0 MB.
     """
 
     @pytest.mark.parametrize("case, parent_peak_mb", [
