@@ -14,7 +14,8 @@ from .errors import NonUniqueFixedPoint
 HERMITICITY_ATOL = 1e-12
 FIXED_POINT_ATOL = 1e-10
 # an eigenvalue of K counts as 1 up to this multiple of eps ||K||_F: 10 n eps
-# with n = 4, the dimension of a CM block's vec(gamma)
+# with n = 4, the size of a CM K once the conserved entry is eliminated (7 for
+# a Fock pair)
 UNIT_EIGENVALUE_TOL = 40.0 * float(np.finfo(float).eps)
 
 
@@ -41,23 +42,28 @@ def uniform_average(z) -> np.ndarray:
     return np.where(zero, 1.0, -np.expm1(-z) / z)
 
 
-def affine_fixed_points(k: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unique fixed points x = K x + c of stacked affine maps, and their rates.
+def affine_fixed_points(k: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unique fixed points x = T x with tau.x = 1 of stacked maps T (maps, n,
+    n) that conserve tau.x, tau a boolean (n,) marker led by x_0, and rates.
 
-    `k` is (maps, n, n) and `c` is (maps, n).  The fixed point is unique iff
-    1 is not an eigenvalue of K; eigenvalues within UNIT_EIGENVALUE_TOL
-    ||K||_F of 1 count as 1, and a map with any raises NonUniqueFixedPoint
-    with their number.  The rate alpha = -log max|lambda(K)| is O(g^2) in
-    weak coupling, and the solve is conditioned like 1/alpha.  One batched
-    LU solve of (I - K) x = c with one refinement step, whose residual is an
-    einsum so that each map gets the same bits in any stack.
+    Eliminating x_0 = 1 - tau[1:].y, y = x[1:], leaves y -> K y + c with K =
+    T_yy - T_y0 tau[1:]^T, c = T_y0 and T's spectrum less its conserved 1
+    (exact for tau = e_0, where K = T_yy).  The fixed point is unique iff 1
+    is not an eigenvalue of K; eigenvalues within UNIT_EIGENVALUE_TOL ||K||_F
+    of 1 count as 1, and a map with any raises NonUniqueFixedPoint with their
+    number.  The rate alpha = -log max|lambda(K)| is O(g^2) in weak coupling,
+    and the solve is conditioned like 1/alpha.  One batched LU solve of (I -
+    K) y = c with one refinement step, whose residual is an einsum so that
+    each map gets the same bits in any stack.
     """
-    evals = np.linalg.eigvals(k)
-    unit_tol = UNIT_EIGENVALUE_TOL * np.linalg.norm(k, axis=(-2, -1))
+    k_y, c = k[:, 1:, 1:] - k[:, 1:, :1] * tau[1:], k[:, 1:, 0]
+    evals = np.linalg.eigvals(k_y)
+    unit_tol = UNIT_EIGENVALUE_TOL * np.linalg.norm(k_y, axis=(-2, -1))
     n_unit = np.sum(np.abs(evals - 1.0) <= unit_tol[:, None], axis=-1)
     if n_unit.any():
         raise NonUniqueFixedPoint(int(n_unit[np.argmax(n_unit > 0)]))
-    a = np.eye(k.shape[-1]) - k
-    x = np.linalg.solve(a, c[..., None])[..., 0]
-    x += np.linalg.solve(a, (c - np.einsum("...ij,...j->...i", a, x))[..., None])[..., 0]
+    a = np.eye(k_y.shape[-1]) - k_y
+    y = np.linalg.solve(a, c[..., None])[..., 0]
+    y += np.linalg.solve(a, (c - np.einsum("...ij,...j->...i", a, y))[..., None])[..., 0]
+    x = np.concatenate([1.0 - y[:, tau[1:]].sum(axis=-1, keepdims=True), y], axis=-1)
     return x, -np.log(np.max(np.abs(evals), axis=-1))

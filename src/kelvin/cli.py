@@ -20,6 +20,7 @@ import contextlib
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
@@ -131,7 +132,7 @@ def _section(name: str):
 def _params(cfg: dict) -> ModelParams:
     m = cfg["model"]
     with _section("model"):
-        return ModelParams(int(m["N"]), float(m["theta"]))
+        return ModelParams(operator.index(m["N"]), float(m["theta"]))
 
 
 def _scheme(cfg: dict) -> CouplingScheme:
@@ -149,7 +150,7 @@ def _bath(cfg: dict, params: ModelParams) -> BathSpec:
         if isinstance(d, dict):
             _check_keys("bath.delta", d, {"mode_k", "mode_fraction"})
             if "mode_k" in d:
-                k = int(d["mode_k"])
+                k = operator.index(d["mode_k"])
             else:
                 k = int(round(float(d["mode_fraction"]) * params.N / 2))
             delta = dispersion(params.theta, params.N, k)
@@ -281,7 +282,7 @@ def cmd_trajectory(cfg: dict, out: str, args) -> int:
     if initial not in ("vacuum", "most_excited"):
         raise ConfigError(f"run.initial must be 'vacuum' or 'most_excited', got {initial!r}")
     with _section("run"):
-        cycles, stride = int(run["cycles"]), int(run.get("snapshot_stride", 10))
+        cycles, stride = map(operator.index, (run["cycles"], run.get("snapshot_stride", 10)))
     if cycles < 0:
         raise ConfigError(f"run.cycles must be >= 0, got {cycles}")
     if stride < 1:
@@ -362,7 +363,7 @@ def cmd_optimize(cfg: dict, out: str, args) -> int:
         _check_keys("optimize.init", init_cfg, {"delta", "t"})
         init = op.ParamVector(scheme, float(init_cfg.get("delta", 1.0)),
                               float(init_cfg.get("t", 3.0)))
-        budget, restarts = int(o.get("budget", 4000)), int(o.get("restarts", 8))
+        budget, restarts = map(operator.index, (o.get("budget", 4000), o.get("restarts", 8)))
     if budget < 1:
         raise ConfigError(f"optimize.budget must be >= 1, got {budget}")
     if restarts < 1:
@@ -465,7 +466,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.command)
         if args.seed is None:
-            args.seed = int(cfg.get("seed", 0))
+            with _section("seed"):
+                args.seed = operator.index(cfg.get("seed", 0))
         if args.engine is None:
             args.engine = cfg.get("engine", "fock")
             if args.engine not in pr.ENGINES:

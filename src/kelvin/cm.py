@@ -15,15 +15,15 @@ propagator for a physical cycle of duration t is exp(-i G t) with G the
 block's Heisenberg generator, which is what reproduces the Fock-space engine
 exactly.
 
-States and maps are plain arrays: `cycle_maps` yields the affine maps
-vec(gamma) -> K vec(gamma) + c of a stack of modes, one per time, at fixed
+States and maps are plain arrays.  A block's state is x = (1, vec gamma), on
+which the affine cycle vec(gamma) -> K vec(gamma) + c is the linear transfer
+[[1, 0], [c, K]], composed, powered and solved as the Fock engine's are.
+`cycle_maps` yields the transfers of a stack of modes, one per time, at fixed
 times from one stacked eigendecomposition or averaged over random times
 (`averaged_evolution_kron`).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -62,11 +62,17 @@ def mode_groups(n2: int) -> list[np.ndarray]:
 
 def initial_blocks(kind: str, n2: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Product initial state over k = 0..n2, "vacuum" or "most_excited", as
-    (ks, vec(gamma) stacked over ks) for each group of `mode_groups`."""
+    (ks, x = (1, vec gamma) stacked over ks) for each group of `mode_groups`."""
     if kind not in ("vacuum", "most_excited"):
         raise ValueError(f"unknown initial state kind {kind!r}")
     gamma = vacuum_cm() if kind == "vacuum" else most_excited_cm()
-    return [(ks, np.tile(gamma.reshape(-1), (len(ks), 1))) for ks in mode_groups(n2)]
+    return [(ks, np.tile(_states(gamma), (len(ks), 1))) for ks in mode_groups(n2)]
+
+
+def _states(gamma: np.ndarray) -> np.ndarray:
+    """State vectors x = (1, vec gamma) of CMs stacked to (..., 2, 2)."""
+    lead = np.shape(gamma)[:-2]
+    return np.concatenate([np.ones(lead + (1,)), np.reshape(gamma, lead + (4,))], axis=-1)
 
 
 def _injection(a: np.ndarray) -> np.ndarray:
@@ -104,8 +110,8 @@ def averaged_evolution_kron(block: ModeBlock | np.ndarray, t_mean: float,
 
 
 def cycle_maps(block: ModeBlock, ts, t_mean: float, kappa: float):
-    """Yield the maps vec(gamma) -> K vec(gamma) + c of one bath frequency,
-    as (K, c) stacked over `block`, one per time in `ts`, in order.
+    """Yield the transfers [[1, 0], [c, K]] on x = (1, vec gamma) of one bath
+    frequency, stacked over `block`, one per time in `ts`, in order.
 
     For the fixed times the generators are diagonalized once, G = V diag(e)
     V^dag, in one batched eigh.  A fixed time t gives the cycle gamma ->
@@ -118,16 +124,19 @@ def cycle_maps(block: ModeBlock, ts, t_mean: float, kappa: float):
     and pair 2 to the bath, which passes its share on within the cycle, so
     with both the map is exact.  A time of None stands for
     `averaged_evolution_kron` over [0, 2 t_mean].  Gain/loss noise of rate
-    `kappa` damps a map by exp(-2 kappa t), averaged with the phases.
+    `kappa` damps K and c by exp(-2 kappa t), averaged with the phases.
     """
     generators = block.generator
     if any(t is not None for t in ts):
         e, v = np.linalg.eigh(generators)
         v_dag = v.conj().swapaxes(-1, -2)
     for t in ts:
+        transfer = np.zeros(generators.shape[:-2] + (5, 5), dtype=complex)
+        transfer[..., 0, 0] = 1.0
         if t is None:
-            k_s, k_sb = averaged_evolution_kron(generators, t_mean, kappa=kappa)
-            yield k_s, k_sb @ vacuum_cm().reshape(-1)
+            transfer[..., 1:, 1:], k_sb = averaged_evolution_kron(generators, t_mean, kappa=kappa)
+            transfer[..., 1:, 0] = k_sb @ vacuum_cm().reshape(-1)
+            yield transfer
             continue
         u = (v * np.exp(-1j * (t * e))[..., None, :]) @ v_dag
         a_s = u[..., :2, :2]
@@ -136,40 +145,37 @@ def cycle_maps(block: ModeBlock, ts, t_mean: float, kappa: float):
         if block.env is not None:
             c = c + block.env.p_e * (_injection(u[..., :2, 4:6]) + _injection(u[..., :2, 6:8]))
         damping = np.exp(-2.0 * kappa * np.array([t]))
-        yield damping * k_s, damping * c
+        transfer[..., 1:, 1:], transfer[..., 1:, 0] = damping * k_s, damping * c
+        yield transfer
 
 
 def mode_chunks(ks: np.ndarray, env: NoiseSpec | None) -> list[np.ndarray]:
-    """Chunks of the modes `ks` for `cycle_maps`: one, CM maps are 4x4."""
+    """Chunks of the modes `ks` for `cycle_maps`: one, CM maps are 5x5."""
     return [ks]
 
 
-_EDGE_DIRECTION = np.array([1.0, 0.0, 0.0, -1.0]) / math.sqrt(2.0)
+# projector onto the 1 and an edge's physical direction (1, 0, 0, -1)/sqrt(2)
+_EDGE_PROJECTOR = np.diag([1.0, 0.5, 0.0, 0.0, 0.5])
+_EDGE_PROJECTOR[1, 4] = _EDGE_PROJECTOR[4, 1] = -0.5
 
 
-def fixed_points(k_s: np.ndarray, c: np.ndarray,
-                 edge=False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unique fixed points of stacked affine CM maps vec(gamma) -> K vec(gamma) + c.
+def fixed_points(k: np.ndarray, edge=False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unique fixed points of stacked CM transfers T (modes, 5, 5) on x = (1,
+    vec gamma), `edge` flagging the edge modes (a bool or one per mode).
 
-    `k_s` is (modes, 4, 4), `c` is (modes, 4) and `edge` flags the edge modes
-    (a bool or one per mode).  Returns the hermitized fixed points x (modes,
-    4), the cooling rates alpha = -log|lambda_max| per map, and the residuals
-    max |x - K x - c| per mode, from `_linalg.affine_fixed_points`, the solve
-    the Fock engine shares.  Physical CMs span all of vec(gamma) for a pair,
+    Returns the fixed points x with hermitized gamma, the cooling rates alpha
+    = -log|lambda_max| of K and the residuals max |x - T x| per mode, from
+    `_linalg.affine_fixed_points`, the solve the Fock engine shares, with the
+    1 as the conserved entry.  Physical CMs span all of vec(gamma) for a pair,
     but only diag(1, -1) for an edge, whose gamma is diag(1/2 - n, n - 1/2):
     that direction is an eigenvector of K, and the other three carry no state
-    (at eps = 0 they do not decay), so an edge is solved on it as a 1x1 map.
+    (at eps = 0 they do not decay), so an edge map is projected onto the 1 and
+    that direction, which gives the other three the eigenvalue 0.
     """
-    edge = np.broadcast_to(np.asarray(edge, dtype=bool), k_s.shape[:1])
-    u = _EDGE_DIRECTION
-    x = np.empty(c.shape, dtype=complex)
-    alpha = np.empty(len(k_s))
-    x[~edge], alpha[~edge] = affine_fixed_points(k_s[~edge], c[~edge])
-    y, alpha[edge] = affine_fixed_points(np.einsum("i,mij,j->m", u, k_s[edge], u)[:, None, None],
-                                         (c[edge] @ u)[:, None])
-    x[edge] = y * u
-    resid = np.max(np.abs(x - (k_s @ x[..., None])[..., 0] - c), axis=-1)
-    return hermitize(x.reshape(-1, 2, 2)).reshape(-1, 4), alpha, resid
+    projected = np.where(np.reshape(edge, (-1, 1, 1)), _EDGE_PROJECTOR @ k @ _EDGE_PROJECTOR, k)
+    x, alpha = affine_fixed_points(projected, np.arange(5) == 0)
+    resid = np.max(np.abs(x - (k @ x[..., None])[..., 0]), axis=-1)
+    return _states(hermitize(matrices(x))), alpha, resid
 
 
 # ---------------------------------------------------------------------------
@@ -177,31 +183,32 @@ def fixed_points(k_s: np.ndarray, c: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def matrices(x: np.ndarray) -> np.ndarray:
-    """The 2x2 CMs gamma of vec(gamma) stacked to (..., 4)."""
-    return x.reshape(x.shape[:-1] + (2, 2))
+    """The 2x2 CMs gamma of state vectors x = (1, vec gamma) stacked to (..., 5)."""
+    return x[..., 1:].reshape(x.shape[:-1] + (2, 2))
 
 
 def reduce(ks: np.ndarray, x: np.ndarray, eps: np.ndarray, wts: np.ndarray,
            n2: int) -> tuple[np.ndarray, np.ndarray]:
     """Energies w eps (gamma_22 - gamma_11) and vacuum fidelities of the modes
-    `ks` (edges k = 0, n2: 1 - n; pairs: Wick) from x = vec(gamma) stacked to
-    (..., len(ks), 4); `eps` and `wts` are indexed by k."""
-    n_a = 0.5 - x[..., 0].real
-    n_b = 0.5 + x[..., 3].real
-    energy = wts[ks] * eps[ks] * (x[..., 3].real - x[..., 0].real)
-    pair = 1.0 - n_a - n_b + (n_a * n_b + np.abs(x[..., 1]) ** 2)
+    `ks` (edges k = 0, n2: 1 - n; pairs: Wick) from x = (1, vec gamma) stacked
+    to (..., len(ks), 5); `eps` and `wts` are indexed by k."""
+    gamma = matrices(x)
+    n_a = 0.5 - gamma[..., 0, 0].real
+    n_b = 0.5 + gamma[..., 1, 1].real
+    energy = wts[ks] * eps[ks] * (gamma[..., 1, 1].real - gamma[..., 0, 0].real)
+    pair = 1.0 - n_a - n_b + (n_a * n_b + np.abs(gamma[..., 0, 1]) ** 2)
     edge = (ks == 0) | (ks == n2)
     return energy, np.maximum(np.where(edge, 1.0 - n_a, pair), 0.0)
 
 
 def cm_energy(gamma: np.ndarray, epsilon: float, weight: float) -> float:
     """Block energy weight * eps * (gamma_22 - gamma_11): one row of `reduce`."""
-    return float(reduce(np.zeros(1, dtype=int), np.reshape(gamma, (1, 4)),
+    return float(reduce(np.zeros(1, dtype=int), _states(np.reshape(gamma, (1, 2, 2))),
                         np.array([epsilon]), np.array([weight]), 0)[0][0])
 
 
 def cm_fidelity(gamma: np.ndarray, edge: bool) -> float:
     """Vacuum probability of a block: one row of `reduce`, as mode 0 (an edge)
     or mode 1 (a pair) of n2 = 2."""
-    return float(reduce(np.array([0 if edge else 1]), np.reshape(gamma, (1, 4)),
+    return float(reduce(np.array([0 if edge else 1]), _states(np.reshape(gamma, (1, 2, 2))),
                         np.zeros(2), np.zeros(2), 2)[1][0])

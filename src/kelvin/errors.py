@@ -8,9 +8,9 @@ class KelvinError(Exception):
 class NonUniqueFixedPoint(KelvinError):
     """A cycle map has no unique steady state.
 
-    Carries the number of (numerical) unit eigenvalues of the affine map
-    whose fixed point was sought (for a Fock map, after the trace eigenvalue
-    is eliminated), or 1 when a computed fixed point fails its residual check.
+    Carries the number of (numerical) unit eigenvalues of the map whose fixed
+    point was sought, after its conserved first entry is eliminated, or 1
+    when a computed fixed point fails its residual check.
     """
 
     def __init__(self, eigenspace_dim: int, message: str | None = None):

@@ -23,9 +23,9 @@ physical states live in the first.  So a chain state is a stack of sector
 vectors x = (vec rho_even, vec rho_odd), d^2/2 entries with rho_00 first (8
 for a pair, where d = 4, and 2 for an edge, where d = 2); `cycle_maps`
 yields transfers on that sector alone, and `matrices` is the d x d density
-of a sector vector.  Steady states and cooling rates: eliminating rho_00
-through the trace turns each sector transfer into an affine map, solved for
-all modes at once by the fixed-point routine the CM engine uses.
+of a sector vector.  Steady states and cooling rates: every sector transfer
+conserves the trace, and the fixed-point routine the CM engine uses solves
+all modes at once after eliminating rho_00 through it.
 
 `cycle_maps` yields the maps of a stack of modes, one per time, from one
 stacked eigendecomposition, with the rest weights and populated columns
@@ -485,9 +485,9 @@ def averaged_cycle_map(block: ModeBlock | FockBlock, t_mean: float,
 
 
 def cycle_maps(block: ModeBlock, ts, t_mean: float, kappa: float):
-    """Yield the transfers (K, 0) on the physical sector of one bath
-    frequency, stacked over `block` (a stack of edges or of pairs, one
-    `mode_groups` group), one per time in `ts`, in order.
+    """Yield the transfers K on the physical sector of one bath frequency,
+    stacked over `block` (a stack of edges or of pairs, one `mode_groups`
+    group), one per time in `ts`, in order.
 
     The stack is second-quantized at once, with the eigenbases of its parity
     blocks from one stacked eigh, and held until the generator is done.
@@ -502,12 +502,11 @@ def cycle_maps(block: ModeBlock, ts, t_mean: float, kappa: float):
     fixed = _fixed_time_maps(fb, [t for t in ts if t is not None], kappa)
     for t in ts:
         if t is None:
-            k_s = np.stack([averaged_cycle_map(FockBlock(h, fb.n_sys_modes, block, (e, v)), t_mean,
+            yield np.stack([averaged_cycle_map(FockBlock(h, fb.n_sys_modes, block, (e, v)), t_mean,
                                                kappa)[np.ix_(sector, sector)]
                             for h, e, v in zip(ham, *fb.eig())])
         else:
-            k_s = next(fixed)[:, 0]
-        yield k_s, np.zeros(k_s.shape[:2], dtype=complex)
+            yield next(fixed)[:, 0]
 
 
 def mode_chunks(ks: np.ndarray, env: NoiseSpec | None) -> list[np.ndarray]:
@@ -546,30 +545,23 @@ def steady_state(transfer: np.ndarray) -> tuple[np.ndarray, float]:
     return matrices(x)[0], float(alpha[0])
 
 
-def fixed_points(k_s: np.ndarray, c: np.ndarray | None = None,
-                 edge=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def fixed_points(k: np.ndarray, edge=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unique fixed states of stacked transfer matrices T (modes, d^2/2,
     d^2/2) on the physical sector (`cycle_maps`).
 
     Returns the fixed sector vectors, the cooling rates and the trace-norm
-    residuals.  `c` and `edge` keep the signature of `cm.fixed_points`: Fock
-    cycle maps are linear, and every Fock edge block is physical.
-
-    The sector vector starts with rho_00.  Trace preservation eliminates
-    rho_00 = 1 - tau.y, tau marking the other populations y, which leaves
-    the affine map y -> (T_yy - T_y0 tau^T) y + T_y0 for
-    `_linalg.affine_fixed_points`, the solve the CM engine shares.  Its
-    spectrum is that of the sector's transfer without the trace eigenvalue
-    1, so alpha is -log|lambda_2| of the sector.  A state whose trace-norm
-    residual exceeds FIXED_POINT_ATOL raises NonUniqueFixedPoint.
+    residuals.  `edge` keeps the signature of `cm.fixed_points`: every Fock
+    edge block is physical.  T conserves the trace tau.x, tau marking the
+    populations, and `_linalg.affine_fixed_points`, the CM engine's solve
+    too, eliminates rho_00 through it; alpha is -log|lambda_2| of the sector.
+    A state whose trace-norm residual exceeds FIXED_POINT_ATOL raises
+    NonUniqueFixedPoint.
     """
-    n = k_s.shape[-1]
+    n = k.shape[-1]
     ds = math.isqrt(2 * n)
-    tau = _vec_sectors(ds)[0][1:] % (ds + 1) == 0
-    y, alpha = affine_fixed_points(k_s[:, 1:, 1:] - k_s[:, 1:, :1] * tau, k_s[:, 1:, 0])
-    x = np.concatenate([1.0 - y[:, tau].sum(axis=-1, keepdims=True), y], axis=-1)
+    x, alpha = affine_fixed_points(k, _vec_sectors(ds)[0] % (ds + 1) == 0)
     x = hermitize(x.reshape(-1, 2, ds // 2, ds // 2)).reshape(-1, n)
-    resid = trace_norm(matrices((k_s @ x[..., None])[..., 0] - x))
+    resid = trace_norm(matrices((k @ x[..., None])[..., 0] - x))
     if np.max(resid, initial=0.0) > FIXED_POINT_ATOL:
         raise NonUniqueFixedPoint(1, f"fixed-point residual {np.max(resid):.2e} above tolerance")
     return x, alpha, resid

@@ -3,25 +3,26 @@
 A schedule is an ordered list of (bath frequency, cycle time) subcycles; a
 global cycle applies all of them once, with the bath reset before each
 subcycle.  Per-mode dynamics are independent and every subcycle acts on a
-vectorized block as an affine map x -> K x + c (linear for the Fock engine).
+block's state vector x as a linear map x -> K x that conserves a sum led by
+x's first entry (CM: the constant 1 of x = (1, vec gamma); Fock: the trace).
 Trajectories and steady reports share one map pipeline: each frequency's
 modes are built as one stacked block by `model.block_hamiltonian`, the
 engine's `cycle_maps` generator yields its subcycle maps stacked over modes
 (a randomized steady schedule uses each map's exact time average), each is
 folded as soon as it is made into one global-cycle map per momentum pair,
-and that map is then either stepped as a stacked product or handed to the
-engine's stacked fixed-point solve.  Both reduce
-the stacked blocks to per-mode energies and fidelities with the engine's
-`reduce`, and those to chain-level energy, relative energy and fidelity with
-`global_metrics`.
+and that map is then either raised to the powers between snapshots or
+handed to the engine's fixed-point solve, which both engines run through
+`_linalg.affine_fixed_points`.  Both reduce the stacked blocks to per-mode
+energies and fidelities with the engine's `reduce`, and those to chain-level
+energy, relative energy and fidelity with `global_metrics`.
 
 Engines are modules looked up in `ENGINES`, with one interface that hides
 their block layout: `mode_groups`, `initial_blocks`, `mode_chunks`,
 `cycle_maps`, `fixed_points`, `reduce` and `matrices`.  A chain state has
 one form throughout, the engine's stacked groups [(ks, x)]: for each group
 ks of `mode_groups`, x stacks the engine's state vector of each block over
-ks (CM: vec(gamma); Fock: the physical, parity-diagonal sector of vec(rho)),
-and the engine's `matrices` is the block of a state vector.  The NoiseSpec is
+ks (CM: (1, vec gamma); Fock: the physical, parity-diagonal sector of
+vec(rho)), and the engine's `matrices` is the block of a state vector.  The NoiseSpec is
 resolved here, once: its environment `noise.env` goes into the blocks and its
 gain/loss rate `noise.kappa` into `cycle_maps`, so no engine sees the spec.
 """
@@ -29,6 +30,7 @@ gain/loss rate `noise.kappa` into `cycle_maps`, so no engine sees the spec.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +83,7 @@ def schedule_frequencies(descriptor: dict, params: ModelParams, bath: BathSpec) 
         return [bath.delta]
     if kind != "multifreq":
         raise ValueError(f"unknown schedule kind {kind!r}")
-    r = int(descriptor["R"])
+    r = operator.index(descriptor["R"])
     if r < 1:
         raise ValueError(f"R must be >= 1, got {r}")
     rule = descriptor.get("freq_rule", "grid")
@@ -91,7 +93,7 @@ def schedule_frequencies(descriptor: dict, params: ModelParams, bath: BathSpec) 
         return [eps_m + delta_step * (i - 0.5) for i in range(1, r + 1)]
     if rule == "mode_energies":
         if "k_modes" in descriptor:
-            k_list = [int(k) for k in descriptor["k_modes"]]
+            k_list = [operator.index(k) for k in descriptor["k_modes"]]
         else:
             fr = descriptor.get("k_fractions")
             if fr is None:
@@ -115,7 +117,7 @@ def make_schedule(descriptor: dict, params: ModelParams, bath: BathSpec, seed: i
     if kind == "single":
         subs = [(freqs[0], t_mean)]
     else:
-        l = int(descriptor["L"])
+        l = operator.index(descriptor["L"])
         if l < 1:
             raise ValueError(f"L must be >= 1, got {l}")
         rng = np.random.Generator(np.random.Philox(key=seed))
@@ -178,21 +180,20 @@ class Trajectory:
 
 
 def _global_maps(params: ModelParams, scheme: CouplingScheme, noise: NoiseSpec, dsp: bool,
-                 eng, ks: np.ndarray, t_mean: float, subcycles) -> tuple[np.ndarray, np.ndarray]:
-    """Global-cycle maps vec(block) -> K vec(block) + c of the modes `ks`.
+                 eng, ks: np.ndarray, t_mean: float, subcycles) -> np.ndarray:
+    """Global-cycle maps x -> K x of the modes `ks`, stacked to (modes, D, D).
 
     Subcycles are (delta_r, t_m) pairs, and t_m = None stands for the average
     over uniformly random times on [0, 2 t_mean] (exact, in closed form), the
-    ensemble limit of a randomized schedule.  K is stacked over modes to
-    (modes, D, D) and c to (modes, D).  Each (frequency, chunk) is one
+    ensemble limit of a randomized schedule.  Each (frequency, chunk) is one
     `block_hamiltonian` call over the chunk's k (with `noise.env`), and the
     engine `eng`'s `cycle_maps` generator turns that stacked block into the
     frequency's maps at the rate `noise.kappa`, one per subcycle of that
     frequency in schedule order.  Each map is folded into the running product
-    as soon as it is made, K <- K_s K and c <- K_s c + c_s, and a frequency's
-    generator, with its eigenbasis, is dropped after its last subcycle.
-    Chunks come from `mode_chunks` (CM: all modes at once; Fock: about 32
-    pairs, so that only their stacks are held).
+    as soon as it is made, K <- K_s K, and a frequency's generator, with its
+    eigenbasis, is dropped after its last subcycle.  Chunks come from
+    `mode_chunks` (CM: all modes at once; Fock: about 32 pairs, so that only
+    their stacks are held).
     """
     times: dict[float, list[float | None]] = {}
     for delta_r, t_m in subcycles:
@@ -204,37 +205,30 @@ def _global_maps(params: ModelParams, scheme: CouplingScheme, noise: NoiseSpec, 
             "randomized finite-environment steady states are not implemented")
     composed = []
     for chunk in eng.mode_chunks(ks, env):
-        maps = {}
-        k_tot = c_tot = None
+        maps, k_tot = {}, None
         for i, (delta_r, _) in enumerate(subcycles):
             if delta_r not in maps:
                 block = block_hamiltonian(params, scheme, BathSpec(delta_r, t_mean), chunk,
                                           env=env, dsp=dsp)
                 maps[delta_r] = eng.cycle_maps(block, times[delta_r], t_mean, noise.kappa)
-            k_s, c = next(maps[delta_r])
+            k_s = next(maps[delta_r])
             if last[delta_r] == i:
                 del maps[delta_r]
-            if k_tot is None:
-                k_tot, c_tot = k_s, c
-            else:
-                k_tot = k_s @ k_tot
-                c_tot = (k_s @ c_tot[..., None])[..., 0] + c
-        composed.append((k_tot, c_tot))
-    return (np.concatenate([k for k, _ in composed]),
-            np.concatenate([c for _, c in composed]))
+            k_tot = k_s if k_tot is None else k_s @ k_tot
+        composed.append(k_tot)
+    return np.concatenate(composed)
 
 
-def _step_snapshots(k_tot: np.ndarray, c_tot: np.ndarray, x0: np.ndarray,
-                    snap_cycles: list[int]) -> np.ndarray:
-    """States after each snapshot cycle, stacked to (snapshots, modes, D)."""
-    out = np.empty((len(snap_cycles),) + x0.shape, dtype=complex)
-    x, n = x0, 0
-    for i, cyc in enumerate(snap_cycles):
-        for _ in range(cyc - n):
-            x = (k_tot @ x[..., None])[..., 0] + c_tot
-        n = cyc
-        out[i] = x
-    return out
+def _step_snapshots(k: np.ndarray, x0: np.ndarray, snap_cycles: list[int]) -> np.ndarray:
+    """States after each snapshot cycle, stacked to (snapshots, modes, D): each
+    gap between snapshots is one matrix power of k, formed once per gap length."""
+    gaps = np.diff(snap_cycles, prepend=0).tolist()
+    powers = {gap: np.linalg.matrix_power(k, gap) for gap in set(gaps)}
+    states, x = [], x0
+    for gap in gaps:
+        x = (powers[gap] @ x[..., None])[..., 0]
+        states.append(x)
+    return np.stack(states)
 
 
 def run_trajectory(params: ModelParams, scheme: CouplingScheme, schedule: Schedule,
@@ -249,7 +243,7 @@ def run_trajectory(params: ModelParams, scheme: CouplingScheme, schedule: Schedu
     pairs).  All modes see the same subcycle time sequence.  Each
     subcycle's map is built once, stacked over modes, and folded in
     schedule order into one global-cycle map per mode, and each group is
-    stepped as a stacked product.  Snapshots are taken at cycle 0, every
+    stepped from snapshot to snapshot by that map's stacked matrix power.  Snapshots are taken at cycle 0, every
     `snapshot_stride` cycles and at the last cycle.  Convergence is
     declared when the per-mode trace-norm change between consecutive
     snapshots stays below 1e-10 three snapshots in a row.  A negative
@@ -264,9 +258,9 @@ def run_trajectory(params: ModelParams, scheme: CouplingScheme, schedule: Schedu
                           *range(snapshot_stride, n_global_cycles + 1, snapshot_stride)})
     groups = []
     for ks, x0 in eng.initial_blocks(initial, params.N // 2):
-        k_tot, c_tot = _global_maps(params, scheme, noise, dsp, eng, ks,
-                                    schedule.mean_time, schedule.subcycles)
-        groups.append((ks, _step_snapshots(k_tot, c_tot, x0, snap_cycles)))
+        k_tot = _global_maps(params, scheme, noise, dsp, eng, ks,
+                             schedule.mean_time, schedule.subcycles)
+        groups.append((ks, _step_snapshots(k_tot, x0, snap_cycles)))
 
     energies, fids = _chain_reduce(eng, params, groups)
     snapshots = [TrajectorySnapshot(cyc, *global_metrics(e_k, f_k, params), e_k)
@@ -313,9 +307,9 @@ def steady_report(params: ModelParams, scheme: CouplingScheme, bath: BathSpec,
     Steady reports share the trajectory map pipeline: each schedule
     frequency's cycle map is built stacked over modes, the maps are composed
     in frequency order into one global-cycle map per mode, and the engine's
-    stacked `fixed_points` solves each block shape's modes at once (Fock
-    after eliminating rho_00 through the trace; both engines share
-    `_linalg.affine_fixed_points`).  Randomized-time schedules are
+    stacked `fixed_points` solves each block shape's modes at once (both
+    engines share `_linalg.affine_fixed_points`, which eliminates the
+    conserved first entry).  Randomized-time schedules are
     evaluated in the ensemble limit: each elementary map is replaced by its
     uniform average over [0, 2 t_mean] (exact, in closed form), which is
     the object the closed-form rates describe.  alpha is reported per
@@ -330,9 +324,8 @@ def steady_report(params: ModelParams, scheme: CouplingScheme, bath: BathSpec,
     resid = np.empty(n2 + 1)
     groups = []
     for ks in eng.mode_groups(n2):
-        k_tot, c_tot = _global_maps(params, scheme, noise, dsp, eng, ks,
-                                    bath.cycle_time_mean, subcycles)
-        x, alpha[ks], resid[ks] = eng.fixed_points(k_tot, c_tot, (ks == 0) | (ks == n2))
+        k_tot = _global_maps(params, scheme, noise, dsp, eng, ks, bath.cycle_time_mean, subcycles)
+        x, alpha[ks], resid[ks] = eng.fixed_points(k_tot, (ks == 0) | (ks == n2))
         groups.append((ks, x))
     alpha /= len(deltas)
 

@@ -383,9 +383,9 @@ def steady_blocks(params, scheme, bath, descriptor: dict, noise: NoiseSpec = Noi
     subcycles = [(d, t_m) for d in pr.schedule_frequencies(descriptor, params, bath)]
     blocks = [None] * (n2 + 1)
     for ks in eng.mode_groups(n2):
-        k_tot, c_tot = pr._global_maps(params, scheme, noise, False, eng, ks,
-                                       bath.cycle_time_mean, subcycles)
-        x = eng.fixed_points(k_tot, c_tot, (ks == 0) | (ks == n2))[0]
+        k_tot = pr._global_maps(params, scheme, noise, False, eng, ks,
+                                bath.cycle_time_mean, subcycles)
+        x = eng.fixed_points(k_tot, (ks == 0) | (ks == n2))[0]
         for k, block in zip(ks, eng.matrices(x)):
             blocks[k] = block
     return blocks

@@ -117,9 +117,9 @@ def test_criterion_02_oracle_equivalence():
             eps = mode_values(params, scheme, k)[0]
             rho, _ = fock.steady_state(fock.exact_cycle_map(blk, t, kappa))
             e_fock, _ = fock.block_energy(rho, eps, blk.weight)
-            k_s, c = next(cm.cycle_maps(block_hamiltonian(params, scheme, bath, k=[k]), [t], t,
-                                        kappa))
-            gam = cm.fixed_points(k_s, c, blk.is_edge)[0].reshape(2, 2)
+            transfer = next(cm.cycle_maps(block_hamiltonian(params, scheme, bath, k=[k]), [t], t,
+                                          kappa))
+            gam = cm.matrices(cm.fixed_points(transfer, blk.is_edge)[0])[0]
             e_cm = cm.cm_energy(gam, eps, blk.weight)
             worst = max(worst, abs(e_fock - e_cm))
         assert worst <= 1e-9

@@ -113,12 +113,29 @@ class TestConfigValidation:
         ("optimize", "optimize", {"objective": "theta_specific", "init": {"delta": -1}}),
         ("optimize", "optimize", {"objective": "theta_specific", "init": {"dt": 3.0}}),
         ("optimize", "optimize", {"budget": 10}),
+        # counts are integers: a fractional one is rejected, not truncated
+        ("trajectory", "model", base_model(12.9)),
+        ("trajectory", "schedule", {"kind": "randomized", "L": 2.7}),
+        ("trajectory", "run", {"cycles": 5.9}),
+        ("trajectory", "run", {"cycles": 5, "snapshot_stride": 2.5}),
+        ("trajectory", "seed", 1.5),
+        ("trajectory", "seed", "abc"),
+        ("steady", "bath", {"delta": {"mode_k": 2.5}, "cycle_time": 4.3}),
+        ("steady", "schedule", {"kind": "multifreq", "R": 2.5, "L": 1}),
+        ("steady", "schedule", {"kind": "multifreq", "R": 2, "L": 1,
+                                "freq_rule": "mode_energies", "k_modes": [1.5, 2]}),
+        ("optimize", "optimize", {"objective": "theta_specific", "budget": 10.5}),
+        ("optimize", "optimize", {"objective": "theta_specific", "restarts": 2.5}),
     ], ids=["steady-kind", "rates-kind", "steady-R0", "trajectory-L0", "trajectory-initial",
             "trajectory-stride0", "trajectory-no-cycles", "trajectory-negative-cycles",
             "optimize-budget0", "optimize-budget-string", "optimize-restarts-string",
             "optimize-restarts-negative",
             "optimize-init-number", "optimize-init-negative-delta", "optimize-init-unknown-key",
-            "optimize-no-objective"])
+            "optimize-no-objective", "trajectory-fractional-N", "trajectory-fractional-L",
+            "trajectory-fractional-cycles", "trajectory-fractional-stride",
+            "trajectory-fractional-seed", "trajectory-string-seed", "steady-fractional-mode-k",
+            "steady-fractional-R", "steady-fractional-k-modes", "optimize-fractional-budget",
+            "optimize-fractional-restarts"])
     def test_bad_schedule_and_run_inputs(self, tmp_path, capsys, command, section, value):
         base = TestTrajectory.CFG if command == "trajectory" else STEADY_CFG
         cfg = write_cfg(tmp_path, {**base, section: value})

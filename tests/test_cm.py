@@ -20,16 +20,17 @@ from oracles import apply_transfer, mode_values
 
 
 def _maps(blk, t):
-    """(K, c) of one block's cycle map at time t, from the stacked builder."""
+    """The transfer on (1, vec gamma) of one block's cycle map at time t, from
+    the stacked builder."""
     return next(cm.cycle_maps(blk, [t], t, 0.0))
 
 
-def _step(k_s, c, gamma):
-    return (k_s @ gamma.reshape(-1) + c).reshape(2, 2)
+def _step(transfer, gamma):
+    return cm.matrices(transfer @ np.concatenate([[1.0], gamma.reshape(-1)]))
 
 
-def _fixed(k_s, c, edge=False):
-    return cm.fixed_points(k_s[None], c[None], edge)[0][0].reshape(2, 2)
+def _fixed(transfer, edge=False):
+    return cm.matrices(cm.fixed_points(transfer[None], edge)[0][0])
 
 
 class TestEvolveCm:
@@ -75,7 +76,7 @@ class TestEvolveCm:
             rho_s = np.trace(out.reshape(fb.d_sys, fb.d_rest, fb.d_sys, fb.d_rest),
                              axis1=1, axis2=3)
             e_fock, _ = fock.block_energy(rho_s, eps, blk.weight)
-            g_t = _step(*maps[t], cm.most_excited_cm())
+            g_t = _step(maps[t], cm.most_excited_cm())
             e_cm = cm.cm_energy(g_t, eps, blk.weight)
             assert abs(e_fock - e_cm) < 1e-10
 
@@ -85,7 +86,7 @@ class TestCycleMapCm:
         scheme = CouplingScheme.local(1.0, 1.0, g=0.0)
         blk = block_hamiltonian(small_params, scheme, bath, k=2)
         g0 = np.array([[0.2, 0.1j], [-0.1j, -0.2]], dtype=complex)
-        out = _step(*_maps(blk, 2.5), g0)
+        out = _step(_maps(blk, 2.5), g0)
         assert np.allclose(np.sort(np.linalg.eigvalsh(out)),
                            np.sort(np.linalg.eigvalsh(g0)), atol=1e-12)
 
@@ -95,17 +96,17 @@ class TestCycleMapCm:
         s = fock.exact_cycle_map(blk, bath.cycle_time_mean)
         rho = apply_transfer(s, fock.most_excited_density(False))
         e_fock, _ = fock.block_energy(rho, eps, blk.weight)
-        gam = _step(*_maps(blk, bath.cycle_time_mean), cm.most_excited_cm())
+        gam = _step(_maps(blk, bath.cycle_time_mean), cm.most_excited_cm())
         assert abs(e_fock - cm.cm_energy(gam, eps, blk.weight)) < 1e-10
 
     def test_repeated_application_converges_to_linear_solve(self, small_params,
                                                             generic_scheme, bath):
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=3)
-        k_s, c = _maps(blk, bath.cycle_time_mean)
-        target = _fixed(k_s, c)
+        transfer = _maps(blk, bath.cycle_time_mean)
+        target = _fixed(transfer)
         gam = cm.most_excited_cm()
         for _ in range(2000):
-            gam = _step(k_s, c, gam)
+            gam = _step(transfer, gam)
         eps = mode_values(small_params, generic_scheme, 3)[0]
         e1 = cm.cm_energy(gam, eps, blk.weight)
         e2 = cm.cm_energy(target, eps, blk.weight)
@@ -121,15 +122,16 @@ class TestSteadyStateCm:
     def test_decoupled_damped_fixed_point_vanishes(self, small_params, bath):
         scheme = CouplingScheme.local(1.0, 1.0, g=0.0)
         blk = block_hamiltonian(small_params, scheme, bath, k=2)
-        k_s, c = _maps(blk, 2.0)
-        gam = _fixed(0.9 * k_s, 0.9 * c)
+        transfer = _maps(blk, 2.0)
+        transfer[1:] *= 0.9  # damps K and c, not the conserved 1
+        gam = _fixed(transfer)
         assert np.max(np.abs(gam)) < 1e-12
 
     def test_decoupled_undamped_is_singular(self, small_params, bath):
         scheme = CouplingScheme.local(1.0, 1.0, g=0.0)
         blk = block_hamiltonian(small_params, scheme, bath, k=2)
         with pytest.raises(NonUniqueFixedPoint):
-            _fixed(*_maps(blk, 2.0))
+            _fixed(_maps(blk, 2.0))
 
     def test_weak_coupling_energy(self):
         from kelvin.analytic import overlap_coeffs, steady_energy
@@ -138,7 +140,7 @@ class TestSteadyStateCm:
         bath = BathSpec(1.0, 20.0)
         blk = block_hamiltonian(p, scheme, bath, k=7)
         eps, _, a, b = mode_values(p, scheme, 7)
-        gam = _fixed(*_maps(blk, 20.0))
+        gam = _fixed(_maps(blk, 20.0))
         x, y = overlap_coeffs(eps, 1.0, 20.0, 1e-4)
         pred = float(steady_energy(eps, abs(a * x) ** 2, abs(b * y) ** 2))
         assert abs(cm.cm_energy(gam, eps, blk.weight) - pred) <= 0.01 * abs(pred)
@@ -153,8 +155,7 @@ class TestSteadyStateCm:
         rho, _ = fock.steady_state(fock.exact_cycle_map(blk, t, kappa))
         e_fock, _ = fock.block_energy(rho, eps, blk.weight)
         stack = block_hamiltonian(small_params, generic_scheme, bath, k=[3])
-        k_s, c = next(cm.cycle_maps(stack, [t], t, kappa))
-        gam = _fixed(k_s[0], c[0])
+        gam = _fixed(next(cm.cycle_maps(stack, [t], t, kappa))[0])
         assert abs(e_fock - cm.cm_energy(gam, eps, blk.weight)) < 1e-8
 
 
@@ -163,8 +164,8 @@ class TestFiniteEnvCm:
         env = NoiseSpec.finite_env(0.0, 0.6, 0.4)
         blk_e = block_hamiltonian(small_params, generic_scheme, bath, k=3, env=env)
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=3)
-        gam_env = _fixed(*_maps(blk_e, 2.0))
-        gam = _fixed(*_maps(blk, 2.0))
+        gam_env = _fixed(_maps(blk_e, 2.0))
+        gam = _fixed(_maps(blk, 2.0))
         assert np.max(np.abs(gam_env - gam)) < 1e-12
 
     def test_unit_pe_equals_doubled_bath_injection(self, small_params, bath):
@@ -175,7 +176,7 @@ class TestFiniteEnvCm:
         k = 3
         env = NoiseSpec.finite_env(scheme.g, bath.delta, 1.0)
         blk = block_hamiltonian(small_params, scheme, bath, k=k, env=env)
-        gam = _fixed(*_maps(blk, 2.0))
+        gam = _fixed(_maps(blk, 2.0))
         # reference: the three vacuum injections cut from a dense propagator
         u = expm(-1j * blk.generator * 2.0)
         a_s, a_sb, a_se1, a_se2 = (u[:2, j:j + 2] for j in (0, 2, 4, 6))
@@ -200,7 +201,7 @@ class TestFiniteEnvCm:
         eps = mode_values(small_params, scheme, 2)[0]
         rho, _ = fock.steady_state(fock.exact_cycle_map(blk, 3.0))
         e_fock, _ = fock.block_energy(rho, eps, blk.weight)
-        gam = _fixed(*_maps(blk, 3.0))
+        gam = _fixed(_maps(blk, 3.0))
         e_cm = cm.cm_energy(gam, eps, blk.weight)
         assert abs(e_cm - e_fock) <= 1e-12 * abs(e_fock)
 
@@ -217,8 +218,8 @@ class TestFiniteEnvCm:
         _, eps, _, wts = mode_grid(params)
         energy = {}
         for engine in (cm, fock):
-            k_s, c = next(engine.cycle_maps(block, [3.0], 3.0, 0.0))
-            x, _, _ = engine.fixed_points(k_s, c, block.is_edge)
+            x, _, _ = engine.fixed_points(next(engine.cycle_maps(block, [3.0], 3.0, 0.0)),
+                                          block.is_edge)
             energy[engine] = engine.reduce(np.array([k]), x, eps, wts, 4)[0][0]
         assert abs(energy[cm] - energy[fock]) <= 1e-10 * abs(energy[fock])
 
@@ -364,9 +365,9 @@ class TestConversions:
 
     def test_cm_spectrum_stays_bounded(self, small_params, generic_scheme, bath):
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=3)
-        k_s, c = _maps(blk, 2.7)
+        transfer = _maps(blk, 2.7)
         gam = cm.most_excited_cm()
         for _ in range(50):
-            gam = _step(k_s, c, gam)
+            gam = _step(transfer, gam)
             ev = np.linalg.eigvalsh(gam)
             assert ev.min() >= -0.5 - 1e-10 and ev.max() <= 0.5 + 1e-10

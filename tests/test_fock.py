@@ -599,10 +599,9 @@ class TestSteadyState:
             for kappa in (0.0, 0.01):
                 rho, alpha = fock.steady_state(fock.averaged_cycle_map(blk, t_mean, kappa))
                 out.append((np.linalg.eigvalsh(rho), alpha))
-                k_s, k_sb = cm.averaged_evolution_kron(blk, t_mean, kappa=kappa)
-                x, alpha, _ = cm.fixed_points(k_s[None], (k_sb @ cm.vacuum_cm().reshape(-1))[None],
-                                              edge)
-                rho = oracles.cm_to_density(x.reshape(2, 2), edge)
+                transfer = next(cm.cycle_maps(blk, [None], t_mean, kappa))
+                x, alpha, _ = cm.fixed_points(transfer[None], edge)
+                rho = oracles.cm_to_density(cm.matrices(x)[0], edge)
                 out.append((np.linalg.eigvalsh(rho), alpha[0]))
             return out
 

@@ -14,39 +14,74 @@ def _contractions(rng, maps, n):
     return k * (rng.uniform(0.1, 0.99, size=maps) / radius)[:, None, None]
 
 
+def _linear(k, c, tau):
+    """Transfers T on x = (x_0, y) that conserve tau.x and act on y, with x_0
+    = 1 - tau[1:].y eliminated, as the affine map y -> K y + c."""
+    rest = tau[1:].astype(float)
+    t = np.zeros(k.shape[:-2] + (k.shape[-1] + 1,) * 2, dtype=complex)
+    t[..., 1:, 0] = c
+    t[..., 1:, 1:] = k + c[..., None] * rest
+    t[..., 0, 0] = 1.0 - c @ rest
+    t[..., 0, 1:] = rest - rest @ t[..., 1:, 1:]
+    return t
+
+
+def _e0(n):
+    """tau = e_0, the conserved constant first entry of a CM state."""
+    return np.arange(n) == 0
+
+
 class TestAffineFixedPoints:
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_solves_and_rates(self, n):
         rng = np.random.default_rng(n)
         k = _contractions(rng, 20, n)
         c = rng.normal(size=(20, n)) + 1j * rng.normal(size=(20, n))
-        x, alpha = affine_fixed_points(k, c)
-        np.testing.assert_allclose(x, (k @ x[..., None])[..., 0] + c, rtol=0, atol=1e-13)
+        x, alpha = affine_fixed_points(_linear(k, c, _e0(n + 1)), _e0(n + 1))
+        assert np.all(x[:, 0] == 1.0)
+        np.testing.assert_allclose(x[:, 1:], (k @ x[:, 1:, None])[..., 0] + c, rtol=0, atol=1e-13)
         np.testing.assert_allclose(alpha, -np.log(np.max(np.abs(np.linalg.eigvals(k)), -1)),
                                    rtol=1e-14)
+
+    def test_fock_shaped_marker(self):
+        """tau marks the populations of a Fock pair's physical sector, rho_00
+        first: the fixed point is conserved, tau.x = 1, and fixed by T."""
+        rng = np.random.default_rng(8)
+        tau = np.arange(8) % 5 == 0
+        k = _contractions(rng, 20, 7)
+        c = rng.normal(size=(20, 7)) + 1j * rng.normal(size=(20, 7))
+        t = _linear(k, c, tau)
+        np.testing.assert_allclose(tau @ t, np.broadcast_to(tau, (20, 8)), rtol=0, atol=1e-13)
+        x, alpha = affine_fixed_points(t, tau)
+        np.testing.assert_allclose(x @ tau, 1.0, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(x, (t @ x[..., None])[..., 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(alpha, -np.log(np.max(np.abs(np.linalg.eigvals(k)), -1)),
+                                   rtol=1e-12)
 
     def test_each_map_solved_as_if_alone(self):
         """A map's fixed point and rate have the same bits in any stack."""
         rng = np.random.default_rng(5)
-        k = _contractions(rng, 9, 7)
-        c = rng.normal(size=(9, 7)) + 1j * rng.normal(size=(9, 7))
-        x, alpha = affine_fixed_points(k, c)
+        t = _linear(_contractions(rng, 9, 7), rng.normal(size=(9, 7)) + 1j * rng.normal(size=(9, 7)),
+                    _e0(8))
+        x, alpha = affine_fixed_points(t, _e0(8))
         for i in range(9):
-            x_i, alpha_i = affine_fixed_points(k[i:i + 1], c[i:i + 1])
+            x_i, alpha_i = affine_fixed_points(t[i:i + 1], _e0(8))
             assert np.array_equal(x_i[0], x[i]) and alpha_i[0] == alpha[i]
 
     def test_unit_eigenvalues_raise_with_their_number(self):
         k = np.diag([1.0, 1.0 + 1e-15, 0.5]).astype(complex)[None]
+        t = _linear(np.concatenate([0.5 * k, k]), np.ones((2, 3), dtype=complex), _e0(4))
         with pytest.raises(NonUniqueFixedPoint) as exc:
-            affine_fixed_points(np.concatenate([0.5 * k, k]), np.ones((2, 3), dtype=complex))
+            affine_fixed_points(t, _e0(4))
         assert exc.value.eigenspace_dim == 2
 
     def test_weakly_attracting_map_is_unique(self):
         """A gap of 1e-12, an O(g^2) cooling rate at g = 1e-6, is no unit
         eigenvalue."""
         k = np.diag([1.0 - 1e-12, 0.5]).astype(complex)[None]
-        x, alpha = affine_fixed_points(k, np.array([[1e-12, 0.5]], dtype=complex))
-        np.testing.assert_allclose(x[0], [1.0, 1.0], rtol=1e-3)
+        t = _linear(k, np.array([[1e-12, 0.5]], dtype=complex), _e0(3))
+        x, alpha = affine_fixed_points(t, _e0(3))
+        np.testing.assert_allclose(x[0], [1.0, 1.0, 1.0], rtol=1e-3)
         np.testing.assert_allclose(alpha, [1e-12], rtol=1e-3)
 
 

@@ -75,10 +75,10 @@ class TestMakeSchedule:
 
 
 def _state_vector(engine, block):
-    """A block as the engine's state vector: vec(gamma) for CM, the physical
-    sector of vec(rho) for Fock."""
+    """A block as the engine's state vector: (1, vec gamma) for CM, the
+    physical sector of vec(rho) for Fock."""
     if engine == "cm":
-        return block.reshape(-1)
+        return np.concatenate([[1.0], block.reshape(-1)])
     return block.reshape(-1)[fock._vec_sectors(len(block))[0]]
 
 
@@ -325,18 +325,24 @@ class TestSteppingEquivalence:
             p, generic_scheme, schedule, _NOISES[noise], engine, 30, 7, dsp)
         assert [s.cycle for s in traj.snapshots] == cycles == [0, 7, 14, 21, 28, 30]
         assert traj.converged_at == converged_at
-        # 1e-12 relative to each quantity's scale: |E_GS| for energies, 1 for
-        # the relative energy and the fidelity
-        e_scale = abs(ground_state_energy(p))
-        for snap, r in zip(traj.snapshots, ref):
-            np.testing.assert_allclose(snap.mode_energies, r["mode_energies"],
-                                       rtol=1e-12, atol=1e-12 * e_scale)
-            np.testing.assert_allclose(snap.energy, r["energy"],
-                                       rtol=1e-12, atol=1e-12 * e_scale)
-            np.testing.assert_allclose(snap.relative_energy, r["relative_energy"],
-                                       rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(snap.fidelity, r["fidelity"],
-                                       rtol=1e-12, atol=1e-12)
+        _assert_snapshots_match(p, traj, ref)
+
+    @pytest.mark.parametrize("engine", ["fock", "cm"])
+    def test_powers_match_stepping_over_long_gaps(self, engine):
+        """Snapshots 100 cycles apart, with a last gap of 30, are matrix powers
+        of the global-cycle map; they match stepping one subcycle at a time
+        over 1,030 cycles, and the run converges at the same snapshot."""
+        p = ModelParams(8, 0.9)
+        scheme = CouplingScheme.local(1.0, 1.0, 0.15)
+        schedule = pr.make_schedule({"kind": "randomized", "L": 2}, p, BathSpec(1.0, 3.0), 0)
+        traj = pr.run_trajectory(p, scheme, schedule, engine=engine,
+                                 n_global_cycles=1030, snapshot_stride=100)
+        cycles, ref, converged_at = _reference_trajectory(
+            p, scheme, schedule, an.NoiseSpec.none(), engine, 1030, 100, False)
+        assert [s.cycle for s in traj.snapshots] == cycles
+        assert cycles[-2:] == [1000, 1030] and converged_at == 700
+        assert traj.converged_at == converged_at
+        _assert_snapshots_match(p, traj, ref)
 
     def test_convergence_step_matches_loop(self):
         p = ModelParams(8, 0.9)
@@ -349,6 +355,22 @@ class TestSteppingEquivalence:
                 p, scheme, schedule, an.NoiseSpec.none(), engine, 300, 20, False)
             assert converged_at is not None
             assert traj.converged_at == converged_at
+
+
+def _assert_snapshots_match(p, traj, ref):
+    """Snapshots of `traj` against `_reference_trajectory`'s, to 1e-12
+    relative to each quantity's scale: |E_GS| for energies, 1 for the
+    relative energy and the fidelity."""
+    e_scale = abs(ground_state_energy(p))
+    for snap, r in zip(traj.snapshots, ref, strict=True):
+        np.testing.assert_allclose(snap.mode_energies, r["mode_energies"],
+                                   rtol=1e-12, atol=1e-12 * e_scale)
+        np.testing.assert_allclose(snap.energy, r["energy"],
+                                   rtol=1e-12, atol=1e-12 * e_scale)
+        np.testing.assert_allclose(snap.relative_energy, r["relative_energy"],
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(snap.fidelity, r["fidelity"],
+                                   rtol=1e-12, atol=1e-12)
 
 
 def _random_cm(rng, edge):
@@ -418,7 +440,7 @@ class TestEngineInterface:
         for _ in range(10):
             gammas = [_random_cm(rng, k in (0, n2)) for k in ks]
             oracles.check_cm_blocks(gammas)
-            energies, fids = cm.reduce(ks, np.stack([g.reshape(-1) for g in gammas]),
+            energies, fids = cm.reduce(ks, np.stack([_state_vector("cm", g) for g in gammas]),
                                        eps, wts, n2)
             for k, g in zip(ks, gammas):
                 assert cm.cm_energy(g, eps[k], wts[k]) == energies[k]
@@ -719,16 +741,14 @@ class TestComposedMaps:
         default = [self._maps(engine, noise, ks)[1] for ks in groups]
         monkeypatch.setattr(eng, "mode_chunks",
                             lambda ks, env: [ks[i:i + 1] for i in range(len(ks))])
-        for ks, (k_tot, c_tot) in zip(groups, default):
-            k_one, c_one = self._maps(engine, noise, ks)[1]
-            assert np.array_equal(k_tot, k_one) and np.array_equal(c_tot, c_one)
+        for ks, k_tot in zip(groups, default):
+            assert np.array_equal(k_tot, self._maps(engine, noise, ks)[1])
 
     @pytest.mark.parametrize("noise", ["depolarizing", "finite_env"])
     def test_fock_product_is_the_composed_exact_maps(self, noise):
         spec = self.NOISES[noise]
         for ks in self._groups("fock", noise):
-            sched, (k_tot, c_tot) = self._maps("fock", noise, ks)
-            assert not c_tot.any()
+            sched, k_tot = self._maps("fock", noise, ks)
             for k in ks:
                 product = None
                 for delta_r, t_m in sched.subcycles:
@@ -738,6 +758,32 @@ class TestComposedMaps:
                     t_s = oracles.physical_sector(fock.exact_cycle_map(blk, t_m, spec.kappa))
                     product = t_s if product is None else t_s @ product
                 assert np.array_equal(k_tot[np.flatnonzero(ks == k)[0]], product), k
+
+    @pytest.mark.parametrize("noise", ["depolarizing", "finite_env", "randomized"])
+    def test_cm_maps_and_powers_keep_the_conserved_row(self, noise):
+        """Composed CM transfers and their powers keep the first row (1, 0, 0,
+        0, 0) bit for bit: gain/loss damping (kappa > 0 on the fixed-time
+        schedule, and on time-averaged maps) scales K and c, never the 1."""
+        ks = cm.mode_groups(self.PARAMS.N // 2)[0]
+        if noise == "randomized":
+            k_tot = pr._global_maps(self.PARAMS, self.SCHEME, self.NOISES["depolarizing"], False,
+                                    cm, ks, self.BATH.cycle_time_mean, [(1.0, None), (1.3, None)])
+        else:
+            k_tot = self._maps("cm", noise, ks)[1]
+        for power in (1, 2, 7, 100):
+            assert np.all(np.linalg.matrix_power(k_tot, power)[:, 0] == np.eye(5)[0]), power
+
+    @pytest.mark.parametrize("noise", ["depolarizing", "finite_env"])
+    def test_fock_maps_conserve_the_trace(self, noise):
+        """tau^T K = tau^T, tau marking the populations of the physical sector,
+        to the rounding of the maps: one pair map conserves it to about 15
+        eps, and these six- and four-subcycle products to 49 and 14 eps."""
+        for ks in self._groups("fock", noise):
+            sched, k_tot = self._maps("fock", noise, ks)
+            ds = 2 if ks[0] == 0 else 4
+            tau = fock._vec_sectors(ds)[0] % (ds + 1) == 0
+            bound = 16 * len(sched.subcycles) * np.finfo(float).eps
+            assert np.max(np.abs(tau @ k_tot - tau)) <= bound
 
     @pytest.mark.parametrize("engine, n, bound_mb", [("cm", 400, 3.0), ("fock", 100, 1.5)])
     def test_plan_report_holds_one_frequency_at_a_time(self, engine, n, bound_mb):

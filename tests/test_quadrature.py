@@ -192,8 +192,8 @@ class TestCmAveragedKron:
     def test_zero_mean_time_is_the_map_at_zero(self, block, kappa):
         mb = _block(*_BLOCKS[block])
         k_s, k_sb = cm.averaged_evolution_kron(mb, 0.0, kappa=kappa)
-        k_0, _ = next(cm.cycle_maps(mb, [0.0], 0.0, 0.0))
-        _assert_rel_close(k_s, k_0)
+        k_0 = next(cm.cycle_maps(mb, [0.0], 0.0, 0.0))
+        _assert_rel_close(k_s, k_0[1:, 1:])
         assert np.max(np.abs(k_sb)) <= REL_TOL
 
 
@@ -333,8 +333,8 @@ class TestStackedCycleMaps:
         maps = dict(zip(self.TIMES,
                         fock.cycle_maps(_block(np.array(ks), dsp=dsp), self.TIMES, t_mean, kappa)))
         assert set(maps) == set(self.TIMES)
-        for t, (k_s, c) in maps.items():
-            assert k_s.shape[0] == len(ks) and not c.any()
+        for t, k_s in maps.items():
+            assert k_s.shape[0] == len(ks)
             for row, k in zip(k_s, ks):
                 assert np.array_equal(row, physical_sector(single(_block(k, dsp=dsp), t))), t
 
@@ -353,7 +353,7 @@ class TestStackedCycleMaps:
     @pytest.mark.parametrize("ks", [[1, 2], [0, N2]], ids=["pairs", "edges"])
     def test_finite_environment_rows(self, ks):
         env = NoiseSpec.finite_env(0.02, 0.7, 0.1)
-        k_s, _ = next(fock.cycle_maps(_block(np.array(ks), env=env), [2.7], self.T_MEAN, 0.0))
+        k_s = next(fock.cycle_maps(_block(np.array(ks), env=env), [2.7], self.T_MEAN, 0.0))
         for row, k in zip(k_s, ks):
             single = fock.exact_cycle_map(_block(k, env=env), 2.7)
             assert np.array_equal(row, physical_sector(single))
