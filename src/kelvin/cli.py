@@ -3,10 +3,10 @@
     kelvin spectrum|steady|trajectory|rates|optimize|reproduce \
         --config cfg.json --out outdir [--seed N] [--engine fock|cm]
 
-Configs are strict JSON: unknown keys are rejected and physics parameters
-have no implicit defaults (only output and run-control knobs do).  All files
-are written atomically (temp + rename), CSVs carry a header row, and every
-summary.json embeds the config hash and package version for reproducibility.
+Configs are strict JSON: keys a command does not read are rejected, and
+physics parameters have no implicit defaults (only output and run-control
+knobs do).  Files are written atomically (temp + rename), CSVs carry a
+header row, and each summary.json embeds the config hash and package version.
 
 Exit codes: 0 success, 1 reproduction assertion failure, 2 invalid config,
 3 no unique steady state, 4 unsupported engine/noise combination,
@@ -76,8 +76,6 @@ _SCHEMA = {
     "optimize": {"objective", "phase", "mode", "budget", "restarts", "init"},
     "reproduce": {"target"},
 }
-_TOP_KEYS = set(_SCHEMA) | {"seed", "engine"}
-
 _REQUIRED = {
     "spectrum": ["model"],
     "steady": ["model", "scheme", "bath", "schedule", "noise"],
@@ -86,6 +84,10 @@ _REQUIRED = {
     "optimize": ["model", "scheme", "optimize"],
     "reproduce": ["reproduce"],
 }
+# what a command reads besides those (and "seed" and "engine"): its optional
+# sections and its run keys; a config may hold nothing else
+_OPTIONAL = {"steady": ["run"], "optimize": ["noise"]}
+_RUN_KEYS = {"steady": {"dsp"}, "trajectory": _SCHEMA["run"]}
 
 
 def _check_keys(name: str, obj: dict, allowed: set):
@@ -102,12 +104,13 @@ def load_config(path: str, command: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys("<root>", cfg, _TOP_KEYS)
+    _check_keys(f"{command} config", cfg,
+                {"seed", "engine", *_REQUIRED[command], *_OPTIONAL.get(command, [])})
     for section, val in cfg.items():
         if section in _SCHEMA:
             if not isinstance(val, dict):
                 raise ConfigError(f"section {section!r} must be an object")
-            _check_keys(section, val, _SCHEMA[section])
+            _check_keys(section, val, _RUN_KEYS[command] if section == "run" else _SCHEMA[section])
     for section in _REQUIRED[command]:
         if section not in cfg:
             raise ConfigError(f"command {command!r} requires section {section!r}")

@@ -172,7 +172,8 @@ def fixed_points(k: np.ndarray, edge=False) -> tuple[np.ndarray, np.ndarray, np.
     (at eps = 0 they do not decay), so an edge map is projected onto the 1 and
     that direction, which gives the other three the eigenvalue 0.
     """
-    projected = np.where(np.reshape(edge, (-1, 1, 1)), _EDGE_PROJECTOR @ k @ _EDGE_PROJECTOR, k)
+    edge, projected = np.broadcast_to(edge, k.shape[:1]), k.copy()
+    projected[edge] = _EDGE_PROJECTOR @ k[edge] @ _EDGE_PROJECTOR
     x, alpha = affine_fixed_points(projected, np.arange(5) == 0)
     resid = np.max(np.abs(x - (k @ x[..., None])[..., 0]), axis=-1)
     return _states(hermitize(matrices(x))), alpha, resid

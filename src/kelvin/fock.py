@@ -7,13 +7,17 @@ Jordan-Wigner operators.  Every Hamiltonian here is quadratic in the
 fermions, so it conserves fermion parity: on the Fock basis ordered by
 parity (`_parity_classes`: the even states, then the odd, each in
 increasing order) H is block-diagonal, and a block is held, diagonalized and
-propagated as its two d/2 x d/2 parity blocks.  A cycle map rho ->
-Tr_rest[U (rho x rest) U^dag] is built in that eigenbasis H = V diag(E)
-V^dag.  With the reset bath in its vacuum and L_b[(i,x), a] = V[(i,b), a]
-V*[(x,0), a], the map at time t is sum_b L_b P L_b^dag, P_ab = e^{-i (E_a -
-E_b) t}, and its average over uniform random times on [0, 2 t_mean] the
-same sum with the exact average G_ab = (1 - e^{-z}) / z, z = 2 t_mean i (E_a
-- E_b): only the phases are averaged.
+propagated as its two d/2 x d/2 parity blocks, H = V diag(E) V^dag.
+
+A cycle map rho -> Tr_rest[U (rho x rest) U^dag] reads only the entries
+U[(i,b),(x,r)] of populated rest states r (`_cycle_layout`).  With their
+weights w_r and L[(i,x),(b,r),a] = V[(i,b),a] V*[(x,r),a], zero unless the
+eigenvector a is in the parity block of (i,b), the map is T[(i,j),(x,y)] =
+sum_{b,r,a,a'} w_r L[(i,x),(b,r),a] P_aa' L*[(j,y),(b,r),a'], and only the
+phase kernel P tells the cycles apart: at a fixed time t, P_aa' = e^{-i (E_a
+- E_a') t} is rank one, so U is formed first (`_fixed_time_maps`), and over
+uniform random times on [0, 2 t_mean] it is the exact average G_aa' = (1 -
+e^{-z}) / z, z = 2 t_mean i (E_a - E_a') (`averaged_cycle_map`).
 
 Parity superselection splits vec(rho) into two sectors that no cycle mixes,
 with or without noise (`_vec_sectors`): the physical (parity-diagonal)
@@ -30,21 +34,21 @@ all modes at once after eliminating rho_00 through it.
 `cycle_maps` yields the maps of a stack of modes, one per time, from one
 stacked eigendecomposition, with the rest weights and populated columns
 formed once per call.  `exact_cycle_map` (one time, optionally noisy or
-environment-extended) and `averaged_cycle_map` are its one-block views on
-the whole operator space: transfer matrices on row-major vec(rho).
+environment-extended) and `averaged_cycle_map` give one block's two
+sectors on the whole operator space: transfer matrices on row-major vec(rho).
 
 Gain/loss noise of rate kappa is X -> (c X c + c' X c')/2 - X per mode, in
 the mode's Majoranas c, c'.  On a Majorana monomial of degree q, c X c =
 +-X, so an even monomial decays at rate q and an odd one at 2n - q, n the
-number of modes.  The quadratic unitary keeps degrees and commutes with the
-noise, and the bath trace keeps system monomials, so the noisy cycle is the
-noiseless one followed by system noise: T_kappa(t) = N_sys(t) T_0(t) C(t),
-where C is 1 on the parity-diagonal (even) columns and e^{-2 n_bath kappa t},
-the bath's share of the odd rate, on the others.  Averaged, N_sys's rate-r
-projector Pi_r follows the average of the phases times e^{-c kappa t}, c = r
-on even columns and r + 2 n_bath on odd ones, which adds 2 t_mean c kappa
-to z.  Even monomials are parity-diagonal and odd ones are coherences, so
-N_sys too is block-diagonal on the two sectors.
+number of modes; even monomials are parity-diagonal and odd ones
+coherences, so each sector s has the rates r of its parity, with the
+projectors Pi_r of `_noise_projectors`.  The quadratic unitary keeps
+degrees and commutes with the noise, and the bath trace keeps system
+monomials, so the noisy cycle is the noiseless one followed by system noise:
+T_kappa(t) = N_sys(t) T_0(t) C(t), C being e^{-2 n_bath kappa t}, the bath's
+share of the odd rate, on the coherences and 1 on the physical sector.  So
+Pi_r decays at c = r + 2 n_bath s: by e^{-c kappa t} at a fixed time, and,
+averaged, inside G, whose z gains 2 t_mean c kappa.
 
 This module doubles as the brute-force oracle for the closed-form layer.
 """
@@ -328,12 +332,15 @@ def _cycle_layout(ds: int, dr: int) -> tuple[np.ndarray, ...]:
     - `rest` (2, k): the start r of each of those columns;
     - `out` (2, ds^2/2, ds^2/2): the flat position in M_s = A_s W A_s^dag
       (2, ds^2/2, ds^2/2) of each entry T[(i,j),(x,y)] = M[(i,x),(j,y)] of
-      the physical sector and of the coherences (`_vec_sectors`).
+      the physical sector and of the coherences (`_vec_sectors`);
+    - `pairs` (2, 2, ds^2/2, k): U's row (i, b) and column (x, r) of each
+      entry of A_s, in the parity-ordered basis (the even d/2 states first).
     """
     d, n_rest, half = ds * dr, dr // ds, ds * ds // 2
     par = np.array([bin(f).count("1") % 2 for f in range(d)])
     rank = np.empty(d, dtype=int)
     rank[_parity_classes(d)] = np.arange(d // 2)
+    pos = par * (d // 2) + rank
     starts = (dr * np.arange(ds)[:, None] + np.arange(n_rest)).reshape(-1)
     starts = [starts[par[starts] == q] for q in (0, 1)]
     cols = np.stack([rank[f] for f in starts])
@@ -343,18 +350,19 @@ def _cycle_layout(ds: int, dr: int) -> tuple[np.ndarray, ...]:
     i, x = np.divmod(np.arange(ds * ds), ds)
     b, r = np.divmod(np.arange(dr * n_rest), n_rest)
     row_pos = np.empty(ds * ds, dtype=int)
-    gather, rest = [], []
+    gather, rest, pairs = [], [], []
     for s in (0, 1):
         rows, keep = np.flatnonzero(par[i] ^ par[x] == s), par[b] ^ par[r] == s
         row_pos[rows] = np.arange(half)
         u_row = dr * i[rows, None] + b[keep]
         u_col = dr * x[rows, None] + r[keep]
-        gather.append((par[u_row] * (d // 2) + rank[u_row]) * cols.shape[1] + col_pos[u_col])
+        gather.append(pos[u_row] * cols.shape[1] + col_pos[u_col])
         rest.append(r[keep])
+        pairs.append([pos[u_row], pos[u_col]])
     i, j = np.divmod(_vec_sectors(ds)[:, :, None], ds)
     x, y = np.divmod(_vec_sectors(ds)[:, None, :], ds)
     out = ((par[i] ^ par[x]) * half + row_pos[ds * i + x]) * half + row_pos[ds * j + y]
-    layout = cols, np.array(gather), np.array(rest), out
+    layout = cols, np.array(gather), np.array(rest), out, np.array(pairs).swapaxes(0, 1)
     for a in layout:
         a.flags.writeable = False
     return layout
@@ -375,7 +383,7 @@ def _fixed_time_maps(fb: FockBlock, ts, kappa: float = 0.0):
     """
     e, v = fb.eig()
     ds, dr = fb.d_sys, fb.d_rest
-    cols, gather, rest, out = _cycle_layout(ds, dr)
+    cols, gather, rest, out, _ = _cycle_layout(ds, dr)
     p_env = (1.0 - fb.block.env.p_e) / 2.0 if fb.block.env is not None else 0.0
     w = functools.reduce(np.kron, [[1.0 - p_env, p_env]] * (fb.n_modes - 2 * fb.n_sys_modes),
                          np.ones(1))[rest][:, None, :]
@@ -383,18 +391,16 @@ def _fixed_time_maps(fb: FockBlock, ts, kappa: float = 0.0):
     # depends on the memory layout, so a block's bits would depend on its stack
     v_cols = np.ascontiguousarray(v[..., [[0], [1]], cols, :].conj().swapaxes(-1, -2))
     ts = np.asarray(ts, dtype=float)
-    if kappa > 0:  # T_kappa = N_sys T_0 C, see the module docstring
-        sectors = _vec_sectors(ds)
-        noise = noise_transfer(fb.n_sys_modes, kappa, ts)[:, sectors[:, :, None],
-                                                           sectors[:, None, :]]
-        damp = np.stack([np.ones_like(ts), np.exp(-2.0 * fb.n_sys_modes * kappa * ts)],
-                        axis=-1)[..., None, None]
+    if kappa > 0:  # T_kappa = N_sys T_0 C per sector, see the module docstring
+        rates, proj = _noise_projectors(fb.n_sys_modes)
+        c = rates + 2 * fb.n_sys_modes * (rates % 2)
+        noise = np.einsum("tjs,jsab->tsab", np.exp(-kappa * np.multiply.outer(ts, c)), proj)
     for i, t in enumerate(ts):
         u = v @ (np.exp(-1j * (t * e))[..., :, None] * v_cols)
         a = np.take(u.reshape(u.shape[:-3] + (-1,)), gather, axis=-1)
         m = (a * w) @ a.conj().swapaxes(-1, -2)
         maps = np.take(m.reshape(m.shape[:-3] + (-1,)), out, axis=-1)
-        yield noise[i] @ (maps * damp[i]) if kappa > 0 else maps
+        yield noise[i] @ maps if kappa > 0 else maps
 
 
 def exact_cycle_map(block: ModeBlock | FockBlock, t: float, kappa: float = 0.0) -> np.ndarray:
@@ -421,67 +427,56 @@ def exact_cycle_map(block: ModeBlock | FockBlock, t: float, kappa: float = 0.0) 
 
 @lru_cache(maxsize=4)
 def _noise_projectors(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rates r and projectors Pi_r = sum vec(c_S) vec(c_S)^dag / d of the unit-rate
-    gain/loss generator, over the Majorana monomials c_S of rate r."""
+    """Rates r = 2j + s (n+1, 2) and the blocks (n+1, 2, D/2, D/2) on sector s
+    (`_vec_sectors`, D = d^2) of the projectors Pi_r = sum vec(c_S)
+    vec(c_S)^dag / d of the unit-rate gain/loss generator, over the Majorana
+    monomials c_S of rate r: sector s keeps the rates of its parity, and r =
+    2n + 1, which no monomial has, a zero projector."""
     majoranas = [c for a in mode_operators(n_modes) for c in (a + a.conj().T, 1j * (a.conj().T - a))]
-    proj: dict[int, np.ndarray] = {}
+    sectors = _vec_sectors(2**n_modes)
+    proj = np.zeros((n_modes + 1, 2) + sectors.shape[-1:] * 2, dtype=complex)
     for subset in itertools.product((False, True), repeat=2 * n_modes):
-        mono = functools.reduce(np.matmul, itertools.compress(majoranas, subset),
-                                np.eye(2**n_modes)).reshape(-1)
         q = sum(subset)
+        mono = functools.reduce(np.matmul, itertools.compress(majoranas, subset),
+                                np.eye(2**n_modes)).reshape(-1)[sectors[q % 2]]
         rate = q if q % 2 == 0 else 2 * n_modes - q
-        proj[rate] = proj.get(rate, 0) + np.outer(mono, mono.conj()) / 2**n_modes
-    rates = np.array(sorted(proj))
-    return rates, np.stack([proj[r] for r in rates])
+        proj[rate // 2, rate % 2] += np.outer(mono, mono.conj()) / 2**n_modes
+    return 2 * np.arange(n_modes + 1)[:, None] + np.arange(2), proj
 
 
 def noise_transfer(n_sys_modes: int, kappa: float, t) -> np.ndarray:
-    """Transfer matrix of the particle gain/loss channel e^{L_E t} on a block.
-
-    An array of times gives the stack of transfer matrices, shape t.shape +
-    (d^2, d^2).
-    """
+    """Transfer matrix of the particle gain/loss channel e^{L_E t} on a block;
+    an array of times gives the stack of them, shape t.shape + (d^2, d^2)."""
     if kappa < 0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     rates, proj = _noise_projectors(n_sys_modes)
     decay = np.exp(-kappa * np.multiply.outer(np.asarray(t, dtype=float), rates))
-    return np.tensordot(decay, proj, axes=1)
+    return _unblock(np.einsum("...js,jsab->...sab", decay, proj), _vec_sectors(2**n_sys_modes))
 
 
 def averaged_cycle_map(block: ModeBlock | FockBlock, t_mean: float,
                        kappa: float = 0.0) -> np.ndarray:
-    """Cycle map averaged over uniformly random times on [0, 2*t_mean].
-
-    The transfer matrix sum_b L_b G L_b^dag on row-major vec(rho), with the
-    exact time average G of the phases (module docstring), for every noise
-    rate at once; this is the ensemble limit of a long randomized-time
-    subcycle sequence.  The eigenvectors of the parity blocks are placed on
-    the Fock basis, each labelled by a Fock state of its parity.
-    """
+    """Cycle map averaged over uniformly random times on [0, 2*t_mean], the
+    ensemble limit of a long randomized-time subcycle sequence, at every
+    noise rate: one block's two sectors on row-major vec(rho), as
+    `exact_cycle_map`, each M_s = sum_b L_b G L_b^dag (module docstring) on
+    the parity blocks' eigenvectors, laid out by `_cycle_layout`."""
     fb = block if isinstance(block, FockBlock) else second_quantize(block)
     if fb.block.env is not None:
         raise ValueError("averaged maps of environment-extended blocks are not supported")
-    e_blocks, v_blocks = fb.eig()
-    classes = _parity_classes(2 * e_blocks.shape[-1])
-    e = np.empty(classes.size)
-    e[classes] = e_blocks
-    v = _unblock(v_blocks, classes)
-    ds, dr = fb.d_sys, fb.d_rest
-    v4 = v.reshape(ds, dr, -1)
-    l_b = (v4[:, None] * v4[None, :, :1].conj()).reshape(ds * ds, dr, -1)
-    rates, proj = _noise_projectors(fb.n_sys_modes) if kappa > 0 else (np.zeros(1), None)
-    odd = rates % 2 == 1
-    c = (rates + 2 * fb.n_sys_modes * odd)[:, None, None]
+    e, v = fb.eig()
+    ds, e = fb.d_sys, e.reshape(-1)
+    *_, out, pairs = _cycle_layout(ds, fb.d_rest)
+    v = _unblock(v, np.arange(len(e)).reshape(2, -1))
+    l = v[pairs[0]] * v[pairs[1]].conj()  # (2, ds^2/2, k, d)
+    rates, proj = _noise_projectors(fb.n_sys_modes) if kappa > 0 else (np.zeros((1, 1)), None)
+    c = (rates + 2 * fb.n_sys_modes * (rates % 2))[..., None, None]
     g = uniform_average(2.0 * t_mean * (c * kappa + 1j * np.subtract.outer(e, e)))
-    # T[(i,j),(x,y)] = sum_k A[(i,x),k] B*[(j,y),k], A = L_b G and B = L_b
-    maps = ((l_b @ g[:, None]).reshape(len(g), ds * ds, -1)
-            @ l_b.reshape(ds * ds, -1).conj().T).reshape((len(g),) + (ds,) * 4)
-    maps = maps.swapaxes(-3, -2).reshape(len(g), ds * ds, ds * ds)
-    if proj is None:
-        return maps[0]
-    even = np.zeros(ds * ds, dtype=bool)
-    even[_vec_sectors(ds)[0]] = True
-    return (proj @ (maps * (even != odd[:, None])[:, None, :])).sum(axis=0)
+    m = (l.reshape(2, -1, len(e)) @ g[..., None, :, :]).reshape(g.shape[:-2] + l.shape[:2] + (-1,))
+    m = (m @ l.reshape(l.shape[:2] + (-1,)).conj().swapaxes(-1, -2)).reshape(len(g), -1)
+    # each rate's sector s is read from the M of its own kernel G[:, s]
+    m = np.take(m, out + out.size * np.arange(g.shape[1])[:, None, None], axis=-1)
+    return _unblock(m[0] if proj is None else (proj @ m).sum(axis=0), _vec_sectors(ds))
 
 
 def cycle_maps(block: ModeBlock, ts, t_mean: float, kappa: float):

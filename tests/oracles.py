@@ -15,7 +15,10 @@ closed-form grid tests can compare the package with them under `==`;
 The rest are independent references for the exact engines: `vec` and
 `apply_transfer` step a density through a transfer matrix, and
 `physical_sector` cuts a transfer matrix down to the sector the Fock
-engine's `cycle_maps` yields; the CM
+engine's `cycle_maps` yields; `full_space_averaged_map`, the Fock
+random-time average built on the whole operator space from a Fock-basis
+eigenbasis and its own gain/loss projectors, which
+`fock.averaged_cycle_map`'s sector builder must match; the CM
 conversions `density_to_cm` and `cm_to_density`; the Dyson blocks of the
 quadrature-basis propagator (`quadrature_couplings`, `perturbative_blocks`,
 `omega_basis_generator`); the Majorana-picture noise check
@@ -30,6 +33,8 @@ raises `FitQualityError`, and `product_state_distance`).  `mode_values` reads on
 B from the grids a block is built from.
 """
 
+import functools
+import itertools
 import math
 from functools import lru_cache
 
@@ -38,7 +43,7 @@ from scipy.linalg import expm
 
 from kelvin import optimize
 from kelvin import protocol as pr
-from kelvin._linalg import HERMITICITY_ATOL, hermitize, trace_norm
+from kelvin._linalg import HERMITICITY_ATOL, hermitize, trace_norm, uniform_average
 from kelvin.analytic import GAMMA0_SQ_FACTOR
 from kelvin.errors import KelvinError, ResonantDenominator, UndefinedSteadyState
 from kelvin.fock import _vec_sectors, exact_cycle_map, mode_operators, second_quantize
@@ -327,6 +332,63 @@ def majorana_damping_check(block: ModeBlock, kappa: float, t: float,
 # ---------------------------------------------------------------------------
 # Fock-space references
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=4)
+def _full_noise_projectors(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rates r and projectors Pi_r = sum vec(c_S) vec(c_S)^dag / d (d^2 x d^2)
+    of the unit-rate gain/loss generator, over the Majorana monomials c_S of
+    rate r (q for an even degree q, 2n - q for an odd one)."""
+    majoranas = [c for a in mode_operators(n_modes) for c in (a + a.conj().T, 1j * (a.conj().T - a))]
+    proj: dict[int, np.ndarray] = {}
+    for subset in itertools.product((False, True), repeat=2 * n_modes):
+        mono = functools.reduce(np.matmul, itertools.compress(majoranas, subset),
+                                np.eye(2**n_modes)).reshape(-1)
+        q = sum(subset)
+        rate = q if q % 2 == 0 else 2 * n_modes - q
+        proj[rate] = proj.get(rate, 0) + np.outer(mono, mono.conj()) / 2**n_modes
+    rates = np.array(sorted(proj))
+    return rates, np.stack([proj[r] for r in rates])
+
+
+def full_space_averaged_map(fb, t_mean: float, kappa: float = 0.0) -> np.ndarray:
+    """Random-time average of a noiseless-bath Fock cycle on the whole
+    operator space, the reference for `fock.averaged_cycle_map`.
+
+    The parity eigenbasis is placed on the Fock basis (each eigenvector
+    labelled by a Fock state of its parity), L_b[(i,x), a] = V[(i,b), a]
+    V*[(x,0), a], and the map is sum_b L_b G L_b^dag with G_ab = (1 - e^{-z})
+    / z, z = 2 t_mean (c kappa + i (E_a - E_b)), formed once per noise rate
+    r: c = r on the even (parity-diagonal) columns and r + 2 n_bath on the
+    odd ones, and the rate's projector applied after.
+    """
+    e_blocks, v_blocks = fb.eig()
+    d = 2 * e_blocks.shape[-1]
+    par = np.array([bin(f).count("1") % 2 for f in range(d)])
+    classes = np.stack([np.flatnonzero(par == 0), np.flatnonzero(par == 1)])
+    e = np.empty(d)
+    e[classes] = e_blocks
+    v = np.zeros((d, d), dtype=complex)
+    v[classes[:, :, None], classes[:, None, :]] = v_blocks
+    ds, dr = fb.d_sys, fb.d_rest
+    v4 = v.reshape(ds, dr, -1)
+    l_b = (v4[:, None] * v4[None, :, :1].conj()).reshape(ds * ds, dr, -1)
+    if kappa > 0:
+        rates, proj = _full_noise_projectors(fb.n_sys_modes)
+    else:
+        rates, proj = np.zeros(1), None
+    odd = rates % 2 == 1
+    c = (rates + 2 * fb.n_sys_modes * odd)[:, None, None]
+    g = uniform_average(2.0 * t_mean * (c * kappa + 1j * np.subtract.outer(e, e)))
+    # T[(i,j),(x,y)] = sum_k A[(i,x),k] B*[(j,y),k], A = L_b G and B = L_b
+    maps = ((l_b @ g[:, None]).reshape(len(g), ds * ds, -1)
+            @ l_b.reshape(ds * ds, -1).conj().T).reshape((len(g),) + (ds,) * 4)
+    maps = maps.swapaxes(-3, -2).reshape(len(g), ds * ds, ds * ds)
+    if proj is None:
+        return maps[0]
+    even = np.zeros(ds * ds, dtype=bool)
+    even[_vec_sectors(ds)[0]] = True
+    return (proj @ (maps * (even != odd[:, None])[:, None, :])).sum(axis=0)
+
 
 def maximally_mixed_density(edge: bool) -> np.ndarray:
     d = 2 if edge else 4

@@ -138,8 +138,34 @@ class TestConfigValidation:
             "optimize-fractional-restarts"])
     def test_bad_schedule_and_run_inputs(self, tmp_path, capsys, command, section, value):
         base = TestTrajectory.CFG if command == "trajectory" else STEADY_CFG
+        if command == "rates":  # `rates` reads no noise section
+            base = {key: v for key, v in base.items() if key != "noise"}
         cfg = write_cfg(tmp_path, {**base, section: value})
         assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "config"
+
+    @pytest.mark.parametrize("command, section, value", [
+        ("rates", "noise", {"kind": "bogus"}),
+        ("rates", "noise", {"kind": "depolarizing", "kappa": 0.5}),
+        ("rates", "run", {"dsp": True}),
+        ("spectrum", "noise", {"kind": "none"}),
+        ("optimize", "bath", {"delta": 1.1, "cycle_time": 4.3}),
+        ("steady", "run", {"cross_check": True, "initial": "bogus", "cycles": 5}),
+        ("steady", "run", {"dsp": False, "wide": True}),
+    ], ids=["rates-bogus-noise", "rates-depolarizing", "rates-run", "spectrum-noise",
+            "optimize-bath", "steady-trajectory-run-keys", "steady-wide"])
+    def test_config_a_command_does_not_read(self, tmp_path, capsys, command, section, value):
+        """Each command takes only the sections and run keys it reads: the
+        rest would be ignored without a word."""
+        base = {"spectrum": {"model": base_model()},
+                "optimize": {"model": base_model(), "scheme": base_scheme(),
+                             "optimize": {"objective": "theta_specific", "budget": 10}},
+                "rates": {key: v for key, v in STEADY_CFG.items() if key != "noise"},
+                "steady": STEADY_CFG}[command]
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", write_cfg(tmp_path, base), "--out", str(out)]) == 0
+        cfg = write_cfg(tmp_path, {**base, section: value}, name="unread.json")
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "config"
 
     def test_unknown_engine(self, tmp_path):
@@ -301,6 +327,7 @@ class TestTrajectory:
     def test_unsupported_combination_exit(self, tmp_path):
         """Randomized finite-environment steady reports are not implemented."""
         payload = json.loads(json.dumps(self.CFG))
+        del payload["run"]  # `steady` reads no cycles or stride
         payload["noise"] = {"kind": "finite_env", "kappa_prime": 1e-3,
                             "delta_e": 0.5, "p_e": 0.0}
         cfg = write_cfg(tmp_path, payload)

@@ -336,6 +336,34 @@ class TestParitySuperselection:
         assert np.max(np.abs(engine - dense)) <= 1e-12
 
 
+class TestAveragedMapOracle:
+    """`averaged_cycle_map` builds each parity sector of the random-time
+    average on its own; the whole-operator-space construction it replaced
+    (`oracles.full_space_averaged_map`) must give the same map."""
+
+    @pytest.mark.parametrize("draw", range(48))
+    def test_sectors_match_the_full_space_average(self, draw):
+        rng = np.random.default_rng([2024, draw])
+        nn = draw % 3
+        keys = coupling_keys(nn)
+        scheme = CouplingScheme(nn=nn, lam={j: rng.uniform(-1, 1) for j in keys},
+                                mu={j: rng.uniform(-1, 1) for j in keys},
+                                g=float(np.exp(rng.uniform(math.log(1e-6), math.log(0.3)))))
+        params = ModelParams(12, rng.uniform(0.0, math.pi / 2))
+        bath = BathSpec(rng.uniform(0.3, 2.0), rng.uniform(0.5, 20.0))
+        k = (0, int(rng.integers(1, 6)), 6)[(draw // 3) % 3]  # edges and pairs
+        kappa = float(np.exp(rng.uniform(math.log(1e-6), math.log(0.1)))) if draw % 2 else 0.0
+        fb = fock.second_quantize(block_hamiltonian(params, scheme, bath, k,
+                                                    dsp=bool(rng.integers(2))))
+        new = fock.averaged_cycle_map(fb, bath.cycle_time_mean, kappa)
+        ref = oracles.full_space_averaged_map(fb, bath.cycle_time_mean, kappa)
+        for sector in fock._vec_sectors(math.isqrt(len(ref))):
+            block = np.ix_(sector, sector)
+            assert np.max(np.abs(new[block] - ref[block])) <= 1e-15
+        # the coherences are part of the map, not dropped
+        assert np.max(np.abs(new[block])) > 1e-3
+
+
 # ---------------------------------------------------------------------------
 # cycle maps
 # ---------------------------------------------------------------------------
