@@ -8,6 +8,12 @@ cooling and heating weights at a fixed time or averaged over random times
 and frequencies, covers the noiseless, depolarizing-noisy, DSP and
 finite-environment cases), and the cycle-count and ground-state-cooling
 scaling estimates.
+
+Every fixed-time chain energy goes through one closed-form pass over a
+(theta x k) grid, `_chain_pass`: one evaluation of the bath weights |x|^2
+and |y|^2 (and the environment's) with their derivatives, from which
+`steady_energy` forms the values and `chain_relative_energies_and_grad` the
+exact gradient.
 """
 
 from __future__ import annotations
@@ -58,7 +64,9 @@ __all__ = [
 def _phase_integral(a, t: float, g: float):
     """g * integral_0^t e^{i a tau} d tau with a series branch near a = 0.
 
-    Accepts scalars or arrays of a.
+    Accepts scalars or arrays of a.  Only the complex overlaps of
+    `overlap_coeffs` take this form; every closed-form weight |phi|^2 comes
+    from `_phase_weight_and_grad`.
     """
     a = np.asarray(a, dtype=float)
     at = a * t
@@ -71,29 +79,34 @@ def _phase_integral(a, t: float, g: float):
 
 
 def _phase_weight_and_grad(a, t: float, g: float):
-    """|phi|^2 of `_phase_integral` and its a- and t-derivatives, on arrays of a.
+    """The bath weight |phi|^2 = |g integral_0^t e^{i a tau} d tau|^2 and its
+    a- and t-derivatives, on arrays of a.
 
     With v = a t: |phi|^2 = (2 g t sin(v/2) / v)^2, d/dt |phi|^2 =
     2 g^2 t sin(v) / v and d/da |phi|^2 = 2 g^2 t^3 (v sin v - 4 sin^2(v/2)) / v^3.
     The last numerator cancels to -v^4/6 from terms of size v^2, so below
     |v| = 1e-2 all three take their Taylor series (truncation < 1e-19 of
-    their scale).  Differentiating |phi|^2 rather than phi avoids the
-    e^{iv} - 1 cancellation of `_phase_integral`'s closed branch.
+    their scale), evaluated only when some |v| is that small.  The sine form
+    has no e^{iv} - 1 cancellation, so |phi|^2 keeps its relative precision
+    at every v.
     """
     v = a * t
     small = np.abs(v) < 1e-2
-    vs = np.where(small, 1.0, v)
+    any_small = small.any()
+    vs = np.where(small, 1.0, v) if any_small else v
     inv = 1.0 / vs
-    v2 = v * v
     sin_h = np.sin(0.5 * vs)
     sin_f = np.sin(vs)
     g2 = g * g
-    weight = np.where(small, (g2 * t * t) * (1.0 - v2 * (1.0 / 12.0 - v2 / 360.0)),
-                      (2.0 * g * t * sin_h * inv) ** 2)
-    d_a = np.where(small, (g2 * t**3) * v * (-1.0 / 6.0 + v2 * (1.0 / 90.0 - v2 / 3360.0)),
-                   (2.0 * g2 * t**3) * (vs * sin_f - 4.0 * sin_h * sin_h) * (inv * inv * inv))
-    d_t = np.where(small, (2.0 * g2 * t) * (1.0 - v2 * (1.0 / 6.0 - v2 / 120.0)),
-                   (2.0 * g2 * t) * sin_f * inv)
+    weight = (2.0 * g * t * sin_h * inv) ** 2
+    d_a = (2.0 * g2 * t**3) * (vs * sin_f - 4.0 * sin_h * sin_h) * (inv * inv * inv)
+    d_t = (2.0 * g2 * t) * sin_f * inv
+    if any_small:
+        v2 = v * v
+        weight = np.where(small, (g2 * t * t) * (1.0 - v2 * (1.0 / 12.0 - v2 / 360.0)), weight)
+        d_a = np.where(small, (g2 * t**3) * v * (-1.0 / 6.0 + v2 * (1.0 / 90.0 - v2 / 3360.0)),
+                       d_a)
+        d_t = np.where(small, (2.0 * g2 * t) * (1.0 - v2 * (1.0 / 6.0 - v2 / 120.0)), d_t)
     return weight, d_a, d_t
 
 
@@ -312,81 +325,72 @@ def gs_cooling_plan(n_sites: int, theta: float) -> CoolingPlan:
 # per-chain aggregation (vectorized over modes and theta)
 # ---------------------------------------------------------------------------
 
-def _single_cycle_weights(eps, cos_phi, sin_phi, a, b, delta: float, t: float,
-                          g: float, noise: NoiseSpec, *, dsp: bool = False):
-    """`steady_energy`'s weights of a fixed-time cycle, any array shape: P, Q
-    and the finite environment's (P_e, Q_e, p_e), or None without one.
+def _chain_pass(n_sites: int, thetas, scheme: CouplingScheme, delta: float, t: float,
+                noise: NoiseSpec, *, dsp: bool = False):
+    """The one fixed-time closed-form pass over a (theta x k) grid.
 
-    DSP (`dsp=True`) evaluates the overlaps at zero system splitting.
+    One `_phase_weight_and_grad` call on the stacked phase rates
+    (delta - eps_evo, delta + eps_evo), eps_evo = 0 under DSP, gives |x|^2 and
+    |y|^2 with their delta- and t-derivatives, and one more on
+    (delta_e -+ eps_evo) the environment's.  P = |A|^2 |x|^2, Q = |B|^2 |y|^2,
+    P_e = cos^2 phi |x_e|^2, Q_e = sin^2 phi |y_e|^2 and the pad 2 kappa t are
+    formed once and feed `steady_energy`.  Returns the pair energies e_k, the
+    relative energies, and a function that assembles their gradient from the
+    same arrays (`chain_relative_energies_and_grad`).
     """
-    eps_evo = np.zeros_like(eps) if dsp else eps
-    x = _phase_integral(eps_evo - delta, t, g)
-    y = -_phase_integral(eps_evo + delta, t, g)
-    env = None
-    if noise.env is not None:
-        x_e = _phase_integral(eps_evo - noise.delta_e, t, noise.kappa_prime)
-        y_e = -_phase_integral(eps_evo + noise.delta_e, t, noise.kappa_prime)
-        env = (np.abs(cos_phi.astype(complex) * x_e) ** 2,
-               np.abs((-sin_phi).astype(complex) * y_e) ** 2, noise.p_e)
-    return np.abs(a * x) ** 2, np.abs(b * y) ** 2, env
-
-
-def _single_cycle_energy_grad(grid, phases, a, b, e, delta: float, t: float,
-                              g: float, noise: NoiseSpec, *, dsp: bool = False) -> np.ndarray:
-    """Gradient of sum_k weight_k e_k per theta row, shape (thetas, 2 J + 2).
-
-    `e` are the fixed-time pair energies `steady_energy` gives on `grid`, and the
-    columns follow `ParamVector.to_array`: lambda_j and mu_j over the J
-    `coupling_keys`, then delta and t.  Every noise kind has
-    e = eps (Q - P + n_env) / D with D = P + Q + pad, P = |A|^2 |x|^2 and
-    Q = |B|^2 |y|^2, so de = ((eps - e) dQ - (eps + e) dP + eps dn_env - e dpad) / D.
-    A and B are linear in the couplings (dA/dlambda_j = cos phi e^{-2 pi i j k/N},
-    dA/dmu_j = i sin phi e^{..}, dB/dlambda_j = -sin phi e^{..},
-    dB/dmu_j = i cos phi e^{..}); delta and t enter through |x|^2 and |y|^2,
-    and t also through the noise terms.
-    """
+    grid = _theta_grid(n_sites, tuple(float(th) for th in thetas))
     eps, cos_phi, sin_phi = grid.eps, grid.cos_phi, grid.sin_phi
+    phases = _phases(n_sites, scheme.nn)
+    ab = np.stack(_coupling_sum(cos_phi, sin_phi, phases, scheme))
     eps_evo = np.zeros_like(eps) if dsp else eps
     # |x|^2 is even in its phase rate eps - delta, so taking it at delta - eps
     # makes d/d delta of both |x|^2 and |y|^2 the rate derivative
     w2, dw2_ddelta, dw2_dt = _phase_weight_and_grad(
-        np.stack([delta - eps_evo, delta + eps_evo]), t, g)
-    ab = np.stack([a, b])
+        np.stack([delta - eps_evo, delta + eps_evo]), t, scheme.g)
     ab2 = ab.real ** 2 + ab.imag ** 2
+    pq = ab2 * w2
     # pad collects every denominator term besides P + Q: 2 kappa t, and the
     # environment's weights P_e + Q_e
-    pad, dpad_dt, dn_dt = 2.0 * noise.kappa * t, 2.0 * noise.kappa, 0.0
+    pad, env = 2.0 * noise.kappa * t, None
+    pad_all, dpad_dt, dn_dt = pad, 2.0 * noise.kappa, 0.0
     if noise.env is not None:
         c2, s2 = cos_phi ** 2, sin_phi ** 2
         (xe2, ye2), _, (dxe2_dt, dye2_dt) = _phase_weight_and_grad(
             np.stack([noise.delta_e - eps_evo, noise.delta_e + eps_evo]), t, noise.kappa_prime)
-        pad = pad + (c2 * xe2 + s2 * ye2)
+        env = (c2 * xe2, s2 * ye2, noise.p_e)
+        pad_all = pad + (env[0] + env[1])
         dpad_dt = dpad_dt + (c2 * dxe2_dt + s2 * dye2_dt)
         dn_dt = noise.p_e * (s2 * dye2_dt - c2 * dxe2_dt)
-    pq = ab2 * w2
-    wd = grid.weights / (pq[0] + pq[1] + pad)
-    de_dpq = np.stack([-(eps + e), eps - e]) * wd  # weighted dE/dP and dE/dQ
-    # dP/dc = 2 |x|^2 Re(conj(A) dA/dc) and dQ/dc = 2 |y|^2 Re(conj(B) dB/dc)
-    za, zb = 2.0 * de_dpq * w2 * np.conj(ab)
-    d_lam, d_mu = np.stack([cos_phi * za - sin_phi * zb, sin_phi * za + cos_phi * zb]) @ phases.T
-    de_dw2 = de_dpq * ab2
-    d_delta = np.sum(de_dw2 * dw2_ddelta, axis=(0, -1))
-    d_t = np.sum(np.sum(de_dw2 * dw2_dt, axis=0) + (eps * dn_dt - e * dpad_dt) * wd, axis=-1)
-    return np.concatenate([d_lam.real, -d_mu.imag, d_delta[..., None], d_t[..., None]],
-                          axis=-1)
+    e = steady_energy(eps, pq[0], pq[1], pad, env)
+    rel = np.abs((np.sum(grid.weights * e, axis=-1) - grid.e_gs) / grid.e_gs)
 
+    def grad():
+        """Gradient of rel per theta row, shape (thetas, 2 J + 2).
 
-def _chain_pass(n_sites: int, thetas, scheme: CouplingScheme, delta: float, t: float,
-                noise: NoiseSpec, *, dsp: bool = False):
-    """The (theta x k) closed-form pass: its inputs, pair energies and relative energies."""
-    grid = _theta_grid(n_sites, tuple(float(th) for th in thetas))
-    phases = _phases(n_sites, scheme.nn)
-    a, b = _coupling_sum(grid.cos_phi, grid.sin_phi, phases, scheme)
-    p, q, env = _single_cycle_weights(grid.eps, grid.cos_phi, grid.sin_phi, a, b,
-                                      delta, t, scheme.g, noise, dsp=dsp)
-    e_k = steady_energy(grid.eps, p, q, 2.0 * noise.kappa * t, env)
-    e_total = np.sum(grid.weights * e_k, axis=-1)
-    return grid, phases, a, b, e_k, np.abs((e_total - grid.e_gs) / grid.e_gs)
+        Every noise kind has e = eps (Q - P + n_env) / D with D = P + Q + pad
+        and pad = 2 kappa t + P_e + Q_e, so
+        de = ((eps - e) dQ - (eps + e) dP + eps dn_env - e dpad) / D.  A and
+        B are linear in the couplings (dA/dlambda_j = cos phi e^{-2 pi i j k/N},
+        dA/dmu_j = i sin phi e^{..}, dB/dlambda_j = -sin phi e^{..},
+        dB/dmu_j = i cos phi e^{..}); delta and t enter through |x|^2 and |y|^2,
+        and t also through the noise terms.
+        """
+        wd = grid.weights / (pq[0] + pq[1] + pad_all)
+        de_dpq = np.stack([-(eps + e), eps - e]) * wd  # weighted dE/dP and dE/dQ
+        # dP/dc = 2 |x|^2 Re(conj(A) dA/dc) and dQ/dc = 2 |y|^2 Re(conj(B) dB/dc)
+        za, zb = 2.0 * de_dpq * w2 * np.conj(ab)
+        d_lam, d_mu = np.stack([cos_phi * za - sin_phi * zb,
+                                sin_phi * za + cos_phi * zb]) @ phases.T
+        de_dw2 = de_dpq * ab2
+        d_delta = np.sum(de_dw2 * dw2_ddelta, axis=(0, -1))
+        d_t = np.sum(np.sum(de_dw2 * dw2_dt, axis=0) + (eps * dn_dt - e * dpad_dt) * wd,
+                     axis=-1)
+        de_total = np.concatenate([d_lam.real, -d_mu.imag, d_delta[..., None],
+                                   d_t[..., None]], axis=-1)
+        # e_total >= e_gs and e_gs < 0, so rel = (e_total - e_gs) / -e_gs
+        return de_total / -grid.e_gs[..., None]
+
+    return e, rel, grad
 
 
 def chain_relative_energies(n_sites: int, thetas, scheme: CouplingScheme,
@@ -398,7 +402,7 @@ def chain_relative_energies(n_sites: int, thetas, scheme: CouplingScheme,
     theta-only inputs are cached per (N, thetas).  Raises
     UndefinedSteadyState if the steady state is undefined at any theta.
     """
-    return _chain_pass(n_sites, thetas, scheme, delta, t, noise, dsp=dsp)[-1]
+    return _chain_pass(n_sites, thetas, scheme, delta, t, noise, dsp=dsp)[1]
 
 
 def chain_relative_energies_and_grad(n_sites: int, thetas, scheme: CouplingScheme,
@@ -411,12 +415,8 @@ def chain_relative_energies_and_grad(n_sites: int, thetas, scheme: CouplingSchem
     with respect to `ParamVector.to_array()`: lambda_j and mu_j over the J
     `coupling_keys(scheme.nn)`, then delta and t.
     """
-    grid, phases, a, b, e_k, rel = _chain_pass(n_sites, thetas, scheme, delta, t, noise,
-                                               dsp=dsp)
-    de_total = _single_cycle_energy_grad(grid, phases, a, b, e_k, delta, t, scheme.g,
-                                         noise, dsp=dsp)
-    # e_total >= e_gs and e_gs < 0, so rel = (e_total - e_gs) / -e_gs
-    return rel, de_total / -grid.e_gs[..., None]
+    _, rel, grad = _chain_pass(n_sites, thetas, scheme, delta, t, noise, dsp=dsp)
+    return rel, grad()
 
 
 def chain_relative_energy(params: ModelParams, scheme: CouplingScheme,
@@ -440,23 +440,21 @@ def closed_form_relative_energies(params: ModelParams, scheme: CouplingScheme,
 
     The bath weights are taken at the evolution splitting (zero under DSP,
     `dsp=True`): at the fixed time t and frequency `deltas[0]` without
-    `random_times`, and averaged over random times and the frequencies
-    `deltas` (`multifreq_rates`) with them.  Entries are NaN where eps_k = 0,
-    and all of them for a finite environment with random times, which has
-    no closed form here.
+    `random_times` (the pair energies of `_chain_pass`), and averaged over
+    random times and the frequencies `deltas` (`multifreq_rates`) with them.
+    Entries are NaN where eps_k = 0, and all of them for a finite
+    environment with random times, which has no closed form here.
     """
-    row = _mode_row(params.N, params.theta)
-    eps = row.eps
-    a, b = coupling_arrays(scheme, params)
+    eps = _mode_row(params.N, params.theta).eps
     if not random_times:
-        p, q, env = _single_cycle_weights(eps, row.cos_phi, row.sin_phi, a, b,
-                                          deltas[0], t, scheme.g, noise, dsp=dsp)
+        e_val = _chain_pass(params.N, (params.theta,), scheme, deltas[0], t, noise,
+                            dsp=dsp)[0][0]
     elif noise.env is not None:
         return np.full_like(eps, np.nan)
     else:
+        a, b = coupling_arrays(scheme, params)
         eps_evo = np.zeros_like(eps) if dsp else eps
         p, q = multifreq_rates(eps_evo, deltas, t, scheme.g, np.abs(a) ** 2, np.abs(b) ** 2)
-        env = None
-    e_val = steady_energy(eps, p, q, 2.0 * noise.kappa * t, env)
+        e_val = steady_energy(eps, p, q, 2.0 * noise.kappa * t)
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(eps > 0, (e_val + eps) / eps, np.nan)

@@ -398,7 +398,8 @@ def cmd_optimize(cfg: dict, out: str, args) -> int:
         "objective": res.objective,
         "evaluations": res.evaluations,
         "restarts_used": res.restarts_used,
-        "history": res.history[-200:],
+        # the best is inf until a start has a steady state; JSON has no inf
+        "history": [(n, v if math.isfinite(v) else None) for n, v in res.history[-200:]],
     }))
 
     # validation at the optimum: the exact engine against the closed form at

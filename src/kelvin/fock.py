@@ -48,7 +48,10 @@ monomials, so the noisy cycle is the noiseless one followed by system noise:
 T_kappa(t) = N_sys(t) T_0(t) C(t), C being e^{-2 n_bath kappa t}, the bath's
 share of the odd rate, on the coherences and 1 on the physical sector.  So
 Pi_r decays at c = r + 2 n_bath s: by e^{-c kappa t} at a fixed time, and,
-averaged, inside G, whose z gains 2 t_mean c kappa.
+averaged, inside G, whose z gains 2 t_mean c kappa.  Both builders damp
+inside the map, so the channel N_sys is never formed on its own here (the
+tests' reference `oracles.noise_transfer` builds it from the same
+projectors).
 
 This module doubles as the brute-force oracle for the closed-form layer.
 """
@@ -80,7 +83,6 @@ __all__ = [
     "averaged_cycle_map",
     "cycle_maps",
     "mode_chunks",
-    "noise_transfer",
     "steady_state",
     "fixed_points",
     "mode_groups",
@@ -442,16 +444,6 @@ def _noise_projectors(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
         rate = q if q % 2 == 0 else 2 * n_modes - q
         proj[rate // 2, rate % 2] += np.outer(mono, mono.conj()) / 2**n_modes
     return 2 * np.arange(n_modes + 1)[:, None] + np.arange(2), proj
-
-
-def noise_transfer(n_sys_modes: int, kappa: float, t) -> np.ndarray:
-    """Transfer matrix of the particle gain/loss channel e^{L_E t} on a block;
-    an array of times gives the stack of them, shape t.shape + (d^2, d^2)."""
-    if kappa < 0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
-    rates, proj = _noise_projectors(n_sys_modes)
-    decay = np.exp(-kappa * np.multiply.outer(np.asarray(t, dtype=float), rates))
-    return _unblock(np.einsum("...js,jsab->...sab", decay, proj), _vec_sectors(2**n_sys_modes))
 
 
 def averaged_cycle_map(block: ModeBlock | FockBlock, t_mean: float,

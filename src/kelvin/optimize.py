@@ -12,6 +12,7 @@ objective unchanged.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -117,13 +118,18 @@ def objective_theta_specific(pv: ParamVector, params: ModelParams,
     return ValueWithGrad(vals[0], grad[0])
 
 
+@functools.lru_cache(maxsize=16)
 def phase_grid(phase: str, n_nodes: int = PHASE_NODES) -> np.ndarray:
-    """Theta nodes for one phase, inset from the critical point by pi/80."""
+    """Theta nodes for one phase, inset from the critical point by pi/80
+    (cached, read-only)."""
     if phase == "low":
-        return np.linspace(0.0, math.pi / 4 - PHASE_INSET, n_nodes)
-    if phase == "high":
-        return np.linspace(math.pi / 4 + PHASE_INSET, math.pi / 2, n_nodes)
-    raise ValueError(f"unknown phase {phase!r}; use 'low' or 'high'")
+        nodes = np.linspace(0.0, math.pi / 4 - PHASE_INSET, n_nodes)
+    elif phase == "high":
+        nodes = np.linspace(math.pi / 4 + PHASE_INSET, math.pi / 2, n_nodes)
+    else:
+        raise ValueError(f"unknown phase {phase!r}; use 'low' or 'high'")
+    nodes.flags.writeable = False
+    return nodes
 
 
 def objective_phase_averaged(pv: ParamVector, phase: str, n_sites: int,

@@ -5,10 +5,11 @@ stacked `objective_phase_averaged` must reproduce bit for bit, and
 `phase_averaged_on` evaluates that objective on a grid of any size.  The
 Choi helpers check complete positivity of the exact engines' cycle maps.
 
-The four steady-energy formulas (`general_ss_energy`, `noisy_ss_energy`,
-`dsp_ss_energy`, `finite_env_ss_energy`) are the per-case closed forms that
-`analytic.steady_energy` replaces, kept word for word so that the
-closed-form grid tests can compare the package with them under `==`;
+The three steady-energy formulas (`general_ss_energy`, `noisy_ss_energy`,
+`finite_env_ss_energy`) are the per-case closed forms that
+`analytic.steady_energy` replaces, on the bath weights P = |A|^2 |x|^2 and
+Q = |B|^2 |y|^2 (and the environment's) in the package's operand order, so
+that the closed-form grid tests can compare the package with them under `==`;
 `lorentzian_rates` is the Lorentzian line shape that approximates
 `analytic.averaged_rates`.
 
@@ -23,7 +24,9 @@ conversions `density_to_cm` and `cm_to_density`; the Dyson blocks of the
 quadrature-basis propagator (`quadrature_couplings`, `perturbative_blocks`,
 `omega_basis_generator`); the Majorana-picture noise check
 (`bravyi_noise_matrices`, `majorana_damping_check`, with the block
-propagators `propagators`); the joint-Lindbladian
+propagators `propagators`); `noise_transfer`, the gain/loss channel e^{L_E t}
+as a transfer matrix on the whole operator space, from the Fock engine's
+sector projectors; the joint-Lindbladian
 check of the Fock engine's noise factorization (`noise_factorization_gap`);
 `maximally_mixed_density`; the physical-state checks of per-mode blocks
 (`check_cm_blocks`, `check_density_blocks`); `steady_blocks`, the per-mode
@@ -46,7 +49,8 @@ from kelvin import protocol as pr
 from kelvin._linalg import HERMITICITY_ATOL, hermitize, trace_norm, uniform_average
 from kelvin.analytic import GAMMA0_SQ_FACTOR
 from kelvin.errors import KelvinError, ResonantDenominator, UndefinedSteadyState
-from kelvin.fock import _vec_sectors, exact_cycle_map, mode_operators, second_quantize
+from kelvin.fock import (_noise_projectors, _unblock, _vec_sectors, exact_cycle_map,
+                         mode_operators, second_quantize)
 from kelvin.model import ModeBlock, NoiseSpec, coupling_arrays, mode_grid
 from kelvin.optimize import PHASE_NODES, phase_grid
 
@@ -108,49 +112,32 @@ def choi_min_eig(t: np.ndarray) -> float:
 # the per-case steady-energy closed forms
 # ---------------------------------------------------------------------------
 
-def general_ss_energy(epsilon, a_k, b_k, x, y):
-    """Noiseless per-pair steady energy eps (|By|^2 - |Ax|^2)/(|Ax|^2 + |By|^2)."""
-    ax2 = np.abs(np.asarray(a_k) * np.asarray(x)) ** 2
-    by2 = np.abs(np.asarray(b_k) * np.asarray(y)) ** 2
-    denom = ax2 + by2
+def general_ss_energy(epsilon, p, q):
+    """Noiseless per-pair steady energy eps (Q - P)/(P + Q) on the bath
+    weights P = |A|^2 |x|^2 and Q = |B|^2 |y|^2."""
+    denom = p + q
     if np.any(denom <= 0):
         raise UndefinedSteadyState("|Ax|^2 + |By|^2 vanishes")
-    return np.asarray(epsilon, dtype=float) * (by2 - ax2) / denom
+    return np.asarray(epsilon, dtype=float) * (q - p) / denom
 
 
-def noisy_ss_energy(epsilon, a_k, b_k, x, y, kappa: float, t: float):
+def noisy_ss_energy(epsilon, p, q, kappa: float, t: float):
     """Depolarizing-noise steady energy; 2 kappa t pads the denominator."""
-    ax2 = np.abs(np.asarray(a_k) * np.asarray(x)) ** 2
-    by2 = np.abs(np.asarray(b_k) * np.asarray(y)) ** 2
-    return np.asarray(epsilon, dtype=float) * (by2 - ax2) / (ax2 + by2 + 2.0 * kappa * t)
+    return np.asarray(epsilon, dtype=float) * (q - p) / (p + q + 2.0 * kappa * t)
 
 
-def dsp_ss_energy(epsilon, a_k, b_k):
-    """Steady energy with the system Hamiltonian switched off during cycles."""
-    a2 = np.abs(np.asarray(a_k)) ** 2
-    b2 = np.abs(np.asarray(b_k)) ** 2
-    denom = a2 + b2
-    if np.any(denom <= 0):
-        raise UndefinedSteadyState("|A|^2 + |B|^2 vanishes")
-    return np.asarray(epsilon, dtype=float) * (b2 - a2) / denom
-
-
-def finite_env_ss_energy(epsilon, bath_terms, env_terms, p_e: float):
+def finite_env_ss_energy(epsilon, bath_weights, env_weights, p_e: float):
     """Steady energy with one engineered bath and one uncontrolled environment.
 
-    Each of bath_terms and env_terms is (A, x, B, y); the bath carries
+    Each of bath_weights and env_weights is (P, Q); the bath carries
     polarization 1, the environment p_e.
     """
-    a_b, x_b, b_b, y_b = bath_terms
-    a_e, x_e, b_e, y_e = env_terms
-    axb = np.abs(np.asarray(a_b) * np.asarray(x_b)) ** 2
-    byb = np.abs(np.asarray(b_b) * np.asarray(y_b)) ** 2
-    axe = np.abs(np.asarray(a_e) * np.asarray(x_e)) ** 2
-    bye = np.abs(np.asarray(b_e) * np.asarray(y_e)) ** 2
-    denom = axb + byb + axe + bye
+    p_b, q_b = bath_weights
+    p_env, q_env = env_weights
+    denom = p_b + q_b + p_env + q_env
     if np.any(denom <= 0):
         raise UndefinedSteadyState("total overlap weight vanishes")
-    num = 1.0 * (byb - axb) + p_e * (bye - axe)
+    num = 1.0 * (q_b - p_b) + p_e * (q_env - p_env)
     return np.asarray(epsilon, dtype=float) * num / denom
 
 
@@ -291,6 +278,15 @@ def omega_basis_generator(epsilon: float, g: float, delta: float,
          [epsilon, 0, g * p_k, 0],
          [0, -g * np.conj(p_k), 0, -delta],
          [-g * np.conj(f_k), 0, delta, 0]], dtype=complex)
+
+
+def noise_transfer(n_sys_modes: int, kappa: float, t) -> np.ndarray:
+    """Transfer matrix of the particle gain/loss channel e^{L_E t} on a block,
+    from the Fock engine's sector projectors; an array of times gives the
+    stack of them, shape t.shape + (d^2, d^2)."""
+    rates, proj = _noise_projectors(n_sys_modes)
+    decay = np.exp(-kappa * np.multiply.outer(np.asarray(t, dtype=float), rates))
+    return _unblock(np.einsum("...js,jsab->...sab", decay, proj), _vec_sectors(2**n_sys_modes))
 
 
 def bravyi_noise_matrices(n_modes: int, kappa: float) -> tuple[np.ndarray, np.ndarray]:

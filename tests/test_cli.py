@@ -428,6 +428,28 @@ class TestOptimizeCmd:
         assert json.loads(capsys.readouterr().err)["error"] == "optimization_failed"
         assert not (tmp_path / "o" / "optimum.json").exists()
 
+    def test_outputs_are_standard_json(self, tmp_path):
+        """Zero couplings leave the first start without a steady state, so the
+        history begins before any finite best; that best is written as null,
+        and every file the command writes parses without infinities or NaN."""
+        payload = {"model": base_model(20, 0.3),
+                   "scheme": {"nn": 0, "lambda": {"0": 0.0}, "mu": {"0": 0.0}, "g": 0.1},
+                   "optimize": {"objective": "phase_averaged", "phase": "low",
+                                "budget": 60, "restarts": 2}}
+        cfg = write_cfg(tmp_path, payload)
+        out = tmp_path / "o"
+        assert cli.main(["optimize", "--config", cfg, "--out", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        files = sorted(out.glob("*.json"))
+        assert [f.name for f in files] == ["optimum.json", "validation.json"]
+        loaded = {f.name: json.loads(f.read_text(), parse_constant=reject) for f in files}
+        history = loaded["optimum.json"]["history"]
+        assert history[0] == [1, None]
+        assert math.isfinite(history[-1][1])
+
     def test_dsp_smoke(self, tmp_path):
         payload = {
             "model": base_model(12, 1.3),

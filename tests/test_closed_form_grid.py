@@ -4,8 +4,9 @@ The oracles below are the scalar closed-form path: `mode_grid` and
 `coupling_arrays` rebuilt for every theta, the per-theta
 `chain_relative_energy` body, the single-time closed-form e_k through the
 per-case steady-energy formulas `analytic.steady_energy` replaced (kept in
-`oracles`), and a phase average that evaluates one theta at a time through
-`oracles.phase_average`.
+`oracles`) on the bath weights P = |A|^2 |x|^2 and Q = |B|^2 |y|^2 of
+`analytic._phase_weight_and_grad`, and a phase average that evaluates one
+theta at a time through `oracles.phase_average`.
 The grid keeps every elementwise expression in the same operand order and
 reduces each theta row with the same pairwise sum, so the package must agree
 with them exactly (==), not to a tolerance: the objective values, and the
@@ -64,22 +65,24 @@ def _oracle_coupling_arrays(scheme, params):
     return a, b
 
 
+def _weight(rate, t, g):
+    return an._phase_weight_and_grad(rate, t, g)[0]
+
+
 def _oracle_pair_energies(params, scheme, delta, t, noise, mode):
     _, eps, phi, _ = _oracle_mode_grid(params)
     a, b = _oracle_coupling_arrays(scheme, params)
     g = scheme.g
     eps_evo = np.zeros_like(eps) if mode == "dsp" else eps
-    x = an._phase_integral(eps_evo - delta, t, g)
-    y = -an._phase_integral(eps_evo + delta, t, g)
+    p = (a.real ** 2 + a.imag ** 2) * _weight(eps_evo - delta, t, g)
+    q = (b.real ** 2 + b.imag ** 2) * _weight(eps_evo + delta, t, g)
     if noise.kind == "none":
-        return general_ss_energy(eps, a, b, x, y)
+        return general_ss_energy(eps, p, q)
     if noise.kind == "depolarizing":
-        return noisy_ss_energy(eps, a, b, x, y, noise.kappa, t)
-    a_e = np.cos(phi).astype(complex)
-    b_e = (-np.sin(phi)).astype(complex)
-    x_e = an._phase_integral(eps_evo - noise.delta_e, t, noise.kappa_prime)
-    y_e = -an._phase_integral(eps_evo + noise.delta_e, t, noise.kappa_prime)
-    return finite_env_ss_energy(eps, (a, x, b, y), (a_e, x_e, b_e, y_e), noise.p_e)
+        return noisy_ss_energy(eps, p, q, noise.kappa, t)
+    p_env = np.cos(phi) ** 2 * _weight(eps_evo - noise.delta_e, t, noise.kappa_prime)
+    q_env = np.sin(phi) ** 2 * _weight(eps_evo + noise.delta_e, t, noise.kappa_prime)
+    return finite_env_ss_energy(eps, (p, q), (p_env, q_env), noise.p_e)
 
 
 def _oracle_chain_relative_energy(params, scheme, delta, t, noise, mode):
@@ -236,8 +239,10 @@ def test_cached_theta_inputs_are_read_only():
     grid = model._theta_grid(20, thetas)
     assert grid is model._theta_grid(20, thetas)
     phases = model._phases(20, 1.5)
+    nodes = op.phase_grid("high")
+    assert nodes is op.phase_grid("high")
     assert grid.eps.shape == (21, 11) and phases.shape == (4, 11)
-    for arr in (*grid, phases):
+    for arr in (*grid, phases, nodes):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[...] = 0
@@ -265,3 +270,62 @@ def test_optimizer_takes_the_same_path(objective):
     assert new.objective == old.objective
     assert new.evaluations == old.evaluations
     assert new.history == old.history
+
+
+PASS_NOISES = ("none", "depolarizing", "finite_env")
+
+
+@pytest.mark.parametrize("nn", NN)
+@pytest.mark.parametrize("noise_kind", PASS_NOISES)
+@pytest.mark.parametrize("mode", MODES)
+def test_values_with_and_without_gradient_are_one_pass(nn, noise_kind, mode):
+    """The values-only entry points and the values that come with the
+    gradient are the same floats, on seeded random theta grids."""
+    rng = np.random.default_rng([int(2 * nn), PASS_NOISES.index(noise_kind), MODES.index(mode)])
+    dsp = mode == "dsp"
+    for n_sites in (4, 22, 200):
+        pv = _param_vector(nn, rng)
+        noise = _noise(noise_kind, rng)
+        thetas = rng.uniform(0.0, math.pi / 2, int(rng.integers(1, 25)))
+        args = (n_sites, thetas, pv.scheme, pv.delta, pv.t, noise)
+        vals, grad = an.chain_relative_energies_and_grad(*args, dsp=dsp)
+        assert np.array_equal(an.chain_relative_energies(*args, dsp=dsp), vals)
+        assert grad.shape == (len(thetas), 2 * len(coupling_keys(nn)) + 2)
+        params = ModelParams(n_sites, float(thetas[0]))
+        one = an.chain_relative_energy(params, pv.scheme, pv.delta, pv.t, noise, dsp=dsp)
+        assert op.objective_theta_specific(pv, params, noise, dsp=dsp) == one == vals[0]
+
+
+@pytest.mark.parametrize("noise_kind,calls", [("none", 1), ("depolarizing", 1),
+                                              ("finite_env", 2)])
+def test_one_weight_evaluation_per_pass(monkeypatch, noise_kind, calls):
+    """Every fixed-time entry point evaluates the bath weights once (and the
+    environment's once more) and never the complex overlaps."""
+    rng = np.random.default_rng(11)
+    pv = _param_vector(1, rng)
+    noise = _noise(noise_kind, rng)
+    counted = []
+    weights = an._phase_weight_and_grad
+
+    def counting(*args):
+        counted.append(args)
+        return weights(*args)
+
+    def forbidden(*args):
+        raise AssertionError("the closed-form pass evaluated _phase_integral")
+
+    monkeypatch.setattr(an, "_phase_weight_and_grad", counting)
+    monkeypatch.setattr(an, "_phase_integral", forbidden)
+    thetas = op.phase_grid("low")
+    params = ModelParams(20, 0.7)
+    for run in (lambda: an.chain_relative_energies(20, thetas, pv.scheme, pv.delta, pv.t, noise),
+                lambda: an.chain_relative_energies_and_grad(20, thetas, pv.scheme, pv.delta,
+                                                            pv.t, noise),
+                lambda: an.chain_relative_energy(params, pv.scheme, pv.delta, pv.t, noise),
+                lambda: op.objective_phase_averaged(pv, "low", 20, noise),
+                lambda: op.objective_theta_specific(pv, params, noise),
+                lambda: an.closed_form_relative_energies(params, pv.scheme, [pv.delta], pv.t,
+                                                         noise, random_times=False)):
+        counted.clear()
+        run()
+        assert len(counted) == calls

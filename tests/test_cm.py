@@ -326,7 +326,7 @@ class TestMajoranaDamping:
         gamma[2:, 2:] = cm.vacuum_cm()
         # exact: joint unitary of the block plus gain/loss on all four modes
         u = fb.propagators([t])[0]
-        rho_t = fock.noise_transfer(4, kappa, t) @ (
+        rho_t = oracles.noise_transfer(4, kappa, t) @ (
             np.kron(u, u.conj()) @ rho.reshape(-1))
         rho_t = rho_t.reshape(16, 16)
         gam_t = oracles.majorana_damping_check(blk, kappa, t, gamma)

@@ -471,7 +471,7 @@ class TestNoisyCycleMap:
         fb = fock.second_quantize(blk)
         t, kappa = 2.7, 0.03
         first = fock.exact_cycle_map(fb, t, kappa)
-        last = fock.noise_transfer(fb.n_sys_modes, kappa, t) @ fock.exact_cycle_map(fb, t)
+        last = oracles.noise_transfer(fb.n_sys_modes, kappa, t) @ fock.exact_cycle_map(fb, t)
         a, idx = restricted(first)
         b, _ = restricted(last)
         assert np.max(np.abs(a - b)) < 1e-10

@@ -26,7 +26,7 @@ from kelvin.model import (
     block_hamiltonian,
     dispersion,
 )
-from oracles import physical_sector
+from oracles import noise_transfer, physical_sector
 
 REL_TOL = 1e-13
 N_SITES = 8
@@ -64,7 +64,7 @@ def _loop_cycle_map(fb, t, kappa):
     par = np.array([bin(i).count("1") % 2 for i in range(fb.d_sys)])
     p_diag = np.diag(np.equal.outer(par, par).reshape(-1).astype(float))
     p_off = np.eye(fb.d_sys**2) - p_diag
-    return (plus @ p_diag + minus @ p_off) @ fock.noise_transfer(fb.n_sys_modes, kappa, t)
+    return (plus @ p_diag + minus @ p_off) @ noise_transfer(fb.n_sys_modes, kappa, t)
 
 
 def _nodes(t_mean, nodes, panels=1):
@@ -298,7 +298,7 @@ class TestPostNoiseIdentity:
     T_kappa(t) = N_sys(t) T_0(t) C(t), with C = e^{-2 n_bath kappa t} on the
     parity-off-diagonal columns, over random blocks, kappa log-uniform in
     [1e-9, 0.3] and t in [0, 40].  N_sys is exponentiated from the generator
-    built here, independently of `fock.noise_transfer`.
+    built here, independently of `oracles.noise_transfer`.
     """
 
     @pytest.mark.parametrize("kind", ["generic", "edge", "dsp"])
@@ -314,7 +314,7 @@ class TestPostNoiseIdentity:
             par = np.array([bin(i).count("1") % 2 for i in range(fb.d_sys)])
             diag = np.equal.outer(par, par).reshape(-1)
             n_sys_map = expm(kappa * t * _gain_loss_generator(n_sys))
-            _assert_rel_close(fock.noise_transfer(n_sys, kappa, t), n_sys_map)
+            _assert_rel_close(noise_transfer(n_sys, kappa, t), n_sys_map)
             damp = np.where(diag, 1.0, math.exp(-2.0 * n_sys * kappa * t))
             noisy = fock.exact_cycle_map(fb, t, kappa)
             _assert_rel_close(noisy, n_sys_map @ (fock.exact_cycle_map(fb, t) * damp))
