@@ -10,10 +10,9 @@ finite-environment cases), and the cycle-count and ground-state-cooling
 scaling estimates.
 
 Every fixed-time chain energy goes through one closed-form pass over a
-(theta x k) grid, `_chain_pass`: one evaluation of the bath weights |x|^2
-and |y|^2 (and the environment's) with their derivatives, from which
-`steady_energy` forms the values and `chain_relative_energies_and_grad` the
-exact gradient.
+(theta x k) grid, `_chain_pass`: one evaluation of the bath weights |x|^2 and
+|y|^2 (and the environment's) gives `steady_energy` its values, and their
+derivatives, formed only for `chain_relative_energies_and_grad`, the gradient.
 """
 
 from __future__ import annotations
@@ -79,35 +78,35 @@ def _phase_integral(a, t: float, g: float):
 
 
 def _phase_weight_and_grad(a, t: float, g: float):
-    """The bath weight |phi|^2 = |g integral_0^t e^{i a tau} d tau|^2 and its
-    a- and t-derivatives, on arrays of a.
+    """The bath weight |phi|^2 = |g integral_0^t e^{i a tau} d tau|^2 on arrays
+    of a, and a function that gives its a- and t-derivatives.
 
     With v = a t: |phi|^2 = (2 g t sin(v/2) / v)^2, d/dt |phi|^2 =
     2 g^2 t sin(v) / v and d/da |phi|^2 = 2 g^2 t^3 (v sin v - 4 sin^2(v/2)) / v^3.
     The last numerator cancels to -v^4/6 from terms of size v^2, so below
     |v| = 1e-2 all three take their Taylor series (truncation < 1e-19 of
-    their scale), evaluated only when some |v| is that small.  The sine form
-    has no e^{iv} - 1 cancellation, so |phi|^2 keeps its relative precision
-    at every v.
+    their scale).  The sine form keeps the relative precision of |phi|^2 at
+    every v (no e^{iv} - 1 cancellation); the derivatives are formed on demand.
     """
     v = a * t
     small = np.abs(v) < 1e-2
-    any_small = small.any()
-    vs = np.where(small, 1.0, v) if any_small else v
+    vs = np.where(small, 1.0, v)
     inv = 1.0 / vs
+    v2 = v * v
     sin_h = np.sin(0.5 * vs)
-    sin_f = np.sin(vs)
     g2 = g * g
-    weight = (2.0 * g * t * sin_h * inv) ** 2
-    d_a = (2.0 * g2 * t**3) * (vs * sin_f - 4.0 * sin_h * sin_h) * (inv * inv * inv)
-    d_t = (2.0 * g2 * t) * sin_f * inv
-    if any_small:
-        v2 = v * v
-        weight = np.where(small, (g2 * t * t) * (1.0 - v2 * (1.0 / 12.0 - v2 / 360.0)), weight)
+    weight = np.where(small, (g2 * t * t) * (1.0 - v2 * (1.0 / 12.0 - v2 / 360.0)),
+                      (2.0 * g * t * sin_h * inv) ** 2)
+
+    def grad():
+        sin_f = np.sin(vs)
         d_a = np.where(small, (g2 * t**3) * v * (-1.0 / 6.0 + v2 * (1.0 / 90.0 - v2 / 3360.0)),
-                       d_a)
-        d_t = np.where(small, (2.0 * g2 * t) * (1.0 - v2 * (1.0 / 6.0 - v2 / 120.0)), d_t)
-    return weight, d_a, d_t
+                       (2.0 * g2 * t**3) * (vs * sin_f - 4.0 * sin_h * sin_h) * (inv * inv * inv))
+        d_t = np.where(small, (2.0 * g2 * t) * (1.0 - v2 * (1.0 / 6.0 - v2 / 120.0)),
+                       (2.0 * g2 * t) * sin_f * inv)
+        return d_a, d_t
+
+    return weight, grad
 
 
 def overlap_coeffs(epsilon: float, delta: float, t: float, g: float) -> tuple[complex, complex]:
@@ -325,42 +324,33 @@ def gs_cooling_plan(n_sites: int, theta: float) -> CoolingPlan:
 # per-chain aggregation (vectorized over modes and theta)
 # ---------------------------------------------------------------------------
 
-def _chain_pass(n_sites: int, thetas, scheme: CouplingScheme, delta: float, t: float,
-                noise: NoiseSpec, *, dsp: bool = False):
-    """The one fixed-time closed-form pass over a (theta x k) grid.
+def _chain_pass(grid, ab, scheme: CouplingScheme, delta: float, t: float, noise: NoiseSpec,
+                *, dsp: bool = False):
+    """The one fixed-time closed-form pass over a mode grid, one `_mode_row` or
+    `_theta_grid`'s (theta x k) stack, with (A, B) stacked on it in `ab`.
 
     One `_phase_weight_and_grad` call on the stacked phase rates
     (delta - eps_evo, delta + eps_evo), eps_evo = 0 under DSP, gives |x|^2 and
-    |y|^2 with their delta- and t-derivatives, and one more on
-    (delta_e -+ eps_evo) the environment's.  P = |A|^2 |x|^2, Q = |B|^2 |y|^2,
-    P_e = cos^2 phi |x_e|^2, Q_e = sin^2 phi |y_e|^2 and the pad 2 kappa t are
-    formed once and feed `steady_energy`.  Returns the pair energies e_k, the
-    relative energies, and a function that assembles their gradient from the
-    same arrays (`chain_relative_energies_and_grad`).
+    |y|^2, one more on (delta_e -+ eps_evo) the environment's, and P = |A|^2 |x|^2,
+    Q = |B|^2 |y|^2, P_e = cos^2 phi |x_e|^2, Q_e = sin^2 phi |y_e|^2 and the
+    pad 2 kappa t feed `steady_energy`.  Returns the pair energies e_k, the
+    relative energies and a function that forms their gradient from the same
+    arrays; only it evaluates the weights' derivatives.
     """
-    grid = _theta_grid(n_sites, tuple(float(th) for th in thetas))
     eps, cos_phi, sin_phi = grid.eps, grid.cos_phi, grid.sin_phi
-    phases = _phases(n_sites, scheme.nn)
-    ab = np.stack(_coupling_sum(cos_phi, sin_phi, phases, scheme))
     eps_evo = np.zeros_like(eps) if dsp else eps
     # |x|^2 is even in its phase rate eps - delta, so taking it at delta - eps
     # makes d/d delta of both |x|^2 and |y|^2 the rate derivative
-    w2, dw2_ddelta, dw2_dt = _phase_weight_and_grad(
+    w2, w2_grad = _phase_weight_and_grad(
         np.stack([delta - eps_evo, delta + eps_evo]), t, scheme.g)
     ab2 = ab.real ** 2 + ab.imag ** 2
     pq = ab2 * w2
-    # pad collects every denominator term besides P + Q: 2 kappa t, and the
-    # environment's weights P_e + Q_e
     pad, env = 2.0 * noise.kappa * t, None
-    pad_all, dpad_dt, dn_dt = pad, 2.0 * noise.kappa, 0.0
     if noise.env is not None:
         c2, s2 = cos_phi ** 2, sin_phi ** 2
-        (xe2, ye2), _, (dxe2_dt, dye2_dt) = _phase_weight_and_grad(
+        (xe2, ye2), env_grad = _phase_weight_and_grad(
             np.stack([noise.delta_e - eps_evo, noise.delta_e + eps_evo]), t, noise.kappa_prime)
         env = (c2 * xe2, s2 * ye2, noise.p_e)
-        pad_all = pad + (env[0] + env[1])
-        dpad_dt = dpad_dt + (c2 * dxe2_dt + s2 * dye2_dt)
-        dn_dt = noise.p_e * (s2 * dye2_dt - c2 * dxe2_dt)
     e = steady_energy(eps, pq[0], pq[1], pad, env)
     rel = np.abs((np.sum(grid.weights * e, axis=-1) - grid.e_gs) / grid.e_gs)
 
@@ -375,6 +365,14 @@ def _chain_pass(n_sites: int, thetas, scheme: CouplingScheme, delta: float, t: f
         dB/dmu_j = i cos phi e^{..}); delta and t enter through |x|^2 and |y|^2,
         and t also through the noise terms.
         """
+        dw2_ddelta, dw2_dt = w2_grad()
+        phases = _phases(2 * (eps.shape[-1] - 1), scheme.nn)  # k runs over 0..N/2
+        pad_all, dpad_dt, dn_dt = pad, 2.0 * noise.kappa, 0.0
+        if env is not None:
+            dxe2_dt, dye2_dt = env_grad()[1]
+            pad_all = pad + (env[0] + env[1])
+            dpad_dt = dpad_dt + (c2 * dxe2_dt + s2 * dye2_dt)
+            dn_dt = noise.p_e * (s2 * dye2_dt - c2 * dxe2_dt)
         wd = grid.weights / (pq[0] + pq[1] + pad_all)
         de_dpq = np.stack([-(eps + e), eps - e]) * wd  # weighted dE/dP and dE/dQ
         # dP/dc = 2 |x|^2 Re(conj(A) dA/dc) and dQ/dc = 2 |y|^2 Re(conj(B) dB/dc)
@@ -402,7 +400,9 @@ def chain_relative_energies(n_sites: int, thetas, scheme: CouplingScheme,
     theta-only inputs are cached per (N, thetas).  Raises
     UndefinedSteadyState if the steady state is undefined at any theta.
     """
-    return _chain_pass(n_sites, thetas, scheme, delta, t, noise, dsp=dsp)[1]
+    grid = _theta_grid(n_sites, tuple(float(th) for th in thetas))
+    ab = np.stack(_coupling_sum(grid.cos_phi, grid.sin_phi, _phases(n_sites, scheme.nn), scheme))
+    return _chain_pass(grid, ab, scheme, delta, t, noise, dsp=dsp)[1]
 
 
 def chain_relative_energies_and_grad(n_sites: int, thetas, scheme: CouplingScheme,
@@ -415,7 +415,9 @@ def chain_relative_energies_and_grad(n_sites: int, thetas, scheme: CouplingSchem
     with respect to `ParamVector.to_array()`: lambda_j and mu_j over the J
     `coupling_keys(scheme.nn)`, then delta and t.
     """
-    _, rel, grad = _chain_pass(n_sites, thetas, scheme, delta, t, noise, dsp=dsp)
+    grid = _theta_grid(n_sites, tuple(float(th) for th in thetas))
+    ab = np.stack(_coupling_sum(grid.cos_phi, grid.sin_phi, _phases(n_sites, scheme.nn), scheme))
+    _, rel, grad = _chain_pass(grid, ab, scheme, delta, t, noise, dsp=dsp)
     return rel, grad()
 
 
@@ -445,14 +447,14 @@ def closed_form_relative_energies(params: ModelParams, scheme: CouplingScheme,
     Entries are NaN where eps_k = 0, and all of them for a finite
     environment with random times, which has no closed form here.
     """
-    eps = _mode_row(params.N, params.theta).eps
+    row = _mode_row(params.N, params.theta)
+    eps = row.eps
+    a, b = coupling_arrays(scheme, params)
     if not random_times:
-        e_val = _chain_pass(params.N, (params.theta,), scheme, deltas[0], t, noise,
-                            dsp=dsp)[0][0]
+        e_val = _chain_pass(row, np.stack([a, b]), scheme, deltas[0], t, noise, dsp=dsp)[0]
     elif noise.env is not None:
         return np.full_like(eps, np.nan)
     else:
-        a, b = coupling_arrays(scheme, params)
         eps_evo = np.zeros_like(eps) if dsp else eps
         p, q = multifreq_rates(eps_evo, deltas, t, scheme.g, np.abs(a) ** 2, np.abs(b) ** 2)
         e_val = steady_energy(eps, p, q, 2.0 * noise.kappa * t)

@@ -300,16 +300,22 @@ def test_values_with_and_without_gradient_are_one_pass(nn, noise_kind, mode):
                                               ("finite_env", 2)])
 def test_one_weight_evaluation_per_pass(monkeypatch, noise_kind, calls):
     """Every fixed-time entry point evaluates the bath weights once (and the
-    environment's once more) and never the complex overlaps."""
+    environment's once more) and never the complex overlaps; only the
+    gradient's entry points form the weights' derivatives."""
     rng = np.random.default_rng(11)
     pv = _param_vector(1, rng)
     noise = _noise(noise_kind, rng)
-    counted = []
+    counted, derivatives = [], []
     weights = an._phase_weight_and_grad
 
     def counting(*args):
         counted.append(args)
-        return weights(*args)
+        weight, grad = weights(*args)
+
+        def counting_grad():
+            derivatives.append(args)
+            return grad()
+        return weight, counting_grad
 
     def forbidden(*args):
         raise AssertionError("the closed-form pass evaluated _phase_integral")
@@ -318,14 +324,20 @@ def test_one_weight_evaluation_per_pass(monkeypatch, noise_kind, calls):
     monkeypatch.setattr(an, "_phase_integral", forbidden)
     thetas = op.phase_grid("low")
     params = ModelParams(20, 0.7)
-    for run in (lambda: an.chain_relative_energies(20, thetas, pv.scheme, pv.delta, pv.t, noise),
-                lambda: an.chain_relative_energies_and_grad(20, thetas, pv.scheme, pv.delta,
-                                                            pv.t, noise),
-                lambda: an.chain_relative_energy(params, pv.scheme, pv.delta, pv.t, noise),
-                lambda: op.objective_phase_averaged(pv, "low", 20, noise),
-                lambda: op.objective_theta_specific(pv, params, noise),
-                lambda: an.closed_form_relative_energies(params, pv.scheme, [pv.delta], pv.t,
-                                                         noise, random_times=False)):
-        counted.clear()
-        run()
-        assert len(counted) == calls
+    values_only = (
+        lambda: an.chain_relative_energies(20, thetas, pv.scheme, pv.delta, pv.t, noise),
+        lambda: an.chain_relative_energy(params, pv.scheme, pv.delta, pv.t, noise),
+        lambda: an.closed_form_relative_energies(params, pv.scheme, [pv.delta], pv.t, noise,
+                                                 random_times=False))
+    with_gradient = (
+        lambda: an.chain_relative_energies_and_grad(20, thetas, pv.scheme, pv.delta, pv.t,
+                                                    noise),
+        lambda: op.objective_phase_averaged(pv, "low", 20, noise),
+        lambda: op.objective_theta_specific(pv, params, noise))
+    for runs, derivative_calls in ((values_only, 0), (with_gradient, calls)):
+        for run in runs:
+            counted.clear()
+            derivatives.clear()
+            run()
+            assert len(counted) == calls
+            assert len(derivatives) == derivative_calls
