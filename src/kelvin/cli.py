@@ -261,10 +261,9 @@ def cmd_steady(cfg: dict, out: str, args) -> int:
         random_times=cfg["schedule"].get("kind", "single") != "single", dsp=dsp)
 
     # write_csv leaves NaN (undefined e_k) cells empty
-    rows = [(int(k), rep.epsilon[k], rep.mode_energy[k], rep.mode_relative_energy[k],
-             rep.alpha[k], float(e_closed[k]),
-             float(rep.mode_relative_energy[k] - e_closed[k]))
-            for k in rep.ks]
+    ks, e_rel = rep.ks, rep.mode_relative_energy
+    rows = zip(ks.tolist(), *(a[ks].tolist() for a in (rep.epsilon, rep.mode_energy, e_rel,
+                                                       rep.alpha, e_closed, e_rel - e_closed)))
     write_csv(os.path.join(out, "steady.csv"),
               ["k", "epsilon_k", "E_k", "e_k", "alpha_k",
                "e_k_closed_form", "e_k_delta"], rows)
@@ -302,7 +301,7 @@ def cmd_trajectory(cfg: dict, out: str, args) -> int:
     for s in traj.snapshots:
         row = [s.cycle, s.energy, s.relative_energy, s.fidelity]
         if wide:
-            row += list(s.mode_energies)
+            row += s.mode_energies.tolist()
         rows.append(row)
     write_csv(os.path.join(out, "trajectory.csv"), header, rows)
 
@@ -340,8 +339,9 @@ def cmd_rates(cfg: dict, out: str, args) -> int:
     # schedule kind, and so is e_k
     e_rel = an.closed_form_relative_energies(params, scheme, deltas, bath.cycle_time_mean,
                                              NoiseSpec.none(), random_times=True)
-    rows = [(int(k), eps[k], rt.gamma_c[k], rt.gamma_h[k], rt.alpha[k], e_rel[k])
-            for k in rt.ks]
+    ks = rt.ks
+    rows = zip(ks.tolist(), *(a[ks].tolist() for a in (eps, rt.gamma_c, rt.gamma_h, rt.alpha,
+                                                       e_rel)))
     write_csv(os.path.join(out, "rates.csv"),
               ["k", "epsilon_k", "gamma_c", "gamma_h", "alpha_k", "e_k"], rows)
     write_json(os.path.join(out, "summary.json"),

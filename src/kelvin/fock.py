@@ -17,7 +17,8 @@ sum_{b,r,a,a'} w_r L[(i,x),(b,r),a] P_aa' L*[(j,y),(b,r),a'], and only the
 phase kernel P tells the cycles apart: at a fixed time t, P_aa' = e^{-i (E_a
 - E_a') t} is rank one, so U is formed first (`_fixed_time_maps`), and over
 uniform random times on [0, 2 t_mean] it is the exact average G_aa' = (1 -
-e^{-z}) / z, z = 2 t_mean i (E_a - E_a') (`averaged_cycle_map`).
+e^{-z}) / z, z = 2 t_mean i (E_a - E_a') (`averaged_cycle_map`), of which
+only the two diagonal parity blocks G_q enter the physical sector.
 
 Parity superselection splits vec(rho) into two sectors that no cycle mixes,
 with or without noise (`_vec_sectors`): the physical (parity-diagonal)
@@ -34,8 +35,9 @@ all modes at once after eliminating rho_00 through it.
 `cycle_maps` yields the maps of a stack of modes, one per time, from one
 stacked eigendecomposition, with the rest weights and populated columns
 formed once per call.  `exact_cycle_map` (one time, optionally noisy or
-environment-extended) and `averaged_cycle_map` give one block's two
-sectors on the whole operator space: transfer matrices on row-major vec(rho).
+environment-extended) gives one block's two sectors on the whole operator
+space, a transfer matrix on row-major vec(rho); `averaged_cycle_map` gives
+the physical sector alone, of one block or of a stack.
 
 Gain/loss noise of rate kappa is X -> (c X c + c' X c')/2 - X per mode, in
 the mode's Majoranas c, c'.  On a Majorana monomial of degree q, c X c =
@@ -48,10 +50,10 @@ monomials, so the noisy cycle is the noiseless one followed by system noise:
 T_kappa(t) = N_sys(t) T_0(t) C(t), C being e^{-2 n_bath kappa t}, the bath's
 share of the odd rate, on the coherences and 1 on the physical sector.  So
 Pi_r decays at c = r + 2 n_bath s: by e^{-c kappa t} at a fixed time, and,
-averaged, inside G, whose z gains 2 t_mean c kappa.  Both builders damp
-inside the map, so the channel N_sys is never formed on its own here (the
-tests' reference `oracles.noise_transfer` builds it from the same
-projectors).
+averaged, inside G, whose z gains 2 t_mean c kappa (on the physical
+sector, the even rates c = r alone).  Both builders damp inside the map,
+so the channel N_sys is never formed on its own here (the tests'
+reference `oracles.noise_transfer` builds it from the same projectors).
 
 This module doubles as the brute-force oracle for the closed-form layer.
 """
@@ -335,8 +337,14 @@ def _cycle_layout(ds: int, dr: int) -> tuple[np.ndarray, ...]:
     - `out` (2, ds^2/2, ds^2/2): the flat position in M_s = A_s W A_s^dag
       (2, ds^2/2, ds^2/2) of each entry T[(i,j),(x,y)] = M[(i,x),(j,y)] of
       the physical sector and of the coherences (`_vec_sectors`);
-    - `pairs` (2, 2, ds^2/2, k): U's row (i, b) and column (x, r) of each
-      entry of A_s, in the parity-ordered basis (the even d/2 states first).
+    - `rows`, `columns` (2, ds^2/2, dr/2) and `take` (ds^2/2, ds^2/2), for a
+      rest in its vacuum (dr = ds, r = 0): the physical entries M[(i,x),(j,y)]
+      have par(x) = par(y) = q, so they involve only U's parity block q, and
+      the rows (i, x) of each q meet only the columns (b, 0) of parity
+      par(i) ^ q; `rows` and `columns` hold the positions of (i, b) and (x,
+      0) among the stacked parity blocks (2 d/2), and `take` the flat
+      position in the blocks M_q (2, ds^2/2, ds^2/2) of each entry of the
+      physical sector.
     """
     d, n_rest, half = ds * dr, dr // ds, ds * ds // 2
     par = np.array([bin(f).count("1") % 2 for f in range(d)])
@@ -352,7 +360,7 @@ def _cycle_layout(ds: int, dr: int) -> tuple[np.ndarray, ...]:
     i, x = np.divmod(np.arange(ds * ds), ds)
     b, r = np.divmod(np.arange(dr * n_rest), n_rest)
     row_pos = np.empty(ds * ds, dtype=int)
-    gather, rest, pairs = [], [], []
+    gather, rest = [], []
     for s in (0, 1):
         rows, keep = np.flatnonzero(par[i] ^ par[x] == s), par[b] ^ par[r] == s
         row_pos[rows] = np.arange(half)
@@ -360,11 +368,16 @@ def _cycle_layout(ds: int, dr: int) -> tuple[np.ndarray, ...]:
         u_col = dr * x[rows, None] + r[keep]
         gather.append(pos[u_row] * cols.shape[1] + col_pos[u_col])
         rest.append(r[keep])
-        pairs.append([pos[u_row], pos[u_col]])
+    ix = np.stack([np.flatnonzero(par[x] == q) for q in (0, 1)])
+    rows = pos[dr * i[ix, None] + _parity_classes(dr)[par[i[ix]] ^ par[x[ix]]]]
+    columns = np.broadcast_to(pos[dr * x[ix, None]], rows.shape)
+    row_q = np.empty(ds * ds, dtype=int)
+    row_q[ix] = np.arange(half)
     i, j = np.divmod(_vec_sectors(ds)[:, :, None], ds)
     x, y = np.divmod(_vec_sectors(ds)[:, None, :], ds)
     out = ((par[i] ^ par[x]) * half + row_pos[ds * i + x]) * half + row_pos[ds * j + y]
-    layout = cols, np.array(gather), np.array(rest), out, np.array(pairs).swapaxes(0, 1)
+    take = (par[x[0]] * half + row_q[ds * i[0] + x[0]]) * half + row_q[ds * j[0] + y[0]]
+    layout = cols, np.array(gather), np.array(rest), out, rows, columns, take
     for a in layout:
         a.flags.writeable = False
     return layout
@@ -385,7 +398,7 @@ def _fixed_time_maps(fb: FockBlock, ts, kappa: float = 0.0):
     """
     e, v = fb.eig()
     ds, dr = fb.d_sys, fb.d_rest
-    cols, gather, rest, out, _ = _cycle_layout(ds, dr)
+    cols, gather, rest, out, *_ = _cycle_layout(ds, dr)
     p_env = (1.0 - fb.block.env.p_e) / 2.0 if fb.block.env is not None else 0.0
     w = functools.reduce(np.kron, [[1.0 - p_env, p_env]] * (fb.n_modes - 2 * fb.n_sys_modes),
                          np.ones(1))[rest][:, None, :]
@@ -450,25 +463,32 @@ def averaged_cycle_map(block: ModeBlock | FockBlock, t_mean: float,
                        kappa: float = 0.0) -> np.ndarray:
     """Cycle map averaged over uniformly random times on [0, 2*t_mean], the
     ensemble limit of a long randomized-time subcycle sequence, at every
-    noise rate: one block's two sectors on row-major vec(rho), as
-    `exact_cycle_map`, each M_s = sum_b L_b G L_b^dag (module docstring) on
-    the parity blocks' eigenvectors, laid out by `_cycle_layout`."""
+    noise rate: the transfer (..., d^2/2, d^2/2) on the physical sector of
+    one block, or of a stack over leading axes, as `cycle_maps` yields it.
+
+    Without environments the physical entries M[(i,x),(j,y)] of sum_b L_b
+    G L_b^dag (module docstring) read only the eigenvectors of the parity
+    block q = par(x) (`_cycle_layout`), so they are entries of the two
+    contractions M_q = L_q G_q L_q^dag, whose rows (i, x) of either par(i)
+    are stacked into one product; gain/loss noise enters through the
+    physical sector's even rates alone.
+    """
     fb = block if isinstance(block, FockBlock) else second_quantize(block)
     if fb.block.env is not None:
         raise ValueError("averaged maps of environment-extended blocks are not supported")
     e, v = fb.eig()
-    ds, e = fb.d_sys, e.reshape(-1)
-    *_, out, pairs = _cycle_layout(ds, fb.d_rest)
-    v = _unblock(v, np.arange(len(e)).reshape(2, -1))
-    l = v[pairs[0]] * v[pairs[1]].conj()  # (2, ds^2/2, k, d)
-    rates, proj = _noise_projectors(fb.n_sys_modes) if kappa > 0 else (np.zeros((1, 1)), None)
-    c = (rates + 2 * fb.n_sys_modes * (rates % 2))[..., None, None]
-    g = uniform_average(2.0 * t_mean * (c * kappa + 1j * np.subtract.outer(e, e)))
-    m = (l.reshape(2, -1, len(e)) @ g[..., None, :, :]).reshape(g.shape[:-2] + l.shape[:2] + (-1,))
-    m = (m @ l.reshape(l.shape[:2] + (-1,)).conj().swapaxes(-1, -2)).reshape(len(g), -1)
-    # each rate's sector s is read from the M of its own kernel G[:, s]
-    m = np.take(m, out + out.size * np.arange(g.shape[1])[:, None, None], axis=-1)
-    return _unblock(m[0] if proj is None else (proj @ m).sum(axis=0), _vec_sectors(ds))
+    *_, rows, columns, take = _cycle_layout(fb.d_sys, fb.d_rest)
+    v = v.reshape(v.shape[:-3] + (-1, v.shape[-1]))
+    l = v[..., rows, :] * v[..., columns, :].conj()  # (..., 2, ds^2/2, dr/2, d/2)
+    rates, proj = _noise_projectors(fb.n_sys_modes)
+    c = rates[:, 0] if kappa > 0 else np.zeros(1)  # the physical sector's even rates
+    de = (e[..., :, None] - e[..., None, :])[..., None, :, :, :]
+    g = uniform_average(2.0 * t_mean * (c[:, None, None, None] * kappa + 1j * de))
+    lg = l.reshape(l.shape[:-4] + (1, 2, -1, l.shape[-1])) @ g
+    l = l.reshape(l.shape[:-4] + (1,) + rows.shape[:2] + (-1,))  # (..., 1, 2, ds^2/2, dr d/4)
+    m = lg.reshape(lg.shape[:-2] + l.shape[-2:]) @ l.conj().swapaxes(-1, -2)
+    m = np.take(m.reshape(m.shape[:-3] + (-1,)), take, axis=-1)
+    return (proj[:, 0] @ m).sum(axis=-3) if kappa > 0 else m[..., 0, :, :]
 
 
 def cycle_maps(block: ModeBlock, ts, t_mean: float, kappa: float):
@@ -480,18 +500,16 @@ def cycle_maps(block: ModeBlock, ts, t_mean: float, kappa: float):
     blocks from one stacked eigh, and held until the generator is done.
     Each fixed time gives the physical sectors of the stack of
     `exact_cycle_map`s at the gain/loss rate `kappa`, with the environments'
-    p_E read from `block.env`; a time of None stands for the physical sector
-    of `averaged_cycle_map` over [0, 2 t_mean], taken per mode.
+    p_E read from `block.env`; a time of None stands for
+    `averaged_cycle_map` over [0, 2 t_mean], taken per mode and stacked.
     """
     ham = _hamiltonians(block)
     fb = FockBlock(ham, 1 if np.all(block.is_edge) else 2, block)
-    sector = _vec_sectors(fb.d_sys)[0]
     fixed = _fixed_time_maps(fb, [t for t in ts if t is not None], kappa)
     for t in ts:
         if t is None:
             yield np.stack([averaged_cycle_map(FockBlock(h, fb.n_sys_modes, block, (e, v)), t_mean,
-                                               kappa)[np.ix_(sector, sector)]
-                            for h, e, v in zip(ham, *fb.eig())])
+                                               kappa) for h, e, v in zip(ham, *fb.eig())])
         else:
             yield next(fixed)[:, 0]
 

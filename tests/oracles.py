@@ -14,12 +14,13 @@ that the closed-form grid tests can compare the package with them under `==`;
 `analytic.averaged_rates`.
 
 The rest are independent references for the exact engines: `vec` and
-`apply_transfer` step a density through a transfer matrix, and
+`apply_transfer` step a density through a transfer matrix,
 `physical_sector` cuts a transfer matrix down to the sector the Fock
-engine's `cycle_maps` yields; `full_space_averaged_map`, the Fock
-random-time average built on the whole operator space from a Fock-basis
-eigenbasis and its own gain/loss projectors, which
-`fock.averaged_cycle_map`'s sector builder must match; the CM
+engine's `cycle_maps` yields, and `sector_steady_state` is the fixed state
+of a map on that sector; `full_space_averaged_map`, the Fock random-time
+average built on the whole operator space from a Fock-basis eigenbasis and
+its own gain/loss projectors, whose physical sector is the reference for
+`fock.averaged_cycle_map`; the CM
 conversions `density_to_cm` and `cm_to_density`; the Dyson blocks of the
 quadrature-basis propagator (`quadrature_couplings`, `perturbative_blocks`,
 `omega_basis_generator`); the Majorana-picture noise check
@@ -50,7 +51,7 @@ from kelvin._linalg import HERMITICITY_ATOL, hermitize, trace_norm, uniform_aver
 from kelvin.analytic import GAMMA0_SQ_FACTOR
 from kelvin.errors import KelvinError, ResonantDenominator, UndefinedSteadyState
 from kelvin.fock import (_noise_projectors, _unblock, _vec_sectors, exact_cycle_map,
-                         mode_operators, second_quantize)
+                         fixed_points, matrices, mode_operators, second_quantize)
 from kelvin.model import ModeBlock, NoiseSpec, coupling_arrays, mode_grid
 from kelvin.optimize import PHASE_NODES, phase_grid
 
@@ -161,8 +162,20 @@ def vec(rho: np.ndarray) -> np.ndarray:
 
 
 def apply_transfer(t: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Step a density (d, d) through a transfer matrix on row-major vec(rho)
+    (d^2 x d^2), or on the physical sector (d^2/2 x d^2/2, as `fock.cycle_maps`
+    yields it), which drops the density's coherences."""
     d = rho.shape[0]
-    return (t @ vec(rho)).reshape(d, d)
+    if len(t) == d * d:
+        return (t @ vec(rho)).reshape(d, d)
+    return matrices(t @ vec(rho)[_vec_sectors(d)[0]])
+
+
+def sector_steady_state(t: np.ndarray) -> tuple[np.ndarray, float]:
+    """`fock.steady_state` of a transfer on the physical sector: the fixed
+    density (d, d) of the one-mode `fock.fixed_points`, and its rate alpha."""
+    x, alpha, _ = fixed_points(t[None])
+    return matrices(x)[0], float(alpha[0])
 
 
 def physical_sector(t: np.ndarray) -> np.ndarray:
@@ -348,7 +361,8 @@ def _full_noise_projectors(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
 
 def full_space_averaged_map(fb, t_mean: float, kappa: float = 0.0) -> np.ndarray:
     """Random-time average of a noiseless-bath Fock cycle on the whole
-    operator space, the reference for `fock.averaged_cycle_map`.
+    operator space; its physical sector (`physical_sector`) is the
+    reference for `fock.averaged_cycle_map`.
 
     The parity eigenbasis is placed on the Fock basis (each eigenvector
     labelled by a Fock state of its parity), L_b[(i,x), a] = V[(i,b), a]

@@ -377,7 +377,7 @@ def test_criterion_11_convergence_theory():
 
         blk = block_hamiltonian(p, scheme, bath, k=10)
         s = fock.averaged_cycle_map(blk, t)
-        rho_ss, alpha = fock.steady_state(s)
+        rho_ss, alpha = oracles.sector_steady_state(s)
         rho = fock.most_excited_density(False)
         cycles, dist = [], []
         for n in range(40):
@@ -414,7 +414,7 @@ def test_criterion_11_convergence_theory():
             b = block_hamiltonian(p, scheme, bath, k=k)
             s_k = fock.averaged_cycle_map(b, t)
             maps40.append(s_k)
-            rho_k, a_k = fock.steady_state(s_k)
+            rho_k, a_k = oracles.sector_steady_state(s_k)
             blocks_ss.append(rho_k)
             alphas.append(a_k)
         target_eps = 1e-3

@@ -30,6 +30,22 @@ STEADY_CFG = {
 }
 
 
+def test_write_csv_bytes_do_not_depend_on_the_scalar_type(tmp_path):
+    """Rows of numpy scalars and of the Python values `.tolist()` gives
+    write the same bytes, NaN cells (left empty) included."""
+    values = np.array([[0.0, 1.0 / 3.0, -2.5e-300, math.nan],
+                       [1e17 + 2.0, -0.0, math.pi, 7.0]])
+    ks = np.arange(len(values))
+    header = ["k", "a", "b", "c", "d"]
+    cli.write_csv(str(tmp_path / "numpy.csv"), header,
+                  [(k, *row) for k, row in zip(ks, values)])
+    cli.write_csv(str(tmp_path / "python.csv"), header,
+                  [(k, *row) for k, row in zip(ks.tolist(), values.tolist())])
+    numpy_bytes = (tmp_path / "numpy.csv").read_bytes()
+    assert numpy_bytes == (tmp_path / "python.csv").read_bytes()
+    assert numpy_bytes.splitlines()[1].endswith(b",")
+
+
 class TestConfigValidation:
     def test_unknown_top_key(self, tmp_path):
         cfg = write_cfg(tmp_path, {"model": base_model(), "bogus": 1})

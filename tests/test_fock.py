@@ -337,8 +337,9 @@ class TestParitySuperselection:
 
 
 class TestAveragedMapOracle:
-    """`averaged_cycle_map` builds each parity sector of the random-time
-    average on its own; the whole-operator-space construction it replaced
+    """`averaged_cycle_map` builds the physical sector of the random-time
+    average alone, one contraction per parity block of the eigenvectors;
+    the physical sector of the whole-operator-space construction
     (`oracles.full_space_averaged_map`) must give the same map."""
 
     @pytest.mark.parametrize("draw", range(48))
@@ -356,12 +357,10 @@ class TestAveragedMapOracle:
         fb = fock.second_quantize(block_hamiltonian(params, scheme, bath, k,
                                                     dsp=bool(rng.integers(2))))
         new = fock.averaged_cycle_map(fb, bath.cycle_time_mean, kappa)
-        ref = oracles.full_space_averaged_map(fb, bath.cycle_time_mean, kappa)
-        for sector in fock._vec_sectors(math.isqrt(len(ref))):
-            block = np.ix_(sector, sector)
-            assert np.max(np.abs(new[block] - ref[block])) <= 1e-15
-        # the coherences are part of the map, not dropped
-        assert np.max(np.abs(new[block])) > 1e-3
+        ref = oracles.physical_sector(
+            oracles.full_space_averaged_map(fb, bath.cycle_time_mean, kappa))
+        assert new.shape == ref.shape
+        assert np.max(np.abs(new - ref)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +408,7 @@ class TestExactCycleMap:
         bath = BathSpec(1.0, 20.0)
         blk = block_hamiltonian(p, scheme, bath, k=50)
         s = fock.averaged_cycle_map(blk, 20.0)
-        rho, _ = fock.steady_state(s)
+        rho, _ = oracles.sector_steady_state(s)
         _, e_rel = fock.block_energy(rho, mode_values(p, scheme, 50)[0], blk.weight)
         assert abs(e_rel - 3.0 / (4.0 * 400.0)) <= 0.2 * 3.0 / (4.0 * 400.0)
 
@@ -594,7 +593,7 @@ class TestSteadyState:
         bath = BathSpec(1.0, 20.0)
         blk = block_hamiltonian(p, scheme, bath, k=10)
         s = fock.averaged_cycle_map(blk, 20.0)
-        rho_ss, alpha = fock.steady_state(s)
+        rho_ss, alpha = oracles.sector_steady_state(s)
         rho = fock.most_excited_density(False)
         cycles, dist = [], []
         for n in range(40):
@@ -625,7 +624,7 @@ class TestSteadyState:
             rho, alpha = fock.steady_state(fock.exact_cycle_map(blk, t_mean))
             out = [(np.linalg.eigvalsh(rho), alpha)]
             for kappa in (0.0, 0.01):
-                rho, alpha = fock.steady_state(fock.averaged_cycle_map(blk, t_mean, kappa))
+                rho, alpha = oracles.sector_steady_state(fock.averaged_cycle_map(blk, t_mean, kappa))
                 out.append((np.linalg.eigvalsh(rho), alpha))
                 transfer = next(cm.cycle_maps(blk, [None], t_mean, kappa))
                 x, alpha, _ = cm.fixed_points(transfer[None], edge)

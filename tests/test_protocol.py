@@ -465,7 +465,7 @@ class TestCoolingRate:
         from kelvin.model import block_hamiltonian
         blk = block_hamiltonian(p, scheme, bath_r, k=10)
         s = fock.averaged_cycle_map(blk, 20.0)
-        rho_ss, alpha_map = fock.steady_state(s)
+        rho_ss, alpha_map = oracles.sector_steady_state(s)
         rho = fock.most_excited_density(False)
         cycles, dist = [], []
         for n in range(40):
@@ -669,10 +669,9 @@ class TestSteadyReport:
     ], ids=["multifreq", "depolarizing"])
     def test_fock_states_are_the_oracle_fixed_points(self, small_params, local_scheme,
                                                      bath, sched, noise):
-        """The stacked Fock pipeline returns exactly fock.steady_state of the
-        per-frequency cycle maps composed in frequency order (on each
-        superselection sector, where the cross-sector blocks are zero), and
-        the report's mode energies are those of these states."""
+        """The stacked Fock pipeline returns exactly the fixed state of the
+        per-frequency cycle maps composed in frequency order on the physical
+        sector, and the report's mode energies are those of these states."""
         rep = pr.steady_report(small_params, local_scheme, bath, sched, noise=noise,
                                engine="fock")
         states = oracles.steady_blocks(small_params, local_scheme, bath, sched, noise=noise)
@@ -682,18 +681,12 @@ class TestSteadyReport:
         for k in range(small_params.N // 2 + 1):
             assert fock.block_energy(states[k], eps[k], wts[k])[0] == rep.mode_energy[k], k
             total = None
-            sectors = fock._vec_sectors(2 if k in (0, small_params.N // 2) else 4)
             for delta_r in deltas:
                 blk = block_hamiltonian(small_params, local_scheme, BathSpec(delta_r, t), k)
                 m = (fock.averaged_cycle_map(blk, t) if sched["kind"] != "single"
-                     else fock.exact_cycle_map(blk, t, noise.kappa))
-                # composed on each sector, as the pipeline composes the physical one
-                m = [m[np.ix_(idx, idx)] for idx in sectors]
-                total = m if total is None else [a @ b for a, b in zip(m, total)]
-            full = np.zeros((len(sectors[0]) * 2,) * 2, dtype=complex)
-            for idx, block in zip(sectors, total):
-                full[np.ix_(idx, idx)] = block
-            rho, alpha = fock.steady_state(full)
+                     else oracles.physical_sector(fock.exact_cycle_map(blk, t, noise.kappa)))
+                total = m if total is None else m @ total
+            rho, alpha = oracles.sector_steady_state(total)
             assert np.array_equal(states[k], rho), k
             assert rep.alpha[k] == alpha / len(deltas), k
 
@@ -716,8 +709,10 @@ class TestComposedMaps:
     PARAMS = ModelParams(80, math.pi / 3)
     SCHEME = CouplingScheme.local(1.0, 0.5, g=0.05)
     BATH = BathSpec(1.0, 4.0)
-    NOISES = {"depolarizing": an.NoiseSpec.depolarizing(1e-4),
+    NOISES = {"none": an.NoiseSpec.none(), "depolarizing": an.NoiseSpec.depolarizing(1e-4),
               "finite_env": an.NoiseSpec.finite_env(0.02, 0.7, 0.1)}
+    # two randomized-time subcycles in the ensemble limit: averaged maps
+    AVERAGED = [(1.0, None), (1.3, None)]
 
     def _groups(self, engine, noise):
         groups = pr.ENGINES[engine].mode_groups(self.PARAMS.N // 2)
@@ -759,6 +754,10 @@ class TestComposedMaps:
                     product = t_s if product is None else t_s @ product
                 assert np.array_equal(k_tot[np.flatnonzero(ks == k)[0]], product), k
 
+    def _averaged_maps(self, engine, noise, ks):
+        return pr._global_maps(self.PARAMS, self.SCHEME, self.NOISES[noise], False,
+                               pr.ENGINES[engine], ks, self.BATH.cycle_time_mean, self.AVERAGED)
+
     @pytest.mark.parametrize("noise", ["depolarizing", "finite_env", "randomized"])
     def test_cm_maps_and_powers_keep_the_conserved_row(self, noise):
         """Composed CM transfers and their powers keep the first row (1, 0, 0,
@@ -766,23 +765,28 @@ class TestComposedMaps:
         schedule, and on time-averaged maps) scales K and c, never the 1."""
         ks = cm.mode_groups(self.PARAMS.N // 2)[0]
         if noise == "randomized":
-            k_tot = pr._global_maps(self.PARAMS, self.SCHEME, self.NOISES["depolarizing"], False,
-                                    cm, ks, self.BATH.cycle_time_mean, [(1.0, None), (1.3, None)])
+            k_tot = self._averaged_maps("cm", "depolarizing", ks)
         else:
             k_tot = self._maps("cm", noise, ks)[1]
         for power in (1, 2, 7, 100):
             assert np.all(np.linalg.matrix_power(k_tot, power)[:, 0] == np.eye(5)[0]), power
 
-    @pytest.mark.parametrize("noise", ["depolarizing", "finite_env"])
-    def test_fock_maps_conserve_the_trace(self, noise):
+    @pytest.mark.parametrize("noise, averaged", [
+        ("depolarizing", False), ("finite_env", False), ("none", True), ("depolarizing", True)])
+    def test_fock_maps_conserve_the_trace(self, noise, averaged):
         """tau^T K = tau^T, tau marking the populations of the physical sector,
         to the rounding of the maps: one pair map conserves it to about 15
-        eps, and these six- and four-subcycle products to 49 and 14 eps."""
+        eps, and these six- and four-subcycle products to 49 and 14 eps, and
+        the products of two averaged subcycles to 27 eps."""
         for ks in self._groups("fock", noise):
-            sched, k_tot = self._maps("fock", noise, ks)
+            if averaged:
+                n_sub, k_tot = len(self.AVERAGED), self._averaged_maps("fock", noise, ks)
+            else:
+                sched, k_tot = self._maps("fock", noise, ks)
+                n_sub = len(sched.subcycles)
             ds = 2 if ks[0] == 0 else 4
             tau = fock._vec_sectors(ds)[0] % (ds + 1) == 0
-            bound = 16 * len(sched.subcycles) * np.finfo(float).eps
+            bound = 16 * n_sub * np.finfo(float).eps
             assert np.max(np.abs(tau @ k_tot - tau)) <= bound
 
     @pytest.mark.parametrize("engine, n, bound_mb", [("cm", 400, 3.0), ("fock", 100, 1.5)])
