@@ -29,17 +29,28 @@ def trace_norm(m: np.ndarray) -> float | np.ndarray:
     return np.linalg.svd(np.asarray(m), compute_uv=False).sum(axis=-1)
 
 
-def uniform_average(z) -> np.ndarray:
-    """Mean of e^{-z s} over s uniform on [0, 1]: (1 - e^{-z}) / z, and 1 at z = 0.
+def random_time_average(l: np.ndarray, e: np.ndarray, rate: float | np.ndarray,
+                        t_mean: float) -> np.ndarray:
+    """M = sum_b l_b W l_b^dag, the average of products of propagator entries
+    over uniform cycle times t on [0, 2 t_mean]: the random-time average of
+    both engines.
 
-    With z = 2 t_mean (gamma + i omega) this is the average of
-    e^{-(gamma + i omega) t} over uniform times t on [0, 2 t_mean]; expm1
-    keeps it accurate to rounding for small |z| as well.
+    With U = V e^{-iEt} V^dag, E[e^{-rate t} U_ab U*_cd] = sum_{p,q} V_ap
+    V*_bp W_pq V*_cq V_dq, where W_pq = E[e^{-(rate + i (E_p - E_q)) t}] = (1
+    - e^{-z}) / z, z = 2 t_mean (rate + i (E_p - E_q)), and 1 at z = 0 (expm1
+    keeps it accurate to rounding at small |z| too).  So no propagator is
+    formed: with l[..., n, b, p] = V[r_nb, p] V*[c_nb, p], gathered by the
+    engine, M[n, n'] = sum_b E[e^{-rate t} U[r_nb, c_nb] U*[r_n'b, c_n'b]].
+    `e` (..., p) and `rate` broadcast over the leading axes with `l`, and W
+    is formed once per stack.
     """
-    z = np.asarray(z)
+    z = 2.0 * t_mean * (np.asarray(rate)[..., None, None] + 1j * (e[..., :, None] - e[..., None, :]))
     zero = z == 0
     z = np.where(zero, 1.0, z)
-    return np.where(zero, 1.0, -np.expm1(-z) / z)
+    w = np.where(zero, 1.0, -np.expm1(-z) / z)
+    lw = l.reshape(l.shape[:-3] + (-1, l.shape[-1])) @ w
+    lw = lw.reshape(lw.shape[:-2] + (l.shape[-3], -1))
+    return lw @ l.reshape(l.shape[:-3] + (l.shape[-3], -1)).conj().swapaxes(-1, -2)
 
 
 def affine_fixed_points(k: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,16 +18,17 @@ exactly.
 States and maps are plain arrays.  A block's state is x = (1, vec gamma), on
 which the affine cycle vec(gamma) -> K vec(gamma) + c is the linear transfer
 [[1, 0], [c, K]], composed, powered and solved as the Fock engine's are.
-`cycle_maps` yields the transfers of a stack of modes, one per time, at fixed
-times from one stacked eigendecomposition or averaged over random times
-(`averaged_evolution_kron`).
+`cycle_maps` yields the transfers of a stack of modes, one per time, all
+assembled from the kron blocks A_B (x) A_B* of the propagator's column blocks
+B: at fixed times gathered from U, and over random times their exact average
+(`averaged_evolution_kron`, by `_linalg.random_time_average`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import affine_fixed_points, hermitize, uniform_average
+from ._linalg import affine_fixed_points, hermitize, random_time_average
 from .model import ModeBlock, NoiseSpec
 
 __all__ = [
@@ -75,77 +76,66 @@ def _states(gamma: np.ndarray) -> np.ndarray:
     return np.concatenate([np.ones(lead + (1,)), np.reshape(gamma, lead + (4,))], axis=-1)
 
 
-def _injection(a: np.ndarray) -> np.ndarray:
-    """vec(A gamma_B0 A^dag) for stacked blocks A, gamma_B0 the vacuum CM."""
-    return (a @ vacuum_cm() @ a.conj().swapaxes(-1, -2)).reshape(a.shape[:-2] + (4,))
+# K_B[(i,a),(j,b)] = U[i, 2B+j] U*[a, 2B+b], the kron blocks of the column
+# blocks A_B = U[:2, 2B:2B+2] of the propagator, B = S, SB, SE1, SE2: the rows
+# _I, _A and the columns _J, _B in U of the two factors, tables (B, 4, 4)
+_I, _A, _J, _B = np.indices((2, 2, 2, 2)).reshape(4, 4, 4)
+_J, _B = (2 * np.arange(4)[:, None, None] + x for x in (_J, _B))
 
 
 def averaged_evolution_kron(block: ModeBlock | np.ndarray, t_mean: float,
-                            kappa: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """(E[D A_S (x) A_S*], E[D A_SB (x) A_SB*]) over uniform times on [0, 2 t_mean].
+                            kappa: float = 0.0) -> np.ndarray:
+    """E[D A_B (x) A_B*] over uniform times on [0, 2 t_mean] for the column
+    blocks A_B = U[:2, 2B:2B+2] of the propagator, B = S, SB (and SE1, SE2
+    with environments), stacked first: (B, ..., 4, 4).
 
     D = exp(-2 kappa t) is the damping of uniform gain/loss noise of rate
-    kappa over a cycle of duration t (1 without noise).  These are the
-    vectorized-map ingredients of the randomized-time cycle; the linear CM map
-    averages directly because it is linear in the kron blocks.  `block` is one
-    block, giving (4, 4) averages, or a (..., 4, 4) stack of generators,
-    giving (..., 4, 4) stacks.
-
-    Only the phases depend on the time: with G = V diag(e) V^dag,
-    E[D U_ij U*_ab] = sum_pq V_ip V*_jp V*_aq V_bq W_pq, where
-    W_pq = E[e^{-(2 kappa + i (e_p - e_q)) t}] = (1 - e^{-z}) / z with
-    z = 2 t_mean (2 kappa + i (e_p - e_q)), so no propagator is formed.  With
-    M_(ia),(pq) = V_ip V*_aq over the system rows and N the same over the bath
-    rows, the averages are the matrix products M diag(vec W) M^dag and
-    M diag(vec W) N^dag.
+    kappa over a cycle of duration t (1 without noise); the linear CM map
+    averages directly because it is linear in the kron blocks.  `block` is
+    one block or a (..., D, D) stack of generators G = V diag(e) V^dag.  The
+    products U_ij U*_ab of the entries of U's system rows are averaged at once
+    by `_linalg.random_time_average` from l_(ij) = V_i. V*_j., and the blocks
+    read from them by the same tables as `cycle_maps`' fixed times.
     """
     generators = block.generator if isinstance(block, ModeBlock) else np.asarray(block)
     e, v = np.linalg.eigh(generators)
-    w_pq = uniform_average(2.0 * t_mean * (2.0 * kappa + 1j * (e[..., :, None] - e[..., None, :])))
-    lead = generators.shape[:-2]
-    m, n = ((r[..., :, None, :, None] * r[..., None, :, None, :].conj()).reshape(lead + (4, -1))
-            for r in (v[..., :2, :], v[..., 2:4, :]))
-    k = (m * w_pq.reshape(lead + (1, -1))) @ np.concatenate([m, n], axis=-2).conj().swapaxes(-1, -2)
-    return k[..., :4], k[..., 4:]
+    lead, dim = generators.shape[:-2], generators.shape[-1]
+    l = (v[..., :2, None, :] * v[..., None, :, :].conj()).reshape(lead + (2 * dim, 1, dim))
+    m = random_time_average(l, e, 2.0 * kappa, t_mean).reshape(lead + (2, dim, 2, dim))
+    return np.moveaxis(m[..., _I, _J[:dim // 2], _A, _B[:dim // 2]], -3, 0)
 
 
 def cycle_maps(block: ModeBlock, ts, t_mean: float, kappa: float):
     """Yield the transfers [[1, 0], [c, K]] on x = (1, vec gamma) of one bath
     frequency, stacked over `block`, one per time in `ts`, in order.
 
-    For the fixed times the generators are diagonalized once, G = V diag(e)
-    V^dag, in one batched eigh.  A fixed time t gives the cycle gamma ->
-    A_S gamma A_S^dag + A_SB gamma_B0 A_SB^dag in row-major vectorized form,
-    K = A_S (x) A_S* and c = vec(A_SB gamma_B0 A_SB^dag), gamma_B0 the reset
-    bath's vacuum CM, with the A-blocks cut from the propagator e^{-iGt}.
-    Environment-extended (8x8) blocks add the injections p_e vec(A_SE
-    gamma_B0 A_SE^dag) of both environment pairs, each pair starting in p_e =
-    `block.env.p_e` times the bath's vacuum CM; pair 1 couples to the system
-    and pair 2 to the bath, which passes its share on within the cycle, so
-    with both the map is exact.  A time of None stands for
-    `averaged_evolution_kron` over [0, 2 t_mean].  Gain/loss noise of rate
-    `kappa` damps K and c by exp(-2 kappa t), averaged with the phases.
+    A cycle of duration t is gamma -> A_S gamma A_S^dag + A_SB gamma_B0
+    A_SB^dag in row-major vectorized form, gamma_B0 the reset bath's vacuum
+    CM, so with the kron blocks K_B = D A_B (x) A_B* (`averaged_evolution_kron`)
+    K = K_S and c = K_SB vec gamma_B0.  Environment-extended (8x8) blocks add
+    the injections p_e (K_SE1 + K_SE2) vec gamma_B0 of both environment
+    pairs, each starting in p_e = `block.env.p_e` times the bath's vacuum CM;
+    pair 1 couples to the system and pair 2 to the bath, which passes its
+    share on within the cycle, so with both the map is exact.  A fixed time
+    takes the kron blocks' entries of U from one batched eigh of the
+    generators; a time of None their average over [0, 2 t_mean].
     """
     generators = block.generator
+    n_blocks = generators.shape[-1] // 2
     if any(t is not None for t in ts):
         e, v = np.linalg.eigh(generators)
         v_dag = v.conj().swapaxes(-1, -2)
     for t in ts:
+        if t is None:
+            k = averaged_evolution_kron(generators, t_mean, kappa=kappa)
+        else:
+            u = (v[..., :2, :] * np.exp(-1j * (t * e))[..., None, :]) @ v_dag
+            k = np.exp(-2.0 * kappa * t) * np.moveaxis(
+                u[..., _I, _J[:n_blocks]] * u[..., _A, _B[:n_blocks]].conj(), -3, 0)
+        injection = k[1] if block.env is None else k[1] + block.env.p_e * (k[2] + k[3])
         transfer = np.zeros(generators.shape[:-2] + (5, 5), dtype=complex)
         transfer[..., 0, 0] = 1.0
-        if t is None:
-            transfer[..., 1:, 1:], k_sb = averaged_evolution_kron(generators, t_mean, kappa=kappa)
-            transfer[..., 1:, 0] = k_sb @ vacuum_cm().reshape(-1)
-            yield transfer
-            continue
-        u = (v * np.exp(-1j * (t * e))[..., None, :]) @ v_dag
-        a_s = u[..., :2, :2]
-        k_s = np.einsum("...ij,...ab->...iajb", a_s, a_s.conj()).reshape(a_s.shape[:-2] + (4, 4))
-        c = _injection(u[..., :2, 2:4])
-        if block.env is not None:
-            c = c + block.env.p_e * (_injection(u[..., :2, 4:6]) + _injection(u[..., :2, 6:8]))
-        damping = np.exp(-2.0 * kappa * np.array([t]))
-        transfer[..., 1:, 1:], transfer[..., 1:, 0] = damping * k_s, damping * c
+        transfer[..., 1:, 1:], transfer[..., 1:, 0] = k[0], injection @ vacuum_cm().reshape(-1)
         yield transfer
 
 
@@ -188,15 +178,16 @@ def matrices(x: np.ndarray) -> np.ndarray:
     return x[..., 1:].reshape(x.shape[:-1] + (2, 2))
 
 
-def reduce(ks: np.ndarray, x: np.ndarray, eps: np.ndarray, wts: np.ndarray,
+def reduce(ks: np.ndarray, x: np.ndarray, w_eps: np.ndarray,
            n2: int) -> tuple[np.ndarray, np.ndarray]:
     """Energies w eps (gamma_22 - gamma_11) and vacuum fidelities of the modes
     `ks` (edges k = 0, n2: 1 - n; pairs: Wick) from x = (1, vec gamma) stacked
-    to (..., len(ks), 5); `eps` and `wts` are indexed by k."""
+    to (..., len(ks), 5); `w_eps`, the weighted mode energies w eps, is
+    indexed by k."""
     gamma = matrices(x)
     n_a = 0.5 - gamma[..., 0, 0].real
     n_b = 0.5 + gamma[..., 1, 1].real
-    energy = wts[ks] * eps[ks] * (gamma[..., 1, 1].real - gamma[..., 0, 0].real)
+    energy = w_eps[ks] * (gamma[..., 1, 1].real - gamma[..., 0, 0].real)
     pair = 1.0 - n_a - n_b + (n_a * n_b + np.abs(gamma[..., 0, 1]) ** 2)
     edge = (ks == 0) | (ks == n2)
     return energy, np.maximum(np.where(edge, 1.0 - n_a, pair), 0.0)
@@ -205,11 +196,11 @@ def reduce(ks: np.ndarray, x: np.ndarray, eps: np.ndarray, wts: np.ndarray,
 def cm_energy(gamma: np.ndarray, epsilon: float, weight: float) -> float:
     """Block energy weight * eps * (gamma_22 - gamma_11): one row of `reduce`."""
     return float(reduce(np.zeros(1, dtype=int), _states(np.reshape(gamma, (1, 2, 2))),
-                        np.array([epsilon]), np.array([weight]), 0)[0][0])
+                        np.array([weight * epsilon]), 0)[0][0])
 
 
 def cm_fidelity(gamma: np.ndarray, edge: bool) -> float:
     """Vacuum probability of a block: one row of `reduce`, as mode 0 (an edge)
     or mode 1 (a pair) of n2 = 2."""
     return float(reduce(np.array([0 if edge else 1]), _states(np.reshape(gamma, (1, 2, 2))),
-                        np.zeros(2), np.zeros(2), 2)[1][0])
+                        np.zeros(2), 2)[1][0])

@@ -10,15 +10,14 @@ increasing order) H is block-diagonal, and a block is held, diagonalized and
 propagated as its two d/2 x d/2 parity blocks, H = V diag(E) V^dag.
 
 A cycle map rho -> Tr_rest[U (rho x rest) U^dag] reads only the entries
-U[(i,b),(x,r)] of populated rest states r (`_cycle_layout`).  With their
-weights w_r and L[(i,x),(b,r),a] = V[(i,b),a] V*[(x,r),a], zero unless the
-eigenvector a is in the parity block of (i,b), the map is T[(i,j),(x,y)] =
-sum_{b,r,a,a'} w_r L[(i,x),(b,r),a] P_aa' L*[(j,y),(b,r),a'], and only the
-phase kernel P tells the cycles apart: at a fixed time t, P_aa' = e^{-i (E_a
-- E_a') t} is rank one, so U is formed first (`_fixed_time_maps`), and over
-uniform random times on [0, 2 t_mean] it is the exact average G_aa' = (1 -
-e^{-z}) / z, z = 2 t_mean i (E_a - E_a') (`averaged_cycle_map`), of which
-only the two diagonal parity blocks G_q enter the physical sector.
+U[(i,b),(x,r)] of populated rest states r (`_cycle_layout`): with their
+weights w_r, T[(i,j),(x,y)] = sum_{b,r} w_r U[(i,b),(x,r)] U*[(j,b),(y,r)].
+At a fixed time U is formed first (`_fixed_time_maps`).  Over uniform random
+times on [0, 2 t_mean] the products are averaged in closed form by
+`_linalg.random_time_average`, from L[(i,x),(b,r),a] = V[(i,b),a]
+V*[(x,r),a], zero unless the eigenvector a is in the parity block of (i,b),
+so only the two diagonal parity blocks of its kernel W enter the physical
+sector (`averaged_cycle_map`).
 
 Parity superselection splits vec(rho) into two sectors that no cycle mixes,
 with or without noise (`_vec_sectors`): the physical (parity-diagonal)
@@ -50,10 +49,10 @@ monomials, so the noisy cycle is the noiseless one followed by system noise:
 T_kappa(t) = N_sys(t) T_0(t) C(t), C being e^{-2 n_bath kappa t}, the bath's
 share of the odd rate, on the coherences and 1 on the physical sector.  So
 Pi_r decays at c = r + 2 n_bath s: by e^{-c kappa t} at a fixed time, and,
-averaged, inside G, whose z gains 2 t_mean c kappa (on the physical
-sector, the even rates c = r alone).  Both builders damp inside the map,
-so the channel N_sys is never formed on its own here (the tests'
-reference `oracles.noise_transfer` builds it from the same projectors).
+averaged, inside W, at the rate c kappa (on the physical sector, the even
+rates c = r alone).  Both builders damp inside the map, so the channel N_sys
+is never formed on its own here (the tests' reference
+`oracles.noise_transfer` builds it from the same projectors).
 
 This module doubles as the brute-force oracle for the closed-form layer.
 """
@@ -72,8 +71,8 @@ from ._linalg import (
     FIXED_POINT_ATOL,
     affine_fixed_points,
     hermitize,
+    random_time_average,
     trace_norm,
-    uniform_average,
 )
 from .errors import NonUniqueFixedPoint
 from .model import ModeBlock, NoiseSpec
@@ -286,31 +285,30 @@ def initial_blocks(kind: str, n2: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return groups
 
 
-def reduce(ks: np.ndarray, x: np.ndarray, eps: np.ndarray, wts: np.ndarray,
+def reduce(ks: np.ndarray, x: np.ndarray, w_eps: np.ndarray,
            n2: int) -> tuple[np.ndarray, np.ndarray]:
     """Energies and vacuum fidelities rho_00 of the modes `ks` from sector
     vectors x stacked to (..., len(ks), d^2/2), one block size d per call (see
-    `block_energy`); `wts` and `n2` keep `cm.reduce`'s signature."""
+    `block_energy`); `w_eps` = w eps is indexed by k, `n2` as in `cm.reduce`."""
     pops = np.diagonal(matrices(x), axis1=-2, axis2=-1).real
     if pops.shape[-1] == 2:
-        return eps[ks] * (pops[..., 1] - 0.5), pops[..., 0]
-    return eps[ks] * (pops[..., 3] - pops[..., 0]), pops[..., 0]
+        return w_eps[ks] * (2.0 * pops[..., 1] - 1.0), pops[..., 0]
+    return w_eps[ks] * (pops[..., 3] - pops[..., 0]), pops[..., 0]
 
 
 def block_energy(rho: np.ndarray, epsilon: float, weight: float):
     """Mode energy and relative energy (E_k, e_k) of a d x d density; E_k is
     one row of `reduce`.
 
-    Generic pairs measure eps*(n_k + n_-k - 1) in [-eps, eps]; edges measure
-    eps*(n - 1/2) in [-eps/2, eps/2].  e_k is normalized so the ground state
-    gives 0 and the most excited state 2; it is None when eps = 0.
+    Pairs (weight w = 1) measure w eps (n_k + n_-k - 1), edges (w = 1/2) w eps
+    (2n - 1); e_k is normalized so the ground state gives 0 and the most
+    excited state 2; it is None when eps = 0.
     """
     rho = np.asarray(rho)
     x = rho.reshape(1, -1)[:, _vec_sectors(len(rho))[0]]
-    e_val = float(reduce(np.zeros(1, dtype=int), x, np.array([epsilon]),
-                         np.array([weight]), 0)[0][0])
-    denom = epsilon / 2 if len(rho) == 2 else epsilon
-    e_rel = None if epsilon == 0.0 else (e_val + denom) / denom
+    w_eps = weight * epsilon
+    e_val = float(reduce(np.zeros(1, dtype=int), x, np.array([w_eps]), 0)[0][0])
+    e_rel = None if epsilon == 0.0 else (e_val + w_eps) / w_eps
     return e_val, e_rel
 
 
@@ -466,11 +464,11 @@ def averaged_cycle_map(block: ModeBlock | FockBlock, t_mean: float,
     noise rate: the transfer (..., d^2/2, d^2/2) on the physical sector of
     one block, or of a stack over leading axes, as `cycle_maps` yields it.
 
-    Without environments the physical entries M[(i,x),(j,y)] of sum_b L_b
-    G L_b^dag (module docstring) read only the eigenvectors of the parity
-    block q = par(x) (`_cycle_layout`), so they are entries of the two
-    contractions M_q = L_q G_q L_q^dag, whose rows (i, x) of either par(i)
-    are stacked into one product; gain/loss noise enters through the
+    Without environments the physical entries M[(i,x),(j,y)] of the average
+    (module docstring) read only the eigenvectors of the parity block q =
+    par(x) (`_cycle_layout`), so they are entries of the two averages M_q =
+    sum_b L_qb W_q L_qb^dag, one `_linalg.random_time_average` with the rows
+    (i, x) of either par(i) stacked; gain/loss noise enters through the
     physical sector's even rates alone.
     """
     fb = block if isinstance(block, FockBlock) else second_quantize(block)
@@ -479,14 +477,11 @@ def averaged_cycle_map(block: ModeBlock | FockBlock, t_mean: float,
     e, v = fb.eig()
     *_, rows, columns, take = _cycle_layout(fb.d_sys, fb.d_rest)
     v = v.reshape(v.shape[:-3] + (-1, v.shape[-1]))
-    l = v[..., rows, :] * v[..., columns, :].conj()  # (..., 2, ds^2/2, dr/2, d/2)
+    # L (..., 1, 2, ds^2/2, dr/2, d/2), broadcast over the noise rates on its axis -5
+    l = (v[..., rows, :] * v[..., columns, :].conj())[..., None, :, :, :, :]
     rates, proj = _noise_projectors(fb.n_sys_modes)
-    c = rates[:, 0] if kappa > 0 else np.zeros(1)  # the physical sector's even rates
-    de = (e[..., :, None] - e[..., None, :])[..., None, :, :, :]
-    g = uniform_average(2.0 * t_mean * (c[:, None, None, None] * kappa + 1j * de))
-    lg = l.reshape(l.shape[:-4] + (1, 2, -1, l.shape[-1])) @ g
-    l = l.reshape(l.shape[:-4] + (1,) + rows.shape[:2] + (-1,))  # (..., 1, 2, ds^2/2, dr d/4)
-    m = lg.reshape(lg.shape[:-2] + l.shape[-2:]) @ l.conj().swapaxes(-1, -2)
+    c = rates[:, :1] if kappa > 0 else np.zeros((1, 1))  # the physical sector's even rates
+    m = random_time_average(l, e[..., None, :, :], c * kappa, t_mean)
     m = np.take(m.reshape(m.shape[:-3] + (-1,)), take, axis=-1)
     return (proj[:, 0] @ m).sum(axis=-3) if kappa > 0 else m[..., 0, :, :]
 

@@ -147,7 +147,7 @@ def _chain_reduce(eng, params: ModelParams,
     energies = np.empty(lead + (n2 + 1,))
     fids = np.empty(lead + (n2 + 1,))
     for ks, x in groups:
-        energies[..., ks], fids[..., ks] = eng.reduce(ks, x, eps, wts, n2)
+        energies[..., ks], fids[..., ks] = eng.reduce(ks, x, wts * eps, n2)
     return energies, fids
 
 

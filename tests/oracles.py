@@ -47,7 +47,7 @@ from scipy.linalg import expm
 
 from kelvin import optimize
 from kelvin import protocol as pr
-from kelvin._linalg import HERMITICITY_ATOL, hermitize, trace_norm, uniform_average
+from kelvin._linalg import HERMITICITY_ATOL, hermitize, trace_norm
 from kelvin.analytic import GAMMA0_SQ_FACTOR
 from kelvin.errors import KelvinError, ResonantDenominator, UndefinedSteadyState
 from kelvin.fock import (_noise_projectors, _unblock, _vec_sectors, exact_cycle_map,
@@ -156,6 +156,15 @@ def lorentzian_rates(epsilon, delta, t: float, g: float, a2, b2):
 # ---------------------------------------------------------------------------
 # vectorized densities
 # ---------------------------------------------------------------------------
+
+def uniform_average(z) -> np.ndarray:
+    """Mean of e^{-z s} over s uniform on [0, 1]: (1 - e^{-z}) / z, and 1 at
+    z = 0; the reference for the engines' random-time average W."""
+    z = np.asarray(z)
+    zero = z == 0
+    z = np.where(zero, 1.0, z)
+    return np.where(zero, 1.0, -np.expm1(-z) / z)
+
 
 def vec(rho: np.ndarray) -> np.ndarray:
     return np.asarray(rho).reshape(-1)

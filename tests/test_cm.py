@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.linalg import expm
 
 from kelvin import cm, fock
@@ -98,6 +99,30 @@ class TestCycleMapCm:
         e_fock, _ = fock.block_energy(rho, eps, blk.weight)
         gam = _step(_maps(blk, bath.cycle_time_mean), cm.most_excited_cm())
         assert abs(e_fock - cm.cm_energy(gam, eps, blk.weight)) < 1e-10
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.03])
+    def test_averaged_cycle_matches_fock(self, kappa):
+        """One random-time-averaged cycle of a Gaussian pair state, over seeded
+        random pair blocks: Fock's averaged map, reduced to the CM, is CM's
+        averaged transfer applied to the CM."""
+        rng = np.random.default_rng(27)
+        for _ in range(8):
+            n = int(rng.choice([8, 10, 12]))
+            scheme = CouplingScheme(nn=1, lam={j: float(rng.uniform(-1, 1)) for j in (-1, 0, 1)},
+                                    mu={j: float(rng.uniform(-1, 1)) for j in (-1, 0, 1)},
+                                    g=10.0 ** rng.uniform(-3.0, 0.0))
+            t_mean = float(rng.uniform(0.5, 10.0))
+            block = block_hamiltonian(ModelParams(n, float(rng.uniform(0.0, math.pi / 2))), scheme,
+                                      BathSpec(float(rng.uniform(0.2, 3.0)), t_mean),
+                                      rng.integers(1, n // 2, size=3))
+            fock_maps = next(fock.cycle_maps(block, [None], t_mean, kappa))
+            cm_maps = next(cm.cycle_maps(block, [None], t_mean, kappa))
+            for s_fock, s_cm in zip(fock_maps, cm_maps):
+                h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                h = h + h.conj().T
+                gam = 0.5 * rng.uniform() * h / np.abs(np.linalg.eigvalsh(h)).max()
+                rho = apply_transfer(s_fock, oracles.cm_to_density(gam, False))
+                assert np.max(np.abs(_step(s_cm, gam) - oracles.density_to_cm(rho))) <= 1e-13
 
     def test_repeated_application_converges_to_linear_solve(self, small_params,
                                                             generic_scheme, bath):
@@ -205,6 +230,18 @@ class TestFiniteEnvCm:
         e_cm = cm.cm_energy(gam, eps, blk.weight)
         assert abs(e_cm - e_fock) <= 1e-12 * abs(e_fock)
 
+    @pytest.mark.parametrize("kappa", [0.0, 0.05])
+    def test_averaged_map_is_the_average_of_fixed_time_maps(self, kappa):
+        """The random-time transfer of an environment block, its environment
+        injections included, is the 200-node Gauss-Legendre average of the
+        block's own fixed-time transfers over [0, 2 t_mean]."""
+        block = block_hamiltonian(ModelParams(20, 0.9), CouplingScheme.local(1.0, 1.0, 0.3),
+                                  BathSpec(1.0, 2.0), np.array([3]),
+                                  env=NoiseSpec.finite_env(0.2, 0.7, 0.1))
+        nodes, weights = leggauss(200)
+        fixed = np.stack(list(cm.cycle_maps(block, 2.0 * (nodes + 1.0), 2.0, kappa)))
+        averaged = next(cm.cycle_maps(block, [None], 2.0, kappa))
+        assert np.max(np.abs(averaged - np.tensordot(weights / 2.0, fixed, 1))) <= 1e-13
 
     @pytest.mark.parametrize("k", [0, 2, 4])
     def test_engines_agree_reading_p_e_from_the_block(self, k):
@@ -220,7 +257,7 @@ class TestFiniteEnvCm:
         for engine in (cm, fock):
             x, _, _ = engine.fixed_points(next(engine.cycle_maps(block, [3.0], 3.0, 0.0)),
                                           block.is_edge)
-            energy[engine] = engine.reduce(np.array([k]), x, eps, wts, 4)[0][0]
+            energy[engine] = engine.reduce(np.array([k]), x, wts * eps, 4)[0][0]
         assert abs(energy[cm] - energy[fock]) <= 1e-10 * abs(energy[fock])
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kelvin._linalg import affine_fixed_points, uniform_average
+from kelvin._linalg import affine_fixed_points, random_time_average
 from kelvin.errors import NonUniqueFixedPoint
 
 
@@ -85,9 +85,19 @@ class TestAffineFixedPoints:
         np.testing.assert_allclose(alpha, [1e-12], rtol=1e-3)
 
 
+def uniform_average(z) -> np.ndarray:
+    """W_01 of `random_time_average` at z, through identity factors l_n = e_n,
+    which return W itself: t_mean = 1/2, rate Re z and eigenvalues (Im z, 0)
+    give exactly z = rate + i (e_0 - e_1)."""
+    z = np.asarray(z, dtype=complex)
+    e = np.stack([z.imag, np.zeros_like(z.imag)], axis=-1)
+    return random_time_average(np.eye(2)[:, None, :], e, z.real, 0.5)[..., 0, 1]
+
+
 class TestUniformAverage:
     """(1 - e^{-z}) / z, the mean of e^{-(gamma + i omega) t} over uniform t on
-    [0, 2 t_mean] at z = 2 t_mean (gamma + i omega)."""
+    [0, 2 t_mean] at z = 2 t_mean (gamma + i omega): the kernel W of
+    `random_time_average`."""
 
     T_MEAN = 20.0
 

@@ -441,7 +441,7 @@ class TestEngineInterface:
             gammas = [_random_cm(rng, k in (0, n2)) for k in ks]
             oracles.check_cm_blocks(gammas)
             energies, fids = cm.reduce(ks, np.stack([_state_vector("cm", g) for g in gammas]),
-                                       eps, wts, n2)
+                                       wts * eps, n2)
             for k, g in zip(ks, gammas):
                 assert cm.cm_energy(g, eps[k], wts[k]) == energies[k]
                 assert cm.cm_fidelity(g, k in (0, n2)) == fids[k]
@@ -451,7 +451,7 @@ class TestEngineInterface:
                 x = np.stack([_state_vector("fock", rhos[k]) for k in group])
                 assert all(np.array_equal(rho, rhos[k])
                            for rho, k in zip(fock.matrices(x), group))
-                energies, fids = fock.reduce(group, x, eps, wts, n2)
+                energies, fids = fock.reduce(group, x, wts * eps, n2)
                 for k, e_k, f_k in zip(group, energies, fids):
                     assert fock.block_energy(rhos[k], eps[k], wts[k])[0] == e_k
                     assert rhos[k][0, 0].real == f_k

@@ -17,7 +17,6 @@ from numpy.polynomial.legendre import leggauss
 from kelvin import analytic as an
 from kelvin import cm, fock
 from kelvin import protocol as pr
-from kelvin._linalg import uniform_average
 from kelvin.model import (
     BathSpec,
     CouplingScheme,
@@ -26,7 +25,7 @@ from kelvin.model import (
     block_hamiltonian,
     dispersion,
 )
-from oracles import noise_transfer, physical_sector
+from oracles import noise_transfer, physical_sector, uniform_average
 
 REL_TOL = 1e-13
 N_SITES = 8
