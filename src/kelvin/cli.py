@@ -9,8 +9,7 @@ knobs do).  Files are written atomically (temp + rename), CSVs carry a
 header row, and each summary.json embeds the config hash and package version.
 
 Exit codes: 0 success, 1 reproduction assertion failure, 2 invalid config,
-3 no unique steady state, 4 unsupported engine/noise combination,
-5 optimization failure.
+3 no unique steady state, 5 optimization failure.
 """
 
 from __future__ import annotations
@@ -32,8 +31,7 @@ from . import analytic as an
 from . import optimize as op
 from . import protocol as pr
 from . import repro, svgplot
-from .errors import (ConfigError, NonUniqueFixedPoint, OptimizationFailed, UndefinedSteadyState,
-                     UnsupportedCombination)
+from .errors import ConfigError, NonUniqueFixedPoint, OptimizationFailed, UndefinedSteadyState
 from .model import (
     NOISE_KEYS,
     BathSpec,
@@ -49,7 +47,6 @@ from .model import (
 EXIT_ASSERTION = 1
 EXIT_CONFIG = 2
 EXIT_NO_STEADY_STATE = 3
-EXIT_UNSUPPORTED = 4
 EXIT_OPTFAIL = 5
 
 # the errors `main` reports: JSON error name and exit code of each
@@ -57,7 +54,6 @@ _ERRORS = {
     ConfigError: ("config", EXIT_CONFIG),
     NonUniqueFixedPoint: ("non_unique_fixed_point", EXIT_NO_STEADY_STATE),
     UndefinedSteadyState: ("undefined_steady_state", EXIT_NO_STEADY_STATE),
-    UnsupportedCombination: ("unsupported_combination", EXIT_UNSUPPORTED),
     OptimizationFailed: ("optimization_failed", EXIT_OPTFAIL),
 }
 

@@ -34,10 +34,6 @@ class NoConvergenceRate(KelvinError):
     """Requested cycle estimates with a non-positive convergence rate."""
 
 
-class UnsupportedCombination(KelvinError):
-    """Engine does not support the requested noise kind or schedule."""
-
-
 class OptimizationFailed(KelvinError):
     """Every restart of the optimizer failed to produce a finite objective."""
 

@@ -10,49 +10,48 @@ increasing order) H is block-diagonal, and a block is held, diagonalized and
 propagated as its two d/2 x d/2 parity blocks, H = V diag(E) V^dag.
 
 A cycle map rho -> Tr_rest[U (rho x rest) U^dag] reads only the entries
-U[(i,b),(x,r)] of populated rest states r (`_cycle_layout`): with their
-weights w_r, T[(i,j),(x,y)] = sum_{b,r} w_r U[(i,b),(x,r)] U*[(j,b),(y,r)].
-At a fixed time U is formed first (`_fixed_time_maps`).  Over uniform random
-times on [0, 2 t_mean] the products are averaged in closed form by
-`_linalg.random_time_average`, from L[(i,x),(b,r),a] = V[(i,b),a]
-V*[(x,r),a], zero unless the eigenvector a is in the parity block of (i,b),
-so only the two diagonal parity blocks of its kernel W enter the physical
-sector (`averaged_cycle_map`).
+U[(i,b),(x,r)] of populated rest states r: with their weights w_r,
+T[(i,j),(x,y)] = sum_{b,r} w_r U[(i,b),(x,r)] U*[(j,b),(y,r)].  Parity
+superselection keeps the physical (parity-diagonal) sector of vec(rho), the
+even and the odd block of rho, apart from the coherences between them, with
+or without noise, and physical states live in it; so the engine builds
+transfers on that sector alone.  A physical entry, par(x) = par(y) = q, with
+a start r of parity s reads U's parity block q ^ s only, and the rows (i, b)
+of b's parity par(i) ^ q ^ s (`_cycle_layout`).  One builder (`_maps`) reads
+both kinds of time from that layout: at a fixed time it forms those entries
+of U and sums the products per q; over uniform random times on [0, 2
+t_mean] it averages them in closed form by `_linalg.random_time_average`,
+from l[(i,x),(r,b),a] = V[(i,b),a] V*[(x,r),a] sqrt(w_r) with the
+eigenvalues of block q ^ s, and sums over s.
 
-Parity superselection splits vec(rho) into two sectors that no cycle mixes,
-with or without noise (`_vec_sectors`): the physical (parity-diagonal)
-sector, which holds the even and the odd block of rho, and the coherences
-between them.  Every transfer matrix is block-diagonal on the two, and
-physical states live in the first.  So a chain state is a stack of sector
-vectors x = (vec rho_even, vec rho_odd), d^2/2 entries with rho_00 first (8
-for a pair, where d = 4, and 2 for an edge, where d = 2); `cycle_maps`
-yields transfers on that sector alone, and `matrices` is the d x d density
-of a sector vector.  Steady states and cooling rates: every sector transfer
-conserves the trace, and the fixed-point routine the CM engine uses solves
-all modes at once after eliminating rho_00 through it.
+A chain state is a stack of sector vectors x = (vec rho_even, vec
+rho_odd), d^2/2 entries with rho_00 first (8 for a pair, where d = 4, and 2
+for an edge, where d = 2); `cycle_maps` yields transfers on that sector, and
+`matrices` is the d x d density of a sector vector.  Steady states and
+cooling rates: every sector transfer conserves the trace, and the
+fixed-point routine the CM engine uses solves all modes at once after
+eliminating rho_00 through it.
 
 `cycle_maps` yields the maps of a stack of modes, one per time, from one
 stacked eigendecomposition, with the rest weights and populated columns
-formed once per call.  `exact_cycle_map` (one time, optionally noisy or
-environment-extended) gives one block's two sectors on the whole operator
-space, a transfer matrix on row-major vec(rho); `averaged_cycle_map` gives
-the physical sector alone, of one block or of a stack.
+formed once per call.  `exact_cycle_map` (one time) and
+`averaged_cycle_map` (random times) are one-block views of the same
+builder, environments included, and `steady_state` solves one such
+transfer.
 
 Gain/loss noise of rate kappa is X -> (c X c + c' X c')/2 - X per mode, in
 the mode's Majoranas c, c'.  On a Majorana monomial of degree q, c X c =
 +-X, so an even monomial decays at rate q and an odd one at 2n - q, n the
-number of modes; even monomials are parity-diagonal and odd ones
-coherences, so each sector s has the rates r of its parity, with the
-projectors Pi_r of `_noise_projectors`.  The quadratic unitary keeps
-degrees and commutes with the noise, and the bath trace keeps system
-monomials, so the noisy cycle is the noiseless one followed by system noise:
-T_kappa(t) = N_sys(t) T_0(t) C(t), C being e^{-2 n_bath kappa t}, the bath's
-share of the odd rate, on the coherences and 1 on the physical sector.  So
-Pi_r decays at c = r + 2 n_bath s: by e^{-c kappa t} at a fixed time, and,
-averaged, inside W, at the rate c kappa (on the physical sector, the even
-rates c = r alone).  Both builders damp inside the map, so the channel N_sys
-is never formed on its own here (the tests' reference
-`oracles.noise_transfer` builds it from the same projectors).
+number of modes; even monomials are parity-diagonal, so the physical sector
+has the even rates r, with the projectors Pi_r of `_noise_projectors`.  The
+quadratic unitary keeps degrees and commutes with the noise, and the bath
+trace keeps system monomials, so on the physical sector the noisy cycle is
+the noiseless one followed by system noise, T_kappa(t) = N_sys(t) T_0(t)
+(the bath's share of the rates falls on the coherences alone).  So Pi_r
+decays by e^{-r kappa t} at a fixed time and, averaged, inside W at the
+rate r kappa.  The channel N_sys is never formed on its own here (the
+tests' reference `oracles.noise_transfer` builds it on the whole operator
+space).
 
 This module doubles as the brute-force oracle for the closed-form layer.
 """
@@ -124,9 +123,14 @@ class FockBlock:
     """
 
     blocks: np.ndarray
-    n_sys_modes: int
     block: ModeBlock
     _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+
+    @property
+    def n_sys_modes(self) -> int:
+        """System modes: two for a pair, whose single-particle matrix has a
+        row per Fock mode, and one for an edge, whose doubled basis has two."""
+        return 2 * self.n_modes // self.block.h_sb.shape[-1]
 
     @property
     def n_modes(self) -> int:
@@ -144,7 +148,7 @@ class FockBlock:
     @property
     def hamiltonian(self) -> np.ndarray:
         """H on the Fock basis, d x d."""
-        return _unblock(self.blocks, _parity_classes(2 * self.blocks.shape[-1]))
+        return _unblock(self.blocks)
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (..., 2, d/2) and eigenvectors (..., 2, d/2, d/2) of the
@@ -158,7 +162,7 @@ class FockBlock:
         e, v = self.eig()
         phases = np.exp(-1j * np.multiply.outer(ts, e))  # (n, 2, d/2)
         u = (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
-        return _unblock(u, _parity_classes(2 * self.blocks.shape[-1]))
+        return _unblock(u)
 
 
 @lru_cache(maxsize=16)
@@ -171,26 +175,26 @@ def _parity_classes(d: int) -> np.ndarray:
     return classes
 
 
-def _unblock(m: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """The d x d matrices, stacked over leading axes, that hold the blocks m
-    (..., 2, d/2, d/2) on the rows and columns `index` (2, d/2), and zeros
-    between."""
+def _unblock(m: np.ndarray) -> np.ndarray:
+    """The d x d matrices, stacked over leading axes, that hold the parity
+    blocks m (..., 2, d/2, d/2) on the rows and columns of their parity
+    (`_parity_classes`), and zeros between."""
     d = 2 * m.shape[-1]
+    index = _parity_classes(d)
     out = np.zeros(m.shape[:-3] + (d, d), dtype=m.dtype)
     out[..., index[:, :, None], index[:, None, :]] = m
     return out
 
 
 @lru_cache(maxsize=8)
-def _vec_sectors(ds: int) -> np.ndarray:
-    """Read-only (2, ds^2/2) positions in row-major vec(rho) of a ds-state
-    system block: the physical sector, the blocks rho_qq of the parities q
-    (even first) row-major, and the coherences rho_q,1-q in the same order."""
+def _physical_sector(ds: int) -> np.ndarray:
+    """Read-only (ds^2/2,) positions in row-major vec(rho) of a ds-state
+    system block of its physical sector: the blocks rho_qq of the parities q
+    (even first), row-major."""
     c = _parity_classes(ds)
-    sectors = np.stack([(ds * c[:, :, None] + c[:, None, :]).reshape(-1),
-                        (ds * c[:, :, None] + c[::-1, None, :]).reshape(-1)])
-    sectors.flags.writeable = False
-    return sectors
+    sector = (ds * c[:, :, None] + c[:, None, :]).reshape(-1)
+    sector.flags.writeable = False
+    return sector
 
 
 @lru_cache(maxsize=8)
@@ -204,8 +208,7 @@ def _quadratic_terms(dim: int, edge: bool) -> tuple[np.ndarray, np.ndarray, np.n
     alpha = [x for a in ops for x in (a, a.T)] if edge else \
         [x for p in range(dim // 2) for x in (ops[2 * p], ops[2 * p + 1].T)]
     half = 2 ** (n_modes - 1)
-    block_pos = _unblock(np.arange(2 * half * half).reshape(2, half, half),
-                         _parity_classes(2 * half)).reshape(-1)
+    block_pos = _unblock(np.arange(2 * half * half).reshape(2, half, half)).reshape(-1)
     terms, positions, signs = [], [], []
     for ij, (ai, aj) in enumerate(itertools.product(alpha, repeat=2)):
         prod = (ai.T @ aj).reshape(-1)
@@ -239,7 +242,7 @@ def second_quantize(block: ModeBlock) -> FockBlock:
     independent mode per matrix row; edge blocks use the doubled basis
     (a, a^dag, b, b^dag, ...) over half as many physical modes.
     """
-    return FockBlock(_hamiltonians(block)[0], 1 if block.is_edge else 2, block)
+    return FockBlock(_hamiltonians(block)[0], block)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +266,7 @@ def matrices(x: np.ndarray) -> np.ndarray:
     """The d x d densities of physical-sector vectors x stacked to (...,
     d^2/2): their parity blocks in place, and zero coherences."""
     half = math.isqrt(x.shape[-1] // 2)
-    return _unblock(x.reshape(x.shape[:-1] + (2, half, half)), _parity_classes(2 * half))
+    return _unblock(x.reshape(x.shape[:-1] + (2, half, half)))
 
 
 def mode_groups(n2: int) -> list[np.ndarray]:
@@ -281,7 +284,7 @@ def initial_blocks(kind: str, n2: int) -> list[tuple[np.ndarray, np.ndarray]]:
     groups = []
     for ks in mode_groups(n2):
         rho = maker(ks[0] in (0, n2))
-        groups.append((ks, np.tile(rho.reshape(-1)[_vec_sectors(len(rho))[0]], (len(ks), 1))))
+        groups.append((ks, np.tile(rho.reshape(-1)[_physical_sector(len(rho))], (len(ks), 1))))
     return groups
 
 
@@ -305,7 +308,7 @@ def block_energy(rho: np.ndarray, epsilon: float, weight: float):
     excited state 2; it is None when eps = 0.
     """
     rho = np.asarray(rho)
-    x = rho.reshape(1, -1)[:, _vec_sectors(len(rho))[0]]
+    x = rho.reshape(1, -1)[:, _physical_sector(len(rho))]
     w_eps = weight * epsilon
     e_val = float(reduce(np.zeros(1, dtype=int), x, np.array([w_eps]), 0)[0][0])
     e_rel = None if epsilon == 0.0 else (e_val + w_eps) / w_eps
@@ -313,36 +316,32 @@ def block_energy(rho: np.ndarray, epsilon: float, weight: float):
 
 
 # ---------------------------------------------------------------------------
-# cycle maps: transfer matrices of a system block, on its physical sector and
-# coherences (`cycle_maps`) or on row-major vec(rho) (the one-block views)
+# cycle maps: transfer matrices of a system block on its physical sector
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
 def _cycle_layout(ds: int, dr: int) -> tuple[np.ndarray, ...]:
-    """Index arrays of a cycle on the parity blocks of U = e^{-iHt}.
+    """Index arrays of a cycle's physical sector on the parity blocks of U =
+    e^{-iHt} and of its eigenvectors.
 
     The rest starts in the states r < dr / ds: the bath (as many modes as the
     system, the rest's leading bits) in its vacuum, and the environment modes
-    in any state.  Returns, all read-only:
+    in any state.  A physical entry M[(i,x),(j,y)] has par(x) = par(y) = q;
+    with a start r of parity s, U[(i,b),(x,r)] lies in U's parity block p =
+    q ^ s and b has parity par(i) ^ p.  Returns, all read-only:
 
-    - `cols` (2, c): the columns (x, r) of U's even and odd block that such
-      starts reach, x a system state;
-    - `gather` (2, ds^2/2, k): for s = 0, 1, the flat positions among those
-      columns (2, d/2, c) of A_s[(i, x), (b, r)] = U[(i, b), (x, r)], over
-      the rows (i, x) and columns (b, r) of parity s (parity conservation
-      makes the entries between parities zero);
-    - `rest` (2, k): the start r of each of those columns;
-    - `out` (2, ds^2/2, ds^2/2): the flat position in M_s = A_s W A_s^dag
-      (2, ds^2/2, ds^2/2) of each entry T[(i,j),(x,y)] = M[(i,x),(j,y)] of
-      the physical sector and of the coherences (`_vec_sectors`);
-    - `rows`, `columns` (2, ds^2/2, dr/2) and `take` (ds^2/2, ds^2/2), for a
-      rest in its vacuum (dr = ds, r = 0): the physical entries M[(i,x),(j,y)]
-      have par(x) = par(y) = q, so they involve only U's parity block q, and
-      the rows (i, x) of each q meet only the columns (b, 0) of parity
-      par(i) ^ q; `rows` and `columns` hold the positions of (i, b) and (x,
-      0) among the stacked parity blocks (2 d/2), and `take` the flat
-      position in the blocks M_q (2, ds^2/2, ds^2/2) of each entry of the
-      physical sector.
+    - `cols` (2, c): the columns (x, r) of U's even and odd block that the
+      starts reach, x a system state, as positions among the stacked parity
+      blocks (2 d/2);
+    - `rows`, `columns` (2, S, ds^2/2, n): for each block p and start parity
+      s (S = 1 without environments, where r = 0 alone), over the rows (i,
+      x) of par(x) = p ^ s and the columns (r, b) of those parities, the
+      positions of (i, b) and (x, r) among the stacked parity blocks (2 d/2);
+    - `gather` (2, S, ds^2/2, n): the flat position of U[(i,b),(x,r)] among
+      the columns `cols` of U's blocks (2, d/2, c);
+    - `take` (S, ds^2/2, ds^2/2): the flat position in the blocks M_ps (2,
+      S, ds^2/2, ds^2/2) of the term of start parity s of each entry
+      T[(i,j),(x,y)] = sum_s M_ps[(i,x),(j,y)] of the physical sector.
     """
     d, n_rest, half = ds * dr, dr // ds, ds * ds // 2
     par = np.array([bin(f).count("1") % 2 for f in range(d)])
@@ -350,140 +349,131 @@ def _cycle_layout(ds: int, dr: int) -> tuple[np.ndarray, ...]:
     rank[_parity_classes(d)] = np.arange(d // 2)
     pos = par * (d // 2) + rank
     starts = (dr * np.arange(ds)[:, None] + np.arange(n_rest)).reshape(-1)
-    starts = [starts[par[starts] == q] for q in (0, 1)]
-    cols = np.stack([rank[f] for f in starts])
+    starts = [starts[par[starts] == p] for p in (0, 1)]
+    cols = np.stack([pos[f] for f in starts])
     col_pos = np.empty(d, dtype=int)
     for f in starts:
         col_pos[f] = np.arange(len(f))
     i, x = np.divmod(np.arange(ds * ds), ds)
-    b, r = np.divmod(np.arange(dr * n_rest), n_rest)
-    row_pos = np.empty(ds * ds, dtype=int)
-    gather, rest = [], []
-    for s in (0, 1):
-        rows, keep = np.flatnonzero(par[i] ^ par[x] == s), par[b] ^ par[r] == s
-        row_pos[rows] = np.arange(half)
-        u_row = dr * i[rows, None] + b[keep]
-        u_col = dr * x[rows, None] + r[keep]
-        gather.append(pos[u_row] * cols.shape[1] + col_pos[u_col])
-        rest.append(r[keep])
     ix = np.stack([np.flatnonzero(par[x] == q) for q in (0, 1)])
-    rows = pos[dr * i[ix, None] + _parity_classes(dr)[par[i[ix]] ^ par[x[ix]]]]
-    columns = np.broadcast_to(pos[dr * x[ix, None]], rows.shape)
+    p, s = np.arange(2)[:, None], np.arange(min(n_rest, 2))
+    i, x = i[ix[p ^ s]][..., None, None], x[ix[p ^ s]][..., None, None]  # (p, s, row, r, b)
+    r = np.arange(n_rest)
+    r = np.stack([r[par[r] == q] for q in s])
+    b = _parity_classes(dr)[(par[i] ^ p[..., None, None, None])[..., 0]]
+    u_row, u_col = np.broadcast_arrays(dr * i + b, dr * x + r[:, None, :, None])
+    shape = (2, len(s), half, -1)
+    rows, columns = pos[u_row].reshape(shape), pos[u_col].reshape(shape)
+    gather = (pos[u_row] * cols.shape[1] + col_pos[u_col]).reshape(shape)
     row_q = np.empty(ds * ds, dtype=int)
     row_q[ix] = np.arange(half)
-    i, j = np.divmod(_vec_sectors(ds)[:, :, None], ds)
-    x, y = np.divmod(_vec_sectors(ds)[:, None, :], ds)
-    out = ((par[i] ^ par[x]) * half + row_pos[ds * i + x]) * half + row_pos[ds * j + y]
-    take = (par[x[0]] * half + row_q[ds * i[0] + x[0]]) * half + row_q[ds * j[0] + y[0]]
-    layout = cols, np.array(gather), np.array(rest), out, rows, columns, take
+    i, j = np.divmod(_physical_sector(ds)[:, None], ds)
+    x, y = np.divmod(_physical_sector(ds)[None, :], ds)
+    s = s[:, None, None]
+    take = (((par[x] ^ s) * len(s) + s) * half + row_q[ds * i + x]) * half + row_q[ds * j + y]
+    layout = cols, rows, columns, gather, take
     for a in layout:
         a.flags.writeable = False
     return layout
 
 
-def _fixed_time_maps(fb: FockBlock, ts, kappa: float = 0.0):
-    """Yield the cycle transfers of the eigenbases in `fb` (one block, or a
-    stack over leading axes), one per time in `ts`, in order, as blocks
-    (..., 2, D/2, D/2) on the physical sector and on the coherences
-    (`_vec_sectors`), D = d_sys^2.
+@lru_cache(maxsize=4)
+def _noise_projectors(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Even rates r = 0, 2, .., 2n and the blocks (n+1, D/2, D/2) on the
+    physical sector (D = d^2) of the projectors Pi_r = sum vec(c_S)
+    vec(c_S)^dag / d of the unit-rate gain/loss generator, over the even
+    Majorana monomials c_S of degree r."""
+    majoranas = [c for a in mode_operators(n_modes) for c in (a + a.conj().T, 1j * (a.conj().T - a))]
+    sector = _physical_sector(2**n_modes)
+    proj = np.zeros((n_modes + 1,) + sector.shape * 2, dtype=complex)
+    for subset in itertools.product((False, True), repeat=2 * n_modes):
+        if sum(subset) % 2 == 0:
+            mono = functools.reduce(np.matmul, itertools.compress(majoranas, subset),
+                                    np.eye(2**n_modes)).reshape(-1)[sector]
+            proj[sum(subset) // 2] += np.outer(mono, mono.conj()) / 2**n_modes
+    return 2 * np.arange(n_modes + 1), proj
 
-    Only the entries of U that a populated rest state reaches are formed, u
-    = V e^{-iEt} V^dag[:, cols] per parity block (`_cycle_layout`), and A_s
-    gathers them by the parity s of its rows and columns.  With W the rest
-    weights of A's columns, M_s = A_s W A_s^dag, and T[(i,j),(x,y)] =
-    M[(i,x),(j,y)].  The weights, those rows of V^dag and the noise factors
-    of every time are formed once, before the first map.
+
+def _maps(fb: FockBlock, ts, t_mean: float, kappa: float):
+    """Yield the cycle transfers (..., D/2, D/2) on the physical sector of the
+    eigenbases in `fb` (one block, or a stack over leading axes), D =
+    d_sys^2, one per time in `ts`, in order; a time of None is the average
+    over uniform random times on [0, 2 t_mean].
+
+    Both kinds read the columns (r, b) of each block p and start parity s
+    from `_cycle_layout`, give the blocks M_ps, and take the sector's
+    entries from them, summed over s.  The rest weights w_r enter once, as
+    sqrt(w_r) on the rows (x, r) of V* (without environments the one start
+    is the bath's vacuum, of weight 1).  At a fixed time, u = V e^{-iEt}
+    V^dag[:, cols] per parity block, `gather` reads a[(i,x),(r,b)] =
+    U[(i,b),(x,r)] from it, M_ps = a a^dag, and the noise sum_r e^{-r kappa
+    t} Pi_r follows; those rows of V^dag and the noise of every fixed time
+    are formed once, before the first map.  Random times average M_ps =
+    sum_b l_b W l_b^dag, with W of block p's eigenvalues at each even noise
+    rate, and apply each rate's projector.  Gain/loss noise is not defined
+    on environment-extended blocks (ValueError).
     """
+    if kappa > 0 and fb.block.env is not None:
+        raise ValueError("depolarizing noise on environment-extended blocks is not supported")
     e, v = fb.eig()
-    ds, dr = fb.d_sys, fb.d_rest
-    cols, gather, rest, out, *_ = _cycle_layout(ds, dr)
-    p_env = (1.0 - fb.block.env.p_e) / 2.0 if fb.block.env is not None else 0.0
-    w = functools.reduce(np.kron, [[1.0 - p_env, p_env]] * (fb.n_modes - 2 * fb.n_sys_modes),
-                         np.ones(1))[rest][:, None, :]
-    # contiguous operands (and np.take below): the matmul path numpy picks
-    # depends on the memory layout, so a block's bits would depend on its stack
-    v_cols = np.ascontiguousarray(v[..., [[0], [1]], cols, :].conj().swapaxes(-1, -2))
-    ts = np.asarray(ts, dtype=float)
-    if kappa > 0:  # T_kappa = N_sys T_0 C per sector, see the module docstring
-        rates, proj = _noise_projectors(fb.n_sys_modes)
-        c = rates + 2 * fb.n_sys_modes * (rates % 2)
-        noise = np.einsum("tjs,jsab->tsab", np.exp(-kappa * np.multiply.outer(ts, c)), proj)
-    for i, t in enumerate(ts):
-        u = v @ (np.exp(-1j * (t * e))[..., :, None] * v_cols)
-        a = np.take(u.reshape(u.shape[:-3] + (-1,)), gather, axis=-1)
-        m = (a * w) @ a.conj().swapaxes(-1, -2)
-        maps = np.take(m.reshape(m.shape[:-3] + (-1,)), out, axis=-1)
-        yield noise[i] @ maps if kappa > 0 else maps
+    cols, rows, columns, gather, take = _cycle_layout(fb.d_sys, fb.d_rest)
+    vs = v.reshape(v.shape[:-3] + (-1, v.shape[-1]))  # the parity blocks' rows stacked
+    vc = vs.conj()
+    if fb.block.env is not None:  # w_r: the bath empty, each environment mode full at p_env
+        p_env = (1.0 - fb.block.env.p_e) / 2.0
+        w = functools.reduce(np.kron, [[1.0, 0.0]] * fb.n_sys_modes
+                             + [[1.0 - p_env, p_env]] * (fb.n_modes - 2 * fb.n_sys_modes))
+        vc = vc * np.sqrt(w)[_parity_classes(2 * v.shape[-1]).reshape(-1, 1) % fb.d_rest]
+    rates, proj = _noise_projectors(fb.n_sys_modes)
+    fixed = [t for t in ts if t is not None]
+    if fixed:
+        # contiguous operands (and np.take below): the matmul path numpy picks
+        # depends on the memory layout, so a block's bits would depend on its stack
+        v_cols = np.ascontiguousarray(vc[..., cols, :].swapaxes(-1, -2))
+    if fixed and kappa > 0:
+        noise = iter(np.einsum("tj,jab->tab", np.exp(-kappa * np.multiply.outer(fixed, rates)), proj))
+    for t in ts:
+        if t is None:
+            # l (..., 1, p, s, ds^2/2, n, d/2), broadcast over the noise rates on its axis -6
+            l = vs[..., rows, :] * vc[..., columns, :]
+            m = random_time_average(l[..., None, :, :, :, :, :], e[..., None, :, None, :],
+                                    rates[:, None, None] * kappa if kappa > 0 else 0.0, t_mean)
+            m = np.take(m.reshape(m.shape[:-4] + (-1,)), take, axis=-1)
+            yield (proj[:, None] @ m if kappa > 0 else m).sum(axis=(-4, -3))
+        else:
+            u = v @ (np.exp(-1j * (t * e))[..., :, None] * v_cols)
+            a = np.take(u.reshape(u.shape[:-3] + (-1,)), gather, axis=-1)
+            m = a @ a.conj().swapaxes(-1, -2)
+            m = np.take(m.reshape(m.shape[:-4] + (-1,)), take, axis=-1).sum(axis=-3)
+            yield next(noise) @ m if kappa > 0 else m
 
 
 def exact_cycle_map(block: ModeBlock | FockBlock, t: float, kappa: float = 0.0) -> np.ndarray:
     """Transfer matrix of one cooling cycle, rho -> Tr_rest[e^{-iHt} (rho x
-    rho_rest) e^{iHt}], on row-major vec(rho): one block and one time of
-    `cycle_maps`' fixed-time builder, its physical sector and coherences in
-    place and zeros between.
+    rho_rest) e^{iHt}], on the physical sector of one block (D/2, D/2): one
+    block and one time of `cycle_maps`.
 
     The rest is the reset bath in its vacuum and, on an environment-extended
     block, each environment mode in ((1+p_E)/2)|0><0| + ((1-p_E)/2)|1><1|.
-    Uniform gain/loss noise of rate kappa gives T_kappa(t) = N_sys T_0 C
-    (module docstring), exact on the whole operator space, not just on
-    physical states; it is not defined on environment-extended blocks.
+    Uniform gain/loss noise of rate kappa gives T_kappa(t) = N_sys T_0
+    (module docstring); it is not defined on environment-extended blocks.
     """
     if t < 0:
         raise ValueError(f"cycle time must be >= 0, got {t}")
     if kappa < 0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     fb = block if isinstance(block, FockBlock) else second_quantize(block)
-    if kappa > 0 and fb.block.env is not None:
-        raise ValueError("depolarizing noise on environment-extended blocks is not supported")
-    return _unblock(next(_fixed_time_maps(fb, [t], kappa)), _vec_sectors(fb.d_sys))
-
-
-@lru_cache(maxsize=4)
-def _noise_projectors(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rates r = 2j + s (n+1, 2) and the blocks (n+1, 2, D/2, D/2) on sector s
-    (`_vec_sectors`, D = d^2) of the projectors Pi_r = sum vec(c_S)
-    vec(c_S)^dag / d of the unit-rate gain/loss generator, over the Majorana
-    monomials c_S of rate r: sector s keeps the rates of its parity, and r =
-    2n + 1, which no monomial has, a zero projector."""
-    majoranas = [c for a in mode_operators(n_modes) for c in (a + a.conj().T, 1j * (a.conj().T - a))]
-    sectors = _vec_sectors(2**n_modes)
-    proj = np.zeros((n_modes + 1, 2) + sectors.shape[-1:] * 2, dtype=complex)
-    for subset in itertools.product((False, True), repeat=2 * n_modes):
-        q = sum(subset)
-        mono = functools.reduce(np.matmul, itertools.compress(majoranas, subset),
-                                np.eye(2**n_modes)).reshape(-1)[sectors[q % 2]]
-        rate = q if q % 2 == 0 else 2 * n_modes - q
-        proj[rate // 2, rate % 2] += np.outer(mono, mono.conj()) / 2**n_modes
-    return 2 * np.arange(n_modes + 1)[:, None] + np.arange(2), proj
+    return next(_maps(fb, [t], 0.0, kappa))
 
 
 def averaged_cycle_map(block: ModeBlock | FockBlock, t_mean: float,
                        kappa: float = 0.0) -> np.ndarray:
     """Cycle map averaged over uniformly random times on [0, 2*t_mean], the
     ensemble limit of a long randomized-time subcycle sequence, at every
-    noise rate: the transfer (..., d^2/2, d^2/2) on the physical sector of
-    one block, or of a stack over leading axes, as `cycle_maps` yields it.
-
-    Without environments the physical entries M[(i,x),(j,y)] of the average
-    (module docstring) read only the eigenvectors of the parity block q =
-    par(x) (`_cycle_layout`), so they are entries of the two averages M_q =
-    sum_b L_qb W_q L_qb^dag, one `_linalg.random_time_average` with the rows
-    (i, x) of either par(i) stacked; gain/loss noise enters through the
-    physical sector's even rates alone.
-    """
+    noise rate: the transfer (..., D/2, D/2) on the physical sector of one
+    block, or of a stack over leading axes, as `cycle_maps` yields it."""
     fb = block if isinstance(block, FockBlock) else second_quantize(block)
-    if fb.block.env is not None:
-        raise ValueError("averaged maps of environment-extended blocks are not supported")
-    e, v = fb.eig()
-    *_, rows, columns, take = _cycle_layout(fb.d_sys, fb.d_rest)
-    v = v.reshape(v.shape[:-3] + (-1, v.shape[-1]))
-    # L (..., 1, 2, ds^2/2, dr/2, d/2), broadcast over the noise rates on its axis -5
-    l = (v[..., rows, :] * v[..., columns, :].conj())[..., None, :, :, :, :]
-    rates, proj = _noise_projectors(fb.n_sys_modes)
-    c = rates[:, :1] if kappa > 0 else np.zeros((1, 1))  # the physical sector's even rates
-    m = random_time_average(l, e[..., None, :, :], c * kappa, t_mean)
-    m = np.take(m.reshape(m.shape[:-3] + (-1,)), take, axis=-1)
-    return (proj[:, 0] @ m).sum(axis=-3) if kappa > 0 else m[..., 0, :, :]
+    return next(_maps(fb, [None], t_mean, kappa))
 
 
 def cycle_maps(block: ModeBlock, ts, t_mean: float, kappa: float):
@@ -493,20 +483,20 @@ def cycle_maps(block: ModeBlock, ts, t_mean: float, kappa: float):
 
     The stack is second-quantized at once, with the eigenbases of its parity
     blocks from one stacked eigh, and held until the generator is done.
-    Each fixed time gives the physical sectors of the stack of
-    `exact_cycle_map`s at the gain/loss rate `kappa`, with the environments'
-    p_E read from `block.env`; a time of None stands for
-    `averaged_cycle_map` over [0, 2 t_mean], taken per mode and stacked.
+    Each fixed time gives the stack of `exact_cycle_map`s at the gain/loss
+    rate `kappa`, with the environments' p_E read from `block.env`; a time
+    of None stands for `averaged_cycle_map` over [0, 2 t_mean], taken per
+    mode and stacked.
     """
     ham = _hamiltonians(block)
-    fb = FockBlock(ham, 1 if np.all(block.is_edge) else 2, block)
-    fixed = _fixed_time_maps(fb, [t for t in ts if t is not None], kappa)
+    fb = FockBlock(ham, block)
+    fixed = _maps(fb, [t for t in ts if t is not None], t_mean, kappa)
     for t in ts:
         if t is None:
-            yield np.stack([averaged_cycle_map(FockBlock(h, fb.n_sys_modes, block, (e, v)), t_mean,
-                                               kappa) for h, e, v in zip(ham, *fb.eig())])
+            yield np.stack([averaged_cycle_map(FockBlock(h, block, (e, v)), t_mean, kappa)
+                            for h, e, v in zip(ham, *fb.eig())])
         else:
-            yield next(fixed)[:, 0]
+            yield next(fixed)
 
 
 def mode_chunks(ks: np.ndarray, env: NoiseSpec | None) -> list[np.ndarray]:
@@ -518,8 +508,8 @@ def mode_chunks(ks: np.ndarray, env: NoiseSpec | None) -> list[np.ndarray]:
     per chunk.
 
     A chunk holds a few stacks of that size at once: each open frequency's
-    Hamiltonians and eigenvectors, one map's transients (both sectors) and,
-    half that size, the running product of `_global_maps`.  On the
+    Hamiltonians and eigenvectors, one map's transients and, half that
+    size, the running product of `_global_maps`.  On the
     benchmark's N = 200 trajectories (theta = pi/3, g = 1e-2, t = 10, 100
     cycles; randomized L = 10 and multifreq R = 3, L = 4; 2-vCPU host, one
     BLAS thread), 32-pair chunks took the Fock time from 0.044 to 0.040 s
@@ -537,11 +527,10 @@ def mode_chunks(ks: np.ndarray, env: NoiseSpec | None) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def steady_state(transfer: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unique fixed state (d, d) of a transfer matrix (d^2, d^2) on row-major
-    vec(rho) and its cooling rate alpha = -log|lambda_2|: a one-mode
-    `fixed_points` of its physical sector."""
-    sector = _vec_sectors(math.isqrt(transfer.shape[-1]))[0]
-    x, alpha, _ = fixed_points(transfer[np.ix_(sector, sector)][None])
+    """Unique fixed state (d, d) of a transfer matrix (d^2/2, d^2/2) on the
+    physical sector and its cooling rate alpha = -log|lambda_2|: a one-mode
+    `fixed_points`."""
+    x, alpha, _ = fixed_points(transfer[None])
     return matrices(x)[0], float(alpha[0])
 
 
@@ -559,7 +548,7 @@ def fixed_points(k: np.ndarray, edge=None) -> tuple[np.ndarray, np.ndarray, np.n
     """
     n = k.shape[-1]
     ds = math.isqrt(2 * n)
-    x, alpha = affine_fixed_points(k, _vec_sectors(ds)[0] % (ds + 1) == 0)
+    x, alpha = affine_fixed_points(k, _physical_sector(ds) % (ds + 1) == 0)
     x = hermitize(x.reshape(-1, 2, ds // 2, ds // 2)).reshape(-1, n)
     resid = trace_norm(matrices((k @ x[..., None])[..., 0] - x))
     if np.max(resid, initial=0.0) > FIXED_POINT_ATOL:

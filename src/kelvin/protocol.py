@@ -37,7 +37,6 @@ import numpy as np
 
 from . import cm as _cm
 from . import fock as _fock
-from .errors import UnsupportedCombination
 from .model import (BathSpec, CouplingScheme, ModelParams, NoiseSpec, band_edges,
                     block_hamiltonian, dispersion, ground_state_energy, mode_grid)
 
@@ -200,9 +199,6 @@ def _global_maps(params: ModelParams, scheme: CouplingScheme, noise: NoiseSpec, 
         times.setdefault(delta_r, []).append(t_m)
     last = {delta_r: i for i, (delta_r, _) in enumerate(subcycles)}
     env = noise.env
-    if env is not None and any(None in ts for ts in times.values()):
-        raise UnsupportedCombination(
-            "randomized finite-environment steady states are not implemented")
     composed = []
     for chunk in eng.mode_chunks(ks, env):
         maps, k_tot = {}, None
@@ -312,8 +308,12 @@ def steady_report(params: ModelParams, scheme: CouplingScheme, bath: BathSpec,
     conserved first entry).  Randomized-time schedules are
     evaluated in the ensemble limit: each elementary map is replaced by its
     uniform average over [0, 2 t_mean] (exact, in closed form), which is
-    the object the closed-form rates describe.  alpha is reported per
-    elementary subcycle.  Finite environments need a single schedule.
+    the object the closed-form rates describe, with or without finite
+    environments.  alpha is reported per elementary subcycle.  There the CM
+    `fidelity` is not the ensemble's: `cm.reduce` applies Wick's theorem to
+    the averaged correlation matrix, but the averaged map mixes Gaussian
+    channels, so its fixed point is not Gaussian; the energies agree with
+    Fock's, whose fidelity is the ensemble's.
     """
     deltas = schedule_frequencies(schedule_descriptor, params, bath)
     t_m = bath.cycle_time_mean if schedule_descriptor.get("kind", "single") == "single" else None

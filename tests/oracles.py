@@ -14,21 +14,23 @@ that the closed-form grid tests can compare the package with them under `==`;
 `analytic.averaged_rates`.
 
 The rest are independent references for the exact engines: `vec` and
-`apply_transfer` step a density through a transfer matrix,
-`physical_sector` cuts a transfer matrix down to the sector the Fock
-engine's `cycle_maps` yields, and `sector_steady_state` is the fixed state
-of a map on that sector; `full_space_averaged_map`, the Fock random-time
-average built on the whole operator space from a Fock-basis eigenbasis and
-its own gain/loss projectors, whose physical sector is the reference for
+`apply_transfer` step a density through a transfer matrix, on the whole
+operator space or on the physical sector that the Fock engine's maps act
+on, and `physical_sector` cuts a whole-space transfer matrix down to that
+sector (`embed_sector` is its inverse, with zero coherences);
+`full_space_averaged_map`, the Fock random-time average built on
+the whole operator space from a Fock-basis eigenbasis and its own gain/loss
+projectors, whose physical sector is the reference for
 `fock.averaged_cycle_map`; the CM
 conversions `density_to_cm` and `cm_to_density`; the Dyson blocks of the
 quadrature-basis propagator (`quadrature_couplings`, `perturbative_blocks`,
 `omega_basis_generator`); the Majorana-picture noise check
 (`bravyi_noise_matrices`, `majorana_damping_check`, with the block
 propagators `propagators`); `noise_transfer`, the gain/loss channel e^{L_E t}
-as a transfer matrix on the whole operator space, from the Fock engine's
-sector projectors; the joint-Lindbladian
-check of the Fock engine's noise factorization (`noise_factorization_gap`);
+as a transfer matrix on the whole operator space, from the whole-space
+projectors of `_full_noise_projectors`; the joint-Lindbladian check of the
+Fock engine's noise factorization on the physical sector
+(`noise_factorization_gap`);
 `maximally_mixed_density`; the physical-state checks of per-mode blocks
 (`check_cm_blocks`, `check_density_blocks`); `steady_blocks`, the per-mode
 steady states that `protocol.steady_report` reduces; and the decay-rate
@@ -50,8 +52,8 @@ from kelvin import protocol as pr
 from kelvin._linalg import HERMITICITY_ATOL, hermitize, trace_norm
 from kelvin.analytic import GAMMA0_SQ_FACTOR
 from kelvin.errors import KelvinError, ResonantDenominator, UndefinedSteadyState
-from kelvin.fock import (_noise_projectors, _unblock, _vec_sectors, exact_cycle_map,
-                         fixed_points, matrices, mode_operators, second_quantize)
+from kelvin.fock import (_physical_sector, exact_cycle_map, matrices, mode_operators,
+                         second_quantize)
 from kelvin.model import ModeBlock, NoiseSpec, coupling_arrays, mode_grid
 from kelvin.optimize import PHASE_NODES, phase_grid
 
@@ -177,20 +179,23 @@ def apply_transfer(t: np.ndarray, rho: np.ndarray) -> np.ndarray:
     d = rho.shape[0]
     if len(t) == d * d:
         return (t @ vec(rho)).reshape(d, d)
-    return matrices(t @ vec(rho)[_vec_sectors(d)[0]])
+    return matrices(t @ vec(rho)[_physical_sector(d)])
 
 
-def sector_steady_state(t: np.ndarray) -> tuple[np.ndarray, float]:
-    """`fock.steady_state` of a transfer on the physical sector: the fixed
-    density (d, d) of the one-mode `fock.fixed_points`, and its rate alpha."""
-    x, alpha, _ = fixed_points(t[None])
-    return matrices(x)[0], float(alpha[0])
+def embed_sector(t: np.ndarray) -> np.ndarray:
+    """The transfer matrix on row-major vec(rho) of a physical-sector
+    transfer S (d^2/2 x d^2/2) with zero coherences: S o P, P the parity
+    pinching, which is CP and trace preserving whenever S is on the sector."""
+    sector = _physical_sector(math.isqrt(2 * len(t)))
+    full = np.zeros((2 * len(t),) * 2, dtype=t.dtype)
+    full[np.ix_(sector, sector)] = t
+    return full
 
 
 def physical_sector(t: np.ndarray) -> np.ndarray:
     """A transfer matrix on row-major vec(rho) restricted to the physical
     (parity-diagonal) sector, in the order of `fock.cycle_maps`."""
-    sector = _vec_sectors(math.isqrt(len(t)))[0]
+    sector = _physical_sector(math.isqrt(len(t)))
     return t[np.ix_(sector, sector)]
 
 
@@ -303,12 +308,13 @@ def omega_basis_generator(epsilon: float, g: float, delta: float,
 
 
 def noise_transfer(n_sys_modes: int, kappa: float, t) -> np.ndarray:
-    """Transfer matrix of the particle gain/loss channel e^{L_E t} on a block,
-    from the Fock engine's sector projectors; an array of times gives the
-    stack of them, shape t.shape + (d^2, d^2)."""
-    rates, proj = _noise_projectors(n_sys_modes)
+    """Transfer matrix of the particle gain/loss channel e^{L_E t} =
+    sum_r e^{-r kappa t} Pi_r on a block's whole operator space
+    (`_full_noise_projectors`); an array of times gives the stack of them,
+    shape t.shape + (d^2, d^2)."""
+    rates, proj = _full_noise_projectors(n_sys_modes)
     decay = np.exp(-kappa * np.multiply.outer(np.asarray(t, dtype=float), rates))
-    return _unblock(np.einsum("...js,jsab->...sab", decay, proj), _vec_sectors(2**n_sys_modes))
+    return np.einsum("...r,rab->...ab", decay, proj)
 
 
 def bravyi_noise_matrices(n_modes: int, kappa: float) -> tuple[np.ndarray, np.ndarray]:
@@ -405,7 +411,7 @@ def full_space_averaged_map(fb, t_mean: float, kappa: float = 0.0) -> np.ndarray
     if proj is None:
         return maps[0]
     even = np.zeros(ds * ds, dtype=bool)
-    even[_vec_sectors(ds)[0]] = True
+    even[_physical_sector(ds)] = True
     return (proj @ (maps * (even != odd[:, None])[:, None, :])).sum(axis=0)
 
 
@@ -477,8 +483,9 @@ def noise_factorization_gap(block: ModeBlock, kappa: float, t: float) -> float:
 
     Propagates d rho/dt = -i[H, rho] + L_E(rho) on the full system+bath space
     by dense exponentiation, traces out the bath, and compares channel outputs
-    on all matrix units of the system block.  Should vanish because the noise
-    generator commutes with the quadratic unitary.
+    on the physical matrix units |m><n| (par(m) = par(n)) of the system
+    block, the inputs of the engine's physical-sector map.  Should vanish
+    because the noise generator commutes with the quadratic unitary.
     """
     fb = second_quantize(block)
     d = 2**fb.n_modes
@@ -497,14 +504,13 @@ def noise_factorization_gap(block: ModeBlock, kappa: float, t: float) -> float:
     rho_b = np.zeros((dr, dr), dtype=complex)
     rho_b[0, 0] = 1.0
     gap = 0.0
-    for m in range(ds):
-        for n in range(ds):
-            unit = np.zeros((ds, ds), dtype=complex)
-            unit[m, n] = 1.0
-            joint = np.kron(unit, rho_b)
-            out = (prop @ vec(joint)).reshape(d, d)
-            out_s = np.trace(out.reshape(ds, dr, ds, dr), axis1=1, axis2=3)
-            gap = max(gap, trace_norm(out_s - apply_transfer(factorized, unit)))
+    for m, n in zip(*np.divmod(_physical_sector(ds), ds)):
+        unit = np.zeros((ds, ds), dtype=complex)
+        unit[m, n] = 1.0
+        joint = np.kron(unit, rho_b)
+        out = (prop @ vec(joint)).reshape(d, d)
+        out_s = np.trace(out.reshape(ds, dr, ds, dr), axis1=1, axis2=3)
+        gap = max(gap, trace_norm(out_s - apply_transfer(factorized, unit)))
     return gap
 
 

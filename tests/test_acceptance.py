@@ -308,7 +308,7 @@ def test_criterion_09_noise_commutation_and_channel_properties():
             t = float(rng.uniform(0.0, 8.0))
             kappa = float(rng.choice([0.0, rng.uniform(0, 0.1)]))
             b = block_hamiltonian(params, sch, bth, k=k)
-            s = fock.exact_cycle_map(b, t, kappa)
+            s = oracles.embed_sector(fock.exact_cycle_map(b, t, kappa))
             vid = np.eye(math.isqrt(len(s)), dtype=complex).reshape(-1)
             worst_tp = max(worst_tp, float(np.max(np.abs(vid @ s - vid))))
             worst_cp = min(worst_cp, choi_min_eig(s))
@@ -377,7 +377,7 @@ def test_criterion_11_convergence_theory():
 
         blk = block_hamiltonian(p, scheme, bath, k=10)
         s = fock.averaged_cycle_map(blk, t)
-        rho_ss, alpha = oracles.sector_steady_state(s)
+        rho_ss, alpha = fock.steady_state(s)
         rho = fock.most_excited_density(False)
         cycles, dist = [], []
         for n in range(40):
@@ -414,7 +414,7 @@ def test_criterion_11_convergence_theory():
             b = block_hamiltonian(p, scheme, bath, k=k)
             s_k = fock.averaged_cycle_map(b, t)
             maps40.append(s_k)
-            rho_k, a_k = oracles.sector_steady_state(s_k)
+            rho_k, a_k = fock.steady_state(s_k)
             blocks_ss.append(rho_k)
             alphas.append(a_k)
         target_eps = 1e-3

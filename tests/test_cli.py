@@ -340,17 +340,21 @@ class TestTrajectory:
                              str(tmp_path / engine), "--engine", engine]) == 0
         assert engines == ["fock", "cm", "cm", "fock"]
 
-    def test_unsupported_combination_exit(self, tmp_path):
-        """Randomized finite-environment steady reports are not implemented."""
+    def test_randomized_finite_env_steady_on_both_engines(self, tmp_path):
+        """Randomized finite-environment steady reports run on both engines,
+        which agree on every mode energy."""
         payload = json.loads(json.dumps(self.CFG))
         del payload["run"]  # `steady` reads no cycles or stride
         payload["noise"] = {"kind": "finite_env", "kappa_prime": 1e-3,
                             "delta_e": 0.5, "p_e": 0.0}
         cfg = write_cfg(tmp_path, payload)
+        energies = []
         for engine in ("fock", "cm"):
-            rc = cli.main(["steady", "--config", cfg, "--out",
-                           str(tmp_path / f"tu-{engine}"), "--engine", engine])
-            assert rc == 4
+            out = tmp_path / f"tu-{engine}"
+            assert cli.main(["steady", "--config", cfg, "--out", str(out),
+                             "--engine", engine]) == 0
+            energies.append(np.genfromtxt(out / "steady.csv", delimiter=",", skip_header=1)[:, 2])
+        assert np.max(np.abs(energies[0] - energies[1])) <= 1e-10
 
     def test_wide_format(self, tmp_path):
         payload = json.loads(json.dumps(self.CFG))

@@ -80,14 +80,6 @@ def tp_defect(s):
     return np.max(np.abs(vid @ s - vid))
 
 
-def restricted(s):
-    """A transfer matrix on row-major vec(rho) restricted to the physical
-    (parity-diagonal) sector, in the order of `fock.cycle_maps`, and that
-    sector's flat index list."""
-    idx = fock._vec_sectors(math.isqrt(len(s)))[0]
-    return s[np.ix_(idx, idx)], idx
-
-
 def evolve_and_trace(h, rho_s, rho_b, t, d_sys, d_rest):
     e, v = np.linalg.eigh(h)
     u = (v * np.exp(-1j * e * t)) @ v.conj().T
@@ -322,18 +314,17 @@ class TestParitySuperselection:
     def test_cycle_maps_do_not_mix_the_sectors(self, case, kappa, generic_scheme, bath):
         """The dense joint evolution, with or without gain/loss noise and
         environments, maps the physical sector and the coherences each into
-        themselves, and the engine's map is that map."""
+        themselves, and the engine's map is its physical block."""
         blk = _superselection_block(case, generic_scheme, bath)
         dense = _dense_cycle_map(blk, 2.3, kappa)
         ds = math.isqrt(len(dense))
         par = _parity(ds)
         phys = np.flatnonzero(np.equal.outer(par, par))
         coh = np.flatnonzero(np.not_equal.outer(par, par))
+        assert np.max(np.abs(dense[np.ix_(phys, coh)])) <= 1e-15
+        assert np.max(np.abs(dense[np.ix_(coh, phys)])) <= 1e-15
         engine = fock.exact_cycle_map(blk, 2.3, kappa)
-        for s in (dense, engine):
-            assert np.max(np.abs(s[np.ix_(phys, coh)])) <= 1e-15
-            assert np.max(np.abs(s[np.ix_(coh, phys)])) <= 1e-15
-        assert np.max(np.abs(engine - dense)) <= 1e-12
+        assert np.max(np.abs(engine - oracles.physical_sector(dense))) <= 1e-12
 
 
 class TestAveragedMapOracle:
@@ -371,7 +362,7 @@ class TestExactCycleMap:
     def test_zero_time_is_identity(self, small_params, generic_scheme, bath):
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=2)
         s = fock.exact_cycle_map(blk, 0.0)
-        assert np.allclose(s, np.eye(16), atol=1e-12)
+        assert np.allclose(s, np.eye(8), atol=1e-12)
 
     def test_decoupled_preserves_populations(self, small_params, bath, rng):
         scheme = CouplingScheme.local(1.0, 1.0, g=0.0)
@@ -387,6 +378,8 @@ class TestExactCycleMap:
             fock.exact_cycle_map(blk, -1.0)
 
     def test_trace_preserving_and_cp(self, rng, bath):
+        """The sector map S, embedded with zero coherences, is S o P with P
+        the parity pinching, a channel whenever S is one on the sector."""
         for _ in range(25):
             p = ModelParams(10, float(rng.uniform(0, math.pi / 2)))
             scheme = CouplingScheme.local(float(rng.uniform(-1, 1)),
@@ -394,7 +387,8 @@ class TestExactCycleMap:
                                           float(rng.uniform(0, 0.5)))
             k = int(rng.integers(0, 6))
             t = float(rng.uniform(0, 10))
-            s = fock.exact_cycle_map(block_hamiltonian(p, scheme, bath, k=k), t)
+            s = oracles.embed_sector(
+                fock.exact_cycle_map(block_hamiltonian(p, scheme, bath, k=k), t))
             assert tp_defect(s) <= 1e-10
             assert choi_min_eig(s) >= -1e-9
 
@@ -408,16 +402,9 @@ class TestExactCycleMap:
         bath = BathSpec(1.0, 20.0)
         blk = block_hamiltonian(p, scheme, bath, k=50)
         s = fock.averaged_cycle_map(blk, 20.0)
-        rho, _ = oracles.sector_steady_state(s)
+        rho, _ = fock.steady_state(s)
         _, e_rel = fock.block_energy(rho, mode_values(p, scheme, 50)[0], blk.weight)
         assert abs(e_rel - 3.0 / (4.0 * 400.0)) <= 0.2 * 3.0 / (4.0 * 400.0)
-
-    def test_parity_superselection(self, small_params, generic_scheme, bath):
-        blk = block_hamiltonian(small_params, generic_scheme, bath, k=2)
-        s = fock.exact_cycle_map(blk, 2.3)
-        phys, coh = fock._vec_sectors(4)
-        assert np.max(np.abs(s[np.ix_(coh, phys)])) < 1e-12
-        assert np.max(np.abs(s[np.ix_(phys, coh)])) < 1e-12
 
     def test_concatenation_matches_product(self, small_params, generic_scheme, bath):
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=2)
@@ -454,6 +441,8 @@ class TestNoisyCycleMap:
         blk = block_hamiltonian(small_params, generic_scheme, bath, k=2, env=env)
         with pytest.raises(ValueError):
             fock.exact_cycle_map(blk, 1.0, 0.01)
+        with pytest.raises(ValueError):
+            fock.averaged_cycle_map(blk, 1.0, 0.01)
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_factorized_equals_joint_liouvillian(self, k, small_params,
@@ -470,10 +459,8 @@ class TestNoisyCycleMap:
         fb = fock.second_quantize(blk)
         t, kappa = 2.7, 0.03
         first = fock.exact_cycle_map(fb, t, kappa)
-        last = oracles.noise_transfer(fb.n_sys_modes, kappa, t) @ fock.exact_cycle_map(fb, t)
-        a, idx = restricted(first)
-        b, _ = restricted(last)
-        assert np.max(np.abs(a - b)) < 1e-10
+        noise = oracles.physical_sector(oracles.noise_transfer(fb.n_sys_modes, kappa, t))
+        assert np.max(np.abs(first - noise @ fock.exact_cycle_map(fb, t))) < 1e-10
 
 
 class TestFiniteEnvironmentMap:
@@ -549,12 +536,12 @@ class TestSteadyState:
         s = fock.exact_cycle_map(blk, 20.0)
         rho, alpha = fock.steady_state(s)
         e_4, _ = fock.block_energy(rho, eps, blk.weight)
-        t_res, idx = restricted(s)
+        idx = fock._physical_sector(4)
         n = len(idx)
         pops = [i for i, flat in enumerate(idx) if flat % 5 == 0]  # |j><j| sits at 5 j
         pop_0, pop_3 = (list(idx).index(5 * j) for j in (0, 3))
         with mpmath.workdps(50):
-            a = mpmath.matrix([[mpmath.mpc(complex(t_res[i, j])) - (i == j) for j in range(n)]
+            a = mpmath.matrix([[mpmath.mpc(complex(s[i, j])) - (i == j) for j in range(n)]
                                for i in range(n)])
             b = mpmath.matrix(n, 1)
             for j in range(n):
@@ -593,7 +580,7 @@ class TestSteadyState:
         bath = BathSpec(1.0, 20.0)
         blk = block_hamiltonian(p, scheme, bath, k=10)
         s = fock.averaged_cycle_map(blk, 20.0)
-        rho_ss, alpha = oracles.sector_steady_state(s)
+        rho_ss, alpha = fock.steady_state(s)
         rho = fock.most_excited_density(False)
         cycles, dist = [], []
         for n in range(40):
@@ -624,7 +611,7 @@ class TestSteadyState:
             rho, alpha = fock.steady_state(fock.exact_cycle_map(blk, t_mean))
             out = [(np.linalg.eigvalsh(rho), alpha)]
             for kappa in (0.0, 0.01):
-                rho, alpha = oracles.sector_steady_state(fock.averaged_cycle_map(blk, t_mean, kappa))
+                rho, alpha = fock.steady_state(fock.averaged_cycle_map(blk, t_mean, kappa))
                 out.append((np.linalg.eigvalsh(rho), alpha))
                 transfer = next(cm.cycle_maps(blk, [None], t_mean, kappa))
                 x, alpha, _ = cm.fixed_points(transfer[None], edge)

@@ -79,7 +79,7 @@ def _state_vector(engine, block):
     physical sector of vec(rho) for Fock."""
     if engine == "cm":
         return np.concatenate([[1.0], block.reshape(-1)])
-    return block.reshape(-1)[fock._vec_sectors(len(block))[0]]
+    return block.reshape(-1)[fock._physical_sector(len(block))]
 
 
 def _stacked(engine, params, blocks):
@@ -465,7 +465,7 @@ class TestCoolingRate:
         from kelvin.model import block_hamiltonian
         blk = block_hamiltonian(p, scheme, bath_r, k=10)
         s = fock.averaged_cycle_map(blk, 20.0)
-        rho_ss, alpha_map = oracles.sector_steady_state(s)
+        rho_ss, alpha_map = fock.steady_state(s)
         rho = fock.most_excited_density(False)
         cycles, dist = [], []
         for n in range(40):
@@ -684,9 +684,9 @@ class TestSteadyReport:
             for delta_r in deltas:
                 blk = block_hamiltonian(small_params, local_scheme, BathSpec(delta_r, t), k)
                 m = (fock.averaged_cycle_map(blk, t) if sched["kind"] != "single"
-                     else oracles.physical_sector(fock.exact_cycle_map(blk, t, noise.kappa)))
+                     else fock.exact_cycle_map(blk, t, noise.kappa))
                 total = m if total is None else m @ total
-            rho, alpha = oracles.sector_steady_state(total)
+            rho, alpha = fock.steady_state(total)
             assert np.array_equal(states[k], rho), k
             assert rep.alpha[k] == alpha / len(deltas), k
 
@@ -701,8 +701,8 @@ class TestSteadyReport:
 class TestComposedMaps:
     """`_global_maps` folds each subcycle's map into the running product as
     it is built; the product does not depend on how the modes are chunked,
-    and on Fock it is the physical sectors of the per-mode `exact_cycle_map`s
-    composed in schedule order, bit for bit.  At N = 80 the 39 pairs span
+    and on Fock it is the per-mode `exact_cycle_map`s composed in schedule
+    order, bit for bit.  At N = 80 the 39 pairs span
     two Fock chunks; environment pairs (d = 256) are one per chunk, so three
     of them span three."""
 
@@ -750,7 +750,7 @@ class TestComposedMaps:
                     blk = block_hamiltonian(self.PARAMS, self.SCHEME,
                                             BathSpec(delta_r, self.BATH.cycle_time_mean), k,
                                             env=spec.env)
-                    t_s = oracles.physical_sector(fock.exact_cycle_map(blk, t_m, spec.kappa))
+                    t_s = fock.exact_cycle_map(blk, t_m, spec.kappa)
                     product = t_s if product is None else t_s @ product
                 assert np.array_equal(k_tot[np.flatnonzero(ks == k)[0]], product), k
 
@@ -772,12 +772,14 @@ class TestComposedMaps:
             assert np.all(np.linalg.matrix_power(k_tot, power)[:, 0] == np.eye(5)[0]), power
 
     @pytest.mark.parametrize("noise, averaged", [
-        ("depolarizing", False), ("finite_env", False), ("none", True), ("depolarizing", True)])
+        ("depolarizing", False), ("finite_env", False), ("none", True), ("depolarizing", True),
+        ("finite_env", True)])
     def test_fock_maps_conserve_the_trace(self, noise, averaged):
         """tau^T K = tau^T, tau marking the populations of the physical sector,
         to the rounding of the maps: one pair map conserves it to about 15
         eps, and these six- and four-subcycle products to 49 and 14 eps, and
-        the products of two averaged subcycles to 27 eps."""
+        the products of two averaged subcycles to 27 eps (9 eps with
+        environments)."""
         for ks in self._groups("fock", noise):
             if averaged:
                 n_sub, k_tot = len(self.AVERAGED), self._averaged_maps("fock", noise, ks)
@@ -785,7 +787,7 @@ class TestComposedMaps:
                 sched, k_tot = self._maps("fock", noise, ks)
                 n_sub = len(sched.subcycles)
             ds = 2 if ks[0] == 0 else 4
-            tau = fock._vec_sectors(ds)[0] % (ds + 1) == 0
+            tau = fock._physical_sector(ds) % (ds + 1) == 0
             bound = 16 * n_sub * np.finfo(float).eps
             assert np.max(np.abs(tau @ k_tot - tau)) <= bound
 

@@ -115,6 +115,9 @@ def _block(k, dsp=False, env=None):
 _BLOCKS = {"generic": (2, False), "edge0": (0, False), "edgeN2": (N2, False),
            "dsp": (3, True)}
 _KAPPAS = [0.0, 1e-9, 1e-3]
+# an environment edge and pair, whose maps are defined without gain/loss noise
+_ENV = NoiseSpec.finite_env(0.02, 0.7, 0.1)
+_ENV_BLOCKS = {"env_edge": (0, False, _ENV), "env_pair": (2, False, _ENV)}
 # The oracle splits [0, 2 t_mean] into this many panels.  Each panel gets
 # max(6, 96 / panels) nodes, converged to rounding at t_mean = 4.3: the
 # closed form must match every subdivision of the interval.
@@ -134,10 +137,10 @@ _LONG_T = 96.0
 
 class TestFockMaps:
     @pytest.mark.parametrize("panels", _PANELS)
-    @pytest.mark.parametrize("kappa", _KAPPAS)
-    @pytest.mark.parametrize("block", _BLOCKS)
+    @pytest.mark.parametrize("block, kappa", [(b, k) for b in _BLOCKS for k in _KAPPAS]
+                             + [(b, 0.0) for b in _ENV_BLOCKS])
     def test_averaged_map_matches_node_loop(self, block, kappa, panels):
-        fb = fock.second_quantize(_block(*_BLOCKS[block]))
+        fb = fock.second_quantize(_block(*{**_BLOCKS, **_ENV_BLOCKS}[block]))
         s = fock.averaged_cycle_map(fb, 4.3, kappa=kappa)
         _assert_rel_close(s, physical_sector(
             _loop_averaged_map(fb, 4.3, kappa, _panel_nodes(panels), panels)))
@@ -153,19 +156,21 @@ class TestFockMaps:
     def test_zero_mean_time_is_the_map_at_zero(self, block, kappa):
         fb = fock.second_quantize(_block(*_BLOCKS[block]))
         _assert_rel_close(fock.averaged_cycle_map(fb, 0.0, kappa=kappa),
-                          physical_sector(fock.exact_cycle_map(fb, 0.0, kappa)))
+                          fock.exact_cycle_map(fb, 0.0, kappa))
 
     @pytest.mark.parametrize("t", [0.0, 2.7, 9.1])
     @pytest.mark.parametrize("block", _BLOCKS)
     def test_single_time_maps_match_loop(self, block, t):
         fb = fock.second_quantize(_block(*_BLOCKS[block]))
         for kappa in _KAPPAS:
-            _assert_rel_close(fock.exact_cycle_map(fb, t, kappa), _loop_cycle_map(fb, t, kappa))
+            _assert_rel_close(fock.exact_cycle_map(fb, t, kappa),
+                              physical_sector(_loop_cycle_map(fb, t, kappa)))
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_finite_environment_map_matches_loop(self, k):
         fb = fock.second_quantize(_block(k, env=NoiseSpec.finite_env(0.02, 0.7, 0.1)))
-        _assert_rel_close(fock.exact_cycle_map(fb, 2.7), _loop_cycle_map(fb, 2.7, 0.0))
+        _assert_rel_close(fock.exact_cycle_map(fb, 2.7),
+                          physical_sector(_loop_cycle_map(fb, 2.7, 0.0)))
 
 
 class TestCmAveragedKron:
@@ -233,8 +238,8 @@ def _loop_steady_energies(params, scheme, bath, noise, engine, dsp, nodes):
         weight = 0.5 if k in (0, n2) else 1.0
         if engine == "fock":
             fb = fock.second_quantize(mb)
-            rho, _ = fock.steady_state(
-                _loop_averaged_map(fb, bath.cycle_time_mean, noise.kappa, nodes))
+            rho, _ = fock.steady_state(physical_sector(
+                _loop_averaged_map(fb, bath.cycle_time_mean, noise.kappa, nodes)))
             energies.append(fock.block_energy(rho, eps, weight)[0])
         else:
             k_s, k_sb = _loop_averaged_kron(mb, bath.cycle_time_mean, noise.kappa, nodes)
@@ -297,8 +302,10 @@ class TestPostNoiseIdentity:
 
     T_kappa(t) = N_sys(t) T_0(t) C(t), with C = e^{-2 n_bath kappa t} on the
     parity-off-diagonal columns, over random blocks, kappa log-uniform in
-    [1e-9, 0.3] and t in [0, 40].  N_sys is exponentiated from the generator
-    built here, independently of `oracles.noise_transfer`.
+    [1e-9, 0.3] and t in [0, 40]: on the whole operator space for the loop
+    maps, and on the physical sector, where C = 1, for the engine's.  N_sys
+    is exponentiated from the generator built here, independently of
+    `oracles.noise_transfer`.
     """
 
     @pytest.mark.parametrize("kind", ["generic", "edge", "dsp"])
@@ -316,15 +323,16 @@ class TestPostNoiseIdentity:
             n_sys_map = expm(kappa * t * _gain_loss_generator(n_sys))
             _assert_rel_close(noise_transfer(n_sys, kappa, t), n_sys_map)
             damp = np.where(diag, 1.0, math.exp(-2.0 * n_sys * kappa * t))
+            loop = _loop_cycle_map(fb, t, kappa)
+            _assert_rel_close(loop, n_sys_map @ (_loop_cycle_map(fb, t, 0.0) * damp))
             noisy = fock.exact_cycle_map(fb, t, kappa)
-            _assert_rel_close(noisy, n_sys_map @ (fock.exact_cycle_map(fb, t) * damp))
-            _assert_rel_close(noisy, _loop_cycle_map(fb, t, kappa))
+            _assert_rel_close(noisy, physical_sector(n_sys_map) @ fock.exact_cycle_map(fb, t))
+            _assert_rel_close(noisy, physical_sector(loop))
 
 
 class TestStackedCycleMaps:
     """Each row of `fock.cycle_maps` over a chunk of blocks is exactly the
-    physical sector of the single-block map, so a chunked steady report
-    solves the same maps."""
+    single-block map, so a chunked steady report solves the same maps."""
 
     T_MEAN = 4.3
     TIMES = [0.0, 2.7, 9.1, None]
@@ -346,7 +354,7 @@ class TestStackedCycleMaps:
         def single(blk, t):
             if t is None:
                 return fock.averaged_cycle_map(blk, t_mean, kappa)
-            return physical_sector(fock.exact_cycle_map(blk, t, kappa))
+            return fock.exact_cycle_map(blk, t, kappa)
 
         self._check(ks, kappa, t_mean, single, dsp)
 
@@ -357,7 +365,7 @@ class TestStackedCycleMaps:
         """One `averaged_cycle_map` call on the stacked eigenbases gives the
         per-mode maps `cycle_maps` stacks, bit for bit."""
         blk = _block(np.array(ks), dsp=dsp)
-        fb = fock.FockBlock(fock._hamiltonians(blk), 1 if ks[0] == 0 else 2, blk)
+        fb = fock.FockBlock(fock._hamiltonians(blk), blk)
         assert np.array_equal(fock.averaged_cycle_map(fb, self.T_MEAN, kappa),
                               next(fock.cycle_maps(blk, [None], self.T_MEAN, kappa)))
 
@@ -366,5 +374,4 @@ class TestStackedCycleMaps:
         env = NoiseSpec.finite_env(0.02, 0.7, 0.1)
         k_s = next(fock.cycle_maps(_block(np.array(ks), env=env), [2.7], self.T_MEAN, 0.0))
         for row, k in zip(k_s, ks):
-            single = fock.exact_cycle_map(_block(k, env=env), 2.7)
-            assert np.array_equal(row, physical_sector(single))
+            assert np.array_equal(row, fock.exact_cycle_map(_block(k, env=env), 2.7))
