@@ -9,9 +9,10 @@ and frequencies, covers the noiseless, depolarizing-noisy, DSP and
 finite-environment cases), and the cycle-count and ground-state-cooling
 scaling estimates.
 
-Every fixed-time chain energy goes through one closed-form pass over a
-(theta x k) grid, `_chain_pass`: one evaluation of the bath weights |x|^2 and
-|y|^2 (and the environment's) gives `steady_energy` its values, and their
+Every closed-form energy, of a chain or per mode, at a fixed time or over
+random times, goes through one pass over a mode row or a (theta x k) grid,
+`_chain_pass`: one evaluation of the bath weights |x|^2 and |y|^2 (and the
+environment's) gives `steady_energy` its values, and their fixed-time
 derivatives, formed only for `chain_relative_energies_and_grad`, the gradient.
 """
 
@@ -39,7 +40,6 @@ __all__ = [
     "JumpOperators",
     "overlap_coeffs",
     "single_cycle_jump_ops",
-    "averaged_rates",
     "multifreq_rates",
     "continuum_rates",
     "steady_energy",
@@ -168,32 +168,23 @@ def _avg_abs2_integral(a, t):
     return np.where(small, series, out)
 
 
-def averaged_rates(epsilon, delta, t: float, g: float, a2, b2):
-    """Randomized-time cooling and heating rates per elementary cycle.
-
-    The exact uniform time averages of g^2 |A|^2 |x|^2 and g^2 |B|^2 |y|^2,
-    with a2, b2 = |A_k|^2 and |B_k|^2.
+def multifreq_rates(epsilon, deltas, t: float, g: float, a2, b2):
+    """Randomized-time cooling and heating rates per elementary cycle: the exact
+    uniform time averages of g^2 |A|^2 |x|^2 and g^2 |B|^2 |y|^2, with
+    a2, b2 = |A_k|^2 and |B_k|^2, averaged over the bath frequencies `deltas`.
     """
+    deltas = list(deltas)
+    if not deltas:
+        raise ValueError("frequency list must be nonempty")
     if t <= 0:
         raise ValueError(f"t must be > 0, got {t}")
     epsilon = np.asarray(epsilon, dtype=float)
     a2 = np.asarray(a2, dtype=float)
     b2 = np.asarray(b2, dtype=float)
-    gc = g * g * a2 * _avg_abs2_integral(epsilon - delta, t)
-    gh = g * g * b2 * _avg_abs2_integral(epsilon + delta, t)
-    return gc, gh
-
-
-def multifreq_rates(epsilon, deltas, t: float, g: float, a2, b2):
-    """Arithmetic mean over bath frequencies of the per-frequency rates."""
-    deltas = list(deltas)
-    if not deltas:
-        raise ValueError("frequency list must be nonempty")
     gc_tot, gh_tot = 0.0, 0.0
     for d in deltas:
-        gc, gh = averaged_rates(epsilon, d, t, g, a2, b2)
-        gc_tot = gc_tot + gc
-        gh_tot = gh_tot + gh
+        gc_tot = gc_tot + g * g * a2 * _avg_abs2_integral(epsilon - d, t)
+        gh_tot = gh_tot + g * g * b2 * _avg_abs2_integral(epsilon + d, t)
     r = len(deltas)
     return gc_tot / r, gh_tot / r
 
@@ -255,11 +246,12 @@ def steady_energy(epsilon, p, q, pad: float = 0.0, env=None):
 
     P and Q are the bath's cooling and heating weights: |A x|^2 and |B y|^2
     of one fixed-time cycle, or the rates `multifreq_rates` averages over
-    random times and bath frequencies.  Depolarizing noise of rate kappa pads
-    the denominator by pad = 2 kappa t.  A finite environment
-    env = (P_e, Q_e, p_e) adds its weights and n_env = p_e (Q_e - P_e): the
-    bath carries polarization 1, the environment p_e.  Raises
-    UndefinedSteadyState where the denominator is not positive.
+    random times and bath frequencies (`_chain_pass` forms either).
+    Depolarizing noise of rate kappa pads the denominator by pad = 2 kappa t.
+    A finite environment env = (P_e, Q_e, p_e) adds its weights and
+    n_env = p_e (Q_e - P_e): the bath carries polarization 1, the
+    environment p_e.  Raises UndefinedSteadyState where the denominator is
+    not positive.
     """
     num, denom = q - p, p + q
     if env is not None:
@@ -324,33 +316,43 @@ def gs_cooling_plan(n_sites: int, theta: float) -> CoolingPlan:
 # per-chain aggregation (vectorized over modes and theta)
 # ---------------------------------------------------------------------------
 
-def _chain_pass(grid, ab, scheme: CouplingScheme, delta: float, t: float, noise: NoiseSpec,
-                *, dsp: bool = False):
-    """The one fixed-time closed-form pass over a mode grid, one `_mode_row` or
+def _chain_pass(grid, ab, scheme: CouplingScheme, deltas, t: float, noise: NoiseSpec, *,
+                random_times: bool = False, dsp: bool = False):
+    """The one closed-form pass over a mode grid, one `_mode_row` or
     `_theta_grid`'s (theta x k) stack, with (A, B) stacked on it in `ab`.
 
-    One `_phase_weight_and_grad` call on the stacked phase rates
-    (delta - eps_evo, delta + eps_evo), eps_evo = 0 under DSP, gives |x|^2 and
-    |y|^2, one more on (delta_e -+ eps_evo) the environment's, and P = |A|^2 |x|^2,
+    The bath weights |x|^2, |y|^2 on the phase rates (delta -+ eps_evo),
+    eps_evo = 0 under DSP, and the environment's on (delta_e -+ eps_evo) are
+    one `_phase_weight_and_grad` call each at the fixed time t and
+    delta = deltas[0], or with `random_times` the exact time averages of
+    `multifreq_rates` (over `deltas` for the bath).  P = |A|^2 |x|^2,
     Q = |B|^2 |y|^2, P_e = cos^2 phi |x_e|^2, Q_e = sin^2 phi |y_e|^2 and the
-    pad 2 kappa t feed `steady_energy`.  Returns the pair energies e_k, the
-    relative energies and a function that forms their gradient from the same
-    arrays; only it evaluates the weights' derivatives.
+    pad 2 kappa t feed `steady_energy`.  Returns those weights ((P, Q), pad,
+    env), the relative energies and, at a fixed time, a function that forms
+    their gradient from the same arrays; only it evaluates the derivatives.
     """
     eps, cos_phi, sin_phi = grid.eps, grid.cos_phi, grid.sin_phi
     eps_evo = np.zeros_like(eps) if dsp else eps
-    # |x|^2 is even in its phase rate eps - delta, so taking it at delta - eps
-    # makes d/d delta of both |x|^2 and |y|^2 the rate derivative
-    w2, w2_grad = _phase_weight_and_grad(
-        np.stack([delta - eps_evo, delta + eps_evo]), t, scheme.g)
-    ab2 = ab.real ** 2 + ab.imag ** 2
-    pq = ab2 * w2
+    if random_times:
+        pq = multifreq_rates(eps_evo, deltas, t, scheme.g, *(np.abs(ab) ** 2))
+    else:
+        # |x|^2 is even in its phase rate eps - delta, so taking it at delta - eps
+        # makes d/d delta of both |x|^2 and |y|^2 the rate derivative
+        w2, w2_grad = _phase_weight_and_grad(
+            np.stack([deltas[0] - eps_evo, deltas[0] + eps_evo]), t, scheme.g)
+        ab2 = ab.real ** 2 + ab.imag ** 2
+        pq = ab2 * w2
     pad, env = 2.0 * noise.kappa * t, None
     if noise.env is not None:
         c2, s2 = cos_phi ** 2, sin_phi ** 2
-        (xe2, ye2), env_grad = _phase_weight_and_grad(
-            np.stack([noise.delta_e - eps_evo, noise.delta_e + eps_evo]), t, noise.kappa_prime)
-        env = (c2 * xe2, s2 * ye2, noise.p_e)
+        if random_times:
+            pq_env = multifreq_rates(eps_evo, [noise.delta_e], t, noise.kappa_prime, c2, s2)
+        else:
+            (xe2, ye2), env_grad = _phase_weight_and_grad(
+                np.stack([noise.delta_e - eps_evo, noise.delta_e + eps_evo]), t,
+                noise.kappa_prime)
+            pq_env = c2 * xe2, s2 * ye2
+        env = (*pq_env, noise.p_e)
     e = steady_energy(eps, pq[0], pq[1], pad, env)
     rel = np.abs((np.sum(grid.weights * e, axis=-1) - grid.e_gs) / grid.e_gs)
 
@@ -388,7 +390,7 @@ def _chain_pass(grid, ab, scheme: CouplingScheme, delta: float, t: float, noise:
         # e_total >= e_gs and e_gs < 0, so rel = (e_total - e_gs) / -e_gs
         return de_total / -grid.e_gs[..., None]
 
-    return e, rel, grad
+    return (pq, pad, env), rel, None if random_times else grad
 
 
 def chain_relative_energies(n_sites: int, thetas, scheme: CouplingScheme,
@@ -402,7 +404,7 @@ def chain_relative_energies(n_sites: int, thetas, scheme: CouplingScheme,
     """
     grid = _theta_grid(n_sites, tuple(float(th) for th in thetas))
     ab = np.stack(_coupling_sum(grid.cos_phi, grid.sin_phi, _phases(n_sites, scheme.nn), scheme))
-    return _chain_pass(grid, ab, scheme, delta, t, noise, dsp=dsp)[1]
+    return _chain_pass(grid, ab, scheme, [delta], t, noise, dsp=dsp)[1]
 
 
 def chain_relative_energies_and_grad(n_sites: int, thetas, scheme: CouplingScheme,
@@ -417,7 +419,7 @@ def chain_relative_energies_and_grad(n_sites: int, thetas, scheme: CouplingSchem
     """
     grid = _theta_grid(n_sites, tuple(float(th) for th in thetas))
     ab = np.stack(_coupling_sum(grid.cos_phi, grid.sin_phi, _phases(n_sites, scheme.nn), scheme))
-    _, rel, grad = _chain_pass(grid, ab, scheme, delta, t, noise, dsp=dsp)
+    _, rel, grad = _chain_pass(grid, ab, scheme, [delta], t, noise, dsp=dsp)
     return rel, grad()
 
 
@@ -438,25 +440,21 @@ def chain_relative_energy(params: ModelParams, scheme: CouplingScheme,
 def closed_form_relative_energies(params: ModelParams, scheme: CouplingScheme,
                                   deltas, t: float, noise: NoiseSpec, *,
                                   random_times: bool, dsp: bool = False) -> np.ndarray:
-    """Per-mode relative energies e_k = (E_k + eps_k) / eps_k of `steady_energy`.
+    """Per-mode relative energies e_k = (E_k + eps_k) / eps_k of `steady_energy`,
+    from the weights of one `_chain_pass`: at the fixed time t and frequency
+    `deltas[0]`, or averaged over random times and the frequencies `deltas`
+    (`random_times`), at the evolution splitting (zero under DSP, `dsp=True`).
 
-    The bath weights are taken at the evolution splitting (zero under DSP,
-    `dsp=True`): at the fixed time t and frequency `deltas[0]` without
-    `random_times` (the pair energies of `_chain_pass`), and averaged over
-    random times and the frequencies `deltas` (`multifreq_rates`) with them.
-    Entries are NaN where eps_k = 0, and all of them for a finite
-    environment with random times, which has no closed form here.
+    e_k is formed as (2 Q + (1 - p_e) P_e + (1 + p_e) Q_e + pad) / D over
+    `steady_energy`'s denominator D, which has no cancellation on cold modes.
+    Entries are NaN where eps_k = 0.
     """
     row = _mode_row(params.N, params.theta)
-    eps = row.eps
-    a, b = coupling_arrays(scheme, params)
-    if not random_times:
-        e_val = _chain_pass(row, np.stack([a, b]), scheme, deltas[0], t, noise, dsp=dsp)[0]
-    elif noise.env is not None:
-        return np.full_like(eps, np.nan)
-    else:
-        eps_evo = np.zeros_like(eps) if dsp else eps
-        p, q = multifreq_rates(eps_evo, deltas, t, scheme.g, np.abs(a) ** 2, np.abs(b) ** 2)
-        e_val = steady_energy(eps, p, q, 2.0 * noise.kappa * t)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(eps > 0, (e_val + eps) / eps, np.nan)
+    (p, q), pad, env = _chain_pass(row, np.stack(coupling_arrays(scheme, params)), scheme,
+                                   deltas, t, noise, random_times=random_times, dsp=dsp)[0]
+    num, denom = 2.0 * q, p + q
+    if env is not None:
+        p_env, q_env, p_e = env
+        num = num + (1.0 - p_e) * p_env + (1.0 + p_e) * q_env
+        denom = denom + p_env + q_env
+    return np.where(row.eps > 0, (num + pad) / (denom + pad), np.nan)

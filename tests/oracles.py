@@ -10,8 +10,8 @@ The three steady-energy formulas (`general_ss_energy`, `noisy_ss_energy`,
 `analytic.steady_energy` replaces, on the bath weights P = |A|^2 |x|^2 and
 Q = |B|^2 |y|^2 (and the environment's) in the package's operand order, so
 that the closed-form grid tests can compare the package with them under `==`;
-`lorentzian_rates` is the Lorentzian line shape that approximates
-`analytic.averaged_rates`.
+`lorentzian_rates` is the Lorentzian line shape that approximates the
+one-frequency `analytic.multifreq_rates`.
 
 The rest are independent references for the exact engines: `vec` and
 `apply_transfer` step a density through a transfer matrix, on the whole
@@ -145,9 +145,10 @@ def finite_env_ss_energy(epsilon, bath_weights, env_weights, p_e: float):
 
 
 def lorentzian_rates(epsilon, delta, t: float, g: float, a2, b2):
-    """Lorentzian approximation of `analytic.averaged_rates`: cooling line
-    2 g^2 A2 / ((eps - delta)^2 + gamma_0^2) with gamma_0^2 = 3/(2 t^2), and
-    heating 2 g^2 B2 / (eps + delta)^2 without gamma_0 (cooling limit)."""
+    """Lorentzian approximation of the one-frequency `analytic.multifreq_rates`:
+    cooling line 2 g^2 A2 / ((eps - delta)^2 + gamma_0^2) with
+    gamma_0^2 = 3/(2 t^2), and heating 2 g^2 B2 / (eps + delta)^2 without
+    gamma_0 (cooling limit)."""
     epsilon = np.asarray(epsilon, dtype=float)
     g0sq = GAMMA0_SQ_FACTOR / (t * t)
     gc = 2.0 * g * g * np.asarray(a2, dtype=float) / ((epsilon - delta) ** 2 + g0sq)

@@ -342,7 +342,8 @@ class TestTrajectory:
 
     def test_randomized_finite_env_steady_on_both_engines(self, tmp_path):
         """Randomized finite-environment steady reports run on both engines,
-        which agree on every mode energy."""
+        which agree on every mode energy, and carry the random-time closed
+        form wherever eps_k > 0, within 1e-3 of both (measured 2.5e-4)."""
         payload = json.loads(json.dumps(self.CFG))
         del payload["run"]  # `steady` reads no cycles or stride
         payload["noise"] = {"kind": "finite_env", "kappa_prime": 1e-3,
@@ -353,7 +354,11 @@ class TestTrajectory:
             out = tmp_path / f"tu-{engine}"
             assert cli.main(["steady", "--config", cfg, "--out", str(out),
                              "--engine", engine]) == 0
-            energies.append(np.genfromtxt(out / "steady.csv", delimiter=",", skip_header=1)[:, 2])
+            data = np.genfromtxt(out / "steady.csv", delimiter=",", skip_header=1)
+            energies.append(data[:, 2])
+            eps, closed, delta = data[:, 1], data[:, 5], data[:, 6]
+            assert np.array_equal(np.isnan(closed), eps == 0)
+            assert np.max(np.abs(delta[eps > 0])) <= 1e-3
         assert np.max(np.abs(energies[0] - energies[1])) <= 1e-10
 
     def test_wide_format(self, tmp_path):

@@ -2,11 +2,12 @@
 
 The oracles below are the scalar closed-form path: `mode_grid` and
 `coupling_arrays` rebuilt for every theta, the per-theta
-`chain_relative_energy` body, the single-time closed-form e_k through the
-per-case steady-energy formulas `analytic.steady_energy` replaced (kept in
-`oracles`) on the bath weights P = |A|^2 |x|^2 and Q = |B|^2 |y|^2 of
-`analytic._phase_weight_and_grad`, and a phase average that evaluates one
-theta at a time through `oracles.phase_average`.
+`chain_relative_energy` body through the per-case steady-energy formulas
+`analytic.steady_energy` replaced (kept in `oracles`), the single-time
+closed-form e_k in its cancellation-free form, both on the bath weights
+P = |A|^2 |x|^2 and Q = |B|^2 |y|^2 of `analytic._phase_weight_and_grad`, and
+a phase average that evaluates one theta at a time through
+`oracles.phase_average`.
 The grid keeps every elementwise expression in the same operand order and
 reduces each theta row with the same pairwise sum, so the package must agree
 with them exactly (==), not to a tolerance: the objective values, and the
@@ -69,20 +70,28 @@ def _weight(rate, t, g):
     return an._phase_weight_and_grad(rate, t, g)[0]
 
 
-def _oracle_pair_energies(params, scheme, delta, t, noise, mode):
+def _oracle_weights(params, scheme, delta, t, noise, mode):
+    """eps and the bath's P, Q and, for a finite environment, (P_e, Q_e)."""
     _, eps, phi, _ = _oracle_mode_grid(params)
     a, b = _oracle_coupling_arrays(scheme, params)
     g = scheme.g
     eps_evo = np.zeros_like(eps) if mode == "dsp" else eps
     p = (a.real ** 2 + a.imag ** 2) * _weight(eps_evo - delta, t, g)
     q = (b.real ** 2 + b.imag ** 2) * _weight(eps_evo + delta, t, g)
+    if noise.kind != "finite_env":
+        return eps, p, q, None
+    p_env = np.cos(phi) ** 2 * _weight(eps_evo - noise.delta_e, t, noise.kappa_prime)
+    q_env = np.sin(phi) ** 2 * _weight(eps_evo + noise.delta_e, t, noise.kappa_prime)
+    return eps, p, q, (p_env, q_env)
+
+
+def _oracle_pair_energies(params, scheme, delta, t, noise, mode):
+    eps, p, q, env = _oracle_weights(params, scheme, delta, t, noise, mode)
     if noise.kind == "none":
         return general_ss_energy(eps, p, q)
     if noise.kind == "depolarizing":
         return noisy_ss_energy(eps, p, q, noise.kappa, t)
-    p_env = np.cos(phi) ** 2 * _weight(eps_evo - noise.delta_e, t, noise.kappa_prime)
-    q_env = np.sin(phi) ** 2 * _weight(eps_evo + noise.delta_e, t, noise.kappa_prime)
-    return finite_env_ss_energy(eps, (p, q), (p_env, q_env), noise.p_e)
+    return finite_env_ss_energy(eps, (p, q), env, noise.p_e)
 
 
 def _oracle_chain_relative_energy(params, scheme, delta, t, noise, mode):
@@ -94,10 +103,17 @@ def _oracle_chain_relative_energy(params, scheme, delta, t, noise, mode):
 
 
 def _oracle_closed_form_single(params, scheme, delta, t, noise, mode):
-    _, eps, _, _ = _oracle_mode_grid(params)
-    e_val = _oracle_pair_energies(params, scheme, delta, t, noise, mode)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(eps > 0, (e_val + eps) / eps, np.nan)
+    """e_k = (E_k + eps_k) / eps_k without cancellation:
+    (2 Q + (1 - p_e) P_e + (1 + p_e) Q_e + pad) / (P + Q + P_e + Q_e + pad)."""
+    eps, p, q, env = _oracle_weights(params, scheme, delta, t, noise, mode)
+    pad = 2.0 * noise.kappa * t
+    if env is None:
+        num, denom = 2.0 * q + pad, p + q + pad
+    else:
+        p_env, q_env = env
+        num = 2.0 * q + (1.0 - noise.p_e) * p_env + (1.0 + noise.p_e) * q_env + pad
+        denom = p + q + p_env + q_env + pad
+    return np.where(eps > 0, num / denom, np.nan)
 
 
 def _oracle_theta_specific(pv, params, noise, mode):
