@@ -1,4 +1,6 @@
-"""Small dense linear-algebra helpers used by the exact engines.
+"""Small dense linear-algebra helpers used by the exact engines: their one
+random-time average (`random_time_average`) and their one fixed-point solve
+and verdict (`affine_fixed_points`).
 
 Vectorization is row-major throughout: vec(rho) = rho.reshape(-1), and a
 superoperator acting as rho -> sum_b K_b rho K_b^dag has transfer matrix
@@ -17,16 +19,6 @@ FIXED_POINT_ATOL = 1e-10
 # with n = 4, the size of a CM K once the conserved entry is eliminated (7 for
 # a Fock pair)
 UNIT_EIGENVALUE_TOL = 40.0 * float(np.finfo(float).eps)
-
-
-def hermitize(m: np.ndarray) -> np.ndarray:
-    """Hermitian part of a matrix, or of each matrix in a stack."""
-    return 0.5 * (m + m.conj().swapaxes(-1, -2))
-
-
-def trace_norm(m: np.ndarray) -> float | np.ndarray:
-    """Sum of singular values (Schatten 1-norm) of a matrix, or of each matrix in a stack."""
-    return np.linalg.svd(np.asarray(m), compute_uv=False).sum(axis=-1)
 
 
 def random_time_average(l: np.ndarray, e: np.ndarray, rate: float | np.ndarray,
@@ -53,10 +45,15 @@ def random_time_average(l: np.ndarray, e: np.ndarray, rate: float | np.ndarray,
     return lw @ l.reshape(l.shape[:-3] + (l.shape[-3], -1)).conj().swapaxes(-1, -2)
 
 
-def affine_fixed_points(k: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unique fixed points x = T x with tau.x = 1 of stacked maps T (maps, n,
-    n) that conserve tau.x, tau a boolean (n,) marker led by x_0, and rates.
+def affine_fixed_points(k: np.ndarray, tau: np.ndarray,
+                        conj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unique Hermitian fixed points x = T x with tau.x = 1 of stacked maps T
+    (maps, n, n) that conserve tau.x and Hermiticity, with rates and
+    residuals: the one fixed-point verdict of both engines.
 
+    tau is a boolean (n,) marker led by x_0, and `conj` the index
+    permutation that takes x to the entries of its conjugate transpose (CM:
+    gamma_01 <-> gamma_10; Fock: the transpose inside each parity block).
     Eliminating x_0 = 1 - tau[1:].y, y = x[1:], leaves y -> K y + c with K =
     T_yy - T_y0 tau[1:]^T, c = T_y0 and T's spectrum less its conserved 1
     (exact for tau = e_0, where K = T_yy).  The fixed point is unique iff 1
@@ -65,7 +62,11 @@ def affine_fixed_points(k: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.
     number.  The rate alpha = -log max|lambda(K)| is O(g^2) in weak coupling,
     and the solve is conditioned like 1/alpha.  One batched LU solve of (I -
     K) y = c with one refinement step, whose residual is an einsum so that
-    each map gets the same bits in any stack.
+    each map gets the same bits in any stack.  The solution is hermitized, x
+    <- (x + conj(x[conj])) / 2, and a map whose state then misses T x = x by
+    more than FIXED_POINT_ATOL in sum |T x - x| (at least the trace norm of
+    the density's miss) raises NonUniqueFixedPoint with dimension 1: so does
+    one that does not preserve Hermiticity.
     """
     k_y, c = k[:, 1:, 1:] - k[:, 1:, :1] * tau[1:], k[:, 1:, 0]
     evals = np.linalg.eigvals(k_y)
@@ -77,4 +78,8 @@ def affine_fixed_points(k: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.
     y = np.linalg.solve(a, c[..., None])[..., 0]
     y += np.linalg.solve(a, (c - np.einsum("...ij,...j->...i", a, y))[..., None])[..., 0]
     x = np.concatenate([1.0 - y[:, tau[1:]].sum(axis=-1, keepdims=True), y], axis=-1)
-    return x, -np.log(np.max(np.abs(evals), axis=-1))
+    x = 0.5 * (x + x[:, conj].conj())
+    resid = np.abs(np.einsum("...ij,...j->...i", k, x) - x).sum(axis=-1)
+    if np.max(resid, initial=0.0) > FIXED_POINT_ATOL:
+        raise NonUniqueFixedPoint(1, f"fixed-point residual {np.max(resid):.2e} above tolerance")
+    return x, -np.log(np.max(np.abs(evals), axis=-1)), resid

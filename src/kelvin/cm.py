@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import affine_fixed_points, hermitize, random_time_average
+from ._linalg import affine_fixed_points, random_time_average
 from .model import ModeBlock, NoiseSpec
 
 __all__ = [
@@ -147,26 +147,27 @@ def mode_chunks(ks: np.ndarray, env: NoiseSpec | None) -> list[np.ndarray]:
 # projector onto the 1 and an edge's physical direction (1, 0, 0, -1)/sqrt(2)
 _EDGE_PROJECTOR = np.diag([1.0, 0.5, 0.0, 0.0, 0.5])
 _EDGE_PROJECTOR[1, 4] = _EDGE_PROJECTOR[4, 1] = -0.5
+# x[_CONJ] = (1, vec gamma^T): conjugated, the entries of gamma^dag
+_CONJ = np.array([0, 1, 3, 2, 4])
 
 
 def fixed_points(k: np.ndarray, edge=False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unique fixed points of stacked CM transfers T (modes, 5, 5) on x = (1,
     vec gamma), `edge` flagging the edge modes (a bool or one per mode).
 
-    Returns the fixed points x with hermitized gamma, the cooling rates alpha
-    = -log|lambda_max| of K and the residuals max |x - T x| per mode, from
-    `_linalg.affine_fixed_points`, the solve the Fock engine shares, with the
-    1 as the conserved entry.  Physical CMs span all of vec(gamma) for a pair,
-    but only diag(1, -1) for an edge, whose gamma is diag(1/2 - n, n - 1/2):
-    that direction is an eigenvector of K, and the other three carry no state
-    (at eps = 0 they do not decay), so an edge map is projected onto the 1 and
-    that direction, which gives the other three the eigenvalue 0.
+    Returns the fixed points x with Hermitian gamma, the cooling rates alpha
+    = -log|lambda_max| of K and the residuals sum |T x - x| per mode, with
+    the verdict on them, from `_linalg.affine_fixed_points`, the solve the
+    Fock engine shares, with the 1 as the conserved entry.  Physical CMs
+    span all of vec(gamma) for a pair, but only diag(1, -1) for an edge,
+    whose gamma is diag(1/2 - n, n - 1/2): that direction is an eigenvector
+    of K, and the other three carry no state (at eps = 0 they do not decay),
+    so an edge map is projected onto the 1 and that direction, which gives
+    the other three the eigenvalue 0; its residual is the projected map's.
     """
     edge, projected = np.broadcast_to(edge, k.shape[:1]), k.copy()
     projected[edge] = _EDGE_PROJECTOR @ k[edge] @ _EDGE_PROJECTOR
-    x, alpha = affine_fixed_points(projected, np.arange(5) == 0)
-    resid = np.max(np.abs(x - (k @ x[..., None])[..., 0]), axis=-1)
-    return _states(hermitize(matrices(x))), alpha, resid
+    return affine_fixed_points(projected, np.arange(5) == 0, _CONJ)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ class KelvinError(Exception):
 class NonUniqueFixedPoint(KelvinError):
     """A cycle map has no unique steady state.
 
+    Raised for both engines by the shared solve `_linalg.affine_fixed_points`.
     Carries the number of (numerical) unit eigenvalues of the map whose fixed
     point was sought, after its conserved first entry is eliminated, or 1
-    when a computed fixed point fails its residual check.
+    when the hermitized fixed point fails its residual check, sum |T x - x|
+    above FIXED_POINT_ATOL.
     """
 
     def __init__(self, eigenspace_dim: int, message: str | None = None):

@@ -30,7 +30,8 @@ for an edge, where d = 2); `cycle_maps` yields transfers on that sector, and
 `matrices` is the d x d density of a sector vector.  Steady states and
 cooling rates: every sector transfer conserves the trace, and the
 fixed-point routine the CM engine uses solves all modes at once after
-eliminating rho_00 through it.
+eliminating rho_00 through it, makes each parity block Hermitian and judges
+the residual, with one verdict for both engines.
 
 `cycle_maps` yields the maps of a stack of modes, one per time, from one
 stacked eigendecomposition, with the rest weights and populated columns
@@ -66,14 +67,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import (
-    FIXED_POINT_ATOL,
-    affine_fixed_points,
-    hermitize,
-    random_time_average,
-    trace_norm,
-)
-from .errors import NonUniqueFixedPoint
+from ._linalg import affine_fixed_points, random_time_average
 from .model import ModeBlock, NoiseSpec
 
 __all__ = [
@@ -144,11 +138,6 @@ class FockBlock:
     @property
     def d_rest(self) -> int:
         return 2 ** (self.n_modes - self.n_sys_modes)
-
-    @property
-    def hamiltonian(self) -> np.ndarray:
-        """H on the Fock basis, d x d."""
-        return _unblock(self.blocks)
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (..., 2, d/2) and eigenvectors (..., 2, d/2, d/2) of the
@@ -538,19 +527,15 @@ def fixed_points(k: np.ndarray, edge=None) -> tuple[np.ndarray, np.ndarray, np.n
     """Unique fixed states of stacked transfer matrices T (modes, d^2/2,
     d^2/2) on the physical sector (`cycle_maps`).
 
-    Returns the fixed sector vectors, the cooling rates and the trace-norm
-    residuals.  `edge` keeps the signature of `cm.fixed_points`: every Fock
-    edge block is physical.  T conserves the trace tau.x, tau marking the
-    populations, and `_linalg.affine_fixed_points`, the CM engine's solve
-    too, eliminates rho_00 through it; alpha is -log|lambda_2| of the sector.
-    A state whose trace-norm residual exceeds FIXED_POINT_ATOL raises
-    NonUniqueFixedPoint.
+    Returns the fixed sector vectors, the cooling rates and the residuals
+    sum |T x - x|, all from `_linalg.affine_fixed_points`, the CM engine's
+    solve and verdict too.  `edge` keeps the signature of `cm.fixed_points`:
+    every Fock edge block is physical.  T conserves the trace tau.x, tau
+    marking the populations, and the solve eliminates rho_00 through it;
+    alpha is -log|lambda_2| of the sector.  The conjugate transpose of a
+    sector vector transposes each parity block.
     """
-    n = k.shape[-1]
-    ds = math.isqrt(2 * n)
-    x, alpha = affine_fixed_points(k, _physical_sector(ds) % (ds + 1) == 0)
-    x = hermitize(x.reshape(-1, 2, ds // 2, ds // 2)).reshape(-1, n)
-    resid = trace_norm(matrices((k @ x[..., None])[..., 0] - x))
-    if np.max(resid, initial=0.0) > FIXED_POINT_ATOL:
-        raise NonUniqueFixedPoint(1, f"fixed-point residual {np.max(resid):.2e} above tolerance")
-    return x, alpha, resid
+    ds = math.isqrt(2 * k.shape[-1])
+    blocks = np.arange(k.shape[-1]).reshape(2, ds // 2, ds // 2)
+    return affine_fixed_points(k, _physical_sector(ds) % (ds + 1) == 0,
+                               blocks.swapaxes(1, 2).reshape(-1))

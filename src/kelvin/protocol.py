@@ -12,7 +12,8 @@ engine's `cycle_maps` generator yields its subcycle maps stacked over modes
 folded as soon as it is made into one global-cycle map per momentum pair,
 and that map is then either raised to the powers between snapshots or
 handed to the engine's fixed-point solve, which both engines run through
-`_linalg.affine_fixed_points`.  Both reduce the stacked blocks to per-mode
+`_linalg.affine_fixed_points`, the one verdict on whether a fixed point
+exists.  Both reduce the stacked blocks to per-mode
 energies and fidelities with the engine's `reduce`, and those to chain-level
 energy, relative energy and fidelity with `global_metrics`.
 
@@ -62,14 +63,6 @@ class Schedule:
     """Ordered subcycles (delta_r, t_m) forming one global cycle."""
 
     subcycles: tuple[tuple[float, float], ...]
-
-    @property
-    def deltas(self) -> tuple[float, ...]:
-        """Distinct bath frequencies in round-robin order."""
-        seen: dict[float, None] = {}
-        for d, _ in self.subcycles:
-            seen.setdefault(d, None)
-        return tuple(seen)
 
     @property
     def mean_time(self) -> float:
@@ -305,7 +298,11 @@ def steady_report(params: ModelParams, scheme: CouplingScheme, bath: BathSpec,
     in frequency order into one global-cycle map per mode, and the engine's
     stacked `fixed_points` solves each block shape's modes at once (both
     engines share `_linalg.affine_fixed_points`, which eliminates the
-    conserved first entry).  Randomized-time schedules are
+    conserved first entry, hermitizes the state and raises
+    NonUniqueFixedPoint where it has no unique fixed point or the residual
+    sum |T x - x| exceeds its tolerance; `max_residual` is the largest such
+    residual over the modes, the same measure on both engines).
+    Randomized-time schedules are
     evaluated in the ensemble limit: each elementary map is replaced by its
     uniform average over [0, 2 t_mean] (exact, in closed form), which is
     the object the closed-form rates describe, with or without finite

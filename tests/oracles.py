@@ -13,7 +13,8 @@ that the closed-form grid tests can compare the package with them under `==`;
 `lorentzian_rates` is the Lorentzian line shape that approximates the
 one-frequency `analytic.multifreq_rates`.
 
-The rest are independent references for the exact engines: `vec` and
+The rest are independent references for the exact engines: `hermitize`,
+`trace_norm` and `hamiltonian` (a Fock block's d x d H); `vec` and
 `apply_transfer` step a density through a transfer matrix, on the whole
 operator space or on the physical sector that the Fock engine's maps act
 on, and `physical_sector` cuts a whole-space transfer matrix down to that
@@ -49,13 +50,28 @@ from scipy.linalg import expm
 
 from kelvin import optimize
 from kelvin import protocol as pr
-from kelvin._linalg import HERMITICITY_ATOL, hermitize, trace_norm
+from kelvin._linalg import HERMITICITY_ATOL
 from kelvin.analytic import GAMMA0_SQ_FACTOR
 from kelvin.errors import KelvinError, ResonantDenominator, UndefinedSteadyState
-from kelvin.fock import (_physical_sector, exact_cycle_map, matrices, mode_operators,
-                         second_quantize)
+from kelvin.fock import (_physical_sector, _unblock, exact_cycle_map, matrices,
+                         mode_operators, second_quantize)
 from kelvin.model import ModeBlock, NoiseSpec, coupling_arrays, mode_grid
 from kelvin.optimize import PHASE_NODES, phase_grid
+
+
+def hermitize(m: np.ndarray) -> np.ndarray:
+    """Hermitian part of a matrix, or of each matrix in a stack."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
+def trace_norm(m: np.ndarray) -> float | np.ndarray:
+    """Sum of singular values (Schatten 1-norm) of a matrix, or of each matrix in a stack."""
+    return np.linalg.svd(np.asarray(m), compute_uv=False).sum(axis=-1)
+
+
+def hamiltonian(fb) -> np.ndarray:
+    """H of a `fock.FockBlock` on the Fock basis, d x d, from its parity blocks."""
+    return _unblock(fb.blocks)
 
 
 def mode_values(params, scheme, k: int) -> tuple[float, float, complex, complex]:
@@ -493,7 +509,8 @@ def noise_factorization_gap(block: ModeBlock, kappa: float, t: float) -> float:
     ds, dr = fb.d_sys, fb.d_rest
     ops = mode_operators(fb.n_modes)
     eye = np.eye(d)
-    liou = -1j * (np.kron(fb.hamiltonian, eye) - np.kron(eye, fb.hamiltonian.T))
+    ham = hamiltonian(fb)
+    liou = -1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
     for a in ops:
         for o in (a, a.conj().T):
             n_op = o.conj().T @ o

@@ -19,7 +19,6 @@ from kelvin import analytic as an
 from kelvin import cm, fock, repro
 from kelvin import optimize as op
 from kelvin import protocol as pr
-from kelvin._linalg import trace_norm
 from kelvin.model import (
     BathSpec,
     CouplingScheme,
@@ -33,7 +32,7 @@ from kelvin.model import (
 )
 
 import oracles
-from oracles import apply_transfer, choi_min_eig, mode_values
+from oracles import apply_transfer, choi_min_eig, mode_values, trace_norm
 
 
 class Stopwatch:

@@ -1,5 +1,6 @@
 """Import contracts: kelvin loads SciPy only where it uses it (see
-tests/import_guard.py), every function the benchmark traces exists, and the
+tests/import_guard.py), the engines leave the fixed-point verdict to the
+shared solve, every function the benchmark traces exists, and the
 package's settable values do not grow."""
 
 import ast
@@ -30,6 +31,19 @@ def test_scipy_and_engine_imports_by_source():
     cm_imports = [line for line in (src / "cm.py").read_text().splitlines()
                   if line.startswith(("import ", "from "))]
     assert not any("fock" in line for line in cm_imports), cm_imports
+
+
+def test_engines_leave_the_fixed_point_verdict_to_the_shared_solve():
+    """Hermitization, the residual and its verdict live in
+    `_linalg.affine_fixed_points` alone, so the engines cannot judge their
+    states differently again."""
+    src = ROOT / "src" / "kelvin"
+    names = ("hermitize", "trace_norm", "FIXED_POINT_ATOL", "NonUniqueFixedPoint")
+    found = [(path, name) for path in ("cm.py", "fock.py") for name in names
+             if name in (src / path).read_text()]
+    assert not found, found
+    linalg = (src / "_linalg.py").read_text()
+    assert "def hermitize" not in linalg and "def trace_norm" not in linalg
 
 
 def test_perfbench_wrapped_names_resolve():
@@ -66,7 +80,7 @@ def test_every_export_resolves_once():
 
 
 # Settable values in src/kelvin/*.py after the last change that removed some.
-SETTABLE_VALUES_BOUND = 420
+SETTABLE_VALUES_BOUND = 419
 
 
 def _settable_values(tree: ast.Module) -> int:

@@ -8,22 +8,31 @@ from kelvin.errors import NonUniqueFixedPoint
 
 
 def _contractions(rng, maps, n):
-    """Random complex (maps, n, n) stack with spectral radius below one."""
+    """Random complex (maps, n, n) stack of operator norm below one."""
     k = rng.normal(size=(maps, n, n)) + 1j * rng.normal(size=(maps, n, n))
-    radius = np.max(np.abs(np.linalg.eigvals(k)), axis=-1)
-    return k * (rng.uniform(0.1, 0.99, size=maps) / radius)[:, None, None]
+    norm = np.linalg.norm(k, ord=2, axis=(-2, -1))
+    return k * (rng.uniform(0.1, 0.99, size=maps) / norm)[:, None, None]
 
 
-def _linear(k, c, tau):
+def _linear(k, c, tau, conj):
     """Transfers T on x = (x_0, y) that conserve tau.x and act on y, with x_0
-    = 1 - tau[1:].y eliminated, as the affine map y -> K y + c."""
+    = 1 - tau[1:].y eliminated, as the affine map y -> K y + c, made
+    conjugation-symmetric, T <- (T + conj(T[conj][:, conj])) / 2, so that
+    they take Hermitian x (x[conj] = conj(x)) to Hermitian x.  The average
+    keeps K's operator norm below one when k's is."""
     rest = tau[1:].astype(float)
     t = np.zeros(k.shape[:-2] + (k.shape[-1] + 1,) * 2, dtype=complex)
     t[..., 1:, 0] = c
     t[..., 1:, 1:] = k + c[..., None] * rest
     t[..., 0, 0] = 1.0 - c @ rest
     t[..., 0, 1:] = rest - rest @ t[..., 1:, 1:]
-    return t
+    return 0.5 * (t + t[..., conj, :][..., conj].conj())
+
+
+def _rates(t, tau):
+    """-log rho(K) of K = T_yy - T_y0 tau[1:]^T, the map left once x_0 is eliminated."""
+    k = t[:, 1:, 1:] - t[:, 1:, :1] * tau[1:]
+    return -np.log(np.max(np.abs(np.linalg.eigvals(k)), -1))
 
 
 def _e0(n):
@@ -31,58 +40,89 @@ def _e0(n):
     return np.arange(n) == 0
 
 
+def _swaps(n):
+    """An involution of 0..n-1 that fixes 0 and swaps 1 <-> 2, 3 <-> 4, ...
+    (and fixes n-1 when n is even)."""
+    i = np.arange(n)
+    partner = i + 2 * (i % 2) - 1
+    return np.where((i == 0) | (partner >= n), i, partner)
+
+
+# a Fock pair's physical sector: its populations rho_00, rho_33 (even block)
+# and rho_11, rho_22 (odd block), and the transpose inside each 2x2 block
+_FOCK_TAU = np.isin(np.arange(8), [0, 3, 4, 7])
+_FOCK_CONJ = np.array([0, 2, 1, 3, 4, 6, 5, 7])
+
+
 class TestAffineFixedPoints:
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_solves_and_rates(self, n):
         rng = np.random.default_rng(n)
-        k = _contractions(rng, 20, n)
+        tau, conj = _e0(n + 1), _swaps(n + 1)
         c = rng.normal(size=(20, n)) + 1j * rng.normal(size=(20, n))
-        x, alpha = affine_fixed_points(_linear(k, c, _e0(n + 1)), _e0(n + 1))
+        t = _linear(_contractions(rng, 20, n), c, tau, conj)
+        x, alpha, resid = affine_fixed_points(t, tau, conj)
         assert np.all(x[:, 0] == 1.0)
-        np.testing.assert_allclose(x[:, 1:], (k @ x[:, 1:, None])[..., 0] + c, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(alpha, -np.log(np.max(np.abs(np.linalg.eigvals(k)), -1)),
-                                   rtol=1e-14)
+        assert np.array_equal(x[:, conj], x.conj())
+        np.testing.assert_allclose(x, (t @ x[..., None])[..., 0], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(alpha, _rates(t, tau), rtol=1e-14)
+        assert np.all(resid <= 1e-13)
 
     def test_fock_shaped_marker(self):
         """tau marks the populations of a Fock pair's physical sector, rho_00
         first: the fixed point is conserved, tau.x = 1, and fixed by T."""
         rng = np.random.default_rng(8)
-        tau = np.arange(8) % 5 == 0
-        k = _contractions(rng, 20, 7)
         c = rng.normal(size=(20, 7)) + 1j * rng.normal(size=(20, 7))
-        t = _linear(k, c, tau)
-        np.testing.assert_allclose(tau @ t, np.broadcast_to(tau, (20, 8)), rtol=0, atol=1e-13)
-        x, alpha = affine_fixed_points(t, tau)
-        np.testing.assert_allclose(x @ tau, 1.0, rtol=0, atol=1e-13)
+        t = _linear(_contractions(rng, 20, 7), c, _FOCK_TAU, _FOCK_CONJ)
+        assert np.iscomplexobj(t) and np.any(t.imag != 0)
+        np.testing.assert_allclose(_FOCK_TAU @ t, np.broadcast_to(_FOCK_TAU, (20, 8)),
+                                   rtol=0, atol=1e-13)
+        x, alpha, resid = affine_fixed_points(t, _FOCK_TAU, _FOCK_CONJ)
+        np.testing.assert_allclose(x @ _FOCK_TAU, 1.0, rtol=0, atol=1e-13)
         np.testing.assert_allclose(x, (t @ x[..., None])[..., 0], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(alpha, -np.log(np.max(np.abs(np.linalg.eigvals(k)), -1)),
-                                   rtol=1e-12)
+        np.testing.assert_allclose(alpha, _rates(t, _FOCK_TAU), rtol=1e-12)
+        # sum |T x - x|, to the rounding of forming T x
+        np.testing.assert_allclose(resid, np.abs((t @ x[..., None])[..., 0] - x).sum(-1),
+                                   rtol=0, atol=1e-14)
 
     def test_each_map_solved_as_if_alone(self):
-        """A map's fixed point and rate have the same bits in any stack."""
+        """A map's fixed point, rate and residual have the same bits in any stack."""
         rng = np.random.default_rng(5)
         t = _linear(_contractions(rng, 9, 7), rng.normal(size=(9, 7)) + 1j * rng.normal(size=(9, 7)),
-                    _e0(8))
-        x, alpha = affine_fixed_points(t, _e0(8))
+                    _FOCK_TAU, _FOCK_CONJ)
+        x, alpha, resid = affine_fixed_points(t, _FOCK_TAU, _FOCK_CONJ)
         for i in range(9):
-            x_i, alpha_i = affine_fixed_points(t[i:i + 1], _e0(8))
+            x_i, alpha_i, resid_i = affine_fixed_points(t[i:i + 1], _FOCK_TAU, _FOCK_CONJ)
             assert np.array_equal(x_i[0], x[i]) and alpha_i[0] == alpha[i]
+            assert resid_i[0] == resid[i]
 
     def test_unit_eigenvalues_raise_with_their_number(self):
+        """Real maps, each entry its own conjugate."""
         k = np.diag([1.0, 1.0 + 1e-15, 0.5]).astype(complex)[None]
-        t = _linear(np.concatenate([0.5 * k, k]), np.ones((2, 3), dtype=complex), _e0(4))
+        t = _linear(np.concatenate([0.5 * k, k]), np.ones((2, 3), dtype=complex), _e0(4),
+                    np.arange(4))
         with pytest.raises(NonUniqueFixedPoint) as exc:
-            affine_fixed_points(t, _e0(4))
+            affine_fixed_points(t, _e0(4), np.arange(4))
         assert exc.value.eigenspace_dim == 2
 
     def test_weakly_attracting_map_is_unique(self):
         """A gap of 1e-12, an O(g^2) cooling rate at g = 1e-6, is no unit
         eigenvalue."""
         k = np.diag([1.0 - 1e-12, 0.5]).astype(complex)[None]
-        t = _linear(k, np.array([[1e-12, 0.5]], dtype=complex), _e0(3))
-        x, alpha = affine_fixed_points(t, _e0(3))
+        t = _linear(k, np.array([[1e-12, 0.5]], dtype=complex), _e0(3), np.arange(3))
+        x, alpha, _ = affine_fixed_points(t, _e0(3), np.arange(3))
         np.testing.assert_allclose(x[0], [1.0, 1.0, 1.0], rtol=1e-3)
         np.testing.assert_allclose(alpha, [1e-12], rtol=1e-3)
+
+    def test_a_map_that_breaks_hermiticity_is_refused(self):
+        """An entry fed by the conserved one and decaying at 1e-13, its
+        conjugate partner at 1/2: the solve gives y_1 = 1e13 and y_2 = 0,
+        hermitized to 5e12 each, which T does not fix."""
+        t = np.diag([1.0, 1.0 - 1e-13, 0.5, 0.5]).astype(complex)[None]
+        t[0, 1, 0] = 1.0
+        with pytest.raises(NonUniqueFixedPoint) as exc:
+            affine_fixed_points(t, _e0(4), _swaps(4))
+        assert exc.value.eigenspace_dim == 1
 
 
 def uniform_average(z) -> np.ndarray:

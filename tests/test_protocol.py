@@ -8,7 +8,6 @@ from scipy.linalg import expm
 from kelvin import analytic as an
 from kelvin import cm, fock
 from kelvin import protocol as pr
-from kelvin._linalg import trace_norm
 from kelvin.errors import NonUniqueFixedPoint
 from kelvin.model import (
     BathSpec,
@@ -22,7 +21,7 @@ from kelvin.model import (
 )
 
 import oracles
-from oracles import FitQualityError, apply_transfer
+from oracles import FitQualityError, apply_transfer, trace_norm
 
 
 class TestMakeSchedule:
@@ -64,7 +63,7 @@ class TestMakeSchedule:
         n = small_params.N
         expect = {dispersion(small_params.theta, n, round(0.25 * n / 2)),
                   dispersion(small_params.theta, n, round(0.75 * n / 2))}
-        assert set(s.deltas) == expect
+        assert {d for d, _ in s.subcycles} == expect
 
     def test_invalid_sizes_rejected(self, small_params, bath):
         with pytest.raises(ValueError):
@@ -238,7 +237,7 @@ def _reference_trajectory(params, scheme, schedule, noise, engine, n_cycles, str
               for k in range(n2 + 1)]
     mode_blocks = {(k, d): block_hamiltonian(params, scheme, BathSpec(d, 1.0), k,
                                              env=env, dsp=dsp)
-                   for k in range(n2 + 1) for d in schedule.deltas}
+                   for k in range(n2 + 1) for d in {d for d, _ in schedule.subcycles}}
 
     fock_maps = {}
 
@@ -579,6 +578,23 @@ class TestSteadyReport:
         with pytest.raises(NonUniqueFixedPoint):
             pr.steady_report(ModelParams(8, 0.3), local_scheme, bath,
                              {"kind": kind, "L": 10}, engine=engine, dsp=True)
+
+    def test_engines_agree_on_the_residual_verdict(self):
+        """A trace-preserving map that feeds one off-diagonal entry from the
+        conserved entry and lets it decay at 1e-13, its conjugate partner at
+        1/2, has an isolated solution of 1e13 in that entry, which does not
+        preserve Hermiticity; hermitized it misses T x = x by ~2.5e12, and
+        both engines refuse it."""
+        t_cm = np.diag([1.0, 0.5, 1.0 - 1e-13, 0.5, 0.5]).astype(complex)
+        t_cm[2, 0] = 1.0  # gamma_01 <- the conserved 1
+        t_fock = np.diag([0.0, 1.0 - 1e-13] + [0.5] * 6).astype(complex)
+        t_fock[0, [0, 3, 4, 7]] = 1.0  # every population flows into rho_00
+        t_fock[[3, 4, 7], [3, 4, 7]] = 0.0
+        t_fock[1, 0] = 1.0  # the even block's rho_01 <- rho_00
+        for engine, t in ((cm, t_cm), (fock, t_fock)):
+            with pytest.raises(NonUniqueFixedPoint) as exc:
+                engine.fixed_points(t[None], np.array([False]))
+            assert exc.value.eigenspace_dim == 1, engine.__name__
 
     @pytest.mark.parametrize("kind", ["single", "randomized"])
     def test_gapless_edge_mode_has_a_fixed_point(self, local_scheme, bath, kind):
