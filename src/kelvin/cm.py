@@ -21,7 +21,11 @@ which the affine cycle vec(gamma) -> K vec(gamma) + c is the linear transfer
 `cycle_maps` yields the transfers of a stack of modes, one per time, all
 assembled from the kron blocks A_B (x) A_B* of the propagator's column blocks
 B: at fixed times gathered from U, and over random times their exact average
-(`averaged_evolution_kron`, by `_linalg.random_time_average`).
+(`averaged_evolution_kron`, by `_linalg.random_time_average`).  Every block
+has the same 5x5 transfer, so `mode_groups` stacks all modes at once, and
+`cycle_maps` projects an edge's transfer onto its physical span, where it
+reads `block.is_edge`; no other function needs to know the edges but
+`reduce`.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ __all__ = [
     "initial_blocks",
     "averaged_evolution_kron",
     "cycle_maps",
-    "mode_chunks",
     "fixed_points",
     "reduce",
     "matrices",
@@ -56,18 +59,17 @@ def most_excited_cm() -> np.ndarray:
     return np.diag([-0.5, 0.5]).astype(complex)
 
 
-def mode_groups(n2: int) -> list[np.ndarray]:
-    """Mode indices stepped as one stack: every CM block is 2x2, so one group."""
+def mode_groups(n2: int, env: NoiseSpec | None) -> list[np.ndarray]:
+    """The modes k = 0..n2 as stacks built and stepped at once: one, since
+    every CM map is 5x5, with or without the environments `env`."""
     return [np.arange(n2 + 1)]
 
 
-def initial_blocks(kind: str, n2: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Product initial state over k = 0..n2, "vacuum" or "most_excited", as
-    (ks, x = (1, vec gamma) stacked over ks) for each group of `mode_groups`."""
-    if kind not in ("vacuum", "most_excited"):
-        raise ValueError(f"unknown initial state kind {kind!r}")
+def initial_blocks(kind: str, ks: np.ndarray, n2: int) -> np.ndarray:
+    """The product state "vacuum" or "most_excited" of the modes `ks` of k =
+    0..n2: x = (1, vec gamma) stacked over ks, edges and pairs alike."""
     gamma = vacuum_cm() if kind == "vacuum" else most_excited_cm()
-    return [(ks, np.tile(_states(gamma), (len(ks), 1))) for ks in mode_groups(n2)]
+    return np.tile(_states(gamma), (len(ks), 1))
 
 
 def _states(gamma: np.ndarray) -> np.ndarray:
@@ -105,6 +107,11 @@ def averaged_evolution_kron(block: ModeBlock | np.ndarray, t_mean: float,
     return np.moveaxis(m[..., _I, _J[:dim // 2], _A, _B[:dim // 2]], -3, 0)
 
 
+# projector onto the 1 and an edge's physical direction (1, 0, 0, -1)/sqrt(2)
+_EDGE_PROJECTOR = np.diag([1.0, 0.5, 0.0, 0.0, 0.5])
+_EDGE_PROJECTOR[1, 4] = _EDGE_PROJECTOR[4, 1] = -0.5
+
+
 def cycle_maps(block: ModeBlock, ts, t_mean: float, kappa: float):
     """Yield the transfers [[1, 0], [c, K]] on x = (1, vec gamma) of one bath
     frequency, stacked over `block`, one per time in `ts`, in order.
@@ -119,6 +126,13 @@ def cycle_maps(block: ModeBlock, ts, t_mean: float, kappa: float):
     share on within the cycle, so with both the map is exact.  A fixed time
     takes the kron blocks' entries of U from one batched eigh of the
     generators; a time of None their average over [0, 2 t_mean].
+
+    Physical CMs span all of vec(gamma) for a pair, but only diag(1, -1) for
+    an edge (`block.is_edge`), whose gamma is diag(1/2 - n, n - 1/2).  An
+    edge's transfer leaves the span of the 1 and that direction invariant,
+    and the other three directions carry no state (at eps = 0 they do not
+    decay), so it is projected onto that span, which gives them the
+    eigenvalue 0; products of projected transfers are the projected products.
     """
     generators = block.generator
     n_blocks = generators.shape[-1] // 2
@@ -136,38 +150,24 @@ def cycle_maps(block: ModeBlock, ts, t_mean: float, kappa: float):
         transfer = np.zeros(generators.shape[:-2] + (5, 5), dtype=complex)
         transfer[..., 0, 0] = 1.0
         transfer[..., 1:, 1:], transfer[..., 1:, 0] = k[0], injection @ vacuum_cm().reshape(-1)
+        transfer[block.is_edge] = _EDGE_PROJECTOR @ transfer[block.is_edge] @ _EDGE_PROJECTOR
         yield transfer
 
 
-def mode_chunks(ks: np.ndarray, env: NoiseSpec | None) -> list[np.ndarray]:
-    """Chunks of the modes `ks` for `cycle_maps`: one, CM maps are 5x5."""
-    return [ks]
-
-
-# projector onto the 1 and an edge's physical direction (1, 0, 0, -1)/sqrt(2)
-_EDGE_PROJECTOR = np.diag([1.0, 0.5, 0.0, 0.0, 0.5])
-_EDGE_PROJECTOR[1, 4] = _EDGE_PROJECTOR[4, 1] = -0.5
 # x[_CONJ] = (1, vec gamma^T): conjugated, the entries of gamma^dag
 _CONJ = np.array([0, 1, 3, 2, 4])
 
 
-def fixed_points(k: np.ndarray, edge=False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def fixed_points(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unique fixed points of stacked CM transfers T (modes, 5, 5) on x = (1,
-    vec gamma), `edge` flagging the edge modes (a bool or one per mode).
+    vec gamma), as `cycle_maps` yields them (an edge's projected).
 
     Returns the fixed points x with Hermitian gamma, the cooling rates alpha
     = -log|lambda_max| of K and the residuals sum |T x - x| per mode, with
     the verdict on them, from `_linalg.affine_fixed_points`, the solve the
-    Fock engine shares, with the 1 as the conserved entry.  Physical CMs
-    span all of vec(gamma) for a pair, but only diag(1, -1) for an edge,
-    whose gamma is diag(1/2 - n, n - 1/2): that direction is an eigenvector
-    of K, and the other three carry no state (at eps = 0 they do not decay),
-    so an edge map is projected onto the 1 and that direction, which gives
-    the other three the eigenvalue 0; its residual is the projected map's.
+    Fock engine shares, with the 1 as the conserved entry.
     """
-    edge, projected = np.broadcast_to(edge, k.shape[:1]), k.copy()
-    projected[edge] = _EDGE_PROJECTOR @ k[edge] @ _EDGE_PROJECTOR
-    return affine_fixed_points(projected, np.arange(5) == 0, _CONJ)
+    return affine_fixed_points(k, np.arange(5) == 0, _CONJ)
 
 
 # ---------------------------------------------------------------------------

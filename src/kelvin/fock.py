@@ -35,10 +35,11 @@ the residual, with one verdict for both engines.
 
 `cycle_maps` yields the maps of a stack of modes, one per time, from one
 stacked eigendecomposition, with the rest weights and populated columns
-formed once per call.  `exact_cycle_map` (one time) and
-`averaged_cycle_map` (random times) are one-block views of the same
-builder, environments included, and `steady_state` solves one such
-transfer.
+formed once per call.  `mode_groups` picks those stacks, one block size
+each: the edges, then the pairs in chunks sized by memory.
+`exact_cycle_map` (one time) and `averaged_cycle_map` (random times) are
+one-block views of the same builder, environments included, and
+`steady_state` solves one such transfer.
 
 Gain/loss noise of rate kappa is X -> (c X c + c' X c')/2 - X per mode, in
 the mode's Majoranas c, c'.  On a Majorana monomial of degree q, c X c =
@@ -76,7 +77,6 @@ __all__ = [
     "exact_cycle_map",
     "averaged_cycle_map",
     "cycle_maps",
-    "mode_chunks",
     "steady_state",
     "fixed_points",
     "mode_groups",
@@ -258,23 +258,37 @@ def matrices(x: np.ndarray) -> np.ndarray:
     return _unblock(x.reshape(x.shape[:-1] + (2, half, half)))
 
 
-def mode_groups(n2: int) -> list[np.ndarray]:
-    """Mode indices stepped as one stack: the 2x2 edges and the 4x4 pairs."""
+def mode_groups(n2: int, env: NoiseSpec | None) -> list[np.ndarray]:
+    """The modes k = 0..n2 as groups, each built and stepped as one stack:
+    the edges (k = 0 and n2), then the pairs, in chunks of 64 kB for the
+    eigenvectors of the chunk's parity blocks, two d/2 x d/2 complex blocks
+    per mode, d = 2^(Fock modes) with 2 Fock modes for the edges and 4 for
+    pairs, twice that with the environments `env`.  So 32 pairs, 512 edges,
+    32 environment edges or one environment pair (512 kB alone) per chunk.
+
+    A chunk holds a few stacks of that size at once: each open frequency's
+    Hamiltonians and eigenvectors, one map's transients and, half that
+    size, the running product of `_global_maps`.  On the
+    benchmark's N = 200 trajectories (theta = pi/3, g = 1e-2, t = 10, 100
+    cycles; randomized L = 10 and multifreq R = 3, L = 4; 2-vCPU host, one
+    BLAS thread), 32-pair chunks took the Fock time from 0.044 to 0.040 s
+    and the peak RSS from 43.1 to 43.5 MB against 16-pair chunks (medians
+    of ten runs each); 16-pair chunks of whole 16 x 16 blocks had taken
+    0.063 s and 43.7 MB.
+    """
     ks = np.arange(n2 + 1)
-    return [g for g in (np.array([0, n2]), ks[1:n2]) if g.size]
-
-
-def initial_blocks(kind: str, n2: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Product initial state over k = 0..n2, "vacuum" or "most_excited", as
-    (ks, sector vectors stacked over ks) for each group of `mode_groups`."""
-    if kind not in ("vacuum", "most_excited"):
-        raise ValueError(f"unknown initial state kind {kind!r}")
-    maker = vacuum_density if kind == "vacuum" else most_excited_density
     groups = []
-    for ks in mode_groups(n2):
-        rho = maker(ks[0] in (0, n2))
-        groups.append((ks, np.tile(rho.reshape(-1)[_physical_sector(len(rho))], (len(ks), 1))))
+    for group, n_modes in ((np.array([0, n2]), 2), (ks[1:n2], 4)):
+        size = max(1, (1 << 16) // (8 * 4 ** (n_modes * (2 if env is not None else 1))))
+        groups += [group[i:i + size] for i in range(0, len(group), size)]
     return groups
+
+
+def initial_blocks(kind: str, ks: np.ndarray, n2: int) -> np.ndarray:
+    """The product state "vacuum" or "most_excited" of the modes `ks`, all
+    edges (k = 0, n2) or all pairs: sector vectors stacked over ks."""
+    rho = (vacuum_density if kind == "vacuum" else most_excited_density)(ks[0] in (0, n2))
+    return np.tile(rho.reshape(-1)[_physical_sector(len(rho))], (len(ks), 1))
 
 
 def reduce(ks: np.ndarray, x: np.ndarray, w_eps: np.ndarray,
@@ -488,29 +502,6 @@ def cycle_maps(block: ModeBlock, ts, t_mean: float, kappa: float):
             yield next(fixed)
 
 
-def mode_chunks(ks: np.ndarray, env: NoiseSpec | None) -> list[np.ndarray]:
-    """Chunks of the `mode_groups` group `ks` for `cycle_maps`: 64 kB for the
-    eigenvectors of the chunk's parity blocks, two d/2 x d/2 complex blocks
-    per mode, d = 2^(Fock modes) with 2 Fock modes for the edges (the group
-    with k = 0) and 4 for pairs, twice that with environments.  So 32 pairs,
-    512 edges, 32 environment edges or one environment pair (512 kB alone)
-    per chunk.
-
-    A chunk holds a few stacks of that size at once: each open frequency's
-    Hamiltonians and eigenvectors, one map's transients and, half that
-    size, the running product of `_global_maps`.  On the
-    benchmark's N = 200 trajectories (theta = pi/3, g = 1e-2, t = 10, 100
-    cycles; randomized L = 10 and multifreq R = 3, L = 4; 2-vCPU host, one
-    BLAS thread), 32-pair chunks took the Fock time from 0.044 to 0.040 s
-    and the peak RSS from 43.1 to 43.5 MB against 16-pair chunks (medians
-    of ten runs each); 16-pair chunks of whole 16 x 16 blocks had taken
-    0.063 s and 43.7 MB.
-    """
-    n_modes = (2 if ks[0] == 0 else 4) * (2 if env is not None else 1)
-    size = max(1, (1 << 16) // (8 * 4**n_modes))
-    return [ks[i:i + size] for i in range(0, len(ks), size)]
-
-
 # ---------------------------------------------------------------------------
 # steady states and rates
 # ---------------------------------------------------------------------------
@@ -523,14 +514,13 @@ def steady_state(transfer: np.ndarray) -> tuple[np.ndarray, float]:
     return matrices(x)[0], float(alpha[0])
 
 
-def fixed_points(k: np.ndarray, edge=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def fixed_points(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unique fixed states of stacked transfer matrices T (modes, d^2/2,
     d^2/2) on the physical sector (`cycle_maps`).
 
     Returns the fixed sector vectors, the cooling rates and the residuals
     sum |T x - x|, all from `_linalg.affine_fixed_points`, the CM engine's
-    solve and verdict too.  `edge` keeps the signature of `cm.fixed_points`:
-    every Fock edge block is physical.  T conserves the trace tau.x, tau
+    solve and verdict too.  T conserves the trace tau.x, tau
     marking the populations, and the solve eliminates rho_00 through it;
     alpha is -log|lambda_2| of the sector.  The conjugate transpose of a
     sector vector transposes each parity block.

@@ -5,27 +5,29 @@ global cycle applies all of them once, with the bath reset before each
 subcycle.  Per-mode dynamics are independent and every subcycle acts on a
 block's state vector x as a linear map x -> K x that conserves a sum led by
 x's first entry (CM: the constant 1 of x = (1, vec gamma); Fock: the trace).
-Trajectories and steady reports share one map pipeline: each frequency's
-modes are built as one stacked block by `model.block_hamiltonian`, the
-engine's `cycle_maps` generator yields its subcycle maps stacked over modes
-(a randomized steady schedule uses each map's exact time average), each is
-folded as soon as it is made into one global-cycle map per momentum pair,
-and that map is then either raised to the powers between snapshots or
-handed to the engine's fixed-point solve, which both engines run through
-`_linalg.affine_fixed_points`, the one verdict on whether a fixed point
-exists.  Both reduce the stacked blocks to per-mode
-energies and fidelities with the engine's `reduce`, and those to chain-level
-energy, relative energy and fidelity with `global_metrics`.
+Trajectories and steady reports share one map pipeline, walked group by
+group over the engine's `mode_groups`, the one partition of the modes: each
+frequency's modes of a group are built as one stacked block by
+`model.block_hamiltonian`, the engine's `cycle_maps` generator yields its
+subcycle maps stacked over them (a randomized steady schedule uses each
+map's exact time average), each is folded as soon as it is made into one
+global-cycle map per momentum pair, and that map is then either raised to
+the powers between snapshots or handed to the engine's fixed-point solve,
+which both engines run through `_linalg.affine_fixed_points`, the one
+verdict on whether a fixed point exists.  Both reduce the stacked blocks to
+per-mode energies and fidelities with the engine's `reduce`, and those to
+chain-level energy, relative energy and fidelity with `global_metrics`.
 
-Engines are modules looked up in `ENGINES`, with one interface that hides
-their block layout: `mode_groups`, `initial_blocks`, `mode_chunks`,
-`cycle_maps`, `fixed_points`, `reduce` and `matrices`.  A chain state has
-one form throughout, the engine's stacked groups [(ks, x)]: for each group
-ks of `mode_groups`, x stacks the engine's state vector of each block over
-ks (CM: (1, vec gamma); Fock: the physical, parity-diagonal sector of
-vec(rho)), and the engine's `matrices` is the block of a state vector.  The NoiseSpec is
-resolved here, once: its environment `noise.env` goes into the blocks and its
-gain/loss rate `noise.kappa` into `cycle_maps`, so no engine sees the spec.
+Engines are modules looked up in `ENGINES`, with one interface of six
+functions that hides their block layout, edges included: `mode_groups`,
+`initial_blocks`, `cycle_maps`, `fixed_points`, `reduce` and `matrices`.  A
+chain state has one form throughout, the engine's stacked groups [(ks, x)]:
+for each group ks of `mode_groups`, x stacks the engine's state vector of
+each block over ks (CM: (1, vec gamma); Fock: the physical, parity-diagonal
+sector of vec(rho)), and the engine's `matrices` is the block of a state
+vector.  The NoiseSpec is resolved here, once: its environment `noise.env`
+goes into `mode_groups` and the blocks and its gain/loss rate `noise.kappa`
+into `cycle_maps`, so no engine dispatches on the spec's kind.
 """
 
 from __future__ import annotations
@@ -173,39 +175,34 @@ class Trajectory:
 
 def _global_maps(params: ModelParams, scheme: CouplingScheme, noise: NoiseSpec, dsp: bool,
                  eng, ks: np.ndarray, t_mean: float, subcycles) -> np.ndarray:
-    """Global-cycle maps x -> K x of the modes `ks`, stacked to (modes, D, D).
+    """Global-cycle maps x -> K x of the modes `ks`, one group of the engine
+    `eng`'s `mode_groups`, stacked to (modes, D, D).
 
     Subcycles are (delta_r, t_m) pairs, and t_m = None stands for the average
     over uniformly random times on [0, 2 t_mean] (exact, in closed form), the
-    ensemble limit of a randomized schedule.  Each (frequency, chunk) is one
-    `block_hamiltonian` call over the chunk's k (with `noise.env`), and the
-    engine `eng`'s `cycle_maps` generator turns that stacked block into the
-    frequency's maps at the rate `noise.kappa`, one per subcycle of that
-    frequency in schedule order.  Each map is folded into the running product
-    as soon as it is made, K <- K_s K, and a frequency's generator, with its
-    eigenbasis, is dropped after its last subcycle.  Chunks come from
-    `mode_chunks` (CM: all modes at once; Fock: about 32 pairs, so that only
-    their stacks are held).
+    ensemble limit of a randomized schedule.  Each frequency is one
+    `block_hamiltonian` call over ks (with `noise.env`), and the engine's
+    `cycle_maps` generator turns that stacked block into the frequency's maps
+    at the rate `noise.kappa`, one per subcycle of that frequency in schedule
+    order.  Each map is folded into the running product as soon as it is
+    made, K <- K_s K, and a frequency's generator, with its eigenbasis, is
+    dropped after its last subcycle.
     """
     times: dict[float, list[float | None]] = {}
     for delta_r, t_m in subcycles:
         times.setdefault(delta_r, []).append(t_m)
     last = {delta_r: i for i, (delta_r, _) in enumerate(subcycles)}
-    env = noise.env
-    composed = []
-    for chunk in eng.mode_chunks(ks, env):
-        maps, k_tot = {}, None
-        for i, (delta_r, _) in enumerate(subcycles):
-            if delta_r not in maps:
-                block = block_hamiltonian(params, scheme, BathSpec(delta_r, t_mean), chunk,
-                                          env=env, dsp=dsp)
-                maps[delta_r] = eng.cycle_maps(block, times[delta_r], t_mean, noise.kappa)
-            k_s = next(maps[delta_r])
-            if last[delta_r] == i:
-                del maps[delta_r]
-            k_tot = k_s if k_tot is None else k_s @ k_tot
-        composed.append(k_tot)
-    return np.concatenate(composed)
+    maps, k_tot = {}, None
+    for i, (delta_r, _) in enumerate(subcycles):
+        if delta_r not in maps:
+            block = block_hamiltonian(params, scheme, BathSpec(delta_r, t_mean), ks,
+                                      env=noise.env, dsp=dsp)
+            maps[delta_r] = eng.cycle_maps(block, times[delta_r], t_mean, noise.kappa)
+        k_s = next(maps[delta_r])
+        if last[delta_r] == i:
+            del maps[delta_r]
+        k_tot = k_s if k_tot is None else k_s @ k_tot
+    return k_tot
 
 
 def _step_snapshots(k: np.ndarray, x0: np.ndarray, snap_cycles: list[int]) -> np.ndarray:
@@ -227,17 +224,20 @@ def run_trajectory(params: ModelParams, scheme: CouplingScheme, schedule: Schedu
     """Apply the schedule's subcycles for n global cycles, recording snapshots.
 
     The chain starts in the product state `initial` ("vacuum", the ground
-    state, or "most_excited"), given by the engine's `initial_blocks` as
-    stacks over its `mode_groups` (CM: all modes; Fock: edges and generic
-    pairs).  All modes see the same subcycle time sequence.  Each
-    subcycle's map is built once, stacked over modes, and folded in
-    schedule order into one global-cycle map per mode, and each group is
-    stepped from snapshot to snapshot by that map's stacked matrix power.  Snapshots are taken at cycle 0, every
-    `snapshot_stride` cycles and at the last cycle.  Convergence is
-    declared when the per-mode trace-norm change between consecutive
-    snapshots stays below 1e-10 three snapshots in a row.  A negative
-    `n_global_cycles` or a `snapshot_stride` below 1 raises ValueError.
+    state, or "most_excited"), given by the engine's `initial_blocks` for
+    each group of its `mode_groups` (CM: all modes; Fock: the edges, then
+    stacks of pairs).  All modes see the same subcycle time sequence.  Each
+    subcycle's map is built once, stacked over a group's modes, and folded
+    in schedule order into one global-cycle map per mode, and each group is
+    stepped from snapshot to snapshot by that map's stacked matrix power.
+    Snapshots are taken at cycle 0, every `snapshot_stride` cycles and at
+    the last cycle.  Convergence is declared when the per-mode trace-norm
+    change between consecutive snapshots stays below 1e-10 three snapshots
+    in a row.  An unknown `initial`, a negative `n_global_cycles` or a
+    `snapshot_stride` below 1 raises ValueError.
     """
+    if initial not in ("vacuum", "most_excited"):
+        raise ValueError(f"unknown initial state kind {initial!r}")
     if n_global_cycles < 0:
         raise ValueError(f"n_global_cycles must be >= 0, got {n_global_cycles}")
     if snapshot_stride < 1:
@@ -245,11 +245,13 @@ def run_trajectory(params: ModelParams, scheme: CouplingScheme, schedule: Schedu
     eng = _engine(engine)
     snap_cycles = sorted({0, n_global_cycles,
                           *range(snapshot_stride, n_global_cycles + 1, snapshot_stride)})
+    n2 = params.N // 2
     groups = []
-    for ks, x0 in eng.initial_blocks(initial, params.N // 2):
+    for ks in eng.mode_groups(n2, noise.env):
         k_tot = _global_maps(params, scheme, noise, dsp, eng, ks,
                              schedule.mean_time, schedule.subcycles)
-        groups.append((ks, _step_snapshots(k_tot, x0, snap_cycles)))
+        groups.append((ks, _step_snapshots(k_tot, eng.initial_blocks(initial, ks, n2),
+                                           snap_cycles)))
 
     energies, fids = _chain_reduce(eng, params, groups)
     snapshots = [TrajectorySnapshot(cyc, *global_metrics(e_k, f_k, params), e_k)
@@ -320,9 +322,9 @@ def steady_report(params: ModelParams, scheme: CouplingScheme, bath: BathSpec,
     alpha = np.empty(n2 + 1)
     resid = np.empty(n2 + 1)
     groups = []
-    for ks in eng.mode_groups(n2):
+    for ks in eng.mode_groups(n2, noise.env):
         k_tot = _global_maps(params, scheme, noise, dsp, eng, ks, bath.cycle_time_mean, subcycles)
-        x, alpha[ks], resid[ks] = eng.fixed_points(k_tot, (ks == 0) | (ks == n2))
+        x, alpha[ks], resid[ks] = eng.fixed_points(k_tot)
         groups.append((ks, x))
     alpha /= len(deltas)
 

@@ -118,7 +118,7 @@ def test_criterion_02_oracle_equivalence():
             e_fock, _ = fock.block_energy(rho, eps, blk.weight)
             transfer = next(cm.cycle_maps(block_hamiltonian(params, scheme, bath, k=[k]), [t], t,
                                           kappa))
-            gam = cm.matrices(cm.fixed_points(transfer, blk.is_edge)[0])[0]
+            gam = cm.matrices(cm.fixed_points(transfer)[0])[0]
             e_cm = cm.cm_energy(gam, eps, blk.weight)
             worst = max(worst, abs(e_fock - e_cm))
         assert worst <= 1e-9

@@ -30,8 +30,8 @@ def _step(transfer, gamma):
     return cm.matrices(transfer @ np.concatenate([[1.0], gamma.reshape(-1)]))
 
 
-def _fixed(transfer, edge=False):
-    return cm.matrices(cm.fixed_points(transfer[None], edge)[0][0])
+def _fixed(transfer):
+    return cm.matrices(cm.fixed_points(transfer[None])[0][0])
 
 
 class TestEvolveCm:
@@ -255,8 +255,7 @@ class TestFiniteEnvCm:
         _, eps, _, wts = mode_grid(params)
         energy = {}
         for engine in (cm, fock):
-            x, _, _ = engine.fixed_points(next(engine.cycle_maps(block, [3.0], 3.0, 0.0)),
-                                          block.is_edge)
+            x, _, _ = engine.fixed_points(next(engine.cycle_maps(block, [3.0], 3.0, 0.0)))
             energy[engine] = engine.reduce(np.array([k]), x, wts * eps, 4)[0][0]
         assert abs(energy[cm] - energy[fock]) <= 1e-10 * abs(energy[fock])
 

@@ -613,7 +613,7 @@ class TestSteadyState:
                 rho, alpha = fock.steady_state(fock.averaged_cycle_map(blk, t_mean, kappa))
                 out.append((np.linalg.eigvalsh(rho), alpha))
                 transfer = next(cm.cycle_maps(blk, [None], t_mean, kappa))
-                x, alpha, _ = cm.fixed_points(transfer[None], edge)
+                x, alpha, _ = cm.fixed_points(transfer[None])
                 rho = oracles.cm_to_density(cm.matrices(x)[0], edge)
                 out.append((np.linalg.eigvalsh(rho), alpha[0]))
             return out

@@ -84,7 +84,13 @@ def _state_vector(engine, block):
 def _stacked(engine, params, blocks):
     """Per-mode blocks over k = 0..N/2 as the engine's stacked groups [(ks, x)]."""
     return [(ks, np.stack([_state_vector(engine, blocks[k]) for k in ks]))
-            for ks in pr.ENGINES[engine].mode_groups(params.N // 2)]
+            for ks in pr.ENGINES[engine].mode_groups(params.N // 2, None)]
+
+
+def _initial(engine, params, kind):
+    """The product state `kind` as the engine's stacked groups [(ks, x)]."""
+    eng, n2 = pr.ENGINES[engine], params.N // 2
+    return [(ks, eng.initial_blocks(kind, ks, n2)) for ks in eng.mode_groups(n2, None)]
 
 
 def _metrics(engine, params, groups):
@@ -95,16 +101,14 @@ def _metrics(engine, params, groups):
 class TestInitialState:
     def test_ground_state_metrics(self, small_params):
         for engine in ("fock", "cm"):
-            _, e, f = _metrics(engine, small_params,
-                               pr.ENGINES[engine].initial_blocks("vacuum", small_params.N // 2))
+            _, e, f = _metrics(engine, small_params, _initial(engine, small_params, "vacuum"))
             assert e == pytest.approx(0.0, abs=1e-13)
             assert f == pytest.approx(1.0)
 
     def test_most_excited_metrics(self, small_params):
         for engine in ("fock", "cm"):
             _, e, f = _metrics(engine, small_params,
-                               pr.ENGINES[engine].initial_blocks("most_excited",
-                                                                 small_params.N // 2))
+                               _initial(engine, small_params, "most_excited"))
             assert e == pytest.approx(2.0, abs=1e-13)
             assert f == pytest.approx(0.0, abs=1e-13)
 
@@ -398,8 +402,8 @@ def _random_density(rng, edge):
 class TestEngineInterface:
     """Both engines expose one interface, and protocol only goes through it."""
 
-    NAMES = ("mode_groups", "reduce", "initial_blocks", "cycle_maps", "mode_chunks",
-             "fixed_points", "matrices")
+    NAMES = ("mode_groups", "reduce", "initial_blocks", "cycle_maps", "fixed_points",
+             "matrices")
 
     def test_engines_share_one_interface(self):
         assert list(pr.ENGINES) == ["fock", "cm"]
@@ -446,7 +450,7 @@ class TestEngineInterface:
                 assert cm.cm_fidelity(g, k in (0, n2)) == fids[k]
             rhos = [_random_density(rng, k in (0, n2)) for k in ks]
             oracles.check_density_blocks(rhos)
-            for group in fock.mode_groups(n2):
+            for group in fock.mode_groups(n2, None):
                 x = np.stack([_state_vector("fock", rhos[k]) for k in group])
                 assert all(np.array_equal(rho, rhos[k])
                            for rho, k in zip(fock.matrices(x), group))
@@ -593,7 +597,7 @@ class TestSteadyReport:
         t_fock[1, 0] = 1.0  # the even block's rho_01 <- rho_00
         for engine, t in ((cm, t_cm), (fock, t_fock)):
             with pytest.raises(NonUniqueFixedPoint) as exc:
-                engine.fixed_points(t[None], np.array([False]))
+                engine.fixed_points(t[None])
             assert exc.value.eigenspace_dim == 1, engine.__name__
 
     @pytest.mark.parametrize("kind", ["single", "randomized"])
@@ -716,11 +720,11 @@ class TestSteadyReport:
 
 class TestComposedMaps:
     """`_global_maps` folds each subcycle's map into the running product as
-    it is built; the product does not depend on how the modes are chunked,
-    and on Fock it is the per-mode `exact_cycle_map`s composed in schedule
-    order, bit for bit.  At N = 80 the 39 pairs span
-    two Fock chunks; environment pairs (d = 256) are one per chunk, so three
-    of them span three."""
+    it is built; on Fock the product is the per-mode `exact_cycle_map`s
+    composed in schedule order, bit for bit, and the chain's reports do not
+    depend on how `mode_groups` stacks the modes.  At N = 80 the 39 pairs
+    span two Fock groups; environment pairs (d = 256) are one per group, so
+    the first three span three."""
 
     PARAMS = ModelParams(80, math.pi / 3)
     SCHEME = CouplingScheme.local(1.0, 0.5, g=0.05)
@@ -731,10 +735,8 @@ class TestComposedMaps:
     AVERAGED = [(1.0, None), (1.3, None)]
 
     def _groups(self, engine, noise):
-        groups = pr.ENGINES[engine].mode_groups(self.PARAMS.N // 2)
-        if engine == "fock" and noise == "finite_env":
-            return [ks if ks[0] == 0 else ks[:3] for ks in groups]
-        return groups
+        groups = pr.ENGINES[engine].mode_groups(self.PARAMS.N // 2, self.NOISES[noise].env)
+        return groups[:4] if engine == "fock" and noise == "finite_env" else groups
 
     def _maps(self, engine, noise, ks):
         sched = pr.make_schedule({"kind": "multifreq", "R": 2 if noise == "finite_env" else 3,
@@ -745,15 +747,42 @@ class TestComposedMaps:
 
     @pytest.mark.parametrize("noise", ["depolarizing", "finite_env"])
     @pytest.mark.parametrize("engine", ["fock", "cm"])
-    def test_one_mode_chunks_give_the_same_bits(self, engine, noise, monkeypatch):
-        eng, groups = pr.ENGINES[engine], self._groups(engine, noise)
-        if engine == "fock":
-            assert len(eng.mode_chunks(groups[-1], self.NOISES[noise].env)) > 1
-        default = [self._maps(engine, noise, ks)[1] for ks in groups]
-        monkeypatch.setattr(eng, "mode_chunks",
-                            lambda ks, env: [ks[i:i + 1] for i in range(len(ks))])
-        for ks, k_tot in zip(groups, default):
-            assert np.array_equal(k_tot, self._maps(engine, noise, ks)[1])
+    def test_one_mode_groups_give_the_same_bits(self, engine, noise, monkeypatch):
+        """Steady reports and trajectories with every mode in a group of its
+        own are bit-identical to the engine's own grouping: cycle maps, fixed
+        points (`_linalg.affine_fixed_points`) and stepping (`_step_snapshots`)
+        give each mode the same bits in any stack.  The finite-environment
+        steady report is taken at a fixed time, where Fock builds its
+        environment pairs fast, and on a shorter chain: Fock stacks those
+        pairs one by one anyway."""
+        eng, spec = pr.ENGINES[engine], self.NOISES[noise]
+        params = ModelParams(16, math.pi / 3) if noise == "finite_env" else self.PARAMS
+        n2 = params.N // 2
+        assert len(eng.mode_groups(n2, spec.env)) < n2 + 1
+        steady_sched = {"kind": "single"} if noise == "finite_env" else \
+            {"kind": "multifreq", "R": 2, "L": 2}
+        sched = pr.make_schedule({"kind": "randomized", "L": 3}, params, self.BATH, 5)
+
+        def run():
+            rep = pr.steady_report(params, self.SCHEME, self.BATH, steady_sched, noise=spec,
+                                   engine=engine)
+            traj = pr.run_trajectory(params, self.SCHEME, sched, noise=spec, engine=engine,
+                                     n_global_cycles=20000, snapshot_stride=1000)
+            return rep, traj
+
+        default = run()
+        monkeypatch.setattr(eng, "mode_groups",
+                            lambda n2, env: [np.array([k]) for k in range(n2 + 1)])
+        (rep, traj), (rep_1, traj_1) = default, run()
+        for name in ("mode_energy", "mode_relative_energy", "alpha", "energy",
+                     "relative_energy", "fidelity", "max_residual"):
+            assert np.array_equal(getattr(rep, name), getattr(rep_1, name), equal_nan=True), name
+        assert traj.converged_at is not None and traj.converged_at == traj_1.converged_at
+        assert len(traj.snapshots) == len(traj_1.snapshots)
+        for snap, snap_1 in zip(traj.snapshots, traj_1.snapshots):
+            assert (snap.cycle, snap.energy, snap.relative_energy, snap.fidelity) == \
+                (snap_1.cycle, snap_1.energy, snap_1.relative_energy, snap_1.fidelity)
+            assert np.array_equal(snap.mode_energies, snap_1.mode_energies)
 
     @pytest.mark.parametrize("noise", ["depolarizing", "finite_env"])
     def test_fock_product_is_the_composed_exact_maps(self, noise):
@@ -779,7 +808,7 @@ class TestComposedMaps:
         """Composed CM transfers and their powers keep the first row (1, 0, 0,
         0, 0) bit for bit: gain/loss damping (kappa > 0 on the fixed-time
         schedule, and on time-averaged maps) scales K and c, never the 1."""
-        ks = cm.mode_groups(self.PARAMS.N // 2)[0]
+        ks = cm.mode_groups(self.PARAMS.N // 2, None)[0]
         if noise == "randomized":
             k_tot = self._averaged_maps("cm", "depolarizing", ks)
         else:

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from scipy.linalg import expm
 
 from kelvin import analytic as an
 from kelvin import cm, fock
@@ -195,10 +196,15 @@ class TestCmAveragedKron:
     @pytest.mark.parametrize("kappa", _KAPPAS)
     @pytest.mark.parametrize("block", _BLOCKS)
     def test_zero_mean_time_is_the_map_at_zero(self, block, kappa):
+        """At t_mean = 0 the averaged transfer is the transfer at t = 0: the
+        identity on x = (1, vec gamma) for a pair, and for an edge the
+        projector onto the 1 and its physical direction (`cm.cycle_maps`)."""
         mb = _block(*_BLOCKS[block])
         k_s, k_sb = cm.averaged_evolution_kron(mb, 0.0, kappa=kappa)
         k_0 = next(cm.cycle_maps(mb, [0.0], 0.0, 0.0))
-        _assert_rel_close(k_s, k_0[1:, 1:])
+        _assert_rel_close(next(cm.cycle_maps(mb, [None], 0.0, kappa)), k_0)
+        _assert_rel_close(k_0, cm._EDGE_PROJECTOR if mb.is_edge else np.eye(5))
+        _assert_rel_close(k_s, np.eye(4))
         assert np.max(np.abs(k_sb)) <= REL_TOL
 
 
@@ -226,6 +232,45 @@ class TestCmAveragedKron:
                 k_s, k_sb = cm.averaged_evolution_kron(stack, t_mean, kappa=kappa)
                 expect = uniform_average(4.0 * kappa * t_mean) * vid
                 assert np.max(np.abs(k_s @ vid + k_sb @ vid - expect)) <= 1e-13, (kappa, t_mean)
+
+
+def _fixed_time_kron(mb, t, kappa):
+    """The kron blocks D A_B (x) A_B* (B, 4, 4) of one block at time t, with A_B
+    cut from a dense propagator."""
+    u = expm(-1j * t * mb.generator)
+    return math.exp(-2.0 * kappa * t) * np.stack(
+        [np.kron(u[:2, b:b + 2], u[:2, b:b + 2].conj()) for b in range(0, len(u), 2)])
+
+
+def _unprojected_transfer(kron, mb):
+    """The transfer [[1, 0], [c, K]] on x = (1, vec gamma) of kron blocks K_B,
+    before `cm.cycle_maps` projects an edge's."""
+    injection = kron[1] if mb.env is None else kron[1] + mb.env.p_e * (kron[2] + kron[3])
+    t = np.zeros((5, 5), dtype=complex)
+    t[0, 0] = 1.0
+    t[1:, 1:], t[1:, 0] = kron[0], injection @ cm.vacuum_cm().reshape(-1)
+    return t
+
+
+class TestCmEdgeProjection:
+    """An edge's CM transfer leaves the span of the 1 and its physical
+    direction invariant, (I - P) T P = 0, so projecting each subcycle's
+    transfer (`cm.cycle_maps`) gives the projected product of the transfers,
+    P T_2 P P T_1 P = P T_2 T_1 P."""
+
+    @pytest.mark.parametrize("noise", ["none", "depolarizing", "finite_env"])
+    @pytest.mark.parametrize("theta", [math.pi / 4, 1.0], ids=["gapless", "generic"])
+    def test_edge_transfers_keep_the_physical_span(self, theta, noise):
+        kappa = 1e-3 if noise == "depolarizing" else 0.0
+        p = cm._EDGE_PROJECTOR
+        for k in (0, N2):
+            mb = block_hamiltonian(ModelParams(N_SITES, theta), _scheme(0.25), BathSpec(1.1, 4.3),
+                                   k, env=_ENV if noise == "finite_env" else None)
+            krons = [cm.averaged_evolution_kron(mb, 4.3, kappa=kappa)]
+            krons += [_fixed_time_kron(mb, t, kappa) for t in (0.7, 4.3, 11.0)]
+            for kron in krons:
+                leak = (np.eye(5) - p) @ _unprojected_transfer(kron, mb) @ p
+                assert np.max(np.abs(leak)) <= 2e-15, k
 
 
 def _loop_steady_energies(params, scheme, bath, noise, engine, dsp, nodes):
