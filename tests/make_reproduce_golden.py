@@ -12,15 +12,15 @@ diff and reports each move.
 from __future__ import annotations
 
 import json
-import math
 import pathlib
 
 from kelvin import repro
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "reproduce_golden.json"
 
-# every recorded number must match to REL_TOL relative, or to ABS_FLOOR for
-# values near zero (no recorded nonzero value is below 1e-6 in magnitude)
+# every recorded float must match to REL_TOL relative plus ABS_FLOOR absolute,
+# the floor for values near zero (no recorded nonzero value is below 1e-6 in
+# magnitude)
 REL_TOL = 1e-12
 ABS_FLOOR = 1e-15
 
@@ -45,28 +45,30 @@ def target_record(result: repro.TargetResult) -> dict:
     }))
 
 
-def numbers(record, path: str = "") -> dict[str, object]:
+def leaves(record, path: str = "") -> dict[str, object]:
     """The leaves of a JSON record by path: numbers, flags, strings and None."""
     if isinstance(record, dict):
-        return {k: v for key, value in record.items() for k, v in numbers(value, f"{path}/{key}").items()}
-    if isinstance(record, list):
-        return {k: v for i, value in enumerate(record) for k, v in numbers(value, f"{path}[{i}]").items()}
-    return {path: record}
+        items = ((f"{path}/{key}", value) for key, value in record.items())
+    elif isinstance(record, list):
+        items = ((f"{path}[{i}]", value) for i, value in enumerate(record))
+    else:
+        return {path: record}
+    return {k: v for sub, value in items for k, v in leaves(value, sub).items()}
 
 
 def mismatches(recorded, measured, rel_tol: float, abs_floor: float) -> list[str]:
     """The paths where `measured` differs from `recorded`: a missing or extra
-    leaf, a different flag or string, or a number off by more than rel_tol
-    relative plus abs_floor absolute."""
-    want, got = numbers(recorded), numbers(measured)
+    leaf, a different flag, string or int, or a float off by more than
+    rel_tol relative plus abs_floor absolute."""
+    want, got = leaves(recorded), leaves(measured)
     bad = sorted(set(want) ^ set(got))
     for path in sorted(set(want) & set(got)):
         a, b = want[path], got[path]
-        if isinstance(a, float) and isinstance(b, (int, float)) and not isinstance(b, bool):
-            if not (abs(a - b) <= rel_tol * max(abs(a), abs(b)) + abs_floor
-                    or (math.isnan(a) and math.isnan(b))):
-                bad.append(f"{path}: recorded {a!r}, measured {b!r}")
-        elif a != b or type(a) is not type(b):
+        if isinstance(a, float) and isinstance(b, float):
+            close = abs(a - b) <= rel_tol * max(abs(a), abs(b)) + abs_floor
+        else:
+            close = a == b and type(a) is type(b)
+        if not close:
             bad.append(f"{path}: recorded {a!r}, measured {b!r}")
     return bad
 
