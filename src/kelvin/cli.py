@@ -399,16 +399,16 @@ def cmd_optimize(cfg: dict, out: str, args) -> int:
     }))
 
     # validation at the optimum: the exact engine against the closed form at
-    # each theta of the objective (five nodes of a phase)
+    # each theta of the objective (five nodes of a phase), in one stacked pass
     thetas = [params.theta] if objective_kind == "theta_specific" else \
         [float(t) for t in op.phase_grid(o["phase"], 5)]
     closed = an.chain_relative_energies(params.N, thetas, best.scheme, best.delta, best.t,
                                         noise, dsp=dsp)
+    reps = pr.steady_reports([(ModelParams(params.N, th), BathSpec(best.delta, best.t))
+                              for th in thetas], best.scheme, {"kind": "single"},
+                             noise=noise, engine=args.engine, dsp=dsp)
     rows = {}
-    for th, analytic in zip(thetas, closed.tolist()):
-        rep = pr.steady_report(ModelParams(params.N, th), best.scheme,
-                               BathSpec(best.delta, best.t), {"kind": "single"},
-                               noise=noise, engine=args.engine, dsp=dsp)
+    for th, analytic, rep in zip(thetas, closed.tolist(), reps):
         rows[f"{th:.6f}"] = {"exact_e": rep.relative_energy, "analytic_e": analytic,
                              "difference": rep.relative_energy - analytic}
     write_json(os.path.join(out, "validation.json"),

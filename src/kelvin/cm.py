@@ -184,11 +184,12 @@ def reduce(ks: np.ndarray, x: np.ndarray, w_eps: np.ndarray,
     """Energies w eps (gamma_22 - gamma_11) and vacuum fidelities of the modes
     `ks` (edges k = 0, n2: 1 - n; pairs: Wick) from x = (1, vec gamma) stacked
     to (..., len(ks), 5); `w_eps`, the weighted mode energies w eps, is
-    indexed by k."""
+    indexed by k on its last axis, and its leading axes, one row per case of
+    a stack of chains, broadcast with x's."""
     gamma = matrices(x)
     n_a = 0.5 - gamma[..., 0, 0].real
     n_b = 0.5 + gamma[..., 1, 1].real
-    energy = w_eps[ks] * (gamma[..., 1, 1].real - gamma[..., 0, 0].real)
+    energy = w_eps[..., ks] * (gamma[..., 1, 1].real - gamma[..., 0, 0].real)
     pair = 1.0 - n_a - n_b + (n_a * n_b + np.abs(gamma[..., 0, 1]) ** 2)
     edge = (ks == 0) | (ks == n2)
     return energy, np.maximum(np.where(edge, 1.0 - n_a, pair), 0.0)

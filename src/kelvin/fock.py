@@ -295,11 +295,11 @@ def reduce(ks: np.ndarray, x: np.ndarray, w_eps: np.ndarray,
            n2: int) -> tuple[np.ndarray, np.ndarray]:
     """Energies and vacuum fidelities rho_00 of the modes `ks` from sector
     vectors x stacked to (..., len(ks), d^2/2), one block size d per call (see
-    `block_energy`); `w_eps` = w eps is indexed by k, `n2` as in `cm.reduce`."""
+    `block_energy`); `w_eps` = w eps and `n2` as in `cm.reduce`."""
     pops = np.diagonal(matrices(x), axis1=-2, axis2=-1).real
     if pops.shape[-1] == 2:
-        return w_eps[ks] * (2.0 * pops[..., 1] - 1.0), pops[..., 0]
-    return w_eps[ks] * (pops[..., 3] - pops[..., 0]), pops[..., 0]
+        return w_eps[..., ks] * (2.0 * pops[..., 1] - 1.0), pops[..., 0]
+    return w_eps[..., ks] * (pops[..., 3] - pops[..., 0]), pops[..., 0]
 
 
 def block_energy(rho: np.ndarray, epsilon: float, weight: float):

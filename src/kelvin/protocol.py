@@ -18,6 +18,14 @@ verdict on whether a fixed point exists.  Both reduce the stacked blocks to
 per-mode energies and fidelities with the engine's `reduce`, and those to
 chain-level energy, relative energy and fidelity with `global_metrics`.
 
+Steady reports also stack chains: `steady_reports` walks groups x cases,
+building each group's block once per case of one N and cycle time (each at
+its own theta and bath frequency) and concatenating them, so one map run
+and one fixed-point solve serve every case, whose states `reduce` reads
+with a leading case axis.  The maps, the solve and the reduction give a
+mode the same bits in any stack, so `steady_report`, the one-case view,
+returns what a case gets in any stack.
+
 Engines are modules looked up in `ENGINES`, with one interface of six
 functions that hides their block layout, edges included: `mode_groups`,
 `initial_blocks`, `cycle_maps`, `fixed_points`, `reduce` and `matrices`.  A
@@ -40,7 +48,7 @@ import numpy as np
 
 from . import cm as _cm
 from . import fock as _fock
-from .model import (BathSpec, CouplingScheme, ModelParams, NoiseSpec, band_edges,
+from .model import (BathSpec, CouplingScheme, ModeBlock, ModelParams, NoiseSpec, band_edges,
                     block_hamiltonian, dispersion, ground_state_energy, mode_grid)
 
 __all__ = [
@@ -53,6 +61,7 @@ __all__ = [
     "global_metrics",
     "SteadyStateReport",
     "steady_report",
+    "steady_reports",
 ]
 
 ENGINES = {"fock": _fock, "cm": _cm}
@@ -132,16 +141,17 @@ def _engine(name: str):
     return ENGINES[name]
 
 
-def _chain_reduce(eng, params: ModelParams,
+def _chain_reduce(eng, w_eps: np.ndarray,
                   groups: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """(energies, fidelities) over k = 0..N/2 from per-group block stacks."""
-    n2 = params.N // 2
-    _, eps, _, wts = mode_grid(params)
+    """(energies, fidelities) over k = 0..N/2 from per-group block stacks x
+    (..., len(ks), D); `w_eps`, the weighted mode energies w eps over k, is
+    one row or one row per case of a leading case axis of x."""
+    n2 = w_eps.shape[-1] - 1
     lead = groups[0][1].shape[:-2]
     energies = np.empty(lead + (n2 + 1,))
     fids = np.empty(lead + (n2 + 1,))
     for ks, x in groups:
-        energies[..., ks], fids[..., ks] = eng.reduce(ks, x, wts * eps, n2)
+        energies[..., ks], fids[..., ks] = eng.reduce(ks, x, w_eps, n2)
     return energies, fids
 
 
@@ -173,34 +183,41 @@ class Trajectory:
     converged_at: int | None = None
 
 
-def _global_maps(params: ModelParams, scheme: CouplingScheme, noise: NoiseSpec, dsp: bool,
-                 eng, ks: np.ndarray, t_mean: float, subcycles) -> np.ndarray:
+def _global_maps(cases: list[ModelParams], scheme: CouplingScheme, noise: NoiseSpec,
+                 dsp: bool, eng, ks: np.ndarray, t_mean: float, subcycles) -> np.ndarray:
     """Global-cycle maps x -> K x of the modes `ks`, one group of the engine
-    `eng`'s `mode_groups`, stacked to (modes, D, D).
+    `eng`'s `mode_groups`, for each chain of `cases` (one N), stacked
+    case-major to (cases x modes, D, D).
 
-    Subcycles are (delta_r, t_m) pairs, and t_m = None stands for the average
-    over uniformly random times on [0, 2 t_mean] (exact, in closed form), the
-    ensemble limit of a randomized schedule.  Each frequency is one
-    `block_hamiltonian` call over ks (with `noise.env`), and the engine's
-    `cycle_maps` generator turns that stacked block into the frequency's maps
-    at the rate `noise.kappa`, one per subcycle of that frequency in schedule
-    order.  Each map is folded into the running product as soon as it is
-    made, K <- K_s K, and a frequency's generator, with its eigenbasis, is
-    dropped after its last subcycle.
+    Subcycles are (deltas, t_m) pairs, deltas holding the bath frequency of
+    each case, and t_m = None stands for the average over uniformly random
+    times on [0, 2 t_mean] (exact, in closed form), the ensemble limit of a
+    randomized schedule.  Each frequency is one `block_hamiltonian` call over
+    ks per case (with `noise.env`), the cases' blocks concatenated into one
+    stack, and the engine's `cycle_maps` generator turns that stacked block
+    into the frequency's maps at the rate `noise.kappa`, one per subcycle of
+    that frequency in schedule order.  Each map is folded into the running
+    product as soon as it is made, K <- K_s K, and a frequency's generator,
+    with its eigenbasis, is dropped after its last subcycle.
     """
-    times: dict[float, list[float | None]] = {}
-    for delta_r, t_m in subcycles:
-        times.setdefault(delta_r, []).append(t_m)
-    last = {delta_r: i for i, (delta_r, _) in enumerate(subcycles)}
+    times: dict[tuple[float, ...], list[float | None]] = {}
+    for deltas, t_m in subcycles:
+        times.setdefault(deltas, []).append(t_m)
+    last = {deltas: i for i, (deltas, _) in enumerate(subcycles)}
     maps, k_tot = {}, None
-    for i, (delta_r, _) in enumerate(subcycles):
-        if delta_r not in maps:
-            block = block_hamiltonian(params, scheme, BathSpec(delta_r, t_mean), ks,
-                                      env=noise.env, dsp=dsp)
-            maps[delta_r] = eng.cycle_maps(block, times[delta_r], t_mean, noise.kappa)
-        k_s = next(maps[delta_r])
-        if last[delta_r] == i:
-            del maps[delta_r]
+    for i, (deltas, _) in enumerate(subcycles):
+        if deltas not in maps:
+            blocks = [block_hamiltonian(params, scheme, BathSpec(delta_r, t_mean), ks,
+                                        env=noise.env, dsp=dsp)
+                      for params, delta_r in zip(cases, deltas)]
+            # one case keeps its block as built: restacking would re-check it
+            block = blocks[0] if len(blocks) == 1 else ModeBlock(
+                np.concatenate([b.h_sb for b in blocks]),
+                np.concatenate([b.weight for b in blocks]), noise.env)
+            maps[deltas] = eng.cycle_maps(block, times[deltas], t_mean, noise.kappa)
+        k_s = next(maps[deltas])
+        if last[deltas] == i:
+            del maps[deltas]
         k_tot = k_s if k_tot is None else k_s @ k_tot
     return k_tot
 
@@ -246,14 +263,15 @@ def run_trajectory(params: ModelParams, scheme: CouplingScheme, schedule: Schedu
     snap_cycles = sorted({0, n_global_cycles,
                           *range(snapshot_stride, n_global_cycles + 1, snapshot_stride)})
     n2 = params.N // 2
+    subcycles = [((delta_r,), t_m) for delta_r, t_m in schedule.subcycles]
     groups = []
     for ks in eng.mode_groups(n2, noise.env):
-        k_tot = _global_maps(params, scheme, noise, dsp, eng, ks,
-                             schedule.mean_time, schedule.subcycles)
+        k_tot = _global_maps([params], scheme, noise, dsp, eng, ks, schedule.mean_time, subcycles)
         groups.append((ks, _step_snapshots(k_tot, eng.initial_blocks(initial, ks, n2),
                                            snap_cycles)))
 
-    energies, fids = _chain_reduce(eng, params, groups)
+    _, eps, _, wts = mode_grid(params)
+    energies, fids = _chain_reduce(eng, wts * eps, groups)
     snapshots = [TrajectorySnapshot(cyc, *global_metrics(e_k, f_k, params), e_k)
                  for cyc, e_k, f_k in zip(snap_cycles, energies, fids)]
 
@@ -293,7 +311,8 @@ class SteadyStateReport:
 def steady_report(params: ModelParams, scheme: CouplingScheme, bath: BathSpec,
                   schedule_descriptor: dict, noise: NoiseSpec = NoiseSpec.none(),
                   engine: str = "fock", dsp: bool = False) -> SteadyStateReport:
-    """Per-mode steady states of the scheduled cycle map plus chain aggregates.
+    """Per-mode steady states of the scheduled cycle map plus chain aggregates:
+    the one-case `steady_reports`.
 
     Steady reports share the trajectory map pipeline: each schedule
     frequency's cycle map is built stacked over modes, the maps are composed
@@ -314,27 +333,61 @@ def steady_report(params: ModelParams, scheme: CouplingScheme, bath: BathSpec,
     channels, so its fixed point is not Gaussian; the energies agree with
     Fock's, whose fidelity is the ensemble's.
     """
-    deltas = schedule_frequencies(schedule_descriptor, params, bath)
-    t_m = bath.cycle_time_mean if schedule_descriptor.get("kind", "single") == "single" else None
-    subcycles = [(delta_r, t_m) for delta_r in deltas]
+    return steady_reports([(params, bath)], scheme, schedule_descriptor, noise=noise,
+                          engine=engine, dsp=dsp)[0]
+
+
+def steady_reports(cases: list[tuple[ModelParams, BathSpec]], scheme: CouplingScheme,
+                   schedule_descriptor: dict, noise: NoiseSpec = NoiseSpec.none(),
+                   engine: str = "fock", dsp: bool = False) -> list[SteadyStateReport]:
+    """`steady_report` of each (params, bath) case, all from one pass over the
+    engine's `mode_groups`: the pipeline walks groups x cases.
+
+    The cases may differ in theta and in the bath frequency, but share N, the
+    cycle time and, through the one descriptor, the number of schedule
+    frequencies; a mismatch raises ValueError.  For each group, each
+    frequency's block is built per case at that case's theta and frequency
+    and the blocks are concatenated into one stack, so one `cycle_maps` run
+    and one `fixed_points` call serve every case, and the states are read as
+    (cases, modes, D) by `reduce`.  Maps, solves and reductions give each
+    mode the same bits in any stack, so each report is bit-identical to the
+    case's own `steady_report`; a case with no unique fixed point raises
+    NonUniqueFixedPoint for the whole stack.
+    """
+    params = [p for p, _ in cases]
+    n, t_mean = params[0].N, cases[0][1].cycle_time_mean
+    if any(p.N != n or b.cycle_time_mean != t_mean for p, b in cases):
+        raise ValueError("stacked steady reports need one N and one cycle time, got "
+                         f"{[(p.N, b.cycle_time_mean) for p, b in cases]}")
+    # strict: a frequency count that differs between the cases raises ValueError
+    freqs = list(zip(*(schedule_frequencies(schedule_descriptor, p, b) for p, b in cases),
+                     strict=True))
+    t_m = t_mean if schedule_descriptor.get("kind", "single") == "single" else None
+    subcycles = [(deltas, t_m) for deltas in freqs]
     eng = _engine(engine)
-    n2 = params.N // 2
-    alpha = np.empty(n2 + 1)
-    resid = np.empty(n2 + 1)
+    n2 = n // 2
+    alpha = np.empty((len(cases), n2 + 1))
+    resid = np.empty((len(cases), n2 + 1))
     groups = []
     for ks in eng.mode_groups(n2, noise.env):
-        k_tot = _global_maps(params, scheme, noise, dsp, eng, ks, bath.cycle_time_mean, subcycles)
-        x, alpha[ks], resid[ks] = eng.fixed_points(k_tot)
-        groups.append((ks, x))
-    alpha /= len(deltas)
+        k_tot = _global_maps(params, scheme, noise, dsp, eng, ks, t_mean, subcycles)
+        x, a, r = eng.fixed_points(k_tot)
+        alpha[:, ks], resid[:, ks] = a.reshape(len(cases), -1), r.reshape(len(cases), -1)
+        groups.append((ks, x.reshape(len(cases), len(ks), -1)))
+    alpha /= len(freqs)
 
-    energies, fids = _chain_reduce(eng, params, groups)
-    e_total, e_rel_total, fidelity = global_metrics(energies, fids, params)
-    ks, eps, _, wts = mode_grid(params)
-    scale = wts * eps
+    grids = [mode_grid(p) for p in params]
+    eps = np.stack([grid[1] for grid in grids])
+    scale = np.stack([grid[3] for grid in grids]) * eps
+    energies, fids = _chain_reduce(eng, scale, groups)
     with np.errstate(divide="ignore", invalid="ignore"):
         e_rel = np.where(eps == 0.0, math.nan, (energies + scale) / scale)
-    return SteadyStateReport(
-        ks=ks, epsilon=eps, mode_energy=energies, mode_relative_energy=e_rel,
-        alpha=alpha, energy=e_total, relative_energy=e_rel_total, fidelity=fidelity,
-        engine=engine, max_residual=float(np.max(resid)))
+    reports = []
+    for c, p in enumerate(params):
+        e_total, e_rel_total, fidelity = global_metrics(energies[c], fids[c], p)
+        reports.append(SteadyStateReport(
+            ks=grids[0][0], epsilon=eps[c], mode_energy=energies[c],
+            mode_relative_energy=e_rel[c], alpha=alpha[c], energy=e_total,
+            relative_energy=e_rel_total, fidelity=fidelity, engine=engine,
+            max_residual=float(np.max(resid[c]))))
+    return reports

@@ -1,9 +1,18 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from kelvin import repro
 from kelvin.model import BathSpec, CouplingScheme, ModelParams
+
+
+@pytest.fixture(scope="session")
+def reproduced():
+    """`repro.run_target`, run once per target and session: the acceptance
+    criteria and the golden record read the same results."""
+    return functools.cache(repro.run_target)
 
 
 @pytest.fixture

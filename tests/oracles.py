@@ -484,10 +484,10 @@ def steady_blocks(params, scheme, bath, descriptor: dict, noise: NoiseSpec = Noi
     eng = pr.ENGINES[engine]
     n2 = params.N // 2
     t_m = bath.cycle_time_mean if descriptor.get("kind", "single") == "single" else None
-    subcycles = [(d, t_m) for d in pr.schedule_frequencies(descriptor, params, bath)]
+    subcycles = [((d,), t_m) for d in pr.schedule_frequencies(descriptor, params, bath)]
     blocks = [None] * (n2 + 1)
     for ks in eng.mode_groups(n2, noise.env):
-        k_tot = pr._global_maps(params, scheme, noise, False, eng, ks,
+        k_tot = pr._global_maps([params], scheme, noise, False, eng, ks,
                                 bath.cycle_time_mean, subcycles)
         x = eng.fixed_points(k_tot)[0]
         for k, block in zip(ks, eng.matrices(x)):

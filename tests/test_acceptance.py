@@ -147,19 +147,16 @@ def test_criterion_03_randomized_time_regime():
     assert sw.elapsed < 120.0
 
 
-THETA_SWEEP = {}
+def _theta_sweep(reproduced):
+    """fig4's theta grid, total relative energies and min alpha / g^2."""
+    data = reproduced("fig4").data
+    return np.array(data["theta"]), np.array(data["e"]), np.array(data["alpha_over_g2"])
 
 
-def _theta_sweep():
-    if "data" not in THETA_SWEEP:
-        THETA_SWEEP["data"] = repro.fig4_sweep()
-    return THETA_SWEEP["data"]
-
-
-def test_criterion_04_critical_point_energy():
+def test_criterion_04_critical_point_energy(reproduced):
     """Relative energy peaks at the critical point with the expected height."""
     with Stopwatch(120.0) as sw:
-        thetas, es, alphas = _theta_sweep()
+        thetas, es, _ = _theta_sweep(reproduced)
         i_max = int(np.argmax(es))
         assert abs(thetas[i_max] - math.pi / 4) <= math.pi / 40
         assert abs(es[i_max] - 0.065) <= 0.30 * 0.065
@@ -175,27 +172,23 @@ def test_criterion_04_critical_point_energy():
     "at criticality has eps ~ 0, where gamma_c + gamma_h = "
     "2g^2/(delta^2 + gamma_0^2) + 2g^2/delta^2 ~ 3.9 g^2 at delta = 1; the "
     "same closed forms reproduce every other rate in this suite to <1%"))
-def test_criterion_04_critical_point_rate():
+def test_criterion_04_critical_point_rate(reproduced):
     """Minimum cooling rate over the sweep: asserted at the reference value."""
-    thetas, es, alphas = _theta_sweep()
-    amin = float(np.min(alphas)) / repro.FIG3["g"] ** 2
+    _, _, alphas_over_g2 = _theta_sweep(reproduced)
+    amin = float(np.min(alphas_over_g2))
     report(4, abs(amin - 1.0) <= 0.5, f"min alpha/g^2 = {amin:.2f}, asserted 1 +- 50%")
     assert abs(amin - 1.0) <= 0.5
 
 
-FIG10 = {}
+def _fig10_series(reproduced):
+    """fig10's total relative energy by kappa / g^2."""
+    return {float(r): e for r, e in reproduced("fig10").data["series"].items()}
 
 
-def _fig10_series():
-    if "data" not in FIG10:
-        FIG10["data"] = repro.fig10_series()
-    return FIG10["data"]
-
-
-def test_criterion_05_noise_series_baseline():
+def test_criterion_05_noise_series_baseline(reproduced):
     """Noiseless total e and strict growth with noise strength."""
     with Stopwatch(180.0) as sw:
-        series = _fig10_series()
+        series = _fig10_series(reproduced)
         vals = [series[r] for r in sorted(series)]
         assert abs(series[0.0] - 0.052) <= 0.15 * 0.052
         assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -210,8 +203,8 @@ def test_criterion_05_noise_series_baseline():
     "only with cycle time and noise exposure doubled (t -> 2t, reading B "
     "then agrees within 15%); at the stated t = 20 the exact engine and the "
     "closed forms agree with each other to 4+ digits on the smaller series"))
-def test_criterion_05_noise_series_quadruple():
-    series = _fig10_series()
+def test_criterion_05_noise_series_quadruple(reproduced):
+    series = _fig10_series(reproduced)
     quadruple = [0.052, 0.292, 0.479, 0.673]
     readings = {"A": [0.0, 0.03, 0.1, 0.3], "B": [0.0, 0.1, 0.3, 1.0]}
     match = {name: all(abs(series[r] - q) <= 0.15 * q
@@ -223,24 +216,24 @@ def test_criterion_05_noise_series_quadruple():
     assert any(match.values())
 
 
-def test_criterion_06_reoptimization():
+def test_criterion_06_reoptimization(reproduced):
     """Re-optimized noisy protocols beat 1.2x the reported energies."""
     with Stopwatch(600.0) as sw:
         targets = {0.01: 0.025, 0.03: 0.066, 0.1: 0.187, 0.3: 0.413}
-        res = repro.reoptimized_series()
+        res = reproduced("fig_spec_reopt").data
         detail = []
         for ratio, cap in targets.items():
-            _, exact, best = res[ratio]
+            exact = res[str(ratio)]["exact"]
             detail.append(f"kappa/g^2={ratio}: e={exact:.4f} <= {1.2 * cap:.4f}")
             assert exact <= 1.2 * cap
     report(6, True, "; ".join(detail), sw.elapsed)
     assert sw.elapsed < 600.0
 
 
-def test_criterion_07_phase_averaged_table():
+def test_criterion_07_phase_averaged_table(reproduced):
     """Optimizer reaches (or beats) each tabulated phase-averaged row."""
     with Stopwatch(600.0) as sw:
-        result = repro._target_table_optimal_avg()
+        result = reproduced("table_optimal_avg")
         for a in result.assertions:
             assert a.ok, f"{a.name}: {a.note}"
         detail = "; ".join(f"{a.name.split('/')[-1]} ratio={a.measured:.3f}"
@@ -249,19 +242,10 @@ def test_criterion_07_phase_averaged_table():
     assert sw.elapsed < 600.0
 
 
-FIG8 = {}
-
-
-def _fig8_result():
-    if "data" not in FIG8:
-        FIG8["data"] = repro._target_fig8()
-    return FIG8["data"]
-
-
-def test_criterion_08_multifrequency_trend():
+def test_criterion_08_multifrequency_trend(reproduced):
     """Dense-frequency limit value and monotone improvement with R."""
     with Stopwatch(60.0) as sw:
-        result = _fig8_result()
+        result = reproduced("fig8")
         by_name = {a.name: a for a in result.assertions}
         assert by_name["fig8/e(R=250) = 0.006 +- 30%"].ok
         assert by_name["fig8/monotone non-increasing over R in {1,10,50,250}"].ok
@@ -275,8 +259,8 @@ def test_criterion_08_multifrequency_trend():
     "e(R=1) evaluates to ~0.052 at the stated parameters (nearly "
     "t-independent, and equal to the single-frequency baseline of the noisy "
     "series); the reference 0.025 matches two frequencies, an off-by-one"))
-def test_criterion_08_single_frequency_value():
-    result = _fig8_result()
+def test_criterion_08_single_frequency_value(reproduced):
+    result = reproduced("fig8")
     a = {x.name: x for x in result.assertions}["fig8/e(R=1) = 0.025 +- 30%"]
     report(8, a.ok, f"e(R=1) = {a.measured:.4f}, asserted 0.025 +- 30%; "
            f"e(R=2) = {result.data['e_R2']:.4f}")

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from kelvin import cli, repro
+from kelvin import optimize as op
+from kelvin import protocol as pr
+from kelvin.model import BathSpec, CouplingScheme, ModelParams
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -417,18 +420,22 @@ class TestOptimizeCmd:
         point = list(val["by_theta"].values())[0]
         assert abs(point["difference"]) < 0.2 * abs(point["exact_e"]) + 1e-3
 
+    @staticmethod
+    def table_row_config(tmp_path, nn, phase):
+        """A short phase-averaged search from the table row (nn, phase) at N = 20."""
+        row = repro.table_rows()[nn, phase]
+        return write_cfg(tmp_path, {
+            "model": base_model(20, math.pi / 8 if phase == "low" else 3 * math.pi / 8),
+            "scheme": {"nn": nn, "lambda": {str(j): v for j, v in row["lam"].items()},
+                       "mu": {str(j): v for j, v in row["mu"].items()}, "g": 0.1},
+            "optimize": {"objective": "phase_averaged", "phase": phase, "budget": 300,
+                         "restarts": 3, "init": {"delta": row["delta"], "t": row["t"]}},
+        })
+
     def test_validation_runs_on_the_engine(self, tmp_path):
         """The validation of the table row nn = 1 (high phase) runs on
         --engine; both engines give the same exact e to 1e-10 relative."""
-        row = repro.table_rows()[1.0, "high"]
-        payload = {
-            "model": base_model(20, 3 * math.pi / 8),
-            "scheme": {"nn": 1.0, "lambda": {str(j): v for j, v in row["lam"].items()},
-                       "mu": {str(j): v for j, v in row["mu"].items()}, "g": 0.1},
-            "optimize": {"objective": "phase_averaged", "phase": "high", "budget": 300,
-                         "restarts": 3, "init": {"delta": row["delta"], "t": row["t"]}},
-        }
-        cfg = write_cfg(tmp_path, payload)
+        cfg = self.table_row_config(tmp_path, 1.0, "high")
         val = {}
         for engine in ("fock", "cm"):
             out = tmp_path / engine
@@ -441,6 +448,49 @@ class TestOptimizeCmd:
         for theta, row_f in fock_rows.items():
             assert cm_rows[theta]["analytic_e"] == row_f["analytic_e"]
             assert cm_rows[theta]["exact_e"] == pytest.approx(row_f["exact_e"], rel=1e-10)
+
+    @pytest.mark.parametrize("engine", ["fock", "cm"])
+    @pytest.mark.parametrize("nn,phase", [(0.0, "low"), (1.0, "high")])
+    def test_validation_is_the_per_theta_loop(self, tmp_path, monkeypatch, nn, phase, engine):
+        """validation.json holds, bit for bit, what one `steady_report` per
+        node at the optimum gives: the stacked pass changes no number."""
+        results = []
+        search = cli.op.optimize
+        monkeypatch.setattr(cli.op, "optimize",
+                            lambda *args, **kwargs: results.append(search(*args, **kwargs))
+                            or results[-1])
+        out = tmp_path / "o"
+        assert cli.main(["optimize", "--config", self.table_row_config(tmp_path, nn, phase),
+                         "--out", str(out), "--engine", engine]) == 0
+        best = results[0].best
+        by_theta = json.loads((out / "validation.json").read_text())["by_theta"]
+        nodes = [float(th) for th in op.phase_grid(phase, 5)]
+        assert list(by_theta) == [f"{th:.6f}" for th in nodes]
+        for th in nodes:
+            rep = pr.steady_report(ModelParams(20, th), best.scheme, BathSpec(best.delta, best.t),
+                                   {"kind": "single"}, engine=engine)
+            assert by_theta[f"{th:.6f}"]["exact_e"] == rep.relative_energy, th
+
+    @pytest.mark.parametrize("engine", ["fock", "cm"])
+    def test_missing_fixed_point_at_one_node_exits_3(self, tmp_path, monkeypatch, capsys,
+                                                     engine):
+        """The five validation nodes are solved in one stack; one node whose
+        blocks are built uncoupled (g = 0) has no unique fixed point, and the
+        command exits 3 without writing validation.json."""
+        node = float(op.phase_grid("low", 5)[2])
+        build = pr.block_hamiltonian
+
+        def uncoupled_at_node(params, scheme, bath, k, **kwargs):
+            if params.theta == node:
+                scheme = CouplingScheme(scheme.nn, scheme.lam, scheme.mu, 0.0)
+            return build(params, scheme, bath, k, **kwargs)
+
+        monkeypatch.setattr(pr, "block_hamiltonian", uncoupled_at_node)
+        out = tmp_path / "o"
+        assert cli.main(["optimize", "--config", self.table_row_config(tmp_path, 0.0, "low"),
+                         "--out", str(out), "--engine", engine]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "non_unique_fixed_point"
+        assert (out / "optimum.json").exists() and not (out / "validation.json").exists()
 
     def test_no_finite_start_exits_5(self, tmp_path, capsys):
         """Zero couplings leave the steady state undefined at every start, so

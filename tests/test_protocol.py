@@ -95,7 +95,8 @@ def _initial(engine, params, kind):
 
 def _metrics(engine, params, groups):
     """`global_metrics` of a chain state given as the engine's stacked groups."""
-    return pr.global_metrics(*pr._chain_reduce(pr.ENGINES[engine], params, groups), params)
+    _, eps, _, wts = mode_grid(params)
+    return pr.global_metrics(*pr._chain_reduce(pr.ENGINES[engine], wts * eps, groups), params)
 
 
 class TestInitialState:
@@ -718,6 +719,57 @@ class TestSteadyReport:
         assert res.passed, [a.__dict__ for a in res.assertions]
 
 
+# three chains of one N and cycle time, each at its own theta and bath frequency
+_STACK_CASES = [(ModelParams(4, theta), BathSpec(delta, 4.3))
+                for theta, delta in ((0.4, 0.9), (0.9, 1.1), (1.3, 1.3))]
+_STACK_SCHEME = CouplingScheme.local(1.0, 0.5, g=0.05)
+
+
+class TestSteadyReports:
+    """`steady_reports` stacks its cases along the modes of each group of
+    `mode_groups`; each of its reports is the case's own report, bit for bit."""
+
+    @pytest.mark.parametrize("dsp", [False, True])
+    @pytest.mark.parametrize("sched", list(_SCHEDULES))
+    @pytest.mark.parametrize("noise", list(_NOISES))
+    @pytest.mark.parametrize("engine", ["fock", "cm"])
+    def test_each_report_is_the_one_case_report(self, engine, noise, sched, dsp):
+        kwargs = dict(noise=_NOISES[noise], engine=engine, dsp=dsp)
+        reports = pr.steady_reports(_STACK_CASES, _STACK_SCHEME, _SCHEDULES[sched], **kwargs)
+        assert len(reports) == len(_STACK_CASES)
+        for (params, bath), rep in zip(_STACK_CASES, reports):
+            one = pr.steady_report(params, _STACK_SCHEME, bath, _SCHEDULES[sched], **kwargs)
+            for name in ("mode_energy", "mode_relative_energy", "alpha", "energy",
+                         "relative_energy", "fidelity", "max_residual"):
+                assert np.array_equal(getattr(rep, name), getattr(one, name),
+                                      equal_nan=True), (params.theta, name)
+
+    @pytest.mark.parametrize("cases", [
+        [(ModelParams(8, 0.4), BathSpec(1.0, 4.3)), (ModelParams(12, 0.9), BathSpec(1.0, 4.3))],
+        [(ModelParams(8, 0.4), BathSpec(1.0, 4.3)), (ModelParams(8, 0.9), BathSpec(1.0, 4.0))],
+    ], ids=["N", "cycle_time"])
+    def test_cases_of_another_size_or_cycle_time_are_rejected(self, cases):
+        with pytest.raises(ValueError, match="one N and one cycle time"):
+            pr.steady_reports(cases, _STACK_SCHEME, {"kind": "single"})
+
+    def test_cases_with_other_frequency_counts_are_rejected(self, monkeypatch):
+        """One descriptor gives every case as many frequencies, so this takes
+        a stand-in rule that drops the first case's second frequency."""
+        real = pr.schedule_frequencies
+        monkeypatch.setattr(pr, "schedule_frequencies",
+                            lambda d, p, b: real(d, p, b)[:1 if p.theta < 0.5 else None])
+        with pytest.raises(ValueError):
+            pr.steady_reports(_STACK_CASES, _STACK_SCHEME, _SCHEDULES["multifreq"])
+
+    @pytest.mark.parametrize("engine", ["fock", "cm"])
+    def test_a_case_without_a_fixed_point_fails_the_stack(self, local_scheme, bath, engine):
+        """The non-cooling chain of `test_engines_agree_a_fixed_point_is_missing`
+        (dsp=True, N = 8, theta = 0.3) fails the stack it is solved in."""
+        cases = [(ModelParams(8, theta), bath) for theta in (0.9, 0.3, 1.3)]
+        with pytest.raises(NonUniqueFixedPoint):
+            pr.steady_reports(cases, local_scheme, {"kind": "single"}, engine=engine, dsp=True)
+
+
 class TestComposedMaps:
     """`_global_maps` folds each subcycle's map into the running product as
     it is built; on Fock the product is the per-mode `exact_cycle_map`s
@@ -732,7 +784,7 @@ class TestComposedMaps:
     NOISES = {"none": an.NoiseSpec.none(), "depolarizing": an.NoiseSpec.depolarizing(1e-4),
               "finite_env": an.NoiseSpec.finite_env(0.02, 0.7, 0.1)}
     # two randomized-time subcycles in the ensemble limit: averaged maps
-    AVERAGED = [(1.0, None), (1.3, None)]
+    AVERAGED = [((1.0,), None), ((1.3,), None)]
 
     def _groups(self, engine, noise):
         groups = pr.ENGINES[engine].mode_groups(self.PARAMS.N // 2, self.NOISES[noise].env)
@@ -741,9 +793,9 @@ class TestComposedMaps:
     def _maps(self, engine, noise, ks):
         sched = pr.make_schedule({"kind": "multifreq", "R": 2 if noise == "finite_env" else 3,
                                   "L": 2, "freq_rule": "grid"}, self.PARAMS, self.BATH, 5)
-        return sched, pr._global_maps(self.PARAMS, self.SCHEME, self.NOISES[noise], False,
+        return sched, pr._global_maps([self.PARAMS], self.SCHEME, self.NOISES[noise], False,
                                       pr.ENGINES[engine], ks, self.BATH.cycle_time_mean,
-                                      sched.subcycles)
+                                      [((d,), t) for d, t in sched.subcycles])
 
     @pytest.mark.parametrize("noise", ["depolarizing", "finite_env"])
     @pytest.mark.parametrize("engine", ["fock", "cm"])
@@ -800,7 +852,7 @@ class TestComposedMaps:
                 assert np.array_equal(k_tot[np.flatnonzero(ks == k)[0]], product), k
 
     def _averaged_maps(self, engine, noise, ks):
-        return pr._global_maps(self.PARAMS, self.SCHEME, self.NOISES[noise], False,
+        return pr._global_maps([self.PARAMS], self.SCHEME, self.NOISES[noise], False,
                                pr.ENGINES[engine], ks, self.BATH.cycle_time_mean, self.AVERAGED)
 
     @pytest.mark.parametrize("noise", ["depolarizing", "finite_env", "randomized"])

@@ -32,8 +32,8 @@ def test_known_failures_stay_recorded():
 
 
 @pytest.mark.parametrize("name", list(repro.TARGETS))
-def test_target_matches_golden_record(name):
+def test_target_matches_golden_record(name, reproduced):
     tol = GOLDEN["target_rel_tol"].get(name, {"rel_tol": GOLDEN["rel_tol"]})["rel_tol"]
-    bad = mismatches(GOLDEN["targets"][name], target_record(repro.run_target(name)), tol,
+    bad = mismatches(GOLDEN["targets"][name], target_record(reproduced(name)), tol,
                      GOLDEN["abs_floor"])
     assert not bad, "\n".join(bad[:10])
