@@ -61,19 +61,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _phase_integral(a, t: float, g: float):
-    """g * integral_0^t e^{i a tau} d tau with a series branch near a = 0.
+    """g * integral_0^t e^{i a tau} d tau = g t e^{iv/2} sinc(v/2), v = a t.
 
-    Accepts scalars or arrays of a.  Only the complex overlaps of
-    `overlap_coeffs` take this form; every closed-form weight |phi|^2 comes
-    from `_phase_weight_and_grad`.
+    The sinc form has no branch and no e^{iv} - 1 cancellation, so both parts
+    keep their relative precision at every v.  Accepts scalars or arrays of
+    a.  Only the complex overlaps of `overlap_coeffs` take this form; every
+    closed-form weight |phi|^2 comes from `_phase_weight_and_grad`.
     """
-    a = np.asarray(a, dtype=float)
-    at = a * t
-    small = np.abs(at) < 1e-7
-    asafe = np.where(small, 1.0, a)
-    full = g * (np.exp(1j * asafe * t) - 1.0) / (1j * asafe)
-    series = g * t * (1.0 + 0.5j * at - at * at / 6.0)
-    out = np.where(small, series, full)
+    v = np.asarray(a, dtype=float) * t
+    out = g * t * np.exp(0.5j * v) * np.sinc(v / (2.0 * math.pi))
     return complex(out[()]) if out.ndim == 0 else out
 
 
@@ -153,19 +149,25 @@ def single_cycle_jump_ops(a_k: complex, b_k: complex, x: complex, y: complex) ->
 GAMMA0_SQ_FACTOR = 1.5  # gamma_0^2 = 3 / (2 t^2)
 
 
+# Taylor coefficients of (x - sin x) / x^3 in x^2, (-1)^n / (2n + 3)!, highest
+# power first for np.polyval (numpy.polynomial would add 0.9 MB to an import)
+_X_MINUS_SIN_SERIES = np.array([(-1) ** n / math.factorial(2 * n + 3) for n in range(8, -1, -1)])
+
+
 def _avg_abs2_integral(a, t):
     """Time average over [0, 2t] of |int_0^{t'} e^{i a tau} d tau|^2.
 
-    Equals 2/a^2 - sin(2 a t)/(a^3 t), with limit (4/3) t^2 at a = 0.
+    Equals 2/a^2 - sin(2 a t)/(a^3 t) = 8 t^2 (x - sin x) / x^3 with x =
+    2 a t, and (4/3) t^2 at a = 0.  Below |x| = 1, where x - sin x cancels,
+    the ratio takes its Taylor series, nine terms (truncation below 1e-19 of
+    its value).
     """
-    a = np.asarray(a, dtype=float)
     t = float(t)
-    small = np.abs(a * t) < 1e-4
-    asafe = np.where(small, 1.0, a)
-    out = 2.0 / asafe**2 - np.sin(2.0 * asafe * t) / (asafe**3 * t)
-    at = a * t
-    series = (4.0 / 3.0) * t * t * (1.0 - 0.2 * at * at + (2.0 / 105.0) * at**4)
-    return np.where(small, series, out)
+    x = 2.0 * t * np.asarray(a, dtype=float)
+    small = np.abs(x) < 1.0
+    xs = np.where(small, 1.0, x)
+    series = np.polyval(_X_MINUS_SIN_SERIES, x * x)
+    return 8.0 * t * t * np.where(small, series, (xs - np.sin(xs)) / xs**3)
 
 
 def multifreq_rates(epsilon, deltas, t: float, g: float, a2, b2):

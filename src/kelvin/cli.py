@@ -304,12 +304,13 @@ def cmd_trajectory(cfg: dict, out: str, args) -> int:
     cycles = [s.cycle for s in traj.snapshots]
     es = [s.relative_energy for s in traj.snapshots]
     try:
-        svgplot.line_plot({"relative energy": (cycles, es)},
-                          os.path.join(out, "trajectory.svg"),
-                          title="cooling trajectory", xlabel="global cycle",
-                          ylabel="e", ylog=all(v > 0 for v in es))
+        svg = svgplot.line_plot({"relative energy": (cycles, es)},
+                                title="cooling trajectory", xlabel="global cycle",
+                                ylabel="e", ylog=all(v > 0 for v in es))
     except ValueError:
         pass
+    else:
+        _atomic_write(os.path.join(out, "trajectory.svg"), svg)
 
     extra = {"converged_at": traj.converged_at,
              "final_e": traj.snapshots[-1].relative_energy,

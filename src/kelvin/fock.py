@@ -27,7 +27,9 @@ eigenvalues of block q ^ s, and sums over s.
 A chain state is a stack of sector vectors x = (vec rho_even, vec
 rho_odd), d^2/2 entries with rho_00 first (8 for a pair, where d = 4, and 2
 for an edge, where d = 2); `cycle_maps` yields transfers on that sector, and
-`matrices` is the d x d density of a sector vector.  Steady states and
+`reduce` reads the populations it needs from the vector itself.  The d x d
+density of a sector vector, `matrices`, is built only for the one-block
+view `steady_state` and for the tests.  Steady states and
 cooling rates: every sector transfer conserves the trace, and the
 fixed-point routine the CM engine uses solves all modes at once after
 eliminating rho_00 through it, makes each parity block Hermitian and judges
@@ -211,7 +213,7 @@ def _quadratic_terms(dim: int, edge: bool) -> tuple[np.ndarray, np.ndarray, np.n
 def _hamiltonians(block: ModeBlock) -> np.ndarray:
     """H = alpha^dag h alpha of a block, or of each mode of a stack of edges or
     of pairs, summed in (i, j) order, as its even and odd parity blocks;
-    shape (modes, 2, d/2, d/2)."""
+    flattened to shape (modes, 2, d/2, d/2)."""
     dim = block.h_sb.shape[-1]
     h = block.h_sb.reshape(-1, dim * dim)
     half = 2 ** (block.n_modes - 1)
@@ -229,9 +231,11 @@ def second_quantize(block: ModeBlock) -> FockBlock:
 
     Generic pairs use alpha = (a_k, a_-k^dag, b_k, b_-k^dag, ...), i.e. one
     independent mode per matrix row; edge blocks use the doubled basis
-    (a, a^dag, b, b^dag, ...) over half as many physical modes.
+    (a, a^dag, b, b^dag, ...) over half as many physical modes.  A stack of
+    blocks keeps its leading axes, (..., 2, d/2, d/2).
     """
-    return FockBlock(_hamiltonians(block)[0], block)
+    ham = _hamiltonians(block)
+    return FockBlock(ham.reshape(block.h_sb.shape[:-2] + ham.shape[1:]), block)
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +299,15 @@ def reduce(ks: np.ndarray, x: np.ndarray, w_eps: np.ndarray,
            n2: int) -> tuple[np.ndarray, np.ndarray]:
     """Energies and vacuum fidelities rho_00 of the modes `ks` from sector
     vectors x stacked to (..., len(ks), d^2/2), one block size d per call (see
-    `block_energy`); `w_eps` = w eps and `n2` as in `cm.reduce`."""
-    pops = np.diagonal(matrices(x), axis1=-2, axis2=-1).real
-    if pops.shape[-1] == 2:
-        return w_eps[..., ks] * (2.0 * pops[..., 1] - 1.0), pops[..., 0]
-    return w_eps[..., ks] * (pops[..., 3] - pops[..., 0]), pops[..., 0]
+    `block_energy`); `w_eps` = w eps and `n2` as in `cm.reduce`.
+
+    The populations are read from x: an edge's x is (rho_00, rho_11), and a
+    pair's opens with its even block (rho_00, rho_03, rho_30, rho_33), whose
+    last entry is rho_(11),(11), both modes full."""
+    rho_00 = x[..., 0].real
+    if x.shape[-1] == 2:
+        return w_eps[..., ks] * (2.0 * x[..., 1].real - 1.0), rho_00
+    return w_eps[..., ks] * (x[..., 3].real - rho_00), rho_00
 
 
 def block_energy(rho: np.ndarray, epsilon: float, weight: float):
@@ -491,13 +499,12 @@ def cycle_maps(block: ModeBlock, ts, t_mean: float, kappa: float):
     of None stands for `averaged_cycle_map` over [0, 2 t_mean], taken per
     mode and stacked.
     """
-    ham = _hamiltonians(block)
-    fb = FockBlock(ham, block)
+    fb = second_quantize(block)
     fixed = _maps(fb, [t for t in ts if t is not None], t_mean, kappa)
     for t in ts:
         if t is None:
             yield np.stack([averaged_cycle_map(FockBlock(h, block, (e, v)), t_mean, kappa)
-                            for h, e, v in zip(ham, *fb.eig())])
+                            for h, e, v in zip(fb.blocks, *fb.eig())])
         else:
             yield next(fixed)
 

@@ -36,10 +36,11 @@ def _fmt(v: float) -> str:
     return f"{v:g}"
 
 
-def line_plot(series: dict[str, tuple[list[float], list[float]]], path: str,
+def line_plot(series: dict[str, tuple[list[float], list[float]]],
               title: str = "", xlabel: str = "", ylabel: str = "",
-              ylog: bool = False) -> None:
-    """Write a polyline chart; series maps label -> (x values, y values)."""
+              ylog: bool = False) -> str:
+    """The SVG text of a polyline chart; series maps label -> (x values, y
+    values).  ValueError if no point is plottable."""
     xs_all = [x for xs, _ in series.values() for x in xs]
     ys_all = [y for _, ys in series.values() for y in ys
               if math.isfinite(y) and (not ylog or y > 0)]
@@ -107,5 +108,4 @@ def line_plot(series: dict[str, tuple[list[float], list[float]]], path: str,
                      f'text-anchor="end" font-family="sans-serif" font-size="12" '
                      f'fill="{color}">{label}</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
+    return "\n".join(parts)

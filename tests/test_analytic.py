@@ -158,6 +158,38 @@ class TestAveragedRates:
             assert gc >= 0 and gh >= 0
 
 
+# phase v = a t: zero, both sides of the old series cutoffs (1e-7 and 1e-4),
+# the band where e^{iv} - 1 and x - sin x cancel, and well past it
+_KERNEL_PHASES = [0.0, 1e-8, -1e-8, 1.01e-7, 1.01e-4, 3e-4, 1e-3, 1e-2, 0.5, 1.0, 10.0]
+
+
+class TestKernelPrecision:
+    """The random-time weight and the overlap integral keep their relative
+    precision at every phase v = a t, against 50-digit mpmath."""
+
+    T, G = 20.0, 0.3
+
+    @pytest.mark.parametrize("v", _KERNEL_PHASES)
+    def test_random_time_weight(self, v):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            a, t = mp.mpf(v / self.T), mp.mpf(self.T)
+            ref = 4 * t * t / 3 if v == 0 else 2 / a**2 - mp.sin(2 * a * t) / (a**3 * t)
+            got = an._avg_abs2_integral(v / self.T, self.T)
+            assert abs(got - ref) <= 1e-15 * ref
+
+    @pytest.mark.parametrize("v", _KERNEL_PHASES)
+    def test_phase_integral(self, v):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            a, t = mp.mpf(v / self.T), mp.mpf(self.T)
+            ref = self.G * t if v == 0 else self.G * (mp.expj(a * t) - 1) / (1j * a)
+            got = an._phase_integral(v / self.T, self.T, self.G)
+            # each part on its own: the imaginary part is v/2 of the real one
+            assert abs(got.real - ref.real) <= 1e-15 * abs(ref.real)
+            assert abs(got.imag - mp.im(ref)) <= 1e-15 * abs(mp.im(ref))
+
+
 class TestMultifreqRates:
     def test_single_frequency_reduces(self):
         """One frequency gives g^2 a2 (2/a^2 - sin(2 a t)/(a^3 t)) at a = eps - delta,

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -308,6 +309,22 @@ class TestTrajectory:
         first = rows[1].split(",")
         assert first[0] == "0" and float(first[2]) == pytest.approx(2.0)
         assert (out / "trajectory.svg").read_text().startswith("<svg")
+
+    def test_outputs_are_renamed_into_place(self, tmp_path, monkeypatch):
+        """Every file, the plot included, is written to a temporary file and
+        renamed over its target."""
+        targets, replace = [], os.replace
+
+        def recorded(src, dst):
+            targets.append(os.path.basename(dst))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recorded)
+        cfg = write_cfg(tmp_path, self.CFG)
+        out = tmp_path / "t"
+        assert cli.main(["trajectory", "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(targets) == sorted(p.name for p in out.iterdir())
+        assert "trajectory.svg" in targets
 
     def test_bit_identical_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path, self.CFG)

@@ -113,6 +113,23 @@ class TestSecondQuantize:
         assert np.allclose(np.sort(np.linalg.eigvalsh(hamiltonian(fb))), expect,
                            atol=1e-12)
 
+    @pytest.mark.parametrize("ks, env", [
+        (np.arange(1, 6), None), (np.array([0, 6]), None),
+        (np.arange(1, 6), NoiseSpec.finite_env(0.02, 0.7, 0.1))], ids=["pairs", "edges", "env"])
+    def test_stacked_block_views_are_the_per_mode_maps(self, ks, env, small_params,
+                                                        generic_scheme, bath):
+        """A stacked ModeBlock keeps every mode through second quantization:
+        both one-block views give the per-mode maps, stacked, bit for bit."""
+        stack = block_hamiltonian(small_params, generic_scheme, bath, ks, env=env)
+        assert fock.second_quantize(stack).blocks.shape[0] == len(ks)
+        singles = [block_hamiltonian(small_params, generic_scheme, bath, int(k), env=env)
+                   for k in ks]
+        kappa = 0.03 if env is None else 0.0
+        assert np.array_equal(fock.averaged_cycle_map(stack, 4.3, kappa),
+                              np.stack([fock.averaged_cycle_map(b, 4.3, kappa) for b in singles]))
+        assert np.array_equal(fock.exact_cycle_map(stack, 2.3, kappa),
+                              np.stack([fock.exact_cycle_map(b, 2.3, kappa) for b in singles]))
+
     def test_hermitian_and_parity_conserving(self, small_params, generic_scheme, bath):
         for k in (0, 2, 6):
             fb = fock.second_quantize(
