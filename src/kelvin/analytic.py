@@ -14,6 +14,10 @@ random times, goes through one pass over a mode row or a (theta x k) grid,
 `_chain_pass`: one evaluation of the bath weights |x|^2 and |y|^2 (and the
 environment's) gives `steady_energy` its values, and their fixed-time
 derivatives, formed only for `chain_relative_energies_and_grad`, the gradient.
+The couplings enter the pass through (A, B) of `model._coupling_sum`, the
+frame rotation of their Fourier sums Lambda_k and M_k, and the gradient
+with respect to every lambda_j and mu_j is one contraction of the (theta x k)
+derivatives with the same Fourier phases.
 """
 
 from __future__ import annotations
@@ -261,7 +265,7 @@ def steady_energy(epsilon, p, q, pad: float = 0.0, env=None):
         num = num + p_e * (q_env - p_env)
         denom = denom + p_env + q_env
     denom = denom + pad
-    if np.any(denom <= 0):
+    if np.less_equal(denom, 0.0).any():
         raise UndefinedSteadyState("total overlap weight vanishes")
     return np.asarray(epsilon, dtype=float) * num / denom
 
@@ -318,6 +322,10 @@ def gs_cooling_plan(n_sites: int, theta: float) -> CoolingPlan:
 # per-chain aggregation (vectorized over modes and theta)
 # ---------------------------------------------------------------------------
 
+# (z_b, z_a) -> (-z_b, z_a) on a leading axis of 2
+_ROTATE = np.array([-1.0, 1.0])
+
+
 def _chain_pass(grid, ab, scheme: CouplingScheme, deltas, t: float, noise: NoiseSpec, *,
                 random_times: bool = False, dsp: bool = False):
     """The one closed-form pass over a mode grid, one `_mode_row` or
@@ -341,7 +349,7 @@ def _chain_pass(grid, ab, scheme: CouplingScheme, deltas, t: float, noise: Noise
         # |x|^2 is even in its phase rate eps - delta, so taking it at delta - eps
         # makes d/d delta of both |x|^2 and |y|^2 the rate derivative
         w2, w2_grad = _phase_weight_and_grad(
-            np.stack([deltas[0] - eps_evo, deltas[0] + eps_evo]), t, scheme.g)
+            np.array([deltas[0] - eps_evo, deltas[0] + eps_evo]), t, scheme.g)
         ab2 = ab.real ** 2 + ab.imag ** 2
         pq = ab2 * w2
     pad, env = 2.0 * noise.kappa * t, None
@@ -351,12 +359,13 @@ def _chain_pass(grid, ab, scheme: CouplingScheme, deltas, t: float, noise: Noise
             pq_env = multifreq_rates(eps_evo, [noise.delta_e], t, noise.kappa_prime, c2, s2)
         else:
             (xe2, ye2), env_grad = _phase_weight_and_grad(
-                np.stack([noise.delta_e - eps_evo, noise.delta_e + eps_evo]), t,
+                np.array([noise.delta_e - eps_evo, noise.delta_e + eps_evo]), t,
                 noise.kappa_prime)
             pq_env = c2 * xe2, s2 * ye2
         env = (*pq_env, noise.p_e)
     e = steady_energy(eps, pq[0], pq[1], pad, env)
-    rel = np.abs((np.sum(grid.weights * e, axis=-1) - grid.e_gs) / grid.e_gs)
+    # ndarray.sum is np.sum's reduction without its Python wrapper
+    rel = np.abs(((grid.weights * e).sum(axis=-1) - grid.e_gs) / grid.e_gs)
 
     def grad():
         """Gradient of rel per theta row, shape (thetas, 2 J + 2).
@@ -366,8 +375,11 @@ def _chain_pass(grid, ab, scheme: CouplingScheme, deltas, t: float, noise: Noise
         de = ((eps - e) dQ - (eps + e) dP + eps dn_env - e dpad) / D.  A and
         B are linear in the couplings (dA/dlambda_j = cos phi e^{-2 pi i j k/N},
         dA/dmu_j = i sin phi e^{..}, dB/dlambda_j = -sin phi e^{..},
-        dB/dmu_j = i cos phi e^{..}); delta and t enter through |x|^2 and |y|^2,
-        and t also through the noise terms.
+        dB/dmu_j = i cos phi e^{..}), so with z_a = 2 |x|^2 conj(A) dE/dP and
+        z_b = 2 |y|^2 conj(B) dE/dQ one contraction with the Fourier phases
+        gives both: d/dlambda_j = Re[(cos phi z_a - sin phi z_b) @ phases.T]
+        and d/dmu_j = -Im[(sin phi z_a + cos phi z_b) @ phases.T].  delta and
+        t enter through |x|^2 and |y|^2, and t also through the noise terms.
         """
         dw2_ddelta, dw2_dt = w2_grad()
         phases = _phases(2 * (eps.shape[-1] - 1), scheme.nn)  # k runs over 0..N/2
@@ -378,16 +390,15 @@ def _chain_pass(grid, ab, scheme: CouplingScheme, deltas, t: float, noise: Noise
             dpad_dt = dpad_dt + (c2 * dxe2_dt + s2 * dye2_dt)
             dn_dt = noise.p_e * (s2 * dye2_dt - c2 * dxe2_dt)
         wd = grid.weights / (pq[0] + pq[1] + pad_all)
-        de_dpq = np.stack([-(eps + e), eps - e]) * wd  # weighted dE/dP and dE/dQ
-        # dP/dc = 2 |x|^2 Re(conj(A) dA/dc) and dQ/dc = 2 |y|^2 Re(conj(B) dB/dc)
-        za, zb = 2.0 * de_dpq * w2 * np.conj(ab)
-        d_lam, d_mu = np.stack([cos_phi * za - sin_phi * zb,
-                                sin_phi * za + cos_phi * zb]) @ phases.T
+        de_dpq = np.array([-(eps + e), eps - e]) * wd  # weighted dE/dP and dE/dQ
+        z = 2.0 * de_dpq * w2 * np.conj(ab)  # (z_a, z_b)
+        # (cos phi z_a - sin phi z_b, sin phi z_a + cos phi z_b) @ phases.T
+        rotate = _ROTATE.reshape((2,) + (1,) * (z.ndim - 1))
+        d_c = (cos_phi * z + sin_phi * (z[::-1] * rotate)) @ phases.T
         de_dw2 = de_dpq * ab2
-        d_delta = np.sum(de_dw2 * dw2_ddelta, axis=(0, -1))
-        d_t = np.sum(np.sum(de_dw2 * dw2_dt, axis=0) + (eps * dn_dt - e * dpad_dt) * wd,
-                     axis=-1)
-        de_total = np.concatenate([d_lam.real, -d_mu.imag, d_delta[..., None],
+        d_delta = (de_dw2 * dw2_ddelta).sum(axis=(0, -1))
+        d_t = ((de_dw2 * dw2_dt).sum(axis=0) + (eps * dn_dt - e * dpad_dt) * wd).sum(axis=-1)
+        de_total = np.concatenate([d_c[0].real, -d_c[1].imag, d_delta[..., None],
                                    d_t[..., None]], axis=-1)
         # e_total >= e_gs and e_gs < 0, so rel = (e_total - e_gs) / -e_gs
         return de_total / -grid.e_gs[..., None]
@@ -404,8 +415,8 @@ def chain_relative_energies(n_sites: int, thetas, scheme: CouplingScheme,
     theta-only inputs are cached per (N, thetas).  Raises
     UndefinedSteadyState if the steady state is undefined at any theta.
     """
-    grid = _theta_grid(n_sites, tuple(float(th) for th in thetas))
-    ab = np.stack(_coupling_sum(grid.cos_phi, grid.sin_phi, _phases(n_sites, scheme.nn), scheme))
+    grid = _theta_grid(n_sites, np.asarray(thetas, dtype=float).tobytes())
+    ab = _coupling_sum(grid.cos_phi, grid.sin_phi, _phases(n_sites, scheme.nn), scheme)
     return _chain_pass(grid, ab, scheme, [delta], t, noise, dsp=dsp)[1]
 
 
@@ -419,8 +430,8 @@ def chain_relative_energies_and_grad(n_sites: int, thetas, scheme: CouplingSchem
     with respect to `ParamVector.to_array()`: lambda_j and mu_j over the J
     `coupling_keys(scheme.nn)`, then delta and t.
     """
-    grid = _theta_grid(n_sites, tuple(float(th) for th in thetas))
-    ab = np.stack(_coupling_sum(grid.cos_phi, grid.sin_phi, _phases(n_sites, scheme.nn), scheme))
+    grid = _theta_grid(n_sites, np.asarray(thetas, dtype=float).tobytes())
+    ab = _coupling_sum(grid.cos_phi, grid.sin_phi, _phases(n_sites, scheme.nn), scheme)
     _, rel, grad = _chain_pass(grid, ab, scheme, [delta], t, noise, dsp=dsp)
     return rel, grad()
 
@@ -452,7 +463,7 @@ def closed_form_relative_energies(params: ModelParams, scheme: CouplingScheme,
     Entries are NaN where eps_k = 0.
     """
     row = _mode_row(params.N, params.theta)
-    (p, q), pad, env = _chain_pass(row, np.stack(coupling_arrays(scheme, params)), scheme,
+    (p, q), pad, env = _chain_pass(row, np.array(coupling_arrays(scheme, params)), scheme,
                                    deltas, t, noise, random_times=random_times, dsp=dsp)[0]
     num, denom = 2.0 * q, p + q
     if env is not None:

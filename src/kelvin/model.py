@@ -296,44 +296,63 @@ def _phases(N: int, nn: float) -> np.ndarray:
     return phases
 
 
+# (Lambda, M) -> (Lambda, i M), and (Lambda, i M) reversed -> (i M, -Lambda)
+_LAMBDA_IMU = np.array([[1.0], [1j]])
+_SWAP_SIGNS = np.array([[1.0], [-1.0]])
+
+
 def _coupling_sum(cos_phi: np.ndarray, sin_phi: np.ndarray, phases: np.ndarray,
-                  scheme: CouplingScheme):
-    """(A_k, B_k) in the Bogoliubov frame, shaped like cos_phi (modes last):
-    A_k = sum_j (cos phi lambda_j + i sin phi mu_j) e^{-2 pi i j k / N},
-    B_k = sum_j (-sin phi lambda_j + i cos phi mu_j) e^{-2 pi i j k / N},
-    with `phases` from `_phases(N, scheme.nn)`."""
-    c, s = cos_phi, sin_phi
-    a = np.zeros(c.shape, dtype=complex)
-    b = np.zeros(c.shape, dtype=complex)
-    for j, ph in zip(coupling_keys(scheme.nn), phases):
-        a += (c * scheme.lam[j] + 1j * s * scheme.mu[j]) * ph
-        b += (-s * scheme.lam[j] + 1j * c * scheme.mu[j]) * ph
-    return a, b
+                  scheme: CouplingScheme) -> np.ndarray:
+    """(A_k, B_k) in the Bogoliubov frame, stacked on a leading axis of 2 and
+    shaped like cos_phi after it (modes last), with `phases` from
+    `_phases(N, scheme.nn)`.
+
+    The couplings enter only through their Fourier sums over the offsets j,
+    Lambda_k = sum_j lambda_j e^{-2 pi i j k / N} and M_k = sum_j mu_j e^{..},
+    formed once on the modes (not per theta); the frame then rotates them:
+    A_k = cos phi Lambda_k + i sin phi M_k and
+    B_k = -sin phi Lambda_k + i cos phi M_k.  At nn = 0 (one offset, phase 1)
+    these are the floats of the per-offset sum
+    sum_j (cos phi lambda_j + i sin phi mu_j) e^{..}; at nn > 0 this order of
+    the sums moves A and B from it by at most a few ulp of max(|A|, |B|).
+    """
+    keys = coupling_keys(scheme.nn)
+    coeffs = np.array([[scheme.lam[j] for j in keys], [scheme.mu[j] for j in keys]])
+    # (Lambda, M) summed over j in order on the phases' (re, im) view; an
+    # elementwise sum, not a BLAS product, whose last bits vary with the kernel
+    fourier = (coeffs[..., None] * phases.view(float)).sum(axis=1).view(complex)
+    lam_imu = fourier * _LAMBDA_IMU
+    shape = (2,) + (1,) * (cos_phi.ndim - 1) + (-1,)
+    return (cos_phi * lam_imu.reshape(shape)
+            + sin_phi * (lam_imu[::-1] * _SWAP_SIGNS).reshape(shape))
 
 
 @functools.lru_cache(maxsize=64)
-def _coupling_table(N: int, theta: float, scheme: CouplingScheme):
-    """`coupling_arrays` on raw values, built once per (N, theta, scheme)."""
+def _coupling_table(N: int, theta: float, scheme: CouplingScheme) -> np.ndarray:
+    """`coupling_arrays` on raw values, stacked, built once per (N, theta, scheme)."""
     row = _mode_row(N, theta)
-    a, b = _coupling_sum(row.cos_phi, row.sin_phi, _phases(N, scheme.nn), scheme)
-    a.flags.writeable = b.flags.writeable = False
-    return a, b
+    ab = _coupling_sum(row.cos_phi, row.sin_phi, _phases(N, scheme.nn), scheme)
+    ab.flags.writeable = False
+    return ab
 
 
 def coupling_arrays(scheme: CouplingScheme, params: ModelParams):
     """(A_k, B_k) arrays over k = 0..N/2 (read-only)."""
-    return _coupling_table(params.N, params.theta, scheme)
+    a, b = _coupling_table(params.N, params.theta, scheme)
+    return a, b
 
 
 @functools.lru_cache(maxsize=64)
-def _theta_grid(n_sites: int, thetas: tuple[float, ...]) -> _ModeGrid:
-    """The mode grids of `thetas` stacked, one row per theta (read-only).
+def _theta_grid(n_sites: int, thetas: bytes) -> _ModeGrid:
+    """The mode grids of the thetas stacked, one row per theta (read-only).
 
-    Rows are the per-theta grids, so every entry is the float a single-theta
-    evaluation computes (a theta-vectorized sin(2 theta) or cos(phi) may
-    round differently).
+    `thetas` is the float64 thetas' `tobytes()`, a key that hashes without a
+    Python float per theta.  Rows are the per-theta grids, so every entry is
+    the float a single-theta evaluation computes (a theta-vectorized
+    sin(2 theta) or cos(phi) may round differently).
     """
-    rows = [_mode_row(p.N, p.theta) for p in (ModelParams(n_sites, th) for th in thetas)]
+    rows = [_mode_row(p.N, p.theta)
+            for p in (ModelParams(n_sites, float(th)) for th in np.frombuffer(thetas))]
     grid = _ModeGrid(*map(np.stack, zip(*rows)))
     for arr in grid:
         arr.flags.writeable = False

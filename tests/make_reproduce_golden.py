@@ -1,16 +1,22 @@
 """Write the golden record of the `reproduce` outputs, tests/data/reproduce_golden.json.
 
     PYTHONPATH=src python tests/make_reproduce_golden.py
+    PYTHONPATH=src python tests/make_reproduce_golden.py --moves
 
 The record holds, for every target of `repro.TARGETS`, each assertion's
 measured value, expected value and ok flag, and the target's `data` as JSON.
 `test_reproduce_golden.py` reruns the targets and compares every number with
 it.  A change that moves outputs on purpose reruns this script in the same
-diff and reports each move.
+diff and reports each move.  `--moves` writes nothing: it reruns the targets
+and prints each one's largest relative move against the record, whether
+it passes the record's tolerances (relative plus the absolute floor), the
+path of that number and the count of leaves whose flag, string, int or
+presence differs.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import pathlib
 
@@ -73,7 +79,41 @@ def mismatches(recorded, measured, rel_tol: float, abs_floor: float) -> list[str
     return bad
 
 
+def largest_move(recorded, measured) -> tuple[float, str, int]:
+    """(the largest |a - b| / max(|a|, |b|) over the floats both records hold,
+    its path, the count of other leaves that differ or are missing)."""
+    want, got = leaves(recorded), leaves(measured)
+    move, where, other = 0.0, "", len(set(want) ^ set(got))
+    for path in sorted(set(want) & set(got)):
+        a, b = want[path], got[path]
+        if isinstance(a, float) and isinstance(b, float):
+            rel = 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+            if rel > move:
+                move, where = rel, path
+        elif not (a == b and type(a) is type(b)):
+            other += 1
+    return move, where, other
+
+
+def print_moves() -> None:
+    """Each target's largest relative move against the record; writes nothing."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    for name in repro.TARGETS:
+        tol = golden["target_rel_tol"].get(name, {"rel_tol": golden["rel_tol"]})["rel_tol"]
+        recorded, measured = golden["targets"][name], target_record(repro.run_target(name))
+        move, where, other = largest_move(recorded, measured)
+        bad = len(mismatches(recorded, measured, tol, golden["abs_floor"]))
+        print(f"{name:20s} {move:9.2e} (rel_tol {tol:.0e}) {'FAILS' if bad else 'ok':5s} "
+              f"{where or '-'}{f'  {other} other leaves differ' if other else ''}")
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--moves", action="store_true",
+                        help="print each target's largest move against the record, write nothing")
+    if parser.parse_args().moves:
+        print_moves()
+        return
     record = {
         "rel_tol": REL_TOL,
         "abs_floor": ABS_FLOOR,

@@ -8,12 +8,18 @@ closed-form e_k in its cancellation-free form, both on the bath weights
 P = |A|^2 |x|^2 and Q = |B|^2 |y|^2 of `analytic._phase_weight_and_grad`, and
 a phase average that evaluates one theta at a time through
 `oracles.phase_average`.
+The couplings are summed in the Fourier order: over the offsets j first,
+Lambda_k = sum_j lambda_j e^{-2 pi i j k / N} and M_k = sum_j mu_j e^{..} in
+the order of `coupling_keys`, then rotated into the frame,
+A_k = cos phi Lambda_k + i sin phi M_k and B_k = -sin phi Lambda_k + i cos phi M_k.
+The per-offset order sum_j (cos phi lambda_j + i sin phi mu_j) e^{..} is kept
+as a second oracle, which the Fourier order matches bit for bit at nn = 0
+and to 4 ulp at nn > 0.
 The grid keeps every elementwise expression in the same operand order and
 reduces each theta row with the same pairwise sum, so the package must agree
 with them exactly (==), not to a tolerance: the objective values, and the
 optimizer outputs built on them, stay reproducible bit for bit.
 """
-
 import math
 
 import numpy as np
@@ -55,6 +61,21 @@ def _oracle_mode_grid(params):
 
 
 def _oracle_coupling_arrays(scheme, params):
+    """(A_k, B_k) in the Fourier order: Lambda_k and M_k over the offsets
+    first, then the rotation by phi_k."""
+    ks, _, phi, _ = _oracle_mode_grid(params)
+    c, s = np.cos(phi), np.sin(phi)
+    lam = mu = 0.0
+    for j in coupling_keys(scheme.nn):
+        ph = np.exp(-2j * math.pi * j * ks / params.N)
+        lam = lam + scheme.lam[j] * ph
+        mu = mu + scheme.mu[j] * ph
+    return c * lam + s * (1j * mu), c * (1j * mu) - s * lam
+
+
+def _per_offset_coupling_arrays(scheme, params):
+    """(A_k, B_k) in the per-offset order: each offset's rotated term,
+    (cos phi lambda_j + i sin phi mu_j) e^{-2 pi i j k / N}, summed over j."""
     ks, _, phi, _ = _oracle_mode_grid(params)
     c, s = np.cos(phi), np.sin(phi)
     a = np.zeros(len(ks), dtype=complex)
@@ -197,6 +218,25 @@ def test_matches_per_theta_code(nn, n_sites, noise_kind, mode):
         assert _same(new_ab[0], old_ab[0]) and _same(new_ab[1], old_ab[1])
 
 
+@pytest.mark.parametrize("nn", NN)
+@pytest.mark.parametrize("n_sites", SIZES)
+def test_fourier_order_against_per_offset_sum(nn, n_sites):
+    """The Fourier order moves A and B by at most 4 ulp of max(|A|, |B|), in
+    the real and the imaginary part, and not at all at nn = 0 (one offset),
+    which keeps every output of the local coupling bit for bit."""
+    rng = np.random.default_rng([int(2 * nn), n_sites, 34])
+    for _ in range(40):
+        scheme = _param_vector(nn, rng).scheme
+        params = ModelParams(n_sites, float(rng.uniform(0.0, math.pi / 2)))
+        new = np.array(an.coupling_arrays(scheme, params))
+        old = np.array(_per_offset_coupling_arrays(scheme, params))
+        if nn == 0:
+            assert _same(new, old)
+        ulp = np.spacing(np.max(np.abs(new)))
+        assert np.max(np.abs(new.real - old.real)) <= 4 * ulp
+        assert np.max(np.abs(new.imag - old.imag)) <= 4 * ulp
+
+
 @pytest.mark.parametrize("n_sites", SIZES)
 def test_relative_energies_over_arbitrary_thetas(n_sites):
     rng = np.random.default_rng(n_sites)
@@ -251,17 +291,45 @@ def test_undefined_steady_state(noise_kind, mode):
 
 
 def test_cached_theta_inputs_are_read_only():
-    thetas = tuple(float(th) for th in op.phase_grid("high"))
+    thetas = op.phase_grid("high").tobytes()
     grid = model._theta_grid(20, thetas)
     assert grid is model._theta_grid(20, thetas)
     phases = model._phases(20, 1.5)
     nodes = op.phase_grid("high")
     assert nodes is op.phase_grid("high")
+    intervals = op._INTERVALS["high", op.PHASE_NODES]
     assert grid.eps.shape == (21, 11) and phases.shape == (4, 11)
-    for arr in (*grid, phases, nodes):
+    for arr in (*grid, phases, nodes, intervals):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[...] = 0
+
+
+def test_cached_intervals_follow_the_phase_grid():
+    """Interleaved 41-, 2- and 21-node phase averages each sum on the
+    intervals of the grid `phase_grid` gives them: every value is
+    np.trapezoid's over that grid, ==, and every gradient too."""
+    rng = np.random.default_rng(34)
+    pv = _param_vector(1, rng)
+    noise = an.NoiseSpec.depolarizing(1e-4)
+    for n_nodes in (41, 2, op.PHASE_NODES, 41, op.PHASE_NODES, 2, 41):
+        for phase in ("low", "high"):
+            if n_nodes == op.PHASE_NODES:
+                new = op.objective_phase_averaged(pv, phase, 20, noise)
+            else:
+                new = phase_averaged_on(n_nodes, pv, phase, 20, noise)
+            assert new == phase_average(
+                lambda th: op.objective_theta_specific(pv, ModelParams(20, th), noise),
+                phase, n_nodes)
+            thetas = op.phase_grid(phase, n_nodes)
+            grad = an.chain_relative_energies_and_grad(20, thetas, pv.scheme, pv.delta,
+                                                       pv.t, noise)[1]
+            assert np.array_equal(new.grad, np.trapezoid(grad, thetas, axis=0))
+            intervals = op._INTERVALS[phase, n_nodes]
+            assert np.array_equal(intervals, np.diff(thetas))
+            assert not intervals.flags.writeable
+            with pytest.raises(ValueError):
+                intervals[...] = 0
 
 
 @pytest.mark.parametrize("objective", ["theta_specific", "phase_averaged"])
