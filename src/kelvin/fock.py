@@ -37,8 +37,14 @@ the residual, with one verdict for both engines.
 
 `cycle_maps` yields the maps of a stack of modes, one per time, from one
 stacked eigendecomposition, with the rest weights and populated columns
-formed once per call.  `mode_groups` picks those stacks, one block size
-each: the edges, then the pairs in chunks sized by memory.
+formed once per call.  While its frequency is open it holds the eigenvalues
+and eigenvectors of the parity blocks, not the Hamiltonian they came from,
+and the conjugates of the eigenvector rows its fixed-time maps read (the
+populated columns), not of every row; a random-time average conjugates the
+eigenvectors for its own map alone.  `mode_groups` picks those stacks, one
+block size each: the edges, then the pairs in stacks of 256 kB of
+eigenvectors, 128 pairs, so up to N = 258 a frequency's pairs are one
+stack.
 `exact_cycle_map` (one time) and `averaged_cycle_map` (random times) are
 one-block views of the same builder, environments included, and
 `steady_state` solves one such transfer.
@@ -115,10 +121,11 @@ class FockBlock:
     """Second-quantized block Hamiltonian with system/rest bookkeeping.
 
     `blocks` is H on the even and on the odd Fock states (`_parity_classes`),
-    shape (2, d/2, d/2), or a stack of such pairs over leading axes.
+    shape (2, d/2, d/2), or a stack of such pairs over leading axes; it may
+    be None on a block built from its eigenbasis `_eig` alone.
     """
 
-    blocks: np.ndarray
+    blocks: np.ndarray | None
     block: ModeBlock
     _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
@@ -131,7 +138,7 @@ class FockBlock:
     @property
     def n_modes(self) -> int:
         """Fock modes n, from the parity blocks' size 2^(n-1)."""
-        return self.blocks.shape[-1].bit_length()
+        return (self.blocks if self._eig is None else self._eig[0]).shape[-1].bit_length()
 
     @property
     def d_sys(self) -> int:
@@ -264,26 +271,32 @@ def matrices(x: np.ndarray) -> np.ndarray:
 
 def mode_groups(n2: int, env: NoiseSpec | None) -> list[np.ndarray]:
     """The modes k = 0..n2 as groups, each built and stepped as one stack:
-    the edges (k = 0 and n2), then the pairs, in chunks of 64 kB for the
-    eigenvectors of the chunk's parity blocks, two d/2 x d/2 complex blocks
+    the edges (k = 0 and n2), then the pairs, in stacks of 256 kB for the
+    eigenvectors of the stack's parity blocks, two d/2 x d/2 complex blocks
     per mode, d = 2^(Fock modes) with 2 Fock modes for the edges and 4 for
-    pairs, twice that with the environments `env`.  So 32 pairs, 512 edges,
-    32 environment edges or one environment pair (512 kB alone) per chunk.
+    pairs, twice that with the environments `env`.  So 128 pairs, 2048
+    edges, 128 environment edges or one environment pair (512 kB alone) per
+    stack; up to N = 258 a frequency's pairs are one stack.
 
-    A chunk holds a few stacks of that size at once: each open frequency's
-    Hamiltonians and eigenvectors, one map's transients and, half that
-    size, the running product of `_global_maps`.  On the
-    benchmark's N = 200 trajectories (theta = pi/3, g = 1e-2, t = 10, 100
-    cycles; randomized L = 10 and multifreq R = 3, L = 4; 2-vCPU host, one
-    BLAS thread), 32-pair chunks took the Fock time from 0.044 to 0.040 s
-    and the peak RSS from 43.1 to 43.5 MB against 16-pair chunks (medians
-    of ten runs each); 16-pair chunks of whole 16 x 16 blocks had taken
-    0.063 s and 43.7 MB.
+    A stack holds a few arrays of that size at once: each open frequency's
+    eigenvectors (`cycle_maps` drops the Hamiltonian after its eigh), one
+    map's transients and, half that size, the running product of
+    `_global_maps`.  Timed in-process on Fock trajectories (theta = pi/3,
+    g = 1e-2, t = 10, 100 cycles; randomized L = 10 and multifreq R = 3,
+    L = 4) and randomized L = 100 steady reports (theta = pi/4, g = 1e-4,
+    t = 20), 2-vCPU host, one BLAS thread, the fastest of 60 interleaved
+    rounds at N = 200 and of 20 at N = 1000, 128-pair stacks against
+    32-pair chunks took randomized 7.5 -> 6.2 ms, multifreq 13.8 -> 11.9
+    ms and steady 10.6 -> 9.3 ms at N = 200, and 31.3 -> 25.7, 57.8 -> 50.5
+    and 45.8 -> 40.9 ms at N = 1000, where 256-pair stacks took 28.1, 51.9
+    and 40.3 ms: no faster, so 128 is the cap.  Many open frequencies pay
+    for it in memory: the tracemalloc peak of an N = 200 multifreq R = 20
+    trajectory rose from 6.2 to 10.4 MB.
     """
     ks = np.arange(n2 + 1)
     groups = []
     for group, n_modes in ((np.array([0, n2]), 2), (ks[1:n2], 4)):
-        size = max(1, (1 << 16) // (8 * 4 ** (n_modes * (2 if env is not None else 1))))
+        size = max(1, (1 << 18) // (8 * 4 ** (n_modes * (2 if env is not None else 1))))
         groups += [group[i:i + size] for i in range(0, len(group), size)]
     return groups
 
@@ -429,23 +442,27 @@ def _maps(fb: FockBlock, ts, t_mean: float, kappa: float):
     e, v = fb.eig()
     cols, rows, columns, gather, take = _cycle_layout(fb.d_sys, fb.d_rest)
     vs = v.reshape(v.shape[:-3] + (-1, v.shape[-1]))  # the parity blocks' rows stacked
-    vc = vs.conj()
+    sqrt_w = None
     if fb.block.env is not None:  # w_r: the bath empty, each environment mode full at p_env
         p_env = (1.0 - fb.block.env.p_e) / 2.0
         w = functools.reduce(np.kron, [[1.0, 0.0]] * fb.n_sys_modes
                              + [[1.0 - p_env, p_env]] * (fb.n_modes - 2 * fb.n_sys_modes))
-        vc = vc * np.sqrt(w)[_parity_classes(2 * v.shape[-1]).reshape(-1, 1) % fb.d_rest]
+        sqrt_w = np.sqrt(w)[_parity_classes(2 * v.shape[-1]).reshape(-1, 1) % fb.d_rest]
     rates, proj = _noise_projectors(fb.n_sys_modes)
     fixed = [t for t in ts if t is not None]
     if fixed:
+        v_cols = vs[..., cols, :].conj()
+        if sqrt_w is not None:
+            v_cols *= sqrt_w[cols]
         # contiguous operands (and np.take below): the matmul path numpy picks
         # depends on the memory layout, so a block's bits would depend on its stack
-        v_cols = np.ascontiguousarray(vc[..., cols, :].swapaxes(-1, -2))
+        v_cols = np.ascontiguousarray(v_cols.swapaxes(-1, -2))
     if fixed and kappa > 0:
         noise = iter(np.einsum("tj,jab->tab", np.exp(-kappa * np.multiply.outer(fixed, rates)), proj))
     for t in ts:
         if t is None:
             # l (..., 1, p, s, ds^2/2, n, d/2), broadcast over the noise rates on its axis -6
+            vc = vs.conj() if sqrt_w is None else vs.conj() * sqrt_w
             l = vs[..., rows, :] * vc[..., columns, :]
             m = random_time_average(l[..., None, :, :, :, :, :], e[..., None, :, None, :],
                                     rates[:, None, None] * kappa if kappa > 0 else 0.0, t_mean)
@@ -493,18 +510,19 @@ def cycle_maps(block: ModeBlock, ts, t_mean: float, kappa: float):
     group), one per time in `ts`, in order.
 
     The stack is second-quantized at once, with the eigenbases of its parity
-    blocks from one stacked eigh, and held until the generator is done.
+    blocks from one stacked eigh; they are held until the generator is done,
+    and the Hamiltonian is not kept past its eigh.
     Each fixed time gives the stack of `exact_cycle_map`s at the gain/loss
     rate `kappa`, with the environments' p_E read from `block.env`; a time
     of None stands for `averaged_cycle_map` over [0, 2 t_mean], taken per
     mode and stacked.
     """
-    fb = second_quantize(block)
+    fb = FockBlock(None, block, second_quantize(block).eig())
     fixed = _maps(fb, [t for t in ts if t is not None], t_mean, kappa)
     for t in ts:
         if t is None:
-            yield np.stack([averaged_cycle_map(FockBlock(h, block, (e, v)), t_mean, kappa)
-                            for h, e, v in zip(fb.blocks, *fb.eig())])
+            yield np.stack([averaged_cycle_map(FockBlock(None, block, eig), t_mean, kappa)
+                            for eig in zip(*fb.eig())])
         else:
             yield next(fixed)
 

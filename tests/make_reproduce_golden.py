@@ -9,9 +9,10 @@ measured value, expected value and ok flag, and the target's `data` as JSON.
 it.  A change that moves outputs on purpose reruns this script in the same
 diff and reports each move.  `--moves` writes nothing: it reruns the targets
 and prints each one's largest relative move against the record, whether
-it passes the record's tolerances (relative plus the absolute floor), the
-path of that number and the count of leaves whose flag, string, int or
-presence differs.
+it passes the record's tolerances (relative plus the absolute floor; "ok
+(floor)" when the move exceeds the relative tolerance and passes on the
+floor alone), the path of that number and the count of leaves whose flag,
+string, int or presence differs.
 """
 
 from __future__ import annotations
@@ -103,7 +104,8 @@ def print_moves() -> None:
         recorded, measured = golden["targets"][name], target_record(repro.run_target(name))
         move, where, other = largest_move(recorded, measured)
         bad = len(mismatches(recorded, measured, tol, golden["abs_floor"]))
-        print(f"{name:20s} {move:9.2e} (rel_tol {tol:.0e}) {'FAILS' if bad else 'ok':5s} "
+        verdict = "FAILS" if bad else "ok (floor)" if move > tol else "ok"
+        print(f"{name:20s} {move:9.2e} (rel_tol {tol:.0e}) {verdict:10s} "
               f"{where or '-'}{f'  {other} other leaves differ' if other else ''}")
 
 

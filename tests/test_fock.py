@@ -278,6 +278,21 @@ def _dense_cycle_map(block, t, kappa):
     return np.array(cols).T
 
 
+class TestModeGroups:
+    """`mode_groups` stacks 256 kB of parity-block eigenvectors: 128 pairs,
+    the two edges together, and one environment pair (512 kB alone)."""
+
+    @pytest.mark.parametrize("n2, env, sizes", [
+        (100, None, [2, 99]), (150, None, [2, 128, 21]),
+        (5, NoiseSpec.finite_env(0.02, 0.7, 0.1).env, [2, 1, 1, 1, 1])],
+        ids=["N200", "N300", "env"])
+    def test_partition(self, n2, env, sizes):
+        groups = fock.mode_groups(n2, env)
+        assert [len(ks) for ks in groups] == sizes
+        assert np.array_equal(groups[0], [0, n2])
+        assert np.array_equal(np.concatenate(groups[1:]), np.arange(1, n2))
+
+
 _NN2 = CouplingScheme(nn=2, lam={-2: 0.1, -1: 0.3, 0: 1.0, 1: -0.7, 2: 0.2},
                       mu={-2: -0.3, -1: 0.2, 0: 0.5, 1: 0.9, 2: 0.4}, g=0.25)
 _ENV = NoiseSpec.finite_env(0.02, 0.7, 0.1).env

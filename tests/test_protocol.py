@@ -805,8 +805,8 @@ class TestComposedMaps:
     it is built; on Fock the product is the per-mode `exact_cycle_map`s
     composed in schedule order, bit for bit, and the chain's reports do not
     depend on how `mode_groups` stacks the modes.  At N = 80 the 39 pairs
-    span two Fock groups; environment pairs (d = 256) are one per group, so
-    the first three span three."""
+    are one Fock group, beside the edges; environment pairs (d = 256) are one
+    per group, so the first three span three."""
 
     PARAMS = ModelParams(80, math.pi / 3)
     SCHEME = CouplingScheme.local(1.0, 0.5, g=0.05)
@@ -833,12 +833,13 @@ class TestComposedMaps:
         """Steady reports and trajectories with every mode in a group of its
         own are bit-identical to the engine's own grouping: cycle maps, fixed
         points (`_linalg.affine_fixed_points`) and stepping (`_step_snapshots`)
-        give each mode the same bits in any stack.  The finite-environment
-        steady report is taken at a fixed time, where Fock builds its
-        environment pairs fast, and on a shorter chain: Fock stacks those
-        pairs one by one anyway."""
+        give each mode the same bits in any stack.  The depolarizing chain
+        has N = 300, whose 149 pairs span two Fock stacks.  The
+        finite-environment steady report is taken at a fixed time, where Fock
+        builds its environment pairs fast, and on a shorter chain: Fock stacks
+        those pairs one by one anyway."""
         eng, spec = pr.ENGINES[engine], self.NOISES[noise]
-        params = ModelParams(16, math.pi / 3) if noise == "finite_env" else self.PARAMS
+        params = ModelParams(16 if noise == "finite_env" else 300, math.pi / 3)
         n2 = params.N // 2
         assert len(eng.mode_groups(n2, spec.env)) < n2 + 1
         steady_sched = {"kind": "single"} if noise == "finite_env" else \
@@ -923,9 +924,10 @@ class TestComposedMaps:
         """The paper's plan (R = N/5 frequencies) as a steady report: each
         frequency's eigenbasis is dropped once its map is folded in.  The
         tracemalloc peaks (numpy 2.4.6, CPython 3.11) are 1.88 MB (CM, N=400)
-        and 0.58 MB (Fock, N=100); holding every frequency's maps, as the
-        dict of maps did, took 10.9 and 0.68 MB, and keeping every
-        frequency's generator open takes 19.1 and 4.6 MB."""
+        and 0.53 MB (Fock, N=100, one 49-pair stack; 0.35 MB in 32-pair
+        chunks); holding every frequency's maps, as the dict of maps did,
+        took 10.9 and 0.68 MB, and keeping every frequency's generator open
+        takes 19.1 and 4.6 MB."""
         import tracemalloc
 
         plan = an.gs_cooling_plan(n, math.pi / 3)
@@ -942,19 +944,26 @@ class TestComposedMaps:
 
 
 class TestFockReportMemory:
-    """Chunked Fock map building holds no more memory than one mode at a time.
+    """Stacked Fock map building holds no more memory than one mode at a time.
 
     The bounds are the tracemalloc peaks of the same calls, after the same
     warm-up call, on the builder that formed one propagator per quadrature
     node and mode (numpy 2.4.6, CPython 3.11): 3.265 MB and 7.502 MB.
 
-    A trajectory holds one chunk's eigenbasis per open frequency and the
+    Those two steady reports peak at 0.774 and 1.718 MB with 128-pair stacks
+    (0.322 and 2.248 MB with 32-pair chunks, which held a conjugated copy of
+    every eigenvector).
+
+    A trajectory holds one stack's eigenbasis per open frequency and the
     running products.  On the benchmark's two trajectory schedules the peaks
     were 1.155 and 1.129 MB with 4-pair chunks and a dict of every map,
     1.120 and 1.446 MB with 16-pair chunks composed as they are built (the
-    multifreq run keeps its three frequencies' eigenbases open), and are
-    0.677 and 1.217 MB with 32-pair chunks of parity blocks and physical
-    sectors; the bound is 2.0 MB.
+    multifreq run keeps its three frequencies' eigenbases open), 0.588 and
+    1.144 MB with 32-pair chunks of parity blocks and physical sectors, and
+    are 1.011 and 1.905 MB with one 99-pair stack that keeps each
+    frequency's eigenbasis but not its Hamiltonian; the bound is 2.0 MB.
+    Twenty open frequencies (multifreq R = 20) peak at 10.369 MB, against
+    6.153 MB with 32-pair chunks; the bound is 11.0 MB.
     """
 
     @pytest.mark.parametrize("case, parent_peak_mb", [
@@ -980,11 +989,12 @@ class TestFockReportMemory:
             tracemalloc.stop()
         assert peak <= parent_peak_mb * 1e6
 
-    @pytest.mark.parametrize("descriptor", [
-        {"kind": "randomized", "L": 10},
-        {"kind": "multifreq", "R": 3, "L": 4, "freq_rule": "grid"}],
-        ids=["randomized", "multifreq"])
-    def test_trajectory_peak(self, descriptor):
+    @pytest.mark.parametrize("descriptor, bound_mb", [
+        ({"kind": "randomized", "L": 10}, 2.0),
+        ({"kind": "multifreq", "R": 3, "L": 4, "freq_rule": "grid"}, 2.0),
+        ({"kind": "multifreq", "R": 20, "L": 4, "freq_rule": "grid"}, 11.0)],
+        ids=["randomized", "multifreq", "multifreq_R20"])
+    def test_trajectory_peak(self, descriptor, bound_mb):
         import tracemalloc
 
         params, bath = ModelParams(200, math.pi / 3), BathSpec(1.0, 10.0)
@@ -1001,4 +1011,4 @@ class TestFockReportMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.0e6
+        assert peak <= bound_mb * 1e6
