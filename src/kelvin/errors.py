@@ -25,7 +25,7 @@ class ResonantDenominator(KelvinError):
 
 
 class DegenerateBand(KelvinError):
-    """Band edges coincide (theta = 0 or pi/2 exactly); continuum formulas undefined."""
+    """Band edges coincide (sin 2 theta = 0); continuum formulas undefined."""
 
 
 class UndefinedSteadyState(KelvinError):

@@ -1,6 +1,7 @@
 """Solvable chain model: dispersion, Bogoliubov frame, and per-mode blocks.
 
-The chain of N fermionic sites is parametrized by a single angle theta.
+The chain of N fermionic sites is parametrized by a single angle theta (any
+finite value).
 Everything downstream works per momentum pair (k, -k), k = 0..N/2, on small
 single-particle matrices ("blocks"): system pair, bath pair, and optionally
 two environment pairs.  Edge modes k = 0 and k = N/2 are single modes and are
@@ -34,14 +35,18 @@ __all__ = [
     "ground_state_energy",
     "energy_density_limit",
     "block_hamiltonian",
-    "canonicalize_theta",
     "band_edges",
 ]
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Chain size and angle; theta must already be canonical (in [0, pi/2])."""
+    """Chain size (even, >= 2) and angle theta, any finite value.
+
+    The paper restricts theta to [0, pi/2] without loss of generality (any
+    other theta is equivalent to one there after a change of couplings);
+    the model computes every theta as given.
+    """
 
     N: int
     theta: float
@@ -51,10 +56,6 @@ class ModelParams:
             raise ValueError(f"N must be even and >= 2, got {self.N}")
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
-        if not (-1e-12 <= self.theta <= math.pi / 2 + 1e-12):
-            raise ValueError(
-                f"theta={self.theta} outside [0, pi/2]; use canonicalize_theta first"
-            )
 
 
 def coupling_keys(nn: float) -> list[int]:
@@ -95,22 +96,6 @@ class CouplingScheme:
     @classmethod
     def local(cls, lam0: float = 1.0, mu0: float = 1.0, g: float = 1.0) -> "CouplingScheme":
         return cls(nn=0, lam={0: lam0}, mu={0: mu0}, g=g)
-
-    def reflected(self) -> "CouplingScheme":
-        """Couplings for the sublattice sign flip (theta -> pi - theta):
-        c_j -> (-1)^j c_j."""
-        return CouplingScheme(
-            nn=self.nn,
-            lam={j: v * (-1) ** j for j, v in self.lam.items()},
-            mu={j: v * (-1) ** j for j, v in self.mu.items()},
-            g=self.g,
-        )
-
-    def swapped(self) -> "CouplingScheme":
-        """Couplings for the particle-hole map (theta -> theta + pi):
-        lambda_j <-> mu_j."""
-        return CouplingScheme(nn=self.nn, lam=dict(self.mu), mu=dict(self.lam),
-                              g=self.g)
 
     def rescaled(self, c: float) -> "CouplingScheme":
         """Multiply all couplings by c and divide g by c (leaves g*A_k, g*B_k fixed)."""
@@ -243,8 +228,8 @@ def mode_grid(params: ModelParams):
 
 
 def band_edges(theta: float) -> tuple[float, float]:
-    """(eps_min, eps_max) = sqrt(1 -+ sin 2 theta)."""
-    s = math.sin(2 * theta)
+    """(eps_min, eps_max) = sqrt(1 -+ |sin 2 theta|), for any theta."""
+    s = abs(math.sin(2 * theta))
     return math.sqrt(max(1 - s, 0.0)), math.sqrt(1 + s)
 
 
@@ -418,21 +403,6 @@ def block_hamiltonian(
     cos phi, -sin phi) and one coupled to the bath (amplitudes 1, 0).  With
     dsp=True the system splitting is removed from the evolution (energies
     are still measured with the true epsilon of `mode_grid`).
-    """
-    return _block_raw(params.theta, params.N, scheme, bath, k, env=env, dsp=dsp)
-
-
-def _block_raw(
-    theta: float,
-    N: int,
-    scheme: CouplingScheme,
-    bath: BathSpec,
-    k,
-    env: NoiseSpec | None = None,
-    dsp: bool = False,
-) -> ModeBlock:
-    """block_hamiltonian on raw values; accepts any finite theta (used by the
-    theta-canonicalization equivalence checks).
 
     Each coupling of pairs (X, Y) with amplitudes (A, B) fills rows X, cols Y
     with the translation-invariant pattern [[A, B], [B, -A]] and rows Y,
@@ -441,6 +411,7 @@ def _block_raw(
     then requires [[A, B], [-B*, -A*]] (the two coincide when A is real and
     B imaginary).
     """
+    N, theta = params.N, params.theta
     ks = np.asarray(k)
     if not np.all((0 <= ks) & (ks <= N // 2)):
         raise ValueError(f"k must lie in [0, N/2], got {k}")
@@ -477,49 +448,3 @@ def _block_raw(
     if ks.ndim == 0:
         return ModeBlock(h_sb[0], weight.item(), env)
     return ModeBlock(h_sb, weight, env)
-
-
-@dataclass(frozen=True)
-class CanonicalTheta:
-    theta: float
-    scheme: CouplingScheme
-    mode_relabeled: bool
-    """True when the mapping sends pair index k to N/2 - k."""
-
-
-def canonicalize_theta(theta_raw: float, scheme: CouplingScheme) -> CanonicalTheta:
-    """Map theta from [-pi/2, 3pi/2] into [0, pi/2].
-
-    Two exact symmetries are available (verified by comparing the exact
-    per-mode cycle maps):
-
-    * sublattice sign flip: theta -> pi - theta, couplings c_j -> (-1)^j c_j,
-      modes relabeled k -> k +- N/2;
-    * particle-hole map: theta -> theta + pi, couplings lambda_j <-> mu_j,
-      modes unchanged.
-
-    Negative theta uses their composition (reflect, swap, and relabel).  The
-    paper's appendix maps theta -> -theta by the relabeling k -> k +- N/2
-    with lambda_j, mu_j -> (-1)^j lambda_j, (-1)^j mu_j alone.  Under this
-    package's H_S that map also needs the particle-hole swap: without it the
-    steady spectra of N = 12 blocks at g = 0.2 with random couplings differ
-    by up to 0.66 and the rates alpha by up to a factor 55; with it every
-    branch agrees to 1e-12 (`test_theta_symmetry_of_steady_spectra`).
-    """
-    if not math.isfinite(theta_raw):
-        raise ValueError("theta must be finite")
-    lo, hi = -math.pi / 2 - 1e-12, 3 * math.pi / 2 + 1e-12
-    if not (lo <= theta_raw <= hi):
-        raise ValueError(f"theta={theta_raw} outside [-pi/2, 3pi/2]")
-
-    if theta_raw > math.pi + 1e-15:
-        # particle-hole branch: theta - pi, lambda <-> mu
-        theta_raw = theta_raw - math.pi
-        scheme = scheme.swapped()
-    if -1e-15 <= theta_raw <= math.pi / 2 + 1e-15:
-        return CanonicalTheta(min(max(theta_raw, 0.0), math.pi / 2), scheme, False)
-    if theta_raw < 0:
-        # -theta = (pi - (theta + pi)): particle-hole then sublattice flip
-        return CanonicalTheta(-theta_raw, scheme.swapped().reflected(), True)
-    # (pi/2, pi]: sublattice flip alone
-    return CanonicalTheta(math.pi - theta_raw, scheme.reflected(), True)

@@ -32,9 +32,11 @@ as a transfer matrix on the whole operator space, from the whole-space
 projectors of `_full_noise_projectors`; the joint-Lindbladian check of the
 Fock engine's noise factorization on the physical sector
 (`noise_factorization_gap`);
-`maximally_mixed_density`; the physical-state checks of per-mode blocks
-(`check_cm_blocks`, `check_density_blocks`); `steady_blocks`, the per-mode
-steady states that `protocol.steady_report` reduces; and the decay-rate
+`maximally_mixed_density`; `theta_image`, the chain at theta in [0, pi/2]
+equivalent to one at any theta in [-pi/2, 3pi/2]; the physical-state checks
+of per-mode blocks (`check_cm_blocks`, `check_density_blocks`);
+`steady_blocks`, the per-mode steady states that `protocol.steady_report`
+reduces; and the decay-rate
 fit and product-state distance of small chains (`rate_from_decay`, which
 raises `FitQualityError`, and `product_state_distance`).  `mode_values` reads one mode's eps, phi, A and
 B from the grids a block is built from.
@@ -55,7 +57,7 @@ from kelvin.analytic import GAMMA0_SQ_FACTOR
 from kelvin.errors import KelvinError, ResonantDenominator, UndefinedSteadyState
 from kelvin.fock import (_physical_sector, _unblock, exact_cycle_map, matrices,
                          mode_operators, second_quantize)
-from kelvin.model import ModeBlock, NoiseSpec, coupling_arrays, mode_grid
+from kelvin.model import CouplingScheme, ModeBlock, NoiseSpec, coupling_arrays, mode_grid
 from kelvin.optimize import PHASE_NODES, phase_grid
 
 
@@ -81,6 +83,32 @@ def mode_values(params, scheme, k: int) -> tuple[float, float, complex, complex]
     _, eps, phi, _ = mode_grid(params)
     a, b = coupling_arrays(scheme, params)
     return eps[k].item(), phi[k].item(), a[k].item(), b[k].item()
+
+
+def theta_image(theta: float, scheme: CouplingScheme) -> tuple[float, CouplingScheme, bool]:
+    """The chain equivalent to one at theta in [-pi/2, 3pi/2], with theta in
+    [0, pi/2]: (theta', scheme', relabeled), where `relabeled` says that mode
+    k of the chain is mode N/2 - k of its image.
+
+    It composes two maps of this package's H_S: the sublattice sign flip
+    c_j -> (-1)^j c_j (theta -> pi - theta, lambda_j, mu_j -> (-1)^j lambda_j,
+    (-1)^j mu_j, k -> N/2 - k) and the particle-hole map (theta -> theta + pi,
+    lambda_j <-> mu_j, modes kept); theta < 0 takes both.  PAPER.md's
+    appendix maps theta -> -theta by the sign flip alone; this H_S also
+    needs the swap (without it the steady spectra of N = 12 blocks at
+    g = 0.2 with random couplings differ by up to 0.66 and the rates alpha
+    by up to a factor 55), and with finite environments the swap is no
+    symmetry.
+    """
+    assert -math.pi / 2 <= theta <= 3 * math.pi / 2, theta
+    lam, mu = scheme.lam, scheme.mu
+    if theta > math.pi:
+        theta, lam, mu = theta - math.pi, mu, lam
+    relabeled = not 0 <= theta <= math.pi / 2
+    if relabeled:
+        theta, lam, mu = (-theta, mu, lam) if theta < 0 else (math.pi - theta, lam, mu)
+        lam, mu = ({j: v * (-1) ** j for j, v in d.items()} for d in (lam, mu))
+    return theta, CouplingScheme(scheme.nn, lam, mu, scheme.g), relabeled
 
 
 def propagators(generators: np.ndarray, ts) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -252,8 +253,21 @@ class TestContinuumRates:
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_degenerate_band_raises(self):
-        with pytest.raises(DegenerateBand):
-            an.continuum_rates(1.0, 0.0, 10.0, 1e-3)
+        for theta in (0.0, math.pi / 2, math.pi):
+            with pytest.raises(DegenerateBand):
+                an.continuum_rates(1.0, theta, 10.0, 1e-3)
+
+    @pytest.mark.parametrize("theta", [2.0, -1.0, 3.6])
+    def test_rates_and_plan_outside_the_first_quadrant(self, theta):
+        """Where sin 2 theta < 0 the band is that of theta's image, so are the
+        continuum rates and the cooling plan."""
+        image = abs(math.remainder(theta, math.pi))
+        eps = np.linspace(0.5, 1.2, 5)
+        for rate, rate_image in zip(an.continuum_rates(eps, theta, 50.0, 1e-3),
+                                    an.continuum_rates(eps, image, 50.0, 1e-3), strict=True):
+            assert rate == pytest.approx(rate_image, rel=1e-13)
+        assert dataclasses.astuple(an.gs_cooling_plan(40, theta)) == pytest.approx(
+            dataclasses.astuple(an.gs_cooling_plan(40, image)), rel=1e-13)
 
 
 class TestLindbladSteady:

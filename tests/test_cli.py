@@ -10,6 +10,8 @@ from kelvin import optimize as op
 from kelvin import protocol as pr
 from kelvin.model import BathSpec, CouplingScheme, ModelParams
 
+import oracles
+
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
     p = tmp_path / name
@@ -389,6 +391,72 @@ class TestTrajectory:
         cli.main(["trajectory", "--config", cfg, "--out", str(out)])
         header = (out / "trajectory.csv").read_text().split("\n")[0]
         assert header.endswith("E_k4")
+
+
+class TestRawTheta:
+    """`steady` and `trajectory` run a theta outside [0, pi/2] as given, and
+    match the config of its image (`oracles.theta_image`): canonical theta,
+    mapped couplings, and per-mode rows k -> N/2 - k where the image
+    relabels the modes."""
+
+    SCHEME = CouplingScheme(nn=1, lam={-1: 0.4, 0: 0.9, 1: -0.6},
+                            mu={-1: -0.3, 0: 0.7, 1: 0.5}, g=0.15)
+    CFG = {
+        "model": base_model(12),
+        "bath": {"delta": 1.1, "cycle_time": 4.3},
+        "noise": {"kind": "none"},
+        "seed": 9,
+    }
+
+    def _run(self, tmp_path, command, payload, theta, engine):
+        """Run `command` at theta and at its image; (outputs, image outputs,
+        row order of the image's modes that lines them up with the chain's)."""
+        theta_img, scheme_img, relabeled = oracles.theta_image(theta, self.SCHEME)
+        outs = []
+        for name, th, scheme in (("raw", theta, self.SCHEME), ("image", theta_img, scheme_img)):
+            cfg = write_cfg(tmp_path, {
+                **payload, "model": base_model(12, th),
+                "scheme": {"nn": scheme.nn, "g": scheme.g,
+                           "lambda": {str(j): v for j, v in scheme.lam.items()},
+                           "mu": {str(j): v for j, v in scheme.mu.items()}}},
+                name=f"{command}-{name}-{engine}.json")
+            out = tmp_path / f"{command}-{name}-{engine}"
+            assert cli.main([command, "--config", cfg, "--out", str(out),
+                             "--engine", engine]) == 0
+            outs.append(out)
+        return outs[0], outs[1], slice(None, None, -1) if relabeled else slice(None)
+
+    @pytest.mark.parametrize("theta", [-0.5, 2.0])
+    @pytest.mark.parametrize("engine", ["fock", "cm"])
+    def test_steady_matches_the_image(self, tmp_path, engine, theta):
+        raw, img, order = self._run(tmp_path, "steady",
+                                    {**self.CFG, "schedule": {"kind": "single"}}, theta, engine)
+        summaries = [json.loads((out / "summary.json").read_text()) for out in (raw, img)]
+        for key in ("E", "e", "fidelity"):
+            assert summaries[0][key] == pytest.approx(summaries[1][key], rel=1e-10), key
+        rows = [np.genfromtxt(out / "steady.csv", delimiter=",", skip_header=1)
+                for out in (raw, img)]
+        assert np.array_equal(rows[0][:, 0], rows[1][:, 0])
+        # epsilon_k, E_k, e_k, alpha_k and the closed form's e_k of mode k
+        assert rows[0][:, 1:6] == pytest.approx(rows[1][order, 1:6], rel=1e-10)
+
+    @pytest.mark.parametrize("theta", [-0.5, 2.0])
+    @pytest.mark.parametrize("engine", ["fock", "cm"])
+    def test_multifreq_trajectory_matches_the_image(self, tmp_path, engine, theta):
+        payload = {**self.CFG,
+                   "schedule": {"kind": "multifreq", "R": 3, "L": 2, "freq_rule": "grid"},
+                   "run": {"cycles": 20, "snapshot_stride": 5, "wide": True}}
+        raw, img, order = self._run(tmp_path, "trajectory", payload, theta, engine)
+        rows = [np.genfromtxt(out / "trajectory.csv", delimiter=",", skip_header=1)
+                for out in (raw, img)]
+        assert np.array_equal(rows[0][:, 0], rows[1][:, 0])
+        # E, e and F of each snapshot
+        assert rows[0][:, 1:4] == pytest.approx(rows[1][:, 1:4], rel=1e-10)
+        # E_k of each snapshot, after the three columns above
+        assert rows[0][:, 4:] == pytest.approx(rows[1][:, 4:][:, order], rel=1e-10)
+        summaries = [json.loads((out / "summary.json").read_text()) for out in (raw, img)]
+        for key in ("final_e", "final_F"):
+            assert summaries[0][key] == pytest.approx(summaries[1][key], rel=1e-10), key
 
 
 class TestRates:

@@ -13,7 +13,6 @@ from kelvin.model import (
     ModelParams,
     NoiseSpec,
     block_hamiltonian,
-    canonicalize_theta,
     coupling_keys,
 )
 
@@ -625,23 +624,30 @@ class TestSteadyState:
     @pytest.mark.parametrize("theta_raw", [-math.pi / 3, -1.1, 2.0, math.pi - 0.4,
                                            math.pi + 0.4, 4.4])
     def test_theta_symmetry_of_steady_spectra(self, bath, rng, theta_raw):
-        """Steady states computed before and after canonicalization agree in
-        each branch (theta < 0, (pi/2, pi], (pi, 3pi/2]) for random couplings
-        of every range: eps, the steady spectra and the rate alpha, with the
-        raw block k compared to the canonical block N/2 - k where the modes
-        are relabeled.  Besides the single-time Fock map this holds for both
-        engines' maps averaged over random times, with and without
-        depolarizing noise; a CM steady state is compared through its Gaussian
-        density matrix, since relabeling k swaps the pair's modes and so
-        negates the CM spectrum."""
+        """A chain at theta outside [0, pi/2] and its image
+        (`oracles.theta_image`) agree in each branch (theta < 0, (pi/2, pi],
+        (pi, 3pi/2]) for random couplings of every range: eps, the steady
+        spectra and the rate alpha, with block k of the chain compared to
+        block N/2 - k of the image where the modes are relabeled.  Besides the
+        single-time Fock map this holds for both engines' maps averaged over
+        random times, with and without depolarizing noise, and on the
+        reflection branch (pi/2, pi] with finite environments; a CM steady
+        state is compared through its Gaussian density matrix, since
+        relabeling k swaps the pair's modes and so negates the CM spectrum.
+        The swap branches do not hold with environments (CHANGES.md)."""
         from kelvin import cm
-        from kelvin.model import _block_raw, _mode_row
-        n, t_mean = 12, bath.cycle_time_mean
+        t_mean = bath.cycle_time_mean
+        # environments on a shorter chain and the widest range alone: their
+        # 8-mode blocks are slow
+        cases = [(12, nn, None) for nn in (0, 0.5, 1, 1.5)]
+        if math.pi / 2 < theta_raw <= math.pi:
+            cases.append((6, 1.5, NoiseSpec.finite_env(0.05, 0.8, 0.2)))
 
         def steady_spectra(blk, edge):
             rho, alpha = fock.steady_state(fock.exact_cycle_map(blk, t_mean))
             out = [(np.linalg.eigvalsh(rho), alpha)]
-            for kappa in (0.0, 0.01):
+            # depolarizing noise and environments do not combine
+            for kappa in (0.0,) if blk.env else (0.0, 0.01):
                 rho, alpha = fock.steady_state(fock.averaged_cycle_map(blk, t_mean, kappa))
                 out.append((np.linalg.eigvalsh(rho), alpha))
                 transfer = next(cm.cycle_maps(blk, [None], t_mean, kappa))
@@ -650,22 +656,24 @@ class TestSteadyState:
                 out.append((np.linalg.eigvalsh(rho), alpha[0]))
             return out
 
-        for nn in (0, 0.5, 1, 1.5):
+        for n, nn, env in cases:
             keys = coupling_keys(nn)
             scheme = CouplingScheme(nn=nn, lam={j: float(rng.uniform(-1, 1)) for j in keys},
                                     mu={j: float(rng.uniform(-1, 1)) for j in keys}, g=0.2)
-            res = canonicalize_theta(theta_raw, scheme)
+            theta_img, scheme_img, relabeled = oracles.theta_image(theta_raw, scheme)
+            p_raw, p_img = ModelParams(n, theta_raw), ModelParams(n, theta_img)
             for k in range(0, n // 2 + 1):
-                k_can = n // 2 - k if res.mode_relabeled else k
-                blk_raw = _block_raw(theta_raw, n, scheme, bath, k)
-                blk_can = _block_raw(res.theta, n, res.scheme, bath, k_can)
-                assert _mode_row(n, theta_raw).eps[k] == \
-                    pytest.approx(_mode_row(n, res.theta).eps[k_can], abs=1e-12)
+                k_img = n // 2 - k if relabeled else k
+                blk_raw = block_hamiltonian(p_raw, scheme, bath, k, env=env)
+                blk_img = block_hamiltonian(p_img, scheme_img, bath, k_img, env=env)
+                assert mode_values(p_raw, scheme, k)[0] == \
+                    pytest.approx(mode_values(p_img, scheme_img, k_img)[0], abs=1e-12)
                 edge = k in (0, n // 2)
-                for i, ((ev_raw, alpha_raw), (ev_can, alpha_can)) in enumerate(
-                        zip(steady_spectra(blk_raw, edge), steady_spectra(blk_can, edge))):
-                    assert np.allclose(ev_raw, ev_can, rtol=0, atol=1e-11), (nn, k, i)
-                    assert alpha_raw == pytest.approx(alpha_can, rel=1e-10), (nn, k, i)
+                for i, ((ev_raw, alpha_raw), (ev_img, alpha_img)) in enumerate(
+                        zip(steady_spectra(blk_raw, edge), steady_spectra(blk_img, edge),
+                            strict=True)):
+                    assert np.allclose(ev_raw, ev_img, rtol=0, atol=1e-11), (nn, env, k, i)
+                    assert alpha_raw == pytest.approx(alpha_img, rel=1e-10), (nn, env, k, i)
 
 
 class TestBlockEnergy:

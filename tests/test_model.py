@@ -10,12 +10,10 @@ from kelvin.model import (
     ModeBlock,
     ModelParams,
     NoiseSpec,
-    _block_raw,
     _coupling_table,
     _mode_row,
     band_edges,
     block_hamiltonian,
-    canonicalize_theta,
     coupling_arrays,
     coupling_keys,
     dispersion,
@@ -57,6 +55,20 @@ class TestDispersion:
         eps_m, eps_max = band_edges(theta)
         assert dispersion(theta, 40, 20) == pytest.approx(eps_m, abs=1e-12)
         assert dispersion(theta, 40, 0) == pytest.approx(eps_max, abs=1e-12)
+
+    @pytest.mark.parametrize("theta", [0.3, 1.2, 2.0, 2.9, 3.5, 4.4, -0.3, -1.2])
+    def test_band_edges_bracket_the_band_in_every_quadrant(self, theta):
+        """(eps_min, eps_max) is the band's range over k for theta in each
+        quadrant, where sin 2 theta < 0 puts the minimum at k = 0, and it is
+        invariant under theta -> -theta and theta -> pi - theta."""
+        n = 40
+        eps = dispersion(theta, n, np.arange(n // 2 + 1))
+        eps_m, eps_max = band_edges(theta)
+        assert eps_m < eps_max
+        assert eps_m == pytest.approx(eps.min(), abs=1e-12)
+        assert eps_max == pytest.approx(eps.max(), abs=1e-12)
+        assert band_edges(-theta) == (eps_m, eps_max)
+        assert band_edges(math.pi - theta) == pytest.approx((eps_m, eps_max), abs=1e-14)
 
 
 def _phi(theta, n):
@@ -313,7 +325,7 @@ class TestBlockHamiltonian:
                     assert _grid_entries(blk.h_sb) == \
                         _grid_expected(split * eps[k], wts[k], scheme.g, a[k], b[k]), \
                         (n, theta, k, kw)
-                    raw = _block_raw(theta_raw, n, scheme, bath, k, **kw)
+                    raw = block_hamiltonian(ModelParams(n, theta_raw), scheme, bath, k, **kw)
                     assert _grid_entries(raw.h_sb) == _grid_expected(
                         split * row.eps[k], row.weights[k], scheme.g, a_raw[k], b_raw[k]), \
                         (n, theta_raw, k, kw)
@@ -355,7 +367,7 @@ def _pair_coupling_block(a: complex, b: complex, edge: bool) -> tuple[np.ndarray
     return top, top.conj().T
 
 
-def _oracle_block_raw(
+def _oracle_block(
     theta: float,
     N: int,
     scheme: CouplingScheme,
@@ -364,8 +376,7 @@ def _oracle_block_raw(
     env: NoiseSpec | None = None,
     dsp: bool = False,
 ) -> ModeBlock:
-    """block_hamiltonian on raw values; accepts any finite theta (used by the
-    theta-canonicalization equivalence checks)."""
+    """The block of one mode k at any finite theta."""
     if not (0 <= k <= N // 2):
         raise ValueError(f"k must lie in [0, N/2], got {k}")
     row = _mode_row(N, theta)
@@ -400,7 +411,8 @@ def _oracle_block_raw(
 
 
 class TestStackedBlocks:
-    """`_block_raw` over an array of k is, row by row, the per-mode builder."""
+    """`block_hamiltonian` over an array of k is, row by row, the per-mode
+    builder, at any finite theta."""
 
     def test_rows_equal_per_mode_oracle(self):
         rng = np.random.default_rng(20261018)
@@ -417,20 +429,21 @@ class TestStackedBlocks:
             bath = BathSpec(float(rng.uniform(0.1, 2.0)), 3.0)
             kw = {"env": env if case % 2 else None, "dsp": case % 3 == 0}
             ks = np.concatenate([[0, n // 2], rng.integers(0, n // 2 + 1, size=3)])
-            stack = _block_raw(theta, n, scheme, bath, ks, **kw)
+            params = ModelParams(n, theta)
+            stack = block_hamiltonian(params, scheme, bath, ks, **kw)
             assert stack.env is kw["env"] and stack.weight.shape == ks.shape
             for i, k in enumerate(ks):
-                oracle = _oracle_block_raw(theta, n, scheme, bath, int(k), **kw)
+                oracle = _oracle_block(theta, n, scheme, bath, int(k), **kw)
                 assert np.array_equal(stack.h_sb[i], oracle.h_sb), (case, k)
                 assert np.array_equal(stack.generator[i], oracle.generator), (case, k)
                 assert stack.weight[i] == oracle.weight, (case, k)
-                one = _block_raw(theta, n, scheme, bath, int(k), **kw)
+                one = block_hamiltonian(params, scheme, bath, int(k), **kw)
                 assert np.array_equal(one.h_sb, oracle.h_sb), (case, k)
                 assert (one.weight, one.env) == (oracle.weight, oracle.env), (case, k)
 
     def test_an_int_gives_one_block(self, small_params, generic_scheme, bath):
         blk = block_hamiltonian(small_params, generic_scheme, bath, 3)
-        oracle = _oracle_block_raw(small_params.theta, small_params.N, generic_scheme, bath, 3)
+        oracle = _oracle_block(small_params.theta, small_params.N, generic_scheme, bath, 3)
         assert blk.h_sb.shape == (4, 4) and type(blk.weight) is float
         assert (blk.weight, blk.env) == (oracle.weight, oracle.env)
         assert np.array_equal(blk.h_sb, oracle.h_sb) and blk.n_modes == oracle.n_modes
@@ -499,66 +512,18 @@ class TestSchemeValidation:
             CouplingScheme.local(1.0, 0.0, -1.0)
 
     def test_model_params_validation(self):
-        with pytest.raises(ValueError):
-            ModelParams(7, 0.5)
-        with pytest.raises(ValueError):
-            ModelParams(8, 2.0)
-        with pytest.raises(ValueError):
-            ModelParams(8, math.nan)
+        """Any finite theta constructs; odd or small N and a non-finite theta raise."""
+        for theta in (2.0, -0.5, 4.5, -7.0):
+            assert ModelParams(8, theta).theta == theta
+        for n in (7, 0, -2):
+            with pytest.raises(ValueError, match="N must be even"):
+                ModelParams(n, 0.5)
+        for theta in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="theta must be finite"):
+                ModelParams(8, theta)
 
     def test_bath_validation(self):
         with pytest.raises(ValueError):
             BathSpec(-1.0, 1.0)
         with pytest.raises(ValueError):
             BathSpec(1.0, 0.0)
-
-
-class TestCanonicalizeTheta:
-    def test_in_range_is_identity(self, local_scheme):
-        res = canonicalize_theta(math.pi / 3, local_scheme)
-        assert res.theta == math.pi / 3
-        assert res.scheme == local_scheme
-        assert not res.mode_relabeled
-
-    def test_local_couplings_unchanged_under_reflection(self):
-        scheme = CouplingScheme.local(1.0, 1.0, 1.0)
-        res = canonicalize_theta(-math.pi / 3, scheme)
-        assert res.theta == pytest.approx(math.pi / 3)
-        assert res.scheme.lam == {0: 1.0} and res.scheme.mu == {0: 1.0}
-        assert res.mode_relabeled
-
-    def test_negative_branch_reflects_swaps_and_relabels(self):
-        # theta -> -theta composes the particle-hole swap with the sublattice
-        # sign flip; the fock-level equivalence test pins this composition
-        scheme = CouplingScheme(nn=1, lam={-1: 0.0, 0: 1.0, 1: 0.5},
-                                mu={-1: 0.0, 0: 0.0, 1: 0.0}, g=1.0)
-        res = canonicalize_theta(-math.pi / 3, scheme)
-        assert res.theta == pytest.approx(math.pi / 3)
-        assert res.scheme.mu[1] == pytest.approx(-0.5)
-        assert res.scheme.mu[0] == pytest.approx(1.0)
-        assert all(v == 0.0 for v in res.scheme.lam.values())
-        assert res.mode_relabeled
-
-    def test_shift_branch_swaps_couplings(self, generic_scheme):
-        res = canonicalize_theta(math.pi + 0.4, generic_scheme)
-        assert res.theta == pytest.approx(0.4)
-        assert res.scheme == generic_scheme.swapped()
-        assert not res.mode_relabeled
-
-    def test_upper_branch_reflects(self, generic_scheme):
-        res = canonicalize_theta(math.pi - 0.4, generic_scheme)
-        assert res.theta == pytest.approx(0.4)
-        assert res.scheme == generic_scheme.reflected()
-        assert res.mode_relabeled
-
-    def test_symmetry_maps_are_involutive(self, generic_scheme):
-        assert generic_scheme.reflected().reflected() == generic_scheme
-        assert generic_scheme.swapped().swapped() == generic_scheme
-        assert generic_scheme.swapped().reflected().swapped().reflected() \
-            == generic_scheme
-
-    def test_out_of_range_raises(self, local_scheme):
-        with pytest.raises(ValueError):
-            canonicalize_theta(-2.0, local_scheme)
-        with pytest.raises(ValueError):
-            canonicalize_theta(5.0, local_scheme)

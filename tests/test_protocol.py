@@ -1,5 +1,6 @@
 import ast
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from kelvin.model import (
     ModelParams,
     band_edges,
     block_hamiltonian,
+    coupling_keys,
     dispersion,
     ground_state_energy,
     mode_grid,
@@ -798,6 +800,80 @@ class TestSteadyReports:
         cases = [(ModelParams(8, theta), bath) for theta in (0.9, 0.3, 1.3)]
         with pytest.raises(NonUniqueFixedPoint):
             pr.steady_reports(cases, local_scheme, {"kind": "single"}, engine=engine, dsp=True)
+
+
+# theta outside [0, pi/2] on each branch of `oracles.theta_image`: theta < 0,
+# (pi/2, pi] (the reflection, which holds with finite environments too) and
+# (pi, 3pi/2]
+_RAW_THETAS = (-1.2, -0.4, 1.9, 2.8, 3.6, 4.5)
+
+
+class TestRawTheta:
+    """The pipeline runs any finite theta as given, and a chain outside
+    [0, pi/2] has its image's physics: E, e and F, and per mode eps, E_k and
+    alpha with k -> N/2 - k where the image relabels the modes."""
+
+    @staticmethod
+    def _image(params, scheme):
+        """`oracles.theta_image` of a chain, with the order of the image's
+        modes that lines them up with the chain's."""
+        theta_img, scheme_img, relabeled = oracles.theta_image(params.theta, scheme)
+        order = slice(None, None, -1) if relabeled else slice(None)
+        return ModelParams(params.N, theta_img), scheme_img, order
+
+    def _assert_reports_match_the_image(self, n, thetas, scheme, bath, descriptor, **kwargs):
+        reps = pr.steady_reports([(ModelParams(n, th), bath) for th in thetas], scheme,
+                                 descriptor, **kwargs)
+        for rep, theta in zip(reps, thetas, strict=True):
+            params_img, scheme_img, order = self._image(ModelParams(n, theta), scheme)
+            img = pr.steady_report(params_img, scheme_img, bath, descriptor, **kwargs)
+            for name in ("energy", "relative_energy", "fidelity"):
+                assert getattr(rep, name) == pytest.approx(getattr(img, name), rel=1e-10), \
+                    (theta, name)
+            for name in ("epsilon", "mode_energy", "alpha"):
+                assert getattr(rep, name) == pytest.approx(getattr(img, name)[order],
+                                                           rel=1e-10), (theta, name)
+
+    @pytest.mark.parametrize("sched", list(_SCHEDULES))
+    @pytest.mark.parametrize("engine", ["fock", "cm"])
+    def test_steady_reports_match_the_image(self, rng, bath, engine, sched):
+        for nn, noise in itertools.product((0, 0.5, 1), ("none", "depolarizing")):
+            keys = coupling_keys(nn)
+            scheme = CouplingScheme(nn=nn, lam={j: float(rng.uniform(-1, 1)) for j in keys},
+                                    mu={j: float(rng.uniform(-1, 1)) for j in keys}, g=0.15)
+            self._assert_reports_match_the_image(16, _RAW_THETAS, scheme, bath,
+                                                 _SCHEDULES[sched], noise=_NOISES[noise],
+                                                 engine=engine)
+
+    @pytest.mark.parametrize("sched", list(_SCHEDULES))
+    @pytest.mark.parametrize("engine", ["fock", "cm"])
+    def test_finite_env_reports_match_the_image_on_the_reflection_branch(
+            self, bath, engine, sched):
+        """The swap branches do not hold with environments (CHANGES.md); an
+        environment-extended Fock block is 8 modes, so this chain is short."""
+        scheme = CouplingScheme(nn=1, lam={-1: 0.3, 0: -0.8, 1: 0.6},
+                                mu={-1: -0.5, 0: 0.9, 1: 0.2}, g=0.15)
+        self._assert_reports_match_the_image(8, (1.9,), scheme, bath, _SCHEDULES[sched],
+                                             noise=_NOISES["finite_env"], engine=engine)
+
+    @pytest.mark.parametrize("engine", ["fock", "cm"])
+    def test_trajectories_match_the_image(self, rng, bath, engine):
+        scheme = CouplingScheme(nn=1, lam={j: float(rng.uniform(-1, 1)) for j in (-1, 0, 1)},
+                                mu={j: float(rng.uniform(-1, 1)) for j in (-1, 0, 1)}, g=0.15)
+        for theta, (sched, noise) in itertools.product(
+                _RAW_THETAS, [("multifreq", "none"), ("randomized", "depolarizing")]):
+            params_img, scheme_img, order = self._image(ModelParams(16, theta), scheme)
+            runs = [pr.run_trajectory(p, s, pr.make_schedule(_SCHEDULES[sched], p, bath, 5),
+                                      noise=_NOISES[noise], engine=engine,
+                                      n_global_cycles=12, snapshot_stride=4)
+                    for p, s in ((ModelParams(16, theta), scheme), (params_img, scheme_img))]
+            for snap, snap_img in zip(*(run.snapshots for run in runs), strict=True):
+                case = (theta, sched, snap.cycle)
+                assert (snap.energy, snap.relative_energy, snap.fidelity) == pytest.approx(
+                    (snap_img.energy, snap_img.relative_energy, snap_img.fidelity),
+                    rel=1e-10), case
+                assert snap.mode_energies == pytest.approx(snap_img.mode_energies[order],
+                                                           rel=1e-10), case
 
 
 class TestComposedMaps:
